@@ -28,9 +28,19 @@ def main() -> int:
 
     deform = {}
     for fixture in workloads.Deform.fixtures:
+        sf = linfty.parse((workloads.FIXTURES / f"{fixture}.lif").read_text(encoding="utf-8"))
         for bound in (3, workloads.Deform.bound):
-            request = workloads.Deform(0, {"deform": {}})._request(fixture, bound)
-            deform[request.label] = request.run()
+            complex_ = linfty.deformation_complex(sf.embedding_tensor(), sf.action_family(), bound)
+            ranks = []
+            for degree in sorted({complex_.element_degree(w, b) for w, b in complex_.basis}):
+                for weight in range(1, bound + 1):
+                    r = linfty.cohomology_rank(complex_, degree, weight)
+                    ranks.append([r.degree, r.weight, r.piece_dim, r.rank_out, r.rank_in])
+            deform[f"{fixture}@{bound}"] = {
+                "basis_dim": len(complex_.basis),
+                "verdict": complex_.check_d1_squares_to_zero().verdict,
+                "ranks": ranks,
+            }
     answers["deform"] = deform
 
     bound = workloads.CrosscheckActions.bound

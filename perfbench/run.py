@@ -2,25 +2,33 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload deform --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload deform --seed 1 --seconds 20 --trace 0
 
 One process, one thread, closed loop: each request starts when the previous
 one has returned.  The seed fixes the workload's request set (see
 ``workloads.py``); a *pass* runs the whole set on freshly built inputs.
 
-With ``--trace 0`` the run sets up the workload several times and reports the
-median, then makes passes until ``--seconds`` of timed wall time have gone.
-Other tenants of a shared machine can slow a stretch of seconds by a third
-or more, so each request's latency is the fastest of its passes, and the
-throughput is the number of requests in the set per second of those
-latencies summed: one client served at its best observed speed.  Identical
-work in every pass makes both comparable between runs.
+With ``--trace 0`` the run times its own set-up, then that of four child
+interpreters started one after another with ``--setup-only``, and reports the
+median.  It then makes passes until ``--seconds`` of wall time have gone.
+
+The CPUs of a shared machine slow down and speed up by half or more for
+seconds to minutes at a time, and CPU time moves with wall time, so no
+choice of sample can see past it.  Every timing is therefore scaled by a
+*speed probe*: a fixed loop of stdlib ``Fraction`` arithmetic, run at the
+start of each pass and again after every ``PROBE_EVERY_S`` of requests.  A
+request's latency is multiplied by ``PROBE_REF_S`` over the mean of the
+probes on either side of it: milliseconds at the speed at which the probe
+takes ``PROBE_REF_S``.  The probe does not touch ``linfty``, so a change to
+the program cannot move it.  Each request reports the median of its scaled
+latencies over the passes; the throughput is the number of requests in the
+set over the sum of those medians.  The info line gives the raw figures.
 
 With ``--trace 1`` it makes three passes: untraced, then twice with
 wrappers around each layer's public functions (see ``tracing.py``).  It
 reports the first traced pass per layer and the tracing overhead against the
 untraced pass, and fails the run if the work counts of the two traced
-passes differ.
+passes differ.  Per-layer times are not scaled.
 
 Every answer is compared with a known answer (``answers.json``, the
 corpus's ``expect_coherent``, or the error a malformed file must raise).
@@ -29,14 +37,13 @@ it, raises, reports a route disagreement, exits 3 or prints a traceback is a
 failure.
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the line before it describes the
-run (machine, code version, seed, bound, tail percentile, sample counts, and
-a reading of the machine's speed before and after).
+run (machine, code version, seed, bound, tail percentile, sample counts and
+the probe readings).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -45,14 +52,19 @@ import resource
 import shutil
 import signal
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 5
 WORKLOAD_NAMES = ("deform", "crosscheck-actions", "cli-fixtures")
+SETUP_CHILDREN = 4
+# probe again once this much request time has gone since the last probe
+PROBE_EVERY_S = 0.05
+# the probe's time at the speed the scaled figures refer to
+PROBE_REF_S = 0.005
 
 
 class DeadlineExceeded(BaseException):
@@ -62,6 +74,15 @@ class DeadlineExceeded(BaseException):
 
 def _on_alarm(signum, frame):
     raise DeadlineExceeded
+
+
+def probe() -> float:
+    """Seconds taken by a fixed loop of stdlib ``Fraction`` arithmetic."""
+    start = time.perf_counter()
+    total = Fraction(0)
+    for i in range(1, 1000):
+        total += Fraction(1, i % 97 + 1) * (i % 7)
+    return time.perf_counter() - start
 
 
 def call(request, deadline_s: float):
@@ -88,11 +109,17 @@ class Tally:
         self.failed = 0
         self.wrong = 0
         self.problems: list[str] = []
+        self.probes: list[float] = []
 
-    def run(self, requests, deadline_s: float, tracer=None) -> tuple[float, list]:
-        """One pass: its wall time and each request's latency (None if failed)."""
-        latencies = []
-        start = time.perf_counter()
+    def run(self, requests, deadline_s: float, probed: bool = False, tracer=None) -> list:
+        """One pass: each request's latency, None if it failed.
+
+        With ``probed`` the latencies are scaled by the speed probes taken
+        around them (see the module docstring).
+        """
+        raw, block = [], []
+        probes = [probe()] if probed else []
+        since = 0.0
         for request in requests:
             if tracer is not None:
                 tracer.request = request.label
@@ -100,43 +127,21 @@ class Tally:
             self.attempted += 1
             self.failed += status == "failed"
             self.wrong += status == "wrong"
-            latencies.append(None if status == "failed" else latency)
+            raw.append(None if status == "failed" else latency)
+            block.append(len(probes) - 1)
             if detail is not None and len(self.problems) < 10:
                 self.problems.append(f"{status} {request.label}: {detail}")
-        return time.perf_counter() - start, latencies
-
-
-def import_linfty() -> None:
-    """Import ``linfty`` and its CLI as a new process would.
-
-    Later calls import fresh copies only to time them; the benchmark keeps
-    working with the modules of the first import.
-    """
-    first = {k: m for k, m in sys.modules.items() if k == "linfty" or k.startswith("linfty.")}
-    for key in first:
-        del sys.modules[key]
-    importlib.import_module("linfty.cli")
-    if first:
-        for key in [k for k in sys.modules if k == "linfty" or k.startswith("linfty.")]:
-            del sys.modules[key]
-        sys.modules.update(first)
-
-
-def calibration_ms() -> float:
-    """Median time of a fixed loop of stdlib ``Fraction`` arithmetic.
-
-    It does not touch ``linfty``, so it reads the machine's speed at the
-    moment: a slow run with a slow reading points at the machine rather than
-    at the code.
-    """
-    samples = []
-    for _ in range(5):
-        start = time.perf_counter()
-        total = Fraction(0)
-        for i in range(1, 20000):
-            total += Fraction(1, i % 97 + 1) * (i % 7)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples) * 1000
+            since += latency
+            if probed and since >= PROBE_EVERY_S:
+                probes.append(probe())
+                since = 0.0
+        if not probed:
+            return raw
+        if block and block[-1] == len(probes) - 1:
+            probes.append(probe())
+        self.probes += probes
+        scale = [2 * PROBE_REF_S / (a + b) for a, b in zip(probes, probes[1:])]
+        return [None if t is None else t * scale[k] for t, k in zip(raw, block)]
 
 
 def tail(latencies: list[float]) -> tuple[float, float]:
@@ -184,12 +189,51 @@ def cpu_model() -> str:
     return platform.machine()
 
 
+def set_up(args, tally: Tally):
+    """The set-up a user pays once per process: import ``linfty``, load the
+    known answers, build the inputs of the first pass and run the warm-up.
+
+    Returns the workload, the first pass, and the set-up time scaled by the
+    probes taken before and after it, with the raw time.  Each side takes
+    the fastest of three probes, so that one probe caught by a brief stall
+    cannot scale the whole set-up.
+    """
+    before = min(probe() for _ in range(3))
+    start = time.perf_counter()
+    import workloads  # imports linfty
+
+    answers = workloads.load_answers()
+    workload = workloads.WORKLOADS[args.workload](args.seed, answers)
+    first_pass = workload.requests()
+    tally.run(workload.warmup(), workload.deadline_s)
+    raw = time.perf_counter() - start
+    scaled = raw * 2 * PROBE_REF_S / (before + min(probe() for _ in range(3)))
+    return workload, first_pass, scaled, raw
+
+
+def child_set_up(args) -> tuple[float, float]:
+    """One cold set-up in a fresh interpreter: ``(scaled, raw)`` seconds."""
+    argv = [
+        sys.executable, str(Path(__file__).resolve()), "--setup-only",
+        "--workload", args.workload, "--seed", str(args.seed), "--seconds", "0",
+    ]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    if done.returncode != 0:
+        raise RuntimeError(f"set-up in a child interpreter failed: {done.stderr[-500:]}")
+    sample = json.loads(done.stdout.splitlines()[-1])
+    return sample["scaled_s"], sample["raw_s"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument(
+        "--setup-only", action="store_true",
+        help="time one set-up, print it as JSON and exit (the run starts these itself)",
+    )
     args = parser.parse_args(argv)
 
     os.chdir(ROOT)
@@ -199,19 +243,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     signal.signal(signal.SIGALRM, _on_alarm)
 
-    # set-up: import, answers, inputs of the first pass, one warm-up request
     setup = Tally()
-    setup_samples = []
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        import_linfty()
-        import workloads
+    workload, first_pass, scaled, raw = set_up(args, setup)
+    if args.setup_only:
+        if setup.failed or setup.wrong:
+            print("; ".join(setup.problems), file=sys.stderr)
+            return 1
+        print(json.dumps({"scaled_s": scaled, "raw_s": raw}))
+        return 0
+    setup_samples = [(scaled, raw)]
+    if not args.trace:
+        setup_samples += [child_set_up(args) for _ in range(SETUP_CHILDREN)]
 
-        answers = workloads.load_answers()
-        workload = workloads.WORKLOADS[args.workload](args.seed, answers)
-        first_pass = workload.requests()
-        setup.run([workload.warmup()], workload.deadline_s)
-        setup_samples.append(time.perf_counter() - start)
+    import workloads
 
     info = {
         "workload": args.workload,
@@ -226,16 +270,15 @@ def main(argv=None) -> int:
         "cpu": cpu_model(),
         "loop": "closed, one client",
         "deadline_s": workload.deadline_s,
-        "setup_samples_s": setup_samples,
+        "probe_ref_s": PROBE_REF_S,
+        "setup_raw_s": [r for _, r in setup_samples],
+        "setup_scaled_s": [s for s, _ in setup_samples],
     }
-    calibration = [calibration_ms()]
     try:
         measure = traced_run if args.trace else timed_run
         result = measure(args, workload, first_pass, info)
     finally:
         shutil.rmtree(workloads.MUTANTS, ignore_errors=True)
-    calibration.append(calibration_ms())
-    info["calibration_ms_before_after"] = calibration
     if result is None:
         print("no request completed: " + "; ".join(setup.problems), file=sys.stderr)
         return 1
@@ -257,34 +300,35 @@ def main(argv=None) -> int:
     return 0
 
 
-def timed_run(args, workload, first_pass, info) -> dict:
+def timed_run(args, workload, first_pass, info) -> dict | None:
     tally = Tally()
-    timed = 0.0
-    passes = 0
-    fastest = [math.inf] * len(first_pass)
-    while timed < args.seconds:
+    passes = []
+    start = time.perf_counter()
+    while not passes or time.perf_counter() - start < args.seconds:
         requests = workload.requests() if passes else first_pass
-        wall, latencies = tally.run(requests, workload.deadline_s)
-        timed += wall
-        passes += 1
-        fastest = [f if t is None else min(f, t) for f, t in zip(fastest, latencies)]
-    samples = [f for f in fastest if f < math.inf]
+        passes.append(tally.run(requests, workload.deadline_s, probed=True))
+    wall = time.perf_counter() - start
+    per_request = [[t for t in ts if t is not None] for ts in zip(*passes)]
+    samples = [statistics.median(ts) for ts in per_request if ts]
     if not samples:
         return None
     tail_s, percentile = tail(samples)
+    probes = sorted(tally.probes)
     info.update(
-        passes=passes,
-        timed_s=timed,
-        requests_per_pass=len(fastest),
+        passes=len(passes),
+        wall_s=wall,
+        requests_per_pass=len(first_pass),
         samples=len(samples),
-        latency="fastest of each request's passes",
+        latency="median over passes of each request's scaled latency",
         latency_tail_percentile=percentile,
+        probe_s={"count": len(probes), "min": probes[0],
+                 "median": statistics.median(probes), "max": probes[-1]},
     )
     metrics = {
         "verdicts_per_s": (len(samples) / math.fsum(samples), "1/s"),
         "latency_p50_ms": (statistics.median(samples) * 1000, "ms"),
         "latency_tail_ms": (tail_s * 1000, "ms"),
-        "setup_s": (statistics.median(info["setup_samples_s"]), "s"),
+        "setup_s": (statistics.median(info["setup_scaled_s"]), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     return {
@@ -298,15 +342,19 @@ def traced_run(args, workload, first_pass, info) -> dict:
     import workloads
 
     tally = Tally()
-    untraced_s, _ = tally.run(first_pass, workload.deadline_s)
+    start = time.perf_counter()
+    tally.run(first_pass, workload.deadline_s)
+    untraced_s = time.perf_counter() - start
     passes = []
     for _ in range(2):
         requests = workload.requests()
         tracer = tracing.Tracer()
         tracer.install()
+        start = time.perf_counter()
         try:
-            wall, _ = tally.run(requests, workload.deadline_s, tracer)
+            tally.run(requests, workload.deadline_s, tracer=tracer)
         finally:
+            wall = time.perf_counter() - start
             tracer.uninstall()
         passes.append((tracer, wall))
     (first, first_wall), (second, _) = passes
@@ -323,6 +371,7 @@ def traced_run(args, workload, first_pass, info) -> dict:
         requests_per_pass=len(first_pass),
         untraced_wall_s=untraced_s,
         traced_wall_s=first_wall,
+        wrapper_cost_s=first.cost[0],
         work_counts_repeat=repeat,
         spans_file=str(spans),
     )
