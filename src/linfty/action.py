@@ -148,6 +148,7 @@ class ActionFamily:
         self.E = E
         self.V = V
         self.components = dict(sorted(comps.items()))
+        # lifts, coherence verdicts and target lift rows, keyed by kind and bound
         self._lift_cache: dict = {}
         self._hemi = None
 
@@ -242,10 +243,6 @@ class ActionFamily:
                 got = TruncatedCoderivation(self.V.space, bound, degree, SYMMETRIC, {})
             self._lift_cache[key] = got
         return got
-
-    def restriction_of(self, eword: Word, word: Word) -> Vector:
-        """Single-letter component of ``phi_of(eword)`` on a canonical word."""
-        return self.eval(eword, word)
 
     def hemiproduct(self) -> "HemiProduct":
         if self._hemi is None:
@@ -529,29 +526,17 @@ class HemiProduct:
     def is_pure_v(self, word: Word) -> bool:
         return all(i >= self.v_offset for i in word)
 
-    def is_pure_e(self, word: Word) -> bool:
-        return all(i < self.v_offset for i in word)
-
     def to_v_word(self, word: Word) -> Word:
         return tuple(i - self.v_offset for i in word)
 
     def from_v_word(self, word: Word) -> Word:
         return tuple(i + self.v_offset for i in word)
 
-    def from_e_word(self, word: Word) -> Word:
-        return tuple(word)
-
     def e_part(self, vec: Vector) -> Vector:
         return {i: c for i, c in vec.items() if i < self.v_offset}
 
     def v_part(self, vec: Vector) -> Vector:
         return {i - self.v_offset: c for i, c in vec.items() if i >= self.v_offset}
-
-    def embed_e_vector(self, vec: Vector) -> Vector:
-        return dict(vec)
-
-    def embed_v_vector(self, vec: Vector) -> Vector:
-        return {i + self.v_offset: c for i, c in vec.items()}
 
     def codifferential(self, bound: int) -> TruncatedCoderivation:
         got = self._codifferential_cache.get(bound)

@@ -256,9 +256,15 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
 
 
 def _route_diff(space, a, b) -> str:
-    words = sorted(set(a) | set(b))
-    bad = [w for w in words if a.get(w) != b.get(w)]
-    return ", ".join(space.format_word(w) for w in bad[:5])
+    """The first word (shortest, then lexicographic) where the routes differ,
+    with the value each route gives there."""
+    bad = (w for w in set(a) | set(b) if a.get(w) != b.get(w))
+    w = min(bad, key=lambda w: (len(w), w))
+    return (
+        f"first at [{space.format_word(w)}]: "
+        f"identity sum {format_vector(space, a.get(w, {}))}, "
+        f"coderivation square {format_vector(space, b.get(w, {}))}"
+    )
 
 
 # ---------------------------------------------------------------------------

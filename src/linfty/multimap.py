@@ -14,7 +14,9 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .graded import (
@@ -60,11 +62,16 @@ __all__ = [
 
 def add_into(acc: dict, key, coeff: Fraction) -> None:
     """Accumulate ``coeff`` at ``key``, dropping exact zeros."""
-    new = acc.get(key, 0) + coeff
+    old = acc.get(key)
+    if old is None:
+        if coeff:
+            acc[key] = coeff
+        return
+    new = old + coeff
     if new:
         acc[key] = new
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def scale_mapping(mapping: dict, c: Fraction) -> dict:
@@ -466,34 +473,66 @@ def lift_symmetric_coderivation(
     """The unique coderivation of the reduced symmetric coalgebra with the
     given restriction maps, truncated to words of length <= ``bound``.
 
-    On a canonical word the lift sums, over (k, n-k)-unshuffles, the inner
-    map applied to the first block times the remaining letters.
+    On a canonical word ``w`` the lift sums, over (k, n-k)-unshuffles, the
+    inner map applied to the first block times the remaining letters.  The
+    rows are generated from the support: each canonical key ``u`` with each
+    canonical rest ``r`` that fits under the bound lands in the row
+    ``normalize(u + r)`` with the sign of that sort, once for every unshuffle
+    of the row's word that splits off ``u`` (more than one only when ``u``
+    and ``r`` share an even letter).  The work is proportional to the number
+    of (key, rest) pairs, not to the number of canonical words.
     """
     degree = _common_degree(restrictions)
+    rests = [tuple(space.canonical_words(n)) for n in range(bound)]
     rows: dict[Word, WordSum] = {}
-    arities = sorted(k for k, f in restrictions.items() if not f.is_zero())
-    for n in range(1, bound + 1):
-        for w in space.canonical_words(n):
-            degs = space.word_degrees(w)
-            acc: WordSum = {}
-            for k in arities:
-                if k > n:
-                    break
-                f = restrictions[k]
-                for sigma in unshuffles(k, n - k) if k < n else ((tuple(range(n)),)):
-                    eps = koszul_sign(sigma, degs)
-                    pw = permute(sigma, w)
-                    inner = f.eval(pw[:k])
-                    if not inner:
+    for f in restrictions.values():
+        for u, vec in f.constants.items():
+            # plain maps are read literally, so only canonical keys are ever met
+            if space.normalize(u) != (u, 1):
+                continue
+            for n in range(bound - len(u) + 1):
+                for rest in rests[n]:
+                    w, eps = space.normalize(u + rest)
+                    if not eps:
                         continue
-                    rest = pw[k:]
-                    for b, c in inner.items():
-                        norm, s2 = space.normalize((b,) + rest)
+                    mult = _split_count(u, rest)
+                    row = rows.setdefault(w, {})
+                    for b, c in vec.items():
+                        out, s2 = space.normalize((b,) + rest)
                         if s2:
-                            add_into(acc, norm, eps * s2 * c)
-            if acc:
-                rows[w] = acc
+                            c = c if eps == s2 else -c
+                            add_into(row, out, c * mult if mult > 1 else c)
     return TruncatedCoderivation(space, bound, degree, SYMMETRIC, rows)
+
+
+def _split_count(u: Word, rest: Word) -> int:
+    """Unshuffles of ``sorted(u + rest)`` whose blocks read ``u`` and ``rest``."""
+    count = 1
+    for x in set(u).intersection(rest):
+        count *= math.comb(u.count(x) + rest.count(x), u.count(x))
+    return count
+
+
+@lru_cache(maxsize=None)
+def _words_of_length(dim: int, n: int) -> tuple[Word, ...]:
+    return tuple(itertools.product(range(dim), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def _front_placements(i: int, m: int) -> tuple:
+    """Each ``(i, m)``-unshuffle as ``(front_slots, inner_slots, crossings)``.
+
+    An unshuffle moves ``i`` front letters and ``m`` inner letters out of a
+    head of ``i + m`` slots; ``front_slots``/``inner_slots`` are the head
+    slots they come from.  ``crossings[a]`` lists the inner letters the
+    ``a``-th front letter passes, the inversion pairs that fix the sign.
+    """
+    out = []
+    for sigma in _unshuffles((i, m)):
+        front, inner = sigma[:i], sigma[i:]
+        crossings = tuple(tuple(c for c, t in enumerate(inner) if t < s) for s in front)
+        out.append((front, inner, crossings))
+    return tuple(out)
 
 
 def lift_zinbiel_coderivation(
@@ -501,42 +540,65 @@ def lift_zinbiel_coderivation(
 ) -> TruncatedCoderivation:
     """The coderivation of the Zinbiel coalgebra with the given restrictions.
 
-    For each inner arity ``k`` and each count ``i`` of pass-through letters in
-    front, the slots ``0..i+k-2`` are unshuffled into the front block and the
-    inner arguments; the inner map always absorbs the anchored letter at slot
-    ``i+k-1``, and the remaining letters pass through on the right.  Moving a
-    degree-``d`` map past the front block costs ``(-1)^{d * deg(front)}``.
+    On a word ``w`` the lift sums, for each inner arity ``k`` and each count
+    ``i`` of pass-through letters in front, over the unshuffles of slots
+    ``0..i+k-2`` into a front block and the inner arguments; the inner map
+    always absorbs the anchored letter at slot ``i+k-1``, and the remaining
+    letters pass through on the right.  Moving a degree-``d`` map past the
+    front block costs ``(-1)^{d * deg(front)}``.
+
+    The rows are generated backwards from the support.  A key ``u`` of the
+    plain support (symmetric maps enter through :meth:`MultiMap.expand_plain`)
+    with a front word ``F`` and an ``(i, k-1)``-unshuffle fixes a prefix: the
+    interleaving of ``F`` with ``u[:-1]``, then ``u[-1]``.  That prefix maps
+    to ``F + (b,)`` for each output letter ``b``, with the Koszul sign of the
+    crossings between ``F`` and ``u[:-1]`` times ``(-1)^{|Q| |F|}``, applied by
+    negating the value.  Every prefix row then extends by each tail that fits
+    under the bound.  The work is proportional to the nonzero contributions,
+    not to the ``dim^bound`` words.
     """
     degree = _common_degree(restrictions)
     parity = degree % 2
+    odd = tuple(d % 2 for d in space.degrees)
+    short = [_words_of_length(space.dim, n) for n in range(bound)]
+    prefixes: dict[Word, WordSum] = {}
+    for f in restrictions.values():
+        plain = f.expand_plain() if f.flavor == SYMMETRIC else f
+        for u, vec in plain.constants.items():
+            k = len(u)
+            inner, anchor = u[:-1], u[-1:]
+            neg = {b: -c for b, c in vec.items()}
+            for i in range(bound - k + 1):
+                for front_slots, inner_slots, crossings in _front_placements(i, k - 1):
+                    flips = [
+                        a
+                        for a, crossed in enumerate(crossings)
+                        if (parity + sum(odd[inner[c]] for c in crossed)) % 2
+                    ]
+                    template = [0] * (i + k - 1)
+                    for t, x in zip(inner_slots, inner):
+                        template[t] = x
+                    for front in short[i]:
+                        head = template[:]
+                        for t, x in zip(front_slots, front):
+                            head[t] = x
+                        row = prefixes.setdefault(tuple(head) + anchor, {})
+                        value = neg if sum(odd[front[a]] for a in flips) % 2 else vec
+                        for b, c in value.items():
+                            add_into(row, front + (b,), c)
     rows: dict[Word, WordSum] = {}
-    arities = sorted(k for k, f in restrictions.items() if not f.is_zero())
-    for n in range(1, bound + 1):
-        for w in space.words(n):
-            acc: WordSum = {}
-            for k in arities:
-                if k > n:
-                    break
-                f = restrictions[k]
-                for i in range(0, n - k + 1):
-                    head = w[: i + k - 1]
-                    degs = space.word_degrees(head)
-                    anchored = w[i + k - 1]
-                    tail = w[i + k:]
-                    for sigma in _unshuffles((i, k - 1)):
-                        eps = koszul_sign(sigma, degs)
-                        pw = permute(sigma, head)
-                        inner = f.eval(pw[i:] + (anchored,))
-                        if not inner:
-                            continue
-                        front = pw[:i]
-                        sign = eps
-                        if parity and space.word_degree(front) % 2:
-                            sign = -sign
-                        for b, c in inner.items():
-                            add_into(acc, front + (b,) + tail, sign * c)
-            if acc:
-                rows[w] = acc
+    for prefix, prow in prefixes.items():
+        if not prow:
+            continue
+        for n in range(bound - len(prefix) + 1):
+            for tail in short[n]:
+                w = prefix + tail
+                row = rows.get(w)
+                if row is None:
+                    rows[w] = {x + tail: c for x, c in prow.items()}
+                else:
+                    for x, c in prow.items():
+                        add_into(row, x + tail, c)
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedSpace, Word
+from .graded import GradedSpace
 
 
 class InputError(Exception):
@@ -29,10 +29,6 @@ def format_vector(space: GradedSpace, vec: dict[int, Fraction]) -> str:
     if not vec:
         return "0"
     return " + ".join(f"({frac_str(vec[i])})*{space.symbols[i]}" for i in sorted(vec))
-
-
-def format_word(space: GradedSpace, word: Word) -> str:
-    return space.format_word(word)
 
 
 @dataclass(frozen=True, order=True)
@@ -68,9 +64,3 @@ class CheckReport:
 
 def make_report(check: str, bound: int, items) -> CheckReport:
     return CheckReport(check, bound, tuple(sorted(items)))
-
-
-def same_support(a: CheckReport, b: CheckReport) -> bool:
-    return {(r.arity, r.word) for r in a.residuals} == {
-        (r.arity, r.word) for r in b.residuals
-    }

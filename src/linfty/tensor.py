@@ -155,14 +155,11 @@ def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
 
 
 def _ensure_coherent(action: ActionFamily, bound: int) -> HemiProduct:
-    cache = getattr(action, "_coherence_verdicts", None)
-    if cache is None:
-        cache = {}
-        action._coherence_verdicts = cache
-    verdict = cache.get(bound)
+    key = ("coherent", bound)
+    verdict = action._lift_cache.get(key)
     if verdict is None:
         verdict = check_coherence(action, bound).ok
-        cache[bound] = verdict
+        action._lift_cache[key] = verdict
     if not verdict:
         raise InputError("the action is not coherent at this bound")
     return action.hemiproduct()
@@ -312,14 +309,11 @@ def check_embedding_explicit(
 
 
 def _mv_rows(action: ActionFamily, bound: int) -> dict[Word, WordSum]:
-    cache = getattr(action, "_mv_zin_rows", None)
-    if cache is None:
-        cache = {}
-        action._mv_zin_rows = cache
-    rows = cache.get(bound)
+    key = ("mv_zinbiel", bound)
+    rows = action._lift_cache.get(key)
     if rows is None:
         rows = lift_zinbiel_coderivation(action.V.space, action.V.brackets, bound).rows
-        cache[bound] = rows
+        action._lift_cache[key] = rows
     return rows
 
 

@@ -1,0 +1,92 @@
+"""Word-by-word coderivation lifts, kept as a test oracle.
+
+These visit every word up to the bound and, on each one, try every inner
+arity, front size and unshuffle, exactly as the coderivation formula reads
+forwards.  The package builds its lifts from the support of the restriction
+maps instead; the oracle tests check the two agree row for row.
+"""
+from __future__ import annotations
+
+from typing import Mapping
+
+from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
+from linfty.multimap import (
+    SYMMETRIC,
+    ZINBIEL,
+    MultiMap,
+    TruncatedCoderivation,
+    WordSum,
+    _common_degree,
+    add_into,
+)
+
+
+def dense_symmetric_lift(
+    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+) -> TruncatedCoderivation:
+    """On a canonical word, sum over (k, n-k)-unshuffles the inner map
+    applied to the first block times the remaining letters."""
+    degree = _common_degree(restrictions)
+    rows: dict[Word, WordSum] = {}
+    arities = sorted(k for k, f in restrictions.items() if not f.is_zero())
+    for n in range(1, bound + 1):
+        for w in space.canonical_words(n):
+            degs = space.word_degrees(w)
+            acc: WordSum = {}
+            for k in arities:
+                if k > n:
+                    break
+                f = restrictions[k]
+                for sigma in unshuffles(k, n - k) if k < n else ((tuple(range(n)),)):
+                    eps = koszul_sign(sigma, degs)
+                    pw = permute(sigma, w)
+                    inner = f.eval(pw[:k])
+                    if not inner:
+                        continue
+                    rest = pw[k:]
+                    for b, c in inner.items():
+                        norm, s2 = space.normalize((b,) + rest)
+                        if s2:
+                            add_into(acc, norm, eps * s2 * c)
+            if acc:
+                rows[w] = acc
+    return TruncatedCoderivation(space, bound, degree, SYMMETRIC, rows)
+
+
+def dense_zinbiel_lift(
+    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+) -> TruncatedCoderivation:
+    """For each inner arity ``k`` and front size ``i``, unshuffle slots
+    ``0..i+k-2`` into the front block and the inner arguments; the inner map
+    absorbs the anchored letter at slot ``i+k-1``."""
+    degree = _common_degree(restrictions)
+    parity = degree % 2
+    rows: dict[Word, WordSum] = {}
+    arities = sorted(k for k, f in restrictions.items() if not f.is_zero())
+    for n in range(1, bound + 1):
+        for w in space.words(n):
+            acc: WordSum = {}
+            for k in arities:
+                if k > n:
+                    break
+                f = restrictions[k]
+                for i in range(0, n - k + 1):
+                    head = w[: i + k - 1]
+                    degs = space.word_degrees(head)
+                    anchored = w[i + k - 1]
+                    tail = w[i + k:]
+                    for sigma in _unshuffles((i, k - 1)):
+                        eps = koszul_sign(sigma, degs)
+                        pw = permute(sigma, head)
+                        inner = f.eval(pw[i:] + (anchored,))
+                        if not inner:
+                            continue
+                        front = pw[:i]
+                        sign = eps
+                        if parity and space.word_degree(front) % 2:
+                            sign = -sign
+                        for b, c in inner.items():
+                            add_into(acc, front + (b,) + tail, sign * c)
+            if acc:
+                rows[w] = acc
+    return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,30 @@ def test_route_disagreement_maps_to_exit_three(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 3
     assert "internal consistency" in out
+
+
+def test_route_disagreement_names_word_and_both_values(capsys, monkeypatch):
+    import linfty.homotopy as homotopy
+    from linfty.multimap import TruncatedCoderivation
+
+    real = homotopy.lift_zinbiel_coderivation
+
+    def skewed(space, restrictions, bound):
+        # one spurious term: the coderivation square picks up [p,p] = z on (p, p)
+        lifted = real(space, restrictions, bound)
+        rows = {w: dict(row) for w, row in lifted.rows.items()}
+        rows.setdefault((0, 0), {})[(0, 0)] = Fraction(1)
+        return TruncatedCoderivation(space, bound, lifted.degree, lifted.coalgebra, rows)
+
+    monkeypatch.setattr(homotopy, "lift_zinbiel_coderivation", skewed)
+    code = main(["check-loday", str(FIXTURES / "loday_plain.lif")])
+    out = capsys.readouterr().out
+    assert code == 3
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert errors == [
+        "error: internal consistency: anchored identity sum and coderivation square "
+        "differ: first at [p,p]: identity sum 0, coderivation square (1/1)*z"
+    ]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,0 +1,164 @@
+"""The support-driven coderivation lifts against the word-by-word oracle.
+
+Every case compares the rows of :func:`lift_zinbiel_coderivation` and
+:func:`lift_symmetric_coderivation` with those of the dense lifts in
+``dense_lifts.py``, which read the coderivation formula forwards on every
+word up to the bound.
+"""
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import linfty.tensor as tensor_module
+from dense_lifts import dense_symmetric_lift, dense_zinbiel_lift
+from linfty import corpus, parse_path
+from linfty.graded import GradedSpace
+from linfty.multimap import (
+    PLAIN,
+    SYMMETRIC,
+    MultiMap,
+    lift_symmetric_coderivation,
+    lift_zinbiel_coderivation,
+)
+from linfty.tensor import deformation_complex
+
+F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
+MIXED3 = GradedSpace("M", [("x", 0), ("y", 1), ("z", -1)])
+
+
+def assert_zinbiel_matches(space, family, bound):
+    got = lift_zinbiel_coderivation(space, family, bound)
+    assert got.rows == dense_zinbiel_lift(space, family, bound).rows
+    return got
+
+
+def assert_symmetric_matches(space, family, bound):
+    got = lift_symmetric_coderivation(space, family, bound)
+    assert got.rows == dense_symmetric_lift(space, family, bound).rows
+    return got
+
+
+@pytest.mark.parametrize("index", range(19))
+def test_catalog_hemisemidirect_products_at_bound_4(index):
+    catalog = corpus.action_corpus(19, 0)
+    product = catalog[index].action.hemiproduct().structure
+    assert_zinbiel_matches(product.space, product.brackets, 4)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.lif")))
+def test_fixture_structures_at_bound_4(fixture):
+    sf = parse_path(FIXTURES / fixture)
+    for name in sf.spaces:
+        structure = sf.structure(name)
+        assert_zinbiel_matches(structure.space, structure.brackets, 4)
+        assert_symmetric_matches(structure.space, structure.brackets, 4)
+
+
+def test_heisenberg_deformation_lifts_at_bound_4(monkeypatch):
+    """Every Zinbiel lift the complex makes, d1 basis elements included."""
+    compared = []
+
+    def checked(space, family, bound):
+        compared.append(family)
+        return assert_zinbiel_matches(space, family, bound)
+
+    monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", checked)
+    sf = parse_path(FIXTURES / "heisenberg.lif")
+    complex_ = deformation_complex(sf.embedding_tensor(), sf.action_family(), 4)
+    for w, b in complex_.basis:
+        complex_.lift(complex_.basis_element(w, b))
+    assert len(compared) > len(complex_.basis)
+
+
+def test_small_space_at_bound_5():
+    rng = random.Random(11)
+    for degree in (0, 1):
+        plain = corpus.random_restriction_family(MIXED3, [1, 2, 3], degree, rng)
+        assert_zinbiel_matches(MIXED3, plain, 5)
+        sym = corpus.random_restriction_family(MIXED3, [1, 2, 3], degree, rng, flavor=SYMMETRIC)
+        assert_zinbiel_matches(MIXED3, sym, 5)
+        assert_symmetric_matches(MIXED3, sym, 5)
+
+
+def test_arities_above_the_bound_contribute_nothing():
+    rng = random.Random(12)
+    family = corpus.random_restriction_family(MIXED3, [1, 3], 1, rng, flavor=SYMMETRIC)
+    assert not family[3].is_zero()
+    for bound in (1, 2):
+        zin = assert_zinbiel_matches(MIXED3, family, bound)
+        sym = assert_symmetric_matches(MIXED3, family, bound)
+        assert all(len(w) <= bound for w in zin.rows)
+        assert 3 not in zin.restrictions() and 3 not in sym.restrictions()
+
+
+def test_cancelling_terms_leave_no_row():
+    # f(y, x) = y with y odd and f even: on (y, y, x) the two ways of passing
+    # a y in front of the inner y carry opposite Koszul signs
+    f = MultiMap(MIXED3, MIXED3, 2, 0, PLAIN, {(1, 0): {1: F(1)}})
+    zin = assert_zinbiel_matches(MIXED3, {2: f}, 3)
+    assert (1, 1, 0) not in zin.rows
+    assert zin.rows[(0, 1, 0)] == {(0, 1): F(1)}
+
+
+def test_repeated_even_letter_counts_every_unshuffle():
+    q = MultiMap(MIXED3, MIXED3, 1, 0, SYMMETRIC, {(0,): {0: F(1)}})
+    sym = assert_symmetric_matches(MIXED3, {1: q}, 3)
+    assert sym.rows[(0, 0)] == {(0, 0): F(2)}
+    assert sym.rows[(0, 0, 0)] == {(0, 0, 0): F(3)}
+
+
+# ---------------------------------------------------------------------------
+# properties on random sparse families
+
+
+@st.composite
+def families(draw, flavor):
+    degree = draw(st.integers(-1, 2))
+    family = {}
+    for k in sorted(draw(st.sets(st.integers(1, 3), min_size=1))):
+        words = MIXED3.canonical_words(k) if flavor == SYMMETRIC else MIXED3.words(k)
+        slots = []
+        for w in words:
+            out = degree + MIXED3.word_degree(w)
+            slots += [(w, b) for b in range(MIXED3.dim) if MIXED3.degrees[b] == out]
+        if not slots:
+            continue
+        chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+        table = {}
+        for w, b in chosen:
+            num = draw(st.integers(-3, 3).filter(bool))
+            table.setdefault(w, {})[b] = F(num, draw(st.integers(1, 3)))
+        family[k] = MultiMap(MIXED3, MIXED3, k, degree, flavor, table)
+    return family
+
+
+PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+def _nonzero(family):
+    return {k: f for k, f in family.items() if not f.is_zero()}
+
+
+@PROPERTY
+@given(family=families(PLAIN) | families(SYMMETRIC))
+def test_zinbiel_lift_properties(family):
+    lifted = assert_zinbiel_matches(MIXED3, family, 4)
+    back = lifted.restrictions()
+    expected = {k: f.expand_plain().constants for k, f in _nonzero(family).items()}
+    assert {k: f.constants for k, f in back.items()} == expected
+    assert lifted.check_coleibniz() == {}
+
+
+@PROPERTY
+@given(family=families(SYMMETRIC))
+def test_symmetric_lift_properties(family):
+    lifted = assert_symmetric_matches(MIXED3, family, 4)
+    back = lifted.restrictions()
+    assert {k: f.constants for k, f in back.items()} == {
+        k: f.constants for k, f in _nonzero(family).items()
+    }
+    assert lifted.check_coleibniz() == {}

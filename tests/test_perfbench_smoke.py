@@ -1,0 +1,24 @@
+"""The benchmark's warm-up requests still reach their known answers.
+
+Runs the ``warmup()`` requests of the ``deform`` and ``crosscheck-actions``
+workloads from ``perfbench/workloads.py`` in process, so that a change to the
+package that breaks the benchmark shows up in the test suite.
+"""
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["deform", "crosscheck-actions"])
+def test_warmup_requests_verify(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    workload = workloads.WORKLOADS[name](1, workloads.load_answers())
+    requests = workload.warmup()
+    assert requests
+    for request in requests:
+        assert request.verify(request.run()) == "ok", request.label
