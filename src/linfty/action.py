@@ -468,7 +468,6 @@ class HemiProduct:
         basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
         basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
         space = GradedSpace(name, basis)
-        self.action = action
         self.space = space
         self.e_offset = 0
         self.v_offset = espace.dim
@@ -524,7 +523,7 @@ class HemiProduct:
         return i < self.v_offset
 
     def is_pure_v(self, word: Word) -> bool:
-        return all(i >= self.v_offset for i in word)
+        return min(word, default=self.v_offset) >= self.v_offset
 
     def to_v_word(self, word: Word) -> Word:
         return tuple(i - self.v_offset for i in word)
@@ -566,10 +565,12 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
     product = action.hemiproduct()
     loday = check_loday_infinity(product.structure, bound)
     if coherent.ok != loday.ok:
+        failing = coherent if loday.ok else loday
+        first = failing.residuals[0]
         raise RouteDisagreement(
             f"coherence says {coherent.verdict} but the product identity says "
-            f"{loday.verdict}; first residuals: "
-            f"{[r.word for r in (coherent.residuals or loday.residuals)[:3]]}"
+            f"{loday.verdict}; first {failing.check} residual at "
+            f"[{first.word}] = {first.value}"
         )
     return coherent, loday
 

@@ -36,6 +36,7 @@ from .report import (
     Residual,
     RouteDisagreement,
     format_vector,
+    frac_str,
     make_report,
 )
 
@@ -339,10 +340,11 @@ def check_lie_morphism(
     com = lift_comorphism(space, tspace, components, bound, SYMMETRIC)
     me = source.lift(bound)
     mv = target.lift(bound)
-    intertwine_ok = _intertwines(com, me, mv)
-    if intertwine_ok != report.ok:
+    defect = _intertwining_defect(com, me, mv)
+    if (defect is None) != report.ok:
         raise RouteDisagreement(
-            "componentwise morphism identity and comorphism intertwining disagree"
+            "componentwise morphism identity and comorphism intertwining "
+            f"disagree: {_morphism_route_diff(space, tspace, report, defect)}"
         )
     return report
 
@@ -381,17 +383,46 @@ def _morphism_rhs(components, target, w, degs) -> Vector:
     return rhs
 
 
-def _intertwines(com, source_codiff, target_codiff) -> bool:
+def _intertwining_defect(com, source_codiff, target_codiff):
+    """The first source word ``w`` with ``com(Q w) != Q'(com w)``, as
+    ``(w, com(Q w), Q'(com w))``; ``None`` if ``com`` intertwines."""
     for w, row in source_codiff.rows.items():
         lhs = com.apply_sum(row)
         rhs = target_codiff.apply_sum(com.apply_word(w))
         if lhs != rhs:
-            return False
+            return w, lhs, rhs
     for w, row in com.rows.items():
         if w not in source_codiff.rows:
-            if target_codiff.apply_sum(row):
-                return False
-    return True
+            rhs = target_codiff.apply_sum(row)
+            if rhs:
+                return w, {}, rhs
+    return None
+
+
+def _morphism_route_diff(space, tspace, report: CheckReport, defect) -> str:
+    """Why the componentwise verdict and the intertwining verdict differ,
+    naming a word and the value each route gives there."""
+    if defect is None:
+        first = report.residuals[0]
+        return (
+            f"first residual at [{first.word}] = {first.value}, "
+            "but the comorphism intertwines the codifferentials"
+        )
+    w, lhs, rhs = defect
+    return (
+        f"identity holds, but at [{space.format_word(w)}]: "
+        f"comorphism after codifferential {_format_wordsum(tspace, lhs)}, "
+        f"codifferential after comorphism {_format_wordsum(tspace, rhs)}"
+    )
+
+
+def _format_wordsum(space, words) -> str:
+    if not words:
+        return "0"
+    return " + ".join(
+        f"({frac_str(words[u])})*[{space.format_word(u)}]"
+        for u in sorted(words, key=lambda u: (len(u), u))
+    )
 
 
 def check_loday_morphism(
@@ -475,10 +506,11 @@ def check_loday_morphism(
     com = lift_comorphism(space, tspace, components, bound, ZINBIEL)
     qe = source.zinbiel_lift(bound)
     qv = target.zinbiel_lift(bound)
-    if _intertwines(com, qe, qv) != report.ok:
+    defect = _intertwining_defect(com, qe, qv)
+    if (defect is None) != report.ok:
         raise RouteDisagreement(
             "componentwise anchored morphism identity and comorphism "
-            "intertwining disagree"
+            f"intertwining disagree: {_morphism_route_diff(space, tspace, report, defect)}"
         )
     return report
 

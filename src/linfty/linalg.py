@@ -1,37 +1,67 @@
 """Tiny exact linear algebra over the rationals: rank and inverse.
 
-Plain fraction-free-ish Gaussian elimination; everything stays a
-:class:`fractions.Fraction`, there are no pivots thresholds and no rounding.
+:func:`rank` is sparse and fraction-free in the manner of Bareiss (1968):
+each row is scaled to a primitive integer row, and elimination against a
+pivot row is an integer cross-multiplication followed by division by the
+content gcd, so no :class:`fractions.Fraction` is formed on the way.
+:func:`invert` is plain Gauss-Jordan on :class:`fractions.Fraction`.  There
+are no pivot thresholds and no rounding.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 Matrix = list[list[Fraction]]
+SparseRow = Mapping[int, Fraction]
 
 
-def rank(rows: Matrix) -> int:
-    """Exact rank by row reduction."""
-    if not rows:
-        return 0
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
+def _primitive(row: Mapping[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def rank(rows: Sequence[SparseRow]) -> int:
+    """Exact rank of the matrix whose rows are ``{column: value}`` dicts.
+
+    Values are ``Fraction`` or ``int``; absent columns are zero.  Each row has
+    its denominators cleared, then is
+    reduced against the pivot rows keyed by their leading (smallest) column:
+    ``row <- p * row - c * pivot`` with ``p`` the pivot's leading entry and
+    ``c`` the row's, both divided by their gcd.  A row whose leading column
+    has no pivot yet becomes one; a row that cancels out adds nothing.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        exact = {k: v for k, v in row.items() if v}
+        if not exact:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        den = lcm(*(v.denominator for v in exact.values()))
+        vec = _primitive(
+            {k: v.numerator * (den // v.denominator) for k, v in exact.items()}
+        )
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = vec
+                break
+            p, c = pivot[lead], vec[lead]
+            g = gcd(p, c)
+            p, c = p // g, c // g
+            reduced = {k: p * v for k, v in vec.items() if k != lead}
+            for k, v in pivot.items():
+                if k == lead:
+                    continue
+                new = reduced.get(k, 0) - c * v
+                if new:
+                    reduced[k] = new
+                else:
+                    reduced.pop(k, None)
+            vec = _primitive(reduced) if reduced else reduced
+    return len(pivots)
 
 
 def invert(mat: Matrix) -> Matrix:

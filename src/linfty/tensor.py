@@ -730,6 +730,10 @@ class DeformationComplex:
             for b in range(espace.dim)
         ]
         self.basis_index = {ub: i for i, ub in enumerate(self.basis)}
+        # (degree, weight) -> basis indices of that bigraded piece
+        self.bigrading: dict[tuple[int, int], list[int]] = {}
+        for i, (w, b) in enumerate(self.basis):
+            self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
         self._d1_columns: list[dict[int, Fraction]] | None = None
 
     # -- elements and their coderivations -------------------------------------
@@ -801,18 +805,60 @@ class DeformationComplex:
     # -- the unary differential as a matrix ------------------------------------
 
     def d1_columns(self) -> list[dict[int, Fraction]]:
-        if self._d1_columns is None:
-            cols = []
-            for w, b in self.basis:
-                elem = self.basis_element(w, b)
-                image = self.twisted_bracket([elem])
-                col: dict[int, Fraction] = {}
-                for u, vec in image.rows:
-                    for e, c in vec:
-                        col[self.basis_index[(u, e)]] = c
-                cols.append(col)
-            self._d1_columns = cols
-        return self._d1_columns
+        """Columns of ``d1(a) = p[T, a]`` on the basis, as ``{row: value}``.
+
+        ``T`` is the twisted codifferential, of degree 1, so
+        ``[T, A] = TA - (-1)^{|a|} AT`` for the lift ``A`` of ``a = (w -> b)``,
+        and only the projection ``p`` onto pure-target rows and acting
+        letters is formed:
+
+        * ``p(TA)(u) = sum_x A(u)[x] r(x)`` over the pure-target rows ``u`` of
+          ``A``, where ``r(x)`` is the acting part of ``T``'s length-one
+          output on ``x``;
+        * ``A`` restricts to the single entry ``w -> b``, so
+          ``p(AT)(u) = T(u)[w] e_b``, read for every column in one transposed
+          pass over ``T``'s pure-target rows.
+
+        :meth:`twisted_bracket` forms the full commutator and is the
+        reference for these columns.
+        """
+        if self._d1_columns is not None:
+            return self._d1_columns
+        hemi, index, theta = self.hemi, self.basis_index, self.twisted
+        acting = range(hemi.e_dim)
+        r: dict[Word, Vector] = {}
+        for x in theta.rows:
+            vec = hemi.e_part(theta.restriction_vector(x))
+            if vec:
+                r[x] = vec
+        cols: list[dict[int, Fraction]] = []
+        for w, b in self.basis:
+            col: dict[int, Fraction] = {}
+            for u, row in self.lift(self.basis_element(w, b)).rows.items():
+                if not hemi.is_pure_v(u):
+                    continue
+                acc: Vector = {}
+                for x, c in row.items():
+                    rx = r.get(x)
+                    if rx:
+                        merge_into(acc, rx, c)
+                uv = hemi.to_v_word(u)
+                for e, c in acc.items():
+                    col[index[uv, e]] = c
+            cols.append(col)
+        for u, row in theta.rows.items():
+            if not hemi.is_pure_v(u):
+                continue
+            uv = hemi.to_v_word(u)
+            for y, c in row.items():
+                if not hemi.is_pure_v(y):
+                    continue
+                yv = hemi.to_v_word(y)
+                for b in acting:
+                    odd = self.element_degree(yv, b) % 2
+                    add_into(cols[index[yv, b]], index[uv, b], c if odd else -c)
+        self._d1_columns = cols
+        return cols
 
     def d1_square_defect(self) -> list[tuple[int, int, Fraction]]:
         cols = self.d1_columns()
@@ -869,22 +915,15 @@ def cohomology_rank(
     degree-below truncation.  Kernel dimension follows by rank-nullity.
     """
     cols = complex_.d1_columns()
-    piece = [
-        j
-        for j, (w, b) in enumerate(complex_.basis)
-        if len(w) == weight and complex_.element_degree(w, b) == degree
+    piece = complex_.bigrading.get((degree, weight), [])
+    rank_out = rank([cols[j] for j in piece])
+    position = {i: n for n, i in enumerate(piece)}
+    in_rows = [
+        {position[i]: c for i, c in cols[j].items() if i in position}
+        for (d, _), below in complex_.bigrading.items()
+        if d == degree - 1
+        for j in below
     ]
-    below = [
-        j
-        for j, (w, b) in enumerate(complex_.basis)
-        if complex_.element_degree(w, b) == degree - 1
-    ]
-    out_rows = [
-        [cols[j].get(i, Fraction(0)) for i in range(len(complex_.basis))]
-        for j in piece
-    ]
-    rank_out = rank(out_rows)
-    in_rows = [[cols[j].get(i, Fraction(0)) for i in piece] for j in below]
     rank_in = rank(in_rows)
     return CohomologyRanks(
         degree=degree,

@@ -13,7 +13,7 @@ from linfty.action import (
     theorem_crosscheck,
 )
 from linfty.homotopy import check_loday_infinity
-from linfty.report import InputError
+from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
     abelian_structure,
     action_corpus,
@@ -356,3 +356,24 @@ def test_crosscheck_agreement_at_other_bounds():
         for inst in corpus:
             coh, lod = theorem_crosscheck(inst.action, bound)
             assert coh.ok == lod.ok, (inst.label, bound)
+
+
+def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
+    # a spurious row p -> p in every target lift breaks coherence only
+    import linfty.action as action_module
+    from linfty.multimap import TruncatedCoderivation
+
+    real = action_module.lift_symmetric_coderivation
+
+    def skewed(space, restrictions, bound):
+        got = real(space, restrictions, bound)
+        rows = {**got.rows, (0,): {**got.rows.get((0,), {}), (0,): F(1)}}
+        return TruncatedCoderivation(space, bound, got.degree, got.coalgebra, rows)
+
+    monkeypatch.setattr(action_module, "lift_symmetric_coderivation", skewed)
+    with pytest.raises(RouteDisagreement) as err:
+        theorem_crosscheck(heisenberg_central_action(), BOUND)
+    assert str(err.value) == (
+        "coherence says FAIL but the product identity says PASS; "
+        "first coherence residual at [ad p ; a0 ; p] = (-1/1)*z"
+    )

@@ -26,7 +26,7 @@ from linfty.multimap import (
     lift_symmetric_coderivation,
     merge_into,
 )
-from linfty.report import InputError
+from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
     abelian_structure,
     heisenberg,
@@ -149,6 +149,60 @@ def test_symmetric_comorphism_agrees_between_flavors():
             {1: f}, lie_to_loday(E), lie_to_loday(quot), 4
         ).ok
         assert lie_ok == loday_ok == expected
+
+
+def _skew_comorphism(monkeypatch, rows_of):
+    """Route the morphism checks through a comorphism with edited rows."""
+    import linfty.homotopy as homotopy
+    from linfty.multimap import TruncatedComorphism
+
+    real = homotopy.lift_comorphism
+
+    def skewed(source, target, components, bound, flavor):
+        com = real(source, target, components, bound, flavor)
+        return TruncatedComorphism(
+            com.source, com.target, com.bound, com.flavor, com.components,
+            rows_of(com.rows),
+        )
+
+    monkeypatch.setattr(homotopy, "lift_comorphism", skewed)
+
+
+def _morphism_checks():
+    E, quot = solvable2(), abelian_structure("Q", [-1])
+    return [
+        ("morphism", check_lie_morphism, E, quot),
+        ("anchored morphism", check_loday_morphism, lie_to_loday(E), lie_to_loday(quot)),
+    ]
+
+
+def test_morphism_disagreement_names_the_failing_word(monkeypatch):
+    # a spurious comorphism row b -> q0: the projection a -> q0 is still a
+    # morphism componentwise, but the comorphism no longer intertwines at a,b
+    _skew_comorphism(monkeypatch, lambda rows: {**rows, (1,): {(0,): F(1)}})
+    for label, check, source, target in _morphism_checks():
+        f = MultiMap(source.space, target.space, 1, 0, PLAIN, {(0,): {0: F(1)}})
+        with pytest.raises(RouteDisagreement) as err:
+            check({1: f}, source, target, 4)
+        assert str(err.value) == (
+            f"componentwise {label} identity and comorphism intertwining disagree: "
+            "identity holds, but at [a,b]: comorphism after codifferential "
+            "(1/1)*[q0], codifferential after comorphism 0"
+        )
+
+
+def test_morphism_disagreement_names_the_first_residual(monkeypatch):
+    # b -> q0 fails componentwise; an empty comorphism intertwines trivially
+    _skew_comorphism(monkeypatch, lambda rows: {})
+    for label, check, source, target in _morphism_checks():
+        f = MultiMap(source.space, target.space, 1, 0, PLAIN, {(1,): {0: F(1)}})
+        with pytest.raises(RouteDisagreement) as err:
+            check({1: f}, source, target, 4)
+        assert str(err.value) == (
+            f"componentwise {label} identity and comorphism intertwining disagree: "
+            "first residual at [a,b] = (1/1)*q0, "
+            "but the comorphism intertwines the codifferentials"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -392,6 +394,22 @@ def test_d1_squares_to_zero_for_fixtures():
     act2, tensor2 = adjoint_identity_tensor(solvable2())
     dc2 = deformation_complex(tensor2, act2, 3)
     assert dc2.check_d1_squares_to_zero().ok
+
+
+def test_dropped_complex_frees_its_product_without_the_cycle_collector():
+    # the product keeps no reference back to its action family, so dropping
+    # the complex, the family and the tensor frees it by reference counting
+    gc.disable()
+    try:
+        act, tensor = heisenberg_tensor()
+        dc = deformation_complex(tensor, act, 3)
+        dc.d1_columns()
+        product = weakref.ref(dc.hemi)
+        assert act.hemiproduct() is dc.hemi
+        del dc, act, tensor
+        assert product() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_deformation_is_always_flat():
