@@ -4,6 +4,8 @@ Everything is computed over the rationals with sparse structure constants;
 identities are verified on words of bounded length and every verdict is
 "up to the stated weight".
 """
+from types import ModuleType as _ModuleType
+
 from .graded import (
     GradedSpace,
     canonical_sort,
@@ -77,4 +79,9 @@ from .tensor import (
 from .fileformat import StructureFile, parse, parse_path, serialize
 from .report import CheckReport, InputError, Residual, RouteDisagreement
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -17,7 +17,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .graded import GradedSpace, Word, increasing_unshuffles, koszul_sign, permute, unshuffles
+from .graded import (
+    GradedSpace,
+    Word,
+    increasing_unshuffles,
+    koszul_sign,
+    permute,
+    symmetric_splits,
+)
 from .homotopy import HomotopyStructure, check_loday_infinity
 from .multimap import (
     PLAIN,
@@ -25,7 +32,6 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
-    add_into,
     lift_symmetric_coderivation,
     merge_into,
 )
@@ -159,9 +165,6 @@ class ActionFamily:
         f = self.components.get((len(eword), len(vword)))
         return f.eval(eword, vword) if f is not None else {}
 
-    def max_e_arity(self) -> int:
-        return max((k for k, _ in self.components), default=0)
-
     def max_mixed_arity(self) -> int:
         return max((k + n for k, n in self.components), default=0)
 
@@ -264,6 +267,28 @@ def _p_compose(action, outer_eword, lift_rows, vword) -> Vector:
     return acc
 
 
+def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
+    """The bracket side of the action axiom on the canonical acting word
+    ``xw``: ``sum sign * value(l_k(block), rest; v)`` over the
+    unshuffle-insertion splits of ``xw``, by target word ``v``."""
+    E = action.E
+    n = len(xw)
+    lhs: dict[Word, Vector] = {}
+    for sign, block, rest in symmetric_splits(E.space, xw, E.brackets):
+        for b, c in E.brackets[len(block)].eval(block).items():
+            norm, s2 = E.space.normalize((b,) + rest)
+            if not s2:
+                continue
+            coeff = c if sign == s2 else -c
+            for m in range(1, bound + 1):
+                comp = action.component(n - len(block) + 1, m)
+                if comp is None:
+                    continue
+                for vw, vec in comp.rows_for(norm).items():
+                    merge_into(lhs.setdefault(vw, {}), vec, coeff)
+    return lhs
+
+
 def check_action(action: ActionFamily, bound: int) -> CheckReport:
     """The morphism identity of the family into the coderivation algebra.
 
@@ -278,30 +303,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
             degs = espace.word_degrees(xw)
-            lhs: dict[Word, Vector] = {}
-            for k in range(1, n + 1):
-                lk = E.bracket(k)
-                if lk is None:
-                    continue
-                sigmas = unshuffles(k, n - k) if k < n else (tuple(range(n)),)
-                for sigma in sigmas:
-                    eps = koszul_sign(sigma, degs)
-                    pw = permute(sigma, xw)
-                    val = lk.eval(pw[:k])
-                    if not val:
-                        continue
-                    rest = pw[k:]
-                    for b, c in val.items():
-                        norm, s2 = espace.normalize((b,) + rest)
-                        if not s2:
-                            continue
-                        coeff = Fraction(eps * s2) * c
-                        for m in range(1, bound + 1):
-                            comp = action.component(n - k + 1, m)
-                            if comp is None:
-                                continue
-                            for vw, vec in comp.rows_for(norm).items():
-                                merge_into(lhs.setdefault(vw, {}), vec, coeff)
+            lhs = _action_lhs(action, xw, bound)
             rhs: dict[Word, Vector] = {}
             phi_x = action.phi_of(xw, bound)
             d_phi = phi_x.degree
@@ -336,8 +338,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
                             rhs.pop(vw, None)
             for vw in sorted(set(lhs) | set(rhs)):
                 diff = dict(lhs.get(vw, {}))
-                for b, c in rhs.get(vw, {}).items():
-                    add_into(diff, b, -c)
+                merge_into(diff, rhs.get(vw, {}), Fraction(-1))
                 if diff:
                     items.append(
                         Residual(
@@ -469,7 +470,6 @@ class HemiProduct:
         basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
         space = GradedSpace(name, basis)
         self.space = space
-        self.e_offset = 0
         self.v_offset = espace.dim
         self.e_dim = espace.dim
         self.v_dim = vspace.dim

@@ -10,6 +10,12 @@ indices.  A permutation of ``n`` slots is a tuple ``sigma`` of the images
 so the letter landing in output slot ``j`` comes from input slot
 ``sigma[j]``.  The Koszul sign of the move is the product of ``-1`` over
 pairs of odd-degree letters whose relative order is inverted.
+
+The two double sums of the package's identities read their terms from
+:func:`symmetric_splits` (the unshuffle-insertion sum of Lie-type
+structures, morphisms, representations and actions) and
+:func:`anchored_splits` (the anchored sum of Loday-type structures,
+morphisms and embedding tensors), which share one signed unshuffle table.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ __all__ = [
     "GradedSpace",
     "Word",
     "Permutation",
+    "anchored_splits",
     "canonical_sort",
     "compose",
     "compositions",
@@ -31,6 +38,7 @@ __all__ = [
     "is_permutation",
     "koszul_sign",
     "permute",
+    "symmetric_splits",
     "unshuffles",
 ]
 
@@ -128,6 +136,67 @@ def unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:
     if not block_sizes or any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive integers")
     return _unshuffles(tuple(block_sizes))
+
+
+@lru_cache(maxsize=None)
+def _split_table(blocks: tuple[int, int], parities: tuple[int, ...]) -> tuple:
+    """Each ``blocks``-unshuffle of letters of the given parities, as
+    ``(sign, front_sign, sigma)``.
+
+    ``sign`` is the Koszul sign of the move; ``front_sign`` is that sign
+    times ``(-1)^{|first block|}``, the extra cost of moving a degree +1 map
+    past the first block.  Both are computed once per key, so the sums that
+    read this table never validate a permutation or count crossings.
+    """
+    out = []
+    for sigma in _unshuffles(blocks):
+        sign = koszul_sign(sigma, parities)
+        odd = sum(parities[s] for s in sigma[: blocks[0]]) % 2
+        out.append((sign, -sign if odd else sign, sigma))
+    return tuple(out)
+
+
+def symmetric_splits(
+    space: GradedSpace, word: Word, arities: Iterable[int]
+) -> Iterator[tuple[int, Word, Word]]:
+    """The terms ``(sign, inner, rest)`` of the unshuffle-insertion sum.
+
+    For each arity ``i`` (in the given order; arities longer than ``word``
+    are skipped) and each ``(i, n-i)``-unshuffle, ``inner`` is the first
+    block of the reordered word, ``rest`` the remaining letters, and
+    ``sign`` the Koszul sign of the reordering.
+    """
+    n = len(word)
+    parities = tuple(space.degrees[x] % 2 for x in word)
+    for i in arities:
+        if i > n:
+            continue
+        for sign, _, sigma in _split_table((i, n - i), parities):
+            moved = tuple(word[s] for s in sigma)
+            yield sign, moved[:i], moved[i:]
+
+
+def anchored_splits(
+    space: GradedSpace, word: Word, arities: Iterable[int]
+) -> Iterator[tuple[int, Word, Word, Word]]:
+    """The terms ``(sign, front, inner, tail)`` of the anchored (Zinbiel) sum.
+
+    For each inner arity ``k``, each front size ``i`` and each
+    ``(i, k-1)``-unshuffle of the head ``word[:i+k-1]``, ``front`` is the
+    first block, ``inner`` the second block followed by the anchored letter
+    ``word[i+k-1]``, and ``tail`` the letters after it.  ``sign`` is the
+    Koszul sign of the unshuffle times ``(-1)^{|front|}``, the cost of
+    moving a degree +1 map past the front.
+    """
+    n = len(word)
+    parities = tuple(space.degrees[x] % 2 for x in word)
+    for k in arities:
+        for i in range(n - k + 1):
+            cut = i + k - 1
+            anchor, tail = word[cut : cut + 1], word[cut + 1 :]
+            for _, sign, sigma in _split_table((i, k - 1), parities[:cut]):
+                moved = tuple(word[s] for s in sigma)
+                yield sign, moved[:i], moved[i:] + anchor, tail
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graded import GradedSpace, Word, _unshuffles, increasing_unshuffles, compositions, koszul_sign, permute, unshuffles
+from .graded import (
+    GradedSpace,
+    Word,
+    anchored_splits,
+    compositions,
+    increasing_unshuffles,
+    koszul_sign,
+    permute,
+    symmetric_splits,
+)
 from .multimap import (
     PLAIN,
     SYMMETRIC,
@@ -133,61 +142,47 @@ def lie_to_loday(structure: HomotopyStructure) -> HomotopyStructure:
 # defining identities
 
 
+def _symmetric_sum(space, inner, outer, word: Word) -> Vector:
+    """``sum sign * outer_{n-i+1}(inner_i(block), rest)`` over the
+    unshuffle-insertion splits of ``word``; ``inner`` and ``outer`` map
+    arities to maps."""
+    n = len(word)
+    acc: Vector = {}
+    arities = [i for i in inner if n - i + 1 in outer]
+    for sign, block, rest in symmetric_splits(space, word, arities):
+        f = outer[n - len(block) + 1]
+        for b, c in inner[len(block)].eval(block).items():
+            merge_into(acc, f.eval((b,) + rest), c if sign > 0 else -c)
+    return acc
+
+
+def _anchored_sum(space, inner, outer, word: Word) -> Vector:
+    """``sum sign * outer_{n-k+1}(front, inner_k(block), tail)`` over the
+    anchored splits of ``word``; ``inner`` and ``outer`` map arities to maps."""
+    n = len(word)
+    acc: Vector = {}
+    arities = [k for k in inner if n - k + 1 in outer]
+    for sign, front, block, tail in anchored_splits(space, word, arities):
+        f = outer[n - len(block) + 1]
+        for b, c in inner[len(block)].eval(block).items():
+            merge_into(acc, f.eval(front + (b,) + tail), c if sign > 0 else -c)
+    return acc
+
+
 def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
     """The unshuffle double sum of the symmetric structure identity."""
-    space = structure.space
-    n = len(word)
-    degs = space.word_degrees(word)
-    acc: Vector = {}
-    for i in range(1, n + 1):
-        inner = structure.bracket(i)
-        outer = structure.bracket(n - i + 1)
-        if inner is None or outer is None:
-            continue
-        sigmas = unshuffles(i, n - i) if i < n else (tuple(range(n)),)
-        for sigma in sigmas:
-            eps = koszul_sign(sigma, degs)
-            pw = permute(sigma, word)
-            val = inner.eval(pw[:i])
-            if not val:
-                continue
-            rest = pw[i:]
-            for b, c in val.items():
-                merge_into(acc, outer.eval((b,) + rest), eps * c)
-    return acc
+    return _symmetric_sum(structure.space, structure.brackets, structure.brackets, word)
 
 
 def _loday_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
     """The anchored double sum of the plain (Zinbiel) structure identity."""
-    space = structure.space
-    n = len(word)
-    acc: Vector = {}
-    for k in range(1, n + 1):
-        inner = structure.bracket(k)
-        outer = structure.bracket(n - k + 1)
-        if inner is None or outer is None:
-            continue
-        for i in range(0, n - k + 1):
-            head = word[: i + k - 1]
-            degs = space.word_degrees(head)
-            anchored = word[i + k - 1]
-            tail = word[i + k:]
-            for sigma in _unshuffles((i, k - 1)):
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, head)
-                val = inner.eval(pw[i:] + (anchored,))
-                if not val:
-                    continue
-                front = pw[:i]
-                sign = -eps if space.word_degree(front) % 2 else eps
-                for b, c in val.items():
-                    merge_into(acc, outer.eval(front + (b,) + tail), sign * c)
-    return acc
+    return _anchored_sum(structure.space, structure.brackets, structure.brackets, word)
 
 
-def _square_restrictions(structure: HomotopyStructure, bound: int) -> dict[Word, Vector]:
-    """Single-letter components of the squared lifted coderivation."""
-    lifted = structure.lift(bound)
+def _square_restrictions(
+    structure: HomotopyStructure, lifted: TruncatedCoderivation
+) -> dict[Word, Vector]:
+    """Single-letter components of the square of the lifted coderivation."""
     out: dict[Word, Vector] = {}
     for w, row in lifted.rows.items():
         acc: Vector = {}
@@ -198,9 +193,9 @@ def _square_restrictions(structure: HomotopyStructure, bound: int) -> dict[Word,
     return out
 
 
-def _residual_items(space, residuals: dict[Word, Vector]):
+def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     return [
-        Residual(len(w), space.format_word(w), format_vector(space, v))
+        Residual(len(w), space.format_word(w), format_vector(value_space, v))
         for w, v in residuals.items()
     ]
 
@@ -219,13 +214,13 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
         val = _lie_identity_value(structure, w)
         if val:
             direct[w] = val
-    squared = _square_restrictions(structure, bound)
+    squared = _square_restrictions(structure, structure.lift(bound))
     if direct != squared:
         raise RouteDisagreement(
             "symmetric identity sum and coderivation square differ: "
             f"{_route_diff(space, direct, squared)}"
         )
-    return make_report("lie-infinity", bound, _residual_items(space, direct))
+    return make_report("lie-infinity", bound, _residual_items(space, space, direct))
 
 
 def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
@@ -240,20 +235,13 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
         val = _loday_identity_value(structure, w)
         if val:
             direct[w] = val
-    lifted = lift_zinbiel_coderivation(space, structure.brackets, bound)
-    squared: dict[Word, Vector] = {}
-    for w, row in lifted.rows.items():
-        acc: Vector = {}
-        for u, c in row.items():
-            merge_into(acc, structure.eval_bracket(len(u), u), c)
-        if acc:
-            squared[w] = acc
+    squared = _square_restrictions(structure, structure.zinbiel_lift(bound))
     if direct != squared:
         raise RouteDisagreement(
             "anchored identity sum and coderivation square differ: "
             f"{_route_diff(space, direct, squared)}"
         )
-    return make_report("loday-infinity", bound, _residual_items(space, direct))
+    return make_report("loday-infinity", bound, _residual_items(space, space, direct))
 
 
 def _route_diff(space, a, b) -> str:
@@ -300,51 +288,47 @@ def check_lie_morphism(
     """
     if source.flavor != SYMMETRIC or target.flavor != SYMMETRIC:
         raise InputError("check_lie_morphism expects symmetric structures")
+    return _check_morphism(components, source, target, bound, anchored=False)
+
+
+def check_loday_morphism(
+    components: Mapping[int, MultiMap],
+    source: HomotopyStructure,
+    target: HomotopyStructure,
+    bound: int,
+) -> CheckReport:
+    """Verify the anchored morphism identity between plain structures."""
+    return _check_morphism(components, source, target, bound, anchored=True)
+
+
+def _check_morphism(components, source, target, bound, anchored: bool) -> CheckReport:
+    """The morphism identity on every source word (the anchored sum over all
+    tensor words, or the symmetric sum over canonical words), crosschecked
+    against the comorphism intertwining the lifted codifferentials."""
     _check_components(components, source, target)
     space, tspace = source.space, target.space
+    if anchored:
+        kind, words, lhs_sum = "loday", space.words_up_to(bound), _anchored_sum
+        coalgebra, lift = ZINBIEL, HomotopyStructure.zinbiel_lift
+    else:
+        kind, words, lhs_sum = "lie", space.canonical_words_up_to(bound), _symmetric_sum
+        coalgebra, lift = SYMMETRIC, HomotopyStructure.lift
     residuals: dict[Word, Vector] = {}
-    for w in space.canonical_words_up_to(bound):
-        n = len(w)
-        degs = space.word_degrees(w)
-        lhs: Vector = {}
-        for k in range(1, n + 1):
-            lk = source.bracket(k)
-            fk = components.get(n - k + 1)
-            if lk is None or fk is None:
-                continue
-            sigmas = unshuffles(k, n - k) if k < n else (tuple(range(n)),)
-            for sigma in sigmas:
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, w)
-                val = lk.eval(pw[:k])
-                if not val:
-                    continue
-                rest = pw[k:]
-                for b, c in val.items():
-                    merge_into(lhs, fk.eval((b,) + rest), eps * c)
-        rhs = _morphism_rhs(components, target, w, degs)
-        diff = dict(lhs)
-        for b, c in rhs.items():
-            add_into(diff, b, -c)
+    for w in words:
+        diff = lhs_sum(space, source.brackets, components, w)
+        rhs = _morphism_rhs(components, target, w, space.word_degrees(w))
+        merge_into(diff, rhs, Fraction(-1))
         if diff:
             residuals[w] = diff
-    report = make_report(
-        "lie-morphism",
-        bound,
-        [
-            Residual(len(w), space.format_word(w), format_vector(tspace, v))
-            for w, v in residuals.items()
-        ],
-    )
+    report = make_report(f"{kind}-morphism", bound, _residual_items(space, tspace, residuals))
     # comorphism route: intertwine the lifted codifferentials
-    com = lift_comorphism(space, tspace, components, bound, SYMMETRIC)
-    me = source.lift(bound)
-    mv = target.lift(bound)
-    defect = _intertwining_defect(com, me, mv)
+    com = lift_comorphism(space, tspace, components, bound, coalgebra)
+    defect = _intertwining_defect(com, lift(source, bound), lift(target, bound))
     if (defect is None) != report.ok:
         raise RouteDisagreement(
-            "componentwise morphism identity and comorphism intertwining "
-            f"disagree: {_morphism_route_diff(space, tspace, report, defect)}"
+            f"componentwise {'anchored ' if anchored else ''}morphism identity and "
+            "comorphism intertwining disagree: "
+            f"{_morphism_route_diff(space, tspace, report, defect)}"
         )
     return report
 
@@ -423,96 +407,6 @@ def _format_wordsum(space, words) -> str:
         f"({frac_str(words[u])})*[{space.format_word(u)}]"
         for u in sorted(words, key=lambda u: (len(u), u))
     )
-
-
-def check_loday_morphism(
-    components: Mapping[int, MultiMap],
-    source: HomotopyStructure,
-    target: HomotopyStructure,
-    bound: int,
-) -> CheckReport:
-    """Verify the anchored morphism identity between plain structures."""
-    _check_components(components, source, target)
-    space, tspace = source.space, target.space
-    residuals: dict[Word, Vector] = {}
-    for w in space.words_up_to(bound):
-        n = len(w)
-        lhs: Vector = {}
-        for k in range(1, n + 1):
-            lk = source.bracket(k)
-            fk = components.get(n - k + 1)
-            if lk is None or fk is None:
-                continue
-            for i in range(0, n - k + 1):
-                head = w[: i + k - 1]
-                degs = space.word_degrees(head)
-                anchored = w[i + k - 1]
-                tail = w[i + k:]
-                for sigma in _unshuffles((i, k - 1)):
-                    eps = koszul_sign(sigma, degs)
-                    pw = permute(sigma, head)
-                    val = lk.eval(pw[i:] + (anchored,))
-                    if not val:
-                        continue
-                    front = pw[:i]
-                    sign = -eps if space.word_degree(front) % 2 else eps
-                    for b, c in val.items():
-                        merge_into(lhs, fk.eval(front + (b,) + tail), sign * c)
-        rhs: Vector = {}
-        degs = space.word_degrees(w)
-        for comp in compositions(n):
-            j = len(comp)
-            mj = target.bracket(j)
-            if mj is None:
-                continue
-            maps = [components.get(k) for k in comp]
-            if any(m is None for m in maps):
-                continue
-            for sigma in increasing_unshuffles(*comp):
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, w)
-                pos = 0
-                blocks = []
-                dead = False
-                for k, f in zip(comp, maps):
-                    val = f.eval(pw[pos : pos + k])
-                    if not val:
-                        dead = True
-                        break
-                    blocks.append(val)
-                    pos += k
-                if dead:
-                    continue
-                words = [((), Fraction(eps))]
-                for vec in blocks:
-                    words = [
-                        (u + (b,), c * cb) for (u, c) in words for b, cb in vec.items()
-                    ]
-                for u, c in words:
-                    merge_into(rhs, mj.eval(u), c)
-        diff = dict(lhs)
-        for b, c in rhs.items():
-            add_into(diff, b, -c)
-        if diff:
-            residuals[w] = diff
-    report = make_report(
-        "loday-morphism",
-        bound,
-        [
-            Residual(len(w), space.format_word(w), format_vector(tspace, v))
-            for w, v in residuals.items()
-        ],
-    )
-    com = lift_comorphism(space, tspace, components, bound, ZINBIEL)
-    qe = source.zinbiel_lift(bound)
-    qv = target.zinbiel_lift(bound)
-    defect = _intertwining_defect(com, qe, qv)
-    if (defect is None) != report.ok:
-        raise RouteDisagreement(
-            "componentwise anchored morphism identity and comorphism "
-            f"intertwining disagree: {_morphism_route_diff(space, tspace, report, defect)}"
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +548,6 @@ class EndSpace:
         a, b = self.pairs[idx]
         return self.base.degrees[b] - self.base.degrees[a]
 
-    @property
-    def d_vector(self) -> Vector:
-        return dict(self._d_vec)
-
     def compose(self, f: Vector, g: Vector) -> Vector:
         """Composite ``f . g`` of endomorphisms given as basis vectors."""
         acc: Vector = {}
@@ -687,16 +577,6 @@ class EndSpace:
         acc = self.compose(f, g)
         merge_into(acc, self.compose(g, f), Fraction(-inner))
         return {k: outer * v for k, v in acc.items()}
-
-    def apply(self, f: Vector, vec: Vector) -> Vector:
-        """Apply an endomorphism vector to a vector of the base space."""
-        acc: Vector = {}
-        for fi, cf in f.items():
-            a, b = self.pairs[fi]
-            ca = vec.get(a)
-            if ca:
-                add_into(acc, b, cf * ca)
-        return acc
 
 
 def end_dgla(base: GradedSpace, d: MultiMap) -> tuple[HomotopyStructure, EndSpace]:
@@ -753,22 +633,6 @@ def check_representation(
     for w in space.canonical_words_up_to(bound):
         n = len(w)
         degs = space.word_degrees(w)
-        lhs: Vector = {}
-        for i in range(1, n + 1):
-            li = source.bracket(i)
-            fk = components.get(n - i + 1)
-            if li is None or fk is None:
-                continue
-            sigmas = unshuffles(i, n - i) if i < n else (tuple(range(n)),)
-            for sigma in sigmas:
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, w)
-                val = li.eval(pw[:i])
-                if not val:
-                    continue
-                rest = pw[i:]
-                for b, c in val.items():
-                    merge_into(lhs, fk.eval((b,) + rest), eps * c)
         rhs: Vector = {}
         fn = components.get(n)
         if fn is not None:
@@ -790,19 +654,11 @@ def check_representation(
                 ldeg = space.word_degree(pw[:j]) + 1
                 rdeg = space.word_degree(pw[j:]) + 1
                 merge_into(rhs, end.bracket(left, ldeg, right, rdeg), Fraction(eps))
-        diff = dict(lhs)
-        for b, c in rhs.items():
-            add_into(diff, b, -c)
+        diff = _symmetric_sum(space, source.brackets, components, w)
+        merge_into(diff, rhs, Fraction(-1))
         if diff:
             residuals[w] = diff
-    return make_report(
-        "representation",
-        bound,
-        [
-            Residual(len(w), space.format_word(w), format_vector(end.space, v))
-            for w, v in residuals.items()
-        ],
-    )
+    return make_report("representation", bound, _residual_items(space, end.space, residuals))
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,6 @@ class MultiMap:
         row = self.constants.get(tuple(word))
         return dict(row) if row else {}
 
-    def eval_wordsum(self, words: WordSum) -> Vector:
-        acc: Vector = {}
-        for w, c in words.items():
-            merge_into(acc, self.eval(w), c)
-        return acc
-
     def is_zero(self) -> bool:
         return not self.constants
 
@@ -198,9 +192,6 @@ class MultiMap:
         for w in sorted(self.constants):
             for out in sorted(self.constants[w]):
                 yield w, out, self.constants[w][out]
-
-    def same_constants(self, other: "MultiMap") -> bool:
-        return self.constants == other.constants
 
     def expand_plain(self) -> "MultiMap":
         """The same map with every ordering of each key stored explicitly."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .action import ActionFamily, HemiProduct, check_coherence
-from .graded import GradedSpace, Word, _unshuffles, koszul_sign, permute
+from .graded import GradedSpace, Word, anchored_splits
 from .homotopy import HomotopyStructure, check_loday_morphism, lie_to_loday
 from .linalg import rank
 from .multimap import (
@@ -271,36 +271,18 @@ def check_embedding_explicit(
             # the target structure's own coderivation, fed to the tensor
             for u, c in _mv_rows(action, bound).get(w, {}).items():
                 merge_into(rhs, tensor.eval(u), c)
-            for k in range(2, n + 1):
-                head = w[: k - 1]
-                degs = vspace.word_degrees(head)
-                anchored = w[k - 1]
-                suffix = w[k:]
-                for i in range(0, k - 1):
-                    for sigma in _unshuffles((i, k - 1 - i)):
-                        eps = koszul_sign(sigma, degs)
-                        pw = permute(sigma, head)
-                        front = pw[:i]
-                        sign = -eps if vspace.word_degree(front) % 2 else eps
-                        for j in range(i + 1, k):
-                            mid = pw[i:j]
-                            tail = pw[j : k - 1]
-                            for ue, ce in com.apply_word(mid).items():
-                                norm, s = espace.normalize(ue)
-                                if not s:
-                                    continue
-                                phi_val = action.eval(norm, tail + (anchored,))
-                                if not phi_val:
-                                    continue
-                                coeff = Fraction(sign * s) * ce
-                                for b, cb in phi_val.items():
-                                    outer = front + (b,) + suffix
-                                    merge_into(
-                                        rhs, tensor.eval(outer), coeff * cb
-                                    )
-            diff = dict(lhs)
-            for b, c in rhs.items():
-                add_into(diff, b, -c)
+            # the action fed a comorphism image, inserted anchored
+            for sign, front, block, tail in anchored_splits(vspace, w, range(2, n + 1)):
+                for j in range(1, len(block)):
+                    for ue, ce in com.apply_word(block[:j]).items():
+                        norm, s = espace.normalize(ue)
+                        if not s:
+                            continue
+                        coeff = ce if sign == s else -ce
+                        for b, cb in action.eval(norm, block[j:]).items():
+                            merge_into(rhs, tensor.eval(front + (b,) + tail), coeff * cb)
+            diff = lhs
+            merge_into(diff, rhs, Fraction(-1))
             if diff:
                 items.append(
                     Residual(n, vspace.format_word(w), format_vector(espace, diff))
@@ -384,12 +366,14 @@ def check_embedding(
     """Both routes; they must agree residual by residual."""
     explicit = check_embedding_explicit(tensor, action, bound)
     flat = check_embedding_mc(tensor, action, bound)
-    if {(r.arity, r.word, r.value) for r in explicit.residuals} != {
-        (r.arity, r.word, r.value) for r in flat.residuals
-    }:
+    a = {(r.arity, r.word): r.value for r in explicit.residuals}
+    b = {(r.arity, r.word): r.value for r in flat.residuals}
+    if a != b:
+        arity, word = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         raise RouteDisagreement(
             "explicit equations and projected commutator series disagree: "
-            f"{explicit.residuals[:2]} vs {flat.residuals[:2]}"
+            f"first at arity {arity} [{word}]: explicit equations "
+            f"{a.get((arity, word), '0')}, commutator series {b.get((arity, word), '0')}"
         )
     return explicit, flat
 
@@ -409,7 +393,7 @@ def descendent(
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
     V = action.V
-    vspace, espace = V.space, action.E.space
+    vspace = V.space
     com = tensor.comorphism(bound)
     brackets: dict[int, MultiMap] = {}
     if V.bracket(1) is not None:
@@ -417,19 +401,25 @@ def descendent(
     for n in range(2, bound + 1):
         table: dict[Word, Vector] = {}
         for w in vspace.words(n):
-            acc = dict(V.eval_bracket(n, w)) if V.bracket(n) is not None else {}
-            for k in range(1, n):
-                for ue, ce in com.apply_word(w[:k]).items():
-                    norm, s = espace.normalize(ue)
-                    if not s:
-                        continue
-                    merge_into(acc, action.eval(norm, w[k:]), Fraction(s) * ce)
+            acc = _prefix_fed_value(action, com, w)
             if acc:
                 table[w] = acc
         if table:
             brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
     max_arity = max(bound, V.max_arity)
     return HomotopyStructure(vspace, PLAIN, brackets, max_arity)
+
+
+def _prefix_fed_value(action: ActionFamily, com: TruncatedComorphism, w: Word) -> Vector:
+    """The target bracket on ``w`` plus the action of the comorphism image of
+    each proper prefix on the rest of ``w``."""
+    acc = action.V.eval_bracket(len(w), w)
+    for k in range(1, len(w)):
+        for ue, ce in com.apply_word(w[:k]).items():
+            norm, s = action.E.space.normalize(ue)
+            if s:
+                merge_into(acc, action.eval(norm, w[k:]), Fraction(s) * ce)
+    return acc
 
 
 def check_descendent_morphism(
@@ -461,8 +451,7 @@ def restriction_lemma_check(
     """
     _check_tensor_spaces(tensor, action)
     hemi = _ensure_coherent(action, bound)
-    vspace, espace = action.V.space, action.E.space
-    V = action.V
+    vspace = action.V.space
     q = hemi.codifferential(bound)
     ext = extend_tensor(tensor, action, bound)
     com = tensor.comorphism(bound)
@@ -494,8 +483,7 @@ def restriction_lemma_check(
                 for u, cu in r_of(b).items():
                     add_into(rhs, (va, u), sign * c * ca * cu)
         diff = dict(lhs)
-        for key, c in rhs.items():
-            add_into(diff, key, -c)
+        merge_into(diff, rhs, Fraction(-1))
         if diff:
             items.append(
                 Residual(
@@ -517,16 +505,9 @@ def restriction_lemma_check(
             for u, c in row.items():
                 if len(u) == 1:
                     add_into(got, u[0], c)
-            expected = dict(V.eval_bracket(n, w)) if V.bracket(n) is not None else {}
-            for k in range(1, n):
-                for ue, ce in com.apply_word(w[:k]).items():
-                    norm, s = espace.normalize(ue)
-                    if not s:
-                        continue
-                    merge_into(expected, action.eval(norm, w[k:]), Fraction(s) * ce)
+            expected = _prefix_fed_value(action, com, w)
             diff = dict(got)
-            for b, c in expected.items():
-                add_into(diff, b, -c)
+            merge_into(diff, expected, Fraction(-1))
             if diff:
                 items.append(
                     Residual(
@@ -549,42 +530,41 @@ def adjoint_strict_check(E: HomotopyStructure, t1: MultiMap) -> CheckReport:
     if t1.source is not E.space or t1.target is not E.space:
         raise InputError("strict adjoint tensors are endomorphisms")
     space = E.space
-    items: list[Residual] = []
-    l1 = E.bracket(1)
-    for i in range(space.dim):
-        lhs: Vector = {}
-        rhs: Vector = {}
-        if l1 is not None:
-            for j, c in t1.eval((i,)).items():
-                merge_into(lhs, l1.eval((j,)), c)
-            for j, c in l1.eval((i,)).items():
-                merge_into(rhs, t1.eval((j,)), c)
-        diff = dict(lhs)
-        for b, c in rhs.items():
-            add_into(diff, b, -c)
-        if diff:
-            items.append(
-                Residual(1, space.format_word((i,)), format_vector(space, diff))
-            )
+    items = _chain_map_residuals(E, t1)
     for n in range(2, E.max_arity + 1):
         ln = E.bracket(n)
         if ln is None:
             continue
         for w in space.words(n):
-            lhs = _push_through(t1, w, n, ln)
-            rhs: Vector = {}
+            diff: Vector = {}
+            for u, c in _expand_choices(t1, w):
+                merge_into(diff, ln.eval(u), c)
             for u, c in _expand_choices(t1, w[:-1]):
-                val = ln.eval(u + (w[-1],))
-                for b, cb in val.items():
-                    merge_into(rhs, t1.eval((b,)), c * cb)
-            diff = dict(lhs)
-            for b, c in rhs.items():
-                add_into(diff, b, -c)
+                for b, cb in ln.eval(u + (w[-1],)).items():
+                    merge_into(diff, t1.eval((b,)), -c * cb)
             if diff:
                 items.append(
                     Residual(n, space.format_word(w), format_vector(space, diff))
                 )
     return make_report("adjoint-strict", E.max_arity, items)
+
+
+def _chain_map_residuals(E: HomotopyStructure, f: MultiMap) -> list[Residual]:
+    """Letters where the unary map ``f`` fails to commute with ``l_1``."""
+    space = E.space
+    items: list[Residual] = []
+    l1 = E.bracket(1)
+    if l1 is None:
+        return items
+    for i in range(space.dim):
+        diff: Vector = {}
+        for j, c in f.eval((i,)).items():
+            merge_into(diff, l1.eval((j,)), c)
+        for j, c in l1.eval((i,)).items():
+            merge_into(diff, f.eval((j,)), -c)
+        if diff:
+            items.append(Residual(1, space.format_word((i,)), format_vector(space, diff)))
+    return items
 
 
 def _expand_choices(t1: MultiMap, word: Word):
@@ -594,15 +574,6 @@ def _expand_choices(t1: MultiMap, word: Word):
         vec = t1.eval((letter,))
         out = [(u + (b,), c * cb) for (u, c) in out for b, cb in vec.items()]
     return out
-
-
-def _push_through(t1: MultiMap, word: Word, n: int, ln: MultiMap | None) -> Vector:
-    acc: Vector = {}
-    if ln is None:
-        return acc
-    for u, c in _expand_choices(t1, word):
-        merge_into(acc, ln.eval(u), c)
-    return acc
 
 
 def compose_unary(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -634,38 +605,18 @@ def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
     if f1.arity != 1 or f1.degree != 0:
         raise InputError("centroid members are degree-0 unary maps")
     space = E.space
-    items: list[Residual] = []
-    l1 = E.bracket(1)
-    for i in range(space.dim):
-        lhs: Vector = {}
-        rhs: Vector = {}
-        if l1 is not None:
-            for j, c in f1.eval((i,)).items():
-                merge_into(lhs, l1.eval((j,)), c)
-            for j, c in l1.eval((i,)).items():
-                merge_into(rhs, f1.eval((j,)), c)
-        diff = dict(lhs)
-        for b, c in rhs.items():
-            add_into(diff, b, -c)
-        if diff:
-            items.append(
-                Residual(1, space.format_word((i,)), format_vector(space, diff))
-            )
+    items = _chain_map_residuals(E, f1)
     for k in range(1, E.max_arity):
         lk1 = E.bracket(k + 1)
         if lk1 is None:
             continue
         for xw in space.canonical_words(k):
             for e in range(space.dim):
-                lhs = {}
+                diff: Vector = {}
                 for j, c in f1.eval((e,)).items():
-                    merge_into(lhs, lk1.eval(xw + (j,)), c)
-                rhs = {}
+                    merge_into(diff, lk1.eval(xw + (j,)), c)
                 for b, c in lk1.eval(xw + (e,)).items():
-                    merge_into(rhs, f1.eval((b,)), c)
-                diff = dict(lhs)
-                for b, c in rhs.items():
-                    add_into(diff, b, -c)
+                    merge_into(diff, f1.eval((b,)), -c)
                 if diff:
                     items.append(
                         Residual(
@@ -899,10 +850,6 @@ class CohomologyRanks:
     rank_out: int
     kernel_dim: int
     rank_in: int
-
-    @property
-    def image_dim(self) -> int:
-        return self.rank_in
 
 
 def cohomology_rank(

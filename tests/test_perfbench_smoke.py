@@ -2,8 +2,10 @@
 
 Runs the ``warmup()`` requests of the ``deform`` and ``crosscheck-actions``
 workloads from ``perfbench/workloads.py`` in process, so that a change to the
-package that breaks the benchmark shows up in the test suite.
+package that breaks the benchmark shows up in the test suite, and checks that
+every function the per-layer tracing rebinds still exists.
 """
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,15 @@ def test_warmup_requests_verify(name, monkeypatch):
     assert requests
     for request in requests:
         assert request.verify(request.run()) == "ok", request.label
+
+
+def test_traced_layers_resolve_to_callables(monkeypatch):
+    # a renamed traced function would otherwise break only ``--trace 1``
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+
+    for module, qualname, *_ in tracing.layers():
+        owner = importlib.import_module(f"linfty.{module}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, qualname)

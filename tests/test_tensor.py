@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
 from linfty.homotopy import check_lie_morphism, check_loday_infinity
-from linfty.multimap import PLAIN, MultiMap, merge_into
-from linfty.report import InputError
+from linfty.multimap import PLAIN, MultiMap, TruncatedCoderivation, merge_into
+from linfty.report import InputError, RouteDisagreement
 from linfty.tensor import (
     EmbeddingTensor,
     adjoint_strict_check,
@@ -140,6 +141,30 @@ def test_perturbed_tensor_fails_both_routes():
     )
     explicit, flat = check_embedding(bad, act, BOUND)
     assert not explicit.ok and not flat.ok
+
+
+def test_route_disagreement_names_the_first_residual_and_both_values(monkeypatch):
+    act, tensor = heisenberg_tensor()
+    hemi = act.hemiproduct()
+    real = tensor_module.lift_zinbiel_coderivation
+
+    def skewed(space, restrictions, bound):
+        # a spurious z -> a0 row in the tensor's coderivation on the product,
+        # seen by the commutator series only
+        lifted = real(space, restrictions, bound)
+        if space is not hemi.space:
+            return lifted
+        rows = {w: dict(row) for w, row in lifted.rows.items()}
+        rows.setdefault(hemi.from_v_word((act.V.space.index("z"),)), {})[(0,)] = F(1)
+        return TruncatedCoderivation(space, bound, lifted.degree, lifted.coalgebra, rows)
+
+    monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", skewed)
+    with pytest.raises(RouteDisagreement) as info:
+        check_embedding(tensor, act, 3)
+    assert str(info.value) == (
+        "explicit equations and projected commutator series disagree: "
+        "first at arity 2 [p,p]: explicit equations 0, commutator series (-1/1)*a0"
+    )
 
 
 def test_noncoherent_action_rejected():
