@@ -16,15 +16,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
-from .graded import (
-    GradedSpace,
-    Word,
-    increasing_unshuffles,
-    koszul_sign,
-    permute,
-    symmetric_splits,
-)
+from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
 from .homotopy import HomotopyStructure, check_loday_infinity
 from .multimap import (
     PLAIN,
@@ -32,6 +26,7 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
+    WordSum,
     lift_symmetric_coderivation,
     merge_into,
 )
@@ -247,6 +242,22 @@ class ActionFamily:
             self._lift_cache[key] = got
         return got
 
+    def is_coherent(self, bound: int) -> bool:
+        """The verdict of :func:`check_coherence` at ``bound``, computed once."""
+        key = ("coherent", bound)
+        got = self._lift_cache.get(key)
+        if got is None:
+            got = self._lift_cache[key] = check_coherence(self, bound).ok
+        return got
+
+    def target_zinbiel_rows(self, bound: int) -> dict[Word, WordSum]:
+        """Rows of the Zinbiel lift of the target's own brackets."""
+        key = ("mv_zinbiel", bound)
+        got = self._lift_cache.get(key)
+        if got is None:
+            got = self._lift_cache[key] = self.V.zinbiel_lift(bound).rows
+        return got
+
     def hemiproduct(self) -> "HemiProduct":
         if self._hemi is None:
             self._hemi = hemisemidirect(self)
@@ -302,7 +313,6 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     items: list[Residual] = []
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
-            degs = espace.word_degrees(xw)
             lhs = _action_lhs(action, xw, bound)
             rhs: dict[Word, Vector] = {}
             phi_x = action.phi_of(xw, bound)
@@ -319,10 +329,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
                 if acc:
                     rhs[vw] = acc
             for j in range(1, n):
-                for sigma in increasing_unshuffles(j, n - j):
-                    eps = koszul_sign(sigma, degs)
-                    pw = permute(sigma, xw)
-                    xa, xb = pw[:j], pw[j:]
+                for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
                     lift_a = action.phi_of(xa, bound)
                     lift_b = action.phi_of(xb, bound)
                     da, db = lift_a.degree, lift_b.degree
@@ -354,7 +361,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 # coherence
 
 
-def _commutator_restriction(action, a_restr, a_rows, b_restr, b_rows, da, db, word):
+def _commutator_restriction(a_restr, a_rows, b_restr, b_rows, da, db, word):
     """Single-letter part of [A, B] on ``word`` from rows and restrictions."""
     acc: Vector = {}
     row = b_rows.get(tuple(word))
@@ -369,6 +376,28 @@ def _commutator_restriction(action, a_restr, a_rows, b_restr, b_rows, da, db, wo
     return acc
 
 
+def _coherence_firsts(action: ActionFamily, bound: int):
+    """The first coderivation of each coherence commutator, as
+    ``(label, weight, degree, rows, restriction)``: the adjoint coderivation
+    of each target word ``v``, then the mixed one of each pair ``x ; v``,
+    with room left under the bound for an acting word and a probe word."""
+    V, espace, vspace = action.V, action.E.space, action.V.space
+    for a in range(1, bound - 1):
+        for vw in vspace.canonical_words(a):
+            restr = lambda u, _vw=vw: V.eval_bracket(len(_vw) + len(u), _vw + u)
+            rows = action.ad_of(vw, bound).rows
+            yield f"ad {vspace.format_word(vw)}", a, 1 + vspace.word_degree(vw), rows, restr
+    for ax in range(1, bound - 2):
+        for xw in espace.canonical_words(ax):
+            for av in range(1, bound - ax - 1):
+                for vw in vspace.canonical_words(av):
+                    restr = lambda u, _xw=xw, _vw=vw: action.eval(_xw, _vw + u)
+                    rows = action.phi_mixed(xw, vw, bound).rows
+                    degree = 1 + espace.word_degree(xw) + vspace.word_degree(vw)
+                    label = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
+                    yield label, ax + av, degree, rows, restr
+
+
 def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     """Vanishing of the two commutator families, aligned by total weight.
 
@@ -378,73 +407,28 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     bound.  These are exactly the instances whose defects can appear in the
     anchored identity of the direct-sum brackets at the same bound.
     """
-    E, V = action.E, action.V
-    espace, vspace = E.space, V.space
+    espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
-
-    for a in range(1, bound - 1):
-        for vw in vspace.canonical_words(a):
-            ad_rows = action.ad_of(vw, bound).rows
-            da = 1 + vspace.word_degree(vw)
-            ad_restr = lambda u, _vw=vw: V.eval_bracket(len(_vw) + len(u), _vw + u)
-            for b in range(1, bound - a):
-                for xw in espace.canonical_words(b):
-                    phi_rows = action.phi_of(xw, bound).rows
-                    db = 1 + espace.word_degree(xw)
-                    phi_restr = lambda u, _xw=xw: action.eval(_xw, u)
-                    for c in range(1, bound - a - b + 1):
-                        for ww in vspace.canonical_words(c):
-                            diff = _commutator_restriction(
-                                action, ad_restr, ad_rows, phi_restr, phi_rows, da, db, ww
-                            )
-                            if diff:
-                                items.append(
-                                    Residual(
-                                        a + b + c,
-                                        f"ad {vspace.format_word(vw)} ; "
-                                        f"{espace.format_word(xw)} ; "
-                                        f"{vspace.format_word(ww)}",
-                                        format_vector(vspace, diff),
-                                    )
+    for label, weight, da, a_rows, a_restr in _coherence_firsts(action, bound):
+        for b in range(1, bound - weight):
+            for yw in espace.canonical_words(b):
+                phi_rows = action.phi_of(yw, bound).rows
+                db = 1 + espace.word_degree(yw)
+                phi_restr = partial(action.eval, yw)
+                for c in range(1, bound - weight - b + 1):
+                    for ww in vspace.canonical_words(c):
+                        diff = _commutator_restriction(
+                            a_restr, a_rows, phi_restr, phi_rows, da, db, ww
+                        )
+                        if diff:
+                            items.append(
+                                Residual(
+                                    weight + b + c,
+                                    f"{label} ; {espace.format_word(yw)} ; "
+                                    f"{vspace.format_word(ww)}",
+                                    format_vector(vspace, diff),
                                 )
-
-    for ax in range(1, bound - 2):
-        for xw in espace.canonical_words(ax):
-            for av in range(1, bound - ax - 1):
-                for vw in vspace.canonical_words(av):
-                    mixed_rows = action.phi_mixed(xw, vw, bound).rows
-                    da = 1 + espace.word_degree(xw) + vspace.word_degree(vw)
-                    mixed_restr = (
-                        lambda u, _xw=xw, _vw=vw: action.eval(_xw, _vw + u)
-                    )
-                    for ay in range(1, bound - ax - av):
-                        for yw in espace.canonical_words(ay):
-                            phi_rows = action.phi_of(yw, bound).rows
-                            db = 1 + espace.word_degree(yw)
-                            phi_restr = lambda u, _yw=yw: action.eval(_yw, u)
-                            for c in range(1, bound - ax - av - ay + 1):
-                                for ww in vspace.canonical_words(c):
-                                    diff = _commutator_restriction(
-                                        action,
-                                        mixed_restr,
-                                        mixed_rows,
-                                        phi_restr,
-                                        phi_rows,
-                                        da,
-                                        db,
-                                        ww,
-                                    )
-                                    if diff:
-                                        items.append(
-                                            Residual(
-                                                ax + av + ay + c,
-                                                f"{espace.format_word(xw)} ; "
-                                                f"{vspace.format_word(vw)} ; "
-                                                f"{espace.format_word(yw)} ; "
-                                                f"{vspace.format_word(ww)}",
-                                                format_vector(vspace, diff),
-                                            )
-                                        )
+                            )
     return make_report("coherence", bound, items)
 
 

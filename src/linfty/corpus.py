@@ -16,7 +16,7 @@ from .action import ActionFamily, BiMultiMap, adjoint_action, adjoint_representa
 from .graded import GradedSpace, Word
 from .homotopy import HomotopyStructure
 from .linalg import invert
-from .multimap import PLAIN, SYMMETRIC, MultiMap, Vector, add_into, merge_into
+from .multimap import PLAIN, SYMMETRIC, MultiMap, Vector, add_into, expand, merge_into
 
 SMALL_FRACTIONS = tuple(
     Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2)
@@ -121,6 +121,12 @@ def _apply_matrix(mat: list[list[Fraction]], vec: Vector) -> Vector:
     return out
 
 
+def _columns(mat: list[list[Fraction]]) -> list[Vector]:
+    """Each column of a square matrix as a sparse vector: the images of the
+    basis letters."""
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(len(mat))]
+
+
 def conjugate_multimap(
     f: MultiMap, p_src: list[list[Fraction]], pinv_tgt: list[list[Fraction]]
 ) -> MultiMap:
@@ -132,13 +138,10 @@ def conjugate_multimap(
         else space.words(f.arity)
     )
     table: dict[Word, Vector] = {}
+    cols = _columns(p_src)
     for w in words:
-        expanded = [((), Fraction(1))]
-        for letter in w:
-            col = [(i, p_src[i][letter]) for i in range(len(p_src)) if p_src[i][letter]]
-            expanded = [(u + (i,), c * ci) for (u, c) in expanded for i, ci in col]
         acc: Vector = {}
-        for u, c in expanded:
+        for u, c in expand([cols[x] for x in w], Fraction(1)):
             merge_into(acc, f.eval(u), c)
         acc = _apply_matrix(pinv_tgt, acc)
         if acc:
@@ -165,30 +168,13 @@ def conjugate_bimultimap(
 ) -> BiMultiMap:
     e_space, v_space = f.e_space, f.v_space
     table: dict[tuple[Word, Word], Vector] = {}
+    e_cols, v_cols = _columns(p_e), _columns(p_v)
     for ew in e_space.canonical_words(f.e_arity):
         for vw in v_space.canonical_words(f.v_arity):
-            expanded = [(((), ()), Fraction(1))]
-            for letter in ew:
-                col = [
-                    (i, p_e[i][letter]) for i in range(len(p_e)) if p_e[i][letter]
-                ]
-                expanded = [
-                    (((ue + (i,), uv)), c * ci)
-                    for ((ue, uv), c) in expanded
-                    for i, ci in col
-                ]
-            for letter in vw:
-                col = [
-                    (i, p_v[i][letter]) for i in range(len(p_v)) if p_v[i][letter]
-                ]
-                expanded = [
-                    (((ue, uv + (i,))), c * ci)
-                    for ((ue, uv), c) in expanded
-                    for i, ci in col
-                ]
             acc: Vector = {}
-            for (ue, uv), c in expanded:
-                merge_into(acc, f.eval(ue, uv), c)
+            images = [e_cols[x] for x in ew] + [v_cols[x] for x in vw]
+            for u, c in expand(images, Fraction(1)):
+                merge_into(acc, f.eval(u[: f.e_arity], u[f.e_arity :]), c)
             acc = _apply_matrix(pinv_v, acc)
             if acc:
                 table[(ew, vw)] = acc

@@ -11,11 +11,14 @@ so the letter landing in output slot ``j`` comes from input slot
 ``sigma[j]``.  The Koszul sign of the move is the product of ``-1`` over
 pairs of odd-degree letters whose relative order is inverted.
 
-The two double sums of the package's identities read their terms from
-:func:`symmetric_splits` (the unshuffle-insertion sum of Lie-type
-structures, morphisms, representations and actions) and
+The three sums of the package's componentwise identities read their terms
+from :func:`symmetric_splits` (the unshuffle-insertion sum of Lie-type
+structures, morphisms, representations and actions),
 :func:`anchored_splits` (the anchored sum of Loday-type structures,
-morphisms and embedding tensors), which share one signed unshuffle table.
+morphisms and embedding tensors) and :func:`increasing_splits` (the
+block sum over increasing unshuffles on the right side of morphisms,
+representations and actions).  Each reads signs from an ``lru_cache``
+table keyed by block sizes and letter parities.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ __all__ = [
     "canonical_sort",
     "compose",
     "compositions",
+    "increasing_splits",
     "increasing_unshuffles",
     "is_permutation",
     "koszul_sign",
@@ -218,6 +222,31 @@ def increasing_unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:
     if not block_sizes or any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive integers")
     return _increasing_unshuffles(tuple(block_sizes))
+
+
+@lru_cache(maxsize=None)
+def _increasing_table(blocks: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
+    """Each increasing ``blocks``-unshuffle of letters of the given parities,
+    as ``(sign, slots)`` with the input slots of each block in ``slots``."""
+    cuts = tuple(itertools.accumulate(blocks, initial=0))
+    return tuple(
+        (koszul_sign(sigma, parities), tuple(sigma[a:b] for a, b in zip(cuts, cuts[1:])))
+        for sigma in increasing_unshuffles(*blocks)
+    )
+
+
+def increasing_splits(
+    space: GradedSpace, word: Word, blocks: Sequence[int]
+) -> Iterator[tuple[int, tuple[Word, ...]]]:
+    """The terms ``(sign, parts)`` of the sum over increasing unshuffles.
+
+    ``blocks`` is a composition of ``len(word)``.  For each unshuffle whose
+    block maxima increase left to right, ``parts`` holds the letters of each
+    block in order and ``sign`` is the Koszul sign of the reordering.
+    """
+    parities = tuple(space.degrees[x] % 2 for x in word)
+    for sign, slots in _increasing_table(tuple(blocks), parities):
+        yield sign, tuple(tuple(word[s] for s in part) for part in slots)
 
 
 @lru_cache(maxsize=None)

@@ -19,9 +19,7 @@ from .graded import (
     Word,
     anchored_splits,
     compositions,
-    increasing_unshuffles,
-    koszul_sign,
-    permute,
+    increasing_splits,
     symmetric_splits,
 )
 from .multimap import (
@@ -33,6 +31,7 @@ from .multimap import (
     Vector,
     add_into,
     commutator,
+    expand,
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
@@ -316,7 +315,7 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
     residuals: dict[Word, Vector] = {}
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
-        rhs = _morphism_rhs(components, target, w, space.word_degrees(w))
+        rhs = _morphism_rhs(space, components, target, w)
         merge_into(diff, rhs, Fraction(-1))
         if diff:
             residuals[w] = diff
@@ -333,36 +332,18 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
     return report
 
 
-def _morphism_rhs(components, target, w, degs) -> Vector:
+def _morphism_rhs(space, components, target, w) -> Vector:
+    """``sum sign * m_j(F_{k_1}(block_1), ..., F_{k_j}(block_j))`` over the
+    compositions ``(k_1, ..., k_j)`` of ``len(w)`` and the increasing splits
+    of ``w`` into blocks of those sizes."""
     rhs: Vector = {}
-    n = len(w)
-    for comp in compositions(n):
-        j = len(comp)
-        mj = target.bracket(j)
-        if mj is None:
+    for comp in compositions(len(w)):
+        mj = target.bracket(len(comp))
+        if mj is None or any(k not in components for k in comp):
             continue
-        maps = [components.get(k) for k in comp]
-        if any(m is None for m in maps):
-            continue
-        for sigma in increasing_unshuffles(*comp):
-            eps = koszul_sign(sigma, degs)
-            pw = permute(sigma, w)
-            pos = 0
-            blocks = []
-            dead = False
-            for k, f in zip(comp, maps):
-                val = f.eval(pw[pos : pos + k])
-                if not val:
-                    dead = True
-                    break
-                blocks.append(val)
-                pos += k
-            if dead:
-                continue
-            words = [((), Fraction(eps))]
-            for vec in blocks:
-                words = [(u + (b,), c * cb) for (u, c) in words for b, cb in vec.items()]
-            for u, c in words:
+        for sign, parts in increasing_splits(space, w, comp):
+            blocks = (components[len(part)].eval(part) for part in parts)
+            for u, c in expand(blocks, Fraction(sign)):
                 merge_into(rhs, mj.eval(u), c)
     return rhs
 
@@ -440,11 +421,8 @@ def _check_degree_zero(structure, element: Vector) -> None:
 
 def _power_eval(bracket: MultiMap, element: Vector, prefix: Word, count: int) -> Vector:
     """Multilinear expansion of ``bracket(e, ..., e, prefix)`` with ``count`` e's."""
-    words = [((), Fraction(1))]
-    for _ in range(count):
-        words = [(w + (b,), c * cb) for (w, c) in words for b, cb in element.items()]
     acc: Vector = {}
-    for w, c in words:
+    for w, c in expand([element] * count, Fraction(1)):
         merge_into(acc, bracket.eval(w + prefix), c)
     return acc
 
@@ -632,7 +610,6 @@ def check_representation(
     residuals: dict[Word, Vector] = {}
     for w in space.canonical_words_up_to(bound):
         n = len(w)
-        degs = space.word_degrees(w)
         rhs: Vector = {}
         fn = components.get(n)
         if fn is not None:
@@ -644,16 +621,11 @@ def check_representation(
             fnj = components.get(n - j)
             if fj is None or fnj is None:
                 continue
-            for sigma in increasing_unshuffles(j, n - j):
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, w)
-                left = fj.eval(pw[:j])
-                right = fnj.eval(pw[j:])
-                if not left or not right:
-                    continue
-                ldeg = space.word_degree(pw[:j]) + 1
-                rdeg = space.word_degree(pw[j:]) + 1
-                merge_into(rhs, end.bracket(left, ldeg, right, rdeg), Fraction(eps))
+            for sign, (a, b) in increasing_splits(space, w, (j, n - j)):
+                left, right = fj.eval(a), fnj.eval(b)
+                if left and right:
+                    ldeg, rdeg = space.word_degree(a) + 1, space.word_degree(b) + 1
+                    merge_into(rhs, end.bracket(left, ldeg, right, rdeg), Fraction(sign))
         diff = _symmetric_sum(space, source.brackets, components, w)
         merge_into(diff, rhs, Fraction(-1))
         if diff:

@@ -51,6 +51,7 @@ __all__ = [
     "coshuffle_coproduct",
     "decalage",
     "decalage_inverse",
+    "expand",
     "lift_comorphism",
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
@@ -83,6 +84,21 @@ def scale_mapping(mapping: dict, c: Fraction) -> dict:
 def merge_into(acc: dict, other: Mapping, c: Fraction = Fraction(1)) -> None:
     for k, v in other.items():
         add_into(acc, k, c * v)
+
+
+def expand(vectors: Iterable[Vector], coeff: Fraction) -> list[tuple[Word, Fraction]]:
+    """The multilinear expansion of ``coeff * v_1 (x) ... (x) v_k``.
+
+    One ``(word, coefficient)`` pair per choice of a basis letter from each
+    vector, in lexicographic order of the choices.  Stops reading
+    ``vectors`` at the first empty one, whose expansion is empty.
+    """
+    words = [((), coeff)]
+    for vec in vectors:
+        words = [(w + (b,), c * cb) for (w, c) in words for b, cb in vec.items()]
+        if not words:
+            break
+    return words
 
 
 class MultiMap:
@@ -360,20 +376,11 @@ class TruncatedCoderivation:
 
     def restrictions(self) -> dict[int, MultiMap]:
         """The defining family: projection to single letters, by arity."""
-        if self._restr is not None:
-            return self._restr
-        flavor = SYMMETRIC if self.coalgebra == SYMMETRIC else PLAIN
-        per_arity: dict[int, dict[Word, Vector]] = {}
-        for w, row in self.rows.items():
-            vec = {u[0]: c for u, c in row.items() if len(u) == 1}
-            if vec:
-                per_arity.setdefault(len(w), {})[w] = vec
-        out = {
-            k: MultiMap(self.space, self.space, k, self.degree, flavor, table)
-            for k, table in per_arity.items()
-        }
-        self._restr = out
-        return out
+        if self._restr is None:
+            self._restr = _length_one_maps(
+                self.space, self.space, self.degree, self.coalgebra, self.rows
+            )
+        return self._restr
 
     def compose(self, other: "TruncatedCoderivation") -> "TruncatedCoderivation":
         self._check_compatible(other)
@@ -446,6 +453,20 @@ class TruncatedCoderivation:
             f"TruncatedCoderivation({self.space.name}, bound={self.bound}, "
             f"degree={self.degree}, {self.coalgebra}, {len(self.rows)} rows)"
         )
+
+
+def _length_one_maps(source, target, degree, coalgebra, rows) -> dict[int, MultiMap]:
+    """The length-one part of each row, as one map per word length."""
+    flavor = SYMMETRIC if coalgebra == SYMMETRIC else PLAIN
+    per_arity: dict[int, dict[Word, Vector]] = {}
+    for w, row in rows.items():
+        vec = {u[0]: c for u, c in row.items() if len(u) == 1}
+        if vec:
+            per_arity.setdefault(len(w), {})[w] = vec
+    return {
+        k: MultiMap(source, target, k, degree, flavor, table)
+        for k, table in per_arity.items()
+    }
 
 
 def _common_degree(restrictions: Mapping[int, MultiMap]) -> int:
@@ -666,7 +687,7 @@ class TruncatedComorphism:
             acc = self.apply_sum(row)
             if acc:
                 rows[w] = acc
-        components = _components_from_rows(self.target, rows, inner.bound)
+        components = _length_one_maps(inner.source, self.target, 0, self.flavor, rows)
         return TruncatedComorphism(
             inner.source, self.target, inner.bound, self.flavor, components, rows
         )
@@ -705,15 +726,6 @@ class TruncatedComorphism:
             f"TruncatedComorphism({self.source.name}->{self.target.name}, "
             f"bound={self.bound}, {self.flavor}, {len(self.rows)} rows)"
         )
-
-
-def _components_from_rows(target, rows, bound) -> dict[int, dict[Word, Vector]]:
-    comps: dict[int, dict[Word, Vector]] = {}
-    for w, row in rows.items():
-        vec = {u[0]: c for u, c in row.items() if len(u) == 1}
-        if vec:
-            comps.setdefault(len(w), {})[w] = vec
-    return comps
 
 
 def lift_comorphism(
@@ -775,9 +787,7 @@ def lift_comorphism(
 
 
 def _expand_blocks(acc, block_vectors, coeff, target, flavor) -> None:
-    words = [((), coeff)]
-    for vec in block_vectors:
-        words = [(w + (b,), c * cb) for (w, c) in words for b, cb in vec.items()]
+    words = expand(block_vectors, coeff)
     if flavor == SYMMETRIC:
         for w, c in words:
             norm, sign = target.normalize(w)

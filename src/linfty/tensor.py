@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .action import ActionFamily, HemiProduct, check_coherence
+from .action import ActionFamily, HemiProduct
 from .graded import GradedSpace, Word, anchored_splits
 from .homotopy import HomotopyStructure, check_loday_morphism, lie_to_loday
 from .linalg import rank
@@ -35,6 +35,7 @@ from .multimap import (
     WordSum,
     add_into,
     commutator,
+    expand,
     lift_comorphism,
     lift_zinbiel_coderivation,
     merge_into,
@@ -155,12 +156,7 @@ def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
 
 
 def _ensure_coherent(action: ActionFamily, bound: int) -> HemiProduct:
-    key = ("coherent", bound)
-    verdict = action._lift_cache.get(key)
-    if verdict is None:
-        verdict = check_coherence(action, bound).ok
-        action._lift_cache[key] = verdict
-    if not verdict:
+    if not action.is_coherent(bound):
         raise InputError("the action is not coherent at this bound")
     return action.hemiproduct()
 
@@ -269,7 +265,7 @@ def check_embedding_explicit(
                 merge_into(lhs, E.eval_bracket(len(u), u), c)
             rhs: Vector = {}
             # the target structure's own coderivation, fed to the tensor
-            for u, c in _mv_rows(action, bound).get(w, {}).items():
+            for u, c in action.target_zinbiel_rows(bound).get(w, {}).items():
                 merge_into(rhs, tensor.eval(u), c)
             # the action fed a comorphism image, inserted anchored
             for sign, front, block, tail in anchored_splits(vspace, w, range(2, n + 1)):
@@ -288,15 +284,6 @@ def check_embedding_explicit(
                     Residual(n, vspace.format_word(w), format_vector(espace, diff))
                 )
     return make_report("embedding-explicit", bound, items)
-
-
-def _mv_rows(action: ActionFamily, bound: int) -> dict[Word, WordSum]:
-    key = ("mv_zinbiel", bound)
-    rows = action._lift_cache.get(key)
-    if rows is None:
-        rows = lift_zinbiel_coderivation(action.V.space, action.V.brackets, bound).rows
-        action._lift_cache[key] = rows
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +524,10 @@ def adjoint_strict_check(E: HomotopyStructure, t1: MultiMap) -> CheckReport:
             continue
         for w in space.words(n):
             diff: Vector = {}
-            for u, c in _expand_choices(t1, w):
+            images = [t1.eval((x,)) for x in w]
+            for u, c in expand(images, Fraction(1)):
                 merge_into(diff, ln.eval(u), c)
-            for u, c in _expand_choices(t1, w[:-1]):
+            for u, c in expand(images[:-1], Fraction(1)):
                 for b, cb in ln.eval(u + (w[-1],)).items():
                     merge_into(diff, t1.eval((b,)), -c * cb)
             if diff:
@@ -565,15 +553,6 @@ def _chain_map_residuals(E: HomotopyStructure, f: MultiMap) -> list[Residual]:
         if diff:
             items.append(Residual(1, space.format_word((i,)), format_vector(space, diff)))
     return items
-
-
-def _expand_choices(t1: MultiMap, word: Word):
-    """All ways of replacing each letter by its unary image, with products."""
-    out = [((), Fraction(1))]
-    for letter in word:
-        vec = t1.eval((letter,))
-        out = [(u + (b,), c * cb) for (u, c) in out for b, cb in vec.items()]
-    return out
 
 
 def compose_unary(f: MultiMap, g: MultiMap) -> MultiMap:

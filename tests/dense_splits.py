@@ -1,7 +1,8 @@
-"""The terms of the two double sums, enumerated slot by slot.
+"""The terms of the three componentwise sums, enumerated slot by slot.
 
-A test oracle for :func:`linfty.graded.symmetric_splits` and
-:func:`linfty.graded.anchored_splits`.  It picks the slots of the moved
+A test oracle for :func:`linfty.graded.symmetric_splits`,
+:func:`linfty.graded.anchored_splits` and
+:func:`linfty.graded.increasing_splits`.  It picks the slots of each moved
 block with ``itertools.combinations`` and counts the odd-odd crossings
 itself, so it shares no unshuffle table, Koszul sign or permutation code
 with the package.
@@ -57,3 +58,34 @@ def dense_anchored_splits(space, word, arities):
                     tuple(word[s] for s in inner) + (word[i + k - 1],),
                     tuple(word[i + k :]),
                 )
+
+
+def _block_choices(free, sizes):
+    """Each way of giving the blocks, in order, ``sizes`` of the ``free``
+    slots, as a tuple of increasing slot tuples."""
+    if not sizes:
+        yield ()
+        return
+    for chosen in itertools.combinations(free, sizes[0]):
+        left = [s for s in free if s not in chosen]
+        for more in _block_choices(left, sizes[1:]):
+            yield (chosen,) + more
+
+
+def dense_increasing_splits(space, word, blocks):
+    """``(sign, parts)``: each block takes any of the slots the blocks before
+    it left, and a choice counts when the blocks' largest slots increase
+    left to right.  The sign counts the odd-odd pairs that the concatenated
+    slot order inverts."""
+    parities = [space.degrees[x] % 2 for x in word]
+    for slots in _block_choices(range(len(word)), list(blocks)):
+        if any(a[-1] > b[-1] for a, b in zip(slots, slots[1:])):
+            continue
+        order = [s for part in slots for s in part]
+        flips = sum(
+            1
+            for i, a in enumerate(order)
+            for b in order[i + 1 :]
+            if a > b and parities[a] and parities[b]
+        )
+        yield -1 if flips % 2 else 1, tuple(tuple(word[s] for s in part) for part in slots)

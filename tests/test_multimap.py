@@ -316,10 +316,7 @@ def test_comorphism_composition_matches_component_composition(mixed3):
     cg = lift_comorphism(mixed3, mixed3, g, 3)
     composed = cg.compose(cf)
     # restriction components of the composite, re-lifted, give the same rows
-    comp_maps = {}
-    for k, table in composed.components.items():
-        comp_maps[k] = MultiMap(mixed3, mixed3, k, 0, PLAIN, table)
-    relift = lift_comorphism(mixed3, mixed3, comp_maps, 3)
+    relift = lift_comorphism(mixed3, mixed3, composed.components, 3)
     for w in mixed3.words_up_to(3):
         assert relift.apply_word(w) == composed.apply_word(w)
 

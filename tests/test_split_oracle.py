@@ -1,23 +1,36 @@
 """The split iterators and the componentwise sums against a slot-picking oracle.
 
-``dense_splits.py`` enumerates the terms of both double sums from
-``itertools.combinations`` with its own crossing count.  The iterators must
-yield the same multiset of terms, and the identity sums built on them, which
-``check_action`` and ``check_representation`` rely on with no second route,
-must equal the same sums built from the oracle's terms.
+``dense_splits.py`` enumerates the terms of the three componentwise sums
+from ``itertools.combinations`` with its own crossing count.  The iterators
+must yield the same multiset of terms, and the identity sums and the
+morphism right side built on them, which ``check_action`` and
+``check_representation`` rely on with no second route, must equal the same
+sums built from the oracle's terms.  The multilinear expansion that both
+morphism routes share is checked against an ``itertools.product`` sum,
+``check_coherence`` against commutators of the full lifts, and the module
+boundary between the routes is pinned.
 """
+import importlib
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from dense_splits import dense_anchored_splits, dense_symmetric_splits
+from dense_splits import dense_anchored_splits, dense_increasing_splits, dense_symmetric_splits
 from linfty import corpus
-from linfty.action import ActionFamily, BiMultiMap, _action_lhs
-from linfty.graded import GradedSpace, anchored_splits, symmetric_splits
-from linfty.homotopy import HomotopyStructure, _lie_identity_value, _loday_identity_value
-from linfty.multimap import PLAIN, SYMMETRIC, merge_into
+from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
+from linfty.graded import GradedSpace, anchored_splits, increasing_splits, symmetric_splits
+from linfty.homotopy import (
+    HomotopyStructure,
+    _lie_identity_value,
+    _loday_identity_value,
+    _morphism_rhs,
+)
+from linfty.multimap import PLAIN, SYMMETRIC, commutator, expand, merge_into
+from linfty.report import format_vector
 
 BOUND = 4
 CATALOG = corpus.action_corpus(19, 0)
@@ -36,6 +49,29 @@ def test_iterators_yield_the_oracle_terms(pattern):
         assert Counter(anchored_splits(space, word, [k])) == Counter(
             dense_anchored_splits(space, word, [k])
         ), k
+
+
+def slot_compositions(n):
+    """The compositions of ``n``, one per set of cut points between slots."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+            size = 1 if cut else size + 1
+        yield tuple(sizes) + (size,)
+
+
+@pytest.mark.parametrize(
+    "pattern", [p for p in PATTERNS if p], ids=lambda p: "".join(map(str, p))
+)
+def test_increasing_splits_yield_the_oracle_terms(pattern):
+    space = GradedSpace("P", [(f"x{j}", d) for j, d in enumerate(pattern)])
+    word = tuple(range(len(pattern)))
+    for blocks in slot_compositions(len(word)):
+        assert Counter(increasing_splits(space, word, blocks)) == Counter(
+            dense_increasing_splits(space, word, blocks)
+        ), blocks
 
 
 def oracle_symmetric_value(structure, word):
@@ -163,3 +199,143 @@ def test_action_lhs_equals_the_oracle_sum(index):
     for xw in action.E.space.canonical_words_up_to(BOUND):
         got = {vw: v for vw, v in _action_lhs(action, xw, BOUND).items() if v}
         assert got == oracle_action_lhs(action, xw, BOUND), xw
+
+
+# ---------------------------------------------------------------------------
+# the morphism right side and the multilinear expansion
+
+
+def oracle_morphism_rhs(space, components, target, word):
+    """``m_j`` of the component values on each increasing split, expanded
+    with ``itertools.product``."""
+    acc = {}
+    for blocks in slot_compositions(len(word)):
+        mj = target.bracket(len(blocks))
+        if mj is None:
+            continue
+        for sign, parts in dense_increasing_splits(space, word, blocks):
+            values = [
+                components[len(p)].eval(p) if len(p) in components else {} for p in parts
+            ]
+            for choice in itertools.product(*(v.items() for v in values)):
+                coeff = sign * math.prod(c for _, c in choice)
+                merge_into(acc, mj.eval(tuple(b for b, _ in choice)), coeff)
+    return acc
+
+
+def random_morphisms():
+    """Seeded components and target brackets of both flavors on spaces with
+    odd letters; no identity holds, so the right side is nonzero somewhere."""
+    source = GradedSpace("S", [("a", 0), ("b", 1), ("c", -1)])
+    target = GradedSpace("T", [("x", 0), ("y", 1), ("z", -1)])
+    out = []
+    for seed in range(3):
+        rng = random.Random(100 + seed)
+        for flavor in (SYMMETRIC, PLAIN):
+            brackets = corpus.random_restriction_family(target, (1, 2, 3), 1, rng, flavor, 0.5)
+            comps = {
+                k: corpus.random_multimap(source, target, k, 0, rng, flavor, 0.5)
+                for k in (1, 2, 3)
+            }
+            out.append((source, comps, HomotopyStructure(target, flavor, brackets)))
+    return out
+
+
+MORPHISMS = random_morphisms()
+
+
+@pytest.mark.parametrize("index", range(len(MORPHISMS)))
+def test_morphism_rhs_equals_the_oracle_sum(index):
+    space, comps, target = MORPHISMS[index]
+    nonzero = 0
+    for w in space.words_up_to(BOUND):
+        value = _morphism_rhs(space, comps, target, w)
+        assert value == oracle_morphism_rhs(space, comps, target, w), w
+        nonzero += bool(value)
+    assert nonzero
+
+
+def test_expand_equals_the_product_sum():
+    rng = random.Random(5)
+    for _ in range(60):
+        vectors = [
+            {i: rng.choice(corpus.SMALL_FRACTIONS) for i in range(4) if rng.random() < 0.6}
+            for _ in range(rng.randint(0, 4))
+        ]
+        coeff = rng.choice(corpus.SMALL_FRACTIONS)
+        want = [
+            (tuple(b for b, _ in choice), coeff * math.prod(c for _, c in choice))
+            for choice in itertools.product(*(v.items() for v in vectors))
+        ]
+        assert expand(vectors, coeff) == want, vectors
+
+
+def test_expand_stops_at_the_first_empty_vector():
+    read = []
+
+    def vectors():
+        for vec in ({0: Fraction(1)}, {}, {1: Fraction(2)}):
+            read.append(vec)
+            yield vec
+
+    assert expand(vectors(), Fraction(1)) == []
+    assert len(read) == 2
+
+
+# ---------------------------------------------------------------------------
+# coherence
+
+
+def oracle_coherence(action, bound):
+    """Each nonzero length-one output of ``[ad_v, phi_x]`` on ``w`` with
+    ``|v|+|x|+|w| <= bound`` and of ``[phi_mixed(x, v), phi_y]`` on ``w`` with
+    ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the full lifts."""
+    espace, vspace = action.E.space, action.V.space
+    ewords = list(espace.canonical_words_up_to(bound))
+    vwords = list(vspace.canonical_words_up_to(bound))
+    firsts = [(f"ad {vspace.format_word(v)}", len(v), action.ad_of(v, bound)) for v in vwords]
+    firsts += [
+        (f"{espace.format_word(x)} ; {vspace.format_word(v)}", len(x) + len(v),
+         action.phi_mixed(x, v, bound))
+        for x, v in itertools.product(ewords, vwords)
+    ]
+    out = Counter()
+    for (label, weight, first), y, w in itertools.product(firsts, ewords, vwords):
+        if weight + len(y) + len(w) > bound:
+            continue
+        value = commutator(first, action.phi_of(y, bound)).restriction_vector(w)
+        if value:
+            word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
+            out[weight + len(y) + len(w), word, format_vector(vspace, value)] += 1
+    return out
+
+
+def test_coherence_residuals_equal_the_lift_commutators():
+    kinds = Counter()
+    for action in ACTIONS:
+        got = Counter((r.arity, r.word, r.value) for r in check_coherence(action, BOUND).residuals)
+        assert got == oracle_coherence(action, BOUND)
+        kinds.update(word.startswith("ad ") for _, word, _ in got)
+    # both conditions are reached: adjoint and mixed residuals occur
+    assert kinds[True] and kinds[False]
+
+
+# ---------------------------------------------------------------------------
+# the boundary between the routes
+
+ROUTE_B_SIGN_CODE = {"koszul_sign", "permute", "unshuffles", "increasing_unshuffles"}
+ROUTE_A_SPLIT_KERNELS = {"symmetric_splits", "anchored_splits", "increasing_splits"}
+
+
+@pytest.mark.parametrize("module", ["homotopy", "action", "tensor"])
+def test_componentwise_modules_bind_no_unshuffle_sign_code(module):
+    # the componentwise sums read signs only from the split kernels
+    names = set(vars(importlib.import_module(f"linfty.{module}")))
+    assert not names & ROUTE_B_SIGN_CODE
+
+
+def test_lift_module_binds_no_split_kernel():
+    # the lifts and the comorphism keep their own sign code, so the two
+    # routes share none
+    names = set(vars(importlib.import_module("linfty.multimap")))
+    assert not names & ROUTE_A_SPLIT_KERNELS

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import linfty.action as action_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
 from linfty.homotopy import check_lie_morphism, check_loday_infinity
@@ -595,3 +596,20 @@ def test_tensor_flags():
     wide = EmbeddingTensor(V, E, {2: t2})
     assert not wide.is_strict
     assert not wide.is_symmetric
+
+
+def test_coherence_verdict_is_computed_once_per_bound(monkeypatch):
+    calls = []
+    real = action_module.check_coherence
+
+    def counting(action, bound):
+        calls.append(bound)
+        return real(action, bound)
+
+    monkeypatch.setattr(action_module, "check_coherence", counting)
+    act, tensor = heisenberg_tensor()
+    for bound, expected in ((3, [3]), (2, [3, 2])):
+        check_embedding(tensor, act, bound)
+        descendent(tensor, act, bound)
+        restriction_lemma_check(tensor, act, bound)
+        assert calls == expected
