@@ -75,13 +75,6 @@ def random_restriction_family(
     }
 
 
-def random_mixed_space(name: str, rng: random.Random, dim_max: int = 3) -> GradedSpace:
-    dim = rng.randint(1, dim_max)
-    return GradedSpace(
-        name, [(f"{name.lower()}{i}", rng.randint(-2, 1)) for i in range(dim)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact degree-preserving basis changes
 

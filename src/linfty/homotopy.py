@@ -17,6 +17,7 @@ from typing import Mapping
 from .graded import (
     GradedSpace,
     Word,
+    anchored_merges,
     anchored_splits,
     compositions,
     increasing_splits,
@@ -149,9 +150,14 @@ def _symmetric_sum(space, inner, outer, word: Word) -> Vector:
     acc: Vector = {}
     arities = [i for i in inner if n - i + 1 in outer]
     for sign, block, rest in symmetric_splits(space, word, arities):
+        value, s1 = inner[len(block)].lookup(block)
+        if not value:
+            continue
         f = outer[n - len(block) + 1]
-        for b, c in inner[len(block)].eval(block).items():
-            merge_into(acc, f.eval((b,) + rest), c if sign > 0 else -c)
+        for b, c in value.items():
+            row, s2 = f.lookup((b,) + rest)
+            if row:
+                merge_into(acc, row, c if sign * s1 * s2 > 0 else -c)
     return acc
 
 
@@ -162,10 +168,43 @@ def _anchored_sum(space, inner, outer, word: Word) -> Vector:
     acc: Vector = {}
     arities = [k for k in inner if n - k + 1 in outer]
     for sign, front, block, tail in anchored_splits(space, word, arities):
+        value, s1 = inner[len(block)].lookup(block)
+        if not value:
+            continue
         f = outer[n - len(block) + 1]
-        for b, c in inner[len(block)].eval(block).items():
-            merge_into(acc, f.eval(front + (b,) + tail), c if sign > 0 else -c)
+        for b, c in value.items():
+            row, s2 = f.lookup(front + (b,) + tail)
+            if row:
+                merge_into(acc, row, c if sign * s1 * s2 > 0 else -c)
     return acc
+
+
+def _anchored_support_words(space, maps, bound: int) -> list[Word]:
+    """The words up to ``bound`` on which some anchored split of the family
+    ``maps`` (by arity) can be nonzero, shortest first, then lexicographic.
+
+    A split term ``outer(front, inner(block), tail)`` is nonzero only when
+    ``block`` is a key of the inner map's plain support and
+    ``front + (b,) + tail`` one of the outer map's for an output letter
+    ``b`` of that key.  So the words are the anchored merges of
+    ``(x[:j], u, x[j+1:])`` over each outer key ``x``, each slot ``j`` and
+    each inner key ``u`` whose value has the letter ``x[j]``.
+    """
+    support = [f.expand_plain().constants for f in maps.values()]
+    by_letter: dict[int, list[Word]] = {}
+    for table in support:
+        for u, vec in table.items():
+            for b in vec:
+                by_letter.setdefault(b, []).append(u)
+    words: set[Word] = set()
+    for table in support:
+        for x in table:
+            for j, b in enumerate(x):
+                front, tail = x[:j], x[j + 1 :]
+                for u in by_letter.get(b, ()):
+                    if len(x) + len(u) - 1 <= bound:
+                        words.update(w for _, w in anchored_merges(space, front, u, tail))
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
@@ -182,11 +221,16 @@ def _square_restrictions(
     structure: HomotopyStructure, lifted: TruncatedCoderivation
 ) -> dict[Word, Vector]:
     """Single-letter components of the square of the lifted coderivation."""
+    brackets = structure.brackets
     out: dict[Word, Vector] = {}
     for w, row in lifted.rows.items():
         acc: Vector = {}
         for u, c in row.items():
-            merge_into(acc, structure.eval_bracket(len(u), u), c)
+            f = brackets.get(len(u))
+            if f is not None:
+                value, sign = f.lookup(u)
+                if value:
+                    merge_into(acc, value, c if sign > 0 else -c)
         if acc:
             out[w] = acc
     return out
@@ -226,11 +270,18 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     """Verify the anchored structure identity on all tensor words.
 
     Both the explicit double sum and the square of the lifted Zinbiel
-    coderivation are computed and compared.
+    coderivation are computed and compared.  The double sum visits only the
+    words that the brackets' support reaches through an anchored split
+    (:func:`_anchored_support_words`); on every other word each term has an
+    inner or outer bracket off its support, so the identity holds there
+    term by term and the verdict still covers all words up to the bound.
+    The words are visited in the order of :meth:`GradedSpace.words_up_to`,
+    so the residual list is the one a visit of every word gives.  The
+    symmetric identity sums and the morphism sums still visit every word.
     """
     space = structure.space
     direct: dict[Word, Vector] = {}
-    for w in space.words_up_to(bound):
+    for w in _anchored_support_words(space, structure.brackets, bound):
         val = _loday_identity_value(structure, w)
         if val:
             direct[w] = val

@@ -188,18 +188,24 @@ class MultiMap:
         dim = self.source.dim
         if any(not 0 <= i < dim for i in word):
             raise ValueError(f"word {word} does not index the source basis")
+        row, sign = self.lookup(tuple(word))
+        if not row:
+            return {}
+        return dict(row) if sign == 1 else {k: -v for k, v in row.items()}
+
+    def lookup(self, word: Word) -> tuple[Vector | None, int]:
+        """The stored value on a word of the map's arity and the Koszul sign
+        it is read with; ``(None, 0)`` where the map vanishes.
+
+        Neither validates the word nor copies the value, so the caller must
+        not change it.  The componentwise sums read their constants here.
+        """
         if self.flavor == SYMMETRIC:
             norm, sign = self.source.normalize(word)
-            if sign == 0:
-                return {}
-            row = self.constants.get(norm)
-            if not row:
-                return {}
-            if sign == 1:
-                return dict(row)
-            return {k: -v for k, v in row.items()}
-        row = self.constants.get(tuple(word))
-        return dict(row) if row else {}
+            row = self.constants.get(norm) if sign else None
+        else:
+            row, sign = self.constants.get(word), 1
+        return (row, sign) if row else (None, 0)
 
     def is_zero(self) -> bool:
         return not self.constants

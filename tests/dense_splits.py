@@ -5,11 +5,14 @@ A test oracle for :func:`linfty.graded.symmetric_splits`,
 :func:`linfty.graded.increasing_splits`.  It picks the slots of each moved
 block with ``itertools.combinations`` and counts the odd-odd crossings
 itself, so it shares no unshuffle table, Koszul sign or permutation code
-with the package.
+with the package.  :func:`dense_anchored_value` sums the anchored identity
+of a structure on one word from these terms and ``MultiMap.eval``.
 """
 from __future__ import annotations
 
 import itertools
+
+from linfty.multimap import merge_into
 
 
 def _crossing_sign(parities, moved, stays) -> int:
@@ -58,6 +61,18 @@ def dense_anchored_splits(space, word, arities):
                     tuple(word[s] for s in inner) + (word[i + k - 1],),
                     tuple(word[i + k :]),
                 )
+
+
+def dense_anchored_value(structure, word):
+    """``sum sign * l_{n-k+1}(front, l_k(block), tail)`` over the oracle's
+    anchored splits of ``word``, each bracket read through ``MultiMap.eval``."""
+    brackets, n, acc = structure.brackets, len(word), {}
+    for sign, front, block, tail in dense_anchored_splits(structure.space, word, range(1, n + 1)):
+        inner, outer = brackets.get(len(block)), brackets.get(n - len(block) + 1)
+        if inner is not None and outer is not None:
+            for b, c in inner.eval(block).items():
+                merge_into(acc, outer.eval(front + (b,) + tail), sign * c)
+    return acc
 
 
 def _block_choices(free, sizes):

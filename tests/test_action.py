@@ -324,8 +324,6 @@ def test_ad_commutators_close_onto_brackets():
     # coderivations is the adjoint coderivation of the bracket value
     from linfty.corpus import heisenberg, sl2
     from linfty.multimap import commutator
-    from linfty.homotopy import HomotopyStructure
-    from linfty.multimap import SYMMETRIC, MultiMap
 
     for L in (heisenberg(), sl2()):
         act = adjoint_action(L)

@@ -19,10 +19,21 @@ from fractions import Fraction
 
 import pytest
 
-from dense_splits import dense_anchored_splits, dense_increasing_splits, dense_symmetric_splits
+from dense_splits import (
+    dense_anchored_splits,
+    dense_anchored_value,
+    dense_increasing_splits,
+    dense_symmetric_splits,
+)
 from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
-from linfty.graded import GradedSpace, anchored_splits, increasing_splits, symmetric_splits
+from linfty.graded import (
+    GradedSpace,
+    anchored_merges,
+    anchored_splits,
+    increasing_splits,
+    symmetric_splits,
+)
 from linfty.homotopy import (
     HomotopyStructure,
     _lie_identity_value,
@@ -49,6 +60,25 @@ def test_iterators_yield_the_oracle_terms(pattern):
         assert Counter(anchored_splits(space, word, [k])) == Counter(
             dense_anchored_splits(space, word, [k])
         ), k
+
+
+def test_anchored_merges_invert_anchored_splits():
+    # every split of every word up to length 4 comes back exactly once, with
+    # its sign, from the merges of its (front, inner, tail); repeated letters
+    # of both parities make several interleavings give one word
+    space = GradedSpace("Q", [("a", 0), ("b", 1), ("c", -1)])
+    for n in range(1, 5):
+        splits, merges = Counter(), Counter()
+        for word in space.words(n):
+            for sign, front, inner, tail in anchored_splits(space, word, range(1, n + 1)):
+                splits[sign, word, front, inner, tail] += 1
+        for k in range(1, n + 1):
+            for i in range(n - k + 1):
+                for letters in space.words(n):
+                    front, inner, tail = letters[:i], letters[i : i + k], letters[i + k :]
+                    for sign, word in anchored_merges(space, front, inner, tail):
+                        merges[sign, word, front, inner, tail] += 1
+        assert merges == splits, n
 
 
 def slot_compositions(n):
@@ -82,17 +112,6 @@ def oracle_symmetric_value(structure, word):
         if inner is not None and outer is not None:
             for b, c in inner.eval(block).items():
                 merge_into(acc, outer.eval((b,) + rest), sign * c)
-    return acc
-
-
-def oracle_anchored_value(structure, word):
-    brackets, n, acc = structure.brackets, len(word), {}
-    splits = dense_anchored_splits(structure.space, word, range(1, n + 1))
-    for sign, front, block, tail in splits:
-        inner, outer = brackets.get(len(block)), brackets.get(n - len(block) + 1)
-        if inner is not None and outer is not None:
-            for b, c in inner.eval(block).items():
-                merge_into(acc, outer.eval(front + (b,) + tail), sign * c)
     return acc
 
 
@@ -171,7 +190,7 @@ def test_identity_sums_equal_the_oracle_sums(index):
         for w in space.canonical_words_up_to(BOUND):
             assert _lie_identity_value(structure, w) == oracle_symmetric_value(structure, w), w
     for w in space.words_up_to(BOUND):
-        assert _loday_identity_value(structure, w) == oracle_anchored_value(structure, w), w
+        assert _loday_identity_value(structure, w) == dense_anchored_value(structure, w), w
 
 
 def test_random_sums_are_not_all_zero():
@@ -188,7 +207,7 @@ def test_product_anchored_sum_equals_the_oracle_sum():
     nonzero = 0
     for w in product.space.words_up_to(BOUND):
         value = _loday_identity_value(product, w)
-        assert value == oracle_anchored_value(product, w), w
+        assert value == dense_anchored_value(product, w), w
         nonzero += bool(value)
     assert nonzero
 
@@ -324,7 +343,9 @@ def test_coherence_residuals_equal_the_lift_commutators():
 # the boundary between the routes
 
 ROUTE_B_SIGN_CODE = {"koszul_sign", "permute", "unshuffles", "increasing_unshuffles"}
-ROUTE_A_SPLIT_KERNELS = {"symmetric_splits", "anchored_splits", "increasing_splits"}
+ROUTE_A_SPLIT_KERNELS = {
+    "symmetric_splits", "anchored_splits", "anchored_merges", "increasing_splits"
+}
 
 
 @pytest.mark.parametrize("module", ["homotopy", "action", "tensor"])
