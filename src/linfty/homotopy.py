@@ -38,6 +38,7 @@ from .multimap import (
     lift_zinbiel_coderivation,
     merge_into,
     shifted_bracket,
+    zinbiel_square,
 )
 from .report import (
     CheckReport,
@@ -218,10 +219,10 @@ def _loday_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
 
 
 def _square_restrictions(
-    structure: HomotopyStructure, lifted: TruncatedCoderivation
+    brackets: Mapping[int, MultiMap], lifted: TruncatedCoderivation
 ) -> dict[Word, Vector]:
-    """Single-letter components of the square of the lifted coderivation."""
-    brackets = structure.brackets
+    """Single-letter components of the square of the lifted coderivation
+    of ``brackets``, read from every row of the lift."""
     out: dict[Word, Vector] = {}
     for w, row in lifted.rows.items():
         acc: Vector = {}
@@ -257,7 +258,7 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
         val = _lie_identity_value(structure, w)
         if val:
             direct[w] = val
-    squared = _square_restrictions(structure, structure.lift(bound))
+    squared = _square_restrictions(structure.brackets, structure.lift(bound))
     if direct != squared:
         raise RouteDisagreement(
             "symmetric identity sum and coderivation square differ: "
@@ -277,7 +278,10 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     term by term and the verdict still covers all words up to the bound.
     The words are visited in the order of :meth:`GradedSpace.words_up_to`,
     so the residual list is the one a visit of every word gives.  The
-    symmetric identity sums and the morphism sums still visit every word.
+    square (:func:`zinbiel_square`) forms only the lift entries whose word
+    is a bracket key, from pairs of keys, with the lift's own signs; it
+    builds no lift row.  The symmetric identity sums and the morphism sums
+    still visit every word.
     """
     space = structure.space
     direct: dict[Word, Vector] = {}
@@ -285,7 +289,7 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
         val = _loday_identity_value(structure, w)
         if val:
             direct[w] = val
-    squared = _square_restrictions(structure, structure.zinbiel_lift(bound))
+    squared = zinbiel_square(space, structure.brackets, bound)
     if direct != squared:
         raise RouteDisagreement(
             "anchored identity sum and coderivation square differ: "

@@ -58,6 +58,7 @@ __all__ = [
     "shifted_bracket",
     "symmetrize",
     "zinbiel_coproduct",
+    "zinbiel_square",
 ]
 
 
@@ -553,6 +554,41 @@ def _front_placements(i: int, m: int) -> tuple:
     return tuple(out)
 
 
+def _placement_flips(inner: Word, i: int, odd, parity: int) -> list:
+    """Each placement of ``i`` front letters among the letters ``inner`` as
+    ``(front_slots, template, flips)``, for the Zinbiel lift of a family of
+    parity ``parity``.
+
+    ``template`` is the head with ``inner`` in place and ``front_slots``
+    the slots the front letters fill.  The Koszul sign of the crossings
+    times ``(-1)^{|Q| |F|}`` is the product over the front letters ``f_a``
+    of ``(-1)^{|f_a| (|Q| + |C_a|)}``, ``C_a`` the inner letters ``f_a``
+    crosses; ``flips`` lists the positions where ``|Q| + |C_a|`` is odd, so
+    the sign is ``-1`` exactly when an odd number of the front letters
+    there are odd.  The lift and :func:`zinbiel_square` both read their
+    signs from here.
+    """
+    out = []
+    for front_slots, inner_slots, crossings in _front_placements(i, len(inner)):
+        flips = [
+            a
+            for a, crossed in enumerate(crossings)
+            if (parity + sum(odd[inner[c]] for c in crossed)) % 2
+        ]
+        template = [0] * (i + len(inner))
+        for t, x in zip(inner_slots, inner):
+            template[t] = x
+        out.append((front_slots, template, flips))
+    return out
+
+
+def _plain_support(restrictions: Mapping[int, MultiMap]) -> Iterator[tuple[Word, Vector]]:
+    """Every key of each map with its value, symmetric maps through
+    :meth:`MultiMap.expand_plain`."""
+    for f in restrictions.values():
+        yield from f.expand_plain().constants.items()
+
+
 def lift_zinbiel_coderivation(
     space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
 ) -> TruncatedCoderivation:
@@ -580,30 +616,20 @@ def lift_zinbiel_coderivation(
     odd = tuple(d % 2 for d in space.degrees)
     short = [_words_of_length(space.dim, n) for n in range(bound)]
     prefixes: dict[Word, WordSum] = {}
-    for f in restrictions.values():
-        plain = f.expand_plain() if f.flavor == SYMMETRIC else f
-        for u, vec in plain.constants.items():
-            k = len(u)
-            inner, anchor = u[:-1], u[-1:]
-            neg = {b: -c for b, c in vec.items()}
-            for i in range(bound - k + 1):
-                for front_slots, inner_slots, crossings in _front_placements(i, k - 1):
-                    flips = [
-                        a
-                        for a, crossed in enumerate(crossings)
-                        if (parity + sum(odd[inner[c]] for c in crossed)) % 2
-                    ]
-                    template = [0] * (i + k - 1)
-                    for t, x in zip(inner_slots, inner):
-                        template[t] = x
-                    for front in short[i]:
-                        head = template[:]
-                        for t, x in zip(front_slots, front):
-                            head[t] = x
-                        row = prefixes.setdefault(tuple(head) + anchor, {})
-                        value = neg if sum(odd[front[a]] for a in flips) % 2 else vec
-                        for b, c in value.items():
-                            add_into(row, front + (b,), c)
+    for u, vec in _plain_support(restrictions):
+        k = len(u)
+        anchor = u[-1:]
+        neg = {b: -c for b, c in vec.items()}
+        for i in range(bound - k + 1):
+            for front_slots, template, flips in _placement_flips(u[:-1], i, odd, parity):
+                for front in short[i]:
+                    head = template[:]
+                    for t, x in zip(front_slots, front):
+                        head[t] = x
+                    row = prefixes.setdefault(tuple(head) + anchor, {})
+                    value = neg if sum(odd[front[a]] for a in flips) % 2 else vec
+                    for b, c in value.items():
+                        add_into(row, front + (b,), c)
     rows: dict[Word, WordSum] = {}
     for prefix, prow in prefixes.items():
         if not prow:
@@ -618,6 +644,52 @@ def lift_zinbiel_coderivation(
                     for x, c in prow.items():
                         add_into(row, x + tail, c)
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
+
+
+def zinbiel_square(
+    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+) -> dict[Word, Vector]:
+    """The single-letter components ``p(Q Q) = q Q`` of the square of the
+    Zinbiel lift ``Q`` of the restrictions ``q``, on the words up to
+    ``bound`` where they are nonzero.
+
+    ``q`` reads only the lift entries whose word ``y`` is a key of its plain
+    support, so only those entries are formed.  Each one comes from a key
+    ``u`` with an output letter ``b = y[j]``: for each placement of the
+    front ``y[:j]`` among ``u[:-1]``, the row of the word that interleaves
+    them, then ``u[-1]``, then the tail ``y[j+1:]``, holds ``y`` with the
+    lift's sign times ``c_b``, and so picks up that multiple of ``q(y)``.
+    The outer keys are indexed by the letter and the position of each slot,
+    and every term is written once; the work is proportional to the
+    (inner key, outer key, placement) triples that fit under the bound.
+    """
+    parity = _common_degree(restrictions) % 2
+    odd = tuple(d % 2 for d in space.degrees)
+    support = list(_plain_support(restrictions))
+    slots: dict[tuple[int, int], list[tuple[Word, Word, Vector]]] = {}
+    for y, value in support:
+        for j, b in enumerate(y):
+            slots.setdefault((b, j), []).append((y[:j], y[j + 1 :], value))
+    out: dict[Word, Vector] = {}
+    for u, vec in support:
+        k = len(u)
+        anchor = u[-1:]
+        for i in range(bound - k + 1):
+            room = bound - k - i
+            placements = _placement_flips(u[:-1], i, odd, parity)
+            for b, cb in vec.items():
+                for front, tail, value in slots.get((b, i), ()):
+                    if len(tail) > room:
+                        continue
+                    for front_slots, template, flips in placements:
+                        head = template[:]
+                        for t, x in zip(front_slots, front):
+                            head[t] = x
+                        c = -cb if sum(odd[front[a]] for a in flips) % 2 else cb
+                        acc = out.setdefault(tuple(head) + anchor + tail, {})
+                        for o, co in value.items():
+                            add_into(acc, o, c * co)
+    return {w: v for w, v in out.items() if v}
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:

@@ -3,18 +3,22 @@
 These visit every word up to the bound and, on each one, try every inner
 arity, front size and unshuffle, exactly as the coderivation formula reads
 forwards.  The package builds its lifts from the support of the restriction
-maps instead; the oracle tests check the two agree row for row.
+maps instead; the oracle tests check the two agree row for row.  The square
+of the word-by-word Zinbiel lift is the oracle of ``zinbiel_square``, which
+forms only the lift entries the restrictions read.
 """
 from __future__ import annotations
 
 from typing import Mapping
 
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
+from linfty.homotopy import _square_restrictions
 from linfty.multimap import (
     SYMMETRIC,
     ZINBIEL,
     MultiMap,
     TruncatedCoderivation,
+    Vector,
     WordSum,
     _common_degree,
     add_into,
@@ -90,3 +94,11 @@ def dense_zinbiel_lift(
             if acc:
                 rows[w] = acc
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
+
+
+def dense_zinbiel_square(
+    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+) -> dict[Word, Vector]:
+    """The restrictions applied to every entry of every row of the
+    word-by-word Zinbiel lift: the single-letter components of its square."""
+    return _square_restrictions(restrictions, dense_zinbiel_lift(space, restrictions, bound))

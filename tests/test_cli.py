@@ -163,18 +163,16 @@ def test_route_disagreement_maps_to_exit_three(capsys, monkeypatch):
 
 def test_route_disagreement_names_word_and_both_values(capsys, monkeypatch):
     import linfty.homotopy as homotopy
-    from linfty.multimap import TruncatedCoderivation
 
-    real = homotopy.lift_zinbiel_coderivation
+    real = homotopy.zinbiel_square
 
     def skewed(space, restrictions, bound):
         # one spurious term: the coderivation square picks up [p,p] = z on (p, p)
-        lifted = real(space, restrictions, bound)
-        rows = {w: dict(row) for w, row in lifted.rows.items()}
-        rows.setdefault((0, 0), {})[(0, 0)] = Fraction(1)
-        return TruncatedCoderivation(space, bound, lifted.degree, lifted.coalgebra, rows)
+        square = {w: dict(v) for w, v in real(space, restrictions, bound).items()}
+        square.setdefault((0, 0), {})[2] = Fraction(1)
+        return square
 
-    monkeypatch.setattr(homotopy, "lift_zinbiel_coderivation", skewed)
+    monkeypatch.setattr(homotopy, "zinbiel_square", skewed)
     code = main(["check-loday", str(FIXTURES / "loday_plain.lif")])
     out = capsys.readouterr().out
     assert code == 3

@@ -1,12 +1,16 @@
-"""``check_loday_infinity`` against a third route that visits every word.
+"""``check_loday_infinity`` against a third route that visits every word,
+and its coderivation square against the square of the word-by-word lift.
 
 The checker runs its identity sum only on the words that the brackets'
-support reaches through an anchored merge, and its second route, the square
-of the lifted coderivation, is built from the same support.  A word both
-routes skip would go unseen, so this route sums the anchored identity on
-every tensor word up to the bound, from the slot-picking terms of
-``dense_splits.py`` and ``MultiMap.eval``: no split table, no merge kernel
-and no lift.  Its residual list must equal the checker's, in order.
+support reaches through an anchored merge, and its second route,
+``zinbiel_square``, forms only the lift entries whose word is a bracket key,
+from pairs of keys; it builds no lift row.  A word both routes skip would go
+unseen, so this route sums the anchored identity on every tensor word up to
+the bound, from the slot-picking terms of ``dense_splits.py`` and
+``MultiMap.eval``: no split table, no merge kernel and no lift.  Its residual
+list must equal the checker's, in order.  The square itself must equal
+``dense_lifts.dense_zinbiel_square``, the brackets applied to every entry of
+every row of the lift that visits every word.
 """
 import itertools
 import random
@@ -14,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from dense_lifts import dense_zinbiel_square
 from dense_splits import dense_anchored_value
 from linfty import corpus
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
-from linfty.homotopy import HomotopyStructure, check_loday_infinity
-from linfty.multimap import PLAIN, SYMMETRIC
+from linfty.homotopy import HomotopyStructure, check_loday_infinity, lie_to_loday
+from linfty.multimap import PLAIN, SYMMETRIC, zinbiel_square
 from linfty.report import Residual, format_vector
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -96,3 +101,67 @@ def test_random_family_residuals_equal_the_every_word_route(seed, flavor):
     rng = random.Random(seed)
     family = corpus.random_restriction_family(space, (1, 2, 3), 1, rng, flavor, 0.5)
     assert not checked_verdict(HomotopyStructure(space, PLAIN, family), 4)
+
+
+# ---------------------------------------------------------------------------
+# the coderivation square against the square of the word-by-word lift
+
+MIXED3 = GradedSpace("M", [("x", 0), ("y", 1), ("z", -1)])
+
+
+def assert_square_matches(space, family, bound):
+    square = zinbiel_square(space, family, bound)
+    assert square == dense_zinbiel_square(space, family, bound)
+    return square
+
+
+@pytest.mark.parametrize("bound", (3, 4))
+@pytest.mark.parametrize("index", range(len(ACTIONS)), ids=lambda i: ACTIONS[i].label)
+def test_product_square_equals_the_dense_square(index, bound):
+    product = ACTIONS[index].action.hemiproduct().structure
+    assert_square_matches(product.space, product.brackets, bound)
+
+
+@pytest.mark.parametrize("bound", (3, 4))
+@pytest.mark.parametrize("index", range(len(PLAIN_FIXTURES)), ids=lambda i: PLAIN_FIXTURES[i][0])
+def test_plain_fixture_square_equals_the_dense_square(index, bound):
+    structure = PLAIN_FIXTURES[index][1]
+    assert_square_matches(structure.space, structure.brackets, bound)
+
+
+def symmetric_fixture_structures_read_plain():
+    out = []
+    for path in sorted(FIXTURES.glob("*.lif")):
+        sf = parse_path(path)
+        for name, (flavor, _) in sorted(sf.bracket_sections.items()):
+            if flavor == SYMMETRIC:
+                out.append((f"{path.stem}:{name}", lie_to_loday(sf.structure(name))))
+    return out
+
+
+SYMMETRIC_READ_PLAIN = symmetric_fixture_structures_read_plain()
+
+
+@pytest.mark.parametrize(
+    "index", range(len(SYMMETRIC_READ_PLAIN)), ids=lambda i: SYMMETRIC_READ_PLAIN[i][0]
+)
+def test_symmetric_brackets_read_plain_square_equals_the_dense_square(index):
+    # symmetric maps held by a plain structure reach the square through
+    # every ordering of their keys, each with its Koszul sign
+    structure = SYMMETRIC_READ_PLAIN[index][1]
+    assert_square_matches(structure.space, structure.brackets, 4)
+
+
+@pytest.mark.parametrize("degree", (0, 1))
+@pytest.mark.parametrize("flavor", (PLAIN, SYMMETRIC))
+@pytest.mark.parametrize("seed", range(3))
+def test_random_family_square_equals_the_dense_square(seed, flavor, degree):
+    # the placement sign depends on the parity of the family's degree
+    rng = random.Random(seed)
+    family = corpus.random_restriction_family(MIXED3, (1, 2, 3), degree, rng, flavor, 0.5)
+    assert assert_square_matches(MIXED3, family, 4)
+
+
+def test_square_at_bound_5_equals_the_dense_square():
+    family = corpus.random_restriction_family(MIXED3, (1, 2, 3), 1, random.Random(5), PLAIN, 0.3)
+    assert assert_square_matches(MIXED3, family, 5)

@@ -342,7 +342,10 @@ def test_coherence_residuals_equal_the_lift_commutators():
 # ---------------------------------------------------------------------------
 # the boundary between the routes
 
-ROUTE_B_SIGN_CODE = {"koszul_sign", "permute", "unshuffles", "increasing_unshuffles"}
+ROUTE_B_SIGN_CODE = {
+    "koszul_sign", "permute", "unshuffles", "increasing_unshuffles",
+    "_front_placements", "_placement_flips",
+}
 ROUTE_A_SPLIT_KERNELS = {
     "symmetric_splits", "anchored_splits", "anchored_merges", "increasing_splits"
 }
