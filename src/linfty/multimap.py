@@ -55,6 +55,7 @@ __all__ = [
     "lift_comorphism",
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
+    "lifted_composite",
     "shifted_bracket",
     "symmetrize",
     "zinbiel_coproduct",
@@ -465,14 +466,30 @@ class TruncatedCoderivation:
 def _length_one_maps(source, target, degree, coalgebra, rows) -> dict[int, MultiMap]:
     """The length-one part of each row, as one map per word length."""
     flavor = SYMMETRIC if coalgebra == SYMMETRIC else PLAIN
-    per_arity: dict[int, dict[Word, Vector]] = {}
+    table: dict[Word, Vector] = {}
     for w, row in rows.items():
         vec = {u[0]: c for u, c in row.items() if len(u) == 1}
         if vec:
+            table[w] = vec
+    return maps_by_arity(source, target, degree, flavor, table)
+
+
+def maps_by_arity(
+    source: GradedSpace,
+    target: GradedSpace,
+    degree: int,
+    flavor: str,
+    table: Mapping[Word, Vector],
+) -> dict[int, MultiMap]:
+    """A table of values on words as one map per word length; empty values
+    are dropped."""
+    per_arity: dict[int, dict[Word, Vector]] = {}
+    for w, vec in table.items():
+        if vec:
             per_arity.setdefault(len(w), {})[w] = vec
     return {
-        k: MultiMap(source, target, k, degree, flavor, table)
-        for k, table in per_arity.items()
+        k: MultiMap(source, target, k, degree, flavor, words)
+        for k, words in per_arity.items()
     }
 
 
@@ -502,7 +519,8 @@ def lift_symmetric_coderivation(
     of (key, rest) pairs, not to the number of canonical words.
     """
     degree = _common_degree(restrictions)
-    rests = [tuple(space.canonical_words(n)) for n in range(bound)]
+    odd = tuple(i for i, d in enumerate(space.degrees) if d % 2)
+    rests = [_canonical_words_of_length(space.dim, odd, n) for n in range(bound)]
     rows: dict[Word, WordSum] = {}
     for f in restrictions.values():
         for u, vec in f.constants.items():
@@ -538,6 +556,17 @@ def _words_of_length(dim: int, n: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
+def _canonical_words_of_length(dim: int, odd: tuple[int, ...], n: int) -> tuple[Word, ...]:
+    """Sorted ``n``-letter words with no repeated letter from ``odd``: the
+    symmetric-algebra basis of :meth:`GradedSpace.canonical_words`."""
+    return tuple(
+        w
+        for w in itertools.combinations_with_replacement(range(dim), n)
+        if not any(a == b and a in odd for a, b in zip(w, w[1:]))
+    )
+
+
+@lru_cache(maxsize=None)
 def _front_placements(i: int, m: int) -> tuple:
     """Each ``(i, m)``-unshuffle as ``(front_slots, inner_slots, crossings)``.
 
@@ -565,7 +594,7 @@ def _placement_flips(inner: Word, i: int, odd, parity: int) -> list:
     of ``(-1)^{|f_a| (|Q| + |C_a|)}``, ``C_a`` the inner letters ``f_a``
     crosses; ``flips`` lists the positions where ``|Q| + |C_a|`` is odd, so
     the sign is ``-1`` exactly when an odd number of the front letters
-    there are odd.  The lift and :func:`zinbiel_square` both read their
+    there are odd.  The lift and :func:`lifted_composite` both read their
     signs from here.
     """
     out = []
@@ -646,32 +675,39 @@ def lift_zinbiel_coderivation(
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
 
 
-def zinbiel_square(
-    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+def lifted_composite(
+    space: GradedSpace,
+    outer: Mapping[int, MultiMap],
+    inner: Mapping[int, MultiMap],
+    bound: int,
 ) -> dict[Word, Vector]:
-    """The single-letter components ``p(Q Q) = q Q`` of the square of the
-    Zinbiel lift ``Q`` of the restrictions ``q``, on the words up to
-    ``bound`` where they are nonzero.
+    """The single-letter components ``p(A B) = a B`` of the composite of the
+    Zinbiel lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
+    ``inner`` (``b``), on the words up to ``bound`` where they are nonzero.
 
-    ``q`` reads only the lift entries whose word ``y`` is a key of its plain
-    support, so only those entries are formed.  Each one comes from a key
-    ``u`` with an output letter ``b = y[j]``: for each placement of the
-    front ``y[:j]`` among ``u[:-1]``, the row of the word that interleaves
-    them, then ``u[-1]``, then the tail ``y[j+1:]``, holds ``y`` with the
-    lift's sign times ``c_b``, and so picks up that multiple of ``q(y)``.
-    The outer keys are indexed by the letter and the position of each slot,
-    and every term is written once; the work is proportional to the
-    (inner key, outer key, placement) triples that fit under the bound.
+    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a``
+    applied to the rows of ``B``, and ``a`` reads only the entries of ``B``
+    whose word ``y`` is a key of its plain support; only those are formed.
+    Each one comes from an inner key ``u`` with an output letter
+    ``c = y[j]``: for each placement of the front ``y[:j]`` among ``u[:-1]``,
+    the row of the word that interleaves them, then ``u[-1]``, then the tail
+    ``y[j+1:]``, holds ``y`` with the lift's sign times ``b(u)_c``, whose
+    flip rule reads the parity of the inner family's degree, and so picks up
+    that multiple of ``a(y)``.  The outer keys are indexed by the letter and
+    the position of each slot, and every term is written once; the work is
+    proportional to the (inner key, outer key, placement) triples that fit
+    under the bound.
     """
-    parity = _common_degree(restrictions) % 2
-    odd = tuple(d % 2 for d in space.degrees)
-    support = list(_plain_support(restrictions))
     slots: dict[tuple[int, int], list[tuple[Word, Word, Vector]]] = {}
-    for y, value in support:
+    for y, value in _plain_support(outer):
         for j, b in enumerate(y):
             slots.setdefault((b, j), []).append((y[:j], y[j + 1 :], value))
     out: dict[Word, Vector] = {}
-    for u, vec in support:
+    if not slots:
+        return out
+    parity = _common_degree(inner) % 2
+    odd = tuple(d % 2 for d in space.degrees)
+    for u, vec in _plain_support(inner):
         k = len(u)
         anchor = u[-1:]
         for i in range(bound - k + 1):
@@ -690,6 +726,15 @@ def zinbiel_square(
                         for o, co in value.items():
                             add_into(acc, o, c * co)
     return {w: v for w, v in out.items() if v}
+
+
+def zinbiel_square(
+    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+) -> dict[Word, Vector]:
+    """The single-letter components ``p(Q Q) = q Q`` of the square of the
+    Zinbiel lift ``Q`` of the restrictions ``q``: :func:`lifted_composite`
+    with ``q`` on both sides."""
+    return lifted_composite(space, restrictions, restrictions, bound)
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:
@@ -717,10 +762,17 @@ def balavoine_bracket(
     g: Mapping[int, MultiMap],
     bound: int,
 ) -> dict[int, MultiMap]:
-    """Restrictions of the commutator of the Zinbiel lifts of two families."""
-    qf = lift_zinbiel_coderivation(space, f, bound)
-    qg = lift_zinbiel_coderivation(space, g, bound)
-    return commutator(qf, qg).restrictions()
+    """Restrictions of the commutator of the Zinbiel lifts of two families.
+
+    In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F``: two
+    :func:`lifted_composite` calls, with no lift and no commutator.
+    """
+    df, dg = _common_degree(f), _common_degree(g)
+    sign = Fraction(1 if df % 2 and dg % 2 else -1)
+    table = lifted_composite(space, f, g, bound)
+    for w, vec in lifted_composite(space, g, f, bound).items():
+        merge_into(table.setdefault(w, {}), vec, sign)
+    return maps_by_arity(space, space, df + dg, PLAIN, table)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ from .multimap import (
     Vector,
     WordSum,
     add_into,
+    balavoine_bracket,
     commutator,
     expand,
     lift_comorphism,
     lift_zinbiel_coderivation,
+    lifted_composite,
+    maps_by_arity,
     merge_into,
     zinbiel_coproduct,
 )
@@ -174,17 +177,22 @@ def tensor_coderivation(
     Its restrictions send pure-target words to the acting line and vanish on
     every word containing an acting letter.
     """
-    space = hemi.space
-    restrictions: dict[int, MultiMap] = {}
-    for k, f in tensor.components.items():
-        if k > bound:
-            continue
-        table: dict[Word, Vector] = {}
-        for w, vec in f.constants.items():
-            table[hemi.from_v_word(w)] = dict(vec)
-        if table:
-            restrictions[k] = MultiMap(space, space, k, 0, PLAIN, table)
-    return lift_zinbiel_coderivation(space, restrictions, bound)
+    return lift_zinbiel_coderivation(
+        hemi.space, _tensor_restrictions(tensor, hemi, bound), bound
+    )
+
+
+def _tensor_restrictions(
+    tensor: EmbeddingTensor, hemi: HemiProduct, bound: int
+) -> dict[int, MultiMap]:
+    """The tensor's components up to ``bound`` as a family on the product."""
+    table: dict[Word, Vector] = {
+        hemi.from_v_word(w): dict(vec)
+        for k, f in tensor.components.items()
+        if k <= bound
+        for w, vec in f.constants.items()
+    }
+    return maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table)
 
 
 def extend_tensor(
@@ -291,36 +299,56 @@ def check_embedding_explicit(
 
 
 def _ad_series(
-    start: TruncatedCoderivation, t: TruncatedCoderivation, bound: int, include_start: bool
-) -> TruncatedCoderivation:
-    """``sum_m [..[start, t].., t] / m!`` with stabilization asserted."""
-    acc = start if include_start else start.scale(Fraction(0))
+    space: GradedSpace,
+    start: Mapping[int, MultiMap],
+    t: Mapping[int, MultiMap],
+    bound: int,
+    include_start: bool,
+) -> dict[Word, Vector]:
+    """The restriction ``p sum_m [..[S, T].., T] / m!`` of the series of the
+    Zinbiel lifts ``S`` and ``T`` of the families ``start`` and ``t``, on the
+    words up to ``bound``, with stabilization asserted.
+
+    A coderivation is fixed by its restriction, so each term is the
+    :func:`balavoine_bracket` of the previous term's family with ``t``,
+    ``a T - (-1)^{|a||t|} t A``; no term is lifted.
+    """
+    acc: dict[Word, Vector] = {}
+    if include_start:
+        for k, f in start.items():
+            if k <= bound:
+                for w, vec in f.constants.items():
+                    merge_into(acc.setdefault(w, {}), vec)
     term = start
     factorial = Fraction(1)
     step = 0
-    while not term.is_zero():
+    while term:
         step += 1
         factorial *= step
-        term = commutator(term, t)
-        acc = acc.add(term.scale(Fraction(1) / factorial))
+        term = balavoine_bracket(space, term, t, bound)
+        for f in term.values():
+            for w, vec in f.constants.items():
+                merge_into(acc.setdefault(w, {}), vec, Fraction(1) / factorial)
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
-        if term.is_zero():
-            break
-    return acc
+    return {w: vec for w, vec in acc.items() if vec}
 
 
-def _project_h(cod: TruncatedCoderivation, hemi: HemiProduct) -> dict[Word, Vector]:
+def _project_h(table: Mapping[Word, Vector], hemi: HemiProduct) -> dict[Word, Vector]:
     """Keep exactly the components sending pure-target words to acting letters."""
     out: dict[Word, Vector] = {}
-    for w in cod.rows:
+    for w, vec in table.items():
         if not hemi.is_pure_v(w):
             continue
-        vec = cod.restriction_vector(w)
         evec = hemi.e_part(vec)
         if evec:
             out[hemi.to_v_word(w)] = evec
     return out
+
+
+def _restriction_table(cod: TruncatedCoderivation) -> dict[Word, Vector]:
+    """The length-one component of each row of ``cod``."""
+    return {w: cod.restriction_vector(w) for w in cod.rows}
 
 
 def check_embedding_mc(
@@ -328,16 +356,16 @@ def check_embedding_mc(
 ) -> CheckReport:
     """Flatness of the tensor's coderivation inside the derived-bracket frame.
 
-    Builds the product codifferential and the tensor's coderivation, runs the
-    iterated-commutator series and projects onto target-to-acting components.
-    The series is finite per output weight; stabilization is asserted at run
+    Runs the iterated-commutator series of the product codifferential with
+    the tensor's coderivation on their restriction families and projects the
+    summed family onto target-to-acting components; nothing is lifted.  The
+    series is finite per output weight; stabilization is asserted at run
     time rather than assumed.
     """
     _check_tensor_spaces(tensor, action)
     hemi = _ensure_coherent(action, bound)
-    q = hemi.codifferential(bound)
-    t = tensor_coderivation(tensor, hemi, bound)
-    series = _ad_series(q, t, bound, include_start=False)
+    t = _tensor_restrictions(tensor, hemi, bound)
+    series = _ad_series(hemi.space, hemi.structure.brackets, t, bound, include_start=False)
     rows = _project_h(series, hemi)
     vspace, espace = action.V.space, action.E.space
     items = [
@@ -650,9 +678,12 @@ class DeformationComplex:
         self.action = action
         self.bound = bound
         self.hemi = action.hemiproduct()
-        self.q = self.hemi.codifferential(bound)
-        self.t = tensor_coderivation(tensor, self.hemi, bound)
-        self.twisted = _ad_series(self.q, self.t, bound, include_start=True)
+        space = self.hemi.space
+        t = _tensor_restrictions(tensor, self.hemi, bound)
+        series = _ad_series(space, self.hemi.structure.brackets, t, bound, include_start=True)
+        self.twisted = lift_zinbiel_coderivation(
+            space, maps_by_arity(space, space, 1, PLAIN, series), bound
+        )
         vspace, espace = action.V.space, action.E.space
         self.basis: list[tuple[Word, int]] = [
             (w, b)
@@ -666,6 +697,11 @@ class DeformationComplex:
             self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
         self._d1_columns: list[dict[int, Fraction]] | None = None
 
+    @property
+    def q(self) -> TruncatedCoderivation:
+        """The product codifferential, lifted only when a caller reads it."""
+        return self.hemi.codifferential(self.bound)
+
     # -- elements and their coderivations -------------------------------------
 
     def element_degree(self, w: Word, b: int) -> int:
@@ -676,19 +712,17 @@ class DeformationComplex:
             self.element_degree(w, b), {w: {b: Fraction(1)}}
         )
 
-    def lift(self, element: HomElement) -> TruncatedCoderivation:
+    def _family(self, element: HomElement) -> dict[int, MultiMap]:
+        """The element's maps as a restriction family on the product."""
         space = self.hemi.space
-        per_arity: dict[int, dict[Word, Vector]] = {}
-        for w, vec in element.rows:
-            per_arity.setdefault(len(w), {})[self.hemi.from_v_word(w)] = dict(vec)
-        restrictions = {
-            k: MultiMap(space, space, k, element.degree, PLAIN, table)
-            for k, table in per_arity.items()
-        }
-        return lift_zinbiel_coderivation(space, restrictions, self.bound)
+        table = {self.hemi.from_v_word(w): dict(vec) for w, vec in element.rows}
+        return maps_by_arity(space, space, element.degree, PLAIN, table)
+
+    def lift(self, element: HomElement) -> TruncatedCoderivation:
+        return lift_zinbiel_coderivation(self.hemi.space, self._family(element), self.bound)
 
     def project(self, cod: TruncatedCoderivation, degree: int) -> HomElement:
-        return HomElement.from_rows(degree, _project_h(cod, self.hemi))
+        return HomElement.from_rows(degree, _project_h(_restriction_table(cod), self.hemi))
 
     # -- derived brackets ------------------------------------------------------
 
@@ -725,7 +759,7 @@ class DeformationComplex:
             term = commutator(term, lifted)
             if term.is_zero():
                 break
-            for w, vec in _project_h(term, self.hemi).items():
+            for w, vec in _project_h(_restriction_table(term), self.hemi).items():
                 merge_into(acc.setdefault(w, {}), vec, Fraction(1) / factorial)
             if step > 2 * self.bound + _SERIES_SLACK:
                 raise RouteDisagreement("deformation series did not stabilize")
@@ -740,11 +774,14 @@ class DeformationComplex:
         ``T`` is the twisted codifferential, of degree 1, so
         ``[T, A] = TA - (-1)^{|a|} AT`` for the lift ``A`` of ``a = (w -> b)``,
         and only the projection ``p`` onto pure-target rows and acting
-        letters is formed:
+        letters is formed; no column is lifted:
 
-        * ``p(TA)(u) = sum_x A(u)[x] r(x)`` over the pure-target rows ``u`` of
-          ``A``, where ``r(x)`` is the acting part of ``T``'s length-one
-          output on ``x``;
+        * ``p(TA) = r1 A`` is :func:`lifted_composite` of ``r1`` with the
+          single entry ``w -> b``, whose degree sets the placement signs.
+          ``r1`` is the acting part of ``T``'s length-one output, kept on the
+          words with exactly one acting letter: ``A`` sends a pure-target
+          row only to such words, and every word ``r1`` reads back is a
+          pure-target row;
         * ``A`` restricts to the single entry ``w -> b``, so
           ``p(AT)(u) = T(u)[w] e_b``, read for every column in one transposed
           pass over ``T``'s pure-target rows.
@@ -755,27 +792,26 @@ class DeformationComplex:
         if self._d1_columns is not None:
             return self._d1_columns
         hemi, index, theta = self.hemi, self.basis_index, self.twisted
+        space = hemi.space
         acting = range(hemi.e_dim)
-        r: dict[Word, Vector] = {}
+        r1: dict[Word, Vector] = {}
         for x in theta.rows:
-            vec = hemi.e_part(theta.restriction_vector(x))
-            if vec:
-                r[x] = vec
+            if sum(map(hemi.is_e_letter, x)) == 1:
+                vec = hemi.e_part(theta.restriction_vector(x))
+                if vec:
+                    r1[x] = vec
+        r1_family = maps_by_arity(space, space, theta.degree, PLAIN, r1)
         cols: list[dict[int, Fraction]] = []
         for w, b in self.basis:
-            col: dict[int, Fraction] = {}
-            for u, row in self.lift(self.basis_element(w, b)).rows.items():
-                if not hemi.is_pure_v(u):
-                    continue
-                acc: Vector = {}
-                for x, c in row.items():
-                    rx = r.get(x)
-                    if rx:
-                        merge_into(acc, rx, c)
-                uv = hemi.to_v_word(u)
-                for e, c in acc.items():
-                    col[index[uv, e]] = c
-            cols.append(col)
+            a = self._family(self.basis_element(w, b))
+            composite = lifted_composite(space, r1_family, a, self.bound)
+            cols.append(
+                {
+                    index[hemi.to_v_word(u), e]: c
+                    for u, vec in composite.items()
+                    for e, c in vec.items()
+                }
+            )
         for u, row in theta.rows.items():
             if not hemi.is_pure_v(u):
                 continue

@@ -5,10 +5,13 @@ arity, front size and unshuffle, exactly as the coderivation formula reads
 forwards.  The package builds its lifts from the support of the restriction
 maps instead; the oracle tests check the two agree row for row.  The square
 of the word-by-word Zinbiel lift is the oracle of ``zinbiel_square``, which
-forms only the lift entries the restrictions read.
+forms only the lift entries the restrictions read.  The commutator series of
+full lifts, composed row by row, is the oracle of the series the package
+runs on restriction families.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
@@ -22,7 +25,10 @@ from linfty.multimap import (
     WordSum,
     _common_degree,
     add_into,
+    commutator,
 )
+from linfty.report import RouteDisagreement
+from linfty.tensor import _SERIES_SLACK
 
 
 def dense_symmetric_lift(
@@ -102,3 +108,22 @@ def dense_zinbiel_square(
     """The restrictions applied to every entry of every row of the
     word-by-word Zinbiel lift: the single-letter components of its square."""
     return _square_restrictions(restrictions, dense_zinbiel_lift(space, restrictions, bound))
+
+
+def dense_ad_series(
+    start: TruncatedCoderivation, t: TruncatedCoderivation, bound: int, include_start: bool
+) -> TruncatedCoderivation:
+    """``sum_m [..[start, t].., t] / m!`` from full commutators of the lifts,
+    each composing every row; stabilization asserted."""
+    acc = start if include_start else start.scale(Fraction(0))
+    term = start
+    factorial = Fraction(1)
+    step = 0
+    while not term.is_zero():
+        step += 1
+        factorial *= step
+        term = commutator(term, t)
+        acc = acc.add(term.scale(Fraction(1) / factorial))
+        if step > 2 * bound + _SERIES_SLACK:
+            raise RouteDisagreement("commutator series did not stabilize")
+    return acc

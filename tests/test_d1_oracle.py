@@ -1,9 +1,12 @@
 """The projected d1 columns and the sparse rank against their oracles.
 
-``DeformationComplex.d1_columns`` forms only the projection of ``[T, a]``;
-:meth:`DeformationComplex.twisted_bracket` still forms the full commutator
-of the twisted codifferential with each basis element's lift, and its
-projection is the reference column.  :func:`linfty.linalg.rank` is checked
+``DeformationComplex.d1_columns`` forms only the projection of ``[T, a]``,
+with no lift of any basis element: the ``p(TA)`` half is a
+``lifted_composite`` of ``T``'s restriction on the words with one acting
+letter with the basis element, and the ``p(AT)`` half a transposed pass
+over ``T``'s pure-target rows.  :meth:`DeformationComplex.twisted_bracket`
+still forms the full commutator of the twisted codifferential with each
+basis element's lift, and its projection is the reference column.  :func:`linfty.linalg.rank` is checked
 against the dense Gauss-Jordan rank of ``dense_rank.py``, both on random
 sparse rational matrices and on every bigraded piece of the complexes.
 """

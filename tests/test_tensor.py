@@ -7,18 +7,21 @@ from fractions import Fraction
 import pytest
 
 import linfty.action as action_module
+import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
 from linfty.homotopy import check_lie_morphism, check_loday_infinity
 from linfty.multimap import PLAIN, MultiMap, TruncatedCoderivation, merge_into
 from linfty.report import InputError, RouteDisagreement
 from linfty.tensor import (
+    DeformationComplex,
     EmbeddingTensor,
     adjoint_strict_check,
     centroid_check,
     check_descendent_morphism,
     check_embedding,
     check_embedding_explicit,
+    check_embedding_mc,
     coderivation_exponential,
     cohomology_rank,
     compose_unary,
@@ -146,20 +149,19 @@ def test_perturbed_tensor_fails_both_routes():
 
 def test_route_disagreement_names_the_first_residual_and_both_values(monkeypatch):
     act, tensor = heisenberg_tensor()
-    hemi = act.hemiproduct()
-    real = tensor_module.lift_zinbiel_coderivation
+    real = tensor_module._tensor_restrictions
 
-    def skewed(space, restrictions, bound):
-        # a spurious z -> a0 row in the tensor's coderivation on the product,
+    def skewed(tensor, hemi, bound):
+        # a spurious z -> a0 entry in the tensor's family on the product,
         # seen by the commutator series only
-        lifted = real(space, restrictions, bound)
-        if space is not hemi.space:
-            return lifted
-        rows = {w: dict(row) for w, row in lifted.rows.items()}
-        rows.setdefault(hemi.from_v_word((act.V.space.index("z"),)), {})[(0,)] = F(1)
-        return TruncatedCoderivation(space, bound, lifted.degree, lifted.coalgebra, rows)
+        family = dict(real(tensor, hemi, bound))
+        unary = dict(family[1].constants)
+        z = hemi.from_v_word((act.V.space.index("z"),))
+        unary[z] = {**unary.get(z, {}), 0: F(1)}
+        family[1] = MultiMap(hemi.space, hemi.space, 1, 0, PLAIN, unary)
+        return family
 
-    monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", skewed)
+    monkeypatch.setattr(tensor_module, "_tensor_restrictions", skewed)
     with pytest.raises(RouteDisagreement) as info:
         check_embedding(tensor, act, 3)
     assert str(info.value) == (
@@ -613,3 +615,27 @@ def test_coherence_verdict_is_computed_once_per_bound(monkeypatch):
         descendent(tensor, act, bound)
         restriction_lemma_check(tensor, act, bound)
         assert calls == expected
+
+
+def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
+    # the series, the bracket and d1 run on restriction families
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(TruncatedCoderivation, "compose")
+    count(multimap_module, "commutator")
+    count(tensor_module, "commutator")
+    count(DeformationComplex, "lift")
+    for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
+        complex_ = deformation_complex(tensor, act, BOUND)
+        assert complex_.check_d1_squares_to_zero().ok
+        assert check_embedding_mc(tensor, act, BOUND).ok
+    assert calls == []
