@@ -7,13 +7,17 @@ maps instead; the oracle tests check the two agree row for row.  The square
 of the word-by-word Zinbiel lift is the oracle of ``zinbiel_square``, which
 forms only the lift entries the restrictions read.  The commutator series of
 full lifts, composed row by row, is the oracle of the series the package
-runs on restriction families.
+runs on restriction families.  The comorphism that visits every source
+word, reading its blocks from ``dense_splits.dense_increasing_splits``, is
+the oracle of ``lift_comorphism``, which places the components' keys.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
+from dense_splits import dense_increasing_splits
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import _square_restrictions
 from linfty.multimap import (
@@ -21,6 +25,7 @@ from linfty.multimap import (
     ZINBIEL,
     MultiMap,
     TruncatedCoderivation,
+    TruncatedComorphism,
     Vector,
     WordSum,
     _common_degree,
@@ -127,3 +132,49 @@ def dense_ad_series(
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
     return acc
+
+
+def dense_comorphism(
+    source: GradedSpace,
+    target: GradedSpace,
+    components: Mapping[int, MultiMap],
+    bound: int,
+    flavor: str,
+) -> TruncatedComorphism:
+    """On every source word (every canonical one in the symmetric flavor),
+    sum over the compositions ``(k_1, ..., k_j)`` of its length and the
+    increasing splits into blocks of those sizes the words whose letters
+    are the component values on the blocks, with the split's sign; in the
+    symmetric flavor each word is sorted with its Koszul sign."""
+    rows: dict[Word, WordSum] = {}
+    words = source.canonical_words_up_to if flavor == SYMMETRIC else source.words_up_to
+    for w in words(bound):
+        acc: WordSum = {}
+        for comp in _compositions(len(w)):
+            maps = [components.get(k) for k in comp]
+            if None in maps:
+                continue
+            for sign, parts in dense_increasing_splits(source, w, comp):
+                values = [f.eval(part) for f, part in zip(maps, parts)]
+                for letters in itertools.product(*(v.items() for v in values)):
+                    u = tuple(b for b, _ in letters)
+                    c = Fraction(sign)
+                    for _, cb in letters:
+                        c *= cb
+                    if flavor == SYMMETRIC:
+                        u, s = target.normalize(u)
+                        c *= s
+                    add_into(acc, u, c)
+        if acc:
+            rows[w] = acc
+    return TruncatedComorphism(source, target, bound, flavor, dict(components), rows)
+
+
+def _compositions(n: int):
+    """Ordered tuples of positive integers summing to ``n``."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest

@@ -1,0 +1,64 @@
+"""The bytes of the deformation-complex reports, pinned by sha256.
+
+The reports of ``deform`` and ``cohomology`` are the slowest the CLI prints
+and the ones every speedup of the deformation layer must leave unchanged.
+The digests below were recorded from the word-by-word explicit check, the
+word-by-word comorphism and the full twisted lift; a change that moves a
+single byte of these reports fails here.  The CLI prints the input path, so
+the commands run from the root of the checkout with a relative path.
+"""
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from linfty.cli import main
+
+ROOT = Path(__file__).parent.parent
+
+DEFORM = {
+    ("heisenberg", 5): "39edaa41f77f3854d3a57bdf077690021a59825cff0a4408b30b85cb8fca6d42",
+    ("heisenberg", 6): "1dcb44abbc2f4db13fcd5b6f7734a18b1cb7dcbedf4867e89720ace3c418efb1",
+    ("adjoint_identity", 5): "a6c8719fe31c886d6835e558a7e3b2269925a4683c31cebd81a13beea49dca1a",
+    ("adjoint_identity", 6): "fc5b7841f9495d16485f010d69a5e04d3b0394139e728c3f7459995c29f154f7",
+}
+
+# every (degree, weight) piece of the bound-5 complex of each fixture
+COHOMOLOGY = {
+    ("heisenberg", 0, 1): "d079fe06bc4293107cc3a22f483b0ecabb904b8ad389f9d63e41975c72e00c70",
+    ("heisenberg", 1, 2): "3ef7a4be712561ac909ee2a9b1e967fecc7c5065737753b4ba8ac737cc8abd17",
+    ("heisenberg", 2, 3): "1dadf900b5119925922edbcc821b1735eb102e9dfc59139e9ec13cab5e0ab784",
+    ("heisenberg", 3, 4): "d2aec22842d8999c3091a78c5ded2df9616da397615da58f95281cb85b1069ee",
+    ("heisenberg", 4, 5): "2fbe0c646d29761d520715fb0e0083c5f97c20f0215ae97efa6afffcc8abd760",
+    ("adjoint_identity", 0, 1): "2a1e79e03d0faf19d848c0d44cc1df75fe1f37f054a40cf1d151712b7d38dccf",
+    ("adjoint_identity", 1, 2): "d5b6bee078334011ee5ee0d777314739d0f237fab6461b4d6e9bb6e88a09eacd",
+    ("adjoint_identity", 2, 3): "eaf970421dc68e56f0eb9ddfd92adc82be396bcea55a9de50a89d64f0880b10e",
+    ("adjoint_identity", 3, 4): "7a172da53bc1e97e610b97ea0c09fbf254f54fe577577d43f51725bc185029e2",
+    ("adjoint_identity", 4, 5): "6cb8662184599c6235a116f738f49bdfe6b4d06547b668f354556712c77f12d9",
+}
+
+
+def stdout_digest(args, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture,bound", sorted(DEFORM))
+def test_deform_report_bytes_are_pinned(fixture, bound, monkeypatch):
+    args = ["deform", f"tests/fixtures/{fixture}.lif", "--bound", str(bound)]
+    assert stdout_digest(args, monkeypatch) == DEFORM[fixture, bound]
+
+
+@pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY))
+def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
+    args = [
+        "cohomology", f"tests/fixtures/{fixture}.lif", "--bound", "5",
+        "--degree", str(degree), "--weight", str(weight),
+    ]
+    assert stdout_digest(args, monkeypatch) == COHOMOLOGY[fixture, degree, weight]
