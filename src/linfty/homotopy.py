@@ -405,15 +405,18 @@ def _morphism_rhs(space, components, target, w) -> Vector:
 
 def _intertwining_defect(com, source_codiff, target_codiff):
     """The first source word ``w`` with ``com(Q w) != Q'(com w)``, as
-    ``(w, com(Q w), Q'(com w))``; ``None`` if ``com`` intertwines."""
+    ``(w, com(Q w), Q'(com w))``; ``None`` if ``com`` intertwines.  The
+    rows of the source codifferential come first, then the other rows of
+    ``com`` shortest first, then lexicographic, so the word named does not
+    depend on the order in which the comorphism was built."""
     for w, row in source_codiff.rows.items():
         lhs = com.apply_sum(row)
         rhs = target_codiff.apply_sum(com.apply_word(w))
         if lhs != rhs:
             return w, lhs, rhs
-    for w, row in com.rows.items():
+    for w in sorted(com.rows, key=lambda w: (len(w), w)):
         if w not in source_codiff.rows:
-            rhs = target_codiff.apply_sum(row)
+            rhs = target_codiff.apply_sum(com.rows[w])
             if rhs:
                 return w, {}, rhs
     return None

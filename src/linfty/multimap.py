@@ -675,6 +675,50 @@ def lift_zinbiel_coderivation(
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
 
 
+def _slot_index(support: Iterable[tuple[Word, Vector]]) -> dict:
+    """The keys of a plain support indexed by the letter and the position of
+    each slot, as ``(letter, j) -> [(key[:j], key[j+1:], value)]``."""
+    slots: dict[tuple[int, int], list[tuple[Word, Word, Vector]]] = {}
+    for y, value in support:
+        for j, b in enumerate(y):
+            slots.setdefault((b, j), []).append((y[:j], y[j + 1 :], value))
+    return slots
+
+
+def _composite(
+    space: GradedSpace,
+    slots: Mapping[tuple[int, int], list],
+    inner: Iterable[tuple[Word, Vector]],
+    parity: int,
+    bound: int,
+) -> dict[Word, Vector]:
+    """:func:`lifted_composite` from the outer family's :func:`_slot_index`,
+    the inner family's plain support and the parity of its degree, so a
+    caller that composes one outer family with many inner ones, or a family
+    with itself, indexes it once."""
+    odd = tuple(d % 2 for d in space.degrees)
+    out: dict[Word, Vector] = {}
+    for u, vec in inner:
+        k = len(u)
+        anchor = u[-1:]
+        for i in range(bound - k + 1):
+            room = bound - k - i
+            placements = _placement_flips(u[:-1], i, odd, parity)
+            for b, cb in vec.items():
+                for front, tail, value in slots.get((b, i), ()):
+                    if len(tail) > room:
+                        continue
+                    for front_slots, template, flips in placements:
+                        head = template[:]
+                        for t, x in zip(front_slots, front):
+                            head[t] = x
+                        c = -cb if sum(odd[front[a]] for a in flips) % 2 else cb
+                        acc = out.setdefault(tuple(head) + anchor + tail, {})
+                        for o, co in value.items():
+                            add_into(acc, o, c * co)
+    return {w: v for w, v in out.items() if v}
+
+
 def lifted_composite(
     space: GradedSpace,
     outer: Mapping[int, MultiMap],
@@ -698,34 +742,10 @@ def lifted_composite(
     proportional to the (inner key, outer key, placement) triples that fit
     under the bound.
     """
-    slots: dict[tuple[int, int], list[tuple[Word, Word, Vector]]] = {}
-    for y, value in _plain_support(outer):
-        for j, b in enumerate(y):
-            slots.setdefault((b, j), []).append((y[:j], y[j + 1 :], value))
-    out: dict[Word, Vector] = {}
+    slots = _slot_index(_plain_support(outer))
     if not slots:
-        return out
-    parity = _common_degree(inner) % 2
-    odd = tuple(d % 2 for d in space.degrees)
-    for u, vec in _plain_support(inner):
-        k = len(u)
-        anchor = u[-1:]
-        for i in range(bound - k + 1):
-            room = bound - k - i
-            placements = _placement_flips(u[:-1], i, odd, parity)
-            for b, cb in vec.items():
-                for front, tail, value in slots.get((b, i), ()):
-                    if len(tail) > room:
-                        continue
-                    for front_slots, template, flips in placements:
-                        head = template[:]
-                        for t, x in zip(front_slots, front):
-                            head[t] = x
-                        c = -cb if sum(odd[front[a]] for a in flips) % 2 else cb
-                        acc = out.setdefault(tuple(head) + anchor + tail, {})
-                        for o, co in value.items():
-                            add_into(acc, o, c * co)
-    return {w: v for w, v in out.items() if v}
+        return {}
+    return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)
 
 
 def zinbiel_square(
@@ -733,8 +753,10 @@ def zinbiel_square(
 ) -> dict[Word, Vector]:
     """The single-letter components ``p(Q Q) = q Q`` of the square of the
     Zinbiel lift ``Q`` of the restrictions ``q``: :func:`lifted_composite`
-    with ``q`` on both sides."""
-    return lifted_composite(space, restrictions, restrictions, bound)
+    with ``q`` on both sides, its plain support expanded once."""
+    support = list(_plain_support(restrictions))
+    parity = _common_degree(restrictions) % 2
+    return _composite(space, _slot_index(support), support, parity, bound)
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:
@@ -871,61 +893,83 @@ def lift_comorphism(
     ``n`` and increasing unshuffles, the ``j``-letter words whose letters are
     the component values on the blocks.  Intertwines the Zinbiel coproduct
     (hence also the coshuffle one) up to the bound.
+
+    The rows are generated from the components' keys rather than from the
+    source words.  For each composition, each tuple ``(u_1, ..., u_j)`` of
+    keys of the plain supports of ``F_{k_1}, ..., F_{k_j}`` (symmetric maps
+    enter through :meth:`MultiMap.expand_plain`) and each increasing
+    unshuffle, the letters of ``u_1 ... u_j`` are placed into the one word
+    whose blocks the unshuffle reads back as the keys; that row gains the
+    expansion of the keys' values with the Koszul sign of the unshuffle on
+    that word.  In the symmetric flavor only canonical words are kept.  The
+    work is proportional to the (key tuple, unshuffle) pairs that fit under
+    the bound, not to the source words.
     """
     if flavor not in (SYMMETRIC, ZINBIEL):
         raise ValueError(f"unknown comorphism flavor {flavor!r}")
     for k, f in components.items():
         if f.degree != 0 and not f.is_zero():
             raise ValueError(f"component of arity {k} has nonzero degree {f.degree}")
-    available = {k for k, f in components.items() if not f.is_zero()}
-    rows: dict[Word, WordSum] = {}
-    words = (
-        source.canonical_words_up_to(bound)
-        if flavor == SYMMETRIC
-        else source.words_up_to(bound)
-    )
-    for w in words:
-        n = len(w)
-        degs = source.word_degrees(w)
-        acc: WordSum = {}
-        for comp in compositions(n):
-            if any(k not in available for k in comp):
-                continue
-            maps = [components[k] for k in comp]
-            for sigma in increasing_unshuffles(*comp):
-                eps = koszul_sign(sigma, degs)
-                pw = permute(sigma, w)
-                pos = 0
-                block_vectors = []
-                dead = False
-                for k, f in zip(comp, maps):
-                    vec = f.eval(pw[pos : pos + k])
-                    if not vec:
-                        dead = True
-                        break
-                    block_vectors.append(vec)
-                    pos += k
-                if dead:
-                    continue
-                _expand_blocks(acc, block_vectors, Fraction(eps), target, flavor)
-        if acc:
-            rows[w] = acc
     comp_tables: dict[int, MultiMap] = {
         k: f for k, f in components.items() if not f.is_zero()
     }
+    support = {k: list(f.expand_plain().constants.items()) for k, f in comp_tables.items()}
+    odd = tuple(d % 2 for d in source.degrees)
+    rows: dict[Word, WordSum] = {}
+    for n in range(1, bound + 1):
+        for comp in compositions(n):
+            if any(k not in support for k in comp):
+                continue
+            for keys in itertools.product(*(support[k] for k in comp)):
+                letters = tuple(x for u, _ in keys for x in u)
+                images = _image_words([vec for _, vec in keys], target, flavor)
+                for slots, sign in _increasing_placements(comp, tuple(odd[x] for x in letters)):
+                    word = [0] * n
+                    for s, x in zip(slots, letters):
+                        word[s] = x
+                    w = tuple(word)
+                    if flavor == SYMMETRIC and not _is_canonical(w, odd):
+                        continue
+                    row = rows.setdefault(w, {})
+                    for u, c in images:
+                        add_into(row, u, c if sign > 0 else -c)
+    rows = {w: row for w, row in rows.items() if row}
     return TruncatedComorphism(source, target, bound, flavor, comp_tables, rows)
 
 
-def _expand_blocks(acc, block_vectors, coeff, target, flavor) -> None:
-    words = expand(block_vectors, coeff)
-    if flavor == SYMMETRIC:
-        for w, c in words:
-            norm, sign = target.normalize(w)
-            if sign:
-                add_into(acc, norm, sign * c)
-    else:
-        for w, c in words:
-            add_into(acc, w, c)
+@lru_cache(maxsize=None)
+def _increasing_placements(blocks: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
+    """Each increasing ``blocks``-unshuffle ``sigma`` as ``(sigma, sign)``
+    for block letters of the given parities, in block order: letter ``t``
+    of the blocks sits at slot ``sigma[t]`` of the word the unshuffle reads
+    them from, and ``sign`` is the Koszul sign of the unshuffle on that
+    word."""
+    out = []
+    for sigma in increasing_unshuffles(*blocks):
+        degrees = [0] * len(sigma)
+        for s, p in zip(sigma, parities):
+            degrees[s] = p
+        out.append((sigma, koszul_sign(sigma, degrees)))
+    return tuple(out)
+
+
+def _is_canonical(word: Word, odd) -> bool:
+    """Sorted, with no repeated odd letter: a symmetric-algebra basis word."""
+    return all(a < b or (a == b and not odd[a]) for a, b in zip(word, word[1:]))
+
+
+def _image_words(block_vectors, target, flavor) -> list[tuple[Word, Fraction]]:
+    """The expansion of the block values, each word sorted with its Koszul
+    sign in the symmetric flavor; words that vanish there are dropped."""
+    words = expand(block_vectors, Fraction(1))
+    if flavor == ZINBIEL:
+        return words
+    out = []
+    for w, c in words:
+        norm, sign = target.normalize(w)
+        if sign:
+            out.append((norm, sign * c))
+    return out
 
 
 def identity_comorphism(space: GradedSpace, bound: int, flavor: str = ZINBIEL):

@@ -17,12 +17,14 @@ from the derived brackets of the same commutator calculus.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .action import ActionFamily, HemiProduct
-from .graded import GradedSpace, Word, anchored_splits
+from .graded import GradedSpace, Word, anchored_merges, anchored_splits
 from .homotopy import HomotopyStructure, check_loday_morphism, lie_to_loday
 from .linalg import rank
 from .multimap import (
@@ -33,13 +35,14 @@ from .multimap import (
     TruncatedComorphism,
     Vector,
     WordSum,
+    _composite,
+    _slot_index,
     add_into,
     balavoine_bracket,
     commutator,
     expand,
     lift_comorphism,
     lift_zinbiel_coderivation,
-    lifted_composite,
     maps_by_arity,
     merge_into,
     zinbiel_coproduct,
@@ -258,40 +261,113 @@ def check_embedding_explicit(
 
     For every ordered target word, the acting brackets applied to the full
     comorphism image must match the tensor applied to the coderivation
-    expansion of the induced restriction maps.
+    expansion of the induced restriction maps.  The equations are evaluated
+    only on the words where some term can be nonzero
+    (:func:`_explicit_support_words`); on every other word each term reads a
+    bracket, a tensor component or an action component off its support, so
+    the equations hold there term by term and the verdict still covers all
+    target words up to the bound.
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
-    E, V = action.E, action.V
-    vspace, espace = V.space, E.space
+    vspace, espace = action.V.space, action.E.space
     com = tensor.comorphism(bound)
+    lifted = action.target_zinbiel_rows(bound)
     items: list[Residual] = []
-    for n in range(1, bound + 1):
-        for w in vspace.words(n):
-            lhs: Vector = {}
-            for u, c in com.apply_word(w).items():
-                merge_into(lhs, E.eval_bracket(len(u), u), c)
-            rhs: Vector = {}
-            # the target structure's own coderivation, fed to the tensor
-            for u, c in action.target_zinbiel_rows(bound).get(w, {}).items():
-                merge_into(rhs, tensor.eval(u), c)
-            # the action fed a comorphism image, inserted anchored
-            for sign, front, block, tail in anchored_splits(vspace, w, range(2, n + 1)):
-                for j in range(1, len(block)):
-                    for ue, ce in com.apply_word(block[:j]).items():
-                        norm, s = espace.normalize(ue)
-                        if not s:
-                            continue
-                        coeff = ce if sign == s else -ce
-                        for b, cb in action.eval(norm, block[j:]).items():
-                            merge_into(rhs, tensor.eval(front + (b,) + tail), coeff * cb)
-            diff = lhs
-            merge_into(diff, rhs, Fraction(-1))
-            if diff:
-                items.append(
-                    Residual(n, vspace.format_word(w), format_vector(espace, diff))
-                )
+    for w in _explicit_support_words(tensor, action, com, lifted, bound):
+        diff = _explicit_difference(tensor, action, com, lifted, w)
+        if diff:
+            items.append(Residual(len(w), vspace.format_word(w), format_vector(espace, diff)))
     return make_report("embedding-explicit", bound, items)
+
+
+def _explicit_difference(
+    tensor: EmbeddingTensor,
+    action: ActionFamily,
+    com: TruncatedComorphism,
+    lifted: Mapping[Word, WordSum],
+    w: Word,
+) -> Vector:
+    """The bracket side minus the expansion side of the equations on ``w``;
+    ``lifted`` holds the rows of the target's Zinbiel lift."""
+    E, vspace, espace = action.E, action.V.space, action.E.space
+    lhs: Vector = {}
+    for u, c in com.apply_word(w).items():
+        merge_into(lhs, E.eval_bracket(len(u), u), c)
+    rhs: Vector = {}
+    # the target structure's own coderivation, fed to the tensor
+    for u, c in lifted.get(w, {}).items():
+        merge_into(rhs, tensor.eval(u), c)
+    # the action fed a comorphism image, inserted anchored
+    for sign, front, block, tail in anchored_splits(vspace, w, range(2, len(w) + 1)):
+        for j in range(1, len(block)):
+            for ue, ce in com.apply_word(block[:j]).items():
+                norm, s = espace.normalize(ue)
+                if not s:
+                    continue
+                coeff = ce if sign == s else -ce
+                for b, cb in action.eval(norm, block[j:]).items():
+                    merge_into(rhs, tensor.eval(front + (b,) + tail), coeff * cb)
+    merge_into(lhs, rhs, Fraction(-1))
+    return lhs
+
+
+def _explicit_support_words(
+    tensor: EmbeddingTensor,
+    action: ActionFamily,
+    com: TruncatedComorphism,
+    lifted: Mapping[Word, WordSum],
+    bound: int,
+) -> list[Word]:
+    """The target words up to ``bound`` on which some term of the explicit
+    equations can be nonzero, shortest first, then lexicographic.
+
+    * The bracket side reads a bracket of the acting structure on the
+      comorphism image, so its words are the comorphism rows whose image
+      meets a bracket key.
+    * The tensor fed the target's coderivation: the rows of the target's
+      Zinbiel lift that meet a tensor key.
+    * The action term of an anchored split with block ``p + r'`` feeds the
+      value of an action key ``(e, r)`` into slot ``i`` of a tensor key
+      ``x``.  It needs ``x[i]`` to be an output letter of that key, ``r'``
+      an ordering of ``r`` and ``p`` a comorphism row whose image
+      normalizes to ``e``, so its words are the anchored merges of
+      ``(x[:i], p + r', x[i+1:])``.
+    """
+    E, vspace, espace = action.E, action.V.space, action.E.space
+    words: set[Word] = set()
+    for w, row in com.rows.items():
+        if any(_reads(E.brackets.get(len(u)), u) for u in row):
+            words.add(w)
+    for w, row in lifted.items():
+        if any(_reads(tensor.components.get(len(u)), u) for u in row):
+            words.add(w)
+    rows_of: dict[Word, set[Word]] = {}
+    for p, row in com.rows.items():
+        for ue in row:
+            e, s = espace.normalize(ue)
+            if s:
+                rows_of.setdefault(e, set()).add(p)
+    blocks_of: dict[int, set[Word]] = {}
+    for f in action.components.values():
+        for (e, r), vec in f.constants.items():
+            rows = rows_of.get(e, ())
+            orders = set(itertools.permutations(r))
+            for b in vec:
+                blocks_of.setdefault(b, set()).update(p + o for p in rows for o in orders)
+    for f in tensor.components.values():
+        for x in f.expand_plain().constants:
+            for i, b in enumerate(x):
+                for block in blocks_of.get(b, ()):
+                    if len(x) + len(block) - 1 <= bound:
+                        front, tail = x[:i], x[i + 1 :]
+                        words.update(w for _, w in anchored_merges(vspace, front, block, tail))
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _reads(f: MultiMap | None, word: Word) -> bool:
+    """Whether ``f`` is nonzero on ``word``."""
+    return f is not None and f.lookup(word)[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +744,12 @@ class DeformationComplex:
     target word (length up to the bound) to one acting letter; the bigrading
     of a basis element is (map degree, input word length).  The unary twisted
     bracket is stored as an exact matrix.
+
+    A build runs the explicit equations on their candidate words, then the
+    twisted family's commutator series on restriction families, and keeps
+    the summed family.  :meth:`d1_columns` reads from it the words with one
+    acting letter and lifts only its pure-target part; the full twisted
+    codifferential is lifted only when :attr:`twisted` is read.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -680,9 +762,8 @@ class DeformationComplex:
         self.hemi = action.hemiproduct()
         space = self.hemi.space
         t = _tensor_restrictions(tensor, self.hemi, bound)
-        series = _ad_series(space, self.hemi.structure.brackets, t, bound, include_start=True)
-        self.twisted = lift_zinbiel_coderivation(
-            space, maps_by_arity(space, space, 1, PLAIN, series), bound
+        self._series = _ad_series(
+            space, self.hemi.structure.brackets, t, bound, include_start=True
         )
         vspace, espace = action.V.space, action.E.space
         self.basis: list[tuple[Word, int]] = [
@@ -696,6 +777,18 @@ class DeformationComplex:
         for i, (w, b) in enumerate(self.basis):
             self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
         self._d1_columns: list[dict[int, Fraction]] | None = None
+
+    @cached_property
+    def twisted(self) -> TruncatedCoderivation:
+        """The series-twisted codifferential, lifted in full on first read.
+
+        Only the oracle constructions :meth:`twisted_bracket` and
+        :meth:`mc_residual_of` read it; :meth:`d1_columns` lifts the
+        pure-target part of the same family alone.
+        """
+        space = self.hemi.space
+        family = maps_by_arity(space, space, 1, PLAIN, self._series)
+        return lift_zinbiel_coderivation(space, family, self.bound)
 
     @property
     def q(self) -> TruncatedCoderivation:
@@ -774,37 +867,41 @@ class DeformationComplex:
         ``T`` is the twisted codifferential, of degree 1, so
         ``[T, A] = TA - (-1)^{|a|} AT`` for the lift ``A`` of ``a = (w -> b)``,
         and only the projection ``p`` onto pure-target rows and acting
-        letters is formed; no column is lifted:
+        letters is formed; neither ``T`` nor any column is lifted in full:
 
-        * ``p(TA) = r1 A`` is :func:`lifted_composite` of ``r1`` with the
-          single entry ``w -> b``, whose degree sets the placement signs.
-          ``r1`` is the acting part of ``T``'s length-one output, kept on the
-          words with exactly one acting letter: ``A`` sends a pure-target
-          row only to such words, and every word ``r1`` reads back is a
-          pure-target row;
+        * ``p(TA) = r1 A`` is the composite of ``r1`` with the single entry
+          ``w -> b``, whose degree sets the placement signs.  ``r1`` is the
+          acting part of the summed series family on the words with exactly
+          one acting letter: ``A`` sends a pure-target row only to such
+          words, and every word ``r1`` reads back is a pure-target row.  Its
+          slot index is built once for all columns;
         * ``A`` restricts to the single entry ``w -> b``, so
           ``p(AT)(u) = T(u)[w] e_b``, read for every column in one transposed
-          pass over ``T``'s pure-target rows.
+          pass over ``T``'s pure-target rows and entries.  Those are the
+          rows of the lift, over the target space, of the family's target
+          part on pure-target words, the only part that reaches them.
 
         :meth:`twisted_bracket` forms the full commutator and is the
         reference for these columns.
         """
         if self._d1_columns is not None:
             return self._d1_columns
-        hemi, index, theta = self.hemi, self.basis_index, self.twisted
-        space = hemi.space
-        acting = range(hemi.e_dim)
+        hemi, index = self.hemi, self.basis_index
+        vspace = self.action.V.space
         r1: dict[Word, Vector] = {}
-        for x in theta.rows:
-            if sum(map(hemi.is_e_letter, x)) == 1:
-                vec = hemi.e_part(theta.restriction_vector(x))
-                if vec:
-                    r1[x] = vec
-        r1_family = maps_by_arity(space, space, theta.degree, PLAIN, r1)
+        pure: dict[Word, Vector] = {}
+        for x, vec in self._series.items():
+            acting = sum(map(hemi.is_e_letter, x))
+            if acting == 1:
+                r1[x] = hemi.e_part(vec)
+            elif acting == 0:
+                pure[hemi.to_v_word(x)] = hemi.v_part(vec)
+        slots = _slot_index((x, vec) for x, vec in r1.items() if vec)
         cols: list[dict[int, Fraction]] = []
         for w, b in self.basis:
-            a = self._family(self.basis_element(w, b))
-            composite = lifted_composite(space, r1_family, a, self.bound)
+            entry = [(hemi.from_v_word(w), {b: Fraction(1)})]
+            parity = self.element_degree(w, b) % 2
+            composite = _composite(hemi.space, slots, entry, parity, self.bound)
             cols.append(
                 {
                     index[hemi.to_v_word(u), e]: c
@@ -812,17 +909,13 @@ class DeformationComplex:
                     for e, c in vec.items()
                 }
             )
+        family = maps_by_arity(vspace, vspace, 1, PLAIN, pure)
+        theta = lift_zinbiel_coderivation(vspace, family, self.bound)
         for u, row in theta.rows.items():
-            if not hemi.is_pure_v(u):
-                continue
-            uv = hemi.to_v_word(u)
             for y, c in row.items():
-                if not hemi.is_pure_v(y):
-                    continue
-                yv = hemi.to_v_word(y)
-                for b in acting:
-                    odd = self.element_degree(yv, b) % 2
-                    add_into(cols[index[yv, b]], index[uv, b], c if odd else -c)
+                for b in range(hemi.e_dim):
+                    odd = self.element_degree(y, b) % 2
+                    add_into(cols[index[y, b]], index[u, b], c if odd else -c)
         self._d1_columns = cols
         return cols
 

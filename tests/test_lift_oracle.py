@@ -69,9 +69,12 @@ def test_heisenberg_deformation_lifts_at_bound_4(monkeypatch):
     monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", checked)
     sf = parse_path(FIXTURES / "heisenberg.lif")
     complex_ = deformation_complex(sf.embedding_tensor(), sf.action_family(), 4)
+    complex_.d1_columns()
+    complex_.twisted
     for w, b in complex_.basis:
         complex_.lift(complex_.basis_element(w, b))
-    assert len(compared) > len(complex_.basis)
+    # the pure-target lift of d1, the full twisted lift, one per basis element
+    assert len(compared) == len(complex_.basis) + 2
 
 
 def test_small_space_at_bound_5():

@@ -639,3 +639,30 @@ def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
         assert complex_.check_d1_squares_to_zero().ok
         assert check_embedding_mc(tensor, act, BOUND).ok
     assert calls == []
+
+
+def test_explicit_check_and_deform_follow_the_support(monkeypatch):
+    # the explicit equations run only on the words where a term can be
+    # nonzero, and a deform build never lifts the twisted family in full
+    visited = []
+    real = tensor_module._explicit_difference
+
+    def counting(tensor, action, com, lifted, w):
+        visited.append(w)
+        return real(tensor, action, com, lifted, w)
+
+    monkeypatch.setattr(tensor_module, "_explicit_difference", counting)
+    for (act, tensor), bound, words in (
+        (heisenberg_tensor(), 5, 0),
+        (adjoint_identity_tensor(solvable2()), 4, 2),
+    ):
+        visited.clear()
+        assert check_embedding_explicit(tensor, act, bound).ok
+        assert len(visited) == words
+
+    def unread(complex_):
+        raise AssertionError("the full twisted lift was read")
+
+    monkeypatch.setattr(DeformationComplex, "twisted", property(unread))
+    for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
+        assert deformation_complex(tensor, act, BOUND).check_d1_squares_to_zero().ok
