@@ -20,13 +20,13 @@ from functools import partial
 
 from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
 from .homotopy import HomotopyStructure, check_loday_infinity
+from .memo import memo
 from .multimap import (
     PLAIN,
     SYMMETRIC,
     MultiMap,
     TruncatedCoderivation,
     Vector,
-    WordSum,
     lift_symmetric_coderivation,
     merge_into,
 )
@@ -130,6 +130,11 @@ class ActionFamily:
     ``components[(k, n)]`` maps a k-word of the acting structure and an
     n-word of the target structure to a target vector.  The family is an
     action exactly when :func:`check_action` reports no residuals.
+
+    It memoizes (:func:`linfty.memo.memo`) what its checks re-read: each
+    :meth:`phi_of` under ``("phi", word, bound)``, the coherence verdict
+    under ``("coherent", bound)`` and the product under ``("hemi",)``.
+    :meth:`ad_of` and :meth:`phi_mixed` are read once each and not kept.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
@@ -149,9 +154,7 @@ class ActionFamily:
         self.E = E
         self.V = V
         self.components = dict(sorted(comps.items()))
-        # lifts, coherence verdicts and target lift rows, keyed by kind and bound
-        self._lift_cache: dict = {}
-        self._hemi = None
+        self._memo: dict = {}
 
     def component(self, k: int, n: int) -> BiMultiMap | None:
         return self.components.get((k, n))
@@ -181,87 +184,65 @@ class ActionFamily:
 
     def phi_of(self, eword: Word, bound: int) -> TruncatedCoderivation:
         """The coderivation of the target coalgebra attached to an acting word."""
-        key = ("phi", tuple(eword), bound)
-        got = self._lift_cache.get(key)
-        if got is None:
-            restr = self.restriction_maps(eword, bound)
-            got = lift_symmetric_coderivation(self.V.space, restr, bound)
-            if got.degree == 0 and got.is_zero():
-                got = TruncatedCoderivation(
-                    self.V.space, bound, 1 + self.E.space.word_degree(eword), SYMMETRIC, {}
-                )
-            self._lift_cache[key] = got
-        return got
+        return memo(
+            self._memo,
+            ("phi", tuple(eword), bound),
+            lambda: self._lift(
+                1 + self.E.space.word_degree(eword), self.restriction_maps(eword, bound), bound
+            ),
+        )
 
     def ad_of(self, vword: Word, bound: int) -> TruncatedCoderivation:
         """Adjoint coderivation of a target word, from the target's own brackets."""
-        key = ("ad", tuple(vword), bound)
-        got = self._lift_cache.get(key)
-        if got is None:
-            V = self.V
-            degree = 1 + V.space.word_degree(vword)
-            restr: dict[int, MultiMap] = {}
-            for n in range(1, bound + 1):
-                if V.bracket(len(vword) + n) is None:
-                    continue
-                table = {}
-                for w in V.space.canonical_words(n):
-                    vec = V.eval_bracket(len(vword) + n, tuple(vword) + w)
-                    if vec:
-                        table[w] = vec
-                if table:
-                    restr[n] = MultiMap(V.space, V.space, n, degree, SYMMETRIC, table)
-            got = lift_symmetric_coderivation(V.space, restr, bound)
-            if got.is_zero():
-                got = TruncatedCoderivation(V.space, bound, degree, SYMMETRIC, {})
-            self._lift_cache[key] = got
-        return got
+        V, vword = self.V, tuple(vword)
+        return self._prefix_lift(
+            1 + V.space.word_degree(vword),
+            [n for n in range(1, bound + 1) if V.bracket(len(vword) + n) is not None],
+            lambda w: V.eval_bracket(len(vword) + len(w), vword + w),
+            bound,
+        )
 
     def phi_mixed(self, eword: Word, vword: Word, bound: int) -> TruncatedCoderivation:
         """Coderivation absorbing a fixed target prefix: ``w -> value(x; v.w)``."""
         if not vword:
             raise InputError("the absorbed target word must be nonempty")
-        key = ("mixed", tuple(eword), tuple(vword), bound)
-        got = self._lift_cache.get(key)
-        if got is None:
-            degree = 1 + self.E.space.word_degree(eword) + self.V.space.word_degree(vword)
-            restr: dict[int, MultiMap] = {}
-            for n in range(1, bound + 1):
-                if (len(eword), len(vword) + n) not in self.components:
-                    continue
-                table = {}
-                for w in self.V.space.canonical_words(n):
-                    vec = self.eval(eword, tuple(vword) + w)
-                    if vec:
-                        table[w] = vec
-                if table:
-                    restr[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, table)
-            got = lift_symmetric_coderivation(self.V.space, restr, bound)
-            if got.is_zero():
-                got = TruncatedCoderivation(self.V.space, bound, degree, SYMMETRIC, {})
-            self._lift_cache[key] = got
-        return got
+        eword, vword = tuple(eword), tuple(vword)
+        return self._prefix_lift(
+            1 + self.E.space.word_degree(eword) + self.V.space.word_degree(vword),
+            [n for n in range(1, bound + 1) if (len(eword), len(vword) + n) in self.components],
+            lambda w: self.eval(eword, vword + w),
+            bound,
+        )
+
+    def _prefix_lift(self, degree: int, arities, value, bound: int) -> TruncatedCoderivation:
+        """The lift of the family ``w -> value(w)`` on the canonical target
+        words ``w`` of the given arities, where ``value`` absorbs a fixed
+        prefix."""
+        vspace = self.V.space
+        restr: dict[int, MultiMap] = {}
+        for n in arities:
+            table = {}
+            for w in vspace.canonical_words(n):
+                vec = value(w)
+                if vec:
+                    table[w] = vec
+            if table:
+                restr[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
+        return self._lift(degree, restr, bound)
+
+    def _lift(self, degree: int, restr: dict[int, MultiMap], bound: int) -> TruncatedCoderivation:
+        """The target lift of a family of ``degree``; an empty family lifts to
+        the zero coderivation of that degree rather than of degree 0."""
+        if not restr:
+            return TruncatedCoderivation(self.V.space, bound, degree, SYMMETRIC, {})
+        return lift_symmetric_coderivation(self.V.space, restr, bound)
 
     def is_coherent(self, bound: int) -> bool:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
-        key = ("coherent", bound)
-        got = self._lift_cache.get(key)
-        if got is None:
-            got = self._lift_cache[key] = check_coherence(self, bound).ok
-        return got
-
-    def target_zinbiel_rows(self, bound: int) -> dict[Word, WordSum]:
-        """Rows of the Zinbiel lift of the target's own brackets."""
-        key = ("mv_zinbiel", bound)
-        got = self._lift_cache.get(key)
-        if got is None:
-            got = self._lift_cache[key] = self.V.zinbiel_lift(bound).rows
-        return got
+        return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
 
     def hemiproduct(self) -> "HemiProduct":
-        if self._hemi is None:
-            self._hemi = hemisemidirect(self)
-        return self._hemi
+        return memo(self._memo, ("hemi",), lambda: hemisemidirect(self))
 
 
 # ---------------------------------------------------------------------------
@@ -457,32 +438,19 @@ class HemiProduct:
         space = GradedSpace(name, basis)
         self.space = space
         self.v_offset = espace.dim
-        self.e_dim = espace.dim
-        self.v_dim = vspace.dim
         max_arity = max(
             E.max_arity, V.max_arity, action.max_mixed_arity(), 1
         )
         brackets: dict[int, MultiMap] = {}
         for k in range(1, max_arity + 1):
-            entries: list[tuple[Word, int, Fraction]] = []
-            lk = E.bracket(k)
-            if lk is not None:
-                for w, out, c in lk.entries():
-                    for u in set(itertools.permutations(w)):
-                        _, sign = espace.normalize(u)
-                        entries.append((tuple(i for i in u), out, sign * c))
-            mk = V.bracket(k)
-            if mk is not None:
-                for w, out, c in mk.entries():
-                    for u in set(itertools.permutations(w)):
-                        _, sign = vspace.normalize(u)
-                        entries.append(
-                            (
-                                tuple(self.v_offset + i for i in u),
-                                self.v_offset + out,
-                                sign * c,
-                            )
-                        )
+            # the pure blocks: every ordering of a key, with its index offset
+            table: dict[Word, Vector] = {}
+            for f, offset in ((E.bracket(k), 0), (V.bracket(k), self.v_offset)):
+                if f is not None:
+                    for w, vec in f.expand_plain().constants.items():
+                        table[tuple(offset + i for i in w)] = {
+                            offset + out: c for out, c in vec.items()
+                        }
             for i in range(1, k):
                 comp = action.component(i, k - i)
                 if comp is None:
@@ -493,15 +461,12 @@ class HemiProduct:
                         for uv in set(itertools.permutations(vw)):
                             _, sv = vspace.normalize(uv)
                             word = tuple(ue) + tuple(self.v_offset + j for j in uv)
-                            for out, c in vec.items():
-                                entries.append(
-                                    (word, self.v_offset + out, se * sv * c)
-                                )
-            entries = [(w, o, c) for (w, o, c) in entries if c]
-            if entries:
-                brackets[k] = MultiMap.from_entries(space, space, k, 1, PLAIN, entries)
+                            table[word] = {
+                                self.v_offset + out: se * sv * c for out, c in vec.items()
+                            }
+            if table:
+                brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
         self.structure = HomotopyStructure(space, PLAIN, brackets, max_arity)
-        self._codifferential_cache: dict[int, TruncatedCoderivation] = {}
 
     # -- index plumbing -------------------------------------------------------
 
@@ -524,11 +489,7 @@ class HemiProduct:
         return {i - self.v_offset: c for i, c in vec.items() if i >= self.v_offset}
 
     def codifferential(self, bound: int) -> TruncatedCoderivation:
-        got = self._codifferential_cache.get(bound)
-        if got is None:
-            got = self.structure.zinbiel_lift(bound)
-            self._codifferential_cache[bound] = got
-        return got
+        return self.structure.zinbiel_lift(bound)
 
 
 def hemisemidirect(action: ActionFamily) -> HemiProduct:

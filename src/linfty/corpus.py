@@ -27,14 +27,6 @@ SMALL_FRACTIONS = tuple(
 # random raw material
 
 
-def random_vector(space: GradedSpace, degree: int, rng: random.Random) -> Vector:
-    out: Vector = {}
-    for i in range(space.dim):
-        if space.degrees[i] == degree and rng.random() < 0.7:
-            out[i] = rng.choice(SMALL_FRACTIONS)
-    return out
-
-
 def random_multimap(
     source: GradedSpace,
     target: GradedSpace,

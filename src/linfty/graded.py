@@ -299,6 +299,17 @@ def compositions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _canonical_words(degrees: tuple[int, ...], n: int) -> tuple[Word, ...]:
+    """The ``n``-letter symmetric-algebra basis words over letters of the
+    given degrees; see :meth:`GradedSpace.canonical_words`."""
+    return tuple(
+        w
+        for w in itertools.combinations_with_replacement(range(len(degrees)), n)
+        if not any(a == b and degrees[a] % 2 for a, b in zip(w, w[1:]))
+    )
+
+
 class GradedSpace:
     """A finite ordered basis of homogeneous elements with integer degrees.
 
@@ -369,12 +380,11 @@ class GradedSpace:
         """All ordered words of the given length (tensor-algebra basis)."""
         return itertools.product(range(self.dim), repeat=length)
 
-    def canonical_words(self, length: int) -> Iterator[Word]:
-        """Sorted words with no repeated odd letter (symmetric-algebra basis)."""
-        for w in itertools.combinations_with_replacement(range(self.dim), length):
-            if any(a == b and self.degrees[a] % 2 for a, b in zip(w, w[1:])):
-                continue
-            yield w
+    def canonical_words(self, length: int) -> tuple[Word, ...]:
+        """Sorted words with no repeated odd letter (symmetric-algebra basis),
+        in lexicographic order: a tuple from the ``lru_cache`` table
+        :func:`_canonical_words`, shared by every space with these degrees."""
+        return _canonical_words(self.degrees, length)
 
     def words_up_to(self, bound: int) -> Iterator[Word]:
         for n in range(1, bound + 1):

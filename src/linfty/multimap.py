@@ -323,15 +323,6 @@ def zinbiel_coproduct(space: GradedSpace, word: Word) -> PairSum:
     return out
 
 
-def twist_pairsum(space: GradedSpace, pairs: PairSum) -> PairSum:
-    """Apply the twist map ``a (x) b -> (-1)^{|a||b|} b (x) a``."""
-    out: PairSum = {}
-    for (a, b), c in pairs.items():
-        sign = -1 if (space.word_degree(a) % 2 and space.word_degree(b) % 2) else 1
-        add_into(out, (b, a), sign * c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated coderivations
 
@@ -346,7 +337,7 @@ class TruncatedCoderivation:
     truncation is closed under composition and brackets.
     """
 
-    __slots__ = ("space", "bound", "degree", "coalgebra", "rows", "_restr")
+    __slots__ = ("space", "bound", "degree", "coalgebra", "rows")
 
     def __init__(self, space, bound, degree, coalgebra, rows):
         if coalgebra not in (SYMMETRIC, ZINBIEL):
@@ -356,12 +347,6 @@ class TruncatedCoderivation:
         self.degree = degree
         self.coalgebra = coalgebra
         self.rows = {w: ws for w, ws in rows.items() if ws}
-        self._restr = None
-
-    def _words(self) -> Iterator[Word]:
-        if self.coalgebra == SYMMETRIC:
-            return self.space.canonical_words_up_to(self.bound)
-        return self.space.words_up_to(self.bound)
 
     def apply_word(self, word: Word) -> WordSum:
         row = self.rows.get(tuple(word))
@@ -384,11 +369,7 @@ class TruncatedCoderivation:
 
     def restrictions(self) -> dict[int, MultiMap]:
         """The defining family: projection to single letters, by arity."""
-        if self._restr is None:
-            self._restr = _length_one_maps(
-                self.space, self.space, self.degree, self.coalgebra, self.rows
-            )
-        return self._restr
+        return _length_one_maps(self.space, self.space, self.degree, self.coalgebra, self.rows)
 
     def compose(self, other: "TruncatedCoderivation") -> "TruncatedCoderivation":
         self._check_compatible(other)
@@ -426,35 +407,6 @@ class TruncatedCoderivation:
             raise ValueError("coderivations have different truncation bounds")
         if self.coalgebra != other.coalgebra:
             raise ValueError("coderivations live on different coalgebras")
-
-    def check_coleibniz(self) -> dict[Word, PairSum]:
-        """Defect of the co-Leibniz identity against the ambient coproduct.
-
-        Returns the nonzero rows of ``Delta Q - (Q x Id + Id x Q) Delta``
-        over all words up to the bound; empty means the identity holds.
-        """
-        coproduct = (
-            coshuffle_coproduct if self.coalgebra == SYMMETRIC else zinbiel_coproduct
-        )
-        defects: dict[Word, PairSum] = {}
-        parity = self.degree % 2
-        for w in self._words():
-            lhs: PairSum = {}
-            for u, c in self.apply_word(w).items():
-                merge_into(lhs, coproduct(self.space, u), c)
-            rhs: PairSum = {}
-            for (a, b), c in coproduct(self.space, w).items():
-                for u, cu in self.apply_word(a).items():
-                    add_into(rhs, (u, b), c * cu)
-                sign = -1 if (parity and self.space.word_degree(a) % 2) else 1
-                for u, cu in self.apply_word(b).items():
-                    add_into(rhs, (a, u), sign * c * cu)
-            diff = dict(lhs)
-            for k, v in rhs.items():
-                add_into(diff, k, -v)
-            if diff:
-                defects[w] = diff
-        return defects
 
     def __repr__(self) -> str:
         return (
@@ -519,8 +471,7 @@ def lift_symmetric_coderivation(
     of (key, rest) pairs, not to the number of canonical words.
     """
     degree = _common_degree(restrictions)
-    odd = tuple(i for i, d in enumerate(space.degrees) if d % 2)
-    rests = [_canonical_words_of_length(space.dim, odd, n) for n in range(bound)]
+    rests = [space.canonical_words(n) for n in range(bound)]
     rows: dict[Word, WordSum] = {}
     for f in restrictions.values():
         for u, vec in f.constants.items():
@@ -553,17 +504,6 @@ def _split_count(u: Word, rest: Word) -> int:
 @lru_cache(maxsize=None)
 def _words_of_length(dim: int, n: int) -> tuple[Word, ...]:
     return tuple(itertools.product(range(dim), repeat=n))
-
-
-@lru_cache(maxsize=None)
-def _canonical_words_of_length(dim: int, odd: tuple[int, ...], n: int) -> tuple[Word, ...]:
-    """Sorted ``n``-letter words with no repeated letter from ``odd``: the
-    symmetric-algebra basis of :meth:`GradedSpace.canonical_words`."""
-    return tuple(
-        w
-        for w in itertools.combinations_with_replacement(range(dim), n)
-        if not any(a == b and a in odd for a, b in zip(w, w[1:]))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -844,35 +784,6 @@ class TruncatedComorphism:
             inner.source, self.target, inner.bound, self.flavor, components, rows
         )
 
-    def check_intertwines_coproduct(self) -> dict[Word, PairSum]:
-        """Defect of ``Delta F - (F x F) Delta`` over all words <= bound."""
-        if self.flavor == SYMMETRIC:
-            cp_src = lambda w: coshuffle_coproduct(self.source, w)
-            cp_tgt = lambda w: coshuffle_coproduct(self.target, w)
-            words = self.source.canonical_words_up_to(self.bound)
-        else:
-            cp_src = lambda w: zinbiel_coproduct(self.source, w)
-            cp_tgt = lambda w: zinbiel_coproduct(self.target, w)
-            words = self.source.words_up_to(self.bound)
-        defects: dict[Word, PairSum] = {}
-        for w in words:
-            lhs: PairSum = {}
-            for u, c in self.apply_word(w).items():
-                merge_into(lhs, cp_tgt(u), c)
-            rhs: PairSum = {}
-            for (a, b), c in cp_src(w).items():
-                fa = self.apply_word(a)
-                fb = self.apply_word(b)
-                for ua, ca in fa.items():
-                    for ub, cb in fb.items():
-                        add_into(rhs, (ua, ub), c * ca * cb)
-            diff = dict(lhs)
-            for k, v in rhs.items():
-                add_into(diff, k, -v)
-            if diff:
-                defects[w] = diff
-        return defects
-
     def __repr__(self) -> str:
         return (
             f"TruncatedComorphism({self.source.name}->{self.target.name}, "
@@ -970,13 +881,6 @@ def _image_words(block_vectors, target, flavor) -> list[tuple[Word, Fraction]]:
         if sign:
             out.append((norm, sign * c))
     return out
-
-
-def identity_comorphism(space: GradedSpace, bound: int, flavor: str = ZINBIEL):
-    ident = MultiMap(
-        space, space, 1, 0, PLAIN, {(i,): {i: Fraction(1)} for i in range(space.dim)}
-    )
-    return lift_comorphism(space, space, {1: ident}, bound, flavor)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .action import ActionFamily, HemiProduct
 from .graded import GradedSpace, Word, anchored_merges, anchored_splits
 from .homotopy import HomotopyStructure, check_loday_morphism, lie_to_loday
 from .linalg import rank
+from .memo import memo
 from .multimap import (
     PLAIN,
     ZINBIEL,
@@ -79,7 +80,10 @@ _SERIES_SLACK = 2
 
 
 class EmbeddingTensor:
-    """Degree-0 component family from target words to the acting space."""
+    """Degree-0 component family from target words to the acting space.
+
+    Its comorphism is memoized under ``("comorphism", bound)``.
+    """
 
     def __init__(self, v_space: GradedSpace, e_space: GradedSpace, components):
         comps: dict[int, MultiMap] = {}
@@ -96,22 +100,7 @@ class EmbeddingTensor:
         self.v_space = v_space
         self.e_space = e_space
         self.components = dict(sorted(comps.items()))
-        self._comorphism_cache: dict[int, TruncatedComorphism] = {}
-
-    @property
-    def is_strict(self) -> bool:
-        return all(k == 1 for k in self.components)
-
-    @property
-    def is_symmetric(self) -> bool:
-        from .multimap import symmetrize
-
-        for f in self.components.values():
-            sym = symmetrize(f)
-            for w in self.v_space.words(f.arity):
-                if f.eval(w) != sym.eval(w):
-                    return False
-        return True
+        self._memo: dict = {}
 
     def component(self, k: int) -> MultiMap | None:
         return self.components.get(k)
@@ -121,13 +110,11 @@ class EmbeddingTensor:
         return f.eval(word) if f is not None else {}
 
     def comorphism(self, bound: int) -> TruncatedComorphism:
-        got = self._comorphism_cache.get(bound)
-        if got is None:
-            got = lift_comorphism(
-                self.v_space, self.e_space, self.components, bound, ZINBIEL
-            )
-            self._comorphism_cache[bound] = got
-        return got
+        return memo(
+            self._memo,
+            ("comorphism", bound),
+            lambda: lift_comorphism(self.v_space, self.e_space, self.components, bound, ZINBIEL),
+        )
 
     def add(self, other: "EmbeddingTensor") -> "EmbeddingTensor":
         if other.v_space is not self.v_space or other.e_space is not self.e_space:
@@ -227,29 +214,6 @@ def extend_tensor(
     return lift_comorphism(space, space, components, bound, ZINBIEL)
 
 
-def coderivation_exponential(
-    coderivation: TruncatedCoderivation, bound: int
-) -> dict[Word, WordSum]:
-    """Word-by-word exponential series of a degree-0 coderivation."""
-    if coderivation.degree != 0:
-        raise InputError("only degree-0 coderivations exponentiate to comorphisms")
-    rows: dict[Word, WordSum] = {}
-    for w in coderivation.space.words_up_to(bound):
-        acc: WordSum = {w: Fraction(1)}
-        term: WordSum = {w: Fraction(1)}
-        factorial = Fraction(1)
-        step = 0
-        while term:
-            step += 1
-            factorial *= step
-            term = coderivation.apply_sum(term)
-            merge_into(acc, term, Fraction(1) / factorial)
-            if step > 2 * bound + _SERIES_SLACK:
-                raise RouteDisagreement("coderivation exponential did not stabilize")
-        rows[w] = acc
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the explicit component equations
 
@@ -272,7 +236,7 @@ def check_embedding_explicit(
     _ensure_coherent(action, bound)
     vspace, espace = action.V.space, action.E.space
     com = tensor.comorphism(bound)
-    lifted = action.target_zinbiel_rows(bound)
+    lifted = action.V.zinbiel_lift(bound).rows
     items: list[Residual] = []
     for w in _explicit_support_words(tensor, action, com, lifted, bound):
         diff = _explicit_difference(tensor, action, com, lifted, w)
@@ -729,9 +693,6 @@ class HomElement:
         )
         return cls(degree, packed)
 
-    def as_dict(self) -> dict[Word, Vector]:
-        return {w: dict(vec) for w, vec in self.rows}
-
     @property
     def is_zero(self) -> bool:
         return not self.rows
@@ -749,7 +710,10 @@ class DeformationComplex:
     twisted family's commutator series on restriction families, and keeps
     the summed family.  :meth:`d1_columns` reads from it the words with one
     acting letter and lifts only its pure-target part; the full twisted
-    codifferential is lifted only when :attr:`twisted` is read.
+    codifferential is lifted only when :attr:`twisted` is read.  The matrix
+    is built on the first :meth:`d1_columns` call and memoized under
+    ``("d1", bound)`` (:func:`linfty.memo.memo`), so every
+    :func:`cohomology_rank` piece reads the same columns.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -776,7 +740,7 @@ class DeformationComplex:
         self.bigrading: dict[tuple[int, int], list[int]] = {}
         for i, (w, b) in enumerate(self.basis):
             self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
-        self._d1_columns: list[dict[int, Fraction]] | None = None
+        self._memo: dict = {}
 
     @cached_property
     def twisted(self) -> TruncatedCoderivation:
@@ -884,10 +848,11 @@ class DeformationComplex:
         :meth:`twisted_bracket` forms the full commutator and is the
         reference for these columns.
         """
-        if self._d1_columns is not None:
-            return self._d1_columns
+        return memo(self._memo, ("d1", self.bound), self._d1_matrix)
+
+    def _d1_matrix(self) -> list[dict[int, Fraction]]:
         hemi, index = self.hemi, self.basis_index
-        vspace = self.action.V.space
+        vspace, espace = self.action.V.space, self.action.E.space
         r1: dict[Word, Vector] = {}
         pure: dict[Word, Vector] = {}
         for x, vec in self._series.items():
@@ -911,12 +876,13 @@ class DeformationComplex:
             )
         family = maps_by_arity(vspace, vspace, 1, PLAIN, pure)
         theta = lift_zinbiel_coderivation(vspace, family, self.bound)
+        # the column (y -> b) has odd degree when |b| and |y| differ in parity
+        e_odd = [d % 2 for d in espace.degrees]
         for u, row in theta.rows.items():
             for y, c in row.items():
-                for b in range(hemi.e_dim):
-                    odd = self.element_degree(y, b) % 2
-                    add_into(cols[index[y, b]], index[u, b], c if odd else -c)
-        self._d1_columns = cols
+                y_odd = vspace.word_degree(y) % 2
+                for b, odd in enumerate(e_odd):
+                    add_into(cols[index[y, b]], index[u, b], c if odd != y_odd else -c)
         return cols
 
     def d1_square_defect(self) -> list[tuple[int, int, Fraction]]:

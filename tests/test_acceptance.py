@@ -24,9 +24,9 @@ from linfty.multimap import (
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
-    twist_pairsum,
     zinbiel_coproduct,
 )
+from laws import check_coleibniz, check_intertwines_coproduct, twist_pairsum
 from linfty.corpus import (
     action_corpus,
     random_multimap,
@@ -207,14 +207,14 @@ def test_criterion_5_coderivation_comorphism_laws():
         sym_family = random_restriction_family(
             space, [1, 2, 3], degree, rng, flavor=SYMMETRIC
         )
-        assert lift_symmetric_coderivation(space, sym_family, 4).check_coleibniz() == {}
+        assert check_coleibniz(lift_symmetric_coderivation(space, sym_family, 4)) == {}
         zin_family = random_restriction_family(space, [1, 2, 3], degree, rng)
-        assert lift_zinbiel_coderivation(space, zin_family, 4).check_coleibniz() == {}
+        assert check_coleibniz(lift_zinbiel_coderivation(space, zin_family, 4)) == {}
         comps = {
             k: random_multimap(space, space, k, 0, rng) for k in (1, 2, 3)
         }
         com = lift_comorphism(space, space, comps, 4)
-        assert com.check_intertwines_coproduct() == {}
+        assert check_intertwines_coproduct(com) == {}
         families += 1
     up = space.shifted(1)
     roundtrips = 0

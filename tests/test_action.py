@@ -91,8 +91,10 @@ def test_broken_equivariance_fails():
 
 def test_phi_of_zero_action_is_zero():
     act = zero_action()
-    q = act.phi_of((0,), BOUND)
-    assert q.is_zero()
+    for x in ((0,), (1,)):
+        q = act.phi_of(x, BOUND)
+        # the zero coderivation still has the acting word's degree
+        assert q.is_zero() and q.degree == 1 + act.E.space.word_degree(x)
 
 
 def test_phi_of_restriction_recovers_components():
@@ -118,7 +120,9 @@ def test_phi_of_single_component_acts_as_derivation():
 
 def test_ad_of_abelian_is_zero():
     act = zero_action()
-    assert act.ad_of((0,), BOUND).is_zero()
+    for v in ((0,), (1,)):
+        ad = act.ad_of(v, BOUND)
+        assert ad.is_zero() and ad.degree == 1 + act.V.space.word_degree(v)
 
 
 def test_ad_of_single_letter_matches_bracket():
@@ -375,3 +379,16 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
         "coherence says FAIL but the product identity says PASS; "
         "first coherence residual at [ad p ; a0 ; p] = (-1/1)*z"
     )
+
+
+def test_kept_memos_return_the_identical_object():
+    # the family keeps what its checks re-read: each acting word's
+    # coderivation, the coherence verdict and the product
+    act = solvable_self_action()
+    for eword in act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
+        first = act.phi_of(eword, BOUND)
+        assert act.phi_of(list(eword), BOUND) is first
+        assert act.phi_of(eword, BOUND - 1) is not first
+    verdict = act.is_coherent(BOUND)
+    assert act.is_coherent(BOUND) is verdict
+    assert act.hemiproduct() is act.hemiproduct()

@@ -25,6 +25,7 @@ from dense_splits import (
     dense_increasing_splits,
     dense_symmetric_splits,
 )
+from laws import random_vector
 from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
 from linfty.graded import (
@@ -159,7 +160,7 @@ def random_action(seed):
         for ew in espace.canonical_words(k):
             for vw in vspace.canonical_words(n):
                 degree = 1 + espace.word_degree(ew) + vspace.word_degree(vw)
-                vec = corpus.random_vector(vspace, degree, rng)
+                vec = random_vector(vspace, degree, rng)
                 if vec:
                     table[(ew, vw)] = vec
         comps[(k, n)] = BiMultiMap(espace, vspace, k, n, 1, table)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import linfty.action as action_module
+import linfty.homotopy as homotopy_module
 import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
@@ -22,7 +23,6 @@ from linfty.tensor import (
     check_embedding,
     check_embedding_explicit,
     check_embedding_mc,
-    coderivation_exponential,
     cohomology_rank,
     compose_unary,
     deformation_complex,
@@ -46,6 +46,7 @@ from linfty.corpus import (
     tensor_corpus,
     triple_bracket_example,
 )
+from laws import as_dict, coderivation_exponential, is_strict, is_symmetric
 
 F = Fraction
 BOUND = 4
@@ -280,7 +281,7 @@ def test_symmetric_tensor_with_invisible_image_is_lie_morphism():
     tensor = EmbeddingTensor(V.space, E.space, {1: t1})
     explicit, flat = check_embedding(tensor, act, BOUND)
     assert explicit.ok and flat.ok
-    assert tensor.is_symmetric
+    assert is_symmetric(tensor)
     assert check_lie_morphism(tensor.components, V, E, BOUND).ok
 
 
@@ -487,7 +488,7 @@ def test_derived_bracket_symmetry_and_jacobi_sample():
         expected = {
             w: {i: sign * c for i, c in vec} for w, vec in ba.rows
         }
-        assert ab.as_dict() == expected
+        assert as_dict(ab) == expected
 
 
 def test_cohomology_ranks_heisenberg():
@@ -589,15 +590,15 @@ def test_twisted_derived_brackets_satisfy_arity_three_identity():
 
 def test_tensor_flags():
     _act, tensor = heisenberg_tensor()
-    assert tensor.is_strict and tensor.is_symmetric
+    assert is_strict(tensor) and is_symmetric(tensor)
     from linfty.graded import GradedSpace
 
     V = GradedSpace("Vf", [("u", -1), ("v", 0)])
     E = GradedSpace("Ef", [("s", -1)])
     t2 = MultiMap(V, E, 2, 0, PLAIN, {(0, 1): {0: F(1)}})
     wide = EmbeddingTensor(V, E, {2: t2})
-    assert not wide.is_strict
-    assert not wide.is_symmetric
+    assert not is_strict(wide)
+    assert not is_symmetric(wide)
 
 
 def test_coherence_verdict_is_computed_once_per_bound(monkeypatch):
@@ -666,3 +667,34 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
     monkeypatch.setattr(DeformationComplex, "twisted", property(unread))
     for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
         assert deformation_complex(tensor, act, BOUND).check_d1_squares_to_zero().ok
+
+
+def test_kept_memos_return_the_identical_object():
+    act, tensor = heisenberg_tensor()
+    com = tensor.comorphism(BOUND)
+    assert tensor.comorphism(BOUND) is com
+    assert tensor.comorphism(BOUND - 1) is not com
+    complex_ = deformation_complex(tensor, act, 3)
+    assert complex_.d1_columns() is complex_.d1_columns()
+
+
+def test_cohomology_pieces_reuse_the_built_matrix(monkeypatch):
+    # a build (complex and d1^2 check) lifts what the columns need; ranking
+    # every bigraded piece afterwards lifts nothing more
+    calls = []
+    real = multimap_module.lift_zinbiel_coderivation
+
+    def counting(space, restrictions, bound):
+        calls.append(bound)
+        return real(space, restrictions, bound)
+
+    for module in (multimap_module, tensor_module, homotopy_module):
+        monkeypatch.setattr(module, "lift_zinbiel_coderivation", counting)
+    act, tensor = heisenberg_tensor()
+    complex_ = deformation_complex(tensor, act, BOUND)
+    assert complex_.check_d1_squares_to_zero().ok
+    built = len(calls)
+    assert built > 0
+    for degree, weight in sorted(complex_.bigrading):
+        cohomology_rank(complex_, degree, weight)
+    assert len(calls) == built
