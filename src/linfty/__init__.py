@@ -26,12 +26,10 @@ from .multimap import (
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
-    shifted_bracket,
     symmetrize,
     zinbiel_coproduct,
 )
 from .homotopy import (
-    DglaOnCoder,
     EndSpace,
     HomotopyStructure,
     McElement,
@@ -40,7 +38,6 @@ from .homotopy import (
     check_loday_infinity,
     check_loday_morphism,
     check_representation,
-    coder_dgla,
     end_dgla,
     lie_to_loday,
     maurer_cartan,
@@ -71,9 +68,7 @@ from .tensor import (
     cohomology_rank,
     deformation_complex,
     descendent,
-    extend_tensor,
     identity_tensor,
-    restriction_lemma_check,
     strict_algebra_compose,
 )
 from .fileformat import StructureFile, parse, parse_path, serialize

@@ -361,8 +361,12 @@ def parse(text: str) -> StructureFile:
 
 
 def parse_path(path) -> StructureFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8: undecodable byte at offset {exc.start}") from None
+    return parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -243,16 +243,30 @@ def anchored_merges(
 
 @lru_cache(maxsize=None)
 def _increasing_unshuffles(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
-    out = []
-    for sigma in _unshuffles(blocks):
+    """Built from the last block back: it takes the largest value left and
+    any ``b - 1`` of the others, and the blocks before it split the rest.
+    Sorted into the block-membership-mask order of :func:`_unshuffles`."""
+
+    def build(values: tuple[int, ...], k: int) -> Iterator[Permutation]:
+        if k == 0:
+            yield ()
+            return
+        *others, top = values
+        for chosen in itertools.combinations(others, blocks[k - 1] - 1):
+            rest = tuple(v for v in others if v not in chosen)
+            for head in build(rest, k - 1):
+                yield head + chosen + (top,)
+
+    def mask(sigma: Permutation) -> list[int]:
+        block_of = [0] * len(sigma)
         pos = 0
-        maxima = []
-        for b in blocks:
+        for j, b in enumerate(blocks):
+            for v in sigma[pos : pos + b]:
+                block_of[v] = j
             pos += b
-            maxima.append(sigma[pos - 1])
-        if all(maxima[i] < maxima[i + 1] for i in range(len(maxima) - 1)):
-            out.append(sigma)
-    return tuple(out)
+        return block_of
+
+    return tuple(sorted(build(tuple(range(sum(blocks))), len(blocks)), key=mask))
 
 
 def increasing_unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:

@@ -31,13 +31,11 @@ from .multimap import (
     TruncatedCoderivation,
     Vector,
     add_into,
-    commutator,
     expand,
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
     merge_into,
-    shifted_bracket,
     zinbiel_square,
 )
 from .report import (
@@ -51,7 +49,6 @@ from .report import (
 )
 
 __all__ = [
-    "DglaOnCoder",
     "EndSpace",
     "HomotopyStructure",
     "McElement",
@@ -60,7 +57,6 @@ __all__ = [
     "check_loday_infinity",
     "check_loday_morphism",
     "check_representation",
-    "coder_dgla",
     "end_dgla",
     "lie_to_loday",
     "maurer_cartan",
@@ -689,34 +685,3 @@ def check_representation(
         if diff:
             residuals[w] = diff
     return make_report("representation", bound, _residual_items(space, end.space, residuals))
-
-
-# ---------------------------------------------------------------------------
-# the DGLA on coderivations of the reduced symmetric coalgebra
-
-
-class DglaOnCoder:
-    """Differential and shifted bracket on truncated symmetric coderivations.
-
-    The differential is minus the commutator with the lifted codifferential
-    of the base structure; the bracket is the shifted commutator.  Both
-    close on coderivations and satisfy the expected identities up to the
-    bound whenever the base structure is verified.
-    """
-
-    def __init__(self, base: HomotopyStructure, bound: int):
-        if base.flavor != SYMMETRIC:
-            raise InputError("the coderivation algebra sits over a symmetric structure")
-        self.base = base
-        self.bound = bound
-        self.codifferential = base.lift(bound)
-
-    def differential(self, q: TruncatedCoderivation) -> TruncatedCoderivation:
-        return commutator(self.codifferential, q).scale(Fraction(-1))
-
-    def bracket(self, q: TruncatedCoderivation, p: TruncatedCoderivation):
-        return shifted_bracket(q, p)
-
-
-def coder_dgla(base: HomotopyStructure, bound: int) -> DglaOnCoder:
-    return DglaOnCoder(base, bound)

@@ -56,7 +56,6 @@ __all__ = [
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
     "lifted_composite",
-    "shifted_bracket",
     "symmetrize",
     "zinbiel_coproduct",
     "zinbiel_square",
@@ -75,12 +74,6 @@ def add_into(acc: dict, key, coeff: Fraction) -> None:
         acc[key] = new
     else:
         del acc[key]
-
-
-def scale_mapping(mapping: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in mapping.items()}
 
 
 def merge_into(acc: dict, other: Mapping, c: Fraction = Fraction(1)) -> None:
@@ -360,13 +353,6 @@ class TruncatedCoderivation:
                 merge_into(acc, row, c)
         return acc
 
-    def restriction_vector(self, word: Word) -> Vector:
-        """Length-one component of the image of ``word``."""
-        row = self.rows.get(tuple(word))
-        if not row:
-            return {}
-        return {w[0]: c for w, c in row.items() if len(w) == 1}
-
     def restrictions(self) -> dict[int, MultiMap]:
         """The defining family: projection to single letters, by arity."""
         return _length_one_maps(self.space, self.space, self.degree, self.coalgebra, self.rows)
@@ -389,11 +375,6 @@ class TruncatedCoderivation:
         rows = {w: dict(row) for w, row in self.rows.items()}
         for w, row in other.rows.items():
             merge_into(rows.setdefault(w, {}), row, c)
-        rows = {w: r for w, r in rows.items() if r}
-        return TruncatedCoderivation(self.space, self.bound, self.degree, self.coalgebra, rows)
-
-    def scale(self, c: Fraction) -> "TruncatedCoderivation":
-        rows = {w: scale_mapping(row, Fraction(c)) for w, row in self.rows.items()}
         rows = {w: r for w, r in rows.items() if r}
         return TruncatedCoderivation(self.space, self.bound, self.degree, self.coalgebra, rows)
 
@@ -705,17 +686,6 @@ def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedC
     pq = p.compose(q)
     sign = -1 if (q.degree % 2 and p.degree % 2) else 1
     return qp.add(pq, Fraction(-sign))
-
-
-def shifted_bracket(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:
-    """The bracket of the shifted coderivation algebra.
-
-    For maps of degrees ``|q|`` and ``|p|`` this is
-    ``(-1)^{|q|} (q p - (-1)^{|q||p|} p q)``, the commutator rescaled by the
-    sign that makes it a degree +1 symmetric bracket on the shift.
-    """
-    sign = -1 if q.degree % 2 else 1
-    return commutator(q, p).scale(Fraction(sign))
 
 
 def balavoine_bracket(

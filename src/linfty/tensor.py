@@ -12,15 +12,14 @@ maps; the package evaluates that condition along two independent routes:
   because every bracket with the tensor consumes target letters.
 
 Verified tensors induce a plain (Loday-type) structure on the target, are
-morphisms into the acting structure, and carry a deformation complex built
-from the derived brackets of the same commutator calculus.
+morphisms into the acting structure, and carry a deformation complex whose
+derived brackets run on restriction families, as the series route does.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from .action import ActionFamily, HemiProduct
@@ -32,7 +31,6 @@ from .multimap import (
     PLAIN,
     ZINBIEL,
     MultiMap,
-    TruncatedCoderivation,
     TruncatedComorphism,
     Vector,
     WordSum,
@@ -40,13 +38,11 @@ from .multimap import (
     _slot_index,
     add_into,
     balavoine_bracket,
-    commutator,
     expand,
     lift_comorphism,
     lift_zinbiel_coderivation,
     maps_by_arity,
     merge_into,
-    zinbiel_coproduct,
 )
 from .report import (
     CheckReport,
@@ -70,9 +66,7 @@ __all__ = [
     "cohomology_rank",
     "deformation_complex",
     "descendent",
-    "extend_tensor",
     "identity_tensor",
-    "restriction_lemma_check",
     "strict_algebra_compose",
 ]
 
@@ -159,19 +153,6 @@ def _check_tensor_spaces(tensor: EmbeddingTensor, action: ActionFamily) -> None:
         raise InputError("tensor spaces do not match the action")
 
 
-def tensor_coderivation(
-    tensor: EmbeddingTensor, hemi: HemiProduct, bound: int
-) -> TruncatedCoderivation:
-    """The degree-0 coderivation of the product coalgebra attached to a tensor.
-
-    Its restrictions send pure-target words to the acting line and vanish on
-    every word containing an acting letter.
-    """
-    return lift_zinbiel_coderivation(
-        hemi.space, _tensor_restrictions(tensor, hemi, bound), bound
-    )
-
-
 def _tensor_restrictions(
     tensor: EmbeddingTensor, hemi: HemiProduct, bound: int
 ) -> dict[int, MultiMap]:
@@ -183,35 +164,6 @@ def _tensor_restrictions(
         for w, vec in f.constants.items()
     }
     return maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table)
-
-
-def extend_tensor(
-    tensor: EmbeddingTensor, action: ActionFamily, bound: int
-) -> TruncatedComorphism:
-    """The comorphism ``identity + tensor`` of the product coalgebra.
-
-    Unary component ``x + v -> x + v + T_1(v)``; higher components equal the
-    tensor's on pure-target words and vanish elsewhere.  Coincides with the
-    exponential of :func:`tensor_coderivation` (tested separately).
-    """
-    _check_tensor_spaces(tensor, action)
-    hemi = action.hemiproduct()
-    space = hemi.space
-    table1: dict[Word, Vector] = {
-        (i,): {i: Fraction(1)} for i in range(space.dim)
-    }
-    t1 = tensor.component(1)
-    if t1 is not None:
-        for w, vec in t1.constants.items():
-            key = hemi.from_v_word(w)
-            merge_into(table1.setdefault(key, {}), vec)
-    components = {1: MultiMap(space, space, 1, 0, PLAIN, table1)}
-    for k, f in tensor.components.items():
-        if k == 1 or k > bound:
-            continue
-        table = {hemi.from_v_word(w): dict(vec) for w, vec in f.constants.items()}
-        components[k] = MultiMap(space, space, k, 0, PLAIN, table)
-    return lift_comorphism(space, space, components, bound, ZINBIEL)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +338,6 @@ def _project_h(table: Mapping[Word, Vector], hemi: HemiProduct) -> dict[Word, Ve
     return out
 
 
-def _restriction_table(cod: TruncatedCoderivation) -> dict[Word, Vector]:
-    """The length-one component of each row of ``cod``."""
-    return {w: cod.restriction_vector(w) for w in cod.rows}
-
-
 def check_embedding_mc(
     tensor: EmbeddingTensor, action: ActionFamily, bound: int
 ) -> CheckReport:
@@ -487,91 +434,6 @@ def check_descendent_morphism(
     source = descendent(tensor, action, bound)
     target = lie_to_loday(action.E)
     return check_loday_morphism(tensor.components, source, target, bound)
-
-
-# ---------------------------------------------------------------------------
-# the restriction lemma
-
-
-def restriction_lemma_check(
-    tensor: EmbeddingTensor, action: ActionFamily, bound: int
-) -> CheckReport:
-    """Relative co-Leibniz law and restriction formula for ``p Q (id + T)``.
-
-    The composite of the product codifferential with the extended comorphism,
-    projected to pure-target words, must (a) satisfy the coderivation law
-    relative to the projection comorphism and (b) restrict on target words to
-    the target brackets plus prefix-fed action terms; (b) is compared against
-    the independent matrix expansion of the composite.
-    """
-    _check_tensor_spaces(tensor, action)
-    hemi = _ensure_coherent(action, bound)
-    vspace = action.V.space
-    q = hemi.codifferential(bound)
-    ext = extend_tensor(tensor, action, bound)
-    com = tensor.comorphism(bound)
-
-    def project(words: WordSum) -> WordSum:
-        out: WordSum = {}
-        for u, c in words.items():
-            if hemi.is_pure_v(u):
-                add_into(out, hemi.to_v_word(u), c)
-        return out
-
-    def r_of(word: Word) -> WordSum:
-        return project(q.apply_sum(ext.apply_word(word)))
-
-    items: list[Residual] = []
-    for w in hemi.space.words_up_to(bound):
-        lhs: dict = {}
-        for u, c in r_of(w).items():
-            merge_into(lhs, zinbiel_coproduct(vspace, u), c)
-        rhs: dict = {}
-        for (a, b), c in zinbiel_coproduct(hemi.space, w).items():
-            pb = project({b: Fraction(1)})
-            for u, cu in r_of(a).items():
-                for vb, cb in pb.items():
-                    add_into(rhs, (u, vb), c * cu * cb)
-            pa = project({a: Fraction(1)})
-            sign = -1 if hemi.space.word_degree(a) % 2 else 1
-            for va, ca in pa.items():
-                for u, cu in r_of(b).items():
-                    add_into(rhs, (va, u), sign * c * ca * cu)
-        diff = dict(lhs)
-        merge_into(diff, rhs, Fraction(-1))
-        if diff:
-            items.append(
-                Residual(
-                    len(w),
-                    hemi.space.format_word(w),
-                    "co-Leibniz defect on "
-                    + ", ".join(
-                        f"{vspace.format_word(a)}(x){vspace.format_word(b)}"
-                        for (a, b) in sorted(diff)[:3]
-                    ),
-                )
-            )
-
-    # restriction maps on pure-target words match the prefix formula
-    for n in range(1, bound + 1):
-        for w in vspace.words(n):
-            got: Vector = {}
-            row = r_of(hemi.from_v_word(w))
-            for u, c in row.items():
-                if len(u) == 1:
-                    add_into(got, u[0], c)
-            expected = _prefix_fed_value(action, com, w)
-            diff = dict(got)
-            merge_into(diff, expected, Fraction(-1))
-            if diff:
-                items.append(
-                    Residual(
-                        n,
-                        vspace.format_word(w),
-                        "restriction defect " + format_vector(vspace, diff),
-                    )
-                )
-    return make_report("restriction-lemma", bound, items)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +561,15 @@ class HomElement:
 
 
 class DeformationComplex:
-    """Derived brackets around a verified tensor, materialized on a basis.
+    """The deformation Lie-infinity algebra of a verified tensor, truncated.
+
+    Its brackets are the paper's derived brackets on target-to-acting maps:
+    :meth:`derived_bracket` ``P([..[Q, a_1].., a_k])`` from the product
+    codifferential ``Q``, :meth:`twisted_bracket` the same chain from the
+    codifferential twisted by the tensor, and :meth:`mc_residual_of` the
+    Maurer-Cartan curvature of a degree-0 element in the twisted structure.
+    All three run on restriction families, one :func:`balavoine_bracket` per
+    element, and lift nothing.
 
     The basis of the truncation consists of the elementary maps sending one
     target word (length up to the bound) to one acting letter; the bigrading
@@ -709,11 +579,10 @@ class DeformationComplex:
     A build runs the explicit equations on their candidate words, then the
     twisted family's commutator series on restriction families, and keeps
     the summed family.  :meth:`d1_columns` reads from it the words with one
-    acting letter and lifts only its pure-target part; the full twisted
-    codifferential is lifted only when :attr:`twisted` is read.  The matrix
-    is built on the first :meth:`d1_columns` call and memoized under
-    ``("d1", bound)`` (:func:`linfty.memo.memo`), so every
-    :func:`cohomology_rank` piece reads the same columns.
+    acting letter and lifts only its pure-target part.  The matrix is built
+    on the first :meth:`d1_columns` call and memoized under ``("d1", bound)``
+    (:func:`linfty.memo.memo`), so every :func:`cohomology_rank` piece reads
+    the same columns.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -742,24 +611,7 @@ class DeformationComplex:
             self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
         self._memo: dict = {}
 
-    @cached_property
-    def twisted(self) -> TruncatedCoderivation:
-        """The series-twisted codifferential, lifted in full on first read.
-
-        Only the oracle constructions :meth:`twisted_bracket` and
-        :meth:`mc_residual_of` read it; :meth:`d1_columns` lifts the
-        pure-target part of the same family alone.
-        """
-        space = self.hemi.space
-        family = maps_by_arity(space, space, 1, PLAIN, self._series)
-        return lift_zinbiel_coderivation(space, family, self.bound)
-
-    @property
-    def q(self) -> TruncatedCoderivation:
-        """The product codifferential, lifted only when a caller reads it."""
-        return self.hemi.codifferential(self.bound)
-
-    # -- elements and their coderivations -------------------------------------
+    # -- elements and their families -------------------------------------------
 
     def element_degree(self, w: Word, b: int) -> int:
         return self.action.E.space.degrees[b] - self.action.V.space.word_degree(w)
@@ -775,53 +627,51 @@ class DeformationComplex:
         table = {self.hemi.from_v_word(w): dict(vec) for w, vec in element.rows}
         return maps_by_arity(space, space, element.degree, PLAIN, table)
 
-    def lift(self, element: HomElement) -> TruncatedCoderivation:
-        return lift_zinbiel_coderivation(self.hemi.space, self._family(element), self.bound)
-
-    def project(self, cod: TruncatedCoderivation, degree: int) -> HomElement:
-        return HomElement.from_rows(degree, _project_h(_restriction_table(cod), self.hemi))
+    def _twisted_family(self) -> dict[int, MultiMap]:
+        """The restriction family of the series-twisted codifferential."""
+        space = self.hemi.space
+        return maps_by_arity(space, space, 1, PLAIN, self._series)
 
     # -- derived brackets ------------------------------------------------------
 
     def derived_bracket(self, elements: list[HomElement]) -> HomElement:
         """``P([..[[Q, a_1], a_2].., a_k])`` for elements of the truncation."""
-        chain = self.q
-        degree = 1
-        for a in elements:
-            chain = commutator(chain, self.lift(a))
-            degree += a.degree
-        return self.project(chain, degree)
+        return self._chain(self.hemi.structure.brackets, elements)
 
     def twisted_bracket(self, elements: list[HomElement]) -> HomElement:
         """Same chain started from the series-twisted codifferential."""
-        chain = self.twisted
-        degree = 1
+        return self._chain(self._twisted_family(), elements)
+
+    def _chain(
+        self, start: Mapping[int, MultiMap], elements: list[HomElement]
+    ) -> HomElement:
+        """The projected chain of brackets of the lift of ``start`` with the
+        elements' lifts, one :func:`balavoine_bracket` per element."""
+        chain, degree = start, 1
         for a in elements:
-            chain = commutator(chain, self.lift(a))
+            chain = balavoine_bracket(self.hemi.space, chain, self._family(a), self.bound)
             degree += a.degree
-        return self.project(chain, degree)
+        table = {
+            w: vec
+            for f in chain.values()
+            for w, vec in f.constants.items()
+            if len(w) <= self.bound
+        }
+        return HomElement.from_rows(degree, _project_h(table, self.hemi))
 
     def mc_residual_of(self, element: HomElement) -> HomElement:
-        """Curvature of a degree-0 candidate inside the twisted structure."""
+        """Curvature ``P sum_m [..[T, A].., A] / m!`` of a degree-0 candidate
+        inside the twisted structure ``T``."""
         if element.degree != 0:
             raise InputError("deformation candidates are degree-0 elements")
-        lifted = self.lift(element)
-        acc: dict[Word, Vector] = {}
-        term = self.twisted
-        factorial = Fraction(1)
-        step = 0
-        while True:
-            step += 1
-            factorial *= step
-            term = commutator(term, lifted)
-            if term.is_zero():
-                break
-            for w, vec in _project_h(_restriction_table(term), self.hemi).items():
-                merge_into(acc.setdefault(w, {}), vec, Fraction(1) / factorial)
-            if step > 2 * self.bound + _SERIES_SLACK:
-                raise RouteDisagreement("deformation series did not stabilize")
-        acc = {w: v for w, v in acc.items() if v}
-        return HomElement.from_rows(1, acc)
+        series = _ad_series(
+            self.hemi.space,
+            self._twisted_family(),
+            self._family(element),
+            self.bound,
+            include_start=False,
+        )
+        return HomElement.from_rows(1, _project_h(series, self.hemi))
 
     # -- the unary differential as a matrix ------------------------------------
 
@@ -844,9 +694,6 @@ class DeformationComplex:
           pass over ``T``'s pure-target rows and entries.  Those are the
           rows of the lift, over the target space, of the family's target
           part on pure-target words, the only part that reaches them.
-
-        :meth:`twisted_bracket` forms the full commutator and is the
-        reference for these columns.
         """
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 

@@ -7,9 +7,13 @@ maps instead; the oracle tests check the two agree row for row.  The square
 of the word-by-word Zinbiel lift is the oracle of ``zinbiel_square``, which
 forms only the lift entries the restrictions read.  The commutator series of
 full lifts, composed row by row, is the oracle of the series the package
-runs on restriction families.  The comorphism that visits every source
-word, reading its blocks from ``dense_splits.dense_increasing_splits``, is
-the oracle of ``lift_comorphism``, which places the components' keys.
+runs on restriction families.  The deformation complex's brackets, its
+``d1`` columns and its Maurer-Cartan residuals run on restriction families
+too; their references are the projected chains ``P([..[S, a_1].., a_k])``
+and series of the word-by-word lifts, composed by ``commutator``.  The
+comorphism that visits every source word, reading its blocks from
+``dense_splits.dense_increasing_splits``, is the oracle of
+``lift_comorphism``, which places the components' keys.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from dense_splits import dense_increasing_splits
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import _square_restrictions
 from linfty.multimap import (
+    PLAIN,
     SYMMETRIC,
     ZINBIEL,
     MultiMap,
@@ -31,9 +36,10 @@ from linfty.multimap import (
     _common_degree,
     add_into,
     commutator,
+    maps_by_arity,
 )
 from linfty.report import RouteDisagreement
-from linfty.tensor import _SERIES_SLACK
+from linfty.tensor import _SERIES_SLACK, HomElement
 
 
 def dense_symmetric_lift(
@@ -120,7 +126,9 @@ def dense_ad_series(
 ) -> TruncatedCoderivation:
     """``sum_m [..[start, t].., t] / m!`` from full commutators of the lifts,
     each composing every row; stabilization asserted."""
-    acc = start if include_start else start.scale(Fraction(0))
+    acc = start if include_start else TruncatedCoderivation(
+        start.space, start.bound, start.degree, start.coalgebra, {}
+    )
     term = start
     factorial = Fraction(1)
     step = 0
@@ -128,10 +136,60 @@ def dense_ad_series(
         step += 1
         factorial *= step
         term = commutator(term, t)
-        acc = acc.add(term.scale(Fraction(1) / factorial))
+        acc = acc.add(term, Fraction(1) / factorial)
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
     return acc
+
+
+def _product_lift(hemi, table: Mapping[Word, Vector], degree: int, bound: int):
+    """The word-by-word lift of target-to-acting maps ``{v word: vector}``
+    as a family on the product ``hemi``."""
+    space = hemi.space
+    rows = {hemi.from_v_word(w): dict(vec) for w, vec in table.items()}
+    return dense_zinbiel_lift(space, maps_by_arity(space, space, degree, PLAIN, rows), bound)
+
+
+def dense_twisted(tensor, action, bound: int) -> TruncatedCoderivation:
+    """The product codifferential twisted by the tensor, ``sum_m
+    [..[Q, T].., T] / m!``, from the word-by-word lifts of the product's
+    brackets and of the tensor's components."""
+    hemi = action.hemiproduct()
+    table = {
+        w: vec
+        for k, f in tensor.components.items()
+        if k <= bound
+        for w, vec in f.constants.items()
+    }
+    q = dense_zinbiel_lift(hemi.space, hemi.structure.brackets, bound)
+    return dense_ad_series(q, _product_lift(hemi, table, 0, bound), bound, True)
+
+
+def projected(hemi, cod: TruncatedCoderivation, degree: int) -> HomElement:
+    """The length-one acting part of each pure-target row of ``cod``."""
+    rows: dict[Word, Vector] = {}
+    for w, row in cod.rows.items():
+        if all(not hemi.is_e_letter(x) for x in w):
+            vec = {u[0]: c for u, c in row.items() if len(u) == 1 and hemi.is_e_letter(u[0])}
+            if vec:
+                rows[hemi.to_v_word(w)] = vec
+    return HomElement.from_rows(degree, rows)
+
+
+def dense_chain(hemi, start: TruncatedCoderivation, elements, bound: int) -> HomElement:
+    """``P([..[S, a_1].., a_k])`` for the full coderivation ``S`` and the
+    word-by-word lifts of the elements, each bracket a ``commutator``."""
+    chain = start
+    for a in elements:
+        chain = commutator(chain, _product_lift(hemi, dict(a.rows), a.degree, bound))
+    return projected(hemi, chain, start.degree + sum(a.degree for a in elements))
+
+
+def dense_mc_residual(hemi, twisted: TruncatedCoderivation, element, bound: int) -> HomElement:
+    """``P sum_{m >= 1} [..[T, A].., A] / m!`` for the full twisted
+    codifferential ``T`` and the word-by-word lift ``A`` of the element."""
+    lifted = _product_lift(hemi, dict(element.rows), element.degree, bound)
+    return projected(hemi, dense_ad_series(twisted, lifted, bound, False), 1)
 
 
 def dense_comorphism(

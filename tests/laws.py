@@ -1,10 +1,12 @@
 """Law checkers and small helpers that only the tests read.
 
 The co-Leibniz defect of a coderivation, the coproduct defect of a
-comorphism, the twist of a pair sum, the identity comorphism, the
-exponential of a degree-0 coderivation, the strict and symmetric flags of
-an embedding tensor, an element's rows as a dict, and a seeded random
-vector.
+comorphism, the twist of a pair sum, the identity comorphism, a multiple
+and the length-one part of a row of a full coderivation, the exponential of
+a degree-0 coderivation, the extension ``identity + tensor`` of the product
+coalgebra and the restriction lemma it satisfies, the strict and symmetric
+flags of an embedding tensor, an element's rows as a dict, and a seeded
+random vector.
 """
 from __future__ import annotations
 
@@ -30,8 +32,23 @@ from linfty.multimap import (
     symmetrize,
     zinbiel_coproduct,
 )
-from linfty.report import InputError, RouteDisagreement
-from linfty.tensor import _SERIES_SLACK, EmbeddingTensor, HomElement
+from linfty.action import ActionFamily
+from linfty.report import (
+    CheckReport,
+    InputError,
+    Residual,
+    RouteDisagreement,
+    format_vector,
+    make_report,
+)
+from linfty.tensor import (
+    _SERIES_SLACK,
+    EmbeddingTensor,
+    HomElement,
+    _check_tensor_spaces,
+    _ensure_coherent,
+    _prefix_fed_value,
+)
 
 
 def check_coleibniz(cod: TruncatedCoderivation) -> dict[Word, PairSum]:
@@ -107,6 +124,17 @@ def identity_comorphism(space: GradedSpace, bound: int, flavor: str = ZINBIEL):
     return lift_comorphism(space, space, {1: ident}, bound, flavor)
 
 
+def scaled(cod: TruncatedCoderivation, c: Fraction) -> TruncatedCoderivation:
+    """``c`` times a coderivation, row by row."""
+    rows = {w: {u: c * v for u, v in row.items()} for w, row in cod.rows.items()} if c else {}
+    return TruncatedCoderivation(cod.space, cod.bound, cod.degree, cod.coalgebra, rows)
+
+
+def restriction_vector(cod: TruncatedCoderivation, word: Word) -> Vector:
+    """The length-one part of the row of ``word``, as a vector."""
+    return {u[0]: c for u, c in cod.apply_word(word).items() if len(u) == 1}
+
+
 def coderivation_exponential(
     coderivation: TruncatedCoderivation, bound: int
 ) -> dict[Word, WordSum]:
@@ -128,6 +156,116 @@ def coderivation_exponential(
                 raise RouteDisagreement("coderivation exponential did not stabilize")
         rows[w] = acc
     return rows
+
+
+def extend_tensor(
+    tensor: EmbeddingTensor, action: ActionFamily, bound: int
+) -> TruncatedComorphism:
+    """The comorphism ``identity + tensor`` of the product coalgebra.
+
+    Unary component ``x + v -> x + v + T_1(v)``; higher components equal the
+    tensor's on pure-target words and vanish elsewhere.  Coincides with the
+    exponential of the tensor's coderivation (tested separately).
+    """
+    _check_tensor_spaces(tensor, action)
+    hemi = action.hemiproduct()
+    space = hemi.space
+    table1: dict[Word, Vector] = {
+        (i,): {i: Fraction(1)} for i in range(space.dim)
+    }
+    t1 = tensor.component(1)
+    if t1 is not None:
+        for w, vec in t1.constants.items():
+            key = hemi.from_v_word(w)
+            merge_into(table1.setdefault(key, {}), vec)
+    components = {1: MultiMap(space, space, 1, 0, PLAIN, table1)}
+    for k, f in tensor.components.items():
+        if k == 1 or k > bound:
+            continue
+        table = {hemi.from_v_word(w): dict(vec) for w, vec in f.constants.items()}
+        components[k] = MultiMap(space, space, k, 0, PLAIN, table)
+    return lift_comorphism(space, space, components, bound, ZINBIEL)
+
+
+def restriction_lemma_check(
+    tensor: EmbeddingTensor, action: ActionFamily, bound: int
+) -> CheckReport:
+    """Relative co-Leibniz law and restriction formula for ``p Q (id + T)``.
+
+    The composite of the product codifferential with the extended comorphism,
+    projected to pure-target words, must (a) satisfy the coderivation law
+    relative to the projection comorphism and (b) restrict on target words to
+    the target brackets plus prefix-fed action terms; (b) is compared against
+    the independent matrix expansion of the composite.
+    """
+    _check_tensor_spaces(tensor, action)
+    hemi = _ensure_coherent(action, bound)
+    vspace = action.V.space
+    q = hemi.codifferential(bound)
+    ext = extend_tensor(tensor, action, bound)
+    com = tensor.comorphism(bound)
+
+    def project(words: WordSum) -> WordSum:
+        out: WordSum = {}
+        for u, c in words.items():
+            if hemi.is_pure_v(u):
+                add_into(out, hemi.to_v_word(u), c)
+        return out
+
+    def r_of(word: Word) -> WordSum:
+        return project(q.apply_sum(ext.apply_word(word)))
+
+    items: list[Residual] = []
+    for w in hemi.space.words_up_to(bound):
+        lhs: dict = {}
+        for u, c in r_of(w).items():
+            merge_into(lhs, zinbiel_coproduct(vspace, u), c)
+        rhs: dict = {}
+        for (a, b), c in zinbiel_coproduct(hemi.space, w).items():
+            pb = project({b: Fraction(1)})
+            for u, cu in r_of(a).items():
+                for vb, cb in pb.items():
+                    add_into(rhs, (u, vb), c * cu * cb)
+            pa = project({a: Fraction(1)})
+            sign = -1 if hemi.space.word_degree(a) % 2 else 1
+            for va, ca in pa.items():
+                for u, cu in r_of(b).items():
+                    add_into(rhs, (va, u), sign * c * ca * cu)
+        diff = dict(lhs)
+        merge_into(diff, rhs, Fraction(-1))
+        if diff:
+            items.append(
+                Residual(
+                    len(w),
+                    hemi.space.format_word(w),
+                    "co-Leibniz defect on "
+                    + ", ".join(
+                        f"{vspace.format_word(a)}(x){vspace.format_word(b)}"
+                        for (a, b) in sorted(diff)[:3]
+                    ),
+                )
+            )
+
+    # restriction maps on pure-target words match the prefix formula
+    for n in range(1, bound + 1):
+        for w in vspace.words(n):
+            got: Vector = {}
+            row = r_of(hemi.from_v_word(w))
+            for u, c in row.items():
+                if len(u) == 1:
+                    add_into(got, u[0], c)
+            expected = _prefix_fed_value(action, com, w)
+            diff = dict(got)
+            merge_into(diff, expected, Fraction(-1))
+            if diff:
+                items.append(
+                    Residual(
+                        n,
+                        vspace.format_word(w),
+                        "restriction defect " + format_vector(vspace, diff),
+                    )
+                )
+    return make_report("restriction-lemma", bound, items)
 
 
 def is_strict(tensor: EmbeddingTensor) -> bool:

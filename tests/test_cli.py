@@ -83,6 +83,17 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "error:" in out
 
 
+def test_non_utf8_input_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.lif"
+    bad.write_bytes(b"space V\n  p \xff\n")
+    code = main(["check-lie", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.out.splitlines() if line.startswith("error:")]
+    assert errors == ["error: input is not UTF-8: undecodable byte at offset 12"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, out = run_cli(["check-lie", str(tmp_path / "absent.lif")], capsys)
     assert code == 2

@@ -1,47 +1,59 @@
-"""The projected d1 columns and the sparse rank against their oracles.
+"""The deformation complex's brackets, its d1 columns and the sparse rank
+against their oracles.
 
-``DeformationComplex.d1_columns`` forms only the projection of ``[T, a]``,
-with no lift of any basis element: the ``p(TA)`` half is a
-``lifted_composite`` of ``T``'s restriction on the words with one acting
-letter with the basis element, and the ``p(AT)`` half a transposed pass
-over ``T``'s pure-target rows.  :meth:`DeformationComplex.twisted_bracket`
-still forms the full commutator of the twisted codifferential with each
-basis element's lift, and its projection is the reference column.  :func:`linfty.linalg.rank` is checked
-against the dense Gauss-Jordan rank of ``dense_rank.py``, both on random
-sparse rational matrices and on every bigraded piece of the complexes.
+``DeformationComplex.derived_bracket``, ``twisted_bracket`` and
+``mc_residual_of`` run on restriction families, one ``balavoine_bracket``
+per element, and ``d1_columns`` forms only the projection of ``[T, a]``:
+the ``p(TA)`` half is a composite of ``T``'s restriction on the words with
+one acting letter with the basis element, and the ``p(AT)`` half a
+transposed pass over ``T``'s pure-target rows.  The references are the
+projected chains and series of ``dense_lifts``: word-by-word lifts of the
+product's brackets, of the tensor and of each element, composed by
+``commutator``.  The reference columns are the chains ``P([T, a])`` of the
+basis elements.  :func:`linfty.linalg.rank` is checked against the dense
+Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
+matrices and on every bigraded piece of the complexes.
 """
+import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_lifts import dense_chain, dense_mc_residual, dense_twisted, dense_zinbiel_lift
 from dense_rank import dense_rank
-from linfty import parse_path
-from linfty.corpus import heisenberg_central_action
+from linfty import corpus, parse_path
 from linfty.linalg import rank
-from linfty.tensor import EmbeddingTensor, cohomology_rank, deformation_complex
+from linfty.tensor import EmbeddingTensor, HomElement, cohomology_rank, deformation_complex
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def fixture_complex(name, bound):
+def fixture_tensor(name):
+    if name == "zero":
+        act = corpus.heisenberg_central_action()
+        return EmbeddingTensor(act.V.space, act.E.space, {}), act
     sf = parse_path(FIXTURES / f"{name}.lif")
-    return deformation_complex(sf.embedding_tensor(), sf.action_family(), bound)
+    return sf.embedding_tensor(), sf.action_family()
 
 
-def zero_tensor_complex(bound):
-    act = heisenberg_central_action()
-    zero = EmbeddingTensor(act.V.space, act.E.space, {})
-    return deformation_complex(zero, act, bound)
+def fixture_complex(name, bound):
+    return deformation_complex(*fixture_tensor(name), bound)
 
 
-def bracket_columns(complex_):
-    """Each column as the projection of the full twisted commutator."""
+@lru_cache(maxsize=None)
+def reference_columns(name, bound):
+    """Each column ``P([T, a])`` of a basis element, from the dense chain."""
+    tensor, action = fixture_tensor(name)
+    complex_ = deformation_complex(tensor, action, bound)
+    twisted = dense_twisted(tensor, action, bound)
     cols = []
     for w, b in complex_.basis:
-        image = complex_.twisted_bracket([complex_.basis_element(w, b)])
+        image = dense_chain(complex_.hemi, twisted, [complex_.basis_element(w, b)], bound)
         cols.append(
             {complex_.basis_index[u, e]: c for u, vec in image.rows for e, c in vec}
         )
@@ -78,22 +90,25 @@ CASES = [
 @pytest.mark.parametrize("name,bound", CASES)
 def test_d1_columns_equal_projected_commutators(name, bound):
     complex_ = fixture_complex(name, bound)
-    expected = bracket_columns(complex_)
+    expected = reference_columns(name, bound)
     assert complex_.d1_columns() == expected
     assert any(expected)
 
 
 @pytest.mark.parametrize("bound", [3, 4])
 def test_d1_columns_of_the_zero_tensor(bound):
-    complex_ = zero_tensor_complex(bound)
-    assert complex_.twisted.rows == complex_.q.rows
-    assert complex_.d1_columns() == bracket_columns(complex_)
+    complex_ = fixture_complex("zero", bound)
+    # the zero tensor twists nothing: the series is the product's brackets
+    assert complex_._series == {
+        w: vec for f in complex_.hemi.structure.brackets.values() for w, vec in f.constants.items()
+    }
+    assert complex_.d1_columns() == reference_columns("zero", bound)
 
 
 @pytest.mark.parametrize("name,bound", [("heisenberg", 4), ("adjoint_identity", 4)])
 def test_every_piece_rank_matches_the_dense_oracle(name, bound):
     complex_ = fixture_complex(name, bound)
-    cols = bracket_columns(complex_)
+    cols = reference_columns(name, bound)
     degrees = {d for d, _ in complex_.bigrading}
     for degree in range(min(degrees) - 1, max(degrees) + 2):
         for weight in range(1, bound + 1):
@@ -101,6 +116,76 @@ def test_every_piece_rank_matches_the_dense_oracle(name, bound):
             assert (got.piece_dim, got.rank_out, got.rank_in) == dense_piece_ranks(
                 complex_, cols, degree, weight
             ), (degree, weight)
+
+
+# ---------------------------------------------------------------------------
+# the brackets and the Maurer-Cartan residual
+
+# both fixtures and the verified members of the seeded tensor corpus other
+# than the adjoint-identity fixture itself: its heisenberg tensor, built in
+# code, and the zero tensor; each at bounds 3 and 4
+VERIFIED = [
+    inst for inst in corpus.tensor_corpus(11, seed=31) if inst.label in ("heisenberg", "zero")
+]
+BRACKET_CASES = [
+    (label, tensor, action, bound)
+    for label, tensor, action in (
+        [(name, *fixture_tensor(name)) for name in ("heisenberg", "adjoint_identity")]
+        + [(f"corpus {inst.label}", inst.tensor, inst.action) for inst in VERIFIED]
+    )
+    for bound in (3, 4)
+]
+
+
+def case_id(case):
+    return f"{case[0]}-{case[3]}"
+
+
+@pytest.mark.parametrize("case", BRACKET_CASES, ids=case_id)
+def test_brackets_equal_the_dense_chains(case):
+    _, tensor, action, bound = case
+    complex_ = deformation_complex(tensor, action, bound)
+    hemi = complex_.hemi
+    product = dense_zinbiel_lift(hemi.space, hemi.structure.brackets, bound)
+    twisted = dense_twisted(tensor, action, bound)
+    elements = [complex_.basis_element(w, b) for w, b in complex_.basis]
+    pairs = random.Random(bound).sample(list(itertools.product(elements, repeat=2)), 24)
+    nonzero = 0
+    for chain in [[a] for a in elements] + [list(pair) for pair in pairs]:
+        derived = complex_.derived_bracket(chain)
+        assert derived == dense_chain(hemi, product, chain, bound), chain
+        twisted_value = complex_.twisted_bracket(chain)
+        assert twisted_value == dense_chain(hemi, twisted, chain, bound), chain
+        nonzero += not twisted_value.is_zero
+    assert nonzero
+
+
+def degree_zero_candidates(complex_, rng):
+    """Every degree-0 basis element at two scales, and seeded sums of them."""
+    zero = [(w, b) for w, b in complex_.basis if complex_.element_degree(w, b) == 0]
+    out = [HomElement.from_rows(0, {w: {b: lam}}) for w, b in zero for lam in (F(1), F(-1, 2))]
+    for _ in range(6):
+        picked = rng.sample(zero, min(3, len(zero)))
+        rows = {}
+        for w, b in picked:
+            rows.setdefault(w, {})[b] = rng.choice(corpus.SMALL_FRACTIONS)
+        out.append(HomElement.from_rows(0, rows))
+    return out
+
+
+def test_mc_residuals_equal_the_dense_series():
+    flat = set()
+    for label, tensor, action, bound in BRACKET_CASES:
+        complex_ = deformation_complex(tensor, action, bound)
+        twisted = dense_twisted(tensor, action, bound)
+        for element in degree_zero_candidates(complex_, random.Random(bound)):
+            got = complex_.mc_residual_of(element)
+            assert got == dense_mc_residual(complex_.hemi, twisted, element, bound), (
+                label, bound, element
+            )
+            flat.add(got.is_zero)
+    # flat and curved candidates both occur
+    assert flat == {True, False}
 
 
 # ---------------------------------------------------------------------------

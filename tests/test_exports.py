@@ -28,8 +28,8 @@ def test_submodule_all_entries_resolve():
 
 # Public names that only tests call, kept on purpose, each with its reason.
 ORACLE_SURFACE = {
-    "derived_bracket": "the derived bracket P([..[Q, a_1].., a_k]) from full lifts, "
-    "the reference the twisted brackets and d1 are tested against",
+    "derived_bracket": "the paper's derived bracket P([..[Q, a_1].., a_k]) of the "
+    "untwisted product, tested against the dense chain of full lifts",
     "basis_element": "the elementary map w -> b that the oracle brackets take as input",
 }
 

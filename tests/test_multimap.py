@@ -19,7 +19,6 @@ from linfty.multimap import (
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
     merge_into,
-    shifted_bracket,
     symmetrize,
     zinbiel_coproduct,
 )
@@ -28,6 +27,8 @@ from laws import (
     check_coleibniz,
     check_intertwines_coproduct,
     identity_comorphism,
+    restriction_vector,
+    scaled,
     twist_pairsum,
 )
 
@@ -344,7 +345,7 @@ def test_commutator_graded_antisymmetry(mixed3):
     p = lift_zinbiel_coderivation(mixed3, fam2, 3)
     lhs = commutator(q, p)
     sign = -1 if (q.degree % 2 and p.degree % 2) else 1
-    rhs = commutator(p, q).scale(F(-sign))
+    rhs = scaled(commutator(p, q), F(-sign))
     assert lhs.rows == rhs.rows
 
 
@@ -361,17 +362,7 @@ def test_commutator_unary_matches_matrix_commutator(mixed3):
             merge_into(expected, a.eval((j,)), c)
         for j, c in a.eval((i,)).items():
             merge_into(expected, b.eval((j,)), c)  # anticommutator: both odd
-        assert bracket.restriction_vector((i,)) == expected
-
-
-def test_shifted_bracket_sign(mixed3):
-    rng = random.Random(11)
-    fam1 = random_restriction_family(mixed3, [1, 2], 1, rng)
-    fam2 = random_restriction_family(mixed3, [2], 0, rng)
-    q = lift_zinbiel_coderivation(mixed3, fam1, 3)
-    p = lift_zinbiel_coderivation(mixed3, fam2, 3)
-    assert shifted_bracket(q, p).rows == commutator(q, p).scale(F(-1)).rows
-    assert shifted_bracket(p, q).rows == commutator(p, q).rows
+        assert restriction_vector(bracket, (i,)) == expected
 
 
 def test_balavoine_zero_on_even_square(mixed3):
@@ -406,7 +397,7 @@ def test_balavoine_jacobi_on_short_words(mixed3):
     j1 = commutator(a, commutator(b, c))
     j2 = commutator(commutator(a, b), c)
     sgn = -1 if (a.degree % 2 and b.degree % 2) else 1
-    j3 = commutator(b, commutator(a, c)).scale(F(sgn))
+    j3 = scaled(commutator(b, commutator(a, c)), F(sgn))
     assert j1.rows == j2.add(j3).rows
 
 

@@ -3,7 +3,7 @@
 ``lifted_composite`` forms ``p(A B) = a B`` from the supports of the two
 families, ``balavoine_bracket`` is two such composites, and the commutator
 series of ``check_embedding_mc`` and ``DeformationComplex`` runs on
-restriction families and lifts at most its sum.  The references here lift
+restriction families and lifts nothing.  The references here lift
 every family word by word or row by row and compose full coderivations:
 the composite is ``a`` applied to every entry of every row of the
 word-by-word lift of ``b``, the bracket is the restriction of the commutator
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import dense_ad_series, dense_zinbiel_lift
+from dense_lifts import dense_ad_series, dense_zinbiel_lift, projected
+from laws import as_dict, restriction_vector
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import _square_restrictions
@@ -29,11 +30,9 @@ from linfty.multimap import (
 from linfty.report import format_vector
 from linfty.tensor import (
     EmbeddingTensor,
-    _project_h,
-    _restriction_table,
+    _tensor_restrictions,
     check_embedding_mc,
     deformation_complex,
-    tensor_coderivation,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,24 +97,29 @@ SERIES_CASES = [
 
 def dense_series(tensor, action, bound, include_start):
     hemi = action.hemiproduct()
-    t = tensor_coderivation(tensor, hemi, bound)
+    t = lift_zinbiel_coderivation(hemi.space, _tensor_restrictions(tensor, hemi, bound), bound)
     return dense_ad_series(hemi.codifferential(bound), t, bound, include_start)
 
 
+def restriction_table(cod):
+    return {w: vec for w in cod.rows if (vec := restriction_vector(cod, w))}
+
+
 @pytest.mark.parametrize("name,bound", SERIES_CASES)
-def test_twisted_codifferential_equals_the_full_commutator_series(name, bound):
+def test_twisted_family_equals_the_full_commutator_series(name, bound):
     tensor, action = fixture_tensor(name)
     complex_ = deformation_complex(tensor, action, bound)
     expected = dense_series(tensor, action, bound, True)
-    assert complex_.twisted.rows == expected.rows
-    assert complex_.twisted.rows != complex_.q.rows
+    assert complex_._series == restriction_table(expected)
+    assert expected.rows != complex_.hemi.codifferential(bound).rows
 
 
 @pytest.mark.parametrize("bound", (3, 4))
-def test_twisted_codifferential_of_the_zero_tensor(bound):
+def test_twisted_family_of_the_zero_tensor(bound):
     tensor, action = zero_tensor()
     complex_ = deformation_complex(tensor, action, bound)
-    assert complex_.twisted.rows == dense_series(tensor, action, bound, True).rows
+    expected = dense_series(tensor, action, bound, True)
+    assert complex_._series == restriction_table(expected)
 
 
 TENSORS = corpus.tensor_corpus(11, seed=31)
@@ -123,8 +127,7 @@ TENSORS = corpus.tensor_corpus(11, seed=31)
 
 def dense_mc_residuals(tensor, action, bound):
     hemi = action.hemiproduct()
-    series = dense_series(tensor, action, bound, False)
-    rows = _project_h(_restriction_table(series), hemi)
+    rows = as_dict(projected(hemi, dense_series(tensor, action, bound, False), 1))
     vspace, espace = action.V.space, action.E.space
     return sorted(
         (len(w), vspace.format_word(w), format_vector(espace, vec)) for w, vec in rows.items()

@@ -25,15 +25,18 @@ from dense_splits import (
     dense_increasing_splits,
     dense_symmetric_splits,
 )
-from laws import random_vector
+from laws import random_vector, restriction_vector
 from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
 from linfty.graded import (
     GradedSpace,
     anchored_merges,
     anchored_splits,
+    compositions,
     increasing_splits,
+    increasing_unshuffles,
     symmetric_splits,
+    unshuffles,
 )
 from linfty.homotopy import (
     HomotopyStructure,
@@ -103,6 +106,27 @@ def test_increasing_splits_yield_the_oracle_terms(pattern):
         assert Counter(increasing_splits(space, word, blocks)) == Counter(
             dense_increasing_splits(space, word, blocks)
         ), blocks
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_increasing_unshuffles_are_the_oracle_splits_in_mask_order(n):
+    # every composition up to 7: the generated unshuffles give the oracle's
+    # terms, once each, ordered by the block-membership mask of each value
+    space = GradedSpace("P", [(f"x{j}", j % 2) for j in range(n)])
+    word = tuple(range(n))
+    for blocks in compositions(n):
+        sigmas = increasing_unshuffles(*blocks)
+        assert Counter(increasing_splits(space, word, blocks)) == Counter(
+            dense_increasing_splits(space, word, blocks)
+        ), blocks
+        masks = []
+        for sigma in sigmas:
+            mask = [0] * n
+            for t, v in enumerate(sigma):
+                mask[v] = sum(t >= cut for cut in itertools.accumulate(blocks))
+            masks.append(mask)
+        assert masks == sorted(masks) and len(set(sigmas)) == len(sigmas), blocks
+        assert set(sigmas) <= set(unshuffles(*blocks))
 
 
 def oracle_symmetric_value(structure, word):
@@ -323,7 +347,7 @@ def oracle_coherence(action, bound):
     for (label, weight, first), y, w in itertools.product(firsts, ewords, vwords):
         if weight + len(y) + len(w) > bound:
             continue
-        value = commutator(first, action.phi_of(y, bound)).restriction_vector(w)
+        value = restriction_vector(commutator(first, action.phi_of(y, bound)), w)
         if value:
             word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
             out[weight + len(y) + len(w), word, format_vector(vspace, value)] += 1

@@ -12,10 +12,15 @@ import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
 from linfty.homotopy import check_lie_morphism, check_loday_infinity
-from linfty.multimap import PLAIN, MultiMap, TruncatedCoderivation, merge_into
+from linfty.multimap import (
+    PLAIN,
+    MultiMap,
+    TruncatedCoderivation,
+    lift_zinbiel_coderivation,
+    merge_into,
+)
 from linfty.report import InputError, RouteDisagreement
 from linfty.tensor import (
-    DeformationComplex,
     EmbeddingTensor,
     adjoint_strict_check,
     centroid_check,
@@ -27,11 +32,8 @@ from linfty.tensor import (
     compose_unary,
     deformation_complex,
     descendent,
-    extend_tensor,
     identity_tensor,
-    restriction_lemma_check,
     strict_algebra_compose,
-    tensor_coderivation,
 )
 from linfty.corpus import (
     abelian_structure,
@@ -46,7 +48,14 @@ from linfty.corpus import (
     tensor_corpus,
     triple_bracket_example,
 )
-from laws import as_dict, coderivation_exponential, is_strict, is_symmetric
+from laws import (
+    as_dict,
+    coderivation_exponential,
+    extend_tensor,
+    is_strict,
+    is_symmetric,
+    restriction_lemma_check,
+)
 
 F = Fraction
 BOUND = 4
@@ -84,7 +93,9 @@ def test_extension_equals_coderivation_exponential():
     for _ in range(4):
         tensor = random_tensor(act, rng)
         hemi = act.hemiproduct()
-        t = tensor_coderivation(tensor, hemi, 3)
+        t = lift_zinbiel_coderivation(
+            hemi.space, tensor_module._tensor_restrictions(tensor, hemi, 3), 3
+        )
         exp_rows = coderivation_exponential(t, 3)
         ext = extend_tensor(tensor, act, 3)
         for w in hemi.space.words_up_to(3):
@@ -412,7 +423,8 @@ def test_centroid_members_are_strict():
 def test_deformation_complex_zero_tensor_untwisted():
     act = heisenberg_central_action()
     dc = deformation_complex(zero_tensor(act), act, 3)
-    assert dc.twisted.rows == dc.q.rows
+    brackets = dc.hemi.structure.brackets.values()
+    assert dc._series == {w: vec for f in brackets for w, vec in f.constants.items()}
     assert dc.check_d1_squares_to_zero().ok
 
 
@@ -619,7 +631,8 @@ def test_coherence_verdict_is_computed_once_per_bound(monkeypatch):
 
 
 def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
-    # the series, the bracket and d1 run on restriction families
+    # the series, the brackets, the MC residual and d1 run on restriction
+    # families: no full coderivation is composed
     calls = []
 
     def count(owner, name):
@@ -633,12 +646,19 @@ def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
 
     count(TruncatedCoderivation, "compose")
     count(multimap_module, "commutator")
-    count(tensor_module, "commutator")
-    count(DeformationComplex, "lift")
+    assert not {"commutator", "cached_property"} & set(vars(tensor_module))
     for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
         complex_ = deformation_complex(tensor, act, BOUND)
         assert complex_.check_d1_squares_to_zero().ok
         assert check_embedding_mc(tensor, act, BOUND).ok
+        elements = [complex_.basis_element(w, b) for w, b in complex_.basis[:6]]
+        for a in elements:
+            complex_.derived_bracket([a])
+            complex_.twisted_bracket([a])
+            if a.degree == 0:
+                complex_.mc_residual_of(a)
+        complex_.derived_bracket(elements[:2])
+        complex_.twisted_bracket(elements[:2])
     assert calls == []
 
 
@@ -661,10 +681,13 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
         assert check_embedding_explicit(tensor, act, bound).ok
         assert len(visited) == words
 
-    def unread(complex_):
-        raise AssertionError("the full twisted lift was read")
+    real_lift = tensor_module.lift_zinbiel_coderivation
 
-    monkeypatch.setattr(DeformationComplex, "twisted", property(unread))
+    def target_only(space, family, bound):
+        assert space is act.V.space, "a lift over the product space was built"
+        return real_lift(space, family, bound)
+
+    monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", target_only)
     for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
         assert deformation_complex(tensor, act, BOUND).check_d1_squares_to_zero().ok
 
