@@ -3,20 +3,21 @@ non-abelian hemisemidirect product.
 
 An action is stored through its doubly indexed component family: degree +1
 maps taking a symmetric word in the acting space and a symmetric word in the
-target space to a target vector.  Fixing the acting word and lifting the
-remaining slots gives a coderivation of the target's reduced symmetric
+target space to a target vector.  Fixing the acting word gives the
+restriction family of a coderivation of the target's reduced symmetric
 coalgebra; the action axiom is the morphism identity into the differential
 graded algebra of such coderivations.  Coherence asks that these
 coderivations commute with every adjoint coderivation and every mixed one,
 and the main crosscheck confirms, instance by instance, that coherence is
 exactly what makes the three-part brackets on the direct sum pass the
-anchored (Loday) identity.
+anchored (Loday) identity.  A coderivation is fixed by its restriction, so
+every commutator here is a :func:`symmetric_bracket` of two families and
+no coderivation is lifted.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
 
 from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
 from .homotopy import HomotopyStructure, check_loday_infinity
@@ -27,8 +28,8 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
-    lift_symmetric_coderivation,
     merge_into,
+    symmetric_bracket,
 )
 from .report import (
     CheckReport,
@@ -71,6 +72,8 @@ class BiMultiMap:
             if len(ew) != e_arity or len(vw) != v_arity:
                 raise InputError(f"key {(ew, vw)} does not match arities")
             for word, space, label in ((ew, e_space, "acting"), (vw, v_space, "target")):
+                if any(not 0 <= i < space.dim for i in word):
+                    raise InputError(f"{label} key {word} leaves the {label} basis")
                 norm, sign = space.normalize(word)
                 if sign == 0:
                     raise InputError(f"{label} key {word} vanishes in the symmetric algebra")
@@ -82,6 +85,11 @@ class BiMultiMap:
                 c = Fraction(c)
                 if not c:
                     continue
+                if not 0 <= out < v_space.dim:
+                    raise InputError(
+                        f"component constant {(ew, vw)} -> output index {out} leaves "
+                        f"the target basis"
+                    )
                 if v_space.degrees[out] != degree + deg_in:
                     raise InputError(
                         f"component constant {(ew, vw)} -> {v_space.symbols[out]} "
@@ -131,9 +139,12 @@ class ActionFamily:
     n-word of the target structure to a target vector.  The family is an
     action exactly when :func:`check_action` reports no residuals.
 
-    It memoizes (:func:`linfty.memo.memo`) what its checks re-read: each
-    :meth:`phi_of` under ``("phi", word, bound)``, the coherence verdict
-    under ``("coherent", bound)`` and the product under ``("hemi",)``.
+    :meth:`phi_of`, :meth:`ad_of` and :meth:`phi_mixed` return the
+    restriction families (maps by target arity) of the coderivations the
+    checks bracket; none of them is lifted.  The family memoizes
+    (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
+    under ``("phi", word, bound)``, the coherence verdict under
+    ``("coherent", bound)`` and the product under ``("hemi",)``.
     :meth:`ad_of` and :meth:`phi_mixed` are read once each and not kept.
     """
 
@@ -168,58 +179,49 @@ class ActionFamily:
 
     # -- coderivations attached to the action --------------------------------
 
-    def restriction_maps(self, eword: Word, bound: int) -> dict[int, MultiMap]:
-        """The family ``v-word -> value(eword; v-word)`` by target arity."""
-        k = len(eword)
-        degree = 1 + self.E.space.word_degree(eword)
-        out: dict[int, MultiMap] = {}
-        for n in range(1, bound + 1):
-            f = self.components.get((k, n))
-            if f is None:
-                continue
-            rows = f.rows_for(eword)
-            if rows:
-                out[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, rows)
-        return out
+    def phi_of(self, eword: Word, bound: int) -> dict[int, MultiMap]:
+        """The family ``v-word -> value(eword; v-word)`` by target arity: the
+        restriction of the target coderivation attached to an acting word."""
+        eword = tuple(eword)
 
-    def phi_of(self, eword: Word, bound: int) -> TruncatedCoderivation:
-        """The coderivation of the target coalgebra attached to an acting word."""
-        return memo(
-            self._memo,
-            ("phi", tuple(eword), bound),
-            lambda: self._lift(
-                1 + self.E.space.word_degree(eword), self.restriction_maps(eword, bound), bound
-            ),
-        )
+        def build() -> dict[int, MultiMap]:
+            degree = 1 + self.E.space.word_degree(eword)
+            out: dict[int, MultiMap] = {}
+            for n in range(1, bound + 1):
+                f = self.components.get((len(eword), n))
+                rows = f.rows_for(eword) if f is not None else None
+                if rows:
+                    out[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, rows)
+            return out
 
-    def ad_of(self, vword: Word, bound: int) -> TruncatedCoderivation:
-        """Adjoint coderivation of a target word, from the target's own brackets."""
+        return memo(self._memo, ("phi", eword, bound), build)
+
+    def ad_of(self, vword: Word, bound: int) -> dict[int, MultiMap]:
+        """The adjoint family of a target word, from the target's own
+        brackets: ``w -> l(vword, w)``."""
         V, vword = self.V, tuple(vword)
-        return self._prefix_lift(
+        return self._prefix_family(
             1 + V.space.word_degree(vword),
             [n for n in range(1, bound + 1) if V.bracket(len(vword) + n) is not None],
             lambda w: V.eval_bracket(len(vword) + len(w), vword + w),
-            bound,
         )
 
-    def phi_mixed(self, eword: Word, vword: Word, bound: int) -> TruncatedCoderivation:
-        """Coderivation absorbing a fixed target prefix: ``w -> value(x; v.w)``."""
+    def phi_mixed(self, eword: Word, vword: Word, bound: int) -> dict[int, MultiMap]:
+        """The family absorbing a fixed target prefix: ``w -> value(x; v.w)``."""
         if not vword:
             raise InputError("the absorbed target word must be nonempty")
         eword, vword = tuple(eword), tuple(vword)
-        return self._prefix_lift(
+        return self._prefix_family(
             1 + self.E.space.word_degree(eword) + self.V.space.word_degree(vword),
             [n for n in range(1, bound + 1) if (len(eword), len(vword) + n) in self.components],
             lambda w: self.eval(eword, vword + w),
-            bound,
         )
 
-    def _prefix_lift(self, degree: int, arities, value, bound: int) -> TruncatedCoderivation:
-        """The lift of the family ``w -> value(w)`` on the canonical target
-        words ``w`` of the given arities, where ``value`` absorbs a fixed
-        prefix."""
+    def _prefix_family(self, degree: int, arities, value) -> dict[int, MultiMap]:
+        """The family ``w -> value(w)`` on the canonical target words ``w`` of
+        the given arities, where ``value`` absorbs a fixed prefix."""
         vspace = self.V.space
-        restr: dict[int, MultiMap] = {}
+        out: dict[int, MultiMap] = {}
         for n in arities:
             table = {}
             for w in vspace.canonical_words(n):
@@ -227,15 +229,8 @@ class ActionFamily:
                 if vec:
                     table[w] = vec
             if table:
-                restr[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
-        return self._lift(degree, restr, bound)
-
-    def _lift(self, degree: int, restr: dict[int, MultiMap], bound: int) -> TruncatedCoderivation:
-        """The target lift of a family of ``degree``; an empty family lifts to
-        the zero coderivation of that degree rather than of degree 0."""
-        if not restr:
-            return TruncatedCoderivation(self.V.space, bound, degree, SYMMETRIC, {})
-        return lift_symmetric_coderivation(self.V.space, restr, bound)
+                out[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
+        return out
 
     def is_coherent(self, bound: int) -> bool:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
@@ -247,15 +242,6 @@ class ActionFamily:
 
 # ---------------------------------------------------------------------------
 # the action axiom
-
-
-def _compose_row(acc: Vector, restriction, row, coeff) -> None:
-    """Add ``coeff`` times the single-letter part of ``(R . C)(v)`` to
-    ``acc``, where ``row`` is the row of ``C`` at ``v`` (or ``None``) and
-    ``restriction`` evaluates ``R`` on a word."""
-    if row:
-        for u, c in row.items():
-            merge_into(acc, restriction(u), coeff * c)
 
 
 def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
@@ -280,48 +266,42 @@ def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
     return lhs
 
 
+def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
+    """The coderivation side of the action axiom on the canonical acting word
+    ``xw``: ``-[m, phi_x] + sum eps (-1)^{|phi_a|} [phi_a, phi_b]`` over the
+    increasing splits ``xw = xa xb``, by target word, one
+    :func:`symmetric_bracket` of two restriction families per term."""
+    espace, vspace = action.E.space, action.V.space
+    n = len(xw)
+    terms = [(-1, action.V.brackets, action.phi_of(xw, bound))]
+    for j in range(1, n):
+        for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
+            sign = -eps if espace.word_degree(xa) % 2 == 0 else eps
+            terms.append((sign, action.phi_of(xa, bound), action.phi_of(xb, bound)))
+    rhs: dict[Word, Vector] = {}
+    for sign, f, g in terms:
+        for h in symmetric_bracket(vspace, f, g, bound).values():
+            for w, vec in h.constants.items():
+                merge_into(rhs.setdefault(w, {}), vec, Fraction(sign))
+    return rhs
+
+
 def check_action(action: ActionFamily, bound: int) -> CheckReport:
     """The morphism identity of the family into the coderivation algebra.
 
     Both sides are coderivations of the target coalgebra for every acting
     word, so they are compared through their single-letter components on all
-    target words up to the bound.  The coderivation side is read from the
-    rows of the lifts it composes; on every other target word it is zero.
+    target words up to the bound: the bracket side
+    (:func:`_action_lhs`, from the unshuffle-insertion splits) against the
+    coderivation side (:func:`_action_rhs`, from brackets of restriction
+    families), which is nonzero only on the words it returns.
     """
-    E, V = action.E, action.V
-    espace, vspace = E.space, V.space
-    m_lift = V.lift(bound)
-    v_bracket = lambda u: V.eval_bracket(len(u), u)
+    espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
             lhs = _action_lhs(action, xw, bound)
-            rhs: dict[Word, Vector] = {}
-            phi_x = action.phi_of(xw, bound)
-            sign_d = -1 if phi_x.degree % 2 else 1
-            phi_restr = partial(action.eval, xw)
-            # -[M, phi_x]: -(p M phi_x) + (-1)^{deg} (p phi_x M), nonzero
-            # only on the rows of the two lifts
-            for vw in phi_x.rows.keys() | m_lift.rows.keys():
-                acc: Vector = {}
-                _compose_row(acc, v_bracket, phi_x.rows.get(vw), -1)
-                _compose_row(acc, phi_restr, m_lift.rows.get(vw), sign_d)
-                if acc:
-                    rhs[vw] = acc
-            for j in range(1, n):
-                for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
-                    lift_a = action.phi_of(xa, bound)
-                    lift_b = action.phi_of(xb, bound)
-                    da, db = lift_a.degree, lift_b.degree
-                    outer = -1 if da % 2 else 1
-                    inner = -1 if (da % 2 and db % 2) else 1
-                    phi_a, phi_b = partial(action.eval, xa), partial(action.eval, xb)
-                    for vw in lift_a.rows.keys() | lift_b.rows.keys():
-                        acc = rhs.setdefault(vw, {})
-                        _compose_row(acc, phi_a, lift_b.rows.get(vw), eps * outer)
-                        _compose_row(acc, phi_b, lift_a.rows.get(vw), -eps * outer * inner)
-                        if not acc:
-                            del rhs[vw]
+            rhs = _action_rhs(action, xw, bound)
             for vw in sorted(set(lhs) | set(rhs)):
                 diff = dict(lhs.get(vw, {}))
                 merge_into(diff, rhs.get(vw, {}), Fraction(-1))
@@ -340,41 +320,21 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 # coherence
 
 
-def _commutator_restriction(a_restr, a_rows, b_restr, b_rows, da, db, word):
-    """Single-letter part of [A, B] on ``word`` from rows and restrictions."""
-    acc: Vector = {}
-    row = b_rows.get(tuple(word))
-    if row:
-        for u, c in row.items():
-            merge_into(acc, a_restr(u), c)
-    sign = -1 if (da % 2 and db % 2) else 1
-    row = a_rows.get(tuple(word))
-    if row:
-        for u, c in row.items():
-            merge_into(acc, b_restr(u), Fraction(-sign) * c)
-    return acc
-
-
 def _coherence_firsts(action: ActionFamily, bound: int):
-    """The first coderivation of each coherence commutator, as
-    ``(label, weight, degree, rows, restriction)``: the adjoint coderivation
-    of each target word ``v``, then the mixed one of each pair ``x ; v``,
-    with room left under the bound for an acting word and a probe word."""
-    V, espace, vspace = action.V, action.E.space, action.V.space
+    """The first family of each coherence commutator, as ``(label, weight,
+    family)``: the adjoint family of each target word ``v``, then the mixed
+    one of each pair ``x ; v``, with room left under the bound for an acting
+    word and a probe word."""
+    espace, vspace = action.E.space, action.V.space
     for a in range(1, bound - 1):
         for vw in vspace.canonical_words(a):
-            restr = lambda u, _vw=vw: V.eval_bracket(len(_vw) + len(u), _vw + u)
-            rows = action.ad_of(vw, bound).rows
-            yield f"ad {vspace.format_word(vw)}", a, 1 + vspace.word_degree(vw), rows, restr
+            yield f"ad {vspace.format_word(vw)}", a, action.ad_of(vw, bound)
     for ax in range(1, bound - 2):
         for xw in espace.canonical_words(ax):
             for av in range(1, bound - ax - 1):
                 for vw in vspace.canonical_words(av):
-                    restr = lambda u, _xw=xw, _vw=vw: action.eval(_xw, _vw + u)
-                    rows = action.phi_mixed(xw, vw, bound).rows
-                    degree = 1 + espace.word_degree(xw) + vspace.word_degree(vw)
                     label = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
-                    yield label, ax + av, degree, rows, restr
+                    yield label, ax + av, action.phi_mixed(xw, vw, bound)
 
 
 def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
@@ -384,26 +344,20 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     words ``x`` and probe words ``w`` with ``|v|+|x|+|w| <= bound``; the
     mixed condition for all ``x, v, y, w`` with total length within the
     bound.  These are exactly the instances whose defects can appear in the
-    anchored identity of the direct-sum brackets at the same bound.  A
-    commutator is probed only on the rows of its two lifts, where it can be
-    nonzero, in the order of the canonical words.
+    anchored identity of the direct-sum brackets at the same bound.  Each
+    commutator is one :func:`symmetric_bracket` of the first family with
+    ``phi_y``, on the probe words that fit under the bound; it is nonzero
+    only on the words it returns.
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
-    for label, weight, da, a_rows, a_restr in _coherence_firsts(action, bound):
+    for label, weight, first in _coherence_firsts(action, bound):
         for b in range(1, bound - weight):
             for yw in espace.canonical_words(b):
-                phi_rows = action.phi_of(yw, bound).rows
-                db = 1 + espace.word_degree(yw)
-                phi_restr = partial(action.eval, yw)
-                # the commutator vanishes off the rows of its two lifts
                 limit = bound - weight - b
-                probes = [w for w in a_rows.keys() | phi_rows.keys() if len(w) <= limit]
-                for ww in sorted(probes, key=lambda w: (len(w), w)):
-                    diff = _commutator_restriction(
-                        a_restr, a_rows, phi_restr, phi_rows, da, db, ww
-                    )
-                    if diff:
+                bracket = symmetric_bracket(vspace, first, action.phi_of(yw, bound), limit)
+                for f in bracket.values():
+                    for ww, diff in f.constants.items():
                         items.append(
                             Residual(
                                 weight + b + len(ww),

@@ -4,9 +4,12 @@ A structure is a space with a family of degree +1 brackets.  Symmetric
 families are candidates for the generalized Jacobi identity (equivalently a
 square-zero coderivation of the reduced symmetric coalgebra); plain families
 are checked against the anchored identity of the Zinbiel coalgebra.  Every
-checker runs two independent routes, the componentwise identity and the
-lifted-coderivation square, and raises :class:`RouteDisagreement` if they
-ever differ.
+checker runs two independent routes and raises :class:`RouteDisagreement`
+if they ever differ.  The structure checkers compare the componentwise
+identity with the square of the lifted coderivation, formed at the
+restriction level (:func:`symmetric_composite`, :func:`zinbiel_square`)
+with no lift; the morphism checkers compare it with a comorphism that
+intertwines the lifted codifferentials, the one route that lifts in full.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .multimap import (
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
     merge_into,
+    symmetric_composite,
     zinbiel_square,
 )
 from .report import (
@@ -214,25 +218,6 @@ def _loday_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
     return _anchored_sum(structure.space, structure.brackets, structure.brackets, word)
 
 
-def _square_restrictions(
-    brackets: Mapping[int, MultiMap], lifted: TruncatedCoderivation
-) -> dict[Word, Vector]:
-    """Single-letter components of the square of the lifted coderivation
-    of ``brackets``, read from every row of the lift."""
-    out: dict[Word, Vector] = {}
-    for w, row in lifted.rows.items():
-        acc: Vector = {}
-        for u, c in row.items():
-            f = brackets.get(len(u))
-            if f is not None:
-                value, sign = f.lookup(u)
-                if value:
-                    merge_into(acc, value, c if sign > 0 else -c)
-        if acc:
-            out[w] = acc
-    return out
-
-
 def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     return [
         Residual(len(w), space.format_word(w), format_vector(value_space, v))
@@ -244,7 +229,10 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     """Verify the symmetric structure identity on all canonical words.
 
     Runs the componentwise double sum and the coderivation-square route and
-    insists they agree exactly.
+    insists they agree exactly.  The square (:func:`symmetric_composite` of
+    the brackets with themselves, the symmetric twin of
+    :func:`zinbiel_square`) forms only the lift entries whose word is a
+    bracket key, from pairs of keys; it builds no lift row.
     """
     if structure.flavor != SYMMETRIC:
         raise InputError("check_lie_infinity expects a symmetric structure")
@@ -254,7 +242,7 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
         val = _lie_identity_value(structure, w)
         if val:
             direct[w] = val
-    squared = _square_restrictions(structure.brackets, structure.lift(bound))
+    squared = symmetric_composite(space, structure.brackets, structure.brackets, bound)
     if direct != squared:
         raise RouteDisagreement(
             "symmetric identity sum and coderivation square differ: "

@@ -1,7 +1,9 @@
 """Multilinear graded maps as exact structure constants, and the coalgebra
 machinery built on them: coshuffle and Zinbiel coproducts, coderivation and
 comorphism lifts truncated at a word-length bound, graded commutators, the
-Balavoine bracket and the arity-shift (decalage) isomorphism.
+composites and brackets of coderivations of both coalgebras formed from
+their restriction families (the Balavoine bracket on the Zinbiel side) and
+the arity-shift (decalage) isomorphism.
 
 Formal linear data is kept sparse:
 
@@ -56,6 +58,8 @@ __all__ = [
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
     "lifted_composite",
+    "symmetric_bracket",
+    "symmetric_composite",
     "symmetrize",
     "zinbiel_coproduct",
     "zinbiel_square",
@@ -171,10 +175,6 @@ class MultiMap:
             add_into(table.setdefault(tuple(word), {}), out, Fraction(c))
         table = {w: v for w, v in table.items() if v}
         return cls(source, target, arity, degree, flavor, table)
-
-    @classmethod
-    def zero(cls, source, target, arity, degree, flavor=PLAIN) -> "MultiMap":
-        return cls(source, target, arity, degree, flavor, {})
 
     def eval(self, word: Word) -> Vector:
         """Exact value on a basis word (a fresh dict; may be empty)."""
@@ -353,10 +353,6 @@ class TruncatedCoderivation:
                 merge_into(acc, row, c)
         return acc
 
-    def restrictions(self) -> dict[int, MultiMap]:
-        """The defining family: projection to single letters, by arity."""
-        return _length_one_maps(self.space, self.space, self.degree, self.coalgebra, self.rows)
-
     def compose(self, other: "TruncatedCoderivation") -> "TruncatedCoderivation":
         self._check_compatible(other)
         rows: dict[Word, WordSum] = {}
@@ -396,17 +392,6 @@ class TruncatedCoderivation:
         )
 
 
-def _length_one_maps(source, target, degree, coalgebra, rows) -> dict[int, MultiMap]:
-    """The length-one part of each row, as one map per word length."""
-    flavor = SYMMETRIC if coalgebra == SYMMETRIC else PLAIN
-    table: dict[Word, Vector] = {}
-    for w, row in rows.items():
-        vec = {u[0]: c for u, c in row.items() if len(u) == 1}
-        if vec:
-            table[w] = vec
-    return maps_by_arity(source, target, degree, flavor, table)
-
-
 def maps_by_arity(
     source: GradedSpace,
     target: GradedSpace,
@@ -443,35 +428,15 @@ def lift_symmetric_coderivation(
     given restriction maps, truncated to words of length <= ``bound``.
 
     On a canonical word ``w`` the lift sums, over (k, n-k)-unshuffles, the
-    inner map applied to the first block times the remaining letters.  The
-    rows are generated from the support: each canonical key ``u`` with each
-    canonical rest ``r`` that fits under the bound lands in the row
-    ``normalize(u + r)`` with the sign of that sort, once for every unshuffle
-    of the row's word that splits off ``u`` (more than one only when ``u``
-    and ``r`` share an even letter).  The work is proportional to the number
-    of (key, rest) pairs, not to the number of canonical words.
+    inner map applied to the first block times the remaining letters.  It
+    is :func:`symmetric_composite` with every canonical word ``y`` up to the
+    bound as an outer key whose value is ``y`` itself, so the work is
+    proportional to the (key, output letter, rest) triples that fit under
+    the bound, not to the number of canonical words.
     """
-    degree = _common_degree(restrictions)
-    rests = [space.canonical_words(n) for n in range(bound)]
-    rows: dict[Word, WordSum] = {}
-    for f in restrictions.values():
-        for u, vec in f.constants.items():
-            # plain maps are read literally, so only canonical keys are ever met
-            if space.normalize(u) != (u, 1):
-                continue
-            for n in range(bound - len(u) + 1):
-                for rest in rests[n]:
-                    w, eps = space.normalize(u + rest)
-                    if not eps:
-                        continue
-                    mult = _split_count(u, rest)
-                    row = rows.setdefault(w, {})
-                    for b, c in vec.items():
-                        out, s2 = space.normalize((b,) + rest)
-                        if s2:
-                            c = c if eps == s2 else -c
-                            add_into(row, out, c * mult if mult > 1 else c)
-    return TruncatedCoderivation(space, bound, degree, SYMMETRIC, rows)
+    words = {y: {y: 1} for y in space.canonical_words_up_to(bound)}
+    rows = _symmetric_composite(space, _letter_index(space, [words]), restrictions, bound)
+    return TruncatedCoderivation(space, bound, _common_degree(restrictions), SYMMETRIC, rows)
 
 
 def _split_count(u: Word, rest: Word) -> int:
@@ -480,6 +445,78 @@ def _split_count(u: Word, rest: Word) -> int:
     for x in set(u).intersection(rest):
         count *= math.comb(u.count(x) + rest.count(x), u.count(x))
     return count
+
+
+def _letter_index(space: GradedSpace, tables: Iterable[Mapping[Word, Mapping]]) -> dict:
+    """The canonical keys of the tables indexed under each distinct letter
+    ``b`` as ``b -> [(rest, value)]``, shortest rest first: ``rest`` is the
+    key less one ``b``, and ``value`` carries the sign of
+    ``normalize(b + rest)``."""
+    index: dict[int, list[tuple[Word, Mapping]]] = {}
+    for table in tables:
+        for y, value in table.items():
+            # plain maps are read literally, so only canonical keys are ever met
+            if space.normalize(y) != (y, 1):
+                continue
+            for j, b in enumerate(y):
+                if j and y[j - 1] == b:
+                    continue
+                rest = y[:j] + y[j + 1 :]
+                signed = value
+                if space.normalize((b,) + rest)[1] < 0:
+                    signed = {o: -c for o, c in value.items()}
+                index.setdefault(b, []).append((rest, signed))
+    for entries in index.values():
+        entries.sort(key=lambda e: len(e[0]))
+    return index
+
+
+def _symmetric_composite(
+    space: GradedSpace, index: Mapping[int, list], inner: Mapping[int, MultiMap], bound: int
+) -> dict[Word, dict]:
+    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`."""
+    out: dict[Word, dict] = {}
+    for f in inner.values():
+        for u, vec in f.constants.items():
+            if space.normalize(u) != (u, 1):
+                continue
+            room = bound - len(u)
+            for b, cb in vec.items():
+                for rest, value in index.get(b, ()):
+                    if len(rest) > room:
+                        break
+                    w, eps = space.normalize(u + rest)
+                    if not eps:
+                        continue
+                    mult = _split_count(u, rest)
+                    c = cb * mult if mult > 1 else cb
+                    acc = out.setdefault(w, {})
+                    for o, co in value.items():
+                        add_into(acc, o, c * co if eps > 0 else -c * co)
+    return {w: v for w, v in out.items() if v}
+
+
+def symmetric_composite(
+    space: GradedSpace,
+    outer: Mapping[int, MultiMap],
+    inner: Mapping[int, MultiMap],
+    bound: int,
+) -> dict[Word, Vector]:
+    """The single-letter components ``p(A B) = a B`` of the composite of the
+    symmetric lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
+    ``inner`` (``b``), on the canonical words up to ``bound`` where they are
+    nonzero.
+
+    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys.
+    Each comes from an inner key ``u`` with an output letter ``b`` of ``y``:
+    the row of ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y``
+    with the sorts' signs, once per unshuffle splitting ``u`` off that word
+    (:func:`_split_count`).  So the outer keys are indexed by letter and the
+    work is proportional to the (inner key, output letter, outer key)
+    triples that fit under the bound.
+    """
+    index = _letter_index(space, [f.constants for f in outer.values()])
+    return _symmetric_composite(space, index, inner, bound)
 
 
 @lru_cache(maxsize=None)
@@ -694,17 +731,32 @@ def balavoine_bracket(
     g: Mapping[int, MultiMap],
     bound: int,
 ) -> dict[int, MultiMap]:
-    """Restrictions of the commutator of the Zinbiel lifts of two families.
+    """Restrictions of the commutator of the Zinbiel lifts of two families:
+    :func:`_bracket` of two :func:`lifted_composite` calls."""
+    return _bracket(lifted_composite, PLAIN, space, f, g, bound)
 
-    In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F``: two
-    :func:`lifted_composite` calls, with no lift and no commutator.
-    """
+
+def symmetric_bracket(
+    space: GradedSpace,
+    f: Mapping[int, MultiMap],
+    g: Mapping[int, MultiMap],
+    bound: int,
+) -> dict[int, MultiMap]:
+    """Restrictions of the commutator of the symmetric lifts of two
+    families: :func:`_bracket` of two :func:`symmetric_composite` calls."""
+    return _bracket(symmetric_composite, SYMMETRIC, space, f, g, bound)
+
+
+def _bracket(composite, flavor: str, space, f, g, bound: int) -> dict[int, MultiMap]:
+    """In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F`` from two calls
+    of the coalgebra's ``composite``, as maps of ``flavor``, with no lift
+    and no commutator."""
     df, dg = _common_degree(f), _common_degree(g)
     sign = Fraction(1 if df % 2 and dg % 2 else -1)
-    table = lifted_composite(space, f, g, bound)
-    for w, vec in lifted_composite(space, g, f, bound).items():
+    table = composite(space, f, g, bound)
+    for w, vec in composite(space, g, f, bound).items():
         merge_into(table.setdefault(w, {}), vec, sign)
-    return maps_by_arity(space, space, df + dg, PLAIN, table)
+    return maps_by_arity(space, space, df + dg, flavor, table)
 
 
 # ---------------------------------------------------------------------------
@@ -740,19 +792,6 @@ class TruncatedComorphism:
             if row:
                 merge_into(acc, row, c)
         return acc
-
-    def compose(self, inner: "TruncatedComorphism") -> "TruncatedComorphism":
-        if inner.target is not self.source:
-            raise ValueError("comorphisms do not compose")
-        rows: dict[Word, WordSum] = {}
-        for w, row in inner.rows.items():
-            acc = self.apply_sum(row)
-            if acc:
-                rows[w] = acc
-        components = _length_one_maps(inner.source, self.target, 0, self.flavor, rows)
-        return TruncatedComorphism(
-            inner.source, self.target, inner.bound, self.flavor, components, rows
-        )
 
     def __repr__(self) -> str:
         return (

@@ -3,9 +3,15 @@
 These visit every word up to the bound and, on each one, try every inner
 arity, front size and unshuffle, exactly as the coderivation formula reads
 forwards.  The package builds its lifts from the support of the restriction
-maps instead; the oracle tests check the two agree row for row.  The square
-of the word-by-word Zinbiel lift is the oracle of ``zinbiel_square``, which
-forms only the lift entries the restrictions read.  The commutator series of
+maps instead; the oracle tests check the two agree row for row.
+``_square_restrictions`` applies a family to every entry of every row of a
+lift: over the word-by-word Zinbiel lift it is the oracle of
+``zinbiel_square`` and ``lifted_composite``, and over the word-by-word
+symmetric lift that of ``symmetric_composite``, each of which forms only
+the lift entries the outer family reads.  The action's coderivation side
+and the coherence commutators, which the package forms as brackets of
+restriction families, are checked against commutators of the word-by-word
+symmetric lifts of those families.  The commutator series of
 full lifts, composed row by row, is the oracle of the series the package
 runs on restriction families.  The deformation complex's brackets, its
 ``d1`` columns and its Maurer-Cartan residuals run on restriction families
@@ -23,7 +29,6 @@ from typing import Mapping
 
 from dense_splits import dense_increasing_splits
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
-from linfty.homotopy import _square_restrictions
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
@@ -37,6 +42,7 @@ from linfty.multimap import (
     add_into,
     commutator,
     maps_by_arity,
+    merge_into,
 )
 from linfty.report import RouteDisagreement
 from linfty.tensor import _SERIES_SLACK, HomElement
@@ -79,11 +85,14 @@ def dense_zinbiel_lift(
 ) -> TruncatedCoderivation:
     """For each inner arity ``k`` and front size ``i``, unshuffle slots
     ``0..i+k-2`` into the front block and the inner arguments; the inner map
-    absorbs the anchored letter at slot ``i+k-1``."""
+    absorbs the anchored letter at slot ``i+k-1``.  A ``(k, i)`` whose
+    anchored letter ends no key of the map is skipped: every term of it
+    vanishes."""
     degree = _common_degree(restrictions)
     parity = degree % 2
     rows: dict[Word, WordSum] = {}
     arities = sorted(k for k, f in restrictions.items() if not f.is_zero())
+    ends = {k: {u[-1] for u in restrictions[k].expand_plain().constants} for k in arities}
     for n in range(1, bound + 1):
         for w in space.words(n):
             acc: WordSum = {}
@@ -92,9 +101,11 @@ def dense_zinbiel_lift(
                     break
                 f = restrictions[k]
                 for i in range(0, n - k + 1):
+                    anchored = w[i + k - 1]
+                    if anchored not in ends[k]:
+                        continue
                     head = w[: i + k - 1]
                     degs = space.word_degrees(head)
-                    anchored = w[i + k - 1]
                     tail = w[i + k:]
                     for sigma in _unshuffles((i, k - 1)):
                         eps = koszul_sign(sigma, degs)
@@ -111,6 +122,25 @@ def dense_zinbiel_lift(
             if acc:
                 rows[w] = acc
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
+
+
+def _square_restrictions(
+    brackets: Mapping[int, MultiMap], lifted: TruncatedCoderivation
+) -> dict[Word, Vector]:
+    """Single-letter components of the composite of ``brackets`` after the
+    lifted coderivation, read from every row of the lift."""
+    out: dict[Word, Vector] = {}
+    for w, row in lifted.rows.items():
+        acc: Vector = {}
+        for u, c in row.items():
+            f = brackets.get(len(u))
+            if f is not None:
+                value, sign = f.lookup(u)
+                if value:
+                    merge_into(acc, value, c if sign > 0 else -c)
+        if acc:
+            out[w] = acc
+    return out
 
 
 def dense_zinbiel_square(

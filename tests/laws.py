@@ -2,7 +2,8 @@
 
 The co-Leibniz defect of a coderivation, the coproduct defect of a
 comorphism, the twist of a pair sum, the identity comorphism, a multiple
-and the length-one part of a row of a full coderivation, the exponential of
+and the length-one part of a row of a full coderivation, the restriction
+family of a coderivation, the composite of two comorphisms, the exponential of
 a degree-0 coderivation, the extension ``identity + tensor`` of the product
 coalgebra and the restriction lemma it satisfies, the strict and symmetric
 flags of an embedding tensor, an element's rows as a dict, and a seeded
@@ -28,6 +29,7 @@ from linfty.multimap import (
     add_into,
     coshuffle_coproduct,
     lift_comorphism,
+    maps_by_arity,
     merge_into,
     symmetrize,
     zinbiel_coproduct,
@@ -133,6 +135,40 @@ def scaled(cod: TruncatedCoderivation, c: Fraction) -> TruncatedCoderivation:
 def restriction_vector(cod: TruncatedCoderivation, word: Word) -> Vector:
     """The length-one part of the row of ``word``, as a vector."""
     return {u[0]: c for u, c in cod.apply_word(word).items() if len(u) == 1}
+
+
+def length_one_maps(source, target, degree, coalgebra, rows) -> dict[int, MultiMap]:
+    """The length-one part of each row, as one map per word length."""
+    flavor = SYMMETRIC if coalgebra == SYMMETRIC else PLAIN
+    table: dict[Word, Vector] = {}
+    for w, row in rows.items():
+        vec = {u[0]: c for u, c in row.items() if len(u) == 1}
+        if vec:
+            table[w] = vec
+    return maps_by_arity(source, target, degree, flavor, table)
+
+
+def restrictions(cod: TruncatedCoderivation) -> dict[int, MultiMap]:
+    """The defining family of a coderivation: projection to single letters,
+    by arity."""
+    return length_one_maps(cod.space, cod.space, cod.degree, cod.coalgebra, cod.rows)
+
+
+def compose_comorphisms(
+    outer: TruncatedComorphism, inner: TruncatedComorphism
+) -> TruncatedComorphism:
+    """``outer . inner`` row by row, with the components of the composite."""
+    if inner.target is not outer.source:
+        raise ValueError("comorphisms do not compose")
+    rows: dict[Word, WordSum] = {}
+    for w, row in inner.rows.items():
+        acc = outer.apply_sum(row)
+        if acc:
+            rows[w] = acc
+    components = length_one_maps(inner.source, outer.target, 0, outer.flavor, rows)
+    return TruncatedComorphism(
+        inner.source, outer.target, inner.bound, outer.flavor, components, rows
+    )
 
 
 def coderivation_exponential(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,16 @@ from linfty.corpus import (
     triple_bracket_example,
     two_term_complex,
 )
+from dense_lifts import dense_symmetric_lift
 from laws import restriction_vector
 
 F = Fraction
 BOUND = 4
+
+
+def lifted(act, family, bound=BOUND):
+    """The word-by-word lift of a target family of ``act``."""
+    return dense_symmetric_lift(act.V.space, family, bound)
 
 
 def zero_action(E=None, V=None):
@@ -86,6 +93,27 @@ def test_broken_equivariance_fails():
     assert not check_action(act, BOUND).ok
 
 
+@pytest.mark.parametrize(
+    "key,vec,named",
+    [
+        (((0,), (0,)), {-1: F(1)}, "output index -1"),
+        (((0,), (0,)), {2: F(1)}, "output index 2"),
+        (((-1,), (0,)), {1: F(1)}, "acting key (-1,)"),
+        (((0,), (-2,)), {1: F(1)}, "target key (-2,)"),
+        (((1,), (0,)), {1: F(1)}, "acting key (1,)"),
+    ],
+)
+def test_component_indices_must_stay_in_their_bases(key, vec, named):
+    # negative letters would read from the end of a basis
+    from linfty.graded import GradedSpace
+
+    E = GradedSpace("E", [("a", -1)])
+    V = GradedSpace("V", [("p", -1), ("z", -1)])
+    assert BiMultiMap(E, V, 1, 1, 1, {((0,), (0,)): {1: F(1)}}).constants
+    with pytest.raises(InputError, match=rf"{re.escape(named)}.*basis"):
+        BiMultiMap(E, V, 1, 1, 1, {key: vec})
+
+
 # ---------------------------------------------------------------------------
 # attached coderivations
 
@@ -93,21 +121,19 @@ def test_broken_equivariance_fails():
 def test_phi_of_zero_action_is_zero():
     act = zero_action()
     for x in ((0,), (1,)):
-        q = act.phi_of(x, BOUND)
-        # the zero coderivation still has the acting word's degree
-        assert q.is_zero() and q.degree == 1 + act.E.space.word_degree(x)
+        assert act.phi_of(x, BOUND) == {}
 
 
 def test_phi_of_restriction_recovers_components():
     act = heisenberg_central_action(F(2), F(-1, 2))
-    q = act.phi_of((0,), BOUND)
+    q = lifted(act, act.phi_of((0,), BOUND))
     for v in range(act.V.space.dim):
         assert restriction_vector(q, (v,)) == act.eval((0,), (v,))
 
 
 def test_phi_of_single_component_acts_as_derivation():
     act = heisenberg_central_action()
-    q = act.phi_of((0,), BOUND)
+    q = lifted(act, act.phi_of((0,), BOUND))
     V = act.V.space
     p, qq, z = V.index("p"), V.index("q"), V.index("z")
     # on the pair (p, q) the lift is a derivation over the slots
@@ -122,15 +148,14 @@ def test_phi_of_single_component_acts_as_derivation():
 def test_ad_of_abelian_is_zero():
     act = zero_action()
     for v in ((0,), (1,)):
-        ad = act.ad_of(v, BOUND)
-        assert ad.is_zero() and ad.degree == 1 + act.V.space.word_degree(v)
+        assert act.ad_of(v, BOUND) == {}
 
 
 def test_ad_of_single_letter_matches_bracket():
     act = heisenberg_central_action()
     V = act.V
     p = V.space.index("p")
-    ad_p = act.ad_of((p,), BOUND)
+    ad_p = lifted(act, act.ad_of((p,), BOUND))
     for v in range(V.space.dim):
         assert restriction_vector(ad_p, (v,)) == V.eval_bracket(2, (p, v))
 
@@ -147,8 +172,8 @@ def test_phi_mixed_vanishes_for_representations():
     act = complex_representation_action()
     x = (0,)
     u = (act.V.space.index("u"),)
-    mixed = act.phi_mixed(x, u, BOUND)
-    phi = act.phi_of(x, BOUND)
+    mixed = lifted(act, act.phi_mixed(x, u, BOUND))
+    phi = lifted(act, act.phi_of(x, BOUND))
     assert mixed.compose(phi).is_zero()
 
 
@@ -156,7 +181,7 @@ def test_phi_mixed_concrete_value():
     act = heisenberg_central_action(F(1), F(0))
     V = act.V.space
     p, q, z = V.index("p"), V.index("q"), V.index("z")
-    mixed = act.phi_mixed((0,), (q,), BOUND)
+    mixed = lifted(act, act.phi_mixed((0,), (q,), BOUND))
     # restriction at one letter w is the (1,2)-component on (q, w): zero here
     assert restriction_vector(mixed, (p,)) == {}
 
@@ -328,23 +353,22 @@ def test_ad_commutators_close_onto_brackets():
     # on a verified binary structure the commutator of two adjoint
     # coderivations is the adjoint coderivation of the bracket value
     from linfty.corpus import heisenberg, sl2
-    from linfty.multimap import commutator
+    from linfty.multimap import add_into, commutator
 
     for L in (heisenberg(), sl2()):
         act = adjoint_action(L)
         space = L.space
+        ad = [lifted(act, act.ad_of((b,), 3), 3) for b in range(space.dim)]
         for v in range(space.dim):
             for w in range(space.dim):
-                lhs = commutator(act.ad_of((v,), 3), act.ad_of((w,), 3))
+                lhs = commutator(ad[v], ad[w])
                 vec = L.eval_bracket(2, (v, w))
                 rows = {}
                 for n in range(1, 4):
                     for word in space.canonical_words(n):
                         acc = {}
                         for b, c in vec.items():
-                            for out, c2 in act.ad_of((b,), 3).rows.get(word, {}).items():
-                                from linfty.multimap import add_into
-
+                            for out, c2 in ad[b].rows.get(word, {}).items():
                                 add_into(acc, out, c * c2)
                         if acc:
                             rows[word] = acc
@@ -362,18 +386,21 @@ def test_crosscheck_agreement_at_other_bounds():
 
 
 def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
-    # a spurious row p -> p in every target lift breaks coherence only
-    import linfty.action as action_module
-    from linfty.multimap import TruncatedCoderivation
+    # a spurious entry p -> p in every one-letter adjoint family breaks
+    # coherence only: the action axiom and the product never read ad_of
+    from linfty.multimap import SYMMETRIC, MultiMap
 
-    real = action_module.lift_symmetric_coderivation
+    real = ActionFamily.ad_of
 
-    def skewed(space, restrictions, bound):
-        got = real(space, restrictions, bound)
-        rows = {**got.rows, (0,): {**got.rows.get((0,), {}), (0,): F(1)}}
-        return TruncatedCoderivation(space, bound, got.degree, got.coalgebra, rows)
+    def skewed(self, vword, bound):
+        family = real(self, vword, bound)
+        if len(vword) > 1:
+            return family
+        space = self.V.space
+        table = {**(family[1].constants if 1 in family else {}), (0,): {0: F(1)}}
+        return {**family, 1: MultiMap(space, space, 1, 0, SYMMETRIC, table)}
 
-    monkeypatch.setattr(action_module, "lift_symmetric_coderivation", skewed)
+    monkeypatch.setattr(ActionFamily, "ad_of", skewed)
     with pytest.raises(RouteDisagreement) as err:
         theorem_crosscheck(heisenberg_central_action(), BOUND)
     assert str(err.value) == (

@@ -2,6 +2,7 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.graded import (
     GradedSpace,
@@ -64,6 +65,25 @@ def test_koszul_multiplicativity_exhaustive():
                 for sigma in perms:
                     lhs = koszul_sign(compose(tau, sigma), degrees)
                     assert lhs == koszul_sign(sigma, d_tau) * s_tau
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(1, 8))
+    tau = tuple(draw(st.permutations(range(n))))
+    sigma = tuple(draw(st.permutations(range(n))))
+    degrees = tuple(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+    return tau, sigma, degrees
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(permutation_pairs())
+def test_koszul_multiplicativity_up_to_length_8(case):
+    # beyond the exhaustive range: any degrees, not only parities
+    tau, sigma, degrees = case
+    assert koszul_sign(compose(tau, sigma), degrees) == (
+        koszul_sign(sigma, permute(tau, degrees)) * koszul_sign(tau, degrees)
+    )
 
 
 def test_compose_matches_sequential_application():

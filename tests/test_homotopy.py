@@ -317,7 +317,7 @@ def test_twist_composition_of_flat_elements():
 
 def test_end_dgla_zero_differential_pure_bracket():
     base = GradedSpace("W", [("u", 0), ("w", 1)])
-    d = MultiMap.zero(base, base, 1, 1, SYMMETRIC)
+    d = MultiMap(base, base, 1, 1, SYMMETRIC, {})
     dgla, _ = end_dgla(base, d)
     assert dgla.bracket(1) is None
     assert dgla.bracket(2) is not None
@@ -423,14 +423,14 @@ def _adjoint_rep_components(L, end):
 
 def test_zero_representation_on_abelian():
     L = abelian_structure("A", [-1, 0])
-    d = MultiMap.zero(L.space, L.space, 1, 1, SYMMETRIC)
+    d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
     _, end = end_dgla(L.space, d)
     assert check_representation({}, L, end, 3).ok
 
 
 def test_adjoint_representation_of_lie_algebras():
     for L in (heisenberg(), solvable2(), sl2()):
-        d = MultiMap.zero(L.space, L.space, 1, 1, SYMMETRIC)
+        d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
         _, end = end_dgla(L.space, d)
         comps = _adjoint_rep_components(L, end)
         assert check_representation(comps, L, end, 4).ok

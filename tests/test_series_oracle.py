@@ -14,11 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import dense_ad_series, dense_zinbiel_lift, projected
-from laws import as_dict, restriction_vector
+from dense_lifts import _square_restrictions, dense_ad_series, dense_zinbiel_lift, projected
+from laws import as_dict, restriction_vector, restrictions
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
-from linfty.homotopy import _square_restrictions
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
@@ -74,7 +73,7 @@ def test_balavoine_bracket_equals_the_commutator_of_the_lifts(seed, degrees, fla
     lifted = commutator(
         lift_zinbiel_coderivation(MIXED3, f, 4), lift_zinbiel_coderivation(MIXED3, g, 4)
     )
-    expected = lifted.restrictions()
+    expected = restrictions(lifted)
     assert restrictions_by_arity(got) == restrictions_by_arity(expected)
     assert {f.degree for f in got.values()} == {lifted.degree}
     assert got

@@ -7,7 +7,8 @@ morphism right side built on them, which ``check_action`` and
 ``check_representation`` rely on with no second route, must equal the same
 sums built from the oracle's terms.  The multilinear expansion that both
 morphism routes share is checked against an ``itertools.product`` sum,
-``check_coherence`` against commutators of the full lifts, and the module
+``check_coherence`` against commutators of the word-by-word lifts of its
+families, and the module
 boundary between the routes is pinned.
 """
 import importlib
@@ -25,6 +26,7 @@ from dense_splits import (
     dense_increasing_splits,
     dense_symmetric_splits,
 )
+from dense_lifts import dense_symmetric_lift
 from laws import random_vector, restriction_vector
 from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
@@ -333,21 +335,29 @@ def test_expand_stops_at_the_first_empty_vector():
 def oracle_coherence(action, bound):
     """Each nonzero length-one output of ``[ad_v, phi_x]`` on ``w`` with
     ``|v|+|x|+|w| <= bound`` and of ``[phi_mixed(x, v), phi_y]`` on ``w`` with
-    ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the full lifts."""
+    ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the word-by-word
+    lifts of the families."""
     espace, vspace = action.E.space, action.V.space
     ewords = list(espace.canonical_words_up_to(bound))
     vwords = list(vspace.canonical_words_up_to(bound))
-    firsts = [(f"ad {vspace.format_word(v)}", len(v), action.ad_of(v, bound)) for v in vwords]
+
+    def lift(family):
+        return dense_symmetric_lift(vspace, family, bound)
+
+    firsts = [
+        (f"ad {vspace.format_word(v)}", len(v), lift(action.ad_of(v, bound))) for v in vwords
+    ]
     firsts += [
         (f"{espace.format_word(x)} ; {vspace.format_word(v)}", len(x) + len(v),
-         action.phi_mixed(x, v, bound))
+         lift(action.phi_mixed(x, v, bound)))
         for x, v in itertools.product(ewords, vwords)
     ]
+    phis = {y: lift(action.phi_of(y, bound)) for y in ewords}
     out = Counter()
     for (label, weight, first), y, w in itertools.product(firsts, ewords, vwords):
         if weight + len(y) + len(w) > bound:
             continue
-        value = restriction_vector(commutator(first, action.phi_of(y, bound)), w)
+        value = restriction_vector(commutator(first, phis[y]), w)
         if value:
             word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
             out[weight + len(y) + len(w), word, format_vector(vspace, value)] += 1

@@ -1,0 +1,175 @@
+"""The symmetric restriction-level calculus against word-by-word lifts.
+
+``symmetric_composite`` forms ``p(A B) = a B`` from the supports of two
+families, ``symmetric_bracket`` is two such composites, and the action
+axiom's coderivation side, the coherence commutators and the square of
+``check_lie_infinity`` run on them.  The references here share no code with
+that kernel: they lift every family with ``dense_lifts.dense_symmetric_lift``,
+which visits every canonical word and sums over ``unshuffles`` with
+``koszul_sign``, and compose full coderivations row by row.  The work-count
+tests pin that the checks no longer lift or compose.
+"""
+import importlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from dense_lifts import _square_restrictions, dense_symmetric_lift
+from dense_splits import dense_increasing_splits
+from laws import restrictions
+from linfty import corpus, parse_path
+from linfty.action import _action_rhs, theorem_crosscheck
+from linfty.cli import main
+from linfty.graded import GradedSpace
+from linfty.homotopy import check_lie_infinity
+from linfty.multimap import (
+    PLAIN,
+    SYMMETRIC,
+    TruncatedCoderivation,
+    commutator,
+    merge_into,
+    symmetric_bracket,
+    symmetric_composite,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# an even letter of each even degree, so keys repeat letters, and one odd
+# letter of each odd degree
+SPACE = GradedSpace("S", [("x", 0), ("y", 1), ("z", -1), ("t", 2)])
+DEGREES = [(0, 0), (2, 1), (1, 0), (-1, 1)]
+
+
+def random_pair(seed, degrees, flavor):
+    rng = random.Random(seed)
+    f = corpus.random_restriction_family(SPACE, (1, 2, 3), degrees[0], rng, flavor, 0.6)
+    g = corpus.random_restriction_family(SPACE, (1, 2, 3), degrees[1], rng, flavor, 0.6)
+    return f, g
+
+
+def as_table(family):
+    return {w: vec for f in family.values() for w, vec in f.constants.items()}
+
+
+@pytest.mark.parametrize("flavor", (SYMMETRIC, PLAIN))
+@pytest.mark.parametrize("bound", (3, 4, 5))
+@pytest.mark.parametrize("degrees", DEGREES)
+@pytest.mark.parametrize("seed", range(2))
+def test_symmetric_composite_is_the_outer_family_on_the_dense_lift(seed, degrees, bound, flavor):
+    outer, inner = random_pair(seed, degrees, flavor)
+    got = symmetric_composite(SPACE, outer, inner, bound)
+    assert got == _square_restrictions(outer, dense_symmetric_lift(SPACE, inner, bound))
+    assert got
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+@pytest.mark.parametrize("degrees", DEGREES)
+@pytest.mark.parametrize("seed", range(2))
+def test_symmetric_bracket_is_the_commutator_of_the_dense_lifts(seed, degrees, bound):
+    f, g = random_pair(seed, degrees, SYMMETRIC)
+    got = symmetric_bracket(SPACE, f, g, bound)
+    lifted = commutator(
+        dense_symmetric_lift(SPACE, f, bound), dense_symmetric_lift(SPACE, g, bound)
+    )
+    assert as_table(got) == as_table(restrictions(lifted))
+    assert {h.degree for h in got.values()} == {sum(degrees)}
+    assert got
+
+
+def test_the_bracket_of_an_empty_family_is_empty():
+    f, _ = random_pair(0, (1, 0), SYMMETRIC)
+    assert symmetric_bracket(SPACE, f, {}, 4) == {}
+    assert symmetric_bracket(SPACE, {}, f, 4) == {}
+
+
+def dense_action_rhs(action, xw, bound):
+    """``-[M, Phi_x] + sum eps (-1)^{|Phi_a|} [Phi_a, Phi_b]`` on the
+    word-by-word lifts, over the oracle's increasing splits, length-one part
+    by target word."""
+    V = action.V
+
+    def lift(family):
+        return dense_symmetric_lift(V.space, family, bound)
+
+    terms = [(-1, lift(V.brackets), lift(action.phi_of(xw, bound)))]
+    n = len(xw)
+    for j in range(1, n):
+        for eps, (xa, xb) in dense_increasing_splits(action.E.space, xw, (j, n - j)):
+            phi_a, phi_b = lift(action.phi_of(xa, bound)), lift(action.phi_of(xb, bound))
+            sign = eps if (1 + action.E.space.word_degree(xa)) % 2 == 0 else -eps
+            terms.append((sign, phi_a, phi_b))
+    out = {}
+    for sign, a, b in terms:
+        for w, vec in as_table(restrictions(commutator(a, b))).items():
+            merge_into(out.setdefault(w, {}), vec, Fraction(sign))
+    return {w: vec for w, vec in out.items() if vec}
+
+
+@pytest.mark.parametrize("index", range(38))
+def test_action_coderivation_side_equals_the_dense_commutators(index):
+    # the 19 catalog actions, then one basis change of each
+    action = corpus.action_corpus(38, 0)[index].action
+    for xw in action.E.space.canonical_words_up_to(4):
+        got = {w: vec for w, vec in _action_rhs(action, xw, 4).items() if vec}
+        assert got == dense_action_rhs(action, xw, 4), xw
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+@pytest.fixture
+def full_lift_calls(monkeypatch):
+    """Count calls of the full-lift calculus, wherever a module binds it."""
+    import linfty.multimap as multimap
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lift_symmetric_coderivation", "commutator"):
+        real = getattr(multimap, name)
+        for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    compose = TruncatedCoderivation.compose
+    monkeypatch.setattr(TruncatedCoderivation, "compose", counted("compose", compose))
+    return calls
+
+
+def test_crosscheck_lifts_and_composes_nothing(full_lift_calls):
+    for inst in corpus.action_corpus(19, 0):
+        theorem_crosscheck(inst.action, 4)
+    assert full_lift_calls == []
+
+
+def test_lie_check_lifts_and_composes_nothing(full_lift_calls):
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.lif")):
+        sf = parse_path(path)
+        for name in sf.spaces:
+            structure = sf.structure(name)
+            if structure.flavor == SYMMETRIC:
+                check_lie_infinity(structure, 4)
+                checked += 1
+    assert checked and full_lift_calls == []
+
+
+@pytest.mark.parametrize("fixture", ("heisenberg", "adjoint_identity"))
+def test_deform_lifts_and_composes_nothing(fixture, full_lift_calls, capsys):
+    assert main(["deform", str(FIXTURES / f"{fixture}.lif"), "--bound", "4"]) == 0
+    assert full_lift_calls == []
+
+
+def test_action_module_binds_no_full_lift_calculus():
+    names = set(vars(importlib.import_module("linfty.action")))
+    assert not names & {
+        "lift_symmetric_coderivation", "commutator", "_compose_row", "_commutator_restriction"
+    }

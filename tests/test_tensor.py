@@ -321,7 +321,7 @@ def test_identity_and_zero_are_strict():
     for E in (solvable2(), sl2(), heisenberg(), triple_bracket_example()):
         ident = identity_tensor(E.space).component(1)
         assert adjoint_strict_check(E, ident).ok
-        zero = MultiMap.zero(E.space, E.space, 1, 0, PLAIN)
+        zero = MultiMap(E.space, E.space, 1, 0, PLAIN, {})
         assert adjoint_strict_check(E, zero).ok
 
 
