@@ -1,10 +1,12 @@
-"""The bytes of the deformation-complex reports, pinned by sha256.
+"""The bytes of the deformation-complex and morphism reports, pinned by sha256.
 
 The reports of ``deform`` and ``cohomology`` are the slowest the CLI prints
 and the ones every speedup of the deformation layer must leave unchanged.
 The digests below were recorded from the word-by-word explicit check, the
 word-by-word comorphism and the full twisted lift; a change that moves a
-single byte of these reports fails here.  The CLI prints the input path, so
+single byte of these reports fails here.  The morphism reports were
+recorded while the crosscheck still intertwined the full lifts of both
+codifferentials.  The CLI prints the input path, so
 the commands run from the root of the checkout with a relative path.
 """
 import contextlib
@@ -39,6 +41,21 @@ COHOMOLOGY = {
     ("adjoint_identity", 4, 5): "6cb8662184599c6235a116f738f49bdfe6b4d06547b668f354556712c77f12d9",
 }
 
+MORPHISM = {
+    ("check-morphism", "morphism_quotient", 5): "ca796c2a17a06c84a2cbaaee8400c34465a9f016f33460f9cc897dcf21694165",
+    ("check-morphism", "morphism_quotient", 6): "d464935b765116c1ebfc41f81db67265597c3bb8d76507c2affe00e3f131282f",
+    ("check-morphism", "morphism_quotient", 7): "f85d87d567bd192ad49b630f8f5e1f92b4aaa34378ce8e35b249ca1e6c7cb81f",
+    ("check-morphism", "strict_centroid", 5): "8f41177e00fc807c283ceac0e107abcbfad2aaf21c7e83ae62b83a3c30805de9",
+    ("check-morphism", "strict_centroid", 6): "0b8f4fa26636b283d090d6eb0910f4035c90ca2ca942cec65cf91c8fe5862f94",
+    ("check-morphism", "strict_centroid", 7): "1fd3eab5aa961938d5aaf837d46cbd36ffae155200f49b1b467dad113ca01285",
+    ("check-descendent-morphism", "heisenberg", 5): "17ead927152dd8aee94e43b6c3fc7889b495f32daaabf0655c1aa500676a1678",
+    ("check-descendent-morphism", "heisenberg", 6): "15cea1758c88ab4a0bf0b2f3983edf86a33f126845474ac98fcf67be4118a4dd",
+    ("check-descendent-morphism", "heisenberg", 7): "2f27026a0094dfab7291654f385f6216d75d59da0781e82da08ca8e7262a163d",
+    ("check-descendent-morphism", "adjoint_identity", 5): "a634b103d0319b2c7191cba04d9f472dd188dbaf1bb66ec8e61375390c285f3a",
+    ("check-descendent-morphism", "adjoint_identity", 6): "1d3930966a620c20ac8e0bad4bb26af55a2f5c53b9bec85eedd51ecca5918338",
+    ("check-descendent-morphism", "adjoint_identity", 7): "24f1cfe2e019e0e66b0426de16fd3a56a11169be17e9315af512fe5c00d7859d",
+}
+
 
 def stdout_digest(args, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -62,3 +79,9 @@ def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch
         "--degree", str(degree), "--weight", str(weight),
     ]
     assert stdout_digest(args, monkeypatch) == COHOMOLOGY[fixture, degree, weight]
+
+
+@pytest.mark.parametrize("command,fixture,bound", sorted(MORPHISM))
+def test_morphism_report_bytes_are_pinned(command, fixture, bound, monkeypatch):
+    args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound)]
+    assert stdout_digest(args, monkeypatch) == MORPHISM[command, fixture, bound]
