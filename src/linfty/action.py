@@ -28,6 +28,7 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
+    lift_zinbiel_coderivation,
     merge_into,
     symmetric_bracket,
 )
@@ -443,7 +444,7 @@ class HemiProduct:
         return {i - self.v_offset: c for i, c in vec.items() if i >= self.v_offset}
 
     def codifferential(self, bound: int) -> TruncatedCoderivation:
-        return self.structure.zinbiel_lift(bound)
+        return lift_zinbiel_coderivation(self.space, self.structure.brackets, bound)
 
 
 def hemisemidirect(action: ActionFamily) -> HemiProduct:

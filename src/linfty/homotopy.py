@@ -5,11 +5,13 @@ families are candidates for the generalized Jacobi identity (equivalently a
 square-zero coderivation of the reduced symmetric coalgebra); plain families
 are checked against the anchored identity of the Zinbiel coalgebra.  Every
 checker runs two independent routes and raises :class:`RouteDisagreement`
-if they ever differ.  The structure checkers compare the componentwise
-identity with the square of the lifted coderivation, formed at the
-restriction level (:func:`symmetric_composite`, :func:`zinbiel_square`)
-with no lift; the morphism checkers compare it with a comorphism that
-intertwines the lifted codifferentials, the one route that lifts in full.
+unless they give the same residual map word by word.  The first route is
+the componentwise identity.  The second is formed at the restriction level
+with no lift: for a structure, the square of the lifted coderivation
+(:func:`symmetric_composite`, :func:`zinbiel_square`); for a morphism, the
+corestriction of the intertwining defect, the composite of the components
+with the source brackets less the target brackets read on the rows of the
+comorphism.
 """
 from __future__ import annotations
 
@@ -31,13 +33,11 @@ from .multimap import (
     SYMMETRIC,
     ZINBIEL,
     MultiMap,
-    TruncatedCoderivation,
     Vector,
     add_into,
     expand,
     lift_comorphism,
-    lift_symmetric_coderivation,
-    lift_zinbiel_coderivation,
+    lifted_composite,
     merge_into,
     symmetric_composite,
     zinbiel_square,
@@ -48,7 +48,6 @@ from .report import (
     Residual,
     RouteDisagreement,
     format_vector,
-    frac_str,
     make_report,
 )
 
@@ -108,15 +107,6 @@ class HomotopyStructure:
     def eval_bracket(self, k: int, word: Word) -> Vector:
         f = self.brackets.get(k)
         return f.eval(word) if f is not None else {}
-
-    def lift(self, bound: int) -> TruncatedCoderivation:
-        if self.flavor == SYMMETRIC:
-            return lift_symmetric_coderivation(self.space, self.brackets, bound)
-        return lift_zinbiel_coderivation(self.space, self.brackets, bound)
-
-    def zinbiel_lift(self, bound: int) -> TruncatedCoderivation:
-        """The Zinbiel coderivation of the same family (any flavor)."""
-        return lift_zinbiel_coderivation(self.space, self.brackets, bound)
 
     def __repr__(self) -> str:
         ks = ",".join(str(k) for k in self.brackets)
@@ -246,7 +236,7 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     if direct != squared:
         raise RouteDisagreement(
             "symmetric identity sum and coderivation square differ: "
-            f"{_route_diff(space, direct, squared)}"
+            f"{_route_diff(space, space, direct, squared, _SQUARE_ROUTES)}"
         )
     return make_report("lie-infinity", bound, _residual_items(space, space, direct))
 
@@ -277,20 +267,24 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     if direct != squared:
         raise RouteDisagreement(
             "anchored identity sum and coderivation square differ: "
-            f"{_route_diff(space, direct, squared)}"
+            f"{_route_diff(space, space, direct, squared, _SQUARE_ROUTES)}"
         )
     return make_report("loday-infinity", bound, _residual_items(space, space, direct))
 
 
-def _route_diff(space, a, b) -> str:
-    """The first word (shortest, then lexicographic) where the routes differ,
-    with the value each route gives there."""
+_SQUARE_ROUTES = ("identity sum", "coderivation square")
+
+
+def _route_diff(space, value_space, a, b, labels: tuple[str, str]) -> str:
+    """The first word (shortest, then lexicographic) where the residual maps
+    ``a`` and ``b`` of the routes named by ``labels`` differ, with the value
+    in ``value_space`` each route gives there."""
     bad = (w for w in set(a) | set(b) if a.get(w) != b.get(w))
     w = min(bad, key=lambda w: (len(w), w))
     return (
         f"first at [{space.format_word(w)}]: "
-        f"identity sum {format_vector(space, a.get(w, {}))}, "
-        f"coderivation square {format_vector(space, b.get(w, {}))}"
+        f"{labels[0]} {format_vector(value_space, a.get(w, {}))}, "
+        f"{labels[1]} {format_vector(value_space, b.get(w, {}))}"
     )
 
 
@@ -318,11 +312,13 @@ def check_lie_morphism(
 ) -> CheckReport:
     """Verify the morphism identity between symmetric structures.
 
-    Componentwise: for every canonical source word, the unshuffled sum of
-    components applied after source brackets equals the target brackets
-    applied to block images over increasing unshuffles.  The comorphism
-    route checks that the lift intertwines the lifted codifferentials; the
-    two verdicts must agree.
+    The components are read as symmetric maps; a key that is not a
+    canonical word of the source is refused.  Componentwise: for every
+    canonical source word, the unshuffled sum of components applied after
+    source brackets equals the target brackets applied to block images over
+    increasing unshuffles.  The other route is the corestriction of the
+    intertwining defect of the symmetric lifts, formed with no lift; the
+    two residual maps must be equal word by word.
     """
     if source.flavor != SYMMETRIC or target.flavor != SYMMETRIC:
         raise InputError("check_lie_morphism expects symmetric structures")
@@ -339,18 +335,36 @@ def check_loday_morphism(
     return _check_morphism(components, source, target, bound, anchored=True)
 
 
+def _symmetric_component(f: MultiMap) -> MultiMap:
+    """A Lie-morphism component as a symmetric map on canonical keys."""
+    for w in f.constants:
+        norm, sign = f.source.normalize(w)
+        if (norm, sign) != (w, 1):
+            why = "is not canonical" if sign else "vanishes in the symmetric algebra"
+            raise InputError(f"Lie-morphism component key [{f.source.format_word(w)}] {why}")
+    return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
+
+
 def _check_morphism(components, source, target, bound, anchored: bool) -> CheckReport:
     """The morphism identity on every source word (the anchored sum over all
     tensor words, or the symmetric sum over canonical words), crosschecked
-    against the comorphism intertwining the lifted codifferentials."""
+    word by word against ``p'(F Q) - q' F``, the corestriction of the
+    intertwining defect of the comorphism ``F``.
+
+    ``p'(F Q)`` is the components after the lift of the source brackets,
+    :func:`lifted_composite` or :func:`symmetric_composite` of the two
+    families; ``q' F`` reads the target brackets on the rows of
+    :func:`lift_comorphism`.  Neither codifferential is lifted.
+    """
     _check_components(components, source, target)
     space, tspace = source.space, target.space
     if anchored:
         kind, words, lhs_sum = "loday", space.words_up_to(bound), _anchored_sum
-        coalgebra, lift = ZINBIEL, HomotopyStructure.zinbiel_lift
+        coalgebra, composite = ZINBIEL, lifted_composite
     else:
+        components = {k: _symmetric_component(f) for k, f in components.items()}
         kind, words, lhs_sum = "lie", space.canonical_words_up_to(bound), _symmetric_sum
-        coalgebra, lift = SYMMETRIC, HomotopyStructure.lift
+        coalgebra, composite = SYMMETRIC, symmetric_composite
     residuals: dict[Word, Vector] = {}
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
@@ -358,17 +372,23 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
         merge_into(diff, rhs, Fraction(-1))
         if diff:
             residuals[w] = diff
-    report = make_report(f"{kind}-morphism", bound, _residual_items(space, tspace, residuals))
-    # comorphism route: intertwine the lifted codifferentials
-    com = lift_comorphism(space, tspace, components, bound, coalgebra)
-    defect = _intertwining_defect(com, lift(source, bound), lift(target, bound))
-    if (defect is None) != report.ok:
+    defect = composite(space, components, source.brackets, bound)
+    for w, row in lift_comorphism(space, tspace, components, bound, coalgebra).rows.items():
+        acc = defect.setdefault(w, {})
+        for u, c in row.items():
+            f = target.bracket(len(u))
+            value, sign = f.lookup(u) if f is not None else (None, 0)
+            if value:
+                merge_into(acc, value, -c if sign > 0 else c)
+    defect = {w: v for w, v in defect.items() if v}
+    if residuals != defect:
+        routes = ("identity sum", "intertwining defect")
         raise RouteDisagreement(
             f"componentwise {'anchored ' if anchored else ''}morphism identity and "
             "comorphism intertwining disagree: "
-            f"{_morphism_route_diff(space, tspace, report, defect)}"
+            f"{_route_diff(space, tspace, residuals, defect, routes)}"
         )
-    return report
+    return make_report(f"{kind}-morphism", bound, _residual_items(space, tspace, residuals))
 
 
 def _morphism_rhs(space, components, target, w) -> Vector:
@@ -385,51 +405,6 @@ def _morphism_rhs(space, components, target, w) -> Vector:
             for u, c in expand(blocks, Fraction(sign)):
                 merge_into(rhs, mj.eval(u), c)
     return rhs
-
-
-def _intertwining_defect(com, source_codiff, target_codiff):
-    """The first source word ``w`` with ``com(Q w) != Q'(com w)``, as
-    ``(w, com(Q w), Q'(com w))``; ``None`` if ``com`` intertwines.  The
-    rows of the source codifferential come first, then the other rows of
-    ``com`` shortest first, then lexicographic, so the word named does not
-    depend on the order in which the comorphism was built."""
-    for w, row in source_codiff.rows.items():
-        lhs = com.apply_sum(row)
-        rhs = target_codiff.apply_sum(com.apply_word(w))
-        if lhs != rhs:
-            return w, lhs, rhs
-    for w in sorted(com.rows, key=lambda w: (len(w), w)):
-        if w not in source_codiff.rows:
-            rhs = target_codiff.apply_sum(com.rows[w])
-            if rhs:
-                return w, {}, rhs
-    return None
-
-
-def _morphism_route_diff(space, tspace, report: CheckReport, defect) -> str:
-    """Why the componentwise verdict and the intertwining verdict differ,
-    naming a word and the value each route gives there."""
-    if defect is None:
-        first = report.residuals[0]
-        return (
-            f"first residual at [{first.word}] = {first.value}, "
-            "but the comorphism intertwines the codifferentials"
-        )
-    w, lhs, rhs = defect
-    return (
-        f"identity holds, but at [{space.format_word(w)}]: "
-        f"comorphism after codifferential {_format_wordsum(tspace, lhs)}, "
-        f"codifferential after comorphism {_format_wordsum(tspace, rhs)}"
-    )
-
-
-def _format_wordsum(space, words) -> str:
-    if not words:
-        return "0"
-    return " + ".join(
-        f"({frac_str(words[u])})*[{space.format_word(u)}]"
-        for u in sorted(words, key=lambda u: (len(u), u))
-    )
 
 
 # ---------------------------------------------------------------------------

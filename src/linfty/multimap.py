@@ -785,14 +785,6 @@ class TruncatedComorphism:
         row = self.rows.get(tuple(word))
         return dict(row) if row else {}
 
-    def apply_sum(self, words: WordSum) -> WordSum:
-        acc: WordSum = {}
-        for w, c in words.items():
-            row = self.rows.get(w)
-            if row:
-                merge_into(acc, row, c)
-        return acc
-
     def __repr__(self) -> str:
         return (
             f"TruncatedComorphism({self.source.name}->{self.target.name}, "

@@ -188,7 +188,7 @@ def check_embedding_explicit(
     _ensure_coherent(action, bound)
     vspace, espace = action.V.space, action.E.space
     com = tensor.comorphism(bound)
-    lifted = action.V.zinbiel_lift(bound).rows
+    lifted = lift_zinbiel_coderivation(vspace, action.V.brackets, bound).rows
     items: list[Residual] = []
     for w in _explicit_support_words(tensor, action, com, lifted, bound):
         diff = _explicit_difference(tensor, action, com, lifted, w)

@@ -162,7 +162,9 @@ def compose_comorphisms(
         raise ValueError("comorphisms do not compose")
     rows: dict[Word, WordSum] = {}
     for w, row in inner.rows.items():
-        acc = outer.apply_sum(row)
+        acc: WordSum = {}
+        for u, c in row.items():
+            merge_into(acc, outer.rows.get(u, {}), c)
         if acc:
             rows[w] = acc
     components = length_one_maps(inner.source, outer.target, 0, outer.flavor, rows)

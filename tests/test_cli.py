@@ -158,6 +158,33 @@ def test_bound_flag_overrides_settings(capsys):
     assert "bound: 2" in out
 
 
+SYMMETRIC_MORPHISM = (
+    "space B\n  a 0\n  b 0\n  c 1\n\nspace Q\n  x 0\n  y 1\n\n"
+    "brackets B symmetric\n  2 : a b -> c : 1/1\n\nbrackets Q symmetric\n\n"
+    "morphism B Q\n  2 : {key} : 1/1\n"
+)
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_lie_morphism_reads_a_binary_component_as_symmetric(bound, capsys, tmp_path):
+    # a(a, c) = y, so the component meets [a, b] = c on the word a, a, b in
+    # two unshuffles: both routes read the symmetric map there
+    path = tmp_path / "binary.lif"
+    path.write_text(SYMMETRIC_MORPHISM.format(key="a c -> y"))
+    code, out = run_cli(["check-morphism", str(path), "--bound", str(bound)], capsys)
+    assert code == 1, out
+    assert "residuals: 1\n  arity 3 [a,a,b] = (2/1)*y\n" in out
+
+
+def test_lie_morphism_refuses_a_non_canonical_component_key(capsys, tmp_path):
+    path = tmp_path / "unsorted.lif"
+    path.write_text(SYMMETRIC_MORPHISM.format(key="b a -> x"))
+    code, out = run_cli(["check-morphism", str(path), "--bound", "3"], capsys)
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert errors == ["error: Lie-morphism component key [b,a] is not canonical"]
+
+
 def test_route_disagreement_maps_to_exit_three(capsys, monkeypatch):
     import linfty.cli as cli
     from linfty.report import RouteDisagreement

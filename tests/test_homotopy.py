@@ -151,6 +151,16 @@ def test_symmetric_comorphism_agrees_between_flavors():
         assert lie_ok == loday_ok == expected
 
 
+def test_lie_morphism_refuses_a_vanishing_component_key():
+    # b0 is odd, so b0 b0 vanishes in the symmetric algebra
+    B = abelian_structure("B", [1])
+    Q = abelian_structure("Q", [2])
+    f = MultiMap(B.space, Q.space, 2, 0, PLAIN, {(0, 0): {0: F(1)}})
+    with pytest.raises(InputError, match=r"key \[b0,b0\] vanishes"):
+        check_lie_morphism({2: f}, B, Q, 3)
+    assert check_loday_morphism({2: f}, lie_to_loday(B), lie_to_loday(Q), 3).ok
+
+
 def _skew_comorphism(monkeypatch, rows_of):
     """Route the morphism checks through a comorphism with edited rows."""
     import linfty.homotopy as homotopy
@@ -169,39 +179,38 @@ def _skew_comorphism(monkeypatch, rows_of):
 
 
 def _morphism_checks():
-    E, quot = solvable2(), abelian_structure("Q", [-1])
+    E = solvable2()
     return [
-        ("morphism", check_lie_morphism, E, quot),
-        ("anchored morphism", check_loday_morphism, lie_to_loday(E), lie_to_loday(quot)),
+        ("morphism", check_lie_morphism, E),
+        ("anchored morphism", check_loday_morphism, lie_to_loday(E)),
     ]
 
 
-def test_morphism_disagreement_names_the_failing_word(monkeypatch):
-    # a spurious comorphism row b -> q0: the projection a -> q0 is still a
-    # morphism componentwise, but the comorphism no longer intertwines at a,b
-    _skew_comorphism(monkeypatch, lambda rows: {**rows, (1,): {(0,): F(1)}})
-    for label, check, source, target in _morphism_checks():
-        f = MultiMap(source.space, target.space, 1, 0, PLAIN, {(0,): {0: F(1)}})
+def test_morphism_disagreement_names_the_word_only_the_comorphism_route_sees(monkeypatch):
+    # the identity of [a,b] = b is a morphism; with the comorphism's rows
+    # gone, the target bracket no longer cancels a(b) = b at a,b
+    _skew_comorphism(monkeypatch, lambda rows: {})
+    for label, check, E in _morphism_checks():
+        identity = MultiMap(E.space, E.space, 1, 0, PLAIN, {(0,): {0: F(1)}, (1,): {1: F(1)}})
         with pytest.raises(RouteDisagreement) as err:
-            check({1: f}, source, target, 4)
+            check({1: identity}, E, E, 4)
         assert str(err.value) == (
             f"componentwise {label} identity and comorphism intertwining disagree: "
-            "identity holds, but at [a,b]: comorphism after codifferential "
-            "(1/1)*[q0], codifferential after comorphism 0"
+            "first at [a,b]: identity sum 0, intertwining defect (1/1)*b"
         )
 
 
-def test_morphism_disagreement_names_the_first_residual(monkeypatch):
-    # b -> q0 fails componentwise; an empty comorphism intertwines trivially
-    _skew_comorphism(monkeypatch, lambda rows: {})
-    for label, check, source, target in _morphism_checks():
-        f = MultiMap(source.space, target.space, 1, 0, PLAIN, {(1,): {0: F(1)}})
+def test_morphism_disagreement_names_the_word_only_the_identity_route_sees(monkeypatch):
+    # b -> b alone fails at a,b; a spurious comorphism row a,b -> a,b makes
+    # the target bracket cancel it on the comorphism route
+    _skew_comorphism(monkeypatch, lambda rows: {**rows, (0, 1): {(0, 1): F(1)}})
+    for label, check, E in _morphism_checks():
+        f = MultiMap(E.space, E.space, 1, 0, PLAIN, {(1,): {1: F(1)}})
         with pytest.raises(RouteDisagreement) as err:
-            check({1: f}, source, target, 4)
+            check({1: f}, E, E, 4)
         assert str(err.value) == (
             f"componentwise {label} identity and comorphism intertwining disagree: "
-            "first residual at [a,b] = (1/1)*q0, "
-            "but the comorphism intertwines the codifferentials"
+            "first at [a,b]: identity sum (1/1)*b, intertwining defect 0"
         )
 
 
@@ -347,7 +356,8 @@ def test_end_dgla_rejects_non_square_zero():
 
 def coder_differential(base, bound, q):
     """``-[M, q]`` for the lifted codifferential ``M`` of the base."""
-    return scaled(commutator(base.lift(bound), q), F(-1))
+    lifted = lift_symmetric_coderivation(base.space, base.brackets, bound)
+    return scaled(commutator(lifted, q), F(-1))
 
 
 def shifted_bracket(q, p):
@@ -391,7 +401,7 @@ def test_coder_differential_squares_to_zero_and_leibniz():
 
 def test_coder_differential_kills_own_codifferential():
     for L in (heisenberg(), sl2(), triple_bracket_example()):
-        m = L.lift(4)
+        m = lift_symmetric_coderivation(L.space, L.brackets, 4)
         assert commutator(m, m).is_zero()
         assert coder_differential(L, 4, m).is_zero()
 

@@ -12,6 +12,7 @@ table.  The checker's residual list must equal it, and the checker raises
 unless its two routes give the same residual map word by word.
 """
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,7 @@ def dense_defect(components, source, target, bound, flavor):
 
 
 def assert_matches_the_dense_defect(components, source, target, bound, flavor):
+    """The checker's report, once its residuals are the dense defect's."""
     check = check_lie_morphism if flavor == SYMMETRIC else check_loday_morphism
     report = check(components, source, target, bound)
     expected = dense_defect(components, source, target, bound, flavor)
@@ -93,18 +95,15 @@ def flavored(source, target, flavor):
 
 
 def perturbed(components, source, target, seed, flavor):
-    """The components plus a seeded unary family, symmetric in the Lie
+    """The components with a seeded unary map added, symmetric in the Lie
     flavor; the fixtures' spaces admit no other degree-0 arity."""
+    maps = SYMMETRIC if flavor == SYMMETRIC else PLAIN
     rng = random.Random(seed)
-    extra = corpus.random_multimap(
-        source.space, target.space, 1, 0, rng,
-        SYMMETRIC if flavor == SYMMETRIC else PLAIN, 0.6,
-    )
-    table = {w: dict(v) for w, v in components[1].constants.items()} if 1 in components else {}
+    extra = corpus.random_multimap(source.space, target.space, 1, 0, rng, maps, 0.6)
+    table = {w: dict(v) for w, v in components[1].constants.items()}
     for w, vec in extra.constants.items():
         merge_into(table.setdefault(w, {}), vec)
-    f = MultiMap(source.space, target.space, 1, 0, extra.flavor, {w: v for w, v in table.items() if v})
-    return {**components, 1: f}
+    return {**components, 1: MultiMap(source.space, target.space, 1, 0, maps, table)}
 
 
 @pytest.mark.parametrize("flavor", (SYMMETRIC, ZINBIEL))
@@ -176,5 +175,48 @@ def random_morphism(seed, flavor):
 def test_random_morphisms_equal_the_dense_defect(seed, bound, flavor):
     components, source, target = random_morphism(seed, flavor)
     report = assert_matches_the_dense_defect(components, source, target, bound, flavor)
-    assert not report.ok
-    assert max(len(w) for w in dense_defect(components, source, target, bound, flavor)) > 2
+    assert max(r.arity for r in report.residuals) > 2
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """Count the full coderivation lifts, wherever a module binds them."""
+    import linfty.multimap as multimap
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lift_symmetric_coderivation", "lift_zinbiel_coderivation"):
+        real = getattr(multimap, name)
+        for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    return calls
+
+
+@pytest.mark.parametrize("flavor", (SYMMETRIC, ZINBIEL))
+def test_morphism_checks_lift_nothing(flavor, lift_calls):
+    for _, source, target, comps in fixture_morphisms():
+        source, target = flavored(source, target, flavor)
+        check = check_lie_morphism if flavor == SYMMETRIC else check_loday_morphism
+        assert check(comps, source, target, 4).ok
+    components, source, target = random_morphism(4, flavor)
+    check(components, source, target, 4)
+    assert lift_calls == []
+
+
+@pytest.mark.parametrize("name", ("heisenberg", "adjoint_identity"))
+def test_descendent_morphism_lifts_only_the_explicit_target(name, lift_calls):
+    sf = parse_path(FIXTURES / f"{name}.lif")
+    assert check_descendent_morphism(sf.embedding_tensor(), sf.action_family(), 4).ok
+    assert lift_calls == ["lift_zinbiel_coderivation"]

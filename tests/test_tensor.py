@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import linfty.action as action_module
-import linfty.homotopy as homotopy_module
 import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
@@ -711,7 +710,7 @@ def test_cohomology_pieces_reuse_the_built_matrix(monkeypatch):
         calls.append(bound)
         return real(space, restrictions, bound)
 
-    for module in (multimap_module, tensor_module, homotopy_module):
+    for module in (multimap_module, tensor_module, action_module):
         monkeypatch.setattr(module, "lift_zinbiel_coderivation", counting)
     act, tensor = heisenberg_tensor()
     complex_ = deformation_complex(tensor, act, BOUND)
