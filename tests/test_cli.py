@@ -167,8 +167,8 @@ SYMMETRIC_MORPHISM = (
 
 @pytest.mark.parametrize("bound", (3, 4, 5))
 def test_lie_morphism_reads_a_binary_component_as_symmetric(bound, capsys, tmp_path):
-    # a(a, c) = y, so the component meets [a, b] = c on the word a, a, b in
-    # two unshuffles: both routes read the symmetric map there
+    # F(a, c) = y meets [a, b] = c on the word a, a, b in two unshuffles:
+    # both routes read the symmetric map there
     path = tmp_path / "binary.lif"
     path.write_text(SYMMETRIC_MORPHISM.format(key="a c -> y"))
     code, out = run_cli(["check-morphism", str(path), "--bound", str(bound)], capsys)

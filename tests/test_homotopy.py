@@ -188,7 +188,7 @@ def _morphism_checks():
 
 def test_morphism_disagreement_names_the_word_only_the_comorphism_route_sees(monkeypatch):
     # the identity of [a,b] = b is a morphism; with the comorphism's rows
-    # gone, the target bracket no longer cancels a(b) = b at a,b
+    # gone, no target bracket cancels F([a,b]) = b at a,b
     _skew_comorphism(monkeypatch, lambda rows: {})
     for label, check, E in _morphism_checks():
         identity = MultiMap(E.space, E.space, 1, 0, PLAIN, {(0,): {0: F(1)}, (1,): {1: F(1)}})
