@@ -17,7 +17,6 @@ no coderivation is lifted.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
 from .homotopy import HomotopyStructure, check_loday_infinity
@@ -28,6 +27,10 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
+    _bracket,
+    _letter_index,
+    _symmetric_composite,
+    exact,
     lift_zinbiel_coderivation,
     merge_into,
     symmetric_bracket,
@@ -59,7 +62,9 @@ class BiMultiMap:
 
     Constants are keyed by a pair (acting word, target word), both in
     canonical order; evaluation on arbitrary orderings sorts each block with
-    its own Koszul sign.  Letters never cross the block boundary.
+    its own Koszul sign.  Letters never cross the block boundary.  Constants
+    are stored in the normal form of :func:`linfty.multimap.exact`; a float
+    is refused.
     """
 
     __slots__ = ("e_space", "v_space", "e_arity", "v_arity", "degree", "constants", "_by_eword")
@@ -83,7 +88,7 @@ class BiMultiMap:
             deg_in = e_space.word_degree(ew) + v_space.word_degree(vw)
             clean: Vector = {}
             for out, c in vec.items():
-                c = Fraction(c)
+                c = exact(c, ((ew, vw), out))
                 if not c:
                     continue
                 if not 0 <= out < v_space.dim:
@@ -283,7 +288,7 @@ def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
     for sign, f, g in terms:
         for h in symmetric_bracket(vspace, f, g, bound).values():
             for w, vec in h.constants.items():
-                merge_into(rhs.setdefault(w, {}), vec, Fraction(sign))
+                merge_into(rhs.setdefault(w, {}), vec, sign)
     return rhs
 
 
@@ -305,7 +310,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
             rhs = _action_rhs(action, xw, bound)
             for vw in sorted(set(lhs) | set(rhs)):
                 diff = dict(lhs.get(vw, {}))
-                merge_into(diff, rhs.get(vw, {}), Fraction(-1))
+                merge_into(diff, rhs.get(vw, {}), -1)
                 if diff:
                     items.append(
                         Residual(
@@ -346,18 +351,27 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     mixed condition for all ``x, v, y, w`` with total length within the
     bound.  These are exactly the instances whose defects can appear in the
     anchored identity of the direct-sum brackets at the same bound.  Each
-    commutator is one :func:`symmetric_bracket` of the first family with
+    commutator is the :func:`symmetric_bracket` of the first family with
     ``phi_y``, on the probe words that fit under the bound; it is nonzero
-    only on the words it returns.
+    only on the words it returns.  The letter index of each first family
+    and of each ``phi_y`` is built once per check, and both composites of
+    every bracket read them.
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
+    phis: dict[Word, tuple] = {}
     for label, weight, first in _coherence_firsts(action, bound):
+        first_index = _letter_index(vspace, [f.constants for f in first.values()])
         for b in range(1, bound - weight):
             for yw in espace.canonical_words(b):
                 limit = bound - weight - b
-                bracket = symmetric_bracket(vspace, first, action.phi_of(yw, bound), limit)
-                for f in bracket.values():
+                if yw not in phis:
+                    phi = action.phi_of(yw, bound)
+                    phis[yw] = phi, _letter_index(vspace, [f.constants for f in phi.values()])
+                phi, phi_index = phis[yw]
+                fg = _symmetric_composite(vspace, first_index, phi, limit)
+                gf = _symmetric_composite(vspace, phi_index, first, limit)
+                for f in _bracket(SYMMETRIC, vspace, first, phi, fg, gf).values():
                     for ww, diff in f.constants.items():
                         items.append(
                             Residual(

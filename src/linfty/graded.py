@@ -1,7 +1,8 @@
 """Graded vector spaces, Koszul signs and unshuffle combinatorics.
 
-Scalars are exact rationals (:class:`fractions.Fraction`) everywhere in this
-package; signs are plain ints.  A *word* over a space is a tuple of basis
+Scalars are exact everywhere in this package: an ``int`` when integral and
+a :class:`fractions.Fraction` only when not (:func:`linfty.multimap.exact`),
+never a float; signs are plain ints.  A *word* over a space is a tuple of basis
 indices.  A permutation of ``n`` slots is a tuple ``sigma`` of the images
 ``0..n-1`` acting on words by slot pull-back::
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .graded import (
@@ -33,6 +34,7 @@ from .multimap import (
     SYMMETRIC,
     ZINBIEL,
     MultiMap,
+    Scalar,
     Vector,
     add_into,
     expand,
@@ -215,6 +217,45 @@ def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     ]
 
 
+def _cleared(structure: HomotopyStructure) -> tuple[HomotopyStructure, int]:
+    """The structure with its brackets times ``D``, the lcm of their
+    constants' denominators, so that every constant is an ``int``; and ``D``.
+
+    The structure identity is quadratic in the brackets, so the residual
+    map of the cleared brackets is exactly ``D**2`` times the structure's."""
+    brackets = structure.brackets.values()
+    den = lcm(*(c.denominator for f in brackets for v in f.constants.values() for c in v.values()))
+    if den == 1:
+        return structure, 1
+    scaled = {}
+    for f in brackets:
+        table = {
+            w: {o: c.numerator * (den // c.denominator) for o, c in v.items()}
+            for w, v in f.constants.items()
+        }
+        scaled[f.arity] = MultiMap(f.source, f.target, f.arity, f.degree, f.flavor, table)
+    return HomotopyStructure(structure.space, structure.flavor, scaled, structure.max_arity), den
+
+
+def _square_report(check, kind, space, direct, squared, den: int, bound: int) -> CheckReport:
+    """The report of a structure checker from the residual maps of its two
+    routes on the brackets cleared by ``den`` (:func:`_cleared`), each value
+    divided by ``den**2``; raises :class:`RouteDisagreement` unless the
+    maps are equal."""
+
+    def unscaled(residuals):
+        if den == 1:
+            return residuals
+        return {w: {o: Fraction(c, den * den) for o, c in v.items()} for w, v in residuals.items()}
+
+    if direct != squared:
+        raise RouteDisagreement(
+            f"{kind} identity sum and coderivation square differ: "
+            f"{_route_diff(space, space, unscaled(direct), unscaled(squared), _SQUARE_ROUTES)}"
+        )
+    return make_report(check, bound, _residual_items(space, space, unscaled(direct)))
+
+
 def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     """Verify the symmetric structure identity on all canonical words.
 
@@ -222,23 +263,22 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     insists they agree exactly.  The square (:func:`symmetric_composite` of
     the brackets with themselves, the symmetric twin of
     :func:`zinbiel_square`) forms only the lift entries whose word is a
-    bracket key, from pairs of keys; it builds no lift row.
+    bracket key, from pairs of keys; it builds no lift row.  Both routes
+    run on the integral brackets of :func:`_cleared` and compare integer
+    residual maps; only the report and a disagreement's message divide by
+    ``D**2``.
     """
     if structure.flavor != SYMMETRIC:
         raise InputError("check_lie_infinity expects a symmetric structure")
     space = structure.space
+    cleared, den = _cleared(structure)
     direct: dict[Word, Vector] = {}
     for w in space.canonical_words_up_to(bound):
-        val = _lie_identity_value(structure, w)
+        val = _lie_identity_value(cleared, w)
         if val:
             direct[w] = val
-    squared = symmetric_composite(space, structure.brackets, structure.brackets, bound)
-    if direct != squared:
-        raise RouteDisagreement(
-            "symmetric identity sum and coderivation square differ: "
-            f"{_route_diff(space, space, direct, squared, _SQUARE_ROUTES)}"
-        )
-    return make_report("lie-infinity", bound, _residual_items(space, space, direct))
+    squared = symmetric_composite(space, cleared.brackets, cleared.brackets, bound)
+    return _square_report("lie-infinity", "symmetric", space, direct, squared, den, bound)
 
 
 def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
@@ -254,22 +294,20 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     so the residual list is the one a visit of every word gives.  The
     square (:func:`zinbiel_square`) forms only the lift entries whose word
     is a bracket key, from pairs of keys, with the lift's own signs; it
-    builds no lift row.  The symmetric identity sums and the morphism sums
-    still visit every word.
+    builds no lift row.  Both routes run on the integral brackets of
+    :func:`_cleared` and compare integer residual maps; only the report
+    and a disagreement's message divide by ``D**2``.  The symmetric
+    identity sums and the morphism sums still visit every word.
     """
     space = structure.space
+    cleared, den = _cleared(structure)
     direct: dict[Word, Vector] = {}
-    for w in _anchored_support_words(space, structure.brackets, bound):
-        val = _loday_identity_value(structure, w)
+    for w in _anchored_support_words(space, cleared.brackets, bound):
+        val = _loday_identity_value(cleared, w)
         if val:
             direct[w] = val
-    squared = zinbiel_square(space, structure.brackets, bound)
-    if direct != squared:
-        raise RouteDisagreement(
-            "anchored identity sum and coderivation square differ: "
-            f"{_route_diff(space, space, direct, squared, _SQUARE_ROUTES)}"
-        )
-    return make_report("loday-infinity", bound, _residual_items(space, space, direct))
+    squared = zinbiel_square(space, cleared.brackets, bound)
+    return _square_report("loday-infinity", "anchored", space, direct, squared, den, bound)
 
 
 _SQUARE_ROUTES = ("identity sum", "coderivation square")
@@ -369,7 +407,7 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
         rhs = _morphism_rhs(space, components, target, w)
-        merge_into(diff, rhs, Fraction(-1))
+        merge_into(diff, rhs, -1)
         if diff:
             residuals[w] = diff
     defect = composite(space, components, source.brackets, bound)
@@ -402,7 +440,7 @@ def _morphism_rhs(space, components, target, w) -> Vector:
             continue
         for sign, parts in increasing_splits(space, w, comp):
             blocks = (components[len(part)].eval(part) for part in parts)
-            for u, c in expand(blocks, Fraction(sign)):
+            for u, c in expand(blocks, sign):
                 merge_into(rhs, mj.eval(u), c)
     return rhs
 
@@ -415,8 +453,8 @@ def _morphism_rhs(space, components, target, w) -> Vector:
 class McElement:
     """A degree-0 element with the partial sums of its curvature series."""
 
-    element: tuple[tuple[int, Fraction], ...]
-    partial_sums: tuple[tuple[tuple[int, Fraction], ...], ...]
+    element: tuple[tuple[int, Scalar], ...]
+    partial_sums: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     @property
     def residual(self) -> Vector:
@@ -439,7 +477,7 @@ def _check_degree_zero(structure, element: Vector) -> None:
 def _power_eval(bracket: MultiMap, element: Vector, prefix: Word, count: int) -> Vector:
     """Multilinear expansion of ``bracket(e, ..., e, prefix)`` with ``count`` e's."""
     acc: Vector = {}
-    for w, c in expand([element] * count, Fraction(1)):
+    for w, c in expand([element] * count, 1):
         merge_into(acc, bracket.eval(w + prefix), c)
     return acc
 
@@ -558,7 +596,7 @@ class EndSpace:
         """``-d f + (-1)^{map degree of f} f d`` on a homogeneous vector."""
         acc = {k: -v for k, v in self.compose(self._d_vec, f).items()}
         sign = -1 if map_degree % 2 else 1
-        merge_into(acc, self.compose(f, self._d_vec), Fraction(sign))
+        merge_into(acc, self.compose(f, self._d_vec), sign)
         return acc
 
     def bracket(self, f: Vector, fdeg: int, g: Vector, gdeg: int) -> Vector:
@@ -570,7 +608,7 @@ class EndSpace:
         outer = -1 if fdeg % 2 else 1
         inner = -1 if (fdeg % 2 and gdeg % 2) else 1
         acc = self.compose(f, g)
-        merge_into(acc, self.compose(g, f), Fraction(-inner))
+        merge_into(acc, self.compose(g, f), -inner)
         return {k: outer * v for k, v in acc.items()}
 
 
@@ -586,14 +624,14 @@ def end_dgla(base: GradedSpace, d: MultiMap) -> tuple[HomotopyStructure, EndSpac
     space = end.space
     l1_table: dict[Word, Vector] = {}
     for i in range(space.dim):
-        val = end.differential({i: Fraction(1)}, end.map_degree(i))
+        val = end.differential({i: 1}, end.map_degree(i))
         if val:
             l1_table[(i,)] = val
     l2_table: dict[Word, Vector] = {}
     for w in space.canonical_words(2):
         i, j = w
         val = end.bracket(
-            {i: Fraction(1)}, end.map_degree(i), {j: Fraction(1)}, end.map_degree(j)
+            {i: 1}, end.map_degree(i), {j: 1}, end.map_degree(j)
         )
         if val:
             l2_table[w] = val
@@ -632,7 +670,7 @@ def check_representation(
         if fn is not None:
             phi = fn.eval(w)
             mdeg = space.word_degree(w) + 1
-            merge_into(rhs, end.differential(phi, mdeg), Fraction(1))
+            merge_into(rhs, end.differential(phi, mdeg))
         for j in range(1, n):
             fj = components.get(j)
             fnj = components.get(n - j)
@@ -642,9 +680,9 @@ def check_representation(
                 left, right = fj.eval(a), fnj.eval(b)
                 if left and right:
                     ldeg, rdeg = space.word_degree(a) + 1, space.word_degree(b) + 1
-                    merge_into(rhs, end.bracket(left, ldeg, right, rdeg), Fraction(sign))
+                    merge_into(rhs, end.bracket(left, ldeg, right, rdeg), sign)
         diff = _symmetric_sum(space, source.brackets, components, w)
-        merge_into(diff, rhs, Fraction(-1))
+        merge_into(diff, rhs, -1)
         if diff:
             residuals[w] = diff
     return make_report("representation", bound, _residual_items(space, end.space, residuals))

@@ -7,11 +7,16 @@ the arity-shift (decalage) isomorphism.
 
 Formal linear data is kept sparse:
 
-* a *vector* is ``dict[int, Fraction]`` over basis indices,
-* a *word sum* is ``dict[Word, Fraction]``,
-* a *pair sum* (coproduct value) is ``dict[(Word, Word), Fraction]``.
+* a *vector* is ``dict[int, Scalar]`` over basis indices,
+* a *word sum* is ``dict[Word, Scalar]``,
+* a *pair sum* (coproduct value) is ``dict[(Word, Word), Scalar]``.
 
-Zero coefficients are never stored.
+Zero coefficients are never stored.  A ``Scalar`` is exact and kept in one
+normal form (:func:`exact`): an ``int`` when it is integral and a
+``Fraction`` only when it is not.  :class:`MultiMap` stores its constants
+in that form and refuses floats, and the kernels seed their sums with
+``int`` signs and ones, so a sum of integral products never forms a
+``Fraction``; only a division does.
 """
 from __future__ import annotations
 
@@ -31,10 +36,12 @@ from .graded import (
     permute,
     unshuffles,
 )
+from .report import InputError
 
-Vector = dict[int, Fraction]
-WordSum = dict[Word, Fraction]
-PairSum = dict[tuple[Word, Word], Fraction]
+Scalar = int | Fraction
+Vector = dict[int, Scalar]
+WordSum = dict[Word, Scalar]
+PairSum = dict[tuple[Word, Word], Scalar]
 
 SYMMETRIC = "symmetric"
 PLAIN = "plain"
@@ -53,6 +60,7 @@ __all__ = [
     "coshuffle_coproduct",
     "decalage",
     "decalage_inverse",
+    "exact",
     "expand",
     "lift_comorphism",
     "lift_symmetric_coderivation",
@@ -66,7 +74,19 @@ __all__ = [
 ]
 
 
-def add_into(acc: dict, key, coeff: Fraction) -> None:
+def exact(c, key) -> Scalar:
+    """``c`` in the scalar normal form: an ``int`` when it is integral, a
+    ``Fraction`` otherwise.  A float is refused with the ``key`` it was
+    given at, since it would enter as its binary expansion."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise InputError(f"constant at {key} is the float {c!r}, not an exact int or Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def add_into(acc: dict, key, coeff: Scalar) -> None:
     """Accumulate ``coeff`` at ``key``, dropping exact zeros."""
     old = acc.get(key)
     if old is None:
@@ -80,12 +100,12 @@ def add_into(acc: dict, key, coeff: Fraction) -> None:
         del acc[key]
 
 
-def merge_into(acc: dict, other: Mapping, c: Fraction = Fraction(1)) -> None:
+def merge_into(acc: dict, other: Mapping, c: Scalar = 1) -> None:
     for k, v in other.items():
         add_into(acc, k, c * v)
 
 
-def expand(vectors: Iterable[Vector], coeff: Fraction) -> list[tuple[Word, Fraction]]:
+def expand(vectors: Iterable[Vector], coeff: Scalar) -> list[tuple[Word, Scalar]]:
     """The multilinear expansion of ``coeff * v_1 (x) ... (x) v_k``.
 
     One ``(word, coefficient)`` pair per choice of a basis letter from each
@@ -106,7 +126,9 @@ class MultiMap:
     ``constants`` maps an input word of length ``arity`` to the output vector.
     Symmetric maps are stored only on canonically sorted words with no
     repeated odd-degree letter; evaluation on any other ordering picks up the
-    Koszul sign of the sort.  Plain maps are looked up literally.
+    Koszul sign of the sort.  Plain maps are looked up literally.  Each
+    constant is stored in the normal form of :func:`exact`; a float is
+    refused with :class:`InputError`.
     """
 
     __slots__ = ("source", "target", "arity", "degree", "flavor", "constants")
@@ -118,7 +140,7 @@ class MultiMap:
         arity: int,
         degree: int,
         flavor: str,
-        constants: Mapping[Word, Mapping[int, Fraction]],
+        constants: Mapping[Word, Mapping[int, Scalar]],
     ):
         if arity < 1:
             raise ValueError("arity must be positive")
@@ -140,7 +162,7 @@ class MultiMap:
             deg_in = source.word_degree(word)
             clean: Vector = {}
             for out, c in vec.items():
-                c = Fraction(c)
+                c = exact(c, (word, out))
                 if not c:
                     continue
                 if not 0 <= out < target.dim:
@@ -168,11 +190,11 @@ class MultiMap:
         arity: int,
         degree: int,
         flavor: str,
-        entries: Iterable[tuple[Word, int, Fraction]],
+        entries: Iterable[tuple[Word, int, Scalar]],
     ) -> "MultiMap":
         table: dict[Word, Vector] = {}
         for word, out, c in entries:
-            add_into(table.setdefault(tuple(word), {}), out, Fraction(c))
+            add_into(table.setdefault(tuple(word), {}), out, c)
         table = {w: v for w, v in table.items() if v}
         return cls(source, target, arity, degree, flavor, table)
 
@@ -205,7 +227,7 @@ class MultiMap:
     def is_zero(self) -> bool:
         return not self.constants
 
-    def entries(self) -> Iterator[tuple[Word, int, Fraction]]:
+    def entries(self) -> Iterator[tuple[Word, int, Scalar]]:
         for w in sorted(self.constants):
             for out in sorted(self.constants[w]):
                 yield w, out, self.constants[w][out]
@@ -262,7 +284,7 @@ def symmetrize(f: MultiMap) -> MultiMap:
         acc: Vector = {}
         for sigma in _all_permutations(k):
             eps = koszul_sign(sigma, degs)
-            merge_into(acc, f.eval(permute(sigma, w)), Fraction(eps, 1))
+            merge_into(acc, f.eval(permute(sigma, w)), eps)
         acc = {out: c / factorial for out, c in acc.items() if c}
         if acc:
             table[w] = acc
@@ -291,7 +313,7 @@ def coshuffle_coproduct(space: GradedSpace, word: Word) -> PairSum:
         for sigma in unshuffles(p, k - p):
             eps = koszul_sign(sigma, degs)
             pw = permute(sigma, word)
-            add_into(out, (pw[:p], pw[p:]), Fraction(eps))
+            add_into(out, (pw[:p], pw[p:]), eps)
     return out
 
 
@@ -312,7 +334,7 @@ def zinbiel_coproduct(space: GradedSpace, word: Word) -> PairSum:
         for sigma in _unshuffles((p, k - 1 - p)):
             eps = koszul_sign(sigma, degs)
             pw = permute(sigma, head)
-            add_into(out, (pw[:p], pw[p:] + (word[-1],)), Fraction(eps))
+            add_into(out, (pw[:p], pw[p:] + (word[-1],)), eps)
     return out
 
 
@@ -364,7 +386,7 @@ class TruncatedCoderivation:
             self.space, self.bound, self.degree + other.degree, self.coalgebra, rows
         )
 
-    def add(self, other: "TruncatedCoderivation", c: Fraction = Fraction(1)):
+    def add(self, other: "TruncatedCoderivation", c: Scalar = 1):
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("adding coderivations of different degrees")
@@ -541,7 +563,8 @@ def _front_placements(i: int, m: int) -> tuple:
     return tuple(out)
 
 
-def _placement_flips(inner: Word, i: int, odd, parity: int) -> list:
+@lru_cache(maxsize=None)
+def _placement_flips(inner: Word, i: int, odd: tuple, parity: int) -> tuple:
     """Each placement of ``i`` front letters among the letters ``inner`` as
     ``(front_slots, template, flips)``, for the Zinbiel lift of a family of
     parity ``parity``.
@@ -553,20 +576,20 @@ def _placement_flips(inner: Word, i: int, odd, parity: int) -> list:
     crosses; ``flips`` lists the positions where ``|Q| + |C_a|`` is odd, so
     the sign is ``-1`` exactly when an odd number of the front letters
     there are odd.  The lift and :func:`lifted_composite` both read their
-    signs from here.
+    signs from here, and the table is kept per ``(inner, i, odd, parity)``.
     """
     out = []
     for front_slots, inner_slots, crossings in _front_placements(i, len(inner)):
-        flips = [
+        flips = tuple(
             a
             for a, crossed in enumerate(crossings)
             if (parity + sum(odd[inner[c]] for c in crossed)) % 2
-        ]
+        )
         template = [0] * (i + len(inner))
         for t, x in zip(inner_slots, inner):
             template[t] = x
-        out.append((front_slots, template, flips))
-    return out
+        out.append((front_slots, tuple(template), flips))
+    return tuple(out)
 
 
 def _plain_support(restrictions: Mapping[int, MultiMap]) -> Iterator[tuple[Word, Vector]]:
@@ -610,7 +633,7 @@ def lift_zinbiel_coderivation(
         for i in range(bound - k + 1):
             for front_slots, template, flips in _placement_flips(u[:-1], i, odd, parity):
                 for front in short[i]:
-                    head = template[:]
+                    head = list(template)
                     for t, x in zip(front_slots, front):
                         head[t] = x
                     row = prefixes.setdefault(tuple(head) + anchor, {})
@@ -667,7 +690,7 @@ def _composite(
                     if len(tail) > room:
                         continue
                     for front_slots, template, flips in placements:
-                        head = template[:]
+                        head = list(template)
                         for t, x in zip(front_slots, front):
                             head[t] = x
                         c = -cb if sum(odd[front[a]] for a in flips) % 2 else cb
@@ -722,7 +745,7 @@ def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedC
     qp = q.compose(p)
     pq = p.compose(q)
     sign = -1 if (q.degree % 2 and p.degree % 2) else 1
-    return qp.add(pq, Fraction(-sign))
+    return qp.add(pq, -sign)
 
 
 def balavoine_bracket(
@@ -733,7 +756,8 @@ def balavoine_bracket(
 ) -> dict[int, MultiMap]:
     """Restrictions of the commutator of the Zinbiel lifts of two families:
     :func:`_bracket` of two :func:`lifted_composite` calls."""
-    return _bracket(lifted_composite, PLAIN, space, f, g, bound)
+    fg, gf = lifted_composite(space, f, g, bound), lifted_composite(space, g, f, bound)
+    return _bracket(PLAIN, space, f, g, fg, gf)
 
 
 def symmetric_bracket(
@@ -744,19 +768,19 @@ def symmetric_bracket(
 ) -> dict[int, MultiMap]:
     """Restrictions of the commutator of the symmetric lifts of two
     families: :func:`_bracket` of two :func:`symmetric_composite` calls."""
-    return _bracket(symmetric_composite, SYMMETRIC, space, f, g, bound)
+    fg, gf = symmetric_composite(space, f, g, bound), symmetric_composite(space, g, f, bound)
+    return _bracket(SYMMETRIC, space, f, g, fg, gf)
 
 
-def _bracket(composite, flavor: str, space, f, g, bound: int) -> dict[int, MultiMap]:
-    """In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F`` from two calls
-    of the coalgebra's ``composite``, as maps of ``flavor``, with no lift
-    and no commutator."""
+def _bracket(flavor: str, space, f, g, fg: dict, gf: dict) -> dict[int, MultiMap]:
+    """In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F`` from the two
+    composites ``fg = f G`` and ``gf = g F`` of the coalgebra, as maps of
+    ``flavor``, with no lift and no commutator; ``fg`` is summed into."""
     df, dg = _common_degree(f), _common_degree(g)
-    sign = Fraction(1 if df % 2 and dg % 2 else -1)
-    table = composite(space, f, g, bound)
-    for w, vec in composite(space, g, f, bound).items():
-        merge_into(table.setdefault(w, {}), vec, sign)
-    return maps_by_arity(space, space, df + dg, flavor, table)
+    sign = 1 if df % 2 and dg % 2 else -1
+    for w, vec in gf.items():
+        merge_into(fg.setdefault(w, {}), vec, sign)
+    return maps_by_arity(space, space, df + dg, flavor, fg)
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +894,10 @@ def _is_canonical(word: Word, odd) -> bool:
     return all(a < b or (a == b and not odd[a]) for a, b in zip(word, word[1:]))
 
 
-def _image_words(block_vectors, target, flavor) -> list[tuple[Word, Fraction]]:
+def _image_words(block_vectors, target, flavor) -> list[tuple[Word, Scalar]]:
     """The expansion of the block values, each word sorted with its Koszul
     sign in the symmetric flavor; words that vanish there are dropped."""
-    words = expand(block_vectors, Fraction(1))
+    words = expand(block_vectors, 1)
     if flavor == ZINBIEL:
         return words
     out = []

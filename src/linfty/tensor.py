@@ -31,6 +31,7 @@ from .multimap import (
     PLAIN,
     ZINBIEL,
     MultiMap,
+    Scalar,
     TruncatedComorphism,
     Vector,
     WordSum,
@@ -38,6 +39,7 @@ from .multimap import (
     _slot_index,
     add_into,
     balavoine_bracket,
+    exact,
     expand,
     lift_comorphism,
     lift_zinbiel_coderivation,
@@ -133,7 +135,7 @@ class EmbeddingTensor:
 
 def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
     ident = MultiMap(
-        space, space, 1, 0, PLAIN, {(i,): {i: Fraction(1)} for i in range(space.dim)}
+        space, space, 1, 0, PLAIN, {(i,): {i: 1} for i in range(space.dim)}
     )
     return EmbeddingTensor(space, space, {1: ident})
 
@@ -224,7 +226,7 @@ def _explicit_difference(
                 coeff = ce if sign == s else -ce
                 for b, cb in action.eval(norm, block[j:]).items():
                     merge_into(rhs, tensor.eval(front + (b,) + tail), coeff * cb)
-    merge_into(lhs, rhs, Fraction(-1))
+    merge_into(lhs, rhs, -1)
     return lhs
 
 
@@ -303,7 +305,8 @@ def _ad_series(
 
     A coderivation is fixed by its restriction, so each term is the
     :func:`balavoine_bracket` of the previous term's family with ``t``,
-    ``a T - (-1)^{|a||t|} t A``; no term is lifted.
+    ``a T - (-1)^{|a||t|} t A``; no term is lifted.  The summed values are
+    returned in the normal form of :func:`linfty.multimap.exact`.
     """
     acc: dict[Word, Vector] = {}
     if include_start:
@@ -312,7 +315,7 @@ def _ad_series(
                 for w, vec in f.constants.items():
                     merge_into(acc.setdefault(w, {}), vec)
     term = start
-    factorial = Fraction(1)
+    factorial = 1
     step = 0
     while term:
         step += 1
@@ -320,10 +323,10 @@ def _ad_series(
         term = balavoine_bracket(space, term, t, bound)
         for f in term.values():
             for w, vec in f.constants.items():
-                merge_into(acc.setdefault(w, {}), vec, Fraction(1) / factorial)
+                merge_into(acc.setdefault(w, {}), vec, Fraction(1, factorial))
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
-    return {w: vec for w, vec in acc.items() if vec}
+    return {w: {o: exact(c, (w, o)) for o, c in vec.items()} for w, vec in acc.items() if vec}
 
 
 def _project_h(table: Mapping[Word, Vector], hemi: HemiProduct) -> dict[Word, Vector]:
@@ -420,7 +423,7 @@ def _prefix_fed_value(action: ActionFamily, com: TruncatedComorphism, w: Word) -
         for ue, ce in com.apply_word(w[:k]).items():
             norm, s = action.E.space.normalize(ue)
             if s:
-                merge_into(acc, action.eval(norm, w[k:]), Fraction(s) * ce)
+                merge_into(acc, action.eval(norm, w[k:]), s * ce)
     return acc
 
 
@@ -455,9 +458,9 @@ def adjoint_strict_check(E: HomotopyStructure, t1: MultiMap) -> CheckReport:
         for w in space.words(n):
             diff: Vector = {}
             images = [t1.eval((x,)) for x in w]
-            for u, c in expand(images, Fraction(1)):
+            for u, c in expand(images, 1):
                 merge_into(diff, ln.eval(u), c)
-            for u, c in expand(images[:-1], Fraction(1)):
+            for u, c in expand(images[:-1], 1):
                 for b, cb in ln.eval(u + (w[-1],)).items():
                     merge_into(diff, t1.eval((b,)), -c * cb)
             if diff:
@@ -546,7 +549,7 @@ class HomElement:
     """A homogeneous family of target-word-to-acting maps up to a bound."""
 
     degree: int
-    rows: tuple[tuple[Word, tuple[tuple[int, Fraction], ...]], ...]
+    rows: tuple[tuple[Word, tuple[tuple[int, Scalar], ...]], ...]
 
     @classmethod
     def from_rows(cls, degree: int, rows: Mapping[Word, Vector]) -> "HomElement":
@@ -618,7 +621,7 @@ class DeformationComplex:
 
     def basis_element(self, w: Word, b: int) -> HomElement:
         return HomElement.from_rows(
-            self.element_degree(w, b), {w: {b: Fraction(1)}}
+            self.element_degree(w, b), {w: {b: 1}}
         )
 
     def _family(self, element: HomElement) -> dict[int, MultiMap]:
@@ -675,7 +678,7 @@ class DeformationComplex:
 
     # -- the unary differential as a matrix ------------------------------------
 
-    def d1_columns(self) -> list[dict[int, Fraction]]:
+    def d1_columns(self) -> list[Vector]:
         """Columns of ``d1(a) = p[T, a]`` on the basis, as ``{row: value}``.
 
         ``T`` is the twisted codifferential, of degree 1, so
@@ -697,7 +700,7 @@ class DeformationComplex:
         """
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 
-    def _d1_matrix(self) -> list[dict[int, Fraction]]:
+    def _d1_matrix(self) -> list[Vector]:
         hemi, index = self.hemi, self.basis_index
         vspace, espace = self.action.V.space, self.action.E.space
         r1: dict[Word, Vector] = {}
@@ -709,9 +712,9 @@ class DeformationComplex:
             elif acting == 0:
                 pure[hemi.to_v_word(x)] = hemi.v_part(vec)
         slots = _slot_index((x, vec) for x, vec in r1.items() if vec)
-        cols: list[dict[int, Fraction]] = []
+        cols: list[Vector] = []
         for w, b in self.basis:
-            entry = [(hemi.from_v_word(w), {b: Fraction(1)})]
+            entry = [(hemi.from_v_word(w), {b: 1})]
             parity = self.element_degree(w, b) % 2
             composite = _composite(hemi.space, slots, entry, parity, self.bound)
             cols.append(
@@ -732,11 +735,11 @@ class DeformationComplex:
                     add_into(cols[index[y, b]], index[u, b], c if odd != y_odd else -c)
         return cols
 
-    def d1_square_defect(self) -> list[tuple[int, int, Fraction]]:
+    def d1_square_defect(self) -> list[tuple[int, int, Scalar]]:
         cols = self.d1_columns()
         defects = []
         for j, col in enumerate(cols):
-            acc: dict[int, Fraction] = {}
+            acc: Vector = {}
             for i, c in col.items():
                 for i2, c2 in cols[i].items():
                     add_into(acc, i2, c * c2)

@@ -6,7 +6,8 @@ A test oracle for :func:`linfty.graded.symmetric_splits`,
 block with ``itertools.combinations`` and counts the odd-odd crossings
 itself, so it shares no unshuffle table, Koszul sign or permutation code
 with the package.  :func:`dense_anchored_value` sums the anchored identity
-of a structure on one word from these terms and ``MultiMap.eval``.
+of a structure on one word from these terms and ``MultiMap.eval``, and
+:func:`dense_symmetric_value` the symmetric one.
 """
 from __future__ import annotations
 
@@ -61,6 +62,18 @@ def dense_anchored_splits(space, word, arities):
                     tuple(word[s] for s in inner) + (word[i + k - 1],),
                     tuple(word[i + k :]),
                 )
+
+
+def dense_symmetric_value(structure, word):
+    """``sum sign * l_{n-i+1}(l_i(block), rest)`` over the oracle's symmetric
+    splits of ``word``, each bracket read through ``MultiMap.eval``."""
+    brackets, n, acc = structure.brackets, len(word), {}
+    for sign, block, rest in dense_symmetric_splits(structure.space, word, range(1, n + 1)):
+        inner, outer = brackets.get(len(block)), brackets.get(n - len(block) + 1)
+        if inner is not None and outer is not None:
+            for b, c in inner.eval(block).items():
+                merge_into(acc, outer.eval((b,) + rest), sign * c)
+    return acc
 
 
 def dense_anchored_value(structure, word):

@@ -25,6 +25,7 @@ from dense_splits import (
     dense_anchored_value,
     dense_increasing_splits,
     dense_symmetric_splits,
+    dense_symmetric_value,
 )
 from dense_lifts import dense_symmetric_lift
 from laws import random_vector, restriction_vector
@@ -131,17 +132,6 @@ def test_increasing_unshuffles_are_the_oracle_splits_in_mask_order(n):
         assert set(sigmas) <= set(unshuffles(*blocks))
 
 
-def oracle_symmetric_value(structure, word):
-    brackets, n, acc = structure.brackets, len(word), {}
-    splits = dense_symmetric_splits(structure.space, word, range(1, n + 1))
-    for sign, block, rest in splits:
-        inner, outer = brackets.get(len(block)), brackets.get(n - len(block) + 1)
-        if inner is not None and outer is not None:
-            for b, c in inner.eval(block).items():
-                merge_into(acc, outer.eval((b,) + rest), sign * c)
-    return acc
-
-
 def oracle_action_lhs(action, xw, bound):
     """Reads each component through ``BiMultiMap.eval`` on every target word."""
     E, vspace, n, lhs = action.E, action.V.space, len(xw), {}
@@ -215,7 +205,7 @@ def test_identity_sums_equal_the_oracle_sums(index):
     space = structure.space
     if structure.flavor == SYMMETRIC:
         for w in space.canonical_words_up_to(BOUND):
-            assert _lie_identity_value(structure, w) == oracle_symmetric_value(structure, w), w
+            assert _lie_identity_value(structure, w) == dense_symmetric_value(structure, w), w
     for w in space.words_up_to(BOUND):
         assert _loday_identity_value(structure, w) == dense_anchored_value(structure, w), w
 
