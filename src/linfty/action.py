@@ -11,8 +11,8 @@ coderivations commute with every adjoint coderivation and every mixed one,
 and the main crosscheck confirms, instance by instance, that coherence is
 exactly what makes the three-part brackets on the direct sum pass the
 anchored (Loday) identity.  A coderivation is fixed by its restriction, so
-every commutator here is a :func:`symmetric_bracket` of two families and
-no coderivation is lifted.
+every commutator here is a bracket of two families
+(:func:`linfty.multimap.symmetric_bracket`) and no coderivation is lifted.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .multimap import (
     exact,
     lift_zinbiel_coderivation,
     merge_into,
-    symmetric_bracket,
 )
 from .report import (
     CheckReport,
@@ -272,21 +271,33 @@ def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
     return lhs
 
 
-def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
+def _action_rhs(action: ActionFamily, xw: Word, bound: int, indexes: dict) -> dict[Word, Vector]:
     """The coderivation side of the action axiom on the canonical acting word
     ``xw``: ``-[m, phi_x] + sum eps (-1)^{|phi_a|} [phi_a, phi_b]`` over the
-    increasing splits ``xw = xa xb``, by target word, one
-    :func:`symmetric_bracket` of two restriction families per term."""
+    increasing splits ``xw = xa xb``, by target word, one bracket of two
+    restriction families per term; a term with an empty family is zero.
+
+    ``indexes`` keeps the letter index of each family across calls, under
+    its acting word (``None`` for the target's brackets), so a check indexes
+    each family once."""
     espace, vspace = action.E.space, action.V.space
     n = len(xw)
-    terms = [(-1, action.V.brackets, action.phi_of(xw, bound))]
+    terms = [(-1, None, xw)]
     for j in range(1, n):
         for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
             sign = -eps if espace.word_degree(xa) % 2 == 0 else eps
-            terms.append((sign, action.phi_of(xa, bound), action.phi_of(xb, bound)))
+            terms.append((sign, xa, xb))
     rhs: dict[Word, Vector] = {}
-    for sign, f, g in terms:
-        for h in symmetric_bracket(vspace, f, g, bound).values():
+    for sign, a, b in terms:
+        f, g = (action.V.brackets if x is None else action.phi_of(x, bound) for x in (a, b))
+        if not f or not g:
+            continue
+        for x, family in ((a, f), (b, g)):
+            if x not in indexes:
+                indexes[x] = _letter_index(vspace, [m.constants for m in family.values()])
+        fg = _symmetric_composite(vspace, indexes[a], g, bound)
+        gf = _symmetric_composite(vspace, indexes[b], f, bound)
+        for h in _bracket(SYMMETRIC, vspace, f, g, fg, gf).values():
             for w, vec in h.constants.items():
                 merge_into(rhs.setdefault(w, {}), vec, sign)
     return rhs
@@ -300,14 +311,16 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     target words up to the bound: the bracket side
     (:func:`_action_lhs`, from the unshuffle-insertion splits) against the
     coderivation side (:func:`_action_rhs`, from brackets of restriction
-    families), which is nonzero only on the words it returns.
+    families), which is nonzero only on the words it returns.  The letter
+    index of each family is built once per check.
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
+    indexes: dict = {}
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
             lhs = _action_lhs(action, xw, bound)
-            rhs = _action_rhs(action, xw, bound)
+            rhs = _action_rhs(action, xw, bound, indexes)
             for vw in sorted(set(lhs) | set(rhs)):
                 diff = dict(lhs.get(vw, {}))
                 merge_into(diff, rhs.get(vw, {}), -1)
@@ -351,9 +364,9 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     mixed condition for all ``x, v, y, w`` with total length within the
     bound.  These are exactly the instances whose defects can appear in the
     anchored identity of the direct-sum brackets at the same bound.  Each
-    commutator is the :func:`symmetric_bracket` of the first family with
-    ``phi_y``, on the probe words that fit under the bound; it is nonzero
-    only on the words it returns.  The letter index of each first family
+    commutator is the bracket of the first family with ``phi_y``, on the
+    probe words that fit under the bound; it is nonzero only on the words
+    it returns.  The letter index of each first family
     and of each ``phi_y`` is built once per check, and both composites of
     every bracket read them.
     """

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import sys
 import time
+from functools import lru_cache
 
 from . import action as action_mod
 from . import homotopy as homotopy_mod
@@ -266,7 +267,11 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace on each call and reads the output streams and the
+    terminal width when it writes, so in-process :func:`main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="linfty",
         description="exact checks and constructions for homotopy bracket structures",

@@ -403,10 +403,11 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
         components = {k: _symmetric_component(f) for k, f in components.items()}
         kind, words, lhs_sum = "lie", space.canonical_words_up_to(bound), _symmetric_sum
         coalgebra, composite = SYMMETRIC, symmetric_composite
+    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
     residuals: dict[Word, Vector] = {}
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
-        rhs = _morphism_rhs(space, components, target, w)
+        rhs = _morphism_rhs(space, components, surviving[len(w)], w)
         merge_into(diff, rhs, -1)
         if diff:
             residuals[w] = diff
@@ -429,15 +430,26 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
     return make_report(f"{kind}-morphism", bound, _residual_items(space, tspace, residuals))
 
 
-def _morphism_rhs(space, components, target, w) -> Vector:
+def _surviving_compositions(components, target, n: int) -> list[tuple[tuple[int, ...], MultiMap]]:
+    """The compositions ``(k_1, ..., k_j)`` of ``n`` with a component of
+    every arity ``k_i`` and a target bracket ``m_j``, each with ``m_j``."""
+    out = []
+    for comp in compositions(n):
+        if all(k in components for k in comp):
+            mj = target.bracket(len(comp))
+            if mj is not None:
+                out.append((comp, mj))
+    return out
+
+
+def _morphism_rhs(space, components, surviving, w) -> Vector:
     """``sum sign * m_j(F_{k_1}(block_1), ..., F_{k_j}(block_j))`` over the
     compositions ``(k_1, ..., k_j)`` of ``len(w)`` and the increasing splits
-    of ``w`` into blocks of those sizes."""
+    of ``w`` into blocks of those sizes; ``surviving`` is
+    :func:`_surviving_compositions` of ``len(w)``, the only compositions
+    with a nonzero term."""
     rhs: Vector = {}
-    for comp in compositions(len(w)):
-        mj = target.bracket(len(comp))
-        if mj is None or any(k not in components for k in comp):
-            continue
+    for comp, mj in surviving:
         for sign, parts in increasing_splits(space, w, comp):
             blocks = (components[len(part)].eval(part) for part in parts)
             for u, c in expand(blocks, sign):

@@ -726,11 +726,12 @@ class DeformationComplex:
             )
         family = maps_by_arity(vspace, vspace, 1, PLAIN, pure)
         theta = lift_zinbiel_coderivation(vspace, family, self.bound)
-        # the column (y -> b) has odd degree when |b| and |y| differ in parity
+        # the column (y -> b) has odd degree when |b| and |y| differ in parity;
+        # every word y in the row of u has the degree |u| + |theta|
         e_odd = [d % 2 for d in espace.degrees]
         for u, row in theta.rows.items():
+            y_odd = (vspace.word_degree(u) + theta.degree) % 2
             for y, c in row.items():
-                y_odd = vspace.word_degree(y) % 2
                 for b, odd in enumerate(e_odd):
                     add_into(cols[index[y, b]], index[u, b], c if odd != y_odd else -c)
         return cols

@@ -1,9 +1,10 @@
+import argparse
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from linfty.cli import main
+from linfty.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -248,3 +249,74 @@ def test_noncoherent_fixture_fails_deterministically(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 1
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+HEISENBERG = "tests/fixtures/heisenberg.lif"
+# each call beside the one before it differs in the option it drops or adds
+PARSER_SEQUENCE = [
+    (["check-coherence", HEISENBERG, "--format", "machine"], "coherence_pass.machine.txt"),
+    (["check-coherence", HEISENBERG], "coherence_pass.txt"),
+    (["check-lie", HEISENBERG, "--bound", "3"], None),
+    (["check-lie", HEISENBERG], None),
+    (["check-lie", "tests/fixtures/abelian.lif", "--space", "E"], None),
+    (["cohomology", HEISENBERG, "--bound", "2", "--degree", "0", "--weight", "2"], None),
+    (["cohomology", HEISENBERG], None),
+    (["frobnicate", HEISENBERG], None),
+    (["check-lie", HEISENBERG], None),
+]
+
+
+def run_captured(args, capsys):
+    """Exit code, stdout and (for a usage error) stderr of one call."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return code, capsys.readouterr().out, None
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_a_shared_parser_carries_no_option_over(fresh_parser, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    first_calls = []
+    for args, _ in PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        first_calls.append(run_captured(args, capsys))
+    build_parser.cache_clear()
+    for (args, golden), first in zip(PARSER_SEQUENCE, first_calls):
+        got = run_captured(args, capsys)
+        assert got == first, args
+        if golden is not None:
+            assert got[:2] == (0, (GOLDEN / golden).read_text()), args
+    codes = [code for code, _, _ in first_calls]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert "bound: 3" in first_calls[2][1] and "bound: 3" not in first_calls[3][1]
+    assert "space: E" in first_calls[4][1]
+    assert "error: cohomology needs --degree and --weight" in first_calls[6][1]
+    code, out, err = first_calls[7]
+    assert out == "" and err.startswith("usage: linfty") and "invalid choice" in err
+
+
+def test_build_parser_builds_one_parser_per_process(fresh_parser, capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for args in (["check-lie", str(FIXTURES / "heisenberg.lif")], ["frobnicate", "x"]) * 2:
+        run_captured(args, capsys)
+    assert build_parser() is build_parser()
+    assert len(built) == 1

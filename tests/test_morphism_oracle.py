@@ -220,3 +220,21 @@ def test_descendent_morphism_lifts_only_the_explicit_target(name, lift_calls):
     sf = parse_path(FIXTURES / f"{name}.lif")
     assert check_descendent_morphism(sf.embedding_tensor(), sf.action_family(), 4).ok
     assert lift_calls == ["lift_zinbiel_coderivation"]
+
+
+def test_descendent_morphism_looks_up_each_composition_once(monkeypatch):
+    # the identity sums read the target bracket of each of the 31 compositions
+    # of the lengths 1 to 5 once, not once per word (4,712 lookups when they
+    # walked every composition of every word); the intertwining defect and
+    # the explicit check make the other 21
+    real = HomotopyStructure.bracket
+    lookups = []
+
+    def counted(self, k):
+        lookups.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(HomotopyStructure, "bracket", counted)
+    sf = parse_path(FIXTURES / "heisenberg.lif")
+    assert check_descendent_morphism(sf.embedding_tensor(), sf.action_family(), 5).ok
+    assert len(lookups) <= 2**5 - 1 + 21

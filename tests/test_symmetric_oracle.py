@@ -21,7 +21,7 @@ from dense_lifts import _square_restrictions, dense_symmetric_lift
 from dense_splits import dense_increasing_splits
 from laws import restrictions
 from linfty import corpus, parse_path
-from linfty.action import _action_rhs, theorem_crosscheck
+from linfty.action import _action_rhs, check_action, theorem_crosscheck
 from linfty.cli import main
 from linfty.graded import GradedSpace
 from linfty.homotopy import check_lie_infinity
@@ -112,7 +112,7 @@ def test_action_coderivation_side_equals_the_dense_commutators(index):
     # the 19 catalog actions, then one basis change of each
     action = corpus.action_corpus(38, 0)[index].action
     for xw in action.E.space.canonical_words_up_to(4):
-        got = {w: vec for w, vec in _action_rhs(action, xw, 4).items() if vec}
+        got = {w: vec for w, vec in _action_rhs(action, xw, 4, {}).items() if vec}
         assert got == dense_action_rhs(action, xw, 4), xw
 
 
@@ -166,6 +166,30 @@ def test_lie_check_lifts_and_composes_nothing(full_lift_calls):
 def test_deform_lifts_and_composes_nothing(fixture, full_lift_calls, capsys):
     assert main(["deform", str(FIXTURES / f"{fixture}.lif"), "--bound", "4"]) == 0
     assert full_lift_calls == []
+
+
+def test_action_check_indexes_each_family_once(monkeypatch):
+    import linfty.multimap as multimap
+
+    real = multimap._letter_index
+    indexed = []
+
+    def counted(space, tables):
+        tables = list(tables)
+        indexed.append(tuple(map(id, tables)))
+        return real(space, tables)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
+        if getattr(module, "_letter_index", None) is real:
+            monkeypatch.setattr(module, "_letter_index", counted)
+    total = 0
+    for inst in corpus.action_corpus(38, 0):
+        indexed.clear()
+        check_action(inst.action, 4)
+        # the families are memoized on the action, so a table's id names it
+        assert len(indexed) == len(set(indexed))
+        total += len(indexed)
+    assert total
 
 
 def test_action_module_binds_no_full_lift_calculus():
