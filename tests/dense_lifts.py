@@ -19,7 +19,10 @@ too; their references are the projected chains ``P([..[S, a_1].., a_k])``
 and series of the word-by-word lifts, composed by ``commutator``.  The
 comorphism that visits every source word, reading its blocks from
 ``dense_splits.dense_increasing_splits``, is the oracle of
-``lift_comorphism``, which places the components' keys.
+``lift_comorphism``, which places the components' keys.  The descendent
+structure that visits every target word and feeds the dense comorphism
+image of each proper prefix into the action, ``dense_descendent``, is the
+oracle of ``tensor.descendent``, which visits only its candidate words.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from typing import Mapping
 
 from dense_splits import dense_increasing_splits
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
+from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
@@ -256,6 +260,28 @@ def dense_comorphism(
         if acc:
             rows[w] = acc
     return TruncatedComorphism(source, target, bound, flavor, dict(components), rows)
+
+
+def dense_descendent(tensor, action, bound: int):
+    """On every target word of length 2 to ``bound``, the target bracket
+    plus the action of the dense comorphism image of each proper prefix on
+    the rest of the word; the unary bracket is the target's own."""
+    V, vspace = action.V, action.V.space
+    # a proper prefix is at most bound - 1 letters long
+    com = dense_comorphism(vspace, action.E.space, tensor.components, bound - 1, ZINBIEL).rows
+    brackets = {1: V.bracket(1)} if V.bracket(1) is not None else {}
+    for n in range(2, bound + 1):
+        table = {}
+        for w in vspace.words(n):
+            acc = V.eval_bracket(n, w)
+            for k in range(1, n):
+                for ue, ce in com.get(w[:k], {}).items():
+                    merge_into(acc, action.eval(ue, w[k:]), ce)
+            if acc:
+                table[w] = acc
+        if table:
+            brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
+    return HomotopyStructure(vspace, PLAIN, brackets, max(bound, V.max_arity))
 
 
 def _compositions(n: int):

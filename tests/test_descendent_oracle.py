@@ -1,0 +1,61 @@
+"""``descendent`` against the descendent structure that visits every word.
+
+``descendent`` evaluates the prefix-fed brackets only on its candidate
+target words, so a word it wrongly skips goes unseen.  The route here,
+``dense_lifts.dense_descendent``, visits every target word up to the bound
+and reads the prefixes' images from ``dense_lifts.dense_comorphism``: no
+comorphism placement and no candidate set.  The two structures must be
+equal bracket by bracket, on both tensor fixtures and on the seeded tensor
+corpora, verified tensors and failing ones alike.
+"""
+from pathlib import Path
+
+import pytest
+
+from dense_lifts import dense_descendent
+from linfty import corpus, parse_path
+from linfty.tensor import check_embedding_explicit, descendent
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+FIXTURE_TENSORS = [
+    (name, sf.embedding_tensor(), sf.action_family())
+    for name, sf in (
+        (name, parse_path(FIXTURES / f"{name}.lif")) for name in ("heisenberg", "adjoint_identity")
+    )
+]
+CORPUS_TENSORS = [
+    (f"seed{seed}:{inst.label}", inst.tensor, inst.action)
+    for seed in (31, 7)
+    for inst in corpus.tensor_corpus(40, seed)
+]
+
+
+def assert_matches_the_dense_descendent(tensor, action, bound):
+    got = descendent(tensor, action, bound)
+    expected = dense_descendent(tensor, action, bound)
+    assert got.max_arity == expected.max_arity
+    assert {k: f.constants for k, f in got.brackets.items()} == {
+        k: f.constants for k, f in expected.brackets.items()
+    }
+    return got
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5, 6))
+@pytest.mark.parametrize("index", range(2), ids=lambda i: FIXTURE_TENSORS[i][0])
+def test_fixture_descendents_equal_the_dense_one(index, bound):
+    _, tensor, action = FIXTURE_TENSORS[index]
+    got = assert_matches_the_dense_descendent(tensor, action, bound)
+    assert max(got.brackets) > 1
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_corpus_descendents_equal_the_dense_one(bound):
+    beyond = verdicts = 0
+    for _, tensor, action in CORPUS_TENSORS:
+        got = assert_matches_the_dense_descendent(tensor, action, bound)
+        own = {k: f.constants for k, f in action.V.brackets.items()}
+        beyond += any(f.constants != own.get(k) for k, f in got.brackets.items())
+        verdicts |= 1 << check_embedding_explicit(tensor, action, bound).ok
+    # brackets beyond the target's own, from verified and failing tensors
+    assert beyond and verdicts == 3
