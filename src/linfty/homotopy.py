@@ -172,32 +172,37 @@ def _anchored_sum(space, inner, outer, word: Word) -> Vector:
     return acc
 
 
-def _anchored_support_words(space, maps, bound: int) -> list[Word]:
-    """The words up to ``bound`` on which some anchored split of the family
-    ``maps`` (by arity) can be nonzero, shortest first, then lexicographic.
+def _anchored_support_words(space, inner, outer, bound: int) -> set[Word]:
+    """The words up to ``bound`` on which some anchored split term
+    ``outer(front, inner(block), tail)`` of the families ``inner`` and
+    ``outer`` (by arity) can be nonzero.
 
-    A split term ``outer(front, inner(block), tail)`` is nonzero only when
-    ``block`` is a key of the inner map's plain support and
-    ``front + (b,) + tail`` one of the outer map's for an output letter
-    ``b`` of that key.  So the words are the anchored merges of
-    ``(x[:j], u, x[j+1:])`` over each outer key ``x``, each slot ``j`` and
-    each inner key ``u`` whose value has the letter ``x[j]``.
+    Such a term is nonzero only when ``block`` is a key of the inner map's
+    plain support and ``front + (b,) + tail`` one of the outer map's for an
+    output letter ``b`` of that key.  So the words are the anchored merges
+    of ``(x[:j], u, x[j+1:])`` over each outer key ``x``, each slot ``j``
+    and each inner key ``u`` whose value has the letter ``x[j]``.
     """
-    support = [f.expand_plain().constants for f in maps.values()]
     by_letter: dict[int, list[Word]] = {}
-    for table in support:
-        for u, vec in table.items():
+    for f in inner.values():
+        for u, vec in f.expand_plain().constants.items():
             for b in vec:
                 by_letter.setdefault(b, []).append(u)
     words: set[Word] = set()
-    for table in support:
-        for x in table:
+    for f in outer.values():
+        for x in f.expand_plain().constants:
             for j, b in enumerate(x):
                 front, tail = x[:j], x[j + 1 :]
                 for u in by_letter.get(b, ()):
                     if len(x) + len(u) - 1 <= bound:
                         words.update(w for _, w in anchored_merges(space, front, u, tail))
-    return sorted(words, key=lambda w: (len(w), w))
+    return words
+
+
+def _shortlex(word: Word) -> tuple[int, Word]:
+    """The order of :meth:`GradedSpace.words_up_to`: shortest first, then
+    lexicographic."""
+    return len(word), word
 
 
 def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
@@ -302,7 +307,8 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     space = structure.space
     cleared, den = _cleared(structure)
     direct: dict[Word, Vector] = {}
-    for w in _anchored_support_words(space, cleared.brackets, bound):
+    brackets = cleared.brackets
+    for w in sorted(_anchored_support_words(space, brackets, brackets, bound), key=_shortlex):
         val = _loday_identity_value(cleared, w)
         if val:
             direct[w] = val
@@ -384,25 +390,55 @@ def _symmetric_component(f: MultiMap) -> MultiMap:
 
 
 def _check_morphism(components, source, target, bound, anchored: bool) -> CheckReport:
-    """The morphism identity on every source word (the anchored sum over all
-    tensor words, or the symmetric sum over canonical words), crosschecked
-    word by word against ``p'(F Q) - q' F``, the corestriction of the
-    intertwining defect of the comorphism ``F``.
+    """The report of :func:`_morphism_residuals`."""
+    residuals = _morphism_residuals(components, source, target, bound, anchored)
+    kind = "loday" if anchored else "lie"
+    return make_report(f"{kind}-morphism", bound, _residual_items(source.space, target.space, residuals))
+
+
+def _morphism_residuals(components, source, target, bound, anchored: bool, com=None):
+    """The residual map of the morphism identity, components after source
+    brackets less target brackets on the comorphism image, crosschecked word
+    by word against ``p'(F Q) - q' F``, the corestriction of the
+    intertwining defect of the comorphism ``F``; ``com`` is ``F`` when the
+    caller already holds it.
 
     ``p'(F Q)`` is the components after the lift of the source brackets,
     :func:`lifted_composite` or :func:`symmetric_composite` of the two
     families; ``q' F`` reads the target brackets on the rows of
-    :func:`lift_comorphism`.  Neither codifferential is lifted.
+    :func:`lift_comorphism`.  Neither codifferential is lifted.  The
+    symmetric identity sum visits every canonical word.  The anchored one
+    visits only the words where a term can be nonzero: the anchored merges
+    of component keys with source bracket keys
+    (:func:`_anchored_support_words`), and the comorphism rows whose image
+    meets a target bracket key, which the pass of ``q' F`` collects.  They
+    are visited in the order of :meth:`GradedSpace.words_up_to`.
     """
     _check_components(components, source, target)
     space, tspace = source.space, target.space
     if anchored:
-        kind, words, lhs_sum = "loday", space.words_up_to(bound), _anchored_sum
-        coalgebra, composite = ZINBIEL, lifted_composite
+        coalgebra, composite, lhs_sum = ZINBIEL, lifted_composite, _anchored_sum
     else:
         components = {k: _symmetric_component(f) for k, f in components.items()}
-        kind, words, lhs_sum = "lie", space.canonical_words_up_to(bound), _symmetric_sum
-        coalgebra, composite = SYMMETRIC, symmetric_composite
+        coalgebra, composite, lhs_sum = SYMMETRIC, symmetric_composite, _symmetric_sum
+    if com is None:
+        com = lift_comorphism(space, tspace, components, bound, coalgebra)
+    defect = composite(space, components, source.brackets, bound)
+    read: set[Word] = set()
+    for w, row in com.rows.items():
+        acc = defect.setdefault(w, {})
+        for u, c in row.items():
+            f = target.bracket(len(u))
+            value, sign = f.lookup(u) if f is not None else (None, 0)
+            if value:
+                read.add(w)
+                merge_into(acc, value, -c if sign > 0 else c)
+    defect = {w: v for w, v in defect.items() if v}
+    if anchored:
+        read |= _anchored_support_words(space, source.brackets, components, bound)
+        words = sorted(read, key=_shortlex)
+    else:
+        words = space.canonical_words_up_to(bound)
     surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
     residuals: dict[Word, Vector] = {}
     for w in words:
@@ -411,15 +447,6 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
         merge_into(diff, rhs, -1)
         if diff:
             residuals[w] = diff
-    defect = composite(space, components, source.brackets, bound)
-    for w, row in lift_comorphism(space, tspace, components, bound, coalgebra).rows.items():
-        acc = defect.setdefault(w, {})
-        for u, c in row.items():
-            f = target.bracket(len(u))
-            value, sign = f.lookup(u) if f is not None else (None, 0)
-            if value:
-                merge_into(acc, value, -c if sign > 0 else c)
-    defect = {w: v for w, v in defect.items() if v}
     if residuals != defect:
         routes = ("identity sum", "intertwining defect")
         raise RouteDisagreement(
@@ -427,7 +454,7 @@ def _check_morphism(components, source, target, bound, anchored: bool) -> CheckR
             "comorphism intertwining disagree: "
             f"{_route_diff(space, tspace, residuals, defect, routes)}"
         )
-    return make_report(f"{kind}-morphism", bound, _residual_items(space, tspace, residuals))
+    return residuals
 
 
 def _surviving_compositions(components, target, n: int) -> list[tuple[tuple[int, ...], MultiMap]]:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .action import ActionFamily, HemiProduct
-from .graded import GradedSpace, Word, anchored_merges, anchored_splits
-from .homotopy import HomotopyStructure, check_loday_morphism, lie_to_loday
+from .graded import GradedSpace, Word
+from .homotopy import HomotopyStructure, _morphism_residuals, lie_to_loday
 from .linalg import rank
 from .memo import memo
 from .multimap import (
@@ -34,7 +34,6 @@ from .multimap import (
     Scalar,
     TruncatedComorphism,
     Vector,
-    WordSum,
     _composite,
     _slot_index,
     add_into,
@@ -179,113 +178,33 @@ def check_embedding_explicit(
 
     For every ordered target word, the acting brackets applied to the full
     comorphism image must match the tensor applied to the coderivation
-    expansion of the induced restriction maps.  The equations are evaluated
-    only on the words where some term can be nonzero
-    (:func:`_explicit_support_words`); on every other word each term reads a
-    bracket, a tensor component or an action component off its support, so
-    the equations hold there term by term and the verdict still covers all
-    target words up to the bound.
+    expansion of the induced restriction maps.  The expansion is the tensor
+    after the brackets of the :func:`descendent` structure, so the equations
+    are the anchored morphism identity of the tensor from that structure
+    into the acting one, read as a plain structure: the paper's theorem that
+    a tensor is verified exactly when it is such a morphism.  They are
+    evaluated by the morphism checker (:func:`_descendent_identity`), and
+    each residual is its value negated, the bracket side less the expansion
+    side.
     """
-    _check_tensor_spaces(tensor, action)
-    _ensure_coherent(action, bound)
     vspace, espace = action.V.space, action.E.space
-    com = tensor.comorphism(bound)
-    lifted = lift_zinbiel_coderivation(vspace, action.V.brackets, bound).rows
-    items: list[Residual] = []
-    for w in _explicit_support_words(tensor, action, com, lifted, bound):
-        diff = _explicit_difference(tensor, action, com, lifted, w)
-        if diff:
-            items.append(Residual(len(w), vspace.format_word(w), format_vector(espace, diff)))
+    items = [
+        Residual(len(w), vspace.format_word(w), format_vector(espace, {b: -c for b, c in v.items()}))
+        for w, v in _descendent_identity(tensor, action, bound).items()
+    ]
     return make_report("embedding-explicit", bound, items)
 
 
-def _explicit_difference(
-    tensor: EmbeddingTensor,
-    action: ActionFamily,
-    com: TruncatedComorphism,
-    lifted: Mapping[Word, WordSum],
-    w: Word,
-) -> Vector:
-    """The bracket side minus the expansion side of the equations on ``w``;
-    ``lifted`` holds the rows of the target's Zinbiel lift."""
-    E, vspace, espace = action.E, action.V.space, action.E.space
-    lhs: Vector = {}
-    for u, c in com.apply_word(w).items():
-        merge_into(lhs, E.eval_bracket(len(u), u), c)
-    rhs: Vector = {}
-    # the target structure's own coderivation, fed to the tensor
-    for u, c in lifted.get(w, {}).items():
-        merge_into(rhs, tensor.eval(u), c)
-    # the action fed a comorphism image, inserted anchored
-    for sign, front, block, tail in anchored_splits(vspace, w, range(2, len(w) + 1)):
-        for j in range(1, len(block)):
-            for ue, ce in com.apply_word(block[:j]).items():
-                norm, s = espace.normalize(ue)
-                if not s:
-                    continue
-                coeff = ce if sign == s else -ce
-                for b, cb in action.eval(norm, block[j:]).items():
-                    merge_into(rhs, tensor.eval(front + (b,) + tail), coeff * cb)
-    merge_into(lhs, rhs, -1)
-    return lhs
-
-
-def _explicit_support_words(
-    tensor: EmbeddingTensor,
-    action: ActionFamily,
-    com: TruncatedComorphism,
-    lifted: Mapping[Word, WordSum],
-    bound: int,
-) -> list[Word]:
-    """The target words up to ``bound`` on which some term of the explicit
-    equations can be nonzero, shortest first, then lexicographic.
-
-    * The bracket side reads a bracket of the acting structure on the
-      comorphism image, so its words are the comorphism rows whose image
-      meets a bracket key.
-    * The tensor fed the target's coderivation: the rows of the target's
-      Zinbiel lift that meet a tensor key.
-    * The action term of an anchored split with block ``p + r'`` feeds the
-      value of an action key ``(e, r)`` into slot ``i`` of a tensor key
-      ``x``.  It needs ``x[i]`` to be an output letter of that key, ``r'``
-      an ordering of ``r`` and ``p`` a comorphism row whose image
-      normalizes to ``e``, so its words are the anchored merges of
-      ``(x[:i], p + r', x[i+1:])``.
-    """
-    E, vspace, espace = action.E, action.V.space, action.E.space
-    words: set[Word] = set()
-    for w, row in com.rows.items():
-        if any(_reads(E.brackets.get(len(u)), u) for u in row):
-            words.add(w)
-    for w, row in lifted.items():
-        if any(_reads(tensor.components.get(len(u)), u) for u in row):
-            words.add(w)
-    rows_of: dict[Word, set[Word]] = {}
-    for p, row in com.rows.items():
-        for ue in row:
-            e, s = espace.normalize(ue)
-            if s:
-                rows_of.setdefault(e, set()).add(p)
-    blocks_of: dict[int, set[Word]] = {}
-    for f in action.components.values():
-        for (e, r), vec in f.constants.items():
-            rows = rows_of.get(e, ())
-            orders = set(itertools.permutations(r))
-            for b in vec:
-                blocks_of.setdefault(b, set()).update(p + o for p in rows for o in orders)
-    for f in tensor.components.values():
-        for x in f.expand_plain().constants:
-            for i, b in enumerate(x):
-                for block in blocks_of.get(b, ()):
-                    if len(x) + len(block) - 1 <= bound:
-                        front, tail = x[:i], x[i + 1 :]
-                        words.update(w for _, w in anchored_merges(vspace, front, block, tail))
-    return sorted(words, key=lambda w: (len(w), w))
-
-
-def _reads(f: MultiMap | None, word: Word) -> bool:
-    """Whether ``f`` is nonzero on ``word``."""
-    return f is not None and f.lookup(word)[0] is not None
+def _descendent_identity(
+    tensor: EmbeddingTensor, action: ActionFamily, bound: int
+) -> dict[Word, Vector]:
+    """The residual map of the anchored morphism identity of the tensor from
+    its :func:`descendent` structure into ``lie_to_loday(E)``, from the
+    morphism checker's two routes on the tensor's memoized comorphism."""
+    source = descendent(tensor, action, bound)
+    target = lie_to_loday(action.E)
+    com = tensor.comorphism(bound)
+    return _morphism_residuals(tensor.components, source, target, bound, True, com)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +312,10 @@ def descendent(
     """The plain bracket family induced on the target by a tensor.
 
     Unary bracket is the target's own; higher brackets feed symmetrized
-    comorphism images of proper prefixes into the action.
+    comorphism images of proper prefixes into the action.  They are
+    evaluated only on the candidate words of :func:`_descendent_words`; on
+    every other word both the target bracket and each action term read off
+    their support, so the bracket vanishes there.
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
@@ -403,16 +325,40 @@ def descendent(
     brackets: dict[int, MultiMap] = {}
     if V.bracket(1) is not None:
         brackets[1] = V.bracket(1)
-    for n in range(2, bound + 1):
-        table: dict[Word, Vector] = {}
-        for w in vspace.words(n):
-            acc = _prefix_fed_value(action, com, w)
-            if acc:
-                table[w] = acc
-        if table:
-            brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
+    tables: dict[int, dict[Word, Vector]] = {}
+    for w in sorted(_descendent_words(action, com, bound)):
+        acc = _prefix_fed_value(action, com, w)
+        if acc:
+            tables.setdefault(len(w), {})[w] = acc
+    for n, table in sorted(tables.items()):
+        brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
     max_arity = max(bound, V.max_arity)
     return HomotopyStructure(vspace, PLAIN, brackets, max_arity)
+
+
+def _descendent_words(action: ActionFamily, com: TruncatedComorphism, bound: int) -> set[Word]:
+    """The target words of length 2 to ``bound`` on which a descendent
+    bracket can be nonzero: the plain keys of the target's brackets, and the
+    words ``p + r'`` for a comorphism row ``p`` whose image normalizes to an
+    acting word ``e`` and an ordering ``r'`` of ``r`` for an action key
+    ``(e, r)``."""
+    words = {
+        u for k, f in action.V.brackets.items() if 2 <= k <= bound for u in f.expand_plain().constants
+    }
+    # an image normalizes to a canonical acting key exactly when it sorts to it
+    acting: dict[Word, list[Word]] = {}
+    for f in action.components.values():
+        for e, r in f.constants:
+            acting.setdefault(e, []).append(r)
+    fed = {
+        (p, r)
+        for p, row in com.rows.items()
+        for ue in row
+        for r in acting.get(tuple(sorted(ue)), ())
+        if len(p) + len(r) <= bound
+    }
+    words.update(p + o for p, r in fed for o in itertools.permutations(r))
+    return words
 
 
 def _prefix_fed_value(action: ActionFamily, com: TruncatedComorphism, w: Word) -> Vector:
@@ -430,13 +376,13 @@ def _prefix_fed_value(action: ActionFamily, com: TruncatedComorphism, w: Word) -
 def check_descendent_morphism(
     tensor: EmbeddingTensor, action: ActionFamily, bound: int
 ) -> CheckReport:
-    """The tensor as a morphism from its descendent structure to the acting one."""
-    explicit = check_embedding_explicit(tensor, action, bound)
-    if not explicit.ok:
+    """The tensor as a morphism from its descendent structure to the acting
+    one.  The morphism identity is the explicit equations
+    (:func:`check_embedding_explicit`), so it is evaluated once: a tensor
+    that fails it is refused, and a verified one is a morphism."""
+    if _descendent_identity(tensor, action, bound):
         raise InputError("descendent morphism check needs a verified tensor")
-    source = descendent(tensor, action, bound)
-    target = lie_to_loday(action.E)
-    return check_loday_morphism(tensor.components, source, target, bound)
+    return make_report("loday-morphism", bound, [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import linfty.action as action_module
+import linfty.homotopy as homotopy_module
 import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
 from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
@@ -662,16 +663,17 @@ def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
 
 
 def test_explicit_check_and_deform_follow_the_support(monkeypatch):
-    # the explicit equations run only on the words where a term can be
-    # nonzero, and a deform build never lifts the twisted family in full
+    # the explicit equations, the morphism identity of the descendent
+    # structure, run route A only on the words where a term can be nonzero,
+    # and a deform build never lifts the twisted family in full
     visited = []
-    real = tensor_module._explicit_difference
+    real = homotopy_module._anchored_sum
 
-    def counting(tensor, action, com, lifted, w):
+    def counting(space, inner, outer, w):
         visited.append(w)
-        return real(tensor, action, com, lifted, w)
+        return real(space, inner, outer, w)
 
-    monkeypatch.setattr(tensor_module, "_explicit_difference", counting)
+    monkeypatch.setattr(homotopy_module, "_anchored_sum", counting)
     for (act, tensor), bound, words in (
         (heisenberg_tensor(), 5, 0),
         (adjoint_identity_tensor(solvable2()), 4, 2),
