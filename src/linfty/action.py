@@ -271,15 +271,11 @@ def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
     return lhs
 
 
-def _action_rhs(action: ActionFamily, xw: Word, bound: int, indexes: dict) -> dict[Word, Vector]:
+def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
     """The coderivation side of the action axiom on the canonical acting word
     ``xw``: ``-[m, phi_x] + sum eps (-1)^{|phi_a|} [phi_a, phi_b]`` over the
     increasing splits ``xw = xa xb``, by target word, one bracket of two
-    restriction families per term; a term with an empty family is zero.
-
-    ``indexes`` keeps the letter index of each family across calls, under
-    its acting word (``None`` for the target's brackets), so a check indexes
-    each family once."""
+    restriction families per term; a term with an empty family is zero."""
     espace, vspace = action.E.space, action.V.space
     n = len(xw)
     terms = [(-1, None, xw)]
@@ -292,15 +288,25 @@ def _action_rhs(action: ActionFamily, xw: Word, bound: int, indexes: dict) -> di
         f, g = (action.V.brackets if x is None else action.phi_of(x, bound) for x in (a, b))
         if not f or not g:
             continue
-        for x, family in ((a, f), (b, g)):
-            if x not in indexes:
-                indexes[x] = _letter_index(vspace, [m.constants for m in family.values()])
-        fg = _symmetric_composite(vspace, indexes[a], g, bound)
-        gf = _symmetric_composite(vspace, indexes[b], f, bound)
+        fg = _symmetric_composite(vspace, _phi_index(action, a, bound), g, bound)
+        gf = _symmetric_composite(vspace, _phi_index(action, b, bound), f, bound)
         for h in _bracket(SYMMETRIC, vspace, f, g, fg, gf).values():
             for w, vec in h.constants.items():
                 merge_into(rhs.setdefault(w, {}), vec, sign)
     return rhs
+
+
+def _phi_index(action: ActionFamily, eword: Word | None, bound: int):
+    """The letter index of ``phi_of(eword, bound)``, or of the target's
+    brackets for ``None``, built once per action: :func:`check_action` and
+    :func:`check_coherence` both read it, memoized under
+    ``("index", eword, bound)``."""
+
+    def build():
+        family = action.V.brackets if eword is None else action.phi_of(eword, bound)
+        return _letter_index(action.V.space, [f.constants for f in family.values()])
+
+    return memo(action._memo, ("index", eword, bound), build)
 
 
 def check_action(action: ActionFamily, bound: int) -> CheckReport:
@@ -312,15 +318,14 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     (:func:`_action_lhs`, from the unshuffle-insertion splits) against the
     coderivation side (:func:`_action_rhs`, from brackets of restriction
     families), which is nonzero only on the words it returns.  The letter
-    index of each family is built once per check.
+    index of each family is built once per action (:func:`_phi_index`).
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
-    indexes: dict = {}
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
             lhs = _action_lhs(action, xw, bound)
-            rhs = _action_rhs(action, xw, bound, indexes)
+            rhs = _action_rhs(action, xw, bound)
             for vw in sorted(set(lhs) | set(rhs)):
                 diff = dict(lhs.get(vw, {}))
                 merge_into(diff, rhs.get(vw, {}), -1)
@@ -366,24 +371,20 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     anchored identity of the direct-sum brackets at the same bound.  Each
     commutator is the bracket of the first family with ``phi_y``, on the
     probe words that fit under the bound; it is nonzero only on the words
-    it returns.  The letter index of each first family
-    and of each ``phi_y`` is built once per check, and both composites of
-    every bracket read them.
+    it returns.  The letter index of each first family is built once per
+    check and that of each ``phi_y`` once per action (:func:`_phi_index`),
+    and both composites of every bracket read them.
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
-    phis: dict[Word, tuple] = {}
     for label, weight, first in _coherence_firsts(action, bound):
         first_index = _letter_index(vspace, [f.constants for f in first.values()])
         for b in range(1, bound - weight):
             for yw in espace.canonical_words(b):
                 limit = bound - weight - b
-                if yw not in phis:
-                    phi = action.phi_of(yw, bound)
-                    phis[yw] = phi, _letter_index(vspace, [f.constants for f in phi.values()])
-                phi, phi_index = phis[yw]
+                phi = action.phi_of(yw, bound)
                 fg = _symmetric_composite(vspace, first_index, phi, limit)
-                gf = _symmetric_composite(vspace, phi_index, first, limit)
+                gf = _symmetric_composite(vspace, _phi_index(action, yw, bound), first, limit)
                 for f in _bracket(SYMMETRIC, vspace, first, phi, fg, gf).values():
                     for ww, diff in f.constants.items():
                         items.append(

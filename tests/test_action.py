@@ -420,3 +420,26 @@ def test_kept_memos_return_the_identical_object():
     verdict = act.is_coherent(BOUND)
     assert act.is_coherent(BOUND) is verdict
     assert act.hemiproduct() is act.hemiproduct()
+
+
+def test_crosscheck_indexes_each_phi_family_once(monkeypatch):
+    # check_action and check_coherence read the letter index of the same
+    # phi_y families; 177 of check_coherence's 1,404 indexes repeated one that
+    # check_action had just built when each check kept its own
+    import linfty.action as action_module
+
+    real = action_module._letter_index
+    built = []
+
+    def counted(space, tables):
+        built.append(tables)  # held, so that no id is reused
+        return real(space, tables)
+
+    monkeypatch.setattr(action_module, "_letter_index", counted)
+    repeats = 0
+    for inst in action_corpus(114, 3):
+        built.clear()
+        theorem_crosscheck(inst.action, BOUND)
+        keys = [tuple(map(id, tables)) for tables in built if tables]
+        repeats += len(keys) - len(set(keys))
+    assert repeats == 0

@@ -112,7 +112,7 @@ def test_action_coderivation_side_equals_the_dense_commutators(index):
     # the 19 catalog actions, then one basis change of each
     action = corpus.action_corpus(38, 0)[index].action
     for xw in action.E.space.canonical_words_up_to(4):
-        got = {w: vec for w, vec in _action_rhs(action, xw, 4, {}).items() if vec}
+        got = {w: vec for w, vec in _action_rhs(action, xw, 4).items() if vec}
         assert got == dense_action_rhs(action, xw, 4), xw
 
 
