@@ -148,8 +148,9 @@ class ActionFamily:
     restriction families (maps by target arity) of the coderivations the
     checks bracket; none of them is lifted.  The family memoizes
     (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
-    under ``("phi", word, bound)``, the coherence verdict under
-    ``("coherent", bound)`` and the product under ``("hemi",)``.
+    under ``("phi", word, bound)`` and its letter index under
+    ``("index", word, bound)`` (:func:`_phi_index`), the coherence verdict
+    under ``("coherent", bound)`` and the product under ``("hemi",)``.
     :meth:`ad_of` and :meth:`phi_mixed` are read once each and not kept.
     """
 

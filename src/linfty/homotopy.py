@@ -172,10 +172,10 @@ def _anchored_sum(space, inner, outer, word: Word) -> Vector:
     return acc
 
 
-def _anchored_support_words(space, inner, outer, bound: int) -> set[Word]:
+def _anchored_support_words(space, inner, outer, bound: int) -> list[Word]:
     """The words up to ``bound`` on which some anchored split term
     ``outer(front, inner(block), tail)`` of the families ``inner`` and
-    ``outer`` (by arity) can be nonzero.
+    ``outer`` (by arity) can be nonzero, shortest first, then lexicographic.
 
     Such a term is nonzero only when ``block`` is a key of the inner map's
     plain support and ``front + (b,) + tail`` one of the outer map's for an
@@ -196,13 +196,7 @@ def _anchored_support_words(space, inner, outer, bound: int) -> set[Word]:
                 for u in by_letter.get(b, ()):
                     if len(x) + len(u) - 1 <= bound:
                         words.update(w for _, w in anchored_merges(space, front, u, tail))
-    return words
-
-
-def _shortlex(word: Word) -> tuple[int, Word]:
-    """The order of :meth:`GradedSpace.words_up_to`: shortest first, then
-    lexicographic."""
-    return len(word), word
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
@@ -302,13 +296,14 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     builds no lift row.  Both routes run on the integral brackets of
     :func:`_cleared` and compare integer residual maps; only the report
     and a disagreement's message divide by ``D**2``.  The symmetric
-    identity sums and the morphism sums still visit every word.
+    identity sums and the symmetric morphism sum still visit every
+    canonical word.
     """
     space = structure.space
     cleared, den = _cleared(structure)
     direct: dict[Word, Vector] = {}
     brackets = cleared.brackets
-    for w in sorted(_anchored_support_words(space, brackets, brackets, bound), key=_shortlex):
+    for w in _anchored_support_words(space, brackets, brackets, bound):
         val = _loday_identity_value(cleared, w)
         if val:
             direct[w] = val
@@ -366,7 +361,9 @@ def check_lie_morphism(
     """
     if source.flavor != SYMMETRIC or target.flavor != SYMMETRIC:
         raise InputError("check_lie_morphism expects symmetric structures")
-    return _check_morphism(components, source, target, bound, anchored=False)
+    residuals = _morphism_residuals(components, source, target, bound, anchored=False)
+    items = _residual_items(source.space, target.space, residuals)
+    return make_report("lie-morphism", bound, items)
 
 
 def check_loday_morphism(
@@ -376,7 +373,9 @@ def check_loday_morphism(
     bound: int,
 ) -> CheckReport:
     """Verify the anchored morphism identity between plain structures."""
-    return _check_morphism(components, source, target, bound, anchored=True)
+    residuals = _morphism_residuals(components, source, target, bound, anchored=True)
+    items = _residual_items(source.space, target.space, residuals)
+    return make_report("loday-morphism", bound, items)
 
 
 def _symmetric_component(f: MultiMap) -> MultiMap:
@@ -387,13 +386,6 @@ def _symmetric_component(f: MultiMap) -> MultiMap:
             why = "is not canonical" if sign else "vanishes in the symmetric algebra"
             raise InputError(f"Lie-morphism component key [{f.source.format_word(w)}] {why}")
     return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
-
-
-def _check_morphism(components, source, target, bound, anchored: bool) -> CheckReport:
-    """The report of :func:`_morphism_residuals`."""
-    residuals = _morphism_residuals(components, source, target, bound, anchored)
-    kind = "loday" if anchored else "lie"
-    return make_report(f"{kind}-morphism", bound, _residual_items(source.space, target.space, residuals))
 
 
 def _morphism_residuals(components, source, target, bound, anchored: bool, com=None):
@@ -435,8 +427,8 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
                 merge_into(acc, value, -c if sign > 0 else c)
     defect = {w: v for w, v in defect.items() if v}
     if anchored:
-        read |= _anchored_support_words(space, source.brackets, components, bound)
-        words = sorted(read, key=_shortlex)
+        read.update(_anchored_support_words(space, source.brackets, components, bound))
+        words = sorted(read, key=lambda w: (len(w), w))
     else:
         words = space.canonical_words_up_to(bound)
     surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}

@@ -6,14 +6,17 @@ curvature of its coderivation vanishes inside the space of target-to-acting
 maps; the package evaluates that condition along two independent routes:
 
 * the explicit componentwise equations (bracket side against the
-  coderivation-expansion side), and
+  coderivation-expansion side), which are the morphism identity of the
+  tensor from its descendent structure into the acting one and are
+  evaluated by the morphism checker, and
 * the projected iterated-commutator series of the product codifferential
   with the tensor's coderivation, which terminates per output weight
   because every bracket with the tensor consumes target letters.
 
-Verified tensors induce a plain (Loday-type) structure on the target, are
-morphisms into the acting structure, and carry a deformation complex whose
-derived brackets run on restriction families, as the series route does.
+Every tensor induces a plain (Loday-type) bracket family on the target;
+verified tensors are exactly the morphisms from it into the acting
+structure, and carry a deformation complex whose derived brackets run on
+restriction families, as the series route does.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from typing import Mapping
 
 from .action import ActionFamily, HemiProduct
 from .graded import GradedSpace, Word
-from .homotopy import HomotopyStructure, _morphism_residuals, lie_to_loday
+from .homotopy import HomotopyStructure, _morphism_residuals, _residual_items, lie_to_loday
 from .linalg import rank
 from .memo import memo
 from .multimap import (
@@ -187,11 +190,9 @@ def check_embedding_explicit(
     each residual is its value negated, the bracket side less the expansion
     side.
     """
-    vspace, espace = action.V.space, action.E.space
-    items = [
-        Residual(len(w), vspace.format_word(w), format_vector(espace, {b: -c for b, c in v.items()}))
-        for w, v in _descendent_identity(tensor, action, bound).items()
-    ]
+    residuals = _descendent_identity(tensor, action, bound)
+    negated = {w: {b: -c for b, c in v.items()} for w, v in residuals.items()}
+    items = _residual_items(action.V.space, action.E.space, negated)
     return make_report("embedding-explicit", bound, items)
 
 
@@ -275,12 +276,7 @@ def check_embedding_mc(
     hemi = _ensure_coherent(action, bound)
     t = _tensor_restrictions(tensor, hemi, bound)
     series = _ad_series(hemi.space, hemi.structure.brackets, t, bound, include_start=False)
-    rows = _project_h(series, hemi)
-    vspace, espace = action.V.space, action.E.space
-    items = [
-        Residual(len(w), vspace.format_word(w), format_vector(espace, vec))
-        for w, vec in rows.items()
-    ]
+    items = _residual_items(action.V.space, action.E.space, _project_h(series, hemi))
     return make_report("embedding-mc", bound, items)
 
 
@@ -343,7 +339,10 @@ def _descendent_words(action: ActionFamily, com: TruncatedComorphism, bound: int
     acting word ``e`` and an ordering ``r'`` of ``r`` for an action key
     ``(e, r)``."""
     words = {
-        u for k, f in action.V.brackets.items() if 2 <= k <= bound for u in f.expand_plain().constants
+        u
+        for k, f in action.V.brackets.items()
+        if 2 <= k <= bound
+        for u in f.expand_plain().constants
     }
     # an image normalizes to a canonical acting key exactly when it sorts to it
     acting: dict[Word, list[Word]] = {}

@@ -1,10 +1,13 @@
 """``check_embedding_explicit`` and ``lift_comorphism`` against routes that
 visit every word.
 
-The explicit check evaluates the tensor's component equations only on the
-target words where some term can be nonzero, and the comorphism is built
-from its components' keys.  A word both would skip goes unseen, so the
-route here sums the equations on every target word up to the bound from
+The explicit check evaluates the tensor's component equations as the
+morphism identity of the tensor from its descendent structure, through the
+morphism checker, which visits only the target words where some term can
+be nonzero; the descendent structure, too, is built on candidate words
+only, and the comorphism from its components' keys.  A word they would
+skip goes unseen, so the route here sums the equations on every target
+word up to the bound from
 ``dense_lifts.dense_comorphism``, ``dense_lifts.dense_zinbiel_lift`` and the
 slot-picking splits of ``dense_splits.py``: no split table, no merge kernel
 and no support-driven lift.  Its residual list must equal the checker's.
