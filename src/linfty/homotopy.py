@@ -183,14 +183,19 @@ def _anchored_support_words(space, inner, outer, bound: int) -> list[Word]:
     of ``(x[:j], u, x[j+1:])`` over each outer key ``x``, each slot ``j``
     and each inner key ``u`` whose value has the letter ``x[j]``.
     """
+    inner_support = [f.expand_plain().constants for f in inner.values()]
+    if outer is inner:
+        outer_support = inner_support
+    else:
+        outer_support = [f.expand_plain().constants for f in outer.values()]
     by_letter: dict[int, list[Word]] = {}
-    for f in inner.values():
-        for u, vec in f.expand_plain().constants.items():
+    for table in inner_support:
+        for u, vec in table.items():
             for b in vec:
                 by_letter.setdefault(b, []).append(u)
     words: set[Word] = set()
-    for f in outer.values():
-        for x in f.expand_plain().constants:
+    for table in outer_support:
+        for x in table:
             for j, b in enumerate(x):
                 front, tail = x[:j], x[j + 1 :]
                 for u in by_letter.get(b, ()):

@@ -326,7 +326,7 @@ def descendent(
         acc = _prefix_fed_value(action, com, w)
         if acc:
             tables.setdefault(len(w), {})[w] = acc
-    for n, table in sorted(tables.items()):
+    for n, table in tables.items():
         brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
     max_arity = max(bound, V.max_arity)
     return HomotopyStructure(vspace, PLAIN, brackets, max_arity)
