@@ -148,9 +148,9 @@ class ActionFamily:
     restriction families (maps by target arity) of the coderivations the
     checks bracket; none of them is lifted.  The family memoizes
     (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
-    under ``("phi", word, bound)`` and its letter index under
-    ``("index", word, bound)`` (:func:`_phi_index`), the coherence verdict
-    under ``("coherent", bound)`` and the product under ``("hemi",)``.
+    family with its letter index under ``("phi", word, bound)``
+    (:func:`_indexed_phi`), the coherence verdict under
+    ``("coherent", bound)`` and the product under ``("hemi",)``.
     :meth:`ad_of` and :meth:`phi_mixed` are read once each and not kept.
     """
 
@@ -189,18 +189,14 @@ class ActionFamily:
         """The family ``v-word -> value(eword; v-word)`` by target arity: the
         restriction of the target coderivation attached to an acting word."""
         eword = tuple(eword)
-
-        def build() -> dict[int, MultiMap]:
-            degree = 1 + self.E.space.word_degree(eword)
-            out: dict[int, MultiMap] = {}
-            for n in range(1, bound + 1):
-                f = self.components.get((len(eword), n))
-                rows = f.rows_for(eword) if f is not None else None
-                if rows:
-                    out[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, rows)
-            return out
-
-        return memo(self._memo, ("phi", eword, bound), build)
+        degree = 1 + self.E.space.word_degree(eword)
+        out: dict[int, MultiMap] = {}
+        for n in range(1, bound + 1):
+            f = self.components.get((len(eword), n))
+            rows = f.rows_for(eword) if f is not None else None
+            if rows:
+                out[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, rows)
+        return out
 
     def ad_of(self, vword: Word, bound: int) -> dict[int, MultiMap]:
         """The adjoint family of a target word, from the target's own
@@ -286,28 +282,30 @@ def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
             terms.append((sign, xa, xb))
     rhs: dict[Word, Vector] = {}
     for sign, a, b in terms:
-        f, g = (action.V.brackets if x is None else action.phi_of(x, bound) for x in (a, b))
+        (f, f_index), (g, g_index) = (_indexed_phi(action, x, bound) for x in (a, b))
         if not f or not g:
             continue
-        fg = _symmetric_composite(vspace, _phi_index(action, a, bound), g, bound)
-        gf = _symmetric_composite(vspace, _phi_index(action, b, bound), f, bound)
+        fg = _symmetric_composite(vspace, f_index, g, bound)
+        gf = _symmetric_composite(vspace, g_index, f, bound)
         for h in _bracket(SYMMETRIC, vspace, f, g, fg, gf).values():
             for w, vec in h.constants.items():
                 merge_into(rhs.setdefault(w, {}), vec, sign)
     return rhs
 
 
-def _phi_index(action: ActionFamily, eword: Word | None, bound: int):
-    """The letter index of ``phi_of(eword, bound)``, or of the target's
-    brackets for ``None``, built once per action: :func:`check_action` and
-    :func:`check_coherence` both read it, memoized under
-    ``("index", eword, bound)``."""
+def _indexed_phi(action: ActionFamily, eword: Word | None, bound: int):
+    """``phi_of(eword, bound)``, or the target's brackets for ``None``, with
+    its letter index (``None`` for an empty family), built once per action:
+    :func:`check_action` and :func:`check_coherence` both read it, memoized
+    under ``("phi", eword, bound)``."""
 
     def build():
         family = action.V.brackets if eword is None else action.phi_of(eword, bound)
-        return _letter_index(action.V.space, [f.constants for f in family.values()])
+        if not family:
+            return family, None
+        return family, _letter_index(action.V.space, [f.constants for f in family.values()])
 
-    return memo(action._memo, ("index", eword, bound), build)
+    return memo(action._memo, ("phi", eword, bound), build)
 
 
 def check_action(action: ActionFamily, bound: int) -> CheckReport:
@@ -319,7 +317,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     (:func:`_action_lhs`, from the unshuffle-insertion splits) against the
     coderivation side (:func:`_action_rhs`, from brackets of restriction
     families), which is nonzero only on the words it returns.  The letter
-    index of each family is built once per action (:func:`_phi_index`).
+    index of each family is built once per action (:func:`_indexed_phi`).
     """
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
@@ -373,7 +371,7 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     commutator is the bracket of the first family with ``phi_y``, on the
     probe words that fit under the bound; it is nonzero only on the words
     it returns.  The letter index of each first family is built once per
-    check and that of each ``phi_y`` once per action (:func:`_phi_index`),
+    check and that of each ``phi_y`` once per action (:func:`_indexed_phi`),
     and both composites of every bracket read them.
     """
     espace, vspace = action.E.space, action.V.space
@@ -383,9 +381,11 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
         for b in range(1, bound - weight):
             for yw in espace.canonical_words(b):
                 limit = bound - weight - b
-                phi = action.phi_of(yw, bound)
+                phi, phi_index = _indexed_phi(action, yw, bound)
+                if not phi:
+                    continue
                 fg = _symmetric_composite(vspace, first_index, phi, limit)
-                gf = _symmetric_composite(vspace, _phi_index(action, yw, bound), first, limit)
+                gf = _symmetric_composite(vspace, phi_index, first, limit)
                 for f in _bracket(SYMMETRIC, vspace, first, phi, fg, gf).values():
                     for ww, diff in f.constants.items():
                         items.append(

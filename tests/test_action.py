@@ -6,6 +6,7 @@ import pytest
 from linfty.action import (
     ActionFamily,
     BiMultiMap,
+    _indexed_phi,
     adjoint_action,
     adjoint_representation,
     check_action,
@@ -411,12 +412,13 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
 
 def test_kept_memos_return_the_identical_object():
     # the family keeps what its checks re-read: each acting word's
-    # coderivation, the coherence verdict and the product
+    # coderivation with its letter index, the coherence verdict and the
+    # product
     act = solvable_self_action()
-    for eword in act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
-        first = act.phi_of(eword, BOUND)
-        assert act.phi_of(list(eword), BOUND) is first
-        assert act.phi_of(eword, BOUND - 1) is not first
+    for eword in (None,) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
+        first = _indexed_phi(act, eword, BOUND)
+        assert _indexed_phi(act, eword, BOUND) is first
+        assert _indexed_phi(act, eword, BOUND - 1) is not first
     verdict = act.is_coherent(BOUND)
     assert act.is_coherent(BOUND) is verdict
     assert act.hemiproduct() is act.hemiproduct()
