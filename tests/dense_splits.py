@@ -7,13 +7,16 @@ block with ``itertools.combinations`` and counts the odd-odd crossings
 itself, so it shares no unshuffle table, Koszul sign or permutation code
 with the package.  :func:`dense_anchored_value` sums the anchored identity
 of a structure on one word from these terms and ``MultiMap.eval``, and
-:func:`dense_symmetric_value` the symmetric one.
+:func:`dense_symmetric_value` the symmetric one;
+:func:`every_canonical_word_residuals` is the symmetric one on every
+canonical word up to a bound, as a report's residual list.
 """
 from __future__ import annotations
 
 import itertools
 
 from linfty.multimap import merge_into
+from linfty.report import Residual, format_vector
 
 
 def _crossing_sign(parities, moved, stays) -> int:
@@ -74,6 +77,21 @@ def dense_symmetric_value(structure, word):
             for b, c in inner.eval(block).items():
                 merge_into(acc, outer.eval((b,) + rest), sign * c)
     return acc
+
+
+def every_canonical_word_residuals(structure, bound):
+    """The sorted residual list of :func:`dense_symmetric_value` on every
+    canonical word up to ``bound``, the words read from
+    ``itertools.combinations_with_replacement``."""
+    space, items = structure.space, []
+    for n in range(1, bound + 1):
+        for word in itertools.combinations_with_replacement(range(space.dim), n):
+            if space.normalize(word) != (word, 1):
+                continue
+            value = dense_symmetric_value(structure, word)
+            if value:
+                items.append(Residual(n, space.format_word(word), format_vector(space, value)))
+    return sorted(items)
 
 
 def dense_anchored_value(structure, word):

@@ -9,7 +9,6 @@ lcm of their denominators, and divide the residuals by ``D**2`` only for
 the report.  The every-word routes here read the unscaled structure through
 ``MultiMap.eval``, so they stay independent of the clearing.
 """
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -17,14 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from dense_splits import dense_symmetric_value
+from dense_splits import every_canonical_word_residuals
 from linfty import corpus, homotopy
 from linfty.action import BiMultiMap
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure, check_lie_infinity, check_loday_infinity
 from linfty.multimap import PLAIN, SYMMETRIC, MultiMap
-from linfty.report import InputError, Residual, format_vector
+from linfty.report import InputError
 from linfty.tensor import deformation_complex
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,18 +154,6 @@ def basis_changed_family(seed):
     family = corpus.random_restriction_family(MIXED4, (1, 2, 3), 1, rng, SYMMETRIC, 0.4)
     p, pinv = corpus.random_basis_change(MIXED4, rng)
     return corpus.conjugate_structure(HomotopyStructure(MIXED4, SYMMETRIC, family), p, pinv)
-
-
-def every_canonical_word_residuals(structure, bound):
-    space, items = structure.space, []
-    for n in range(1, bound + 1):
-        for word in itertools.combinations_with_replacement(range(space.dim), n):
-            if space.normalize(word) != (word, 1):
-                continue
-            value = dense_symmetric_value(structure, word)
-            if value:
-                items.append(Residual(n, space.format_word(word), format_vector(space, value)))
-    return sorted(items)
 
 
 @pytest.mark.parametrize("bound", (3, 4))
