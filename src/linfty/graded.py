@@ -19,9 +19,12 @@ structures, morphisms, representations and actions),
 morphisms and embedding tensors) and :func:`increasing_splits` (the
 block sum over increasing unshuffles on the right side of morphisms,
 representations and actions).  Each reads signs from an ``lru_cache``
-table keyed by block sizes and letter parities.  :func:`anchored_merges`
-runs the anchored splits backwards, from a split to the words that have
-it, so an anchored sum can find the words its support reaches.
+table keyed by block sizes and letter parities.  The structure and
+morphism checkers read from them the values of their first route, not its
+words: each runs its sum on the words that its second route's composite
+kernel forms (:func:`linfty.multimap.lifted_composite`,
+:func:`linfty.multimap.symmetric_composite`), and the every-word oracles in
+``tests/`` check that word set.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ __all__ = [
     "GradedSpace",
     "Word",
     "Permutation",
-    "anchored_merges",
     "anchored_splits",
     "canonical_sort",
     "compose",
@@ -205,41 +207,6 @@ def anchored_splits(
             for _, sign, sigma in _split_table((i, k - 1), parities[:cut]):
                 moved = tuple(word[s] for s in sigma)
                 yield sign, moved[:i], moved[i:] + anchor, tail
-
-
-@lru_cache(maxsize=None)
-def _merge_table(blocks: tuple[int, int], parities: tuple[int, ...]) -> tuple:
-    """Each ``blocks``-unshuffle read backwards, for moved letters of the
-    given parities, as ``(front_sign, slots)``: head slot ``j`` takes moved
-    letter ``slots[j]``.  ``front_sign`` is the entry of :func:`_split_table`
-    for the same unshuffle of the head, so a merge carries the sign of the
-    split it undoes."""
-    out = []
-    for index, sigma in enumerate(_unshuffles(blocks)):
-        slots = [0] * len(sigma)
-        for j, s in enumerate(sigma):
-            slots[s] = j
-        head = tuple(parities[s] for s in slots)
-        out.append((_split_table(blocks, head)[index][1], tuple(slots)))
-    return tuple(out)
-
-
-def anchored_merges(
-    space: GradedSpace, front: Word, inner: Word, tail: Word
-) -> Iterator[tuple[int, Word]]:
-    """The words whose anchored splits include ``(front, inner, tail)``.
-
-    The inverse of :func:`anchored_splits`: for each ``(|front|, |inner|-1)``
-    -unshuffle, the head interleaves ``front`` with ``inner[:-1]`` so that
-    the unshuffle moves them back apart, and ``inner[-1]`` and ``tail``
-    follow it.  Yields ``(sign, word)`` once per unshuffle, with the sign
-    :func:`anchored_splits` gives that split of ``word``.
-    """
-    moved = front + inner[:-1]
-    parities = tuple(space.degrees[x] % 2 for x in moved)
-    rest = inner[-1:] + tail
-    for sign, slots in _merge_table((len(front), len(inner) - 1), parities):
-        yield sign, tuple(moved[s] for s in slots) + rest
 
 
 @lru_cache(maxsize=None)

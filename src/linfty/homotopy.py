@@ -11,7 +11,13 @@ with no lift: for a structure, the square of the lifted coderivation
 (:func:`symmetric_composite`, :func:`zinbiel_square`); for a morphism, the
 corestriction of the intertwining defect, the composite of the components
 with the source brackets less the target brackets read on the rows of the
-comorphism.
+comorphism.  The first route sums on the words the second forms: the keys
+of its composite kernel, which keeps every word a pair of keys forms, and
+for a morphism the comorphism rows that meet a target bracket key.  Its
+values come only from the split iterators of :mod:`linfty.graded`, so the
+routes share that word set and nothing else; a third route in ``tests/``,
+which visits every word, checks it.  The symmetric sums of
+:func:`check_representation` still visit every canonical word.
 """
 from __future__ import annotations
 
@@ -23,7 +29,6 @@ from typing import Mapping
 from .graded import (
     GradedSpace,
     Word,
-    anchored_merges,
     anchored_splits,
     compositions,
     increasing_splits,
@@ -172,38 +177,6 @@ def _anchored_sum(space, inner, outer, word: Word) -> Vector:
     return acc
 
 
-def _anchored_support_words(space, inner, outer, bound: int) -> list[Word]:
-    """The words up to ``bound`` on which some anchored split term
-    ``outer(front, inner(block), tail)`` of the families ``inner`` and
-    ``outer`` (by arity) can be nonzero, shortest first, then lexicographic.
-
-    Such a term is nonzero only when ``block`` is a key of the inner map's
-    plain support and ``front + (b,) + tail`` one of the outer map's for an
-    output letter ``b`` of that key.  So the words are the anchored merges
-    of ``(x[:j], u, x[j+1:])`` over each outer key ``x``, each slot ``j``
-    and each inner key ``u`` whose value has the letter ``x[j]``.
-    """
-    inner_support = [f.expand_plain().constants for f in inner.values()]
-    if outer is inner:
-        outer_support = inner_support
-    else:
-        outer_support = [f.expand_plain().constants for f in outer.values()]
-    by_letter: dict[int, list[Word]] = {}
-    for table in inner_support:
-        for u, vec in table.items():
-            for b in vec:
-                by_letter.setdefault(b, []).append(u)
-    words: set[Word] = set()
-    for table in outer_support:
-        for x in table:
-            for j, b in enumerate(x):
-                front, tail = x[:j], x[j + 1 :]
-                for u in by_letter.get(b, ()):
-                    if len(x) + len(u) - 1 <= bound:
-                        words.update(w for _, w in anchored_merges(space, front, u, tail))
-    return sorted(words, key=lambda w: (len(w), w))
-
-
 def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
     """The unshuffle double sum of the symmetric structure identity."""
     return _symmetric_sum(structure.space, structure.brackets, structure.brackets, word)
@@ -245,13 +218,15 @@ def _square_report(check, kind, space, direct, squared, den: int, bound: int) ->
     """The report of a structure checker from the residual maps of its two
     routes on the brackets cleared by ``den`` (:func:`_cleared`), each value
     divided by ``den**2``; raises :class:`RouteDisagreement` unless the
-    maps are equal."""
+    maps are equal.  ``squared`` is the square as its kernel forms it, and
+    only its nonzero values are compared."""
 
     def unscaled(residuals):
         if den == 1:
             return residuals
         return {w: {o: Fraction(c, den * den) for o, c in v.items()} for w, v in residuals.items()}
 
+    squared = {w: v for w, v in squared.items() if v}
     if direct != squared:
         raise RouteDisagreement(
             f"{kind} identity sum and coderivation square differ: "
@@ -267,21 +242,18 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     insists they agree exactly.  The square (:func:`symmetric_composite` of
     the brackets with themselves, the symmetric twin of
     :func:`zinbiel_square`) forms only the lift entries whose word is a
-    bracket key, from pairs of keys; it builds no lift row.  Both routes
-    run on the integral brackets of :func:`_cleared` and compare integer
-    residual maps; only the report and a disagreement's message divide by
-    ``D**2``.
+    bracket key, from pairs of keys; it builds no lift row.  The double sum
+    runs on the words the square forms, as :func:`check_loday_infinity`
+    does.  Both routes run on the integral brackets of :func:`_cleared` and
+    compare integer residual maps; only the report and a disagreement's
+    message divide by ``D**2``.
     """
     if structure.flavor != SYMMETRIC:
         raise InputError("check_lie_infinity expects a symmetric structure")
     space = structure.space
     cleared, den = _cleared(structure)
-    direct: dict[Word, Vector] = {}
-    for w in space.canonical_words_up_to(bound):
-        val = _lie_identity_value(cleared, w)
-        if val:
-            direct[w] = val
     squared = symmetric_composite(space, cleared.brackets, cleared.brackets, bound)
+    direct = {w: v for w in squared if (v := _lie_identity_value(cleared, w))}
     return _square_report("lie-infinity", "symmetric", space, direct, squared, den, bound)
 
 
@@ -289,30 +261,25 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     """Verify the anchored structure identity on all tensor words.
 
     Both the explicit double sum and the square of the lifted Zinbiel
-    coderivation are computed and compared.  The double sum visits only the
-    words that the brackets' support reaches through an anchored split
-    (:func:`_anchored_support_words`); on every other word each term has an
-    inner or outer bracket off its support, so the identity holds there
-    term by term and the verdict still covers all words up to the bound.
-    The words are visited in the order of :meth:`GradedSpace.words_up_to`,
-    so the residual list is the one a visit of every word gives.  The
-    square (:func:`zinbiel_square`) forms only the lift entries whose word
-    is a bracket key, from pairs of keys, with the lift's own signs; it
-    builds no lift row.  Both routes run on the integral brackets of
-    :func:`_cleared` and compare integer residual maps; only the report
-    and a disagreement's message divide by ``D**2``.  The symmetric
-    identity sums and the symmetric morphism sum still visit every
-    canonical word.
+    coderivation are computed and compared.  The square
+    (:func:`zinbiel_square`) forms only the lift entries whose word is a
+    bracket key, from pairs of keys, with the lift's own signs; it builds no
+    lift row.  It keeps every word one of its (key, key, placement) triples
+    forms, and the double sum runs on those words and no others.  A split
+    term is nonzero only when its inner block is a bracket key and its outer
+    word one too, which is such a triple, so on every other word the
+    identity holds term by term and the verdict still covers all words up
+    to the bound.  The double sum's values still come only from
+    :func:`anchored_splits`; the word set is the one thing the routes share,
+    and the every-word route of ``tests/test_loday_oracle.py`` checks it.
+    Both routes run on the integral brackets of :func:`_cleared` and compare
+    integer residual maps; only the report and a disagreement's message
+    divide by ``D**2``.
     """
     space = structure.space
     cleared, den = _cleared(structure)
-    direct: dict[Word, Vector] = {}
-    brackets = cleared.brackets
-    for w in _anchored_support_words(space, brackets, brackets, bound):
-        val = _loday_identity_value(cleared, w)
-        if val:
-            direct[w] = val
     squared = zinbiel_square(space, cleared.brackets, bound)
+    direct = {w: v for w in squared if (v := _loday_identity_value(cleared, w))}
     return _square_report("loday-infinity", "anchored", space, direct, squared, den, bound)
 
 
@@ -404,12 +371,12 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     :func:`lifted_composite` or :func:`symmetric_composite` of the two
     families; ``q' F`` reads the target brackets on the rows of
     :func:`lift_comorphism`.  Neither codifferential is lifted.  The
-    symmetric identity sum visits every canonical word.  The anchored one
-    visits only the words where a term can be nonzero: the anchored merges
-    of component keys with source bracket keys
-    (:func:`_anchored_support_words`), and the comorphism rows whose image
-    meets a target bracket key, which the pass of ``q' F`` collects.  They
-    are visited in the order of :meth:`GradedSpace.words_up_to`.
+    identity sum, of either flavor, visits only the words where a term can
+    be nonzero: the keys of the composite, every word it forms from a
+    component key and a source bracket key, and the comorphism rows whose
+    image meets a target bracket key, which the pass of ``q' F`` collects.  Its values still come only from the split iterators; the
+    dense defect of ``tests/test_morphism_oracle.py``, formed on every
+    word, checks the word set.
     """
     _check_components(components, source, target)
     space, tspace = source.space, target.space
@@ -421,21 +388,16 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     if com is None:
         com = lift_comorphism(space, tspace, components, bound, coalgebra)
     defect = composite(space, components, source.brackets, bound)
-    read: set[Word] = set()
+    words = set(defect)
     for w, row in com.rows.items():
         acc = defect.setdefault(w, {})
         for u, c in row.items():
             f = target.bracket(len(u))
             value, sign = f.lookup(u) if f is not None else (None, 0)
             if value:
-                read.add(w)
+                words.add(w)
                 merge_into(acc, value, -c if sign > 0 else c)
     defect = {w: v for w, v in defect.items() if v}
-    if anchored:
-        read.update(_anchored_support_words(space, source.brackets, components, bound))
-        words = sorted(read, key=lambda w: (len(w), w))
-    else:
-        words = space.canonical_words_up_to(bound)
     surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
     residuals: dict[Word, Vector] = {}
     for w in words:

@@ -515,7 +515,7 @@ def _symmetric_composite(
                     acc = out.setdefault(w, {})
                     for o, co in value.items():
                         add_into(acc, o, c * co if eps > 0 else -c * co)
-    return {w: v for w, v in out.items() if v}
+    return out
 
 
 def symmetric_composite(
@@ -526,7 +526,9 @@ def symmetric_composite(
 ) -> dict[Word, Vector]:
     """The single-letter components ``p(A B) = a B`` of the composite of the
     symmetric lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
-    ``inner`` (``b``), on the canonical words up to ``bound`` where they are
+    ``inner`` (``b``), on every canonical word up to ``bound`` that a
+    (key, letter, key) triple below forms; a value that cancels stays as an
+    empty dict, so the keys are the words where a term of ``a B`` can be
     nonzero.
 
     ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys.
@@ -697,7 +699,7 @@ def _composite(
                         acc = out.setdefault(tuple(head) + anchor + tail, {})
                         for o, co in value.items():
                             add_into(acc, o, c * co)
-    return {w: v for w, v in out.items() if v}
+    return out
 
 
 def lifted_composite(
@@ -708,7 +710,9 @@ def lifted_composite(
 ) -> dict[Word, Vector]:
     """The single-letter components ``p(A B) = a B`` of the composite of the
     Zinbiel lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
-    ``inner`` (``b``), on the words up to ``bound`` where they are nonzero.
+    ``inner`` (``b``), on every word up to ``bound`` that a (key, key,
+    placement) triple below forms; a value that cancels stays as an empty
+    dict, so the keys are the words where a term of ``a B`` can be nonzero.
 
     A coderivation is fixed by its restriction, so ``p(A B)`` is ``a``
     applied to the rows of ``B``, and ``a`` reads only the entries of ``B``
@@ -734,7 +738,8 @@ def zinbiel_square(
 ) -> dict[Word, Vector]:
     """The single-letter components ``p(Q Q) = q Q`` of the square of the
     Zinbiel lift ``Q`` of the restrictions ``q``: :func:`lifted_composite`
-    with ``q`` on both sides, its plain support expanded once."""
+    with ``q`` on both sides, its plain support expanded once.  Like it, it
+    keeps every word it forms, a cancelled value as an empty dict."""
     support = list(_plain_support(restrictions))
     parity = _common_degree(restrictions) % 2
     return _composite(space, _slot_index(support), support, parity, bound)

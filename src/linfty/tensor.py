@@ -146,10 +146,11 @@ def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
 # preconditions and shared plumbing
 
 
-def _ensure_coherent(action: ActionFamily, bound: int) -> HemiProduct:
+def _ensure_coherent(action: ActionFamily, bound: int) -> None:
+    """Refuse an action that is not coherent at ``bound``; the verdict is
+    memoized on the action."""
     if not action.is_coherent(bound):
         raise InputError("the action is not coherent at this bound")
-    return action.hemiproduct()
 
 
 def _check_tensor_spaces(tensor: EmbeddingTensor, action: ActionFamily) -> None:
@@ -273,7 +274,8 @@ def check_embedding_mc(
     time rather than assumed.
     """
     _check_tensor_spaces(tensor, action)
-    hemi = _ensure_coherent(action, bound)
+    _ensure_coherent(action, bound)
+    hemi = action.hemiproduct()
     t = _tensor_restrictions(tensor, hemi, bound)
     series = _ad_series(hemi.space, hemi.structure.brackets, t, bound, include_start=False)
     items = _residual_items(action.V.space, action.E.space, _project_h(series, hemi))

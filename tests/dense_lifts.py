@@ -8,7 +8,10 @@ maps instead; the oracle tests check the two agree row for row.
 lift: over the word-by-word Zinbiel lift it is the oracle of
 ``zinbiel_square`` and ``lifted_composite``, and over the word-by-word
 symmetric lift that of ``symmetric_composite``, each of which forms only
-the lift entries the outer family reads.  The action's coderivation side
+the lift entries the outer family reads.  ``assert_composite_matches``
+holds such a kernel to it: equal nonzero values, and a formed word at every
+row where the family reads an entry, since the checkers sum their first
+route on exactly the words their kernel forms.  The action's coderivation side
 and the coherence commutators, which the package forms as brackets of
 restriction families, are checked against commutators of the word-by-word
 symmetric lifts of those families.  The commutator series of
@@ -147,12 +150,24 @@ def _square_restrictions(
     return out
 
 
-def dense_zinbiel_square(
-    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
+def assert_composite_matches(
+    formed: Mapping[Word, Vector], brackets: Mapping[int, MultiMap], lifted: TruncatedCoderivation
 ) -> dict[Word, Vector]:
-    """The restrictions applied to every entry of every row of the
-    word-by-word Zinbiel lift: the single-letter components of its square."""
-    return _square_restrictions(restrictions, dense_zinbiel_lift(space, restrictions, bound))
+    """A composite kernel's output ``formed`` against ``brackets`` applied to
+    every row of ``lifted``: its nonzero values must be
+    :func:`_square_restrictions`, and its keys must hold every row with an
+    entry that ``brackets`` read, also where those terms cancel.  Returns
+    the nonzero values."""
+    expected = _square_restrictions(brackets, lifted)
+    assert {w: v for w, v in formed.items() if v} == expected
+    read = {
+        w
+        for w, row in lifted.rows.items()
+        for u in row
+        if len(u) in brackets and brackets[len(u)].lookup(u)[0]
+    }
+    assert read <= set(formed), sorted(read - set(formed))
+    return expected
 
 
 def dense_ad_series(

@@ -237,7 +237,8 @@ def restriction_lemma_check(
     the independent matrix expansion of the composite.
     """
     _check_tensor_spaces(tensor, action)
-    hemi = _ensure_coherent(action, bound)
+    _ensure_coherent(action, bound)
+    hemi = action.hemiproduct()
     vspace = action.V.space
     q = hemi.codifferential(bound)
     ext = extend_tensor(tensor, action, bound)

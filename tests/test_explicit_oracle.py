@@ -9,8 +9,8 @@ only, and the comorphism from its components' keys.  A word they would
 skip goes unseen, so the route here sums the equations on every target
 word up to the bound from
 ``dense_lifts.dense_comorphism``, ``dense_lifts.dense_zinbiel_lift`` and the
-slot-picking splits of ``dense_splits.py``: no split table, no merge kernel
-and no support-driven lift.  Its residual list must equal the checker's.
+slot-picking splits of ``dense_splits.py``: no split table, no composite
+kernel and no support-driven lift.  Its residual list must equal the checker's.
 The comorphism itself must equal the dense one row for row, in both
 flavors.
 """

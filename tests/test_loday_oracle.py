@@ -1,16 +1,18 @@
 """``check_loday_infinity`` against a third route that visits every word,
 and its coderivation square against the square of the word-by-word lift.
 
-The checker runs its identity sum only on the words that the brackets'
-support reaches through an anchored merge, and its second route,
-``zinbiel_square``, forms only the lift entries whose word is a bracket key,
-from pairs of keys; it builds no lift row.  A word both routes skip would go
-unseen, so this route sums the anchored identity on every tensor word up to
-the bound, from the slot-picking terms of ``dense_splits.py`` and
-``MultiMap.eval``: no split table, no merge kernel and no lift.  Its residual
-list must equal the checker's, in order.  The square itself must equal
-``dense_lifts.dense_zinbiel_square``, the brackets applied to every entry of
-every row of the lift that visits every word.
+The checker's second route, ``zinbiel_square``, forms only the lift
+entries whose word is a bracket key, from pairs of keys; it builds no lift
+row.  Its first route sums the identity on exactly the words the square
+forms, so the two routes share that word set, and a word the square never
+forms would go unseen by both.  This third route sums the anchored identity
+on every tensor word up to the bound, from the slot-picking terms of
+``dense_splits.py`` and ``MultiMap.eval``: no split table, no composite
+kernel and no lift.  Its residual list must equal the checker's, in order.
+The square itself is held to the brackets applied to every entry of every
+row of the lift that visits every word (``dense_lifts.assert_composite_matches``):
+its nonzero values must equal theirs, and its words must cover every row
+where they read an entry, also where the terms cancel.
 """
 import itertools
 import random
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import dense_zinbiel_square
+from dense_lifts import assert_composite_matches, dense_zinbiel_lift
 from dense_splits import dense_anchored_value
 from linfty import corpus
 from linfty.fileformat import parse_path
@@ -110,9 +112,10 @@ MIXED3 = GradedSpace("M", [("x", 0), ("y", 1), ("z", -1)])
 
 
 def assert_square_matches(space, family, bound):
+    """The square's nonzero values, once they are the dense square's and its
+    words cover every row where the dense square has a term."""
     square = zinbiel_square(space, family, bound)
-    assert square == dense_zinbiel_square(space, family, bound)
-    return square
+    return assert_composite_matches(square, family, dense_zinbiel_lift(space, family, bound))
 
 
 @pytest.mark.parametrize("bound", (3, 4))

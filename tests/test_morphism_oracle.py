@@ -242,11 +242,29 @@ def test_descendent_morphism_looks_up_each_composition_once(monkeypatch):
     assert len(lookups) <= 2**5 - 1 + 21
 
 
+def test_lie_morphism_sums_only_on_formed_and_read_words(monkeypatch):
+    # the symmetric identity sum runs on the composite's words and the
+    # comorphism rows that meet a target bracket, one word here; visiting
+    # every canonical word made 7 sums
+    real = homotopy_module._symmetric_sum
+    visited = []
+
+    def counted(*args):
+        visited.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(homotopy_module, "_symmetric_sum", counted)
+    _, source, target, comps = fixture_morphisms()[1]
+    assert check_lie_morphism(comps, source, target, 7).ok
+    assert len(visited) <= 1
+
+
 def test_descendent_morphism_visits_only_candidate_words(monkeypatch):
     # the every-word descendent and identity sum made 9,837 prefix-fed values
     # and 9,840 anchored sums here; the descendent's candidates are 3 words,
-    # and route A of the identity has none, since no merge of a tensor key
-    # with a descendent bracket key and no comorphism row meets a bracket
+    # and route A of the identity has none, since the composite of the
+    # tensor with the descendent brackets forms no word and no comorphism
+    # row meets a bracket
     calls = {"_prefix_fed_value": 0, "_anchored_sum": 0}
 
     def counted(module, name):

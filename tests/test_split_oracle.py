@@ -33,7 +33,6 @@ from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, _action_lhs, check_coherence
 from linfty.graded import (
     GradedSpace,
-    anchored_merges,
     anchored_splits,
     compositions,
     increasing_splits,
@@ -68,25 +67,6 @@ def test_iterators_yield_the_oracle_terms(pattern):
         assert Counter(anchored_splits(space, word, [k])) == Counter(
             dense_anchored_splits(space, word, [k])
         ), k
-
-
-def test_anchored_merges_invert_anchored_splits():
-    # every split of every word up to length 4 comes back exactly once, with
-    # its sign, from the merges of its (front, inner, tail); repeated letters
-    # of both parities make several interleavings give one word
-    space = GradedSpace("Q", [("a", 0), ("b", 1), ("c", -1)])
-    for n in range(1, 5):
-        splits, merges = Counter(), Counter()
-        for word in space.words(n):
-            for sign, front, inner, tail in anchored_splits(space, word, range(1, n + 1)):
-                splits[sign, word, front, inner, tail] += 1
-        for k in range(1, n + 1):
-            for i in range(n - k + 1):
-                for letters in space.words(n):
-                    front, inner, tail = letters[:i], letters[i : i + k], letters[i + k :]
-                    for sign, word in anchored_merges(space, front, inner, tail):
-                        merges[sign, word, front, inner, tail] += 1
-        assert merges == splits, n
 
 
 def slot_compositions(n):
@@ -372,9 +352,7 @@ ROUTE_B_SIGN_CODE = {
     "koszul_sign", "permute", "unshuffles", "increasing_unshuffles",
     "_front_placements", "_placement_flips",
 }
-ROUTE_A_SPLIT_KERNELS = {
-    "symmetric_splits", "anchored_splits", "anchored_merges", "increasing_splits"
-}
+ROUTE_A_SPLIT_KERNELS = {"symmetric_splits", "anchored_splits", "increasing_splits"}
 
 
 @pytest.mark.parametrize("module", ["homotopy", "action", "tensor"])

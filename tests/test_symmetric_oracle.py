@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import _square_restrictions, dense_symmetric_lift
+from dense_lifts import assert_composite_matches, dense_symmetric_lift
 from dense_splits import dense_increasing_splits
 from laws import restrictions
 from linfty import corpus, parse_path
@@ -60,8 +60,7 @@ def as_table(family):
 def test_symmetric_composite_is_the_outer_family_on_the_dense_lift(seed, degrees, bound, flavor):
     outer, inner = random_pair(seed, degrees, flavor)
     got = symmetric_composite(SPACE, outer, inner, bound)
-    assert got == _square_restrictions(outer, dense_symmetric_lift(SPACE, inner, bound))
-    assert got
+    assert assert_composite_matches(got, outer, dense_symmetric_lift(SPACE, inner, bound))
 
 
 @pytest.mark.parametrize("bound", (3, 4, 5))
@@ -166,6 +165,24 @@ def test_lie_check_lifts_and_composes_nothing(full_lift_calls):
 def test_deform_lifts_and_composes_nothing(fixture, full_lift_calls, capsys):
     assert main(["deform", str(FIXTURES / f"{fixture}.lif"), "--bound", "4"]) == 0
     assert full_lift_calls == []
+
+
+def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
+    # twoterm's square forms no word at bound 7, so the identity sum is read
+    # nowhere; visiting every canonical word made 14 sums
+    import linfty.homotopy as homotopy
+
+    real = homotopy._lie_identity_value
+    visited = []
+
+    def counted(structure, word):
+        visited.append(word)
+        return real(structure, word)
+
+    monkeypatch.setattr(homotopy, "_lie_identity_value", counted)
+    sf = parse_path(FIXTURES / "twoterm.lif")
+    assert check_lie_infinity(sf.structure("C"), 7).ok
+    assert visited == []
 
 
 def test_action_check_indexes_each_family_once(monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,8 @@ import linfty.action as action_module
 import linfty.homotopy as homotopy_module
 import linfty.multimap as multimap_module
 import linfty.tensor as tensor_module
-from linfty.action import ActionFamily, BiMultiMap, adjoint_representation
+from linfty.action import ActionFamily, BiMultiMap, HemiProduct, adjoint_representation
+from linfty.fileformat import parse_path
 from linfty.homotopy import check_lie_morphism, check_loday_infinity
 from linfty.multimap import (
     PLAIN,
@@ -59,6 +61,7 @@ from laws import (
 
 F = Fraction
 BOUND = 4
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def zero_tensor(action):
@@ -691,6 +694,28 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
     monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", target_only)
     for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
         assert deformation_complex(tensor, act, BOUND).check_d1_squares_to_zero().ok
+
+
+@pytest.mark.parametrize("name", ("heisenberg", "adjoint_identity"))
+def test_descendent_checks_build_no_product(name, monkeypatch):
+    # the descendent structure, the explicit equations and the descendent
+    # morphism check read the coherence verdict, not the hemisemidirect
+    # product; only the series route and the deformation complex build it
+    built = []
+    real = HemiProduct.__init__
+
+    def counting(self, action):
+        built.append(action)
+        real(self, action)
+
+    monkeypatch.setattr(HemiProduct, "__init__", counting)
+    for check in (descendent, check_embedding_explicit, check_descendent_morphism):
+        sf = parse_path(FIXTURES / f"{name}.lif")
+        check(sf.embedding_tensor(), sf.action_family(), BOUND)
+    assert built == []
+    sf = parse_path(FIXTURES / f"{name}.lif")
+    check_embedding_mc(sf.embedding_tensor(), sf.action_family(), BOUND)
+    assert len(built) == 1
 
 
 def test_kept_memos_return_the_identical_object():
