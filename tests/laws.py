@@ -6,8 +6,8 @@ and the length-one part of a row of a full coderivation, the restriction
 family of a coderivation, the composite of two comorphisms, the exponential of
 a degree-0 coderivation, the extension ``identity + tensor`` of the product
 coalgebra and the restriction lemma it satisfies, the strict and symmetric
-flags of an embedding tensor, an element's rows as a dict, and a seeded
-random vector.
+flags of an embedding tensor, an element's rows as a dict, a seeded random
+vector and the adjoint representation of a structure.
 """
 from __future__ import annotations
 
@@ -332,3 +332,26 @@ def random_vector(space: GradedSpace, degree: int, rng: random.Random) -> Vector
         if space.degrees[i] == degree and rng.random() < 0.7:
             out[i] = rng.choice(SMALL_FRACTIONS)
     return out
+
+
+def adjoint_rep_components(structure, end) -> dict[int, MultiMap]:
+    """The adjoint representation of ``structure`` on its own space, as
+    degree-0 components into the shifted endomorphism space ``end``:
+    ``x_1...x_k -> (v -> l_{k+1}(x_1, ..., x_k, v))``."""
+    space = structure.space
+    comps = {}
+    for k in range(1, structure.max_arity):
+        lk1 = structure.bracket(k + 1)
+        if lk1 is None:
+            continue
+        table = {}
+        for xw in space.canonical_words(k):
+            vec = {}
+            for v in range(space.dim):
+                for out, c in lk1.eval(xw + (v,)).items():
+                    vec[end.index(v, out)] = c
+            if vec:
+                table[xw] = vec
+        if table:
+            comps[k] = MultiMap(space, end.space, k, 0, SYMMETRIC, table)
+    return comps

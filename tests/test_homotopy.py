@@ -26,7 +26,7 @@ from linfty.multimap import (
     merge_into,
 )
 from linfty.report import InputError, RouteDisagreement
-from laws import scaled
+from laws import adjoint_rep_components, scaled
 from linfty.corpus import (
     abelian_structure,
     heisenberg,
@@ -410,27 +410,6 @@ def test_coder_differential_kills_own_codifferential():
 # representations on complexes
 
 
-def _adjoint_rep_components(L, end):
-    """Degree-0 components into the shifted endomorphism space."""
-    space = L.space
-    comps = {}
-    for k in range(1, L.max_arity):
-        lk1 = L.bracket(k + 1)
-        if lk1 is None:
-            continue
-        table = {}
-        for xw in space.canonical_words(k):
-            vec = {}
-            for v in range(space.dim):
-                for out, c in lk1.eval(xw + (v,)).items():
-                    vec[end.index(v, out)] = c
-            if vec:
-                table[xw] = vec
-        if table:
-            comps[k] = MultiMap(space, end.space, k, 0, SYMMETRIC, table)
-    return comps
-
-
 def test_zero_representation_on_abelian():
     L = abelian_structure("A", [-1, 0])
     d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
@@ -442,7 +421,7 @@ def test_adjoint_representation_of_lie_algebras():
     for L in (heisenberg(), solvable2(), sl2()):
         d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
         _, end = end_dgla(L.space, d)
-        comps = _adjoint_rep_components(L, end)
+        comps = adjoint_rep_components(L, end)
         assert check_representation(comps, L, end, 4).ok
 
 
