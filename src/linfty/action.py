@@ -238,9 +238,6 @@ class ActionFamily:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
 
-    def hemiproduct(self) -> "HemiProduct":
-        return memo(self._memo, ("hemi",), lambda: hemisemidirect(self))
-
 
 # ---------------------------------------------------------------------------
 # the action axiom
@@ -493,7 +490,7 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
             + "; ".join(f"[{r.word}]" for r in axiom.residuals[:3])
         )
     coherent = check_coherence(action, bound)
-    product = action.hemiproduct()
+    product = hemisemidirect(action)
     loday = check_loday_infinity(product.structure, bound)
     if coherent.ok != loday.ok:
         failing = coherent if loday.ok else loday

@@ -16,8 +16,9 @@ of its composite kernel, which keeps every word a pair of keys forms, and
 for a morphism the comorphism rows that meet a target bracket key.  Its
 values come only from the split iterators of :mod:`linfty.graded`, so the
 routes share that word set and nothing else; a third route in ``tests/``,
-which visits every word, checks it.  The symmetric sums of
-:func:`check_representation` still visit every canonical word.
+which visits every word, checks it.  :func:`check_representation` has one
+route: the symmetric morphism identity sum into the DGLA of
+:func:`end_dgla`, on every canonical word.
 """
 from __future__ import annotations
 
@@ -619,6 +620,11 @@ def end_dgla(base: GradedSpace, d: MultiMap) -> tuple[HomotopyStructure, EndSpac
     which the constructor enforces via canonical keys).
     """
     end = EndSpace(base, d)
+    return _end_structure(end), end
+
+
+def _end_structure(end: EndSpace) -> HomotopyStructure:
+    """:func:`end_dgla`'s structure on the space of ``end``."""
     space = end.space
     l1_table: dict[Word, Vector] = {}
     for i in range(space.dim):
@@ -638,7 +644,7 @@ def end_dgla(base: GradedSpace, d: MultiMap) -> tuple[HomotopyStructure, EndSpac
         brackets[1] = MultiMap(space, space, 1, 1, SYMMETRIC, l1_table)
     if l2_table:
         brackets[2] = MultiMap(space, space, 2, 1, SYMMETRIC, l2_table)
-    return HomotopyStructure(space, SYMMETRIC, brackets, max_arity=2), end
+    return HomotopyStructure(space, SYMMETRIC, brackets, max_arity=2)
 
 
 def check_representation(
@@ -650,9 +656,13 @@ def check_representation(
     """Verify the representation identity of a family valued in endomorphisms.
 
     Components are arity-``k`` maps into the shifted endomorphism space (so
-    they carry degree 0 there, i.e. degree +1 into unshifted endomorphisms).
-    The check evaluates the differential and commutator sides by explicit
-    endomorphism composition, independently of any lifted machinery.
+    they carry degree 0 there, i.e. degree +1 into unshifted endomorphisms),
+    read as symmetric maps; a key that is not a canonical word is refused.
+    A representation is a Lie-morphism into the DGLA of :func:`end_dgla`,
+    so on every canonical word the check sums the morphism identity: the
+    components after the source brackets less that DGLA's differential and
+    commutator on the block images (:func:`_symmetric_sum`,
+    :func:`_morphism_rhs`).
     """
     space = source.space
     for k, f in components.items():
@@ -660,27 +670,13 @@ def check_representation(
             continue
         if f.target is not end.space or f.degree != 0:
             raise InputError("representation components must be degree 0 into End[1]")
+    components = {k: _symmetric_component(f) for k, f in components.items()}
+    target = _end_structure(end)
+    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
     residuals: dict[Word, Vector] = {}
     for w in space.canonical_words_up_to(bound):
-        n = len(w)
-        rhs: Vector = {}
-        fn = components.get(n)
-        if fn is not None:
-            phi = fn.eval(w)
-            mdeg = space.word_degree(w) + 1
-            merge_into(rhs, end.differential(phi, mdeg))
-        for j in range(1, n):
-            fj = components.get(j)
-            fnj = components.get(n - j)
-            if fj is None or fnj is None:
-                continue
-            for sign, (a, b) in increasing_splits(space, w, (j, n - j)):
-                left, right = fj.eval(a), fnj.eval(b)
-                if left and right:
-                    ldeg, rdeg = space.word_degree(a) + 1, space.word_degree(b) + 1
-                    merge_into(rhs, end.bracket(left, ldeg, right, rdeg), sign)
         diff = _symmetric_sum(space, source.brackets, components, w)
-        merge_into(diff, rhs, -1)
+        merge_into(diff, _morphism_rhs(space, components, surviving[len(w)], w), -1)
         if diff:
             residuals[w] = diff
     return make_report("representation", bound, _residual_items(space, end.space, residuals))

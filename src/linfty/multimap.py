@@ -549,43 +549,29 @@ def _words_of_length(dim: int, n: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _front_placements(i: int, m: int) -> tuple:
-    """Each ``(i, m)``-unshuffle as ``(front_slots, inner_slots, crossings)``.
-
-    An unshuffle moves ``i`` front letters and ``m`` inner letters out of a
-    head of ``i + m`` slots; ``front_slots``/``inner_slots`` are the head
-    slots they come from.  ``crossings[a]`` lists the inner letters the
-    ``a``-th front letter passes, the inversion pairs that fix the sign.
-    """
-    out = []
-    for sigma in _unshuffles((i, m)):
-        front, inner = sigma[:i], sigma[i:]
-        crossings = tuple(tuple(c for c, t in enumerate(inner) if t < s) for s in front)
-        out.append((front, inner, crossings))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _placement_flips(inner: Word, i: int, odd: tuple, parity: int) -> tuple:
     """Each placement of ``i`` front letters among the letters ``inner`` as
     ``(front_slots, template, flips)``, for the Zinbiel lift of a family of
     parity ``parity``.
 
+    A placement is an ``(i, len(inner))``-unshuffle of the head's slots;
     ``template`` is the head with ``inner`` in place and ``front_slots``
     the slots the front letters fill.  The Koszul sign of the crossings
     times ``(-1)^{|Q| |F|}`` is the product over the front letters ``f_a``
     of ``(-1)^{|f_a| (|Q| + |C_a|)}``, ``C_a`` the inner letters ``f_a``
     crosses; ``flips`` lists the positions where ``|Q| + |C_a|`` is odd, so
     the sign is ``-1`` exactly when an odd number of the front letters
-    there are odd.  The lift and :func:`lifted_composite` both read their
-    signs from here, and the table is kept per ``(inner, i, odd, parity)``.
+    there are odd.  Every Zinbiel composite reads its signs from here
+    (:func:`_composite`), and the table is kept per ``(inner, i, odd,
+    parity)``: keyed by the letters of ``inner``, its template is built once.
     """
     out = []
-    for front_slots, inner_slots, crossings in _front_placements(i, len(inner)):
+    for sigma in _unshuffles((i, len(inner))):
+        front_slots, inner_slots = sigma[:i], sigma[i:]
         flips = tuple(
             a
-            for a, crossed in enumerate(crossings)
-            if (parity + sum(odd[inner[c]] for c in crossed)) % 2
+            for a, s in enumerate(front_slots)
+            if (parity + sum(odd[x] for t, x in zip(inner_slots, inner) if t < s)) % 2
         )
         template = [0] * (i + len(inner))
         for t, x in zip(inner_slots, inner):
@@ -613,37 +599,25 @@ def lift_zinbiel_coderivation(
     letters pass through on the right.  Moving a degree-``d`` map past the
     front block costs ``(-1)^{d * deg(front)}``.
 
-    The rows are generated backwards from the support.  A key ``u`` of the
-    plain support (symmetric maps enter through :meth:`MultiMap.expand_plain`)
-    with a front word ``F`` and an ``(i, k-1)``-unshuffle fixes a prefix: the
-    interleaving of ``F`` with ``u[:-1]``, then ``u[-1]``.  That prefix maps
-    to ``F + (b,)`` for each output letter ``b``, with the Koszul sign of the
-    crossings between ``F`` and ``u[:-1]`` times ``(-1)^{|Q| |F|}``, applied by
-    negating the value.  Every prefix row then extends by each tail that fits
-    under the bound.  The work is proportional to the nonzero contributions,
-    not to the ``dim^bound`` words.
+    The rows up to the anchored letter, the prefixes, are :func:`_composite`
+    with every word ``y`` that fits as an outer key read at its last slot
+    only, with value ``y`` itself: the prefix that interleaves ``y[:-1]``
+    with ``u[:-1]``, then ``u[-1]``, holds ``y[:-1] + (b,)`` with the sign
+    of that placement times ``q(u)_b``.  Every prefix row then extends by
+    each tail that fits under the bound.  The work is proportional to the
+    (key, front word, placement) triples and their tails, not to the
+    ``dim^bound`` words.
     """
     degree = _common_degree(restrictions)
-    parity = degree % 2
-    odd = tuple(d % 2 for d in space.degrees)
-    short = [_words_of_length(space.dim, n) for n in range(bound)]
-    prefixes: dict[Word, WordSum] = {}
-    for u, vec in _plain_support(restrictions):
-        k = len(u)
-        anchor = u[-1:]
-        neg = {b: -c for b, c in vec.items()}
-        for i in range(bound - k + 1):
-            for front_slots, template, flips in _placement_flips(u[:-1], i, odd, parity):
-                for front in short[i]:
-                    head = list(template)
-                    for t, x in zip(front_slots, front):
-                        head[t] = x
-                    row = prefixes.setdefault(tuple(head) + anchor, {})
-                    value = neg if sum(odd[front[a]] for a in flips) % 2 else vec
-                    for b, c in value.items():
-                        add_into(row, front + (b,), c)
+    support = list(_plain_support(restrictions))
+    short = [_words_of_length(space.dim, n) for n in range(bound + 1)]
+    longest = bound + 1 - min((len(u) for u, _ in support), default=bound + 1)
+    slots: dict[tuple[int, int], list] = {}
+    for n in range(1, longest + 1):
+        for y in short[n]:
+            slots.setdefault((y[-1], n - 1), []).append((y[:-1], (), {y: 1}))
     rows: dict[Word, WordSum] = {}
-    for prefix, prow in prefixes.items():
+    for prefix, prow in _composite(space, slots, support, degree % 2, bound).items():
         if not prow:
             continue
         for n in range(bound - len(prefix) + 1):
@@ -678,7 +652,8 @@ def _composite(
     """:func:`lifted_composite` from the outer family's :func:`_slot_index`,
     the inner family's plain support and the parity of its degree, so a
     caller that composes one outer family with many inner ones, or a family
-    with itself, indexes it once."""
+    with itself, indexes it once; :func:`lift_zinbiel_coderivation` forms
+    its prefix rows here from an index of its own."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
     for u, vec in inner:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .action import ActionFamily, HemiProduct
+from .action import ActionFamily, HemiProduct, hemisemidirect
 from .graded import GradedSpace, Word
 from .homotopy import HomotopyStructure, _morphism_residuals, _residual_items, lie_to_loday
 from .linalg import rank
@@ -275,7 +275,7 @@ def check_embedding_mc(
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
-    hemi = action.hemiproduct()
+    hemi = hemisemidirect(action)
     t = _tensor_restrictions(tensor, hemi, bound)
     series = _ad_series(hemi.space, hemi.structure.brackets, t, bound, include_start=False)
     items = _residual_items(action.V.space, action.E.space, _project_h(series, hemi))
@@ -542,7 +542,7 @@ class DeformationComplex:
         self.tensor = tensor
         self.action = action
         self.bound = bound
-        self.hemi = action.hemiproduct()
+        self.hemi = hemisemidirect(action)
         space = self.hemi.space
         t = _tensor_restrictions(tensor, self.hemi, bound)
         self._series = _ad_series(

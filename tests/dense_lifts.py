@@ -199,11 +199,10 @@ def _product_lift(hemi, table: Mapping[Word, Vector], degree: int, bound: int):
     return dense_zinbiel_lift(space, maps_by_arity(space, space, degree, PLAIN, rows), bound)
 
 
-def dense_twisted(tensor, action, bound: int) -> TruncatedCoderivation:
-    """The product codifferential twisted by the tensor, ``sum_m
-    [..[Q, T].., T] / m!``, from the word-by-word lifts of the product's
-    brackets and of the tensor's components."""
-    hemi = action.hemiproduct()
+def dense_twisted(tensor, hemi, bound: int) -> TruncatedCoderivation:
+    """The codifferential of the product ``hemi`` twisted by the tensor,
+    ``sum_m [..[Q, T].., T] / m!``, from the word-by-word lifts of the
+    product's brackets and of the tensor's components."""
     table = {
         w: vec
         for k, f in tensor.components.items()

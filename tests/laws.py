@@ -34,7 +34,7 @@ from linfty.multimap import (
     symmetrize,
     zinbiel_coproduct,
 )
-from linfty.action import ActionFamily
+from linfty.action import ActionFamily, hemisemidirect
 from linfty.report import (
     CheckReport,
     InputError,
@@ -206,7 +206,7 @@ def extend_tensor(
     exponential of the tensor's coderivation (tested separately).
     """
     _check_tensor_spaces(tensor, action)
-    hemi = action.hemiproduct()
+    hemi = hemisemidirect(action)
     space = hemi.space
     table1: dict[Word, Vector] = {
         (i,): {i: Fraction(1)} for i in range(space.dim)
@@ -238,7 +238,7 @@ def restriction_lemma_check(
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
-    hemi = action.hemiproduct()
+    hemi = hemisemidirect(action)
     vspace = action.V.space
     q = hemi.codifferential(bound)
     ext = extend_tensor(tensor, action, bound)

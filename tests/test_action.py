@@ -412,8 +412,7 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
 
 def test_kept_memos_return_the_identical_object():
     # the family keeps what its checks re-read: each acting word's
-    # coderivation with its letter index, the coherence verdict and the
-    # product
+    # coderivation with its letter index and the coherence verdict
     act = solvable_self_action()
     for eword in (None,) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
         first = _indexed_phi(act, eword, BOUND)
@@ -421,7 +420,6 @@ def test_kept_memos_return_the_identical_object():
         assert _indexed_phi(act, eword, BOUND - 1) is not first
     verdict = act.is_coherent(BOUND)
     assert act.is_coherent(BOUND) is verdict
-    assert act.hemiproduct() is act.hemiproduct()
 
 
 def test_crosscheck_indexes_each_phi_family_once(monkeypatch):

@@ -27,6 +27,7 @@ from dense_lifts import dense_chain, dense_mc_residual, dense_twisted, dense_zin
 from dense_rank import dense_rank
 from linfty import corpus, parse_path
 from linfty.linalg import rank
+from linfty.multimap import PLAIN, MultiMap
 from linfty.tensor import EmbeddingTensor, HomElement, cohomology_rank, deformation_complex
 
 F = Fraction
@@ -47,10 +48,13 @@ def fixture_complex(name, bound):
 
 @lru_cache(maxsize=None)
 def reference_columns(name, bound):
-    """Each column ``P([T, a])`` of a basis element, from the dense chain."""
     tensor, action = fixture_tensor(name)
-    complex_ = deformation_complex(tensor, action, bound)
-    twisted = dense_twisted(tensor, action, bound)
+    return dense_columns(tensor, deformation_complex(tensor, action, bound), bound)
+
+
+def dense_columns(tensor, complex_, bound):
+    """Each column ``P([T, a])`` of a basis element, from the dense chain."""
+    twisted = dense_twisted(tensor, complex_.hemi, bound)
     cols = []
     for w, b in complex_.basis:
         image = dense_chain(complex_.hemi, twisted, [complex_.basis_element(w, b)], bound)
@@ -105,6 +109,27 @@ def test_d1_columns_of_the_zero_tensor(bound):
     assert complex_.d1_columns() == reference_columns("zero", bound)
 
 
+def third_of_the_identity():
+    """A third of the identity tensor on the adjoint representation of the
+    arity-3 example, an embedding tensor for every scalar.  Its twisted
+    series has a nonzero second term, ``[[Q, T], T] / 2!``, of weight two in
+    the tensor, so ``d1`` has entries with denominator ``3 * 3``."""
+    action = corpus.adjoint_representation(corpus.triple_bracket_example())
+    v, e = action.V.space, action.E.space
+    third = MultiMap(v, e, 1, 0, PLAIN, {(i,): {i: F(1, 3)} for i in range(v.dim)})
+    return EmbeddingTensor(v, e, {1: third}), action
+
+
+@pytest.mark.parametrize("bound", [3, 4])
+def test_fractional_d1_columns_equal_projected_commutators(bound):
+    tensor, action = third_of_the_identity()
+    complex_ = deformation_complex(tensor, action, bound)
+    cols = complex_.d1_columns()
+    assert cols == dense_columns(tensor, complex_, bound)
+    entries = [c for col in cols for c in col.values()]
+    assert any(isinstance(c, Fraction) and c.denominator == 9 for c in entries)
+
+
 @pytest.mark.parametrize("name,bound", [("heisenberg", 4), ("adjoint_identity", 4)])
 def test_every_piece_rank_matches_the_dense_oracle(name, bound):
     complex_ = fixture_complex(name, bound)
@@ -147,7 +172,7 @@ def test_brackets_equal_the_dense_chains(case):
     complex_ = deformation_complex(tensor, action, bound)
     hemi = complex_.hemi
     product = dense_zinbiel_lift(hemi.space, hemi.structure.brackets, bound)
-    twisted = dense_twisted(tensor, action, bound)
+    twisted = dense_twisted(tensor, complex_.hemi, bound)
     elements = [complex_.basis_element(w, b) for w, b in complex_.basis]
     pairs = random.Random(bound).sample(list(itertools.product(elements, repeat=2)), 24)
     nonzero = 0
@@ -177,7 +202,7 @@ def test_mc_residuals_equal_the_dense_series():
     flat = set()
     for label, tensor, action, bound in BRACKET_CASES:
         complex_ = deformation_complex(tensor, action, bound)
-        twisted = dense_twisted(tensor, action, bound)
+        twisted = dense_twisted(tensor, complex_.hemi, bound)
         for element in degree_zero_candidates(complex_, random.Random(bound)):
             got = complex_.mc_residual_of(element)
             assert got == dense_mc_residual(complex_.hemi, twisted, element, bound), (

@@ -437,6 +437,23 @@ def test_broken_chain_map_fails_at_arity_one():
     assert report.residuals[0].arity == 1
 
 
+def test_representation_refuses_a_non_canonical_component_key():
+    # a plain arity-2 component on the non-canonical key (w, u) used to be
+    # read as zero on every canonical word, and the check passed
+    L = two_term_complex()
+    space = L.space
+    _, end = end_dgla(space, L.bracket(1))
+    u_to_u = {end.index(0, 0): 1}
+    off = MultiMap(space, end.space, 2, 0, PLAIN, {(1, 0): u_to_u})
+    with pytest.raises(InputError, match=r"component key \[w,u\] is not canonical"):
+        check_representation({2: off}, L, end, 3)
+    w, sign = space.normalize((1, 0))
+    on = MultiMap(space, end.space, 2, 0, PLAIN, {w: {i: sign * c for i, c in u_to_u.items()}})
+    report = check_representation({2: on}, L, end, 3)
+    assert not report.ok
+    assert len(report.residuals) == 1
+
+
 def test_verified_symmetric_structures_pass_anchored_check():
     # the symmetric-to-plain implication over a randomized corpus
     from linfty.corpus import conjugate_structure, random_basis_change

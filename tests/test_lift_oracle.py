@@ -16,6 +16,7 @@ import linfty.tensor as tensor_module
 from dense_lifts import dense_symmetric_lift, dense_zinbiel_lift
 from laws import check_coleibniz, restrictions
 from linfty import corpus, parse_path
+from linfty.action import hemisemidirect
 from linfty.graded import GradedSpace
 from linfty.multimap import (
     PLAIN,
@@ -46,7 +47,7 @@ def assert_symmetric_matches(space, family, bound):
 @pytest.mark.parametrize("index", range(19))
 def test_catalog_hemisemidirect_products_at_bound_4(index):
     catalog = corpus.action_corpus(19, 0)
-    product = catalog[index].action.hemiproduct().structure
+    product = hemisemidirect(catalog[index].action).structure
     assert_zinbiel_matches(product.space, product.brackets, 4)
 
 
@@ -109,6 +110,92 @@ def test_cancelling_terms_leave_no_row():
     zin = assert_zinbiel_matches(MIXED3, {2: f}, 3)
     assert (1, 1, 0) not in zin.rows
     assert zin.rows[(0, 1, 0)] == {(0, 1): F(1)}
+
+
+# the prefix rows of the Zinbiel lift are one ``_composite`` call, with every
+# word up to ``bound + 1 - shortest key`` read at its last slot; these cases
+# meet the ends of that word range
+
+
+def test_empty_family_lifts_to_no_row():
+    for bound in (1, 3):
+        assert assert_zinbiel_matches(MIXED3, {}, bound).rows == {}
+
+
+@pytest.mark.parametrize("degree", (0, 1))
+def test_unary_keys_only(degree):
+    family = corpus.random_restriction_family(MIXED3, [1], degree, random.Random(21 + degree))
+    assert not family[1].is_zero()
+    zin = assert_zinbiel_matches(MIXED3, family, 4)
+    assert any(len(w) == 4 for w in zin.rows)
+
+
+@pytest.mark.parametrize("degree", (0, 1))
+def test_keys_of_length_three_or_more_only(degree):
+    rng = random.Random(31 + degree)
+    family = corpus.random_restriction_family(MIXED3, [3, 4], degree, rng, density=0.6)
+    assert not family[3].is_zero()
+    zin = assert_zinbiel_matches(MIXED3, family, 5)
+    assert any(len(w) == 5 for w in zin.rows)
+
+
+def test_bound_one_keeps_only_the_unary_rows():
+    rng = random.Random(41)
+    family = corpus.random_restriction_family(MIXED3, [1, 2, 3], 1, rng, density=0.6)
+    zin = assert_zinbiel_matches(MIXED3, family, 1)
+    assert zin.rows
+    assert all(len(w) == 1 for w in zin.rows)
+
+
+def test_fraction_values_stay_exact():
+    f = MultiMap(MIXED3, MIXED3, 2, 0, PLAIN, {(0, 1): {1: F(1, 3)}, (1, 0): {1: F(-2, 3)}})
+    zin = assert_zinbiel_matches(MIXED3, {2: f}, 4)
+    values = {c for row in zin.rows.values() for c in row.values()}
+    assert F(1, 3) in values and F(-2, 3) in values
+
+
+@pytest.mark.parametrize("degree", (0, 1))
+def test_repeated_odd_letters(degree):
+    # keys that repeat the odd letters y and z, on words where several
+    # copies of one odd letter pass each other
+    words = [(1, 1), (2, 2), (2, 0, 2), (1, 2, 1), (2, 2, 2)]
+    family = {}
+    for k in (2, 3):
+        table = {}
+        for w in words:
+            if len(w) != k:
+                continue
+            deg = degree + MIXED3.word_degree(w)
+            out = [b for b in range(MIXED3.dim) if MIXED3.degrees[b] == deg]
+            if out:
+                table[w] = {out[0]: F(len(w) - 1)}
+        family[k] = MultiMap(MIXED3, MIXED3, k, degree, PLAIN, table)
+    assert not all(f.is_zero() for f in family.values())
+    zin = assert_zinbiel_matches(MIXED3, family, 5)
+    assert any(w.count(1) >= 3 or w.count(2) >= 3 for w in zin.rows)
+
+
+def test_zinbiel_lift_makes_one_composite_call(monkeypatch):
+    import linfty.multimap as multimap_module
+
+    real = multimap_module._composite
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multimap_module, "_composite", counted)
+    rng = random.Random(51)
+    families = [
+        {},
+        corpus.random_restriction_family(MIXED3, [1, 2, 3], 1, rng),
+        corpus.random_restriction_family(MIXED3, [2, 3], 0, rng, flavor=SYMMETRIC),
+    ]
+    for family in families:
+        calls.clear()
+        lift_zinbiel_coderivation(MIXED3, family, 4)
+        assert len(calls) == 1
 
 
 def test_repeated_even_letter_counts_every_unshuffle():

@@ -23,6 +23,7 @@ import pytest
 from dense_lifts import assert_composite_matches, dense_zinbiel_lift
 from dense_splits import dense_anchored_value
 from linfty import corpus
+from linfty.action import hemisemidirect
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure, check_loday_infinity, lie_to_loday
@@ -57,7 +58,7 @@ def checked_verdict(structure, bound):
 @pytest.mark.parametrize("index", range(len(ACTIONS)), ids=lambda i: ACTIONS[i].label)
 def test_product_residuals_equal_the_every_word_route(index, bound):
     inst = ACTIONS[index]
-    ok = checked_verdict(inst.action.hemiproduct().structure, bound)
+    ok = checked_verdict(hemisemidirect(inst.action).structure, bound)
     if inst.expect_coherent is not None and bound == 4:
         assert ok == inst.expect_coherent, inst.label
 
@@ -77,7 +78,7 @@ def plain_fixture_structures():
             if flavor == PLAIN:
                 out.append((f"{path.stem}:{name}", sf.structure(name)))
         if sf.action_section is not None:
-            out.append((f"{path.stem}:product", sf.action_family().hemiproduct().structure))
+            out.append((f"{path.stem}:product", hemisemidirect(sf.action_family()).structure))
     return out
 
 
@@ -121,7 +122,7 @@ def assert_square_matches(space, family, bound):
 @pytest.mark.parametrize("bound", (3, 4))
 @pytest.mark.parametrize("index", range(len(ACTIONS)), ids=lambda i: ACTIONS[i].label)
 def test_product_square_equals_the_dense_square(index, bound):
-    product = ACTIONS[index].action.hemiproduct().structure
+    product = hemisemidirect(ACTIONS[index].action).structure
     assert_square_matches(product.space, product.brackets, bound)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from dense_splits import every_canonical_word_residuals
 from linfty import corpus, homotopy
-from linfty.action import BiMultiMap
+from linfty.action import BiMultiMap, hemisemidirect
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure, check_lie_infinity, check_loday_infinity
@@ -84,7 +84,7 @@ def test_parsed_constants_are_in_normal_form(path):
             maps.extend(section[2].values())
     if sf.action_section is not None:
         maps.extend(sf.action_section[2].values())
-        product = sf.action_family().hemiproduct().structure
+        product = hemisemidirect(sf.action_family()).structure
         assert_normal([f.constants for f in product.brackets.values()], f"{path.stem}:product")
     assert_normal([f.constants for f in maps], path.stem)
 
@@ -92,7 +92,7 @@ def test_parsed_constants_are_in_normal_form(path):
 def test_products_of_basis_changed_actions_are_in_normal_form():
     fractional = 0
     for inst in corpus.action_corpus(38, 7):
-        brackets = inst.action.hemiproduct().structure.brackets
+        brackets = hemisemidirect(inst.action).structure.brackets
         assert_normal([f.constants for f in brackets.values()], inst.label)
         fractional += denominator(brackets) > 1
     # the basis changes give many products a denominator
@@ -116,7 +116,7 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
     # whose product brackets have denominator 9
     inst = corpus.action_corpus(22, 7)[21]
     assert inst.label == "heis-noncentral#cc3" and inst.expect_coherent is False
-    product = inst.action.hemiproduct().structure
+    product = hemisemidirect(inst.action).structure
     assert denominator(product.brackets) == 9
     seen = {"square": 0, "sum": 0}
 
