@@ -172,7 +172,7 @@ def test_brackets_equal_the_dense_chains(case):
     complex_ = deformation_complex(tensor, action, bound)
     hemi = complex_.hemi
     product = dense_zinbiel_lift(hemi.space, hemi.structure.brackets, bound)
-    twisted = dense_twisted(tensor, complex_.hemi, bound)
+    twisted = dense_twisted(tensor, hemi, bound)
     elements = [complex_.basis_element(w, b) for w, b in complex_.basis]
     pairs = random.Random(bound).sample(list(itertools.product(elements, repeat=2)), 24)
     nonzero = 0
