@@ -399,14 +399,7 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
                 words.add(w)
                 merge_into(acc, value, -c if sign > 0 else c)
     defect = {w: v for w, v in defect.items() if v}
-    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
-    residuals: dict[Word, Vector] = {}
-    for w in words:
-        diff = lhs_sum(space, source.brackets, components, w)
-        rhs = _morphism_rhs(space, components, surviving[len(w)], w)
-        merge_into(diff, rhs, -1)
-        if diff:
-            residuals[w] = diff
+    residuals = _identity_residuals(source, components, target, words, lhs_sum, bound)
     if residuals != defect:
         routes = ("identity sum", "intertwining defect")
         raise RouteDisagreement(
@@ -414,6 +407,20 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
             "comorphism intertwining disagree: "
             f"{_route_diff(space, tspace, residuals, defect, routes)}"
         )
+    return residuals
+
+
+def _identity_residuals(source, components, target, words, lhs_sum, bound) -> dict[Word, Vector]:
+    """The nonzero values on ``words`` of ``lhs_sum`` less :func:`_morphism_rhs`,
+    the morphism identity, with the surviving compositions once per length."""
+    space = source.space
+    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
+    residuals: dict[Word, Vector] = {}
+    for w in words:
+        diff = lhs_sum(space, source.brackets, components, w)
+        merge_into(diff, _morphism_rhs(space, components, surviving[len(w)], w), -1)
+        if diff:
+            residuals[w] = diff
     return residuals
 
 
@@ -657,8 +664,10 @@ def check_representation(
 
     Components are arity-``k`` maps into the shifted endomorphism space (so
     they carry degree 0 there, i.e. degree +1 into unshifted endomorphisms),
-    read as symmetric maps; a key that is not a canonical word is refused.
-    A representation is a Lie-morphism into the DGLA of :func:`end_dgla`,
+    read as symmetric maps; a key that is not a canonical word is refused,
+    and so is a component filed under another arity or over another source
+    space, as in :func:`check_lie_morphism`.  A representation is a
+    Lie-morphism into the DGLA of :func:`end_dgla`,
     so on every canonical word the check sums the morphism identity: the
     components after the source brackets less that DGLA's differential and
     commutator on the block images (:func:`_symmetric_sum`,
@@ -670,13 +679,9 @@ def check_representation(
             continue
         if f.target is not end.space or f.degree != 0:
             raise InputError("representation components must be degree 0 into End[1]")
-    components = {k: _symmetric_component(f) for k, f in components.items()}
     target = _end_structure(end)
-    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
-    residuals: dict[Word, Vector] = {}
-    for w in space.canonical_words_up_to(bound):
-        diff = _symmetric_sum(space, source.brackets, components, w)
-        merge_into(diff, _morphism_rhs(space, components, surviving[len(w)], w), -1)
-        if diff:
-            residuals[w] = diff
+    _check_components(components, source, target)
+    components = {k: _symmetric_component(f) for k, f in components.items()}
+    words = space.canonical_words_up_to(bound)
+    residuals = _identity_residuals(source, components, target, words, _symmetric_sum, bound)
     return make_report("representation", bound, _residual_items(space, end.space, residuals))

@@ -600,8 +600,9 @@ def lift_zinbiel_coderivation(
     front block costs ``(-1)^{d * deg(front)}``.
 
     The rows up to the anchored letter, the prefixes, are :func:`_composite`
-    with every word ``y`` that fits as an outer key read at its last slot
-    only, with value ``y`` itself: the prefix that interleaves ``y[:-1]``
+    with every word ``y`` that fits as an outer key and ends in an output
+    letter of the family, read at its last slot only, with value ``y``
+    itself: the prefix that interleaves ``y[:-1]``
     with ``u[:-1]``, then ``u[-1]``, holds ``y[:-1] + (b,)`` with the sign
     of that placement times ``q(u)_b``.  Every prefix row then extends by
     each tail that fits under the bound.  The work is proportional to the
@@ -610,12 +611,13 @@ def lift_zinbiel_coderivation(
     """
     degree = _common_degree(restrictions)
     support = list(_plain_support(restrictions))
-    short = [_words_of_length(space.dim, n) for n in range(bound + 1)]
+    short = [_words_of_length(space.dim, n) for n in range(bound)]
     longest = bound + 1 - min((len(u) for u, _ in support), default=bound + 1)
+    outputs = {b for _, vec in support for b in vec}
     slots: dict[tuple[int, int], list] = {}
-    for n in range(1, longest + 1):
-        for y in short[n]:
-            slots.setdefault((y[-1], n - 1), []).append((y[:-1], (), {y: 1}))
+    for n in range(longest):
+        for front, b in itertools.product(short[n], outputs):
+            slots.setdefault((b, n), []).append((front, (), {front + (b,): 1}))
     rows: dict[Word, WordSum] = {}
     for prefix, prow in _composite(space, slots, support, degree % 2, bound).items():
         if not prow:

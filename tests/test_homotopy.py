@@ -454,6 +454,22 @@ def test_representation_refuses_a_non_canonical_component_key():
     assert len(report.residuals) == 1
 
 
+def test_representation_refuses_a_misfiled_component():
+    # z |-> (z -> z) fails the identity under its own arity; filed under
+    # key 2 it must be refused, not read as a zero family that passes
+    L = heisenberg()
+    d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
+    _, end = end_dgla(L.space, d)
+    z_to_z = MultiMap(L.space, end.space, 1, 0, SYMMETRIC, {(2,): {end.index(2, 2): 1}})
+    assert len(check_representation({1: z_to_z}, L, end, 3).residuals) == 1
+    with pytest.raises(InputError, match="component arity mismatch"):
+        check_representation({2: z_to_z}, L, end, 3)
+    other = heisenberg().space
+    foreign = MultiMap(other, end.space, 1, 0, SYMMETRIC, {(2,): {end.index(2, 2): 1}})
+    with pytest.raises(InputError, match="component spaces do not match the structures"):
+        check_representation({1: foreign}, L, end, 3)
+
+
 def test_verified_symmetric_structures_pass_anchored_check():
     # the symmetric-to-plain implication over a randomized corpus
     from linfty.corpus import conjugate_structure, random_basis_change
