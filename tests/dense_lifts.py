@@ -22,7 +22,10 @@ too; their references are the projected chains ``P([..[S, a_1].., a_k])``
 and series of the word-by-word lifts, composed by ``commutator``.  The
 comorphism that visits every source word, reading its blocks from
 ``dense_splits.dense_increasing_splits``, is the oracle of
-``lift_comorphism``, which places the components' keys.  The descendent
+``lift_comorphism``, which places the components' keys.  The
+corestriction ``p'(F Q - Q' F)`` of a comorphism's intertwining defect,
+formed on every source word from these full lifts, ``dense_defect``, is the
+oracle of the morphism and representation checkers.  The descendent
 structure that visits every target word and feeds the dense comorphism
 image of each proper prefix into the action, ``dense_descendent``, is the
 oracle of ``tensor.descendent``, which visits only its candidate words.
@@ -274,6 +277,30 @@ def dense_comorphism(
         if acc:
             rows[w] = acc
     return TruncatedComorphism(source, target, bound, flavor, dict(components), rows)
+
+
+def dense_defect(components, source, target, bound, flavor):
+    """``p'(F Q - Q' F)`` on every source word, from full word-by-word lifts."""
+    lift = dense_symmetric_lift if flavor == SYMMETRIC else dense_zinbiel_lift
+    space, tspace = source.space, target.space
+    com = dense_comorphism(space, tspace, components, bound, flavor).rows
+    q = lift(space, source.brackets, bound).rows
+    q_target = lift(tspace, target.brackets, bound).rows
+    words = space.canonical_words_up_to if flavor == SYMMETRIC else space.words_up_to
+    out = {}
+    for w in words(bound):
+        acc = {}
+        for u, c in q.get(w, {}).items():
+            for v, cv in com.get(u, {}).items():
+                if len(v) == 1:
+                    add_into(acc, v[0], c * cv)
+        for v, c in com.get(w, {}).items():
+            for x, cx in q_target.get(v, {}).items():
+                if len(x) == 1:
+                    add_into(acc, x[0], -c * cx)
+        if acc:
+            out[w] = acc
+    return out
 
 
 def dense_descendent(tensor, action, bound: int):

@@ -4,11 +4,9 @@ defect, formed on every word.
 An ∞-morphism is a comorphism ``F`` with ``F Q = Q' F``, and since
 ``F Q - Q' F`` is a coderivation along ``F`` its corestriction
 ``p'(F Q - Q' F)`` fixes it.  The route here forms that corestriction on
-every source word (every canonical one in the symmetric flavor) from
-``dense_lifts.dense_comorphism`` and the word-by-word lifts
-``dense_symmetric_lift``/``dense_zinbiel_lift`` of both bracket families:
-no restriction-level composite, no comorphism placement and no split
-table.  The checker's residual list must equal it, and the checker raises
+every source word (every canonical one in the symmetric flavor), as
+``dense_lifts.dense_defect``: no restriction-level composite, no
+comorphism placement and no split table.  The checker's residual list must equal it, and the checker raises
 unless its two routes give the same residual map word by word.
 """
 import random
@@ -19,7 +17,7 @@ import pytest
 
 import linfty.homotopy as homotopy_module
 import linfty.tensor as tensor_module
-from dense_lifts import dense_comorphism, dense_symmetric_lift, dense_zinbiel_lift
+from dense_lifts import dense_defect
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import (
@@ -28,35 +26,11 @@ from linfty.homotopy import (
     check_loday_morphism,
     lie_to_loday,
 )
-from linfty.multimap import PLAIN, SYMMETRIC, ZINBIEL, MultiMap, add_into, merge_into
+from linfty.multimap import PLAIN, SYMMETRIC, ZINBIEL, MultiMap, merge_into
 from linfty.report import Residual, format_vector
 from linfty.tensor import check_descendent_morphism, descendent
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def dense_defect(components, source, target, bound, flavor):
-    """``p'(F Q - Q' F)`` on every source word, from full word-by-word lifts."""
-    lift = dense_symmetric_lift if flavor == SYMMETRIC else dense_zinbiel_lift
-    space, tspace = source.space, target.space
-    com = dense_comorphism(space, tspace, components, bound, flavor).rows
-    q = lift(space, source.brackets, bound).rows
-    q_target = lift(tspace, target.brackets, bound).rows
-    words = space.canonical_words_up_to if flavor == SYMMETRIC else space.words_up_to
-    out = {}
-    for w in words(bound):
-        acc = {}
-        for u, c in q.get(w, {}).items():
-            for v, cv in com.get(u, {}).items():
-                if len(v) == 1:
-                    add_into(acc, v[0], c * cv)
-        for v, c in com.get(w, {}).items():
-            for x, cx in q_target.get(v, {}).items():
-                if len(x) == 1:
-                    add_into(acc, x[0], -c * cx)
-        if acc:
-            out[w] = acc
-    return out
 
 
 def assert_matches_the_dense_defect(components, source, target, bound, flavor):

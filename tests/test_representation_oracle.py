@@ -1,17 +1,20 @@
-"""``check_representation`` against the Lie-morphism residuals.
+"""``check_representation`` against the dense intertwining defect.
 
 A representation of ``E`` on a complex ``V`` is a Lie-morphism from ``E``
 into the DGLA ``End(V)`` (Lada and Markl, "Strongly homotopy Lie algebras",
-1995).  So the checker's report must equal that of
-``_morphism_residuals`` into the ``end_dgla`` structure, which crosschecks
-its identity sum against the intertwining defect of the comorphism.  The
-cases are the adjoint representation of six structures and seeded sparse
-components of arities 1 and 2 on each, most of which satisfy no identity.
+1995).  So the checker's residuals must be those of
+``dense_lifts.dense_defect`` into the ``end_dgla`` structure: the
+corestriction of ``F Q - Q' F`` on every canonical word, from full
+word-by-word lifts, with no restriction-level composite, comorphism
+placement or split table.  The cases are the adjoint representation of
+six structures and seeded sparse components of arities 1 and 2 on each,
+most of which satisfy no identity.
 """
 import random
 
 import pytest
 
+from dense_lifts import dense_defect
 from laws import adjoint_rep_components
 from linfty.corpus import (
     abelian_structure,
@@ -22,12 +25,7 @@ from linfty.corpus import (
     triple_bracket_example,
     two_term_complex,
 )
-from linfty.homotopy import (
-    _morphism_residuals,
-    _residual_items,
-    check_representation,
-    end_dgla,
-)
+from linfty.homotopy import _residual_items, check_representation, end_dgla
 from linfty.multimap import SYMMETRIC, MultiMap
 from linfty.report import make_report
 
@@ -61,9 +59,9 @@ def seeded_components(structure, end, seed):
     }
 
 
-def assert_equals_morphism_report(components, structure, end_structure, end, bound):
+def assert_equals_dense_report(components, structure, end_structure, end, bound):
     report = check_representation(components, structure, end, bound)
-    residuals = _morphism_residuals(components, structure, end_structure, bound, anchored=False)
+    residuals = dense_defect(components, structure, end_structure, bound, SYMMETRIC)
     items = _residual_items(structure.space, end.space, residuals)
     assert report == make_report("representation", bound, items)
     return report
@@ -71,16 +69,16 @@ def assert_equals_morphism_report(components, structure, end_structure, end, bou
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
-def test_adjoint_representation_equals_the_morphism_residuals(name, bound):
+def test_adjoint_representation_equals_the_dense_defect(name, bound):
     structure, end_structure, end = setting(name)
     components = adjoint_rep_components(structure, end)
-    assert_equals_morphism_report(components, structure, end_structure, end, bound)
+    assert_equals_dense_report(components, structure, end_structure, end, bound)
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
-def test_seeded_components_equal_the_morphism_residuals(name, seed, bound):
+def test_seeded_components_equal_the_dense_defect(name, seed, bound):
     structure, end_structure, end = setting(name)
     components = seeded_components(structure, end, seed)
-    assert_equals_morphism_report(components, structure, end_structure, end, bound)
+    assert_equals_dense_report(components, structure, end_structure, end, bound)
