@@ -1,4 +1,5 @@
-"""The bytes of the deformation-complex and morphism reports, pinned by sha256.
+"""The bytes of the deformation-complex, morphism, tensor and structure-check
+reports, pinned by sha256.
 
 The reports of ``deform`` and ``cohomology`` are the slowest the CLI prints
 and the ones every speedup of the deformation layer must leave unchanged.
@@ -8,8 +9,11 @@ single byte of these reports fails here.  The morphism reports were
 recorded while the crosscheck still intertwined the full lifts of both
 codifferentials.  The tensor reports, in both formats, were recorded from
 the explicit check's own per-word equations and the descendent structure
-that visited every target word.  The CLI prints the input path, so
-the commands run from the root of the checkout with a relative path.
+that visited every target word.  The structure-check reports, in both
+formats, were recorded while ``check-lie`` and ``check-loday`` compared
+the componentwise double sum with the coderivation square of their own
+kernel.  The CLI prints the input path, so the commands run from the root
+of the checkout with a relative path.
 """
 import contextlib
 import hashlib
@@ -87,6 +91,89 @@ TENSOR = {
 }
 
 
+# check-lie and check-loday on every fixture that reaches the check
+STRUCTURE = {
+    ("check-lie", "adjoint_identity", 5, "text"): "b7d0a9a8af333ae24b2e674ea7a547fc182e2b945fc44ecb313c6b16f66ac693",
+    ("check-lie", "adjoint_identity", 5, "machine"): "764b06f1d8d6be10bbc07fe9aeb54bc03072789c702529bfb232b4bd346a16f5",
+    ("check-lie", "adjoint_identity", 6, "text"): "109fd260436eddb6e542de0e57b5d2bd1f45d5e2f74524413f505f2f63f276d8",
+    ("check-lie", "adjoint_identity", 6, "machine"): "aa56cb9fc86714620b71b7cabbae491231e88a70c5ef8bb3393ea2b5da263653",
+    ("check-lie", "adjoint_identity", 7, "text"): "65e13f86447b23c7476bfc7aa61c84851534e459c529d7a6447b3ae160095aac",
+    ("check-lie", "adjoint_identity", 7, "machine"): "fe339a1682801dee23fe4a3a614713edad52f5d8fad25881baffb04e2b06769f",
+    ("check-lie", "heisenberg", 5, "text"): "b51dff3df144d9d3a166aa7ea86b4cbafe5984c3f6581e07826822929064d19d",
+    ("check-lie", "heisenberg", 5, "machine"): "d661767dba2a907636a906a393c4b6a53f1702553f450076b1ac78bdd1654988",
+    ("check-lie", "heisenberg", 6, "text"): "ec947d8077c4954c0cf94906c77ac03afa535e65b73c21901c968035737a20ea",
+    ("check-lie", "heisenberg", 6, "machine"): "d9b6b98098375b9fd291df9beca8a22ffba56ef9aef2bfff50f14d0f9b63f7e2",
+    ("check-lie", "heisenberg", 7, "text"): "16d2b782edb1466069c4dd7c57abb5d8f0a56c3afc30cb723ffa16d7b2cd3ec4",
+    ("check-lie", "heisenberg", 7, "machine"): "45483962d64c170b62cc909ced70dfe3dc47e125dd7da0787343743eeea45f33",
+    ("check-lie", "morphism_quotient", 5, "text"): "ec929db253ed7a7e8904a8c13fcc35dbb50439d31cd32ad7ab81f176c901231a",
+    ("check-lie", "morphism_quotient", 5, "machine"): "67425c98fa80848fd45cb29329da71499f806ea32ecc06667e34fca622656296",
+    ("check-lie", "morphism_quotient", 6, "text"): "5e3aa5b1415db997eca0647d17309307ccd23cc15b232126ea5803f7ac2143af",
+    ("check-lie", "morphism_quotient", 6, "machine"): "3b0ed67a831b6dd60d68a4ff33daf4f68f8655bb1d2bbbeae114d9d57ddc11be",
+    ("check-lie", "morphism_quotient", 7, "text"): "02d33dbe79d98f2b66143d4c3a079b753cc6008fdadc7713ac1080b730ed7738",
+    ("check-lie", "morphism_quotient", 7, "machine"): "fa9cc3ebb1e8ec020038203dd58a1a8f490f527cbdea0b5747f474bb98a3b840",
+    ("check-lie", "noncoherent", 5, "text"): "beb5598a040652523ec429547719a49fa531a44ce05eb11d3b5548de0e1832c8",
+    ("check-lie", "noncoherent", 5, "machine"): "ce2b79a83c43766e9b8844f75e76dff7effac1d0c3cb2f88ad253573b9f5608f",
+    ("check-lie", "noncoherent", 6, "text"): "f82e1c3f767869d7ab8f04bf500acd084dc8f3bc9174b76a09bc4bf8c8ae3ea2",
+    ("check-lie", "noncoherent", 6, "machine"): "54c97f636dfad6ea8e0d63ab7d033ae5b9e91d33db61edf5d730ef9ed4825ff1",
+    ("check-lie", "noncoherent", 7, "text"): "4a41a7da506f3f9546cb75e53afd539953bbcd7e4bc182b66104366cd03119c0",
+    ("check-lie", "noncoherent", 7, "machine"): "db60b286d63ba0e0f899fbf687f50b29b312a415720beaf08013b98e4262ff20",
+    ("check-lie", "strict_centroid", 5, "text"): "6577e433838beac3ac902d118f112ff67717ecb375a8879a3badfbb967d38f35",
+    ("check-lie", "strict_centroid", 5, "machine"): "c48052de2d6e6b5ada15cec64410fb33f0481e57782b2238fd29c166525a75a9",
+    ("check-lie", "strict_centroid", 6, "text"): "63cfc7c54fce2502a5449c3fb4a9c1f2453d8d49b12611f995148a48af319372",
+    ("check-lie", "strict_centroid", 6, "machine"): "7eb6c7e7ab784efdda8fc548784711b7901b2a4438485dc4e2ea24e2345a1e06",
+    ("check-lie", "strict_centroid", 7, "text"): "a18bf1f4ee35c56e57c4e282f807d503727609fa4459f9680c1dcea38fffcb1b",
+    ("check-lie", "strict_centroid", 7, "machine"): "8b2fd2d6522c5dfa1649c5efa4c5dd73da7b11916040c33aafa70374c5f95519",
+    ("check-lie", "twoterm", 5, "text"): "32032567e728c934829a63dbbf7e031a17b15ceb64a022ef1b309dd46d554f11",
+    ("check-lie", "twoterm", 5, "machine"): "9017dce10911fbc4749d98dd315157a4ce401022596ce55d5e81088016db8d76",
+    ("check-lie", "twoterm", 6, "text"): "5fc00d31eb06ff0414c0dc729dfa5af308e9b92cc898c85633e869fee5fa7f99",
+    ("check-lie", "twoterm", 6, "machine"): "093d812cbfc41c0e97a0560587e18ab7c4edf027c2075c96e4bdda854fb767e0",
+    ("check-lie", "twoterm", 7, "text"): "a0e638973042def806bbb132afbf34af1dba8515d596b9c4dae9e655b8c0a5dc",
+    ("check-lie", "twoterm", 7, "machine"): "6a5334f17091c1819a1d71e7cbac595f2bc929c70477765f36b71b414c86231d",
+    ("check-loday", "adjoint_identity", 5, "text"): "eae1717d644570032df1c3c1149001f4b7b011d678935318e65f91814450ae77",
+    ("check-loday", "adjoint_identity", 5, "machine"): "5db4f6d0617bb24931924fd858266bbd41acacaf57ee250eb03684554efc9e35",
+    ("check-loday", "adjoint_identity", 6, "text"): "cb6937173e5cf6b1d166b73e5f7b2fa64c502ad36b683f82515c49ae3a7cd150",
+    ("check-loday", "adjoint_identity", 6, "machine"): "037f767f29523953bef8e5cb3861cf196d238cfc844fa366831535fa22ce1f37",
+    ("check-loday", "adjoint_identity", 7, "text"): "096aba961907c5ac12714b701960618b841c02c4a56cc6273892515751c7c313",
+    ("check-loday", "adjoint_identity", 7, "machine"): "687728f98ec777b640b8891af9db72be09f3f605e1d5c5e29070b2073ca5ebaa",
+    ("check-loday", "heisenberg", 5, "text"): "614b1e534c81a37207778e7213d5ec971b0baf950535d0d0705eb2bce584e912",
+    ("check-loday", "heisenberg", 5, "machine"): "24117682698c129360425848d737e43143ea62848c94ad08b57cca65d7f8636f",
+    ("check-loday", "heisenberg", 6, "text"): "15cda8ababcff84f2871670096654dccd44af077fbfb5dd3f65671bd008f8a85",
+    ("check-loday", "heisenberg", 6, "machine"): "17b00228b4cce52e87273389b0f41ac5bb8901c5b27b7d6b84dd4f8ea60fe1de",
+    ("check-loday", "heisenberg", 7, "text"): "d5460320113c4b2e6bd20d2ccaf3c7b572d8bd2503aa7e30987ab1440f94e236",
+    ("check-loday", "heisenberg", 7, "machine"): "9b3c10fc7ed14d7cedeb7e62d5b07163027656c3f64080772973ef3e5414e9f7",
+    ("check-loday", "loday_plain", 5, "text"): "0679ed635c69a6ee37da30319a30380e854173eba94eeda7de723bd714025acf",
+    ("check-loday", "loday_plain", 5, "machine"): "4330b259f7a5f498a8f6d3b63ee7add2dcd8cebcb0bd57071cd045dfc1ac665a",
+    ("check-loday", "loday_plain", 6, "text"): "b18728fd7cecdf4f4dd3d408865e6afd70eb95e9ce457ab39ba0ec0aa45aa9bf",
+    ("check-loday", "loday_plain", 6, "machine"): "865ca641d69c0ba6f921cc77eb9c6eecd989ce18575e738c4762a54b66135c4c",
+    ("check-loday", "loday_plain", 7, "text"): "910e5380afa0ef1e4b5bbabe92ee6a3a99f6a3f68b6eaba9e06fd47ce200bb1b",
+    ("check-loday", "loday_plain", 7, "machine"): "e1303ecbc207f2a77d1f48d6fb0a043f846a343e9829a6eda25e0782b27bcff8",
+    ("check-loday", "morphism_quotient", 5, "text"): "1642faf862217deee24c8eba76c1af60bafa03de9bc2c473321907c83fb4ee76",
+    ("check-loday", "morphism_quotient", 5, "machine"): "8fb2c077679eabe204047e20b8835372c8137dea024a5cf88efdb53361449e63",
+    ("check-loday", "morphism_quotient", 6, "text"): "372ac1e68953effc0b044305212e040730c49d1121db6c8c0a97ddbb045bb8c4",
+    ("check-loday", "morphism_quotient", 6, "machine"): "62d0659fc576865f8ec3f3a270e53304ca3265aba6db7a9386ec3c42e8cfb6eb",
+    ("check-loday", "morphism_quotient", 7, "text"): "6d271611f9b03a1be4f456e851172dbc7b49a63f5582b8bfc9c978b4b0bdf2e5",
+    ("check-loday", "morphism_quotient", 7, "machine"): "6aceee1c21653897f19adaf8b62aa5692da56465d0ac752fe8e36fc1fb03718c",
+    ("check-loday", "noncoherent", 5, "text"): "5a9c06fb41d9ec385d955faf2d663064248d38a604f017c1907eeaf71fcf46e1",
+    ("check-loday", "noncoherent", 5, "machine"): "bc61dd35cf8bc2b4c1e9baa5b7d41adfecd6c35a7e82888dbd3f620276aa61d1",
+    ("check-loday", "noncoherent", 6, "text"): "6d9150027554ce8908cd310a8975aaa20de4894df59a00b1e8dbeefecb33d54e",
+    ("check-loday", "noncoherent", 6, "machine"): "81c509a05fb3f10c6668abdefb2029c72ff3e115d89f2603f878c34934f7b879",
+    ("check-loday", "noncoherent", 7, "text"): "b85fff432f3a166d030617780e5378708b08b80b12fe377c33d511d2dbb9ef2f",
+    ("check-loday", "noncoherent", 7, "machine"): "7307a5695783850820283392aefd079f5695882f32c3aaa8aafd335e35a9f98d",
+    ("check-loday", "strict_centroid", 5, "text"): "402188a03b2a2fd780548916fece585ae461211288953c3688a388e380f591bd",
+    ("check-loday", "strict_centroid", 5, "machine"): "0c59156a20d87b6c9a39ba97e2d314ef0d7eb657fb638d6cadbd77d74ac92ecf",
+    ("check-loday", "strict_centroid", 6, "text"): "26dc04d91b9361641a3c620ea51f0709cfa2fe0c16bf02cbabf0d66a44d9d5a7",
+    ("check-loday", "strict_centroid", 6, "machine"): "7fbd4ccef455bc3d4c7db3f92f2b6a63fbfb0f193986f3f2d550b0bc76c87d39",
+    ("check-loday", "strict_centroid", 7, "text"): "e467098725f1696172bf7b60453ea9d9de460fe056c709efcf75cf9620ce72b2",
+    ("check-loday", "strict_centroid", 7, "machine"): "d82d63a79c312cda4c8a27806ef5527613a54d90155ca978f6cc9e77ef0ab45a",
+    ("check-loday", "twoterm", 5, "text"): "733d3681481e00b85bccb615f7e35a9c0f750909483fd4d5618d5229955a73a7",
+    ("check-loday", "twoterm", 5, "machine"): "b0c20260c421241136c570d8576a730dd206aa094feac4f20c18425bbe55976d",
+    ("check-loday", "twoterm", 6, "text"): "5280a1351522ed05de39ac4060f812a12f585cefff5adc52436d95ce12fb9000",
+    ("check-loday", "twoterm", 6, "machine"): "a037d889ad940ff20ab8a7d9ab4c44d42cd3c168ab9b08ffa9f8b562f7f8f7c2",
+    ("check-loday", "twoterm", 7, "text"): "944fb609dfb53a98d963dfbb1544f85980a10b5117bd99e8343fab2565a19aed",
+    ("check-loday", "twoterm", 7, "machine"): "70838eb89b9b87717bf17096f94520a98b8632149897f65cf656a162d35e64cb",
+}
+
+
 def stdout_digest(args, monkeypatch):
     monkeypatch.chdir(ROOT)
     out = io.StringIO()
@@ -121,3 +208,9 @@ def test_morphism_report_bytes_are_pinned(command, fixture, bound, monkeypatch):
 def test_tensor_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
     args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
     assert stdout_digest(args, monkeypatch) == TENSOR[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,fixture,bound,fmt", sorted(STRUCTURE))
+def test_structure_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
+    args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
+    assert stdout_digest(args, monkeypatch) == STRUCTURE[command, fixture, bound, fmt]
