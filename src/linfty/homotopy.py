@@ -5,20 +5,23 @@ families are candidates for the generalized Jacobi identity (equivalently a
 square-zero coderivation of the reduced symmetric coalgebra); plain families
 are checked against the anchored identity of the Zinbiel coalgebra.  Every
 checker runs two independent routes and raises :class:`RouteDisagreement`
-unless they give the same residual map word by word.  The first route is
-the componentwise identity.  The second is formed at the restriction level
-with no lift: for a structure, the square of the lifted coderivation
-(:func:`symmetric_composite`, :func:`zinbiel_square`); for a morphism, the
-corestriction of the intertwining defect, the composite of the components
-with the source brackets less the target brackets read on the rows of the
-comorphism.  The first route sums on the words the second forms: the keys
-of its composite kernel, which keeps every word a pair of keys forms, and
-for a morphism the comorphism rows that meet a target bracket key.  Its
+unless they give the same residual map word by word, and every checker
+runs them in one place, :func:`_morphism_residuals`, on the morphism
+identity ``p'(F Q) = q' F``.  A structure is the case ``F = q`` into the
+same space with no brackets, ``p(Q Q) = 0``, and a representation
+(:func:`check_representation`) is a Lie-morphism into the DGLA of
+:func:`end_dgla`.  The first route is the componentwise identity.  The
+second is formed at the restriction level with no lift: the corestriction
+of the intertwining defect, the composite of the components with the
+source brackets (:func:`lifted_composite`, :func:`symmetric_composite`)
+less the target brackets read on the rows of the comorphism, which is not
+built for a target with no brackets; for a structure that is the square
+of the lifted coderivation.  The first route sums on the words the second
+forms: the keys of its composite kernel, which keeps every word a pair of
+keys forms, and the comorphism rows that meet a target bracket key.  Its
 values come only from the split iterators of :mod:`linfty.graded`, so the
 routes share that word set and nothing else; a third route in ``tests/``,
-which visits every word, checks it.  :func:`check_representation` has one
-route: the symmetric morphism identity sum into the DGLA of
-:func:`end_dgla`, on every canonical word.
+which visits every word, checks it.
 """
 from __future__ import annotations
 
@@ -48,7 +51,6 @@ from .multimap import (
     lifted_composite,
     merge_into,
     symmetric_composite,
-    zinbiel_square,
 )
 from .report import (
     CheckReport,
@@ -178,16 +180,6 @@ def _anchored_sum(space, inner, outer, word: Word) -> Vector:
     return acc
 
 
-def _lie_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
-    """The unshuffle double sum of the symmetric structure identity."""
-    return _symmetric_sum(structure.space, structure.brackets, structure.brackets, word)
-
-
-def _loday_identity_value(structure: HomotopyStructure, word: Word) -> Vector:
-    """The anchored double sum of the plain (Zinbiel) structure identity."""
-    return _anchored_sum(structure.space, structure.brackets, structure.brackets, word)
-
-
 def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     return [
         Residual(len(w), space.format_word(w), format_vector(value_space, v))
@@ -215,76 +207,54 @@ def _cleared(structure: HomotopyStructure) -> tuple[HomotopyStructure, int]:
     return HomotopyStructure(structure.space, structure.flavor, scaled, structure.max_arity), den
 
 
-def _square_report(check, kind, space, direct, squared, den: int, bound: int) -> CheckReport:
-    """The report of a structure checker from the residual maps of its two
-    routes on the brackets cleared by ``den`` (:func:`_cleared`), each value
-    divided by ``den**2``; raises :class:`RouteDisagreement` unless the
-    maps are equal.  ``squared`` is the square as its kernel forms it, and
-    only its nonzero values are compared."""
-
-    def unscaled(residuals):
-        if den == 1:
-            return residuals
-        return {w: {o: Fraction(c, den * den) for o, c in v.items()} for w, v in residuals.items()}
-
-    squared = {w: v for w, v in squared.items() if v}
-    if direct != squared:
-        raise RouteDisagreement(
-            f"{kind} identity sum and coderivation square differ: "
-            f"{_route_diff(space, space, unscaled(direct), unscaled(squared), _SQUARE_ROUTES)}"
-        )
-    return make_report(check, bound, _residual_items(space, space, unscaled(direct)))
+def _structure_report(check: str, structure: HomotopyStructure, bound: int, anchored: bool):
+    """The report of a structure checker: :func:`_morphism_residuals` with
+    the brackets cleared by ``D`` (:func:`_cleared`) as the components, into
+    the same space with no brackets."""
+    cleared, den = _cleared(structure)
+    space = structure.space
+    bare = HomotopyStructure(space, structure.flavor, {})
+    residuals = _morphism_residuals(cleared.brackets, cleared, bare, bound, anchored, den=den)
+    return make_report(check, bound, _residual_items(space, space, residuals))
 
 
 def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     """Verify the symmetric structure identity on all canonical words.
 
-    Runs the componentwise double sum and the coderivation-square route and
-    insists they agree exactly.  The square (:func:`symmetric_composite` of
-    the brackets with themselves, the symmetric twin of
-    :func:`zinbiel_square`) forms only the lift entries whose word is a
-    bracket key, from pairs of keys; it builds no lift row.  The double sum
-    runs on the words the square forms, as :func:`check_loday_infinity`
-    does.  Both routes run on the integral brackets of :func:`_cleared` and
-    compare integer residual maps; only the report and a disagreement's
-    message divide by ``D**2``.
+    The identity ``p(Q Q) = 0`` is the morphism identity of the brackets
+    ``q`` into the same space with no brackets, so it runs the morphism
+    checker's two routes (:func:`_morphism_residuals`): the componentwise
+    double sum against the square ``q Q``, :func:`symmetric_composite` of
+    the brackets with themselves, which forms only the lift entries whose
+    word is a bracket key, from pairs of keys, and builds no lift row.  The
+    double sum runs on the words the square forms, as
+    :func:`check_loday_infinity` does.  Both routes run on the integral
+    brackets of :func:`_cleared` and compare integer residual maps; only the
+    report and a disagreement's message divide by ``D**2``.
     """
     if structure.flavor != SYMMETRIC:
         raise InputError("check_lie_infinity expects a symmetric structure")
-    space = structure.space
-    cleared, den = _cleared(structure)
-    squared = symmetric_composite(space, cleared.brackets, cleared.brackets, bound)
-    direct = {w: v for w in squared if (v := _lie_identity_value(cleared, w))}
-    return _square_report("lie-infinity", "symmetric", space, direct, squared, den, bound)
+    return _structure_report("lie-infinity", structure, bound, anchored=False)
 
 
 def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     """Verify the anchored structure identity on all tensor words.
 
-    Both the explicit double sum and the square of the lifted Zinbiel
-    coderivation are computed and compared.  The square
-    (:func:`zinbiel_square`) forms only the lift entries whose word is a
-    bracket key, from pairs of keys, with the lift's own signs; it builds no
-    lift row.  It keeps every word one of its (key, key, placement) triples
-    forms, and the double sum runs on those words and no others.  A split
-    term is nonzero only when its inner block is a bracket key and its outer
-    word one too, which is such a triple, so on every other word the
-    identity holds term by term and the verdict still covers all words up
-    to the bound.  The double sum's values still come only from
-    :func:`anchored_splits`; the word set is the one thing the routes share,
-    and the every-word route of ``tests/test_loday_oracle.py`` checks it.
-    Both routes run on the integral brackets of :func:`_cleared` and compare
-    integer residual maps; only the report and a disagreement's message
-    divide by ``D**2``.
+    As in :func:`check_lie_infinity`, the explicit double sum and the square
+    ``q Q`` of the lifted Zinbiel coderivation, :func:`lifted_composite` of
+    the brackets with themselves, are computed and compared.  The square
+    forms only the lift entries whose word is a bracket key, from pairs of
+    keys, with the lift's own signs; it builds no lift row.  It keeps every
+    word one of its (key, key, placement) triples forms, and the double sum
+    runs on those words and no others.  A split term is nonzero only when
+    its inner block is a bracket key and its outer word one too, which is
+    such a triple, so on every other word the identity holds term by term
+    and the verdict still covers all words up to the bound.  The double
+    sum's values still come only from :func:`anchored_splits`; the word set
+    is the one thing the routes share, and the every-word route of
+    ``tests/test_loday_oracle.py`` checks it.
     """
-    space = structure.space
-    cleared, den = _cleared(structure)
-    squared = zinbiel_square(space, cleared.brackets, bound)
-    direct = {w: v for w in squared if (v := _loday_identity_value(cleared, w))}
-    return _square_report("loday-infinity", "anchored", space, direct, squared, den, bound)
-
-
-_SQUARE_ROUTES = ("identity sum", "coderivation square")
+    return _structure_report("loday-infinity", structure, bound, anchored=True)
 
 
 def _route_diff(space, value_space, a, b, labels: tuple[str, str]) -> str:
@@ -316,6 +286,13 @@ def _check_components(components: Mapping[int, MultiMap], source, target) -> Non
             raise InputError("component spaces do not match the structures")
 
 
+def _lie_components(components: Mapping[int, MultiMap], source, target) -> dict[int, MultiMap]:
+    """The checked components (:func:`_check_components`) as symmetric maps
+    (:func:`_symmetric_component`)."""
+    _check_components(components, source, target)
+    return {k: _symmetric_component(f) for k, f in components.items()}
+
+
 def check_lie_morphism(
     components: Mapping[int, MultiMap],
     source: HomotopyStructure,
@@ -334,6 +311,7 @@ def check_lie_morphism(
     """
     if source.flavor != SYMMETRIC or target.flavor != SYMMETRIC:
         raise InputError("check_lie_morphism expects symmetric structures")
+    components = _lie_components(components, source, target)
     residuals = _morphism_residuals(components, source, target, bound, anchored=False)
     items = _residual_items(source.space, target.space, residuals)
     return make_report("lie-morphism", bound, items)
@@ -346,6 +324,7 @@ def check_loday_morphism(
     bound: int,
 ) -> CheckReport:
     """Verify the anchored morphism identity between plain structures."""
+    _check_components(components, source, target)
     residuals = _morphism_residuals(components, source, target, bound, anchored=True)
     items = _residual_items(source.space, target.space, residuals)
     return make_report("loday-morphism", bound, items)
@@ -361,67 +340,79 @@ def _symmetric_component(f: MultiMap) -> MultiMap:
     return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
 
 
-def _morphism_residuals(components, source, target, bound, anchored: bool, com=None):
+def _morphism_residuals(components, source, target, bound, anchored: bool, com=None, den=None):
     """The residual map of the morphism identity, components after source
     brackets less target brackets on the comorphism image, crosschecked word
     by word against ``p'(F Q) - q' F``, the corestriction of the
     intertwining defect of the comorphism ``F``; ``com`` is ``F`` when the
-    caller already holds it.
+    caller already holds it.  The callers check the components.
 
     ``p'(F Q)`` is the components after the lift of the source brackets,
     :func:`lifted_composite` or :func:`symmetric_composite` of the two
     families; ``q' F`` reads the target brackets on the rows of
-    :func:`lift_comorphism`.  Neither codifferential is lifted.  The
-    identity sum, of either flavor, visits only the words where a term can
-    be nonzero: the keys of the composite, every word it forms from a
-    component key and a source bracket key, and the comorphism rows whose
-    image meets a target bracket key, which the pass of ``q' F`` collects.  Its values still come only from the split iterators; the
-    dense defect of ``tests/test_morphism_oracle.py``, formed on every
+    :func:`lift_comorphism`, which is not built when the target has no
+    brackets.  Neither codifferential is lifted.  The identity sum, of
+    either flavor, visits only the words where a term can be nonzero: the
+    keys of the composite, every word it forms from a component key and a
+    source bracket key, and the comorphism rows whose image meets a target
+    bracket key, which the pass of ``q' F`` collects; it finds the
+    compositions with a nonzero term (:func:`_surviving_compositions`) once
+    for each length it visits.  Its values still come only from the split
+    iterators; the dense defect of ``tests/dense_lifts.py``, formed on every
     word, checks the word set.
+
+    A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
+    space with no brackets.  A structure checker passes ``den``: the
+    components are its brackets cleared by ``den`` (:func:`_cleared`), so
+    the returned map and a disagreement's message, which names the
+    coderivation square, are divided by ``den**2``.
     """
-    _check_components(components, source, target)
     space, tspace = source.space, target.space
     if anchored:
         coalgebra, composite, lhs_sum = ZINBIEL, lifted_composite, _anchored_sum
     else:
-        components = {k: _symmetric_component(f) for k, f in components.items()}
         coalgebra, composite, lhs_sum = SYMMETRIC, symmetric_composite, _symmetric_sum
-    if com is None:
-        com = lift_comorphism(space, tspace, components, bound, coalgebra)
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
-    for w, row in com.rows.items():
-        acc = defect.setdefault(w, {})
-        for u, c in row.items():
-            f = target.bracket(len(u))
-            value, sign = f.lookup(u) if f is not None else (None, 0)
-            if value:
-                words.add(w)
-                merge_into(acc, value, -c if sign > 0 else c)
+    if target.brackets:
+        if com is None:
+            com = lift_comorphism(space, tspace, components, bound, coalgebra)
+        for w, row in com.rows.items():
+            acc = defect.setdefault(w, {})
+            for u, c in row.items():
+                f = target.bracket(len(u))
+                value, sign = f.lookup(u) if f is not None else (None, 0)
+                if value:
+                    words.add(w)
+                    merge_into(acc, value, -c if sign > 0 else c)
     defect = {w: v for w, v in defect.items() if v}
-    residuals = _identity_residuals(source, components, target, words, lhs_sum, bound)
-    if residuals != defect:
-        routes = ("identity sum", "intertwining defect")
-        raise RouteDisagreement(
-            f"componentwise {'anchored ' if anchored else ''}morphism identity and "
-            "comorphism intertwining disagree: "
-            f"{_route_diff(space, tspace, residuals, defect, routes)}"
-        )
-    return residuals
-
-
-def _identity_residuals(source, components, target, words, lhs_sum, bound) -> dict[Word, Vector]:
-    """The nonzero values on ``words`` of ``lhs_sum`` less :func:`_morphism_rhs`,
-    the morphism identity, with the surviving compositions once per length."""
-    space = source.space
-    surviving = {n: _surviving_compositions(components, target, n) for n in range(1, bound + 1)}
+    lengths = {len(w) for w in words}
+    surviving = {n: _surviving_compositions(components, target, n) for n in lengths}
     residuals: dict[Word, Vector] = {}
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
         merge_into(diff, _morphism_rhs(space, components, surviving[len(w)], w), -1)
         if diff:
             residuals[w] = diff
-    return residuals
+    if residuals != defect:
+        if den is None:
+            kind = "anchored " if anchored else ""
+            what = f"componentwise {kind}morphism identity and comorphism intertwining disagree"
+            routes = ("identity sum", "intertwining defect")
+        else:
+            kind = "anchored" if anchored else "symmetric"
+            what = f"{kind} identity sum and coderivation square differ"
+            residuals, defect = _unscaled(residuals, den), _unscaled(defect, den)
+            routes = ("identity sum", "coderivation square")
+        raise RouteDisagreement(f"{what}: {_route_diff(space, tspace, residuals, defect, routes)}")
+    return residuals if den is None else _unscaled(residuals, den)
+
+
+def _unscaled(residuals: dict[Word, Vector], den: int) -> dict[Word, Vector]:
+    """The residual map with every value divided by ``den**2``."""
+    if den == 1:
+        return residuals
+    return {w: {o: Fraction(c, den * den) for o, c in v.items()} for w, v in residuals.items()}
 
 
 def _surviving_compositions(components, target, n: int) -> list[tuple[tuple[int, ...], MultiMap]]:
@@ -667,21 +658,19 @@ def check_representation(
     read as symmetric maps; a key that is not a canonical word is refused,
     and so is a component filed under another arity or over another source
     space, as in :func:`check_lie_morphism`.  A representation is a
-    Lie-morphism into the DGLA of :func:`end_dgla`,
-    so on every canonical word the check sums the morphism identity: the
-    components after the source brackets less that DGLA's differential and
-    commutator on the block images (:func:`_symmetric_sum`,
-    :func:`_morphism_rhs`).
+    Lie-morphism into the DGLA of :func:`end_dgla`, so the check is that
+    checker's two routes into that DGLA's structure
+    (:func:`_morphism_residuals`): the components after the source brackets
+    less its differential and commutator on the block images, against the
+    intertwining defect of the symmetric comorphism.
     """
-    space = source.space
     for k, f in components.items():
         if f.is_zero():
             continue
         if f.target is not end.space or f.degree != 0:
             raise InputError("representation components must be degree 0 into End[1]")
     target = _end_structure(end)
-    _check_components(components, source, target)
-    components = {k: _symmetric_component(f) for k, f in components.items()}
-    words = space.canonical_words_up_to(bound)
-    residuals = _identity_residuals(source, components, target, words, _symmetric_sum, bound)
-    return make_report("representation", bound, _residual_items(space, end.space, residuals))
+    components = _lie_components(components, source, target)
+    residuals = _morphism_residuals(components, source, target, bound, anchored=False)
+    items = _residual_items(source.space, end.space, residuals)
+    return make_report("representation", bound, items)

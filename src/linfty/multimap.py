@@ -70,7 +70,6 @@ __all__ = [
     "symmetric_composite",
     "symmetrize",
     "zinbiel_coproduct",
-    "zinbiel_square",
 ]
 
 
@@ -704,22 +703,13 @@ def lifted_composite(
     proportional to the (inner key, outer key, placement) triples that fit
     under the bound.
     """
-    slots = _slot_index(_plain_support(outer))
+    support = list(_plain_support(outer))
+    slots = _slot_index(support)
     if not slots:
         return {}
-    return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)
-
-
-def zinbiel_square(
-    space: GradedSpace, restrictions: Mapping[int, MultiMap], bound: int
-) -> dict[Word, Vector]:
-    """The single-letter components ``p(Q Q) = q Q`` of the square of the
-    Zinbiel lift ``Q`` of the restrictions ``q``: :func:`lifted_composite`
-    with ``q`` on both sides, its plain support expanded once.  Like it, it
-    keeps every word it forms, a cancelled value as an empty dict."""
-    support = list(_plain_support(restrictions))
-    parity = _common_degree(restrictions) % 2
-    return _composite(space, _slot_index(support), support, parity, bound)
+    if inner is not outer:
+        support = _plain_support(inner)
+    return _composite(space, slots, support, _common_degree(inner) % 2, bound)
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:

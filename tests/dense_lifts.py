@@ -6,9 +6,9 @@ forwards.  The package builds its lifts from the support of the restriction
 maps instead; the oracle tests check the two agree row for row.
 ``_square_restrictions`` applies a family to every entry of every row of a
 lift: over the word-by-word Zinbiel lift it is the oracle of
-``zinbiel_square`` and ``lifted_composite``, and over the word-by-word
-symmetric lift that of ``symmetric_composite``, each of which forms only
-the lift entries the outer family reads.  ``assert_composite_matches``
+``lifted_composite``, and over the word-by-word symmetric lift that of
+``symmetric_composite``, each of which forms only the lift entries the
+outer family reads.  ``assert_composite_matches``
 holds such a kernel to it: equal nonzero values, and a formed word at every
 row where the family reads an entry, since the checkers sum their first
 route on exactly the words their kernel forms.  The action's coderivation side

@@ -325,7 +325,7 @@ def test_crosscheck_requires_an_action():
 def test_jacobiator_vanishes_on_front_block_words_for_mere_actions():
     # acting-then-target words: the anchored identity defect vanishes for any
     # genuine action, coherent or not
-    from linfty.homotopy import _loday_identity_value
+    from linfty.homotopy import _anchored_sum
 
     for act in (heisenberg_noncentral_action(), solvable_self_action(), adjoint_action(sl2())):
         assert check_action(act, BOUND).ok
@@ -339,7 +339,7 @@ def test_jacobiator_vanishes_on_front_block_words_for_mere_actions():
                     (not a) and b for a, b in zip(letters, letters[1:])
                 ):
                     continue
-                assert _loday_identity_value(st, word) == {}, word
+                assert _anchored_sum(st.space, st.brackets, st.brackets, word) == {}, word
 
 
 def test_corpus_smoke():

@@ -203,15 +203,15 @@ def test_route_disagreement_maps_to_exit_three(capsys, monkeypatch):
 def test_route_disagreement_names_word_and_both_values(capsys, monkeypatch):
     import linfty.homotopy as homotopy
 
-    real = homotopy.zinbiel_square
+    real = homotopy.lifted_composite
 
-    def skewed(space, restrictions, bound):
+    def skewed(space, outer, inner, bound):
         # one spurious term: the coderivation square picks up [p,p] = z on (p, p)
-        square = {w: dict(v) for w, v in real(space, restrictions, bound).items()}
+        square = {w: dict(v) for w, v in real(space, outer, inner, bound).items()}
         square.setdefault((0, 0), {})[2] = Fraction(1)
         return square
 
-    monkeypatch.setattr(homotopy, "zinbiel_square", skewed)
+    monkeypatch.setattr(homotopy, "lifted_composite", skewed)
     code = main(["check-loday", str(FIXTURES / "loday_plain.lif")])
     out = capsys.readouterr().out
     assert code == 3

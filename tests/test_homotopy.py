@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import (
     HomotopyStructure,
@@ -38,6 +40,7 @@ from linfty.corpus import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,79 @@ def test_morphism_disagreement_names_the_word_only_the_identity_route_sees(monke
             f"componentwise {label} identity and comorphism intertwining disagree: "
             "first at [a,b]: identity sum (1/1)*b, intertwining defect 0"
         )
+
+
+def test_representation_disagreement_names_its_word_and_both_values(monkeypatch):
+    # the adjoint representation of heisenberg holds; a spurious term of the
+    # composite at p,q shows on the intertwining route only
+    import linfty.homotopy as homotopy
+
+    L = heisenberg()
+    _, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
+    comps = adjoint_rep_components(L, end)
+    assert check_representation(comps, L, end, 3).ok
+    real = homotopy.symmetric_composite
+
+    def skewed(space, outer, inner, bound):
+        composite = {w: dict(v) for w, v in real(space, outer, inner, bound).items()}
+        composite.setdefault((0, 1), {})[end.index(2, 2)] = F(1)
+        return composite
+
+    monkeypatch.setattr(homotopy, "symmetric_composite", skewed)
+    with pytest.raises(RouteDisagreement) as err:
+        check_representation(comps, L, end, 3)
+    assert str(err.value) == (
+        "componentwise morphism identity and comorphism intertwining disagree: "
+        "first at [p,q]: identity sum 0, intertwining defect (1/1)*z>z"
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture,space,check,bound",
+    [
+        ("twoterm", "C", check_lie_infinity, 7),
+        ("loday_plain", "D", check_loday_infinity, 5),
+        ("adjoint_identity", "E", check_loday_infinity, 5),
+    ],
+)
+def test_structure_check_builds_no_comorphism_and_surveys_only_formed_lengths(
+    fixture, space, check, bound, monkeypatch
+):
+    # the target of a structure identity has no brackets, so no comorphism
+    # row can meet one, and the identity sum visits only the square's words:
+    # none for the first two, words of length 3 for the third
+    import linfty.homotopy as homotopy
+
+    calls = {"comorphism": 0, "surveyed": [], "formed": set()}
+
+    def no_comorphism(*args):
+        calls["comorphism"] += 1
+        return real_comorphism(*args)
+
+    def surveyed(components, target, n):
+        calls["surveyed"].append(n)
+        return real_survey(components, target, n)
+
+    def formed(composite):
+        def run(space, outer, inner, bound):
+            out = composite(space, outer, inner, bound)
+            calls["formed"].update(len(w) for w in out)
+            return out
+
+        return run
+
+    real_comorphism, real_survey = homotopy.lift_comorphism, homotopy._surviving_compositions
+    monkeypatch.setattr(homotopy, "lift_comorphism", no_comorphism)
+    monkeypatch.setattr(homotopy, "_surviving_compositions", surveyed)
+    for name in ("symmetric_composite", "lifted_composite"):
+        monkeypatch.setattr(homotopy, name, formed(getattr(homotopy, name)))
+    structure = parse_path(FIXTURES / f"{fixture}.lif").structure(space)
+    if check is check_loday_infinity and structure.flavor == SYMMETRIC:
+        structure = lie_to_loday(structure)
+    assert check(structure, bound).ok
+    assert calls["comorphism"] == 0
+    assert set(calls["surveyed"]) <= calls["formed"]
+    assert len(calls["surveyed"]) == len(set(calls["surveyed"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """``check_loday_infinity`` against a third route that visits every word,
 and its coderivation square against the square of the word-by-word lift.
 
-The checker's second route, ``zinbiel_square``, forms only the lift
-entries whose word is a bracket key, from pairs of keys; it builds no lift
-row.  Its first route sums the identity on exactly the words the square
+The checker's second route, the square ``lifted_composite`` of the
+brackets with themselves, forms only the lift entries whose word is a
+bracket key, from pairs of keys; it builds no lift row.  Its first route sums the identity on exactly the words the square
 forms, so the two routes share that word set, and a word the square never
 forms would go unseen by both.  This third route sums the anchored identity
 on every tensor word up to the bound, from the slot-picking terms of
@@ -27,7 +27,7 @@ from linfty.action import hemisemidirect
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure, check_loday_infinity, lie_to_loday
-from linfty.multimap import PLAIN, SYMMETRIC, zinbiel_square
+from linfty.multimap import PLAIN, SYMMETRIC, lifted_composite
 from linfty.report import Residual, format_vector
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,7 +115,7 @@ MIXED3 = GradedSpace("M", [("x", 0), ("y", 1), ("z", -1)])
 def assert_square_matches(space, family, bound):
     """The square's nonzero values, once they are the dense square's and its
     words cover every row where the dense square has a term."""
-    square = zinbiel_square(space, family, bound)
+    square = lifted_composite(space, family, family, bound)
     return assert_composite_matches(square, family, dense_zinbiel_lift(space, family, bound))
 
 

@@ -124,12 +124,13 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
         for f in family.values():
             assert all(type(c) is int for v in f.constants.values() for c in v.values())
 
-    square, anchored = homotopy.zinbiel_square, homotopy._anchored_sum
+    square, anchored = homotopy.lifted_composite, homotopy._anchored_sum
 
-    def counted_square(space, restrictions, bound):
+    def counted_square(space, outer, inner, bound):
         seen["square"] += 1
-        ints_only(restrictions)
-        return square(space, restrictions, bound)
+        ints_only(outer)
+        ints_only(inner)
+        return square(space, outer, inner, bound)
 
     def counted_sum(space, inner, outer, word):
         seen["sum"] += 1
@@ -137,7 +138,7 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
         ints_only(outer)
         return anchored(space, inner, outer, word)
 
-    monkeypatch.setattr(homotopy, "zinbiel_square", counted_square)
+    monkeypatch.setattr(homotopy, "lifted_composite", counted_square)
     monkeypatch.setattr(homotopy, "_anchored_sum", counted_sum)
     report = check_loday_infinity(product, 4)
     assert not report.ok

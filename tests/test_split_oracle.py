@@ -4,8 +4,7 @@
 from ``itertools.combinations`` with its own crossing count.  The iterators
 must yield the same multiset of terms, and the identity sums and the
 morphism right side built on them, which ``check_action`` relies on with no
-second route and ``check_representation`` sums on every canonical word,
-must equal the same sums built from the oracle's terms.  The multilinear
+second route, must equal the same sums built from the oracle's terms.  The multilinear
 expansion that both morphism routes share is checked against an
 ``itertools.product`` sum, ``check_coherence`` against commutators of the
 word-by-word lifts of its families, and the module boundary between the
@@ -48,9 +47,9 @@ from linfty.graded import (
 )
 from linfty.homotopy import (
     HomotopyStructure,
-    _lie_identity_value,
-    _loday_identity_value,
+    _anchored_sum,
     _morphism_rhs,
+    _symmetric_sum,
     _surviving_compositions,
 )
 from linfty.multimap import PLAIN, SYMMETRIC, commutator, expand, merge_into
@@ -189,28 +188,29 @@ STRUCTURES = catalog_structures() + random_structures()
 @pytest.mark.parametrize("index", range(len(STRUCTURES)))
 def test_identity_sums_equal_the_oracle_sums(index):
     structure = STRUCTURES[index]
-    space = structure.space
+    space, q = structure.space, structure.brackets
     if structure.flavor == SYMMETRIC:
         for w in space.canonical_words_up_to(BOUND):
-            assert _lie_identity_value(structure, w) == dense_symmetric_value(structure, w), w
+            assert _symmetric_sum(space, q, q, w) == dense_symmetric_value(structure, w), w
     for w in space.words_up_to(BOUND):
-        assert _loday_identity_value(structure, w) == dense_anchored_value(structure, w), w
+        assert _anchored_sum(space, q, q, w) == dense_anchored_value(structure, w), w
 
 
 def test_random_sums_are_not_all_zero():
     # the random families make the comparison above see real values
     for structure in random_structures():
-        space = structure.space
-        assert any(_loday_identity_value(structure, w) for w in space.words_up_to(3))
+        space, q = structure.space, structure.brackets
+        assert any(_anchored_sum(space, q, q, w) for w in space.words_up_to(3))
 
 
 def test_product_anchored_sum_equals_the_oracle_sum():
     # a non-coherent action: the product's anchored identity fails
     inst = next(i for i in CATALOG if i.label == "heis-noncentral")
     product = hemisemidirect(inst.action).structure
+    space, q = product.space, product.brackets
     nonzero = 0
-    for w in product.space.words_up_to(BOUND):
-        value = _loday_identity_value(product, w)
+    for w in space.words_up_to(BOUND):
+        value = _anchored_sum(space, q, q, w)
         assert value == dense_anchored_value(product, w), w
         nonzero += bool(value)
     assert nonzero

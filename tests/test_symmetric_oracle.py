@@ -172,14 +172,14 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
     # nowhere; visiting every canonical word made 14 sums
     import linfty.homotopy as homotopy
 
-    real = homotopy._lie_identity_value
+    real = homotopy._symmetric_sum
     visited = []
 
-    def counted(structure, word):
+    def counted(space, inner, outer, word):
         visited.append(word)
-        return real(structure, word)
+        return real(space, inner, outer, word)
 
-    monkeypatch.setattr(homotopy, "_lie_identity_value", counted)
+    monkeypatch.setattr(homotopy, "_symmetric_sum", counted)
     sf = parse_path(FIXTURES / "twoterm.lif")
     assert check_lie_infinity(sf.structure("C"), 7).ok
     assert visited == []
