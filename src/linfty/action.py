@@ -149,9 +149,9 @@ class ActionFamily:
     checks bracket; none of them is lifted.  The family memoizes
     (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
     family with its letter index under ``("phi", word, bound)``
-    (:func:`_indexed_phi`), the coherence verdict under
-    ``("coherent", bound)`` and the product under ``("hemi",)``.
-    :meth:`ad_of` and :meth:`phi_mixed` are read once each and not kept.
+    (:func:`_indexed_phi`) and the coherence verdict under
+    ``("coherent", bound)``.  :meth:`ad_of` and :meth:`phi_mixed` are read
+    once each and not kept.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
