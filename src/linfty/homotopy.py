@@ -207,7 +207,9 @@ def _cleared(structure: HomotopyStructure) -> tuple[HomotopyStructure, int]:
     return HomotopyStructure(structure.space, structure.flavor, scaled, structure.max_arity), den
 
 
-def _structure_report(check: str, structure: HomotopyStructure, bound: int, anchored: bool):
+def _structure_report(
+    check: str, structure: HomotopyStructure, bound: int, anchored: bool
+) -> CheckReport:
     """The report of a structure checker: :func:`_morphism_residuals` with
     the brackets cleared by ``D`` (:func:`_cleared`) as the components, into
     the same space with no brackets."""

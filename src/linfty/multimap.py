@@ -701,7 +701,8 @@ def lifted_composite(
     that multiple of ``a(y)``.  The outer keys are indexed by the letter and
     the position of each slot, and every term is written once; the work is
     proportional to the (inner key, outer key, placement) triples that fit
-    under the bound.
+    under the bound.  A family composed with itself, the square ``p(Q Q)``
+    of the structure checks, is expanded once.
     """
     support = list(_plain_support(outer))
     slots = _slot_index(support)
