@@ -3,16 +3,17 @@ and its coderivation square against the square of the word-by-word lift.
 
 The checker's second route, the square ``lifted_composite`` of the
 brackets with themselves, forms only the lift entries whose word is a
-bracket key, from pairs of keys; it builds no lift row.  Its first route sums the identity on exactly the words the square
-forms, so the two routes share that word set, and a word the square never
-forms would go unseen by both.  This third route sums the anchored identity
-on every tensor word up to the bound, from the slot-picking terms of
-``dense_splits.py`` and ``MultiMap.eval``: no split table, no composite
-kernel and no lift.  Its residual list must equal the checker's, in order.
-The square itself is held to the brackets applied to every entry of every
-row of the lift that visits every word (``dense_lifts.assert_composite_matches``):
-its nonzero values must equal theirs, and its words must cover every row
-where they read an entry, also where the terms cancel.
+bracket key, from pairs of keys; it builds no lift row.  Its first route
+sums the identity on exactly the words the square forms, so the two routes
+share that word set, and a word the square never forms would go unseen by
+both.  This third route sums the anchored identity on every tensor word up
+to the bound, from the slot-picking terms of ``dense_splits.py`` and
+``MultiMap.eval``: no split table, no composite kernel and no lift.  Its
+residual list must equal the checker's, in order.  The square itself is
+held to the brackets applied to every entry of every row of the lift that
+visits every word (``dense_lifts.assert_composite_matches``): its nonzero
+values must equal theirs, and its words must cover every row where they
+read an entry, also where the terms cancel.
 """
 import itertools
 import random

@@ -4,8 +4,8 @@
 from ``itertools.combinations`` with its own crossing count.  The iterators
 must yield the same multiset of terms, and the identity sums and the
 morphism right side built on them, which ``check_action`` relies on with no
-second route, must equal the same sums built from the oracle's terms.  The multilinear
-expansion that both morphism routes share is checked against an
+second route, must equal the same sums built from the oracle's terms.  The
+multilinear expansion that both morphism routes share is checked against an
 ``itertools.product`` sum, ``check_coherence`` against commutators of the
 word-by-word lifts of its families, and the module boundary between the
 routes is pinned.
