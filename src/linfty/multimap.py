@@ -701,16 +701,12 @@ def lifted_composite(
     that multiple of ``a(y)``.  The outer keys are indexed by the letter and
     the position of each slot, and every term is written once; the work is
     proportional to the (inner key, outer key, placement) triples that fit
-    under the bound.  A family composed with itself, the square ``p(Q Q)``
-    of the structure checks, is expanded once.
+    under the bound.
     """
-    support = list(_plain_support(outer))
-    slots = _slot_index(support)
+    slots = _slot_index(_plain_support(outer))
     if not slots:
         return {}
-    if inner is not outer:
-        support = _plain_support(inner)
-    return _composite(space, slots, support, _common_degree(inner) % 2, bound)
+    return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:
