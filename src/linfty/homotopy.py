@@ -14,14 +14,15 @@ same space with no brackets, ``p(Q Q) = 0``, and a representation
 second is formed at the restriction level with no lift: the corestriction
 of the intertwining defect, the composite of the components with the
 source brackets (:func:`lifted_composite`, :func:`symmetric_composite`)
-less the target brackets read on the rows of the comorphism, which is not
-built for a target with no brackets; for a structure that is the square
-of the lifted coderivation.  The first route sums on the words the second
-forms: the keys of its composite kernel, which keeps every word a pair of
-keys forms, and the comorphism rows that meet a target bracket key.  Its
-values come only from the split iterators of :mod:`linfty.graded`, so the
-routes share that word set and nothing else; a third route in ``tests/``,
-which visits every word, checks it.
+less the target brackets read on the rows of the comorphism, which are
+built only where the image has a target bracket's arity, so none for a
+target with no brackets; for a structure that is the square of the lifted
+coderivation.  The first route sums on the words the second forms: the
+keys of its composite kernel, which keeps every word a pair of keys forms,
+and the comorphism rows that meet a target bracket key.  Its values come
+only from the split iterators of :mod:`linfty.graded`, so the routes share
+that word set and nothing else; a third route in ``tests/``, which visits
+every word, checks it.
 """
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ from .multimap import (
     MultiMap,
     Scalar,
     Vector,
+    _comorphism_rows,
     add_into,
     expand,
-    lift_comorphism,
     lifted_composite,
     merge_into,
     symmetric_composite,
@@ -352,16 +353,17 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     ``p'(F Q)`` is the components after the lift of the source brackets,
     :func:`lifted_composite` or :func:`symmetric_composite` of the two
     families; ``q' F`` reads the target brackets on the rows of
-    :func:`lift_comorphism`, which is not built when the target has no
+    :func:`lift_comorphism` whose image words have the arity of a target
+    bracket (:func:`_comorphism_rows`), none when the target has no
     brackets.  Neither codifferential is lifted.  The identity sum, of
     either flavor, visits only the words where a term can be nonzero: the
     keys of the composite, every word it forms from a component key and a
     source bracket key, and the comorphism rows whose image meets a target
-    bracket key, which the pass of ``q' F`` collects; it finds the
-    compositions with a nonzero term (:func:`_surviving_compositions`) once
-    for each length it visits.  Its values still come only from the split
-    iterators; the dense defect of ``tests/dense_lifts.py``, formed on every
-    word, checks the word set.
+    bracket key, which the pass of ``q' F`` collects.  For a target with
+    brackets it finds the compositions with a nonzero term
+    (:func:`_surviving_compositions`) once for each length it visits.  Its
+    values still come only from the split iterators; the dense defect of
+    ``tests/dense_lifts.py``, formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
     space with no brackets.  A structure checker passes ``den``: the
@@ -376,10 +378,14 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
         coalgebra, composite, lhs_sum = SYMMETRIC, symmetric_composite, _symmetric_sum
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
+    surviving = {}
     if target.brackets:
         if com is None:
-            com = lift_comorphism(space, tspace, components, bound, coalgebra)
-        for w, row in com.rows.items():
+            arities = target.brackets.keys()
+            rows = _comorphism_rows(space, tspace, components, bound, coalgebra, arities)
+        else:
+            rows = com.rows
+        for w, row in rows.items():
             acc = defect.setdefault(w, {})
             for u, c in row.items():
                 f = target.bracket(len(u))
@@ -387,13 +393,14 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
                 if value:
                     words.add(w)
                     merge_into(acc, value, -c if sign > 0 else c)
+        lengths = {len(w) for w in words}
+        surviving = {n: _surviving_compositions(components, target, n) for n in lengths}
     defect = {w: v for w, v in defect.items() if v}
-    lengths = {len(w) for w in words}
-    surviving = {n: _surviving_compositions(components, target, n) for n in lengths}
     residuals: dict[Word, Vector] = {}
     for w in words:
         diff = lhs_sum(space, source.brackets, components, w)
-        merge_into(diff, _morphism_rhs(space, components, surviving[len(w)], w), -1)
+        if terms := surviving.get(len(w)):
+            merge_into(diff, _morphism_rhs(space, components, terms, w), -1)
         if diff:
             residuals[w] = diff
     if residuals != defect:
@@ -664,7 +671,8 @@ def check_representation(
     checker's two routes into that DGLA's structure
     (:func:`_morphism_residuals`): the components after the source brackets
     less its differential and commutator on the block images, against the
-    intertwining defect of the symmetric comorphism.
+    intertwining defect of the symmetric comorphism, whose rows are built
+    only for the one- and two-letter images that those brackets read.
     """
     for k, f in components.items():
         if f.is_zero():

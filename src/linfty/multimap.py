@@ -818,12 +818,24 @@ def lift_comorphism(
     comp_tables: dict[int, MultiMap] = {
         k: f for k, f in components.items() if not f.is_zero()
     }
-    support = {k: list(f.expand_plain().constants.items()) for k, f in comp_tables.items()}
+    rows = _comorphism_rows(source, target, comp_tables, bound, flavor, range(1, bound + 1))
+    return TruncatedComorphism(source, target, bound, flavor, comp_tables, rows)
+
+
+def _comorphism_rows(source, target, components, bound, flavor, parts) -> dict[Word, WordSum]:
+    """The nonzero rows of :func:`lift_comorphism` from the compositions
+    into ``j`` blocks for ``j`` in ``parts``, whose image words have ``j``
+    letters; the components' degrees are not checked."""
+    support = {
+        k: list(f.expand_plain().constants.items())
+        for k, f in components.items()
+        if not f.is_zero()
+    }
     odd = tuple(d % 2 for d in source.degrees)
     rows: dict[Word, WordSum] = {}
     for n in range(1, bound + 1):
         for comp in compositions(n):
-            if any(k not in support for k in comp):
+            if len(comp) not in parts or any(k not in support for k in comp):
                 continue
             for keys in itertools.product(*(support[k] for k in comp)):
                 letters = tuple(x for u, _ in keys for x in u)
@@ -838,8 +850,7 @@ def lift_comorphism(
                     row = rows.setdefault(w, {})
                     for u, c in images:
                         add_into(row, u, c if sign > 0 else -c)
-    rows = {w: row for w, row in rows.items() if row}
-    return TruncatedComorphism(source, target, bound, flavor, comp_tables, rows)
+    return {w: row for w, row in rows.items() if row}
 
 
 @lru_cache(maxsize=None)

@@ -167,18 +167,13 @@ def test_lie_morphism_refuses_a_vanishing_component_key():
 def _skew_comorphism(monkeypatch, rows_of):
     """Route the morphism checks through a comorphism with edited rows."""
     import linfty.homotopy as homotopy
-    from linfty.multimap import TruncatedComorphism
 
-    real = homotopy.lift_comorphism
+    real = homotopy._comorphism_rows
 
-    def skewed(source, target, components, bound, flavor):
-        com = real(source, target, components, bound, flavor)
-        return TruncatedComorphism(
-            com.source, com.target, com.bound, com.flavor, com.components,
-            rows_of(com.rows),
-        )
+    def skewed(*args):
+        return rows_of(real(*args))
 
-    monkeypatch.setattr(homotopy, "lift_comorphism", skewed)
+    monkeypatch.setattr(homotopy, "_comorphism_rows", skewed)
 
 
 def _morphism_checks():
@@ -250,15 +245,15 @@ def test_representation_disagreement_names_its_word_and_both_values(monkeypatch)
         ("adjoint_identity", "E", check_loday_infinity, 5),
     ],
 )
-def test_structure_check_builds_no_comorphism_and_surveys_only_formed_lengths(
+def test_structure_check_builds_no_comorphism_and_surveys_no_length(
     fixture, space, check, bound, monkeypatch
 ):
     # the target of a structure identity has no brackets, so no comorphism
-    # row can meet one, and the identity sum visits only the square's words:
-    # none for the first two, words of length 3 for the third
+    # row can meet one and no composition has a target term: the identity
+    # sum is the double sum alone, on the square's words
     import linfty.homotopy as homotopy
 
-    calls = {"comorphism": 0, "surveyed": [], "formed": set()}
+    calls = {"comorphism": 0, "surveyed": []}
 
     def no_comorphism(*args):
         calls["comorphism"] += 1
@@ -268,26 +263,53 @@ def test_structure_check_builds_no_comorphism_and_surveys_only_formed_lengths(
         calls["surveyed"].append(n)
         return real_survey(components, target, n)
 
-    def formed(composite):
-        def run(space, outer, inner, bound):
-            out = composite(space, outer, inner, bound)
-            calls["formed"].update(len(w) for w in out)
-            return out
-
-        return run
-
-    real_comorphism, real_survey = homotopy.lift_comorphism, homotopy._surviving_compositions
-    monkeypatch.setattr(homotopy, "lift_comorphism", no_comorphism)
+    real_comorphism, real_survey = homotopy._comorphism_rows, homotopy._surviving_compositions
+    monkeypatch.setattr(homotopy, "_comorphism_rows", no_comorphism)
     monkeypatch.setattr(homotopy, "_surviving_compositions", surveyed)
-    for name in ("symmetric_composite", "lifted_composite"):
-        monkeypatch.setattr(homotopy, name, formed(getattr(homotopy, name)))
     structure = parse_path(FIXTURES / f"{fixture}.lif").structure(space)
     if check is check_loday_infinity and structure.flavor == SYMMETRIC:
         structure = lie_to_loday(structure)
     assert check(structure, bound).ok
     assert calls["comorphism"] == 0
-    assert set(calls["surveyed"]) <= calls["formed"]
-    assert len(calls["surveyed"]) == len(set(calls["surveyed"]))
+    assert calls["surveyed"] == []
+
+
+def _representation_check():
+    L = sl2()
+    _, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
+    comps = adjoint_rep_components(L, end)
+    return lambda bound: check_representation(comps, L, end, bound)
+
+
+def _identity_checks():
+    checks = [_representation_check()]
+    for _, check, E in _morphism_checks():
+        f = MultiMap(E.space, E.space, 1, 0, PLAIN, {(0,): {0: F(1)}, (1,): {1: F(1)}})
+        checks.append(lambda bound, check=check, E=E, f=f: check({1: f}, E, E, bound))
+    return checks
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_morphism_check_builds_only_the_comorphism_rows_a_target_bracket_reads(
+    index, monkeypatch
+):
+    # sl2's adjoint representation into End(V), whose differential is zero,
+    # and the identity of solvable2: each target has one bracket, of arity
+    # 2, so every comorphism row the check builds has two-letter images,
+    # while the full comorphism at bound 5 has images of up to 5 letters
+    import linfty.homotopy as homotopy
+
+    lengths = set()
+    real = homotopy._comorphism_rows
+
+    def counted(*args):
+        rows = real(*args)
+        lengths.update(len(u) for row in rows.values() for u in row)
+        return rows
+
+    monkeypatch.setattr(homotopy, "_comorphism_rows", counted)
+    assert _identity_checks()[index](5).ok
+    assert lengths == {2}
 
 
 # ---------------------------------------------------------------------------
