@@ -826,11 +826,7 @@ def _comorphism_rows(source, target, components, bound, flavor, parts) -> dict[W
     """The nonzero rows of :func:`lift_comorphism` from the compositions
     into ``j`` blocks for ``j`` in ``parts``, whose image words have ``j``
     letters; the components' degrees are not checked."""
-    support = {
-        k: list(f.expand_plain().constants.items())
-        for k, f in components.items()
-        if not f.is_zero()
-    }
+    support = {k: list(f.expand_plain().constants.items()) for k, f in components.items()}
     odd = tuple(d % 2 for d in source.degrees)
     rows: dict[Word, WordSum] = {}
     for n in range(1, bound + 1):
