@@ -1,0 +1,125 @@
+"""The action axiom and coherence, word by word from full lifts.
+
+A test oracle for :func:`linfty.action.check_action` and
+:func:`linfty.action.check_coherence`.  It reads the action's own data,
+with its ``Fraction`` constants as they are: the package clears their
+denominators first and divides its residuals back for the report, so on a
+fractional action the two meet only if that scale is right.  The bracket
+side of the axiom visits every target word and reads its terms from
+``dense_splits.dense_symmetric_splits`` and the components through
+``BiMultiMap.eval``; the coderivation side and the coherence commutators
+are commutators of the word-by-word symmetric lifts
+(``dense_lifts.dense_symmetric_lift``) of the families, over
+``dense_splits.dense_increasing_splits``.  Each residual list is a
+report's: sorted ``Residual`` triples.
+"""
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from dense_lifts import dense_symmetric_lift
+from dense_splits import dense_increasing_splits, dense_symmetric_splits
+from laws import restriction_vector, restrictions
+from linfty.multimap import commutator, merge_into
+from linfty.report import Residual, format_vector
+
+
+def dense_action_lhs(action, xw, bound):
+    """``sum sign * value(l_k(block), rest; v)`` over the oracle's symmetric
+    splits of ``xw``, on every canonical target word ``v`` up to ``bound``,
+    each component read through ``BiMultiMap.eval``."""
+    E, vspace, n, lhs = action.E, action.V.space, len(xw), {}
+    for sign, block, rest in dense_symmetric_splits(E.space, xw, range(1, n + 1)):
+        lk = E.bracket(len(block))
+        if lk is None:
+            continue
+        for b, c in lk.eval(block).items():
+            for vw in vspace.canonical_words_up_to(bound):
+                comp = action.component(n - len(block) + 1, len(vw))
+                if comp is not None:
+                    merge_into(lhs.setdefault(vw, {}), comp.eval((b,) + rest, vw), sign * c)
+    return {vw: v for vw, v in lhs.items() if v}
+
+
+def dense_action_rhs(action, xw, bound):
+    """``-[M, Phi_x] + sum eps (-1)^{|Phi_a|} [Phi_a, Phi_b]`` on the
+    word-by-word lifts, over the oracle's increasing splits, length-one part
+    by target word."""
+    V = action.V
+
+    def lift(family):
+        return dense_symmetric_lift(V.space, family, bound)
+
+    terms = [(-1, lift(V.brackets), lift(action.phi_of(xw, bound)))]
+    n = len(xw)
+    for j in range(1, n):
+        for eps, (xa, xb) in dense_increasing_splits(action.E.space, xw, (j, n - j)):
+            phi_a, phi_b = lift(action.phi_of(xa, bound)), lift(action.phi_of(xb, bound))
+            sign = eps if (1 + action.E.space.word_degree(xa)) % 2 == 0 else -eps
+            terms.append((sign, phi_a, phi_b))
+    out = {}
+    for sign, a, b in terms:
+        for f in restrictions(commutator(a, b)).values():
+            for w, vec in f.constants.items():
+                merge_into(out.setdefault(w, {}), vec, Fraction(sign))
+    return {w: vec for w, vec in out.items() if vec}
+
+
+def dense_action_residuals(action, bound):
+    """The residual list of the action axiom: bracket side less coderivation
+    side on every canonical acting word and target word up to ``bound``, the
+    acting words read from ``itertools.combinations_with_replacement``."""
+    espace, vspace, items = action.E.space, action.V.space, []
+    for n in range(1, bound + 1):
+        for xw in itertools.combinations_with_replacement(range(espace.dim), n):
+            if espace.normalize(xw) != (xw, 1):
+                continue
+            diff = dense_action_lhs(action, xw, bound)
+            for vw, vec in dense_action_rhs(action, xw, bound).items():
+                merge_into(diff.setdefault(vw, {}), vec, -1)
+            for vw, vec in diff.items():
+                if vec:
+                    word = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
+                    items.append(Residual(n, word, format_vector(vspace, vec)))
+    return sorted(items)
+
+
+def dense_coherence_residuals(action, bound):
+    """Each nonzero length-one output of ``[ad_v, phi_y]`` on ``w`` with
+    ``|v|+|y|+|w| <= bound`` and of ``[phi_mixed(x, v), phi_y]`` on ``w``
+    with ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the
+    word-by-word lifts of the families, as a sorted residual list."""
+    espace, vspace = action.E.space, action.V.space
+    ewords = list(espace.canonical_words_up_to(bound))
+    vwords = list(vspace.canonical_words_up_to(bound))
+
+    def lift(family):
+        return dense_symmetric_lift(vspace, family, bound)
+
+    # a first family needs room for an acting word and a probe word
+    firsts = [
+        (f"ad {vspace.format_word(v)}", len(v), lift(action.ad_of(v, bound)))
+        for v in vwords
+        if len(v) + 2 <= bound
+    ]
+    firsts += [
+        (f"{espace.format_word(x)} ; {vspace.format_word(v)}", len(x) + len(v),
+         lift(action.phi_mixed(x, v, bound)))
+        for x, v in itertools.product(ewords, vwords)
+        if len(x) + len(v) + 2 <= bound
+    ]
+    phis = {y: lift(action.phi_of(y, bound)) for y in ewords if len(y) + 2 <= bound}
+    items = []
+    for (label, weight, first), y in itertools.product(firsts, phis):
+        if weight + len(y) + 1 > bound:
+            continue
+        bracket = commutator(first, phis[y])
+        for w in vwords:
+            if weight + len(y) + len(w) > bound:
+                continue
+            value = restriction_vector(bracket, w)
+            if value:
+                word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
+                items.append(Residual(weight + len(y) + len(w), word, format_vector(vspace, value)))
+    return sorted(items)

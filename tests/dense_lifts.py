@@ -14,7 +14,7 @@ row where the family reads an entry, since the checkers sum their first
 route on exactly the words their kernel forms.  The action's coderivation side
 and the coherence commutators, which the package forms as brackets of
 restriction families, are checked against commutators of the word-by-word
-symmetric lifts of those families.  The commutator series of
+symmetric lifts of those families (``dense_actions.py``).  The commutator series of
 full lifts, composed row by row, is the oracle of the series the package
 runs on restriction families.  The deformation complex's brackets, its
 ``d1`` columns and its Maurer-Cartan residuals run on restriction families

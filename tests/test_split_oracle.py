@@ -26,8 +26,8 @@ from dense_splits import (
     dense_symmetric_splits,
     dense_symmetric_value,
 )
-from dense_lifts import dense_symmetric_lift
-from laws import random_vector, restriction_vector
+from dense_actions import dense_action_lhs, dense_coherence_residuals
+from laws import random_vector
 from linfty import corpus
 from linfty.action import (
     ActionFamily,
@@ -52,8 +52,7 @@ from linfty.homotopy import (
     _symmetric_sum,
     _surviving_compositions,
 )
-from linfty.multimap import PLAIN, SYMMETRIC, commutator, expand, merge_into
-from linfty.report import format_vector
+from linfty.multimap import PLAIN, SYMMETRIC, expand, merge_into
 
 BOUND = 4
 CATALOG = corpus.action_corpus(19, 0)
@@ -116,21 +115,6 @@ def test_increasing_unshuffles_are_the_oracle_splits_in_mask_order(n):
             masks.append(mask)
         assert masks == sorted(masks) and len(set(sigmas)) == len(sigmas), blocks
         assert set(sigmas) <= set(unshuffles(*blocks))
-
-
-def oracle_action_lhs(action, xw, bound):
-    """Reads each component through ``BiMultiMap.eval`` on every target word."""
-    E, vspace, n, lhs = action.E, action.V.space, len(xw), {}
-    for sign, block, rest in dense_symmetric_splits(E.space, xw, range(1, n + 1)):
-        lk = E.bracket(len(block))
-        if lk is None:
-            continue
-        for b, c in lk.eval(block).items():
-            for vw in vspace.canonical_words_up_to(bound):
-                comp = action.component(n - len(block) + 1, len(vw))
-                if comp is not None:
-                    merge_into(lhs.setdefault(vw, {}), comp.eval((b,) + rest, vw), sign * c)
-    return {vw: v for vw, v in lhs.items() if v}
 
 
 def random_structures():
@@ -221,7 +205,7 @@ def test_action_lhs_equals_the_oracle_sum(index):
     action = ACTIONS[index]
     for xw in action.E.space.canonical_words_up_to(BOUND):
         got = {vw: v for vw, v in _action_lhs(action, xw, BOUND).items() if v}
-        assert got == oracle_action_lhs(action, xw, BOUND), xw
+        assert got == dense_action_lhs(action, xw, BOUND), xw
 
 
 # ---------------------------------------------------------------------------
@@ -309,44 +293,12 @@ def test_expand_stops_at_the_first_empty_vector():
 # coherence
 
 
-def oracle_coherence(action, bound):
-    """Each nonzero length-one output of ``[ad_v, phi_x]`` on ``w`` with
-    ``|v|+|x|+|w| <= bound`` and of ``[phi_mixed(x, v), phi_y]`` on ``w`` with
-    ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the word-by-word
-    lifts of the families."""
-    espace, vspace = action.E.space, action.V.space
-    ewords = list(espace.canonical_words_up_to(bound))
-    vwords = list(vspace.canonical_words_up_to(bound))
-
-    def lift(family):
-        return dense_symmetric_lift(vspace, family, bound)
-
-    firsts = [
-        (f"ad {vspace.format_word(v)}", len(v), lift(action.ad_of(v, bound))) for v in vwords
-    ]
-    firsts += [
-        (f"{espace.format_word(x)} ; {vspace.format_word(v)}", len(x) + len(v),
-         lift(action.phi_mixed(x, v, bound)))
-        for x, v in itertools.product(ewords, vwords)
-    ]
-    phis = {y: lift(action.phi_of(y, bound)) for y in ewords}
-    out = Counter()
-    for (label, weight, first), y, w in itertools.product(firsts, ewords, vwords):
-        if weight + len(y) + len(w) > bound:
-            continue
-        value = restriction_vector(commutator(first, phis[y]), w)
-        if value:
-            word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
-            out[weight + len(y) + len(w), word, format_vector(vspace, value)] += 1
-    return out
-
-
 def test_coherence_residuals_equal_the_lift_commutators():
     kinds = Counter()
     for action in ACTIONS:
-        got = Counter((r.arity, r.word, r.value) for r in check_coherence(action, BOUND).residuals)
-        assert got == oracle_coherence(action, BOUND)
-        kinds.update(word.startswith("ad ") for _, word, _ in got)
+        got = check_coherence(action, BOUND).residuals
+        assert got == tuple(dense_coherence_residuals(action, BOUND))
+        kinds.update(r.word.startswith("ad ") for r in got)
     # both conditions are reached: adjoint and mixed residuals occur
     assert kinds[True] and kinds[False]
 

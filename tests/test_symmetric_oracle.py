@@ -12,13 +12,12 @@ tests pin that the checks no longer lift or compose.
 import importlib
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dense_actions import dense_action_rhs
 from dense_lifts import assert_composite_matches, dense_symmetric_lift
-from dense_splits import dense_increasing_splits
 from laws import restrictions
 from linfty import corpus, parse_path
 from linfty.action import _action_rhs, check_action, theorem_crosscheck
@@ -30,7 +29,6 @@ from linfty.multimap import (
     SYMMETRIC,
     TruncatedCoderivation,
     commutator,
-    merge_into,
     symmetric_bracket,
     symmetric_composite,
 )
@@ -81,29 +79,6 @@ def test_the_bracket_of_an_empty_family_is_empty():
     f, _ = random_pair(0, (1, 0), SYMMETRIC)
     assert symmetric_bracket(SPACE, f, {}, 4) == {}
     assert symmetric_bracket(SPACE, {}, f, 4) == {}
-
-
-def dense_action_rhs(action, xw, bound):
-    """``-[M, Phi_x] + sum eps (-1)^{|Phi_a|} [Phi_a, Phi_b]`` on the
-    word-by-word lifts, over the oracle's increasing splits, length-one part
-    by target word."""
-    V = action.V
-
-    def lift(family):
-        return dense_symmetric_lift(V.space, family, bound)
-
-    terms = [(-1, lift(V.brackets), lift(action.phi_of(xw, bound)))]
-    n = len(xw)
-    for j in range(1, n):
-        for eps, (xa, xb) in dense_increasing_splits(action.E.space, xw, (j, n - j)):
-            phi_a, phi_b = lift(action.phi_of(xa, bound)), lift(action.phi_of(xb, bound))
-            sign = eps if (1 + action.E.space.word_degree(xa)) % 2 == 0 else -eps
-            terms.append((sign, phi_a, phi_b))
-    out = {}
-    for sign, a, b in terms:
-        for w, vec in as_table(restrictions(commutator(a, b))).items():
-            merge_into(out.setdefault(w, {}), vec, Fraction(sign))
-    return {w: vec for w, vec in out.items() if vec}
 
 
 @pytest.mark.parametrize("index", range(38))
