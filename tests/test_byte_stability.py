@@ -1,5 +1,5 @@
-"""The bytes of the deformation-complex, morphism, tensor and structure-check
-reports, pinned by sha256.
+"""The bytes of the deformation-complex, morphism, tensor, structure-check and
+action reports, pinned by sha256.
 
 The reports of ``deform`` and ``cohomology`` are the slowest the CLI prints
 and the ones every speedup of the deformation layer must leave unchanged.
@@ -12,8 +12,11 @@ the explicit check's own per-word equations and the descendent structure
 that visited every target word.  The structure-check reports, in both
 formats, were recorded while ``check-lie`` and ``check-loday`` compared
 the componentwise double sum with the coderivation square of their own
-kernel.  The CLI prints the input path, so the commands run from the root
-of the checkout with a relative path.
+kernel.  The action reports, in both formats and with their exit codes,
+were recorded on fractional files while the action checks still ran on
+``Fraction`` constants.  The CLI prints the input path, so the commands run
+from the root of the checkout, or from the directory the action files are
+written to, with a relative path.
 """
 import contextlib
 import hashlib
@@ -173,6 +176,123 @@ STRUCTURE = {
     ("check-loday", "twoterm", 7, "machine"): "70838eb89b9b87717bf17096f94520a98b8632149897f65cf656a162d35e64cb",
 }
 
+# fractional action files, written to a scratch directory by the test: a
+# basis change of solvable-plane (coherent), one of solvable-self (not
+# coherent), and one of adjoint-rep-solv with 1/3 added to a constant (not
+# an action, with non-integral residuals)
+ACTION_FILES = {
+    "coherent": """\
+space B
+  a -1
+  b -1
+
+space P
+  p0 -1
+  p1 -1
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets B symmetric
+  2 : a b -> a : 2/1
+  2 : a b -> b : 1/1
+
+action B P
+  1 1 : a ; p0 -> p1 : 1/1
+  1 1 : a ; p1 -> p1 : 1/1
+  1 1 : b ; p0 -> p1 : -3/2
+  1 1 : b ; p1 -> p1 : -2/1
+""",
+    "noncoherent": """\
+space A
+  a0 -1
+
+space B
+  a -1
+  b -1
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets B symmetric
+  2 : a b -> a : -1/1
+  2 : a b -> b : -1/1
+
+action A B
+  1 1 : a0 ; a -> a : 1/2
+  1 1 : a0 ; a -> b : 1/2
+  1 1 : a0 ; b -> a : 1/2
+  1 1 : a0 ; b -> b : 1/2
+""",
+    "nonaction": """\
+space B
+  a -1
+  b -1
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets B symmetric
+  2 : a b -> a : -1/1
+
+action B B
+  1 1 : a ; a -> a : -1/1
+  1 1 : a ; a -> b : 8/3
+  1 1 : a ; b -> a : -2/3
+  1 1 : a ; b -> b : 4/3
+  1 1 : b ; a -> a : -1/3
+  1 1 : b ; a -> b : 2/3
+  1 1 : b ; b -> a : -2/3
+  1 1 : b ; b -> b : 4/3
+""",
+}
+
+# (exit code, stdout digest) of each action command on each file
+ACTION = {
+    ("check-action", "coherent", 4, "text"): (0, "ba267695c468c77fc6a3a961d9d27f5da4252f7e65536eb61c7c914e2d94c25e"),
+    ("check-action", "coherent", 4, "machine"): (0, "55399a2deaa77fb5da5a5f68f7dca8def882c62e202385ab78a69a9f5cfc1720"),
+    ("check-action", "coherent", 5, "text"): (0, "9cb40c29c564348c4183644a41f85e038ba6503de7126b959bb6c915525a743f"),
+    ("check-action", "coherent", 5, "machine"): (0, "a8fe9e901b1b24ed00146f3eeea492083692a2875254db7ed54fafcf0d51f55b"),
+    ("check-action", "noncoherent", 4, "text"): (0, "2f4b2e9d8bbcf82699c1ceeba3d0f77195c63eb96d3df624b54d705091abbc2e"),
+    ("check-action", "noncoherent", 4, "machine"): (0, "6160ef6e0ca5762298bfcdfa33c179c4d9c7bc2fbfe58714e817e4a49affd7ac"),
+    ("check-action", "noncoherent", 5, "text"): (0, "8a1004fd81cf6d60adfe339984b727ca46fad9dbc9ba1086f617b2e7adecc140"),
+    ("check-action", "noncoherent", 5, "machine"): (0, "561dd25b2289a2318cfc8ccada1e111a5f72671cee328ccc97ad108de6f17493"),
+    ("check-action", "nonaction", 4, "text"): (1, "8958983e52ea397317c1d98ad2218a81359142f1858f88451aec6e73a49ca166"),
+    ("check-action", "nonaction", 4, "machine"): (1, "dfb5e3df5fb6a3277e6d2e6658cd4ee03be141526e7ccdc0b5cf7fbcb5dc7646"),
+    ("check-action", "nonaction", 5, "text"): (1, "b27e7a13b134dde1b3c6d48c7435432d9ad8b3f836a181a8e238fa0b951018ea"),
+    ("check-action", "nonaction", 5, "machine"): (1, "97edee849fc259a1022b172f0e37d182dc22c2bdf23b61a2b881ca5f551d37ad"),
+    ("check-coherence", "coherent", 4, "text"): (0, "f1be562d64072caeb94e41bbaa2eba1c48595b5495f8e77640e487796c6ea98b"),
+    ("check-coherence", "coherent", 4, "machine"): (0, "705099922d507359c81c24acb1ba5a65100eab82a3b2eaca5152f0d11a8633ec"),
+    ("check-coherence", "coherent", 5, "text"): (0, "4b27371635802bb2f638e5c2f0f2da749b9601675eb4cadf7d103dfc5608ca57"),
+    ("check-coherence", "coherent", 5, "machine"): (0, "1172c88a759b2ae4045257017273a1c152dbfd517f0a1ec1fd8d3b97040f9b74"),
+    ("check-coherence", "noncoherent", 4, "text"): (1, "c405e2d69c3642ea34dcaf3d88771bd769006f27a6dd07578832f28960ebecb6"),
+    ("check-coherence", "noncoherent", 4, "machine"): (1, "e6362c17f56825f4842231c807f83cf9c9147c8ca49fa17eb6c749ceb5a71849"),
+    ("check-coherence", "noncoherent", 5, "text"): (1, "a6fc7d362e02fc6797040e1248244507998d554246403d87f3c292c66d89972d"),
+    ("check-coherence", "noncoherent", 5, "machine"): (1, "8fcf33aa69179b3406c47ad3e8f84285829b648eaa27781b8feb8a634bb533b2"),
+    ("check-coherence", "nonaction", 4, "text"): (2, "640776190741a4283239591cee44b24274eedb87bac3dffd24d2302ec65ba255"),
+    ("check-coherence", "nonaction", 4, "machine"): (2, "19e007ac7905ef2ce7939cc845b8f84acc98ef24fee0a13c4d4aad932d6474cb"),
+    ("check-coherence", "nonaction", 5, "text"): (2, "e6aaeb8d74553f5fe065e60495f43c1edeb50ba4ab0895c3e0ce2cdd81e26595"),
+    ("check-coherence", "nonaction", 5, "machine"): (2, "546e8a8e83fa5a983cb458801cd21c2d349a9f3f279567b08484e484ca74711f"),
+    ("build-product", "coherent", 4, "text"): (0, "57e1e51772f870486e8dea7024a6acbc3577daff36a7a456e692867f40c6b3ed"),
+    ("build-product", "coherent", 4, "machine"): (0, "62b8cc201e2d7eeae0157f87648a7e4cea27ef80f3bee39260450b5dc38e05af"),
+    ("build-product", "coherent", 5, "text"): (0, "0fe13321bde292647346572b04b745acccea00fc04af8a7fd6c876314648d70e"),
+    ("build-product", "coherent", 5, "machine"): (0, "63e068ece2b80de931f9d3bf916d3d7dc0a1b220a54914fde2087334fe8f08b5"),
+    ("build-product", "noncoherent", 4, "text"): (0, "437eddda9e5686ad15c7ff8c3b131dd85d93e2bf7024787d5b732d9a8842bbd3"),
+    ("build-product", "noncoherent", 4, "machine"): (0, "db900a5890aafcc6b323f9f5ca9eee4ff05656b31e23189395d2dc0eba2dc93b"),
+    ("build-product", "noncoherent", 5, "text"): (0, "4408e60d601213d6ea67c6d875c018d07fc55cc52a25f22d7827337ba393fc85"),
+    ("build-product", "noncoherent", 5, "machine"): (0, "1c63a24459b26afd2754fa0506f2d9340416d4d3c573c5ffeb36a2cd7a5b01ec"),
+    ("build-product", "nonaction", 4, "text"): (2, "bf942d18217189cd87da09d576ed6a2e7e14fc70f62f5520f7bc5aa2dab88fee"),
+    ("build-product", "nonaction", 4, "machine"): (2, "7ef62044a14f3f938370fefb960c1b0bb80df046623051416f430ccc40aad5c5"),
+    ("build-product", "nonaction", 5, "text"): (2, "29c521bbc069d4052c7a278cc984ef55a5d558d0b9c21ed676403291233e8af8"),
+    ("build-product", "nonaction", 5, "machine"): (2, "4f0fed36774873d28c58578f54b47e892bd798745d6f0ca181d968fbea193fbc"),
+}
+
 
 def stdout_digest(args, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -214,3 +334,15 @@ def test_tensor_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatc
 def test_structure_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
     args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
     assert stdout_digest(args, monkeypatch) == STRUCTURE[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,name,bound,fmt", sorted(ACTION))
+def test_action_report_bytes_are_pinned(command, name, bound, fmt, tmp_path, monkeypatch):
+    for file_name, text in ACTION_FILES.items():
+        (tmp_path / f"{file_name}.lif").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, f"{name}.lif", "--bound", str(bound), "--format", fmt])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == ACTION[command, name, bound, fmt]
