@@ -19,7 +19,13 @@ from __future__ import annotations
 import itertools
 
 from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
-from .homotopy import HomotopyStructure, check_loday_infinity
+from .homotopy import (
+    HomotopyStructure,
+    _clear_denominators,
+    _unscaled,
+    _with_constants,
+    check_loday_infinity,
+)
 from .memo import memo
 from .multimap import (
     PLAIN,
@@ -151,7 +157,8 @@ class ActionFamily:
     family with its letter index under ``("phi", word, bound)``
     (:func:`_indexed_phi`) and the coherence verdict under
     ``("coherent", bound)``.  :meth:`ad_of` and :meth:`phi_mixed` are read
-    once each and not kept.
+    once each and not kept.  A family that :func:`_cleared` made keeps the
+    factor ``D`` of its data in ``_den``; every other family has ``_den`` 1.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
@@ -172,6 +179,7 @@ class ActionFamily:
         self.V = V
         self.components = dict(sorted(comps.items()))
         self._memo: dict = {}
+        self._den = 1
 
     def component(self, k: int, n: int) -> BiMultiMap | None:
         return self.components.get((k, n))
@@ -241,6 +249,34 @@ class ActionFamily:
 
 # ---------------------------------------------------------------------------
 # the action axiom
+
+
+def _cleared(action: ActionFamily) -> ActionFamily:
+    """The action with the constants of its acting brackets, target brackets
+    and components times ``D``, the lcm of their denominators
+    (:func:`linfty.homotopy._clear_denominators`), so that each is an
+    ``int``, and with ``_den`` times ``D``; the action itself when ``D`` is 1.
+
+    Every term of the action axiom and of both coherence commutators is
+    bilinear in those data, so every residual of the cleared family is
+    exactly ``D**2`` times the action's, and the checks divide by
+    ``_den**2`` only the values they report.  A cleared family clears to
+    itself, so :func:`theorem_crosscheck` clears once and both checks share
+    the cleared family's memo.
+    """
+    E, V = action.E, action.V
+    maps = [*E.brackets.values(), *V.brackets.values(), *action.components.values()]
+    tables, den = _clear_denominators([f.constants for f in maps])
+    if den == 1:
+        return action
+    e, v = len(E.brackets), len(E.brackets) + len(V.brackets)
+    comps = {
+        (k, n): BiMultiMap(f.e_space, f.v_space, k, n, f.degree, table)
+        for ((k, n), f), table in zip(action.components.items(), tables[v:])
+    }
+    cleared = ActionFamily(_with_constants(E, tables[:e]), _with_constants(V, tables[e:v]), comps)
+    cleared._den = action._den * den
+    return cleared
 
 
 def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
@@ -315,24 +351,25 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     coderivation side (:func:`_action_rhs`, from brackets of restriction
     families), which is nonzero only on the words it returns.  The letter
     index of each family is built once per action (:func:`_indexed_phi`).
+    Both sides run on ``int`` constants (:func:`_cleared`); only the
+    reported values are divided.
     """
+    action = _cleared(action)
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
             lhs = _action_lhs(action, xw, bound)
             rhs = _action_rhs(action, xw, bound)
-            for vw in sorted(set(lhs) | set(rhs)):
+            diffs = {}
+            for vw in set(lhs) | set(rhs):
                 diff = dict(lhs.get(vw, {}))
                 merge_into(diff, rhs.get(vw, {}), -1)
                 if diff:
-                    items.append(
-                        Residual(
-                            n,
-                            f"{espace.format_word(xw)} ; {vspace.format_word(vw)}",
-                            format_vector(vspace, diff),
-                        )
-                    )
+                    diffs[vw] = diff
+            for vw, diff in _unscaled(diffs, action._den).items():
+                word = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
+                items.append(Residual(n, word, format_vector(vspace, diff)))
     return make_report("action", bound, items)
 
 
@@ -369,8 +406,11 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     probe words that fit under the bound; it is nonzero only on the words
     it returns.  The letter index of each first family is built once per
     check and that of each ``phi_y`` once per action (:func:`_indexed_phi`),
-    and both composites of every bracket read them.
+    and both composites of every bracket read them.  The commutators run on
+    ``int`` constants (:func:`_cleared`); only the reported values are
+    divided.
     """
+    action = _cleared(action)
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
     for label, weight, first in _coherence_firsts(action, bound):
@@ -384,7 +424,7 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
                 fg = _symmetric_composite(vspace, first_index, phi, limit)
                 gf = _symmetric_composite(vspace, phi_index, first, limit)
                 for f in _bracket(SYMMETRIC, vspace, first, phi, fg, gf).values():
-                    for ww, diff in f.constants.items():
+                    for ww, diff in _unscaled(f.constants, action._den).items():
                         items.append(
                             Residual(
                                 weight + b + len(ww),
@@ -482,14 +522,17 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
 
     The two must agree for every genuine action; disagreement is surfaced as
     an internal-consistency error carrying the first offending residuals.
+    The action is cleared of denominators once (:func:`_cleared`), and the
+    axiom and coherence checks share the cleared family.
     """
-    axiom = check_action(action, bound)
+    cleared = _cleared(action)
+    axiom = check_action(cleared, bound)
     if not axiom.ok:
         raise InputError(
             "theorem crosscheck needs a verified action; axiom residuals: "
             + "; ".join(f"[{r.word}]" for r in axiom.residuals[:3])
         )
-    coherent = check_coherence(action, bound)
+    coherent = check_coherence(cleared, bound)
     product = hemisemidirect(action)
     loday = check_loday_infinity(product.structure, bound)
     if coherent.ok != loday.ok:

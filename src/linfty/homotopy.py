@@ -188,24 +188,40 @@ def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     ]
 
 
+def _clear_denominators(tables: list[Mapping]) -> tuple[list[Mapping], int]:
+    """``D``, the lcm of the denominators of the constants of ``tables``
+    (maps from keys to vectors), and each table times ``D``, so that every
+    constant is an ``int``; the tables themselves when ``D`` is 1.  The
+    structure checks (:func:`_cleared`) and the action checks
+    (:func:`linfty.action._cleared`) clear their data here."""
+    den = lcm(*(c.denominator for t in tables for v in t.values() for c in v.values()))
+    if den == 1:
+        return tables, 1
+    scaled = [
+        {k: {o: c.numerator * (den // c.denominator) for o, c in v.items()} for k, v in t.items()}
+        for t in tables
+    ]
+    return scaled, den
+
+
 def _cleared(structure: HomotopyStructure) -> tuple[HomotopyStructure, int]:
-    """The structure with its brackets times ``D``, the lcm of their
-    constants' denominators, so that every constant is an ``int``; and ``D``.
+    """The structure with its brackets times ``D``
+    (:func:`_clear_denominators`), and ``D``.
 
     The structure identity is quadratic in the brackets, so the residual
     map of the cleared brackets is exactly ``D**2`` times the structure's."""
-    brackets = structure.brackets.values()
-    den = lcm(*(c.denominator for f in brackets for v in f.constants.values() for c in v.values()))
-    if den == 1:
-        return structure, 1
-    scaled = {}
-    for f in brackets:
-        table = {
-            w: {o: c.numerator * (den // c.denominator) for o, c in v.items()}
-            for w, v in f.constants.items()
-        }
-        scaled[f.arity] = MultiMap(f.source, f.target, f.arity, f.degree, f.flavor, table)
-    return HomotopyStructure(structure.space, structure.flavor, scaled, structure.max_arity), den
+    tables, den = _clear_denominators([f.constants for f in structure.brackets.values()])
+    return (structure, 1) if den == 1 else (_with_constants(structure, tables), den)
+
+
+def _with_constants(structure: HomotopyStructure, tables) -> HomotopyStructure:
+    """The structure with the constants of its brackets, in arity order,
+    replaced by ``tables``."""
+    brackets = {
+        k: MultiMap(f.source, f.target, k, f.degree, f.flavor, table)
+        for (k, f), table in zip(structure.brackets.items(), tables)
+    }
+    return HomotopyStructure(structure.space, structure.flavor, brackets, structure.max_arity)
 
 
 def _structure_report(
