@@ -182,7 +182,7 @@ def symmetric_splits(
         if i > n:
             continue
         for sign, _, sigma in _split_table((i, n - i), parities):
-            moved = tuple(word[s] for s in sigma)
+            moved = tuple(map(word.__getitem__, sigma))
             yield sign, moved[:i], moved[i:]
 
 
@@ -205,7 +205,7 @@ def anchored_splits(
             cut = i + k - 1
             anchor, tail = word[cut : cut + 1], word[cut + 1 :]
             for _, sign, sigma in _split_table((i, k - 1), parities[:cut]):
-                moved = tuple(word[s] for s in sigma)
+                moved = tuple(map(word.__getitem__, sigma))
                 yield sign, moved[:i], moved[i:] + anchor, tail
 
 

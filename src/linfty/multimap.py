@@ -24,6 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .graded import (
@@ -495,7 +496,8 @@ def _letter_index(space: GradedSpace, tables: Iterable[Mapping[Word, Mapping]]) 
 def _symmetric_composite(
     space: GradedSpace, index: Mapping[int, list], inner: Mapping[int, MultiMap], bound: int
 ) -> dict[Word, dict]:
-    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`."""
+    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`;
+    every term is summed in place."""
     out: dict[Word, dict] = {}
     for f in inner.values():
         for u, vec in f.constants.items():
@@ -511,9 +513,17 @@ def _symmetric_composite(
                         continue
                     mult = _split_count(u, rest)
                     c = cb * mult if mult > 1 else cb
-                    acc = out.setdefault(w, {})
+                    if eps < 0:
+                        c = -c
+                    acc = out.get(w)
+                    if acc is None:
+                        acc = out[w] = {}
                     for o, co in value.items():
-                        add_into(acc, o, c * co if eps > 0 else -c * co)
+                        total = acc.get(o, 0) + c * co
+                        if total:
+                            acc[o] = total
+                        else:
+                            del acc[o]
     return out
 
 
@@ -548,35 +558,44 @@ def _words_of_length(dim: int, n: int) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=None)
-def _placement_flips(inner: Word, i: int, odd: tuple, parity: int) -> tuple:
-    """Each placement of ``i`` front letters among the letters ``inner`` as
-    ``(front_slots, template, flips)``, for the Zinbiel lift of a family of
-    parity ``parity``.
+def _placement_flips(k: int, i: int, inner_odd: int, parity: int) -> tuple:
+    """Each placement of ``i`` front letters among the first ``k - 1``
+    letters of an inner key, whose odd ones are the set bits of
+    ``inner_odd``, as ``(gather, flip_mask)``, for the Zinbiel lift of a
+    family of parity ``parity``.
 
-    A placement is an ``(i, len(inner))``-unshuffle of the head's slots;
-    ``template`` is the head with ``inner`` in place and ``front_slots``
-    the slots the front letters fill.  The Koszul sign of the crossings
+    A placement is an ``(i, k - 1)``-unshuffle of the head's slots;
+    ``gather``, an :func:`operator.itemgetter`, reads the head off the front
+    letters followed by the inner ones.  The Koszul sign of the crossings
     times ``(-1)^{|Q| |F|}`` is the product over the front letters ``f_a``
     of ``(-1)^{|f_a| (|Q| + |C_a|)}``, ``C_a`` the inner letters ``f_a``
-    crosses; ``flips`` lists the positions where ``|Q| + |C_a|`` is odd, so
-    the sign is ``-1`` exactly when an odd number of the front letters
-    there are odd.  Every Zinbiel composite reads its signs from here
-    (:func:`_composite`), and the table is kept per ``(inner, i, odd,
-    parity)``: keyed by the letters of ``inner``, its template is built once.
+    crosses; bit ``a`` of ``flip_mask`` is set where ``|Q| + |C_a|`` is odd,
+    so the sign is ``-1`` exactly when the front's odd mask shares an odd
+    number of bits with it.  Every Zinbiel composite reads its placements
+    from here (:func:`_composite`), and the table is kept per ``(k, i,
+    inner_odd, parity)``: neither entry depends on the letters themselves.
     """
     out = []
-    for sigma in _unshuffles((i, len(inner))):
+    for sigma in _unshuffles((i, k - 1)):
         front_slots, inner_slots = sigma[:i], sigma[i:]
-        flips = tuple(
-            a
-            for a, s in enumerate(front_slots)
-            if (parity + sum(odd[x] for t, x in zip(inner_slots, inner) if t < s)) % 2
-        )
-        template = [0] * (i + len(inner))
-        for t, x in zip(inner_slots, inner):
-            template[t] = x
-        out.append((front_slots, tuple(template), flips))
+        flip_mask = 0
+        for a, s in enumerate(front_slots):
+            crossed = sum(inner_odd >> j & 1 for j, t in enumerate(inner_slots) if t < s)
+            if (parity + crossed) % 2:
+                flip_mask |= 1 << a
+        source = [0] * len(sigma)
+        for a, t in enumerate(sigma):
+            source[t] = a
+        out.append((itemgetter(*source) if len(source) > 1 else tuple, flip_mask))
     return tuple(out)
+
+
+def _odd_mask(word: Word, odd) -> int:
+    """The positions of the odd letters of ``word``, as the set bits."""
+    mask = 0
+    for x in reversed(word):
+        mask = mask << 1 | odd[x]
+    return mask
 
 
 def _plain_support(restrictions: Mapping[int, MultiMap]) -> Iterator[tuple[Word, Vector]]:
@@ -613,10 +632,13 @@ def lift_zinbiel_coderivation(
     short = [_words_of_length(space.dim, n) for n in range(bound)]
     longest = bound + 1 - min((len(u) for u, _ in support), default=bound + 1)
     outputs = {b for _, vec in support for b in vec}
+    odd = tuple(d % 2 for d in space.degrees)
     slots: dict[tuple[int, int], list] = {}
     for n in range(longest):
-        for front, b in itertools.product(short[n], outputs):
-            slots.setdefault((b, n), []).append((front, (), {front + (b,): 1}))
+        for front in short[n]:
+            mask = _odd_mask(front, odd)
+            for b in outputs:
+                slots.setdefault((b, n), []).append((front, mask, (), {front + (b,): 1}))
     rows: dict[Word, WordSum] = {}
     for prefix, prow in _composite(space, slots, support, degree % 2, bound).items():
         if not prow:
@@ -633,13 +655,17 @@ def lift_zinbiel_coderivation(
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
 
 
-def _slot_index(support: Iterable[tuple[Word, Vector]]) -> dict:
+def _slot_index(space: GradedSpace, support: Iterable[tuple[Word, Vector]]) -> dict:
     """The keys of a plain support indexed by the letter and the position of
-    each slot, as ``(letter, j) -> [(key[:j], key[j+1:], value)]``."""
-    slots: dict[tuple[int, int], list[tuple[Word, Word, Vector]]] = {}
+    each slot, as ``(letter, j) -> [(front, front odd mask, tail, value)]``:
+    ``front`` is ``key[:j]``, with its odd letters as the set bits of the
+    mask (:func:`_odd_mask`), and ``tail`` is ``key[j+1:]``."""
+    odd = tuple(d % 2 for d in space.degrees)
+    slots: dict[tuple[int, int], list[tuple[Word, int, Word, Vector]]] = {}
     for y, value in support:
         for j, b in enumerate(y):
-            slots.setdefault((b, j), []).append((y[:j], y[j + 1 :], value))
+            front = y[:j]
+            slots.setdefault((b, j), []).append((front, _odd_mask(front, odd), y[j + 1 :], value))
     return slots
 
 
@@ -654,27 +680,36 @@ def _composite(
     the inner family's plain support and the parity of its degree, so a
     caller that composes one outer family with many inner ones, or a family
     with itself, indexes it once; :func:`lift_zinbiel_coderivation` forms
-    its prefix rows here from an index of its own."""
+    its prefix rows here from an index of its own.  Each placement gathers
+    its head from the front and the inner letters and reads its sign from
+    the front's odd mask (:func:`_placement_flips`), and every term is
+    summed in place."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
     for u, vec in inner:
         k = len(u)
-        anchor = u[-1:]
+        head, anchor = u[:-1], u[-1:]
+        inner_odd = _odd_mask(head, odd)
         for i in range(bound - k + 1):
             room = bound - k - i
-            placements = _placement_flips(u[:-1], i, odd, parity)
+            placements = _placement_flips(k, i, inner_odd, parity)
             for b, cb in vec.items():
-                for front, tail, value in slots.get((b, i), ()):
+                for front, front_odd, tail, value in slots.get((b, i), ()):
                     if len(tail) > room:
                         continue
-                    for front_slots, template, flips in placements:
-                        head = list(template)
-                        for t, x in zip(front_slots, front):
-                            head[t] = x
-                        c = -cb if sum(odd[front[a]] for a in flips) % 2 else cb
-                        acc = out.setdefault(tuple(head) + anchor + tail, {})
+                    letters, end = front + head, anchor + tail
+                    for gather, flip_mask in placements:
+                        c = -cb if (front_odd & flip_mask).bit_count() & 1 else cb
+                        w = gather(letters) + end
+                        acc = out.get(w)
+                        if acc is None:
+                            acc = out[w] = {}
                         for o, co in value.items():
-                            add_into(acc, o, c * co)
+                            total = acc.get(o, 0) + c * co
+                            if total:
+                                acc[o] = total
+                            else:
+                                del acc[o]
     return out
 
 
@@ -703,7 +738,7 @@ def lifted_composite(
     proportional to the (inner key, outer key, placement) triples that fit
     under the bound.
     """
-    slots = _slot_index(_plain_support(outer))
+    slots = _slot_index(space, _plain_support(outer))
     if not slots:
         return {}
     return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)

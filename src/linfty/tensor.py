@@ -658,7 +658,7 @@ class DeformationComplex:
                 r1[x] = hemi.e_part(vec)
             elif acting == 0:
                 pure[hemi.to_v_word(x)] = hemi.v_part(vec)
-        slots = _slot_index((x, vec) for x, vec in r1.items() if vec)
+        slots = _slot_index(hemi.space, ((x, vec) for x, vec in r1.items() if vec))
         cols: list[Vector] = []
         for w, b in self.basis:
             entry = [(hemi.from_v_word(w), {b: 1})]

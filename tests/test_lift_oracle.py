@@ -198,6 +198,18 @@ def test_zinbiel_lift_makes_one_composite_call(monkeypatch):
         assert len(calls) == 1
 
 
+def test_deform_builds_few_placement_tables(capsys):
+    # the table is keyed by the inner arity, the front size and parities, not
+    # by letters: deform heisenberg at bound 6 built 558 tables keyed by the
+    # inner letters and builds 21
+    from linfty.cli import main
+    from linfty.multimap import _placement_flips
+
+    _placement_flips.cache_clear()
+    assert main(["deform", str(FIXTURES / "heisenberg.lif"), "--bound", "6"]) == 0
+    assert _placement_flips.cache_info().misses <= 25
+
+
 def test_repeated_even_letter_counts_every_unshuffle():
     q = MultiMap(MIXED3, MIXED3, 1, 0, SYMMETRIC, {(0,): {0: F(1)}})
     sym = assert_symmetric_matches(MIXED3, {1: q}, 3)
