@@ -229,11 +229,10 @@ def _structure_report(
 ) -> CheckReport:
     """The report of a structure checker: :func:`_morphism_residuals` with
     the brackets cleared by ``D`` (:func:`_cleared`) as the components, into
-    the same space with no brackets."""
+    the same space with no brackets (``target`` ``None``)."""
     cleared, den = _cleared(structure)
     space = structure.space
-    bare = HomotopyStructure(space, structure.flavor, {})
-    residuals = _morphism_residuals(cleared.brackets, cleared, bare, bound, anchored, den=den)
+    residuals = _morphism_residuals(cleared.brackets, cleared, None, bound, anchored, den=den)
     return make_report(check, bound, _residual_items(space, space, residuals))
 
 
@@ -382,12 +381,14 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     ``tests/dense_lifts.py``, formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
-    space with no brackets.  A structure checker passes ``den``: the
+    space with no brackets, which a structure checker passes as ``target``
+    ``None``.  A structure checker also passes ``den``: the
     components are its brackets cleared by ``den`` (:func:`_cleared`), so
     the returned map and a disagreement's message, which names the
     coderivation square, are divided by ``den**2``.
     """
-    space, tspace = source.space, target.space
+    space = source.space
+    tspace = space if target is None else target.space
     if anchored:
         coalgebra, composite, lhs_sum = ZINBIEL, lifted_composite, _anchored_sum
     else:
@@ -395,7 +396,7 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
     surviving = {}
-    if target.brackets:
+    if target is not None and target.brackets:
         if com is None:
             arities = target.brackets.keys()
             rows = _comorphism_rows(space, tspace, components, bound, coalgebra, arities)
