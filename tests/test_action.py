@@ -15,6 +15,7 @@ from linfty.action import (
     theorem_crosscheck,
 )
 from linfty.homotopy import check_loday_infinity
+from linfty.multimap import MultiMap
 from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
     abelian_structure,
@@ -443,3 +444,45 @@ def test_crosscheck_indexes_each_phi_family_once(monkeypatch):
         keys = [tuple(map(id, tables)) for tables in built if tables]
         repeats += len(keys) - len(set(keys))
     assert repeats == 0
+
+
+def scalars(data):
+    """The constants inside a family, a letter index or a composite."""
+    if isinstance(data, MultiMap):
+        return scalars(data.constants)
+    if isinstance(data, dict):
+        return [c for value in data.values() for c in scalars(value)]
+    if isinstance(data, list):
+        return [c for _, value in data for c in scalars(value)]
+    return [data]
+
+
+def test_fractional_actions_are_checked_on_int_constants(monkeypatch):
+    # the checks clear the action's denominators and divide only the report;
+    # on Fraction data every composite and bracket used to read Fractions
+    import linfty.action as action_module
+
+    seen = set()
+
+    def recorded(name):
+        real = getattr(action_module, name)
+
+        def wrapper(*args):
+            seen.update(type(c) for a in args if isinstance(a, dict) for c in scalars(a))
+            return real(*args)
+
+        monkeypatch.setattr(action_module, name, wrapper)
+
+    recorded("_symmetric_composite")
+    recorded("_bracket")
+    fractional = [
+        inst.action for inst in action_corpus(38, 0)
+        if any(type(c) is F for f in inst.action.components.values()
+               for vec in f.constants.values() for c in vec.values())
+    ]
+    assert len(fractional) >= 10
+    for action in fractional:
+        check_action(action, BOUND)
+        check_coherence(action, BOUND)
+        theorem_crosscheck(action, BOUND)
+    assert seen == {int}
