@@ -359,17 +359,13 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     items: list[Residual] = []
     for n in range(1, bound + 1):
         for xw in espace.canonical_words(n):
-            lhs = _action_lhs(action, xw, bound)
-            rhs = _action_rhs(action, xw, bound)
-            diffs = {}
-            for vw in set(lhs) | set(rhs):
-                diff = dict(lhs.get(vw, {}))
-                merge_into(diff, rhs.get(vw, {}), -1)
-                if diff:
-                    diffs[vw] = diff
+            diffs = _action_lhs(action, xw, bound)
+            for vw, vec in _action_rhs(action, xw, bound).items():
+                merge_into(diffs.setdefault(vw, {}), vec, -1)
             for vw, diff in _unscaled(diffs, action._den).items():
-                word = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
-                items.append(Residual(n, word, format_vector(vspace, diff)))
+                if diff:
+                    word = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
+                    items.append(Residual(n, word, format_vector(vspace, diff)))
     return make_report("action", bound, items)
 
 

@@ -16,7 +16,11 @@ normal form (:func:`exact`): an ``int`` when it is integral and a
 ``Fraction`` only when it is not.  :class:`MultiMap` stores its constants
 in that form and refuses floats, and the kernels seed their sums with
 ``int`` signs and ones, so a sum of integral products never forms a
-``Fraction``; only a division does.
+``Fraction``; only a division does.  The structure checks and the action
+and coherence checks feed the kernels ``int`` constants only: each clears
+the denominators of its data once
+(:func:`linfty.homotopy._clear_denominators`) and divides by ``D**2`` only
+the values it reports.
 """
 from __future__ import annotations
 
