@@ -255,7 +255,8 @@ def _cleared(action: ActionFamily) -> ActionFamily:
     """The action with the constants of its acting brackets, target brackets
     and components times ``D``, the lcm of their denominators
     (:func:`linfty.homotopy._clear_denominators`), so that each is an
-    ``int``, and with ``_den`` times ``D``; the action itself when ``D`` is 1.
+    ``int``, and with ``_den`` set to ``D``; the action itself when ``D`` is
+    1.
 
     Every term of the action axiom and of both coherence commutators is
     bilinear in those data, so every residual of the cleared family is
@@ -275,7 +276,7 @@ def _cleared(action: ActionFamily) -> ActionFamily:
         for ((k, n), f), table in zip(action.components.items(), tables[v:])
     }
     cleared = ActionFamily(_with_constants(E, tables[:e]), _with_constants(V, tables[e:v]), comps)
-    cleared._den = action._den * den
+    cleared._den = den
     return cleared
 
 
