@@ -176,7 +176,7 @@ STRUCTURE = {
     ("check-loday", "twoterm", 7, "machine"): "70838eb89b9b87717bf17096f94520a98b8632149897f65cf656a162d35e64cb",
 }
 
-# fractional action files, written to a scratch directory by the test: a
+# fractional action files, written to a temporary directory by the test: a
 # basis change of solvable-plane (coherent), one of solvable-self (not
 # coherent), and one of adjoint-rep-solv with 1/3 added to a constant (not
 # an action, with non-integral residuals)
