@@ -17,14 +17,15 @@ every commutator here is a bracket of two families
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
 from .homotopy import (
     HomotopyStructure,
     _clear_denominators,
+    _structure_report,
     _unscaled,
     _with_constants,
-    check_loday_infinity,
 )
 from .memo import memo
 from .multimap import (
@@ -35,6 +36,7 @@ from .multimap import (
     Vector,
     _bracket,
     _letter_index,
+    _signed_orderings,
     _symmetric_composite,
     exact,
     lift_zinbiel_coderivation,
@@ -155,10 +157,13 @@ class ActionFamily:
     checks bracket; none of them is lifted.  The family memoizes
     (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
     family with its letter index under ``("phi", word, bound)``
-    (:func:`_indexed_phi`) and the coherence verdict under
-    ``("coherent", bound)``.  :meth:`ad_of` and :meth:`phi_mixed` are read
-    once each and not kept.  A family that :func:`_cleared` made keeps the
-    factor ``D`` of its data in ``_den``; every other family has ``_den`` 1.
+    (:func:`_indexed_phi`), the coherence verdict under ``("coherent",
+    bound)``, its cleared copy under ``("cleared",)`` (:func:`_cleared`),
+    and the split indexes that :meth:`ad_of` and :meth:`phi_mixed` read
+    their entries from under ``("ad",)`` and ``("mixed",)``
+    (:func:`_absorbed`); the families themselves are built at each call and
+    not kept.  A family that :func:`_cleared` made keeps the factor ``D`` of
+    its data in ``_den``; every other family has ``_den`` 1.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
@@ -207,44 +212,82 @@ class ActionFamily:
         return out
 
     def ad_of(self, vword: Word, bound: int) -> dict[int, MultiMap]:
-        """The adjoint family of a target word, from the target's own
-        brackets: ``w -> l(vword, w)``."""
-        V, vword = self.V, tuple(vword)
-        return self._prefix_family(
-            1 + V.space.word_degree(vword),
-            [n for n in range(1, bound + 1) if V.bracket(len(vword) + n) is not None],
-            lambda w: V.eval_bracket(len(vword) + len(w), vword + w),
-        )
+        """The adjoint family of a nonempty target word, from the target's
+        own brackets: ``w -> l(vword, w)``, read off the bracket keys split
+        by :func:`_absorbed`; no bracket is evaluated."""
+        V = self.V
+
+        def keys():
+            return (((), y, value) for f in V.brackets.values() for y, value in f.constants.items())
+
+        return self._absorbing(("ad",), keys, (), vword, 1 + V.space.word_degree(vword), bound)
 
     def phi_mixed(self, eword: Word, vword: Word, bound: int) -> dict[int, MultiMap]:
-        """The family absorbing a fixed target prefix: ``w -> value(x; v.w)``."""
+        """The family absorbing a fixed target prefix: ``w -> value(x; v.w)``,
+        read off the component keys split by :func:`_absorbed`; no component
+        is evaluated."""
+        x, sign = self.E.space.normalize(tuple(eword))
+        degree = 1 + self.E.space.word_degree(x) + self.V.space.word_degree(vword)
+
+        def keys():
+            comps = self.components.values()
+            return ((ew, vw, value) for f in comps for (ew, vw), value in f.constants.items())
+
+        return self._absorbing(("mixed",), keys, x, vword, degree, bound, sign)
+
+    def _absorbing(self, kind, keys, head: Word, vword: Word, degree: int, bound: int, sign=1):
+        """The family ``w -> value(head; vword + w)`` times ``sign``, on the
+        target words ``w`` of length at most ``bound``: the entries of
+        ``(head, canonical vword)`` in the split index of ``keys()`` kept
+        under ``(kind,)``, with the sign of ``vword``'s sort."""
         if not vword:
             raise InputError("the absorbed target word must be nonempty")
-        eword, vword = tuple(eword), tuple(vword)
-        return self._prefix_family(
-            1 + self.E.space.word_degree(eword) + self.V.space.word_degree(vword),
-            [n for n in range(1, bound + 1) if (len(eword), len(vword) + n) in self.components],
-            lambda w: self.eval(eword, vword + w),
-        )
-
-    def _prefix_family(self, degree: int, arities, value) -> dict[int, MultiMap]:
-        """The family ``w -> value(w)`` on the canonical target words ``w`` of
-        the given arities, where ``value`` absorbs a fixed prefix."""
         vspace = self.V.space
+        index = memo(self._memo, kind, lambda: _absorbed(vspace, keys()))
+        v, vsign = vspace.normalize(tuple(vword))
+        sign *= vsign
         out: dict[int, MultiMap] = {}
-        for n in arities:
-            table = {}
-            for w in vspace.canonical_words(n):
-                vec = value(w)
-                if vec:
-                    table[w] = vec
-            if table:
+        for n, table in index.get((head, v), {}).items() if sign else ():
+            if n <= bound:
+                if sign < 0:
+                    table = {w: {o: -c for o, c in vec.items()} for w, vec in table.items()}
                 out[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
         return out
 
     def is_coherent(self, bound: int) -> bool:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
+
+
+def _absorbed(space: GradedSpace, keys) -> dict[tuple[Word, Word], dict[int, dict[Word, Vector]]]:
+    """The split index of ``keys``, triples ``(head, y, value)`` with ``y``
+    a canonical target word: each ``y`` split into a nonempty absorbed
+    sub-multiset ``v`` and a nonempty rest ``w``, as ``(head, v) ->
+    {len(w): {w: value}}``, ``value`` times the sign of ``normalize(v +
+    w)``.  A family that absorbs ``v`` reads its entries here, so the work
+    follows the keys, not the target words."""
+    index: dict[tuple[Word, Word], dict[int, dict[Word, Vector]]] = {}
+    for head, y, value in keys:
+        negated = {o: -c for o, c in value.items()}
+        for picked, rest in _sub_multisets(len(y)):
+            v = tuple(y[j] for j in picked)
+            w = tuple(y[j] for j in rest)
+            by_length = index.setdefault((head, v), {}).setdefault(len(w), {})
+            if w not in by_length:
+                by_length[w] = value if space.normalize(v + w)[1] > 0 else negated
+    return index
+
+
+@lru_cache(maxsize=None)
+def _sub_multisets(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each split of the slots ``0..n-1`` into a nonempty picked block and a
+    nonempty rest, both increasing."""
+    slots = range(n)
+    return tuple(
+        (picked, tuple(j for j in slots if j not in picked))
+        for r in range(1, n)
+        for picked in itertools.combinations(slots, r)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +299,37 @@ def _cleared(action: ActionFamily) -> ActionFamily:
     and components times ``D``, the lcm of their denominators
     (:func:`linfty.homotopy._clear_denominators`), so that each is an
     ``int``, and with ``_den`` set to ``D``; the action itself when ``D`` is
-    1.
+    1, and a family that was cleared.  The copy is kept under
+    ``("cleared",)``, ``None`` when there is none, so the denominators of a
+    family are scanned once however many checks read it.
 
     Every term of the action axiom and of both coherence commutators is
     bilinear in those data, so every residual of the cleared family is
     exactly ``D**2`` times the action's, and the checks divide by
     ``_den**2`` only the values they report.  A cleared family clears to
-    itself, so :func:`theorem_crosscheck` clears once and both checks share
-    the cleared family's memo.
+    itself, so the checks on one action share the cleared family's memo.
     """
-    E, V = action.E, action.V
-    maps = [*E.brackets.values(), *V.brackets.values(), *action.components.values()]
-    tables, den = _clear_denominators([f.constants for f in maps])
-    if den == 1:
+    if action._den != 1:
         return action
-    e, v = len(E.brackets), len(E.brackets) + len(V.brackets)
-    comps = {
-        (k, n): BiMultiMap(f.e_space, f.v_space, k, n, f.degree, table)
-        for ((k, n), f), table in zip(action.components.items(), tables[v:])
-    }
-    cleared = ActionFamily(_with_constants(E, tables[:e]), _with_constants(V, tables[e:v]), comps)
-    cleared._den = den
-    return cleared
+
+    def build():
+        E, V = action.E, action.V
+        maps = [*E.brackets.values(), *V.brackets.values(), *action.components.values()]
+        tables, den = _clear_denominators([f.constants for f in maps])
+        if den == 1:
+            return None
+        e, v = len(E.brackets), len(E.brackets) + len(V.brackets)
+        comps = {
+            (k, n): BiMultiMap(f.e_space, f.v_space, k, n, f.degree, table)
+            for ((k, n), f), table in zip(action.components.items(), tables[v:])
+        }
+        cleared = ActionFamily(
+            _with_constants(E, tables[:e]), _with_constants(V, tables[e:v]), comps
+        )
+        cleared._den = den
+        return cleared
+
+    return memo(action._memo, ("cleared",), build) or action
 
 
 def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
@@ -375,20 +427,25 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 
 
 def _coherence_firsts(action: ActionFamily, bound: int):
-    """The first family of each coherence commutator, as ``(label, weight,
-    family)``: the adjoint family of each target word ``v``, then the mixed
-    one of each pair ``x ; v``, with room left under the bound for an acting
-    word and a probe word."""
+    """The first family of each coherence commutator that is not empty, as
+    ``(label, weight, family)``: the adjoint family of each target word
+    ``v``, then the mixed one of each pair ``x ; v``, with room left under
+    the bound for an acting word and a probe word.  An empty family
+    brackets to zero, so it is skipped before its label is formed."""
     espace, vspace = action.E.space, action.V.space
     for a in range(1, bound - 1):
         for vw in vspace.canonical_words(a):
-            yield f"ad {vspace.format_word(vw)}", a, action.ad_of(vw, bound)
+            first = action.ad_of(vw, bound)
+            if first:
+                yield f"ad {vspace.format_word(vw)}", a, first
     for ax in range(1, bound - 2):
         for xw in espace.canonical_words(ax):
             for av in range(1, bound - ax - 1):
                 for vw in vspace.canonical_words(av):
-                    label = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
-                    yield label, ax + av, action.phi_mixed(xw, vw, bound)
+                    first = action.phi_mixed(xw, vw, bound)
+                    if first:
+                        label = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
+                        yield label, ax + av, first
 
 
 def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
@@ -401,11 +458,14 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     anchored identity of the direct-sum brackets at the same bound.  Each
     commutator is the bracket of the first family with ``phi_y``, on the
     probe words that fit under the bound; it is nonzero only on the words
-    it returns.  The letter index of each first family is built once per
-    check and that of each ``phi_y`` once per action (:func:`_indexed_phi`),
-    and both composites of every bracket read them.  The commutators run on
-    ``int`` constants (:func:`_cleared`); only the reported values are
-    divided.
+    it returns.  The first families are read off the split keys of the
+    target brackets and the components (:meth:`ActionFamily.ad_of`,
+    :meth:`ActionFamily.phi_mixed`), and an empty one, whose commutators
+    vanish, runs no composite (:func:`_coherence_firsts`).  The letter index
+    of each first family is built once per check and that of each ``phi_y``
+    once per action (:func:`_indexed_phi`), and both composites of every
+    bracket read them.  The commutators run on ``int`` constants
+    (:func:`_cleared`); only the reported values are divided.
     """
     action = _cleared(action)
     espace, vspace = action.E.space, action.V.space
@@ -443,7 +503,10 @@ class HemiProduct:
     Restricted to pure acting words the brackets are the acting structure's;
     restricted to pure target words they are the target's; the only mixed
     values occur on words with all acting letters in front, where they are
-    the action components.  Every other interleaving is zero.
+    the action components.  Every other interleaving is zero.  Each
+    ordering of a key, and of each block of a component key, comes with its
+    Koszul sign from one cached table (:func:`linfty.multimap._signed_orderings`),
+    so building the product sorts no word.
     """
 
     def __init__(self, action: ActionFamily):
@@ -455,33 +518,38 @@ class HemiProduct:
         basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
         space = GradedSpace(name, basis)
         self.space = space
-        self.v_offset = espace.dim
+        self.v_offset = off = espace.dim
+        odd = tuple(d % 2 for d in space.degrees)
+
+        def orderings(word: Word, offset: int) -> tuple[tuple[Word, int], ...]:
+            word = tuple(offset + i for i in word)
+            return _signed_orderings(word, tuple(odd[i] for i in word))
+
+        def signed(vec: Vector, offset: int) -> tuple[Vector, Vector]:
+            return {offset + o: c for o, c in vec.items()}, {offset + o: -c for o, c in vec.items()}
+
         max_arity = max(
             E.max_arity, V.max_arity, action.max_mixed_arity(), 1
         )
         brackets: dict[int, MultiMap] = {}
         for k in range(1, max_arity + 1):
-            # the pure blocks: every ordering of a key, with its index offset
             table: dict[Word, Vector] = {}
-            for f, offset in ((E.bracket(k), 0), (V.bracket(k), self.v_offset)):
+            # the pure blocks: every ordering of a key, with its index offset
+            for f, offset in ((E.bracket(k), 0), (V.bracket(k), off)):
                 if f is not None:
-                    for w, vec in f.expand_plain().constants.items():
-                        table[tuple(offset + i for i in w)] = {
-                            offset + out: c for out, c in vec.items()
-                        }
+                    for w, vec in f.constants.items():
+                        values = signed(vec, offset)
+                        for u, sign in orderings(w, offset):
+                            table[u] = values[sign < 0]
             for i in range(1, k):
                 comp = action.component(i, k - i)
                 if comp is None:
                     continue
                 for (ew, vw), vec in comp.constants.items():
-                    for ue in set(itertools.permutations(ew)):
-                        _, se = espace.normalize(ue)
-                        for uv in set(itertools.permutations(vw)):
-                            _, sv = vspace.normalize(uv)
-                            word = tuple(ue) + tuple(self.v_offset + j for j in uv)
-                            table[word] = {
-                                self.v_offset + out: se * sv * c for out, c in vec.items()
-                            }
+                    values = signed(vec, off)
+                    for ue, se in orderings(ew, 0):
+                        for uv, sv in orderings(vw, off):
+                            table[ue + uv] = values[se != sv]
             if table:
                 brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
         self.structure = HomotopyStructure(space, PLAIN, brackets, max_arity)
@@ -519,8 +587,12 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
 
     The two must agree for every genuine action; disagreement is surfaced as
     an internal-consistency error carrying the first offending residuals.
-    The action is cleared of denominators once (:func:`_cleared`), and the
-    axiom and coherence checks share the cleared family.
+    The action is cleared of denominators once (:func:`_cleared`): the axiom
+    and coherence checks share the cleared family, and the product is built
+    once, from it.  Its brackets are the action's times ``D``, so its Loday
+    check (:func:`linfty.homotopy._structure_report`) runs on them with that
+    ``D``, clears nothing, and divides its report by ``D**2``: the report
+    equals ``check_loday_infinity`` of the action's own product.
     """
     cleared = _cleared(action)
     axiom = check_action(cleared, bound)
@@ -530,8 +602,10 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
             + "; ".join(f"[{r.word}]" for r in axiom.residuals[:3])
         )
     coherent = check_coherence(cleared, bound)
-    product = hemisemidirect(action)
-    loday = check_loday_infinity(product.structure, bound)
+    product = hemisemidirect(cleared)
+    loday = _structure_report(
+        "loday-infinity", product.structure, bound, anchored=True, den=cleared._den
+    )
     if coherent.ok != loday.ok:
         failing = coherent if loday.ok else loday
         first = failing.residuals[0]

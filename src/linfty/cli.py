@@ -150,8 +150,8 @@ def cmd_check_action(sf, args, em):
 
 
 def cmd_check_coherence(sf, args, em):
-    # cleared once, so that both checks share the cleared family's memo
-    family = action_mod._cleared(sf.action_family())
+    # both checks read the family's one cleared copy, and share its memo
+    family = sf.action_family()
     axiom = action_mod.check_action(family, args.bound)
     if not axiom.ok:
         raise InputError("coherence is defined for verified actions only")

@@ -225,14 +225,17 @@ def _with_constants(structure: HomotopyStructure, tables) -> HomotopyStructure:
 
 
 def _structure_report(
-    check: str, structure: HomotopyStructure, bound: int, anchored: bool
+    check: str, structure: HomotopyStructure, bound: int, anchored: bool, den: int | None = None
 ) -> CheckReport:
     """The report of a structure checker: :func:`_morphism_residuals` with
     the brackets cleared by ``D`` (:func:`_cleared`) as the components, into
-    the same space with no brackets (``target`` ``None``)."""
-    cleared, den = _cleared(structure)
+    the same space with no brackets (``target`` ``None``).  A caller whose
+    brackets are already integral, ``D`` times the structure it reports on,
+    passes that ``D`` as ``den``, and nothing is cleared."""
+    if den is None:
+        structure, den = _cleared(structure)
     space = structure.space
-    residuals = _morphism_residuals(cleared.brackets, cleared, None, bound, anchored, den=den)
+    residuals = _morphism_residuals(structure.brackets, structure, None, bound, anchored, den=den)
     return make_report(check, bound, _residual_items(space, space, residuals))
 
 

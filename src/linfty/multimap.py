@@ -186,22 +186,6 @@ class MultiMap:
         self.flavor = flavor
         self.constants = table
 
-    @classmethod
-    def from_entries(
-        cls,
-        source: GradedSpace,
-        target: GradedSpace,
-        arity: int,
-        degree: int,
-        flavor: str,
-        entries: Iterable[tuple[Word, int, Scalar]],
-    ) -> "MultiMap":
-        table: dict[Word, Vector] = {}
-        for word, out, c in entries:
-            add_into(table.setdefault(tuple(word), {}), out, c)
-        table = {w: v for w, v in table.items() if v}
-        return cls(source, target, arity, degree, flavor, table)
-
     def eval(self, word: Word) -> Vector:
         """Exact value on a basis word (a fresh dict; may be empty)."""
         if len(word) != self.arity:
@@ -237,22 +221,17 @@ class MultiMap:
                 yield w, out, self.constants[w][out]
 
     def expand_plain(self) -> "MultiMap":
-        """The same map with every ordering of each key stored explicitly."""
+        """The same map with every ordering of each key stored explicitly,
+        each read from :func:`_signed_orderings`."""
         if self.flavor == PLAIN:
             return self
-        entries = []
-        seen = set()
-        for word in self.constants:
-            for perm_word in set(_orderings(word)):
-                if perm_word in seen:
-                    continue
-                seen.add(perm_word)
-                vec = self.eval(perm_word)
-                for out, c in vec.items():
-                    entries.append((perm_word, out, c))
-        return MultiMap.from_entries(
-            self.source, self.target, self.arity, self.degree, PLAIN, entries
-        )
+        odd = tuple(d % 2 for d in self.source.degrees)
+        table: dict[Word, Vector] = {}
+        for word, vec in self.constants.items():
+            negated = {out: -c for out, c in vec.items()}
+            for u, sign in _signed_orderings(word, tuple(odd[x] for x in word)):
+                table[u] = vec if sign > 0 else negated
+        return MultiMap(self.source, self.target, self.arity, self.degree, PLAIN, table)
 
     def __repr__(self) -> str:
         return (
@@ -261,8 +240,19 @@ class MultiMap:
         )
 
 
-def _orderings(word: Word) -> Iterator[Word]:
-    return itertools.permutations(word)
+@lru_cache(maxsize=None)
+def _signed_orderings(word: Word, parities: tuple[int, ...]) -> tuple[tuple[Word, int], ...]:
+    """Each distinct ordering ``u`` of a canonical word whose letters have
+    the given parities, with the Koszul sign of sorting ``u`` back to
+    ``word``: a symmetric map's value on ``u`` is that sign times its value
+    on ``word``.  :meth:`MultiMap.expand_plain` and the hemisemidirect
+    product read every ordering of a key from here."""
+    out: dict[Word, int] = {}
+    for sigma in _all_permutations(len(word)):
+        u = permute(sigma, word)
+        if u not in out:
+            out[u] = koszul_sign(sigma, parities)
+    return tuple(out.items())
 
 
 def symmetrize(f: MultiMap) -> MultiMap:

@@ -10,7 +10,11 @@ side of the axiom visits every target word and reads its terms from
 ``BiMultiMap.eval``; the coderivation side and the coherence commutators
 are commutators of the word-by-word symmetric lifts
 (``dense_lifts.dense_symmetric_lift``) of the families, over
-``dense_splits.dense_increasing_splits``.  Each residual list is a
+``dense_splits.dense_increasing_splits``.  The adjoint and mixed families
+of the commutators are formed here too, by evaluating a bracket or a
+component on every canonical probe word (:func:`dense_ad_family`,
+:func:`dense_mixed_family`), so the oracle shares none of the package's
+key-driven construction.  Each residual list is a
 report's: sorted ``Residual`` triples.
 """
 from __future__ import annotations
@@ -21,8 +25,46 @@ from fractions import Fraction
 from dense_lifts import dense_symmetric_lift
 from dense_splits import dense_increasing_splits, dense_symmetric_splits
 from laws import restriction_vector, restrictions
-from linfty.multimap import commutator, merge_into
+from linfty.multimap import SYMMETRIC, MultiMap, commutator, merge_into
 from linfty.report import Residual, format_vector
+
+
+def _every_word_family(vspace, degree, arities, value):
+    """The family ``w -> value(w)`` on every canonical target word ``w`` of
+    the given arities, as maps by arity; empty maps are dropped."""
+    out = {}
+    for n in arities:
+        table = {w: vec for w in vspace.canonical_words(n) if (vec := value(w))}
+        if table:
+            out[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
+    return out
+
+
+def dense_ad_family(action, vword, bound):
+    """``w -> l(vword, w)``, each value read through ``MultiMap.eval``."""
+    V = action.V
+    arities = [n for n in range(1, bound + 1) if V.bracket(len(vword) + n) is not None]
+    return _every_word_family(
+        V.space,
+        1 + V.space.word_degree(vword),
+        arities,
+        lambda w: V.bracket(len(vword) + len(w)).eval(vword + w),
+    )
+
+
+def dense_mixed_family(action, xw, vword, bound):
+    """``w -> value(xw; vword.w)``, each value read through
+    ``BiMultiMap.eval``."""
+    degree = 1 + action.E.space.word_degree(xw) + action.V.space.word_degree(vword)
+    arities = [
+        n for n in range(1, bound + 1) if action.component(len(xw), len(vword) + n) is not None
+    ]
+    return _every_word_family(
+        action.V.space,
+        degree,
+        arities,
+        lambda w: action.component(len(xw), len(vword) + len(w)).eval(xw, vword + w),
+    )
 
 
 def dense_action_lhs(action, xw, bound):
@@ -99,13 +141,13 @@ def dense_coherence_residuals(action, bound):
 
     # a first family needs room for an acting word and a probe word
     firsts = [
-        (f"ad {vspace.format_word(v)}", len(v), lift(action.ad_of(v, bound)))
+        (f"ad {vspace.format_word(v)}", len(v), lift(dense_ad_family(action, v, bound)))
         for v in vwords
         if len(v) + 2 <= bound
     ]
     firsts += [
         (f"{espace.format_word(x)} ; {vspace.format_word(v)}", len(x) + len(v),
-         lift(action.phi_mixed(x, v, bound)))
+         lift(dense_mixed_family(action, x, v, bound)))
         for x, v in itertools.product(ewords, vwords)
         if len(x) + len(v) + 2 <= bound
     ]

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import linfty.action as action_module
+import linfty.homotopy as homotopy_module
 from linfty.action import (
     ActionFamily,
     BiMultiMap,
+    _cleared,
     _indexed_phi,
     adjoint_action,
     adjoint_representation,
@@ -14,7 +20,9 @@ from linfty.action import (
     hemisemidirect,
     theorem_crosscheck,
 )
-from linfty.homotopy import check_loday_infinity
+from linfty.cli import main
+from linfty.fileformat import parse, parse_path
+from linfty.homotopy import _structure_report, check_loday_infinity
 from linfty.multimap import MultiMap
 from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
@@ -33,9 +41,12 @@ from linfty.corpus import (
 )
 from dense_lifts import dense_symmetric_lift
 from laws import restriction_vector
+from test_action_oracle import NON_COHERENT
+from test_byte_stability import ACTION_FILES
 
 F = Fraction
 BOUND = 4
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def lifted(act, family, bound=BOUND):
@@ -166,6 +177,8 @@ def test_phi_mixed_requires_nonempty_prefix():
     act = heisenberg_central_action()
     with pytest.raises(InputError):
         act.phi_mixed((0,), (), BOUND)
+    with pytest.raises(InputError):
+        act.ad_of((), BOUND)
 
 
 def test_phi_mixed_vanishes_for_representations():
@@ -486,3 +499,122 @@ def test_fractional_actions_are_checked_on_int_constants(monkeypatch):
         check_coherence(action, BOUND)
         theorem_crosscheck(action, BOUND)
     assert seen == {int}
+
+
+# ---------------------------------------------------------------------------
+# the crosscheck reads each family's data once, and only where a key is
+
+
+def test_crosscheck_loday_report_is_the_products_own():
+    # the crosscheck builds the product from the cleared action, so its
+    # Loday report must be divided by D**2: it equals the report on the
+    # action's own product, residual by residual
+    files = [parse(ACTION_FILES[name]).action_family() for name in ("coherent", "noncoherent")]
+    compared = 0
+    for action in files + [action for _, action in NON_COHERENT]:
+        for bound in (4, 5):
+            loday = theorem_crosscheck(action, bound)[1]
+            assert loday == check_loday_infinity(hemisemidirect(action).structure, bound)
+            compared += len(loday.residuals)
+    assert compared
+    # the non-action stops at the crosscheck's precondition; its product,
+    # read as the crosscheck reads it, has non-integral residuals
+    action = parse(ACTION_FILES["nonaction"]).action_family()
+    with pytest.raises(InputError):
+        theorem_crosscheck(action, BOUND)
+    cleared = _cleared(action)
+    assert cleared._den == 3
+    product = hemisemidirect(cleared).structure
+    loday = _structure_report("loday-infinity", product, BOUND, anchored=True, den=3)
+    assert loday == check_loday_infinity(hemisemidirect(action).structure, BOUND)
+    assert any("/1)" not in r.value for r in loday.residuals)
+
+
+def count_clearings(monkeypatch) -> list:
+    calls = []
+    real = homotopy_module._clear_denominators
+
+    def counted(tables):
+        calls.append(len(tables))
+        return real(tables)
+
+    monkeypatch.setattr(homotopy_module, "_clear_denominators", counted)
+    monkeypatch.setattr(action_module, "_clear_denominators", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["integral", "fractional"])
+def test_each_family_is_cleared_once(monkeypatch, fractional):
+    # one lcm scan per family, however many checks read it; the product of
+    # the cleared action is read with the D already found
+    calls = count_clearings(monkeypatch)
+
+    def family():
+        if fractional:
+            return parse(ACTION_FILES["coherent"]).action_family()
+        return heisenberg_central_action()
+
+    theorem_crosscheck(family(), BOUND)
+    assert len(calls) == 1
+    action = family()
+    check_action(action, BOUND)
+    check_coherence(action, BOUND)
+    theorem_crosscheck(action, BOUND)
+    assert len(calls) == 2
+
+
+def test_check_coherence_command_clears_once(monkeypatch, tmp_path):
+    calls = count_clearings(monkeypatch)
+    (tmp_path / "coherent.lif").write_text(ACTION_FILES["coherent"])
+    paths = [str(FIXTURES / "heisenberg.lif"), str(tmp_path / "coherent.lif")]
+    for path in paths:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["check-coherence", path, "--bound", "4"]) == 0
+    assert len(calls) == len(paths)
+
+
+@pytest.mark.parametrize("source", ["heisenberg-central", "adjoint_identity"])
+def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
+    # the adjoint and mixed families evaluate no bracket and no component,
+    # and an empty first family runs no composite
+    if source == "heisenberg-central":
+        action = heisenberg_central_action()
+    else:
+        action = parse_path(FIXTURES / "adjoint_identity.lif").action_family()
+    inside, evals, composites, empty = [0], [0], [0], [0]
+
+    def counted_eval(real):
+        def wrapper(self, *words):
+            evals[0] += inside[0]
+            return real(self, *words)
+
+        return wrapper
+
+    def entered(real):
+        def wrapper(self, *args):
+            inside[0] += 1
+            try:
+                return real(self, *args)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    real_composite = action_module._symmetric_composite
+
+    def composite(space, index, inner, bound):
+        composites[0] += 1
+        empty[0] += not index or not inner
+        return real_composite(space, index, inner, bound)
+
+    monkeypatch.setattr(MultiMap, "eval", counted_eval(MultiMap.eval))
+    monkeypatch.setattr(BiMultiMap, "eval", counted_eval(BiMultiMap.eval))
+    monkeypatch.setattr(ActionFamily, "ad_of", entered(ActionFamily.ad_of))
+    monkeypatch.setattr(ActionFamily, "phi_mixed", entered(ActionFamily.phi_mixed))
+    monkeypatch.setattr(action_module, "_symmetric_composite", composite)
+    check_coherence(action, 5)
+    assert evals[0] == 0
+    assert empty[0] == 0
+    # the target of adjoint_identity has no brackets and its components
+    # one target slot, so every first family there is empty
+    assert bool(composites[0]) == (source == "heisenberg-central")

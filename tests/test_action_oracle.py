@@ -1,5 +1,6 @@
 """``check_action`` and ``check_coherence`` against the every-word oracle on
-fractional data.
+fractional data, and the key-driven adjoint and mixed families against the
+oracle's every-word ones.
 
 The checks run on the action with its denominators cleared and divide only
 the reported values back; ``dense_actions.py`` works on the ``Fraction``
@@ -12,11 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from dense_actions import dense_action_residuals, dense_coherence_residuals
+from dense_actions import (
+    dense_action_residuals,
+    dense_ad_family,
+    dense_coherence_residuals,
+    dense_mixed_family,
+)
 from linfty import corpus
 from linfty.action import ActionFamily, BiMultiMap, check_action, check_coherence
+from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure
-from linfty.multimap import MultiMap
+from linfty.multimap import SYMMETRIC, MultiMap
 
 BOUND = 4
 THIRD = Fraction(1, 3)
@@ -120,3 +127,69 @@ def test_some_failures_are_not_integral():
     reports = axioms + coherence
     values = [r.value for report in reports for r in report.residuals]
     assert any("/1)" not in part for value in values for part in value.split(" + "))
+
+
+# ---------------------------------------------------------------------------
+# the key-driven adjoint and mixed families
+
+
+def tables(family):
+    return {n: (f.degree, f.constants) for n, f in family.items()}
+
+
+def assert_families_are_the_every_word_ones(action, bound):
+    """``ad_of`` of every canonical target word and ``phi_mixed`` of every
+    pair with room left for a probe word equal the oracle's families, and
+    so do they on the reversed words, which carry the sign of their sort."""
+    espace, vspace = action.E.space, action.V.space
+    for a in range(1, bound):
+        for v in vspace.canonical_words(a):
+            for u in {v, v[::-1]}:
+                assert tables(action.ad_of(u, bound)) == tables(dense_ad_family(action, u, bound))
+            for ax in range(1, bound - a):
+                for x in espace.canonical_words(ax):
+                    for y, u in {(x, v), (x[::-1], v[::-1])}:
+                        got = action.phi_mixed(y, u, bound)
+                        assert tables(got) == tables(dense_mixed_family(action, y, u, bound))
+
+
+def odd_ternary_action():
+    """A ternary target bracket and a component with three target slots on
+    the odd letters ``p, q, r``: the families of ``q,p`` are not empty and
+    read their entries with the sign of its sort.  Not an action; the
+    families do not need one."""
+    V = GradedSpace("T", [("p", -1), ("q", -1), ("r", -1), ("z", -2)])
+    A = GradedSpace("A", [("a", 0)])
+    l3 = MultiMap(V, V, 3, 1, SYMMETRIC, {(0, 1, 2): {3: THIRD}})
+    comp = BiMultiMap(A, V, 1, 3, 1, {((0,), (0, 1, 2)): {3: 2}})
+    acting = HomotopyStructure(A, SYMMETRIC, {}, 3)
+    return ActionFamily(acting, HomotopyStructure(V, SYMMETRIC, {3: l3}, 3), {(1, 3): comp})
+
+
+FAMILY_CASES = [
+    pytest.param(odd_ternary_action(), id="odd-ternary"),
+    *(pytest.param(inst.action, id=inst.label) for inst in corpus.action_corpus(60, 3)),
+    *(pytest.param(inst.action, id=f"fractional-{inst.label}") for inst in FRACTIONAL),
+    *(pytest.param(action, id=f"failing-{label}") for label, action in NON_ACTIONS + NON_COHERENT),
+]
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+@pytest.mark.parametrize("action", FAMILY_CASES)
+def test_key_driven_families_equal_the_every_word_ones(action, bound):
+    assert_families_are_the_every_word_ones(action, bound)
+
+
+def test_some_key_driven_families_are_nonempty_and_some_signed():
+    # the comparison is not of empty families only, and a split key's sign
+    # is met: some entry of an odd target's family is negated
+    nonempty = negated = 0
+    for inst in corpus.action_corpus(60, 3):
+        action = inst.action
+        for v in action.V.space.canonical_words(1):
+            for f in action.ad_of(v, 4).values():
+                nonempty += 1
+                for w, vec in f.constants.items():
+                    y = tuple(sorted(v + w))
+                    negated += vec != action.V.bracket(len(y)).constants[y]
+    assert nonempty and negated

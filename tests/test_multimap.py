@@ -22,6 +22,7 @@ from linfty.multimap import (
     merge_into,
     symmetrize,
     zinbiel_coproduct,
+    _signed_orderings,
 )
 from linfty.corpus import random_multimap, random_restriction_family
 from laws import (
@@ -468,3 +469,14 @@ def test_decalage_binary_bracket_sign():
     assert q2.eval((1, 0)) == {1: F(1)}
     # the result is skew on the even letters, as an unshifted bracket must be
     assert q2.eval((0, 0)) == {}
+
+
+def test_signed_orderings_are_every_ordering_with_its_sort_sign():
+    space = GradedSpace("P", [("a", 0), ("b", 1), ("c", 1), ("d", 2)])
+    for n in range(1, 5):
+        for word in space.canonical_words(n):
+            parities = tuple(space.degrees[x] % 2 for x in word)
+            table = dict(_signed_orderings(word, parities))
+            assert set(table) == set(itertools.permutations(word))
+            for u, sign in table.items():
+                assert space.normalize(u) == (word, sign)

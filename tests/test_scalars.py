@@ -55,8 +55,6 @@ SPACE = GradedSpace("S", [("x", 0), ("y", 1)])
 def test_multimap_refuses_a_float_constant_and_names_its_key():
     with pytest.raises(InputError, match=r"\(\(0,\), 1\).*float 0\.5"):
         MultiMap(SPACE, SPACE, 1, 1, PLAIN, {(0,): {1: 0.5}})
-    with pytest.raises(InputError, match="float"):
-        MultiMap.from_entries(SPACE, SPACE, 1, 1, PLAIN, [((0,), 1, 1.0)])
 
 
 def test_bimultimap_refuses_a_float_constant_and_names_its_key():
