@@ -74,7 +74,7 @@ class BiMultiMap:
     is refused.
     """
 
-    __slots__ = ("e_space", "v_space", "e_arity", "v_arity", "degree", "constants", "_by_eword")
+    __slots__ = ("e_space", "v_space", "e_arity", "v_arity", "degree", "constants")
 
     def __init__(self, e_space, v_space, e_arity, v_arity, degree, constants):
         if e_arity < 1 or v_arity < 1:
@@ -117,7 +117,6 @@ class BiMultiMap:
         self.v_arity = v_arity
         self.degree = degree
         self.constants = table
-        self._by_eword: dict[Word, dict[Word, Vector]] | None = None
 
     def eval(self, eword: Word, vword: Word) -> Vector:
         en, es = self.e_space.normalize(tuple(eword))
@@ -132,15 +131,6 @@ class BiMultiMap:
         sign = es * vs
         return dict(row) if sign == 1 else {k: -v for k, v in row.items()}
 
-    def rows_for(self, eword: Word) -> dict[Word, Vector]:
-        """All stored target rows of a canonical acting word."""
-        if self._by_eword is None:
-            by: dict[Word, dict[Word, Vector]] = {}
-            for (ew, vw), vec in self.constants.items():
-                by.setdefault(ew, {})[vw] = vec
-            self._by_eword = by
-        return self._by_eword.get(tuple(eword), {})
-
     def is_zero(self) -> bool:
         return not self.constants
 
@@ -152,18 +142,17 @@ class ActionFamily:
     n-word of the target structure to a target vector.  The family is an
     action exactly when :func:`check_action` reports no residuals.
 
-    :meth:`phi_of`, :meth:`ad_of` and :meth:`phi_mixed` return the
-    restriction families (maps by target arity) of the coderivations the
-    checks bracket; none of them is lifted.  The family memoizes
-    (:func:`linfty.memo.memo`) what its checks re-read: each :meth:`phi_of`
-    family with its letter index under ``("phi", word, bound)``
-    (:func:`_indexed_phi`), the coherence verdict under ``("coherent",
-    bound)``, its cleared copy under ``("cleared",)`` (:func:`_cleared`),
-    and the split indexes that :meth:`ad_of` and :meth:`phi_mixed` read
-    their entries from under ``("ad",)`` and ``("mixed",)``
-    (:func:`_absorbed`); the families themselves are built at each call and
-    not kept.  A family that :func:`_cleared` made keeps the factor ``D`` of
-    its data in ``_den``; every other family has ``_den`` 1.
+    :meth:`family` returns the restriction families (maps by target arity)
+    of the coderivations the checks bracket, read off one split index of
+    the keys (:func:`_absorbed`); none of them is lifted.  The family
+    memoizes (:func:`linfty.memo.memo`) what its checks re-read: that split
+    index under ``("split",)``, each ``family(x, (), bound)`` with its
+    letter index under ``("phi", x, bound)`` (:func:`_indexed_phi`), the
+    coherence verdict under ``("coherent", bound)`` and its cleared copy
+    under ``("cleared",)`` (:func:`_cleared`); the other families are built
+    at each call and not kept.  A family that :func:`_cleared` made keeps
+    the factor ``D`` of its data in ``_den``; every other family has
+    ``_den`` 1.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
@@ -198,56 +187,22 @@ class ActionFamily:
 
     # -- coderivations attached to the action --------------------------------
 
-    def phi_of(self, eword: Word, bound: int) -> dict[int, MultiMap]:
-        """The family ``v-word -> value(eword; v-word)`` by target arity: the
-        restriction of the target coderivation attached to an acting word."""
-        eword = tuple(eword)
-        degree = 1 + self.E.space.word_degree(eword)
-        out: dict[int, MultiMap] = {}
-        for n in range(1, bound + 1):
-            f = self.components.get((len(eword), n))
-            rows = f.rows_for(eword) if f is not None else None
-            if rows:
-                out[n] = MultiMap(self.V.space, self.V.space, n, degree, SYMMETRIC, rows)
-        return out
-
-    def ad_of(self, vword: Word, bound: int) -> dict[int, MultiMap]:
-        """The adjoint family of a nonempty target word, from the target's
-        own brackets: ``w -> l(vword, w)``, read off the bracket keys split
-        by :func:`_absorbed`; no bracket is evaluated."""
-        V = self.V
-
-        def keys():
-            return (((), y, value) for f in V.brackets.values() for y, value in f.constants.items())
-
-        return self._absorbing(("ad",), keys, (), vword, 1 + V.space.word_degree(vword), bound)
-
-    def phi_mixed(self, eword: Word, vword: Word, bound: int) -> dict[int, MultiMap]:
-        """The family absorbing a fixed target prefix: ``w -> value(x; v.w)``,
-        read off the component keys split by :func:`_absorbed`; no component
-        is evaluated."""
-        x, sign = self.E.space.normalize(tuple(eword))
-        degree = 1 + self.E.space.word_degree(x) + self.V.space.word_degree(vword)
-
-        def keys():
-            comps = self.components.values()
-            return ((ew, vw, value) for f in comps for (ew, vw), value in f.constants.items())
-
-        return self._absorbing(("mixed",), keys, x, vword, degree, bound, sign)
-
-    def _absorbing(self, kind, keys, head: Word, vword: Word, degree: int, bound: int, sign=1):
-        """The family ``w -> value(head; vword + w)`` times ``sign``, on the
-        target words ``w`` of length at most ``bound``: the entries of
-        ``(head, canonical vword)`` in the split index of ``keys()`` kept
-        under ``(kind,)``, with the sign of ``vword``'s sort."""
-        if not vword:
-            raise InputError("the absorbed target word must be nonempty")
-        vspace = self.V.space
-        index = memo(self._memo, kind, lambda: _absorbed(vspace, keys()))
+    def family(self, eword: Word, vword: Word, bound: int) -> dict[int, MultiMap]:
+        """The family ``w -> value(eword; vword + w)`` by target arity, on the
+        target words ``w`` of length at most ``bound``; ``value`` is a
+        component, or a target bracket for an empty ``eword``.  So
+        ``family(x, ())`` is ``phi_x``, ``family((), v)`` the adjoint family
+        ``ad_v``, ``family(x, v)`` the mixed one and ``family((), ())`` the
+        target's brackets.  Both words are sorted with their Koszul signs, so
+        a repeated odd letter gives the empty family, and the entries are
+        read off the split index (:func:`_absorbed`): nothing is evaluated."""
+        espace, vspace = self.E.space, self.V.space
+        x, xsign = espace.normalize(tuple(eword))
         v, vsign = vspace.normalize(tuple(vword))
-        sign *= vsign
+        sign = xsign * vsign
+        degree = 1 + espace.word_degree(x) + vspace.word_degree(v)
         out: dict[int, MultiMap] = {}
-        for n, table in index.get((head, v), {}).items() if sign else ():
+        for n, table in _absorbed(self).get((x, v), {}).items() if sign else ():
             if n <= bound:
                 if sign < 0:
                     table = {w: {o: -c for o, c in vec.items()} for w, vec in table.items()}
@@ -259,33 +214,43 @@ class ActionFamily:
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
 
 
-def _absorbed(space: GradedSpace, keys) -> dict[tuple[Word, Word], dict[int, dict[Word, Vector]]]:
-    """The split index of ``keys``, triples ``(head, y, value)`` with ``y``
-    a canonical target word: each ``y`` split into a nonempty absorbed
-    sub-multiset ``v`` and a nonempty rest ``w``, as ``(head, v) ->
-    {len(w): {w: value}}``, ``value`` times the sign of ``normalize(v +
-    w)``.  A family that absorbs ``v`` reads its entries here, so the work
-    follows the keys, not the target words."""
-    index: dict[tuple[Word, Word], dict[int, dict[Word, Vector]]] = {}
-    for head, y, value in keys:
-        negated = {o: -c for o, c in value.items()}
-        for picked, rest in _sub_multisets(len(y)):
-            v = tuple(y[j] for j in picked)
-            w = tuple(y[j] for j in rest)
-            by_length = index.setdefault((head, v), {}).setdefault(len(w), {})
-            if w not in by_length:
-                by_length[w] = value if space.normalize(v + w)[1] > 0 else negated
-    return index
+def _absorbed(action: ActionFamily) -> dict[tuple[Word, Word], dict[int, dict[Word, Vector]]]:
+    """The split index of the action, kept under ``("split",)``: each key
+    ``y`` of a target bracket (head ``()``) and each key ``(x, y)`` of a
+    component (head ``x``) is split into an absorbed sub-multiset ``v``,
+    possibly empty, and a nonempty rest ``w``, as ``(head, v) -> {len(w):
+    {w: value}}``, ``value`` times the sign of ``normalize(v + w)``.  Every
+    family reads its entries here, so the work follows the keys, not the
+    target words."""
+
+    def build():
+        space = action.V.space
+        brackets = action.V.brackets.values()
+        keys = [((), y, value) for f in brackets for y, value in f.constants.items()]
+        for f in action.components.values():
+            keys += [(x, y, value) for (x, y), value in f.constants.items()]
+        index: dict[tuple[Word, Word], dict[int, dict[Word, Vector]]] = {}
+        for head, y, value in keys:
+            negated = {o: -c for o, c in value.items()}
+            for picked, rest in _sub_multisets(len(y)):
+                v = tuple(y[j] for j in picked)
+                w = tuple(y[j] for j in rest)
+                by_length = index.setdefault((head, v), {}).setdefault(len(w), {})
+                if w not in by_length:
+                    by_length[w] = value if space.normalize(v + w)[1] > 0 else negated
+        return index
+
+    return memo(action._memo, ("split",), build)
 
 
 @lru_cache(maxsize=None)
 def _sub_multisets(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each split of the slots ``0..n-1`` into a nonempty picked block and a
-    nonempty rest, both increasing."""
+    """Each split of the slots ``0..n-1`` into a picked block, possibly
+    empty, and a nonempty rest, both increasing."""
     slots = range(n)
     return tuple(
         (picked, tuple(j for j in slots if j not in picked))
-        for r in range(1, n)
+        for r in range(n)
         for picked in itertools.combinations(slots, r)
     )
 
@@ -335,9 +300,9 @@ def _cleared(action: ActionFamily) -> ActionFamily:
 def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
     """The bracket side of the action axiom on the canonical acting word
     ``xw``: ``sum sign * value(l_k(block), rest; v)`` over the
-    unshuffle-insertion splits of ``xw``, by target word ``v``."""
+    unshuffle-insertion splits of ``xw``, by target word ``v``, each value
+    read from the family of ``l_k(block), rest`` (:func:`_indexed_phi`)."""
     E = action.E
-    n = len(xw)
     lhs: dict[Word, Vector] = {}
     for sign, block, rest in symmetric_splits(E.space, xw, E.brackets):
         for b, c in E.brackets[len(block)].eval(block).items():
@@ -345,11 +310,8 @@ def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
             if not s2:
                 continue
             coeff = c if sign == s2 else -c
-            for m in range(1, bound + 1):
-                comp = action.component(n - len(block) + 1, m)
-                if comp is None:
-                    continue
-                for vw, vec in comp.rows_for(norm).items():
+            for f in _indexed_phi(action, norm, bound)[0].values():
+                for vw, vec in f.constants.items():
                     merge_into(lhs.setdefault(vw, {}), vec, coeff)
     return lhs
 
@@ -361,37 +323,44 @@ def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector
     restriction families per term; a term with an empty family is zero."""
     espace, vspace = action.E.space, action.V.space
     n = len(xw)
-    terms = [(-1, None, xw)]
+    terms = [(-1, (), xw)]
     for j in range(1, n):
         for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
             sign = -eps if espace.word_degree(xa) % 2 == 0 else eps
             terms.append((sign, xa, xb))
     rhs: dict[Word, Vector] = {}
     for sign, a, b in terms:
-        (f, f_index), (g, g_index) = (_indexed_phi(action, x, bound) for x in (a, b))
-        if not f or not g:
+        f, g = _indexed_phi(action, a, bound), _indexed_phi(action, b, bound)
+        if not f[0] or not g[0]:
             continue
-        fg = _symmetric_composite(vspace, f_index, g, bound)
-        gf = _symmetric_composite(vspace, g_index, f, bound)
-        for h in _bracket(SYMMETRIC, vspace, f, g, fg, gf).values():
+        for h in _indexed_bracket(vspace, f, g, bound).values():
             for w, vec in h.constants.items():
                 merge_into(rhs.setdefault(w, {}), vec, sign)
     return rhs
 
 
-def _indexed_phi(action: ActionFamily, eword: Word | None, bound: int):
-    """``phi_of(eword, bound)``, or the target's brackets for ``None``, with
-    its letter index (``None`` for an empty family), built once per action:
-    :func:`check_action` and :func:`check_coherence` both read it, memoized
-    under ``("phi", eword, bound)``."""
+def _indexed_phi(action: ActionFamily, eword: Word, bound: int):
+    """``family(eword, (), bound)``, the target's brackets for an empty
+    ``eword``, with its letter index (``None`` for an empty family), built
+    once per action: :func:`check_action` and :func:`check_coherence` both
+    read it, memoized under ``("phi", eword, bound)``."""
 
     def build():
-        family = action.V.brackets if eword is None else action.phi_of(eword, bound)
+        family = action.family(eword, (), bound)
         if not family:
             return family, None
         return family, _letter_index(action.V.space, [f.constants for f in family.values()])
 
     return memo(action._memo, ("phi", eword, bound), build)
+
+
+def _indexed_bracket(space: GradedSpace, first, second, bound: int) -> dict[int, MultiMap]:
+    """The bracket of two families, each given with its letter index, on the
+    target words up to ``bound``: one composite each way."""
+    (f, f_index), (g, g_index) = first, second
+    fg = _symmetric_composite(space, f_index, g, bound)
+    gf = _symmetric_composite(space, g_index, f, bound)
+    return _bracket(SYMMETRIC, space, f, g, fg, gf)
 
 
 def check_action(action: ActionFamily, bound: int) -> CheckReport:
@@ -427,25 +396,18 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 
 
 def _coherence_firsts(action: ActionFamily, bound: int):
-    """The first family of each coherence commutator that is not empty, as
-    ``(label, weight, family)``: the adjoint family of each target word
-    ``v``, then the mixed one of each pair ``x ; v``, with room left under
-    the bound for an acting word and a probe word.  An empty family
-    brackets to zero, so it is skipped before its label is formed."""
+    """The first family of each coherence commutator, as ``(label, weight,
+    family)``: ``ad_v`` at each key ``((), v)`` of the split index
+    (:func:`_absorbed`) and the mixed family at each key ``(x, v)``, with
+    ``v`` nonempty, an entry under the bound, and room left under it for an
+    acting word and a probe word.  Every other first family is empty and
+    brackets to zero, so it is never formed."""
     espace, vspace = action.E.space, action.V.space
-    for a in range(1, bound - 1):
-        for vw in vspace.canonical_words(a):
-            first = action.ad_of(vw, bound)
-            if first:
-                yield f"ad {vspace.format_word(vw)}", a, first
-    for ax in range(1, bound - 2):
-        for xw in espace.canonical_words(ax):
-            for av in range(1, bound - ax - 1):
-                for vw in vspace.canonical_words(av):
-                    first = action.phi_mixed(xw, vw, bound)
-                    if first:
-                        label = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
-                        yield label, ax + av, first
+    for (x, v), by_length in _absorbed(action).items():
+        weight = len(x) + len(v)
+        if v and weight <= bound - 2 and min(by_length) <= bound:
+            label = f"{espace.format_word(x)} ; " if x else "ad "
+            yield label + vspace.format_word(v), weight, action.family(x, v, bound)
 
 
 def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
@@ -458,29 +420,26 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     anchored identity of the direct-sum brackets at the same bound.  Each
     commutator is the bracket of the first family with ``phi_y``, on the
     probe words that fit under the bound; it is nonzero only on the words
-    it returns.  The first families are read off the split keys of the
-    target brackets and the components (:meth:`ActionFamily.ad_of`,
-    :meth:`ActionFamily.phi_mixed`), and an empty one, whose commutators
-    vanish, runs no composite (:func:`_coherence_firsts`).  The letter index
-    of each first family is built once per check and that of each ``phi_y``
-    once per action (:func:`_indexed_phi`), and both composites of every
-    bracket read them.  The commutators run on ``int`` constants
+    it returns.  The first families are formed only at the keys of the
+    split index (:func:`_coherence_firsts`), whose other families vanish
+    with their commutators.  The letter index of each first family is built
+    once per check and that of each ``phi_y`` once per action
+    (:func:`_indexed_phi`), and both composites of every bracket read them
+    (:func:`_indexed_bracket`).  The commutators run on ``int`` constants
     (:func:`_cleared`); only the reported values are divided.
     """
     action = _cleared(action)
     espace, vspace = action.E.space, action.V.space
     items: list[Residual] = []
     for label, weight, first in _coherence_firsts(action, bound):
-        first_index = _letter_index(vspace, [f.constants for f in first.values()])
+        indexed = first, _letter_index(vspace, [f.constants for f in first.values()])
         for b in range(1, bound - weight):
+            limit = bound - weight - b
             for yw in espace.canonical_words(b):
-                limit = bound - weight - b
-                phi, phi_index = _indexed_phi(action, yw, bound)
-                if not phi:
+                phi = _indexed_phi(action, yw, bound)
+                if not phi[0]:
                     continue
-                fg = _symmetric_composite(vspace, first_index, phi, limit)
-                gf = _symmetric_composite(vspace, phi_index, first, limit)
-                for f in _bracket(SYMMETRIC, vspace, first, phi, fg, gf).values():
+                for f in _indexed_bracket(vspace, indexed, phi, limit).values():
                     for ww, diff in _unscaled(f.constants, action._den).items():
                         items.append(
                             Residual(

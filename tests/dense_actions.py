@@ -10,11 +10,11 @@ side of the axiom visits every target word and reads its terms from
 ``BiMultiMap.eval``; the coderivation side and the coherence commutators
 are commutators of the word-by-word symmetric lifts
 (``dense_lifts.dense_symmetric_lift``) of the families, over
-``dense_splits.dense_increasing_splits``.  The adjoint and mixed families
-of the commutators are formed here too, by evaluating a bracket or a
-component on every canonical probe word (:func:`dense_ad_family`,
-:func:`dense_mixed_family`), so the oracle shares none of the package's
-key-driven construction.  Each residual list is a
+``dense_splits.dense_increasing_splits``.  Every family of those
+commutators, ``phi_x`` as well as the adjoint and mixed ones, is formed
+here too, by evaluating a bracket or a component on every canonical probe
+word (:func:`dense_ad_family`, :func:`dense_mixed_family`), so the oracle
+shares none of the package's key-driven construction.  Each residual list is a
 report's: sorted ``Residual`` triples.
 """
 from __future__ import annotations
@@ -54,7 +54,7 @@ def dense_ad_family(action, vword, bound):
 
 def dense_mixed_family(action, xw, vword, bound):
     """``w -> value(xw; vword.w)``, each value read through
-    ``BiMultiMap.eval``."""
+    ``BiMultiMap.eval``; ``phi_x`` for an empty ``vword``."""
     degree = 1 + action.E.space.word_degree(xw) + action.V.space.word_degree(vword)
     arities = [
         n for n in range(1, bound + 1) if action.component(len(xw), len(vword) + n) is not None
@@ -93,13 +93,15 @@ def dense_action_rhs(action, xw, bound):
     def lift(family):
         return dense_symmetric_lift(V.space, family, bound)
 
-    terms = [(-1, lift(V.brackets), lift(action.phi_of(xw, bound)))]
+    def phi(xw):
+        return lift(dense_mixed_family(action, xw, (), bound))
+
+    terms = [(-1, lift(V.brackets), phi(xw))]
     n = len(xw)
     for j in range(1, n):
         for eps, (xa, xb) in dense_increasing_splits(action.E.space, xw, (j, n - j)):
-            phi_a, phi_b = lift(action.phi_of(xa, bound)), lift(action.phi_of(xb, bound))
             sign = eps if (1 + action.E.space.word_degree(xa)) % 2 == 0 else -eps
-            terms.append((sign, phi_a, phi_b))
+            terms.append((sign, phi(xa), phi(xb)))
     out = {}
     for sign, a, b in terms:
         for f in restrictions(commutator(a, b)).values():
@@ -129,9 +131,9 @@ def dense_action_residuals(action, bound):
 
 def dense_coherence_residuals(action, bound):
     """Each nonzero length-one output of ``[ad_v, phi_y]`` on ``w`` with
-    ``|v|+|y|+|w| <= bound`` and of ``[phi_mixed(x, v), phi_y]`` on ``w``
-    with ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the
-    word-by-word lifts of the families, as a sorted residual list."""
+    ``|v|+|y|+|w| <= bound`` and of ``[mixed(x, v), phi_y]`` on ``w`` with
+    ``|x|+|v|+|y|+|w| <= bound``, from the commutator of the word-by-word
+    lifts of the families, as a sorted residual list."""
     espace, vspace = action.E.space, action.V.space
     ewords = list(espace.canonical_words_up_to(bound))
     vwords = list(vspace.canonical_words_up_to(bound))
@@ -151,7 +153,9 @@ def dense_coherence_residuals(action, bound):
         for x, v in itertools.product(ewords, vwords)
         if len(x) + len(v) + 2 <= bound
     ]
-    phis = {y: lift(action.phi_of(y, bound)) for y in ewords if len(y) + 2 <= bound}
+    phis = {
+        y: lift(dense_mixed_family(action, y, (), bound)) for y in ewords if len(y) + 2 <= bound
+    }
     items = []
     for (label, weight, first), y in itertools.product(firsts, phis):
         if weight + len(y) + 1 > bound:

@@ -22,8 +22,9 @@ from linfty.action import (
 )
 from linfty.cli import main
 from linfty.fileformat import parse, parse_path
-from linfty.homotopy import _structure_report, check_loday_infinity
-from linfty.multimap import MultiMap
+from linfty.graded import GradedSpace
+from linfty.homotopy import HomotopyStructure, _structure_report, check_loday_infinity
+from linfty.multimap import SYMMETRIC, MultiMap
 from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
     abelian_structure,
@@ -41,7 +42,7 @@ from linfty.corpus import (
 )
 from dense_lifts import dense_symmetric_lift
 from laws import restriction_vector
-from test_action_oracle import NON_COHERENT
+from test_action_oracle import NON_COHERENT, tables
 from test_byte_stability import ACTION_FILES
 
 F = Fraction
@@ -118,8 +119,6 @@ def test_broken_equivariance_fails():
 )
 def test_component_indices_must_stay_in_their_bases(key, vec, named):
     # negative letters would read from the end of a basis
-    from linfty.graded import GradedSpace
-
     E = GradedSpace("E", [("a", -1)])
     V = GradedSpace("V", [("p", -1), ("z", -1)])
     assert BiMultiMap(E, V, 1, 1, 1, {((0,), (0,)): {1: F(1)}}).constants
@@ -134,19 +133,19 @@ def test_component_indices_must_stay_in_their_bases(key, vec, named):
 def test_phi_of_zero_action_is_zero():
     act = zero_action()
     for x in ((0,), (1,)):
-        assert act.phi_of(x, BOUND) == {}
+        assert act.family(x, (), BOUND) == {}
 
 
 def test_phi_of_restriction_recovers_components():
     act = heisenberg_central_action(F(2), F(-1, 2))
-    q = lifted(act, act.phi_of((0,), BOUND))
+    q = lifted(act, act.family((0,), (), BOUND))
     for v in range(act.V.space.dim):
         assert restriction_vector(q, (v,)) == act.eval((0,), (v,))
 
 
 def test_phi_of_single_component_acts_as_derivation():
     act = heisenberg_central_action()
-    q = lifted(act, act.phi_of((0,), BOUND))
+    q = lifted(act, act.family((0,), (), BOUND))
     V = act.V.space
     p, qq, z = V.index("p"), V.index("q"), V.index("z")
     # on the pair (p, q) the lift is a derivation over the slots
@@ -161,24 +160,70 @@ def test_phi_of_single_component_acts_as_derivation():
 def test_ad_of_abelian_is_zero():
     act = zero_action()
     for v in ((0,), (1,)):
-        assert act.ad_of(v, BOUND) == {}
+        assert act.family((), v, BOUND) == {}
 
 
 def test_ad_of_single_letter_matches_bracket():
     act = heisenberg_central_action()
     V = act.V
     p = V.space.index("p")
-    ad_p = lifted(act, act.ad_of((p,), BOUND))
+    ad_p = lifted(act, act.family((), (p,), BOUND))
     for v in range(V.space.dim):
         assert restriction_vector(ad_p, (v,)) == V.eval_bracket(2, (p, v))
 
 
-def test_phi_mixed_requires_nonempty_prefix():
-    act = heisenberg_central_action()
-    with pytest.raises(InputError):
-        act.phi_mixed((0,), (), BOUND)
-    with pytest.raises(InputError):
-        act.ad_of((), BOUND)
+@pytest.mark.parametrize(
+    "act",
+    [heisenberg_central_action(), solvable_self_action(), adjoint_action(triple_bracket_example())],
+    ids=["heisenberg-central", "solvable-self", "adjoint-triple"],
+)
+def test_empty_words_read_the_brackets_and_the_components(act):
+    # with nothing absorbed a family is the target's brackets, for the empty
+    # acting word, or the rows of the components at an acting word
+    brackets = {n: f for n, f in act.V.brackets.items() if n <= BOUND}
+    assert brackets and tables(act.family((), (), BOUND)) == tables(brackets)
+    read = 0
+    for k in range(1, BOUND + 1):
+        for x in act.E.space.canonical_words(k):
+            rows = {}
+            for (kk, n), f in act.components.items():
+                table = {vw: vec for (ew, vw), vec in f.constants.items() if ew == x}
+                if kk == k and n <= BOUND and table:
+                    rows[n] = (1 + act.E.space.word_degree(x), table)
+            assert tables(act.family(x, (), BOUND)) == rows
+            read += bool(rows)
+    assert read
+
+
+def two_letter_acting_key():
+    """The odd letters ``a, b`` acting on the odd letters ``p, q, r``
+    through the one key ``((a, b), (p, q, r))``.  Not an action; a family
+    does not need one."""
+    A = GradedSpace("A", [("a", -1), ("b", -1)])
+    V = GradedSpace("V", [("p", -1), ("q", -1), ("r", -1), ("z", -4)])
+    comp = BiMultiMap(A, V, 2, 3, 1, {((0, 1), (0, 1, 2)): {3: F(1)}})
+    E, T = (HomotopyStructure(space, SYMMETRIC, {}, 5) for space in (A, V))
+    return ActionFamily(E, T, {(2, 3): comp})
+
+
+def test_family_of_a_reordered_word_carries_its_sort_sign():
+    # the acting and target words are sorted with their Koszul signs: a
+    # family once looked its acting word up literally, so phi of b,a was
+    # empty while the component evaluated there was not
+    act = two_letter_acting_key()
+    a, b = 0, 1
+    p, q, r, z = range(4)
+    phi = act.family((a, b), (), BOUND)
+    assert tables(phi) == {3: (-1, {(p, q, r): {z: 1}})}
+    assert tables(act.family((b, a), (), BOUND)) == tables(phi, -1)
+    assert act.family((b, a), (), BOUND)[3].constants[(p, q, r)] == act.eval((b, a), (p, q, r))
+    mixed = act.family((a, b), (p, q), BOUND)
+    assert tables(mixed) == {1: (-3, {(r,): {z: 1}})}
+    assert tables(act.family((a, b), (q, p), BOUND)) == tables(mixed, -1)
+    assert tables(act.family((b, a), (q, p), BOUND)) == tables(mixed)
+    # a repeated odd letter vanishes in the symmetric algebra
+    for x, v in (((a, a), ()), ((a, b), (p, p)), ((b, b), (q, p))):
+        assert act.family(x, v, BOUND) == {}
 
 
 def test_phi_mixed_vanishes_for_representations():
@@ -187,8 +232,8 @@ def test_phi_mixed_vanishes_for_representations():
     act = complex_representation_action()
     x = (0,)
     u = (act.V.space.index("u"),)
-    mixed = lifted(act, act.phi_mixed(x, u, BOUND))
-    phi = lifted(act, act.phi_of(x, BOUND))
+    mixed = lifted(act, act.family(x, u, BOUND))
+    phi = lifted(act, act.family(x, (), BOUND))
     assert mixed.compose(phi).is_zero()
 
 
@@ -196,7 +241,7 @@ def test_phi_mixed_concrete_value():
     act = heisenberg_central_action(F(1), F(0))
     V = act.V.space
     p, q, z = V.index("p"), V.index("q"), V.index("z")
-    mixed = lifted(act, act.phi_mixed((0,), (q,), BOUND))
+    mixed = lifted(act, act.family((0,), (q,), BOUND))
     # restriction at one letter w is the (1,2)-component on (q, w): zero here
     assert restriction_vector(mixed, (p,)) == {}
 
@@ -373,7 +418,7 @@ def test_ad_commutators_close_onto_brackets():
     for L in (heisenberg(), sl2()):
         act = adjoint_action(L)
         space = L.space
-        ad = [lifted(act, act.ad_of((b,), 3), 3) for b in range(space.dim)]
+        ad = [lifted(act, act.family((), (b,), 3), 3) for b in range(space.dim)]
         for v in range(space.dim):
             for w in range(space.dim):
                 lhs = commutator(ad[v], ad[w])
@@ -401,21 +446,20 @@ def test_crosscheck_agreement_at_other_bounds():
 
 
 def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
-    # a spurious entry p -> p in every one-letter adjoint family breaks
-    # coherence only: the action axiom and the product never read ad_of
-    from linfty.multimap import SYMMETRIC, MultiMap
+    # a spurious entry p -> p in each one-letter adjoint family that the
+    # coherence check forms breaks coherence only: the action axiom and the
+    # product read no adjoint family
+    real = ActionFamily.family
 
-    real = ActionFamily.ad_of
-
-    def skewed(self, vword, bound):
-        family = real(self, vword, bound)
-        if len(vword) > 1:
+    def skewed(self, eword, vword, bound):
+        family = real(self, eword, vword, bound)
+        if eword or len(vword) != 1:
             return family
         space = self.V.space
         table = {**(family[1].constants if 1 in family else {}), (0,): {0: F(1)}}
         return {**family, 1: MultiMap(space, space, 1, 0, SYMMETRIC, table)}
 
-    monkeypatch.setattr(ActionFamily, "ad_of", skewed)
+    monkeypatch.setattr(ActionFamily, "family", skewed)
     with pytest.raises(RouteDisagreement) as err:
         theorem_crosscheck(heisenberg_central_action(), BOUND)
     assert str(err.value) == (
@@ -425,10 +469,12 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
 
 
 def test_kept_memos_return_the_identical_object():
-    # the family keeps what its checks re-read: each acting word's
-    # coderivation with its letter index and the coherence verdict
+    # the family keeps what its checks re-read: the split index, each acting
+    # word's coderivation with its letter index and the coherence verdict
     act = solvable_self_action()
-    for eword in (None,) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
+    index = action_module._absorbed(act)
+    assert action_module._absorbed(act) is index
+    for eword in ((),) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
         first = _indexed_phi(act, eword, BOUND)
         assert _indexed_phi(act, eword, BOUND) is first
         assert _indexed_phi(act, eword, BOUND - 1) is not first
@@ -575,13 +621,15 @@ def test_check_coherence_command_clears_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("source", ["heisenberg-central", "adjoint_identity"])
 def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
-    # the adjoint and mixed families evaluate no bracket and no component,
-    # and an empty first family runs no composite
+    # every family is read off the split index and evaluates no bracket and
+    # no component; check_coherence forms a first family only at a key of
+    # that index with a nonempty absorbed word, never an empty one, and an
+    # empty family runs no composite
     if source == "heisenberg-central":
         action = heisenberg_central_action()
     else:
         action = parse_path(FIXTURES / "adjoint_identity.lif").action_family()
-    inside, evals, composites, empty = [0], [0], [0], [0]
+    inside, evals, composites, empty, firsts = [0], [0], [0], [0], []
 
     def counted_eval(real):
         def wrapper(self, *words):
@@ -590,15 +638,17 @@ def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
 
         return wrapper
 
-    def entered(real):
-        def wrapper(self, *args):
-            inside[0] += 1
-            try:
-                return real(self, *args)
-            finally:
-                inside[0] -= 1
+    real_family = ActionFamily.family
 
-        return wrapper
+    def family(self, eword, vword, bound):
+        inside[0] += 1
+        try:
+            out = real_family(self, eword, vword, bound)
+        finally:
+            inside[0] -= 1
+        if vword:
+            firsts.append(((tuple(eword), tuple(vword)), out))
+        return out
 
     real_composite = action_module._symmetric_composite
 
@@ -609,12 +659,15 @@ def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
 
     monkeypatch.setattr(MultiMap, "eval", counted_eval(MultiMap.eval))
     monkeypatch.setattr(BiMultiMap, "eval", counted_eval(BiMultiMap.eval))
-    monkeypatch.setattr(ActionFamily, "ad_of", entered(ActionFamily.ad_of))
-    monkeypatch.setattr(ActionFamily, "phi_mixed", entered(ActionFamily.phi_mixed))
+    monkeypatch.setattr(ActionFamily, "family", family)
     monkeypatch.setattr(action_module, "_symmetric_composite", composite)
     check_coherence(action, 5)
     assert evals[0] == 0
     assert empty[0] == 0
+    assert all(out for _, out in firsts)
+    # one first family for each key with room for an acting and a probe word
+    keys = [(x, v) for x, v in action_module._absorbed(action) if v and len(x + v) <= 3]
+    assert sorted(key for key, _ in firsts) == sorted(keys)
     # the target of adjoint_identity has no brackets and its components
-    # one target slot, so every first family there is empty
-    assert bool(composites[0]) == (source == "heisenberg-central")
+    # one target slot, so no key there absorbs a target word
+    assert bool(firsts) == bool(composites[0]) == (source == "heisenberg-central")

@@ -1,6 +1,6 @@
 """``check_action`` and ``check_coherence`` against the every-word oracle on
-fractional data, and the key-driven adjoint and mixed families against the
-oracle's every-word ones.
+fractional data, and the key-driven families of ``ActionFamily.family``
+against the oracle's every-word ones.
 
 The checks run on the action with its denominators cleared and divide only
 the reported values back; ``dense_actions.py`` works on the ``Fraction``
@@ -130,44 +130,63 @@ def test_some_failures_are_not_integral():
 
 
 # ---------------------------------------------------------------------------
-# the key-driven adjoint and mixed families
+# the key-driven families
 
 
-def tables(family):
-    return {n: (f.degree, f.constants) for n, f in family.items()}
+def tables(family, sign=1):
+    """The degree and constants of each map of a family, times ``sign``."""
+    return {n: (f.degree, scaled(f.constants, sign)) for n, f in family.items()}
 
 
 def assert_families_are_the_every_word_ones(action, bound):
-    """``ad_of`` of every canonical target word and ``phi_mixed`` of every
-    pair with room left for a probe word equal the oracle's families, and
-    so do they on the reversed words, which carry the sign of their sort."""
+    """``family(x, v)`` equals the oracle's family for every canonical
+    target word ``v``, empty too, with room left for a probe word, and every
+    acting word ``x``: the empty one (the target's brackets and ``ad_v``)
+    and each canonical one with room left (``phi_x`` and the mixed
+    families); and so it does on the reversed words, which carry the sign
+    of their sort."""
     espace, vspace = action.E.space, action.V.space
-    for a in range(1, bound):
+    for a in range(bound):
         for v in vspace.canonical_words(a):
             for u in {v, v[::-1]}:
-                assert tables(action.ad_of(u, bound)) == tables(dense_ad_family(action, u, bound))
+                got = action.family((), u, bound)
+                assert tables(got) == tables(dense_ad_family(action, u, bound))
             for ax in range(1, bound - a):
                 for x in espace.canonical_words(ax):
                     for y, u in {(x, v), (x[::-1], v[::-1])}:
-                        got = action.phi_mixed(y, u, bound)
+                        got = action.family(y, u, bound)
                         assert tables(got) == tables(dense_mixed_family(action, y, u, bound))
 
 
-def odd_ternary_action():
-    """A ternary target bracket and a component with three target slots on
-    the odd letters ``p, q, r``: the families of ``q,p`` are not empty and
-    read their entries with the sign of its sort.  Not an action; the
-    families do not need one."""
+def odd_ternary(arities, key, value):
+    """The odd letters ``p, q, r`` and an even ``z`` with the ternary bracket
+    ``l3(p, q, r) = z/3``, acted on by the even letter ``a`` through the one
+    component ``key -> value`` of the given arities."""
     V = GradedSpace("T", [("p", -1), ("q", -1), ("r", -1), ("z", -2)])
     A = GradedSpace("A", [("a", 0)])
     l3 = MultiMap(V, V, 3, 1, SYMMETRIC, {(0, 1, 2): {3: THIRD}})
-    comp = BiMultiMap(A, V, 1, 3, 1, {((0,), (0, 1, 2)): {3: 2}})
+    comp = BiMultiMap(A, V, *arities, 1, {key: value})
     acting = HomotopyStructure(A, SYMMETRIC, {}, 3)
-    return ActionFamily(acting, HomotopyStructure(V, SYMMETRIC, {3: l3}, 3), {(1, 3): comp})
+    return ActionFamily(acting, HomotopyStructure(V, SYMMETRIC, {3: l3}, 3), {arities: comp})
+
+
+def odd_ternary_action():
+    """The component ``a ; p,q,r -> 2z``, with three target slots: the
+    families of ``q,p`` are not empty and read their entries with the sign
+    of its sort.  Not an action; the families do not need one."""
+    return odd_ternary((1, 3), ((0,), (0, 1, 2)), {3: 2})
+
+
+def odd_noncoherent_action():
+    """The component ``a ; z -> p``: not coherent, and the commutator
+    ``ad p,r ; a ; q`` reads ``l3(p, r, q)``, the bracket key with the
+    negative sign of its sort.  Not an action; coherence does not need one."""
+    return odd_ternary((1, 1), ((0,), (3,)), {0: 1})
 
 
 FAMILY_CASES = [
     pytest.param(odd_ternary_action(), id="odd-ternary"),
+    pytest.param(odd_noncoherent_action(), id="odd-noncoherent"),
     *(pytest.param(inst.action, id=inst.label) for inst in corpus.action_corpus(60, 3)),
     *(pytest.param(inst.action, id=f"fractional-{inst.label}") for inst in FRACTIONAL),
     *(pytest.param(action, id=f"failing-{label}") for label, action in NON_ACTIONS + NON_COHERENT),
@@ -187,9 +206,20 @@ def test_some_key_driven_families_are_nonempty_and_some_signed():
     for inst in corpus.action_corpus(60, 3):
         action = inst.action
         for v in action.V.space.canonical_words(1):
-            for f in action.ad_of(v, 4).values():
+            for f in action.family((), v, 4).values():
                 nonempty += 1
                 for w, vec in f.constants.items():
                     y = tuple(sorted(v + w))
                     negated += vec != action.V.bracket(len(y)).constants[y]
     assert nonempty and negated
+
+
+@pytest.mark.parametrize("bound", [4, 5])
+def test_an_odd_absorbed_word_equals_the_dense_coherence_residuals(bound):
+    # no key of the action corpus has three distinct odd target letters, so
+    # only this case reads a coherence family entry with the negative sign
+    # of a multi-letter absorbed word's sort
+    action = odd_noncoherent_action()
+    residuals = check_coherence(action, bound).residuals
+    assert residuals == tuple(dense_coherence_residuals(action, bound))
+    assert "ad p,r ; a ; q" in {r.word for r in residuals}
