@@ -14,8 +14,8 @@ are commutators of the word-by-word symmetric lifts
 commutators, ``phi_x`` as well as the adjoint and mixed ones, is formed
 here too, by evaluating a bracket or a component on every canonical probe
 word (:func:`dense_ad_family`, :func:`dense_mixed_family`), so the oracle
-shares none of the package's key-driven construction.  Each residual list is a
-report's: sorted ``Residual`` triples.
+shares none of the package's key-driven construction.  Each residual list
+is a report's: sorted ``Residual`` triples.
 """
 from __future__ import annotations
 
@@ -93,8 +93,8 @@ def dense_action_rhs(action, xw, bound):
     def lift(family):
         return dense_symmetric_lift(V.space, family, bound)
 
-    def phi(xw):
-        return lift(dense_mixed_family(action, xw, (), bound))
+    def phi(x):
+        return lift(dense_mixed_family(action, x, (), bound))
 
     terms = [(-1, lift(V.brackets), phi(xw))]
     n = len(xw)
