@@ -15,7 +15,9 @@ commutators, ``phi_x`` as well as the adjoint and mixed ones, is formed
 here too, by evaluating a bracket or a component on every canonical probe
 word (:func:`dense_ad_family`, :func:`dense_mixed_family`), so the oracle
 shares none of the package's key-driven construction.  Each residual list
-is a report's: sorted ``Residual`` triples.
+is a report's: sorted ``Residual`` triples.  The hemisemidirect product's
+brackets are read here on every ordered word of the direct sum
+(:func:`dense_hemi_brackets`).
 """
 from __future__ import annotations
 
@@ -56,14 +58,12 @@ def dense_mixed_family(action, xw, vword, bound):
     """``w -> value(xw; vword.w)``, each value read through
     ``BiMultiMap.eval``; ``phi_x`` for an empty ``vword``."""
     degree = 1 + action.E.space.word_degree(xw) + action.V.space.word_degree(vword)
-    arities = [
-        n for n in range(1, bound + 1) if action.component(len(xw), len(vword) + n) is not None
-    ]
+    arities = [n for n in range(1, bound + 1) if (len(xw), len(vword) + n) in action.components]
     return _every_word_family(
         action.V.space,
         degree,
         arities,
-        lambda w: action.component(len(xw), len(vword) + len(w)).eval(xw, vword + w),
+        lambda w: action.components[len(xw), len(vword) + len(w)].eval(xw, vword + w),
     )
 
 
@@ -78,7 +78,7 @@ def dense_action_lhs(action, xw, bound):
             continue
         for b, c in lk.eval(block).items():
             for vw in vspace.canonical_words_up_to(bound):
-                comp = action.component(n - len(block) + 1, len(vw))
+                comp = action.components.get((n - len(block) + 1, len(vw)))
                 if comp is not None:
                     merge_into(lhs.setdefault(vw, {}), comp.eval((b,) + rest, vw), sign * c)
     return {vw: v for vw, v in lhs.items() if v}
@@ -169,3 +169,33 @@ def dense_coherence_residuals(action, bound):
                 word = f"{label} ; {espace.format_word(y)} ; {vspace.format_word(w)}"
                 items.append(Residual(weight + len(y) + len(w), word, format_vector(vspace, value)))
     return sorted(items)
+
+
+def dense_hemi_brackets(action):
+    """The hemisemidirect product's bracket tables by arity, on every ordered
+    word of ``E+V`` up to the largest arity of the action's data: the acting
+    letters are ``0..dim E - 1`` and the target letters follow them.  A pure
+    acting word reads ``E.eval_bracket``, a pure target word
+    ``V.eval_bracket``, and a mixed word with every acting letter in front
+    ``action.eval``; every other word is zero.  Empty values are dropped."""
+    E, V = action.E, action.V
+    off = E.space.dim
+    top = max(E.max_arity, V.max_arity, action.max_mixed_arity(), 1)
+    out = {}
+    for k in range(1, top + 1):
+        table = {}
+        for u in itertools.product(range(off + V.space.dim), repeat=k):
+            acting = sum(i < off for i in u)
+            x, v = u[:acting], tuple(i - off for i in u[acting:])
+            if any(i < 0 for i in v):
+                continue
+            if not v:
+                value = E.eval_bracket(k, x)
+            else:
+                value = V.eval_bracket(k, v) if not x else action.eval(x, v)
+                value = {off + o: c for o, c in value.items()}
+            if value:
+                table[u] = value
+        if table:
+            out[k] = table
+    return out

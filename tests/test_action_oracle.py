@@ -1,6 +1,6 @@
 """``check_action`` and ``check_coherence`` against the every-word oracle on
-fractional data, and the key-driven families of ``ActionFamily.family``
-against the oracle's every-word ones.
+fractional data, the key-driven families of ``ActionFamily.family`` and the
+hemisemidirect product's brackets against the oracle's every-word ones.
 
 The checks run on the action with its denominators cleared and divide only
 the reported values back; ``dense_actions.py`` works on the ``Fraction``
@@ -17,10 +17,17 @@ from dense_actions import (
     dense_action_residuals,
     dense_ad_family,
     dense_coherence_residuals,
+    dense_hemi_brackets,
     dense_mixed_family,
 )
 from linfty import corpus
-from linfty.action import ActionFamily, BiMultiMap, check_action, check_coherence
+from linfty.action import (
+    ActionFamily,
+    BiMultiMap,
+    check_action,
+    check_coherence,
+    hemisemidirect,
+)
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import SYMMETRIC, MultiMap
@@ -223,3 +230,46 @@ def test_an_odd_absorbed_word_equals_the_dense_coherence_residuals(bound):
     residuals = check_coherence(action, bound).residuals
     assert residuals == tuple(dense_coherence_residuals(action, bound))
     assert "ad p,r ; a ; q" in {r.word for r in residuals}
+
+
+# ---------------------------------------------------------------------------
+# the axiom at low bounds and the product's brackets
+
+ODD_CASES = [
+    pytest.param(odd_ternary_action(), id="odd-ternary"),
+    pytest.param(odd_noncoherent_action(), id="odd-noncoherent"),
+]
+AXIOM_CASES = [
+    *ODD_CASES,
+    *(pytest.param(inst.action, id=f"fractional-{inst.label}") for inst in FRACTIONAL),
+    *(pytest.param(action, id=f"failing-{label}") for label, action in NON_ACTIONS + NON_COHERENT),
+]
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("action", AXIOM_CASES)
+def test_the_axiom_equals_the_dense_residuals_at_low_bounds(action, bound):
+    assert check_action(action, bound).residuals == tuple(dense_action_residuals(action, bound))
+
+
+def test_the_axiom_bounds_acting_and_target_words_each():
+    # one acting letter and three target letters: the words weigh 4, over
+    # the bound 3, and a bound on the total weight would pass this non-action
+    residuals = check_action(odd_noncoherent_action(), 3).residuals
+    assert [(r.arity, r.word) for r in residuals] == [(1, "a ; p,q,r"), (1, "a ; q,r,z")]
+
+
+PRODUCT_CASES = [
+    *ODD_CASES,
+    *(pytest.param(inst.action, id=inst.label) for inst in corpus.action_corpus(60, 3)),
+    *(pytest.param(inst.action, id=f"fractional-{inst.label}") for inst in FRACTIONAL),
+]
+
+
+@pytest.mark.parametrize("action", PRODUCT_CASES)
+def test_the_product_brackets_are_the_every_word_ones(action):
+    product = hemisemidirect(action)
+    assert product.space.degrees == action.E.space.degrees + action.V.space.degrees
+    assert {k: f.constants for k, f in product.structure.brackets.items()} == (
+        dense_hemi_brackets(action)
+    )

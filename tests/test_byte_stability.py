@@ -14,7 +14,10 @@ formats, were recorded while ``check-lie`` and ``check-loday`` compared
 the componentwise double sum with the coderivation square of their own
 kernel.  The action reports, in both formats and with their exit codes,
 were recorded on fractional files while the action checks still ran on
-``Fraction`` constants.  The CLI prints the input path, so the commands run
+``Fraction`` constants, and, on the fixtures with an action section and at
+bound 3 on the fractional files, while ``check_action`` still summed the
+axiom over every canonical acting word and the product built its brackets
+in loops of its own.  The CLI prints the input path, so the commands run
 from the root of the checkout, or from the directory the action files are
 written to, with a relative path.
 """
@@ -255,6 +258,24 @@ action B B
 
 # (exit code, stdout digest) of each action command on each file
 ACTION = {
+    ("check-action", "coherent", 3, "text"): (0, "936580b05d0ea932ab75c9365be5a5a33bc6b91aa835b2fbe904fb8cdb66b88a"),
+    ("check-action", "coherent", 3, "machine"): (0, "11b15a828d8536a260d77e45327c75457ac6ec0ca2aea96c509441dbb2f05fcd"),
+    ("check-action", "noncoherent", 3, "text"): (0, "2ec4346f01a28d0d2005172a56a34b693116effeb76b24b63a74dc7e0d2692ea"),
+    ("check-action", "noncoherent", 3, "machine"): (0, "b6d08a18c21e432d8eb828fa85c9158cb8dfc861bc1ee8ce6974197633424f1b"),
+    ("check-action", "nonaction", 3, "text"): (1, "00c4c99c17e063ac6001fd3a93ec40250c981c39a6a4d15031730c2a84a65d7b"),
+    ("check-action", "nonaction", 3, "machine"): (1, "92e8d0399e767bdb0ad6c01800091411623a9656f8f654fa2f5e9f913e802cce"),
+    ("check-coherence", "coherent", 3, "text"): (0, "4cdeb2c67ef8a2e38244159849203aca56d59958451e132983d80fe3368abdce"),
+    ("check-coherence", "coherent", 3, "machine"): (0, "0297bbbcdc34acce13f4ad993e1ad7ff26c6cb3c0dfffd4c6646e7089f889684"),
+    ("check-coherence", "noncoherent", 3, "text"): (1, "d5b57d2494a135f73c0bad95e036e0765bd272ffc9ec176e3d62f747b7bc0449"),
+    ("check-coherence", "noncoherent", 3, "machine"): (1, "4c5d577e0f07d7f91ce36cd6bd58d00ac1fa03548b42c8db3ae6ac7e02c63dbf"),
+    ("check-coherence", "nonaction", 3, "text"): (2, "604e83a5ccc533682b00dda219f7006dd456b0402785aa34983c40a7fe0680c0"),
+    ("check-coherence", "nonaction", 3, "machine"): (2, "3d6c184fce9ae45c4d96085120a17a6f5d011b3f2a2302de592464b76ba2643c"),
+    ("build-product", "coherent", 3, "text"): (0, "b5c860a4034cfa5bb1a19a75ca96118168d5453085f0ad2d4b435ba36b6a7ec8"),
+    ("build-product", "coherent", 3, "machine"): (0, "5fbe07b6a4c75d09d27745feab2568da97ccca1cdf2efb46e926d9aefc32965d"),
+    ("build-product", "noncoherent", 3, "text"): (0, "5179a4dcfc4155e790361d7714367c8b8fc899143de921933fbe4fcea7b0865b"),
+    ("build-product", "noncoherent", 3, "machine"): (0, "6603f27c6f5aaea6c2374867738ff4f2466f17b5b5871af81eb7ceff4909bdcc"),
+    ("build-product", "nonaction", 3, "text"): (2, "3298987171edb941c7a682be1456899108d33b1eaf9ba2fba10c8e97f04b8f08"),
+    ("build-product", "nonaction", 3, "machine"): (2, "bc2464704d816e4abe1c2f90a9569c554f6a049fc28904dd96fd5034fba29e3f"),
     ("check-action", "coherent", 4, "text"): (0, "ba267695c468c77fc6a3a961d9d27f5da4252f7e65536eb61c7c914e2d94c25e"),
     ("check-action", "coherent", 4, "machine"): (0, "55399a2deaa77fb5da5a5f68f7dca8def882c62e202385ab78a69a9f5cfc1720"),
     ("check-action", "coherent", 5, "text"): (0, "9cb40c29c564348c4183644a41f85e038ba6503de7126b959bb6c915525a743f"),
@@ -294,13 +315,121 @@ ACTION = {
 }
 
 
-def stdout_digest(args, monkeypatch):
-    monkeypatch.chdir(ROOT)
+# check-action, check-coherence and build-product on every fixture with an
+# action section
+ACTION_FIXTURES = {
+    ("check-action", "abelian", 3, "text"): (0, "7b498fdf7f72bd64e608dbd7929719843215ac89b5424d515c8f48d179a9b599"),
+    ("check-action", "abelian", 3, "machine"): (0, "ce595babd1158453471803bf141caf8a39d1fd0b60056cebc0385e13fbf300f6"),
+    ("check-action", "abelian", 4, "text"): (0, "41c2647a87c297cd1a2251a05d9b5809c948f41d1e92aacfd3f1e2c8040d27c2"),
+    ("check-action", "abelian", 4, "machine"): (0, "d793925b757218f0bff48bc08c1847297232f8229c7ab746bc5caa8a381b0872"),
+    ("check-action", "abelian", 5, "text"): (0, "01a0693c06d21196f6df5b409f6e60224916b50f4a5f21ff6c56b01ba0c42c89"),
+    ("check-action", "abelian", 5, "machine"): (0, "b3465d701a7a5d1e7ec69ac7c35786fe2e7573bd2c123842ec91eecfd1ac484b"),
+    ("check-action", "abelian", 6, "text"): (0, "2414ec710c3466260791d8780f4c93ccbf07c873b8e820a4f0cdae08600654e2"),
+    ("check-action", "abelian", 6, "machine"): (0, "ae4d3dccfa5fc882562f9f30428c169e4aca88a336f1c5e37ba55a6ca5a5178b"),
+    ("check-action", "adjoint_identity", 3, "text"): (0, "f88088a9c6bcecddb001b5a5708051474814e9acbda6bd90bc90741cda835538"),
+    ("check-action", "adjoint_identity", 3, "machine"): (0, "5bcaaa447dc2ded97a0f6b8250458da45df1a6b0aa04c74096c49e9730f4a2f6"),
+    ("check-action", "adjoint_identity", 4, "text"): (0, "8e9c3b1e607ab431af67d83bdf6a054b9d4780d6a04d3abb4bf5e271478fa36f"),
+    ("check-action", "adjoint_identity", 4, "machine"): (0, "a0ccff5b413987ce4102e9e597e987c8d29889842e4212b648091909ea163704"),
+    ("check-action", "adjoint_identity", 5, "text"): (0, "a40b8c773a9bf24f16bd143d0b3f89d6fb2dabc9373f062ab6b9e22a3bb98390"),
+    ("check-action", "adjoint_identity", 5, "machine"): (0, "84b407e0b6c0c9cf47acb9a1950162b08195fb8cc062455445edeb8a9fc3bf45"),
+    ("check-action", "adjoint_identity", 6, "text"): (0, "af8694083ef90a26ddb33e8a52b912c421cf84950ff5989602626bae804b75df"),
+    ("check-action", "adjoint_identity", 6, "machine"): (0, "115af0a48582bf4a1f82725c1ad0083bb290663c6d13dc3922e166472489202a"),
+    ("check-action", "heisenberg", 3, "text"): (0, "0dca3417a3d5795305f5ad4a8e5ce5d0de921b29f35bbe5382f6bd7877028309"),
+    ("check-action", "heisenberg", 3, "machine"): (0, "afb496da9896acdc09a79a36e3733cff1e7918250bf1783d1829a730578b3749"),
+    ("check-action", "heisenberg", 4, "text"): (0, "97449a9e875242676906c6a01be586af73a268ae3ed55cb9a5b584aee7bad2de"),
+    ("check-action", "heisenberg", 4, "machine"): (0, "b2f092a6f29c9112699b1a712886a7aefd0bcdb61b9a52aa8ff289d6b9e9624b"),
+    ("check-action", "heisenberg", 5, "text"): (0, "b5403a498f2af60c4049cb5f046e46e2d2ec7fb5fd85ff36e77b5fb090d848ee"),
+    ("check-action", "heisenberg", 5, "machine"): (0, "0de4b824480b23ddc5d100d6accff88d31cb2f8a919d7dab29c59666803fa510"),
+    ("check-action", "heisenberg", 6, "text"): (0, "ff2869d057704431e880d95a40d6d5568114bacb9e3268eacf823dc9edbcc364"),
+    ("check-action", "heisenberg", 6, "machine"): (0, "579730cca4b8378641df92bdfc3ba36de7fce300fe12944795a07eaf3d45231c"),
+    ("check-action", "noncoherent", 3, "text"): (0, "dab588e42c4121dd5dc854c3815df91162c1cbbdca8e5571e02aea76d22f2f43"),
+    ("check-action", "noncoherent", 3, "machine"): (0, "4925f1961738247b00ad6c06e6b96073607bce0e3c44728db76f99b6b138418d"),
+    ("check-action", "noncoherent", 4, "text"): (0, "c8418f2e1885fa84422abc3435b921eb2b1827d248621d4fd533c4351aabf723"),
+    ("check-action", "noncoherent", 4, "machine"): (0, "6bad33f13e480bf8db08fb60c3d08add8646fa2951ade12b846b3f46c356b8e4"),
+    ("check-action", "noncoherent", 5, "text"): (0, "5c73e068115f3188b6b6fcdfa10a8c2f44e3e1e918985e709616eb6348054c31"),
+    ("check-action", "noncoherent", 5, "machine"): (0, "c854d30f46f141f9094ccafa8dc61e968e0aa49fea209b0a9ad097e874ac54ee"),
+    ("check-action", "noncoherent", 6, "text"): (0, "f6dd762efd35ecb9793ff5b7a9b0aacc1e6d4bfbbbe22dbffc4f7036ffdae983"),
+    ("check-action", "noncoherent", 6, "machine"): (0, "4273e12abc90e926f42cd186b425fe17af3e17184569a0b05a6a5c75574e02e6"),
+    ("check-coherence", "abelian", 3, "text"): (0, "bd591c3d98c29ab754a5f2131df024ccfa86e556f178563170ea00e2b784b94f"),
+    ("check-coherence", "abelian", 3, "machine"): (0, "8e699e8d1f22b48c6d64cffbc19aa8246931d80c4508bbfca1e0085273a06ce3"),
+    ("check-coherence", "abelian", 4, "text"): (0, "89ce83939231c63495e42171e69eb05ee4c412030741310a54c0cee10986d28d"),
+    ("check-coherence", "abelian", 4, "machine"): (0, "a99c812e8056c625175368ab73b5ad4fdfdbcc23e30d660e8729708e68cd3e90"),
+    ("check-coherence", "abelian", 5, "text"): (0, "55251a92fb45b4702f254155897667a726a8d8ee4f5a8d4cf46b317216403301"),
+    ("check-coherence", "abelian", 5, "machine"): (0, "b8f8afe56fab343c77c87f05117709540d20fe887286136d8660b230e5765e38"),
+    ("check-coherence", "abelian", 6, "text"): (0, "c587bed6d12e2afb92efe8c407bc3493edcd48386ba4c020c5bdbdee6f60253f"),
+    ("check-coherence", "abelian", 6, "machine"): (0, "6fbec2c67fa210f9c9f3ca2c95fb76e7d1de6b04f843eb271407f4f23abe796b"),
+    ("check-coherence", "adjoint_identity", 3, "text"): (0, "2b94d8b574b4b4a5119455e5fb681db7452e498b8c7c0e34eb6e5970573a554d"),
+    ("check-coherence", "adjoint_identity", 3, "machine"): (0, "31b5e462ea375e3242ed517c50574491245b82972507946dfc3a7c77cd0b2630"),
+    ("check-coherence", "adjoint_identity", 4, "text"): (0, "d009fdd139c8eec7c1fffe61ac0ba692d4627645a84f45670f51715e73ae5019"),
+    ("check-coherence", "adjoint_identity", 4, "machine"): (0, "9b08b8161ca027b1a09d4ba247e070658cde4c2c2355842f60dae8697665e77b"),
+    ("check-coherence", "adjoint_identity", 5, "text"): (0, "969252b66d895676ac6084885e7b7460d2f3d00bc295656261c0fdf27cc16333"),
+    ("check-coherence", "adjoint_identity", 5, "machine"): (0, "f3172851cb3477b55d7b8431200d6d956019152ad238ebca633e4191b06fabc8"),
+    ("check-coherence", "adjoint_identity", 6, "text"): (0, "14369de5732e33c257f021ef22905d624dd7562a9fb72c6982d0c34446c4c8d0"),
+    ("check-coherence", "adjoint_identity", 6, "machine"): (0, "543136f4783310fc0a2037ebb74b540c8784c62a0f5c3c9e3c433fed60cdb70f"),
+    ("check-coherence", "heisenberg", 3, "text"): (0, "b89083670be6de2e26185f5c555c2257f7476094f9d1a72034750fc0a8e92176"),
+    ("check-coherence", "heisenberg", 3, "machine"): (0, "0cd5fdd96cc2577f8077ac762baa0aaf9957a71997e42033414a10707c3292eb"),
+    ("check-coherence", "heisenberg", 4, "text"): (0, "8746968eb41985da34c351c3bf15d304cb65995a5227509051045638201a6ff7"),
+    ("check-coherence", "heisenberg", 4, "machine"): (0, "d604ddc44f346d189f017f49b6b8b80366112373bb54a48028226817e84746ea"),
+    ("check-coherence", "heisenberg", 5, "text"): (0, "8462a650ff8e5e760c028969c3662def43e9a5473118f0b9eca501f1eae0d669"),
+    ("check-coherence", "heisenberg", 5, "machine"): (0, "09b21521716f0093c158efe24b2ab639ffc5ae0fa91a08e226a443ba4066a95f"),
+    ("check-coherence", "heisenberg", 6, "text"): (0, "8ee03ec0bd4d77b4c977d5dff8e8e3b4c8b76b26c06c604e8d77ca28b23d50ce"),
+    ("check-coherence", "heisenberg", 6, "machine"): (0, "db45e08033bc6cfb2b3dcd9cdf9ed91517991ae65337d2db50340fa99a490664"),
+    ("check-coherence", "noncoherent", 3, "text"): (1, "4d647e9b1e8bfb8f5bba6e813d87490a379d3b34d72566c97ca37cc7bc2918f5"),
+    ("check-coherence", "noncoherent", 3, "machine"): (1, "87478b98a5331d4164366381c8316bd2f2fb041dd2c4ee81f58f51b7df0f9098"),
+    ("check-coherence", "noncoherent", 4, "text"): (1, "a5ead31c8952d679ddf057e687eede0833f3107dc1eb49e951dc37a3eca5451c"),
+    ("check-coherence", "noncoherent", 4, "machine"): (1, "be99923e714ca7190ad42a241e92253b1ef2f94814d99fb4512fcc40ab81f972"),
+    ("check-coherence", "noncoherent", 5, "text"): (1, "79fb7cef6357c433ae25e88b2fda97e7694a5227c74b020be4204fcd2d913714"),
+    ("check-coherence", "noncoherent", 5, "machine"): (1, "e7343550efa4082783ec86b12e92686b84df6686c1a0c1ac97d14cb2a2590f4f"),
+    ("check-coherence", "noncoherent", 6, "text"): (1, "55d5eb737689c304e7904e5d9fba2d3c42ab25a254eca8d8adf25b7824549448"),
+    ("check-coherence", "noncoherent", 6, "machine"): (1, "4f46c4a638058ebab01b8c41c78c7f014fe3eaa774ac32517c0d8dde6ffc9eae"),
+    ("build-product", "abelian", 3, "text"): (0, "9799c8130f257b0222e8267e598e8e0f2be2e56cc789bbb309968176ad136307"),
+    ("build-product", "abelian", 3, "machine"): (0, "cc83ce9528e7b9c6ec38897f829a7d643f8e80bccea9c10e938b0f38a126c683"),
+    ("build-product", "abelian", 4, "text"): (0, "f74f316ab3e8536caa5e39d45c7f94659b7bc568f71f333945052300cbe1c619"),
+    ("build-product", "abelian", 4, "machine"): (0, "22612dd7ff005d6247251b468bb93b45c483be5f150b5ea68819f1781ddb9821"),
+    ("build-product", "abelian", 5, "text"): (0, "46118b0335c59fb9adcac9762bdde98c03bbd2e00aad47b4e0f672ee5e92828a"),
+    ("build-product", "abelian", 5, "machine"): (0, "9069d0d97f478687a9d4470141e73535b42c69a07575d7ef6c9bf940ab16fa09"),
+    ("build-product", "abelian", 6, "text"): (0, "ffd773c93a7ec88af936217dcd85f05141600cbf93abd60251720b718a6151fc"),
+    ("build-product", "abelian", 6, "machine"): (0, "80929b5c8e28648c5c5b8ffe32ab2bceb233a3e178abc5ecf13b69836576218e"),
+    ("build-product", "adjoint_identity", 3, "text"): (0, "1f9893332ab1d09139468caca8c3628fae659aa9a70f082964c277059938c89b"),
+    ("build-product", "adjoint_identity", 3, "machine"): (0, "bc347ebd435e739acb64127159ae222ef6e8ac664ffe3ea6bcbdf07602809676"),
+    ("build-product", "adjoint_identity", 4, "text"): (0, "cf1c2690d870d74981dc5bea45d40a76482212f7150846ce432a4a08d0f69e9b"),
+    ("build-product", "adjoint_identity", 4, "machine"): (0, "456b0acacb04b32807255f2252edeab5d3013df1c5cc90ccfb98a5cba13c630e"),
+    ("build-product", "adjoint_identity", 5, "text"): (0, "c7f778cf4354a09f3224081754b33047cf28097b438acc845eca51b0876d2dc1"),
+    ("build-product", "adjoint_identity", 5, "machine"): (0, "1bbc9d80a9a3cff9b71b12698456cd0eb937b8d8e62cec82abd76c7b3b5f8f05"),
+    ("build-product", "adjoint_identity", 6, "text"): (0, "a59da4fa25fd1782fe6b4e6144ab7ba9d99b4416022fabe399bdbde6a5d8a982"),
+    ("build-product", "adjoint_identity", 6, "machine"): (0, "a733410eb9cced3357926f64d6b5c1683dc173daea41d26c143cb9e485d564e0"),
+    ("build-product", "heisenberg", 3, "text"): (0, "7db656d3285c4e905d2ded9d1df757ccc7cde9e9420407ce54dbbfa4335a7599"),
+    ("build-product", "heisenberg", 3, "machine"): (0, "df0e06c3d4f880743d0a1620582debe2205bab1cb35c9846f266c475f8bb67c1"),
+    ("build-product", "heisenberg", 4, "text"): (0, "d7977d5dc6352391e23a3d9f042a35d81bcd7131639411cd2afc82d8fbf1c4f8"),
+    ("build-product", "heisenberg", 4, "machine"): (0, "12b994a0faa56ff18f4fa6d4946b79ce3243b5370af7e6eb62a43b9fe9da1a37"),
+    ("build-product", "heisenberg", 5, "text"): (0, "5ef3778bb2a660a03c05312d3af7f02f13978b13d5c544f761d069bc1aa663f4"),
+    ("build-product", "heisenberg", 5, "machine"): (0, "2802ce66556dc3336155d775d7a050e668516030b481afcc33219f833a930ed7"),
+    ("build-product", "heisenberg", 6, "text"): (0, "d1ac55fa4edddecae76e51eb85a163a9cad350cdc2493a5da053c45e82835b8c"),
+    ("build-product", "heisenberg", 6, "machine"): (0, "738e79080b778578b4f996a84736fb4befca58b11721f874c2aad1b6addc0974"),
+    ("build-product", "noncoherent", 3, "text"): (0, "be018980adb692fc4e4e05d5bf361090be7407f9143efc764bbbc8265bf3e2ea"),
+    ("build-product", "noncoherent", 3, "machine"): (0, "2f9317204271baabd0db447fd4bede82063398c2495eaa043f6d130062ddb52c"),
+    ("build-product", "noncoherent", 4, "text"): (0, "3751f7019f0d5728a5e4de881d5abfedc38bc17c22b788df750428671ac67ef7"),
+    ("build-product", "noncoherent", 4, "machine"): (0, "9315e094fd973bb1157b7ae07b2e937bd3b7b4667b934eee3b92e4c919e67863"),
+    ("build-product", "noncoherent", 5, "text"): (0, "e402a6415527f95a027d2fc89bcea1e1d30883f15b0f6afa66a02e42e9a0c7d2"),
+    ("build-product", "noncoherent", 5, "machine"): (0, "203ea1609e9dff51407111d07689a11a1198544fcf05c4e8ff1952da9da08fd5"),
+    ("build-product", "noncoherent", 6, "text"): (0, "f343e157bad9d6685f273bbca954cbd096bc66f6b9ad76b89bf019c124eae2e2"),
+    ("build-product", "noncoherent", 6, "machine"): (0, "b3398bc4ef301d0cf646e96205acbe46a006a1c8798e860743db6cfaa041c3d2"),
+}
+
+
+def run_digest(args):
+    """The exit code of a CLI run and the sha256 of its stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(args)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def stdout_digest(args, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, digest = run_digest(args)
     assert code == 0
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digest
 
 
 @pytest.mark.parametrize("fixture,bound", sorted(DEFORM))
@@ -341,8 +470,12 @@ def test_action_report_bytes_are_pinned(command, name, bound, fmt, tmp_path, mon
     for file_name, text in ACTION_FILES.items():
         (tmp_path / f"{file_name}.lif").write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, f"{name}.lif", "--bound", str(bound), "--format", fmt])
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert (code, digest) == ACTION[command, name, bound, fmt]
+    args = [command, f"{name}.lif", "--bound", str(bound), "--format", fmt]
+    assert run_digest(args) == ACTION[command, name, bound, fmt]
+
+
+@pytest.mark.parametrize("command,fixture,bound,fmt", sorted(ACTION_FIXTURES))
+def test_action_fixture_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
+    assert run_digest(args) == ACTION_FIXTURES[command, fixture, bound, fmt]
