@@ -6,20 +6,26 @@ maps taking a symmetric word in the acting space and a symmetric word in the
 target space to a target vector.  Fixing the acting word gives the
 restriction family of a coderivation of the target's reduced symmetric
 coalgebra; the action axiom is the morphism identity into the differential
-graded algebra of such coderivations.  Coherence asks that these
+graded algebra of such coderivations.  It is also the symmetric identity of
+one structure on the direct sum, the semidirect brackets
+(:func:`_semidirect`), on the words with an acting and a target letter,
+and :func:`check_action` reads it there, on acting words and target words
+each of length at most the bound.  The hemisemidirect product is the same
+brackets with every acting letter kept in front.  Coherence asks that the
 coderivations commute with every adjoint coderivation and every mixed one,
-and the main crosscheck confirms, instance by instance, that coherence is
-exactly what makes the three-part brackets on the direct sum pass the
-anchored (Loday) identity.  A coderivation is fixed by its restriction, so
-every commutator here is a bracket of two families
+on words whose total weight is at most the bound, and the main crosscheck
+confirms, instance by instance, that coherence is exactly what makes the
+product pass the anchored (Loday) identity.  A coderivation is fixed by
+its restriction, so every commutator here is a bracket of two families
 (:func:`linfty.multimap.symmetric_bracket`) and no coderivation is lifted.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 
-from .graded import GradedSpace, Word, increasing_splits, symmetric_splits
+from .graded import GradedSpace, Word
 from .homotopy import (
     HomotopyStructure,
     _clear_denominators,
@@ -40,7 +46,6 @@ from .multimap import (
     _symmetric_composite,
     exact,
     lift_zinbiel_coderivation,
-    merge_into,
 )
 from .report import (
     CheckReport,
@@ -148,7 +153,8 @@ class ActionFamily:
     memoizes (:func:`linfty.memo.memo`) what its checks re-read: that split
     index under ``("split",)``, each ``family(x, (), bound)`` with its
     letter index under ``("phi", x, bound)`` (:func:`_indexed_phi`), the
-    coherence verdict under ``("coherent", bound)`` and its cleared copy
+    semidirect brackets under ``("semidirect",)`` (:func:`_semidirect`),
+    the coherence verdict under ``("coherent", bound)`` and its cleared copy
     under ``("cleared",)`` (:func:`_cleared`); the other families are built
     at each call and not kept.  A family that :func:`_cleared` made keeps
     the factor ``D`` of its data in ``_den``; every other family has
@@ -174,9 +180,6 @@ class ActionFamily:
         self.components = dict(sorted(comps.items()))
         self._memo: dict = {}
         self._den = 1
-
-    def component(self, k: int, n: int) -> BiMultiMap | None:
-        return self.components.get((k, n))
 
     def eval(self, eword: Word, vword: Word) -> Vector:
         f = self.components.get((len(eword), len(vword)))
@@ -297,53 +300,77 @@ def _cleared(action: ActionFamily) -> ActionFamily:
     return memo(action._memo, ("cleared",), build) or action
 
 
-def _action_lhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
-    """The bracket side of the action axiom on the canonical acting word
-    ``xw``: ``sum sign * value(l_k(block), rest; v)`` over the
-    unshuffle-insertion splits of ``xw``, by target word ``v``, each value
-    read from the family of ``l_k(block), rest`` (:func:`_indexed_phi`)."""
-    E = action.E
-    lhs: dict[Word, Vector] = {}
-    for sign, block, rest in symmetric_splits(E.space, xw, E.brackets):
-        for b, c in E.brackets[len(block)].eval(block).items():
-            norm, s2 = E.space.normalize((b,) + rest)
-            if not s2:
-                continue
-            coeff = c if sign == s2 else -c
-            for f in _indexed_phi(action, norm, bound)[0].values():
-                for vw, vec in f.constants.items():
-                    merge_into(lhs.setdefault(vw, {}), vec, coeff)
-    return lhs
+def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]:
+    """The direct sum of the acting and target spaces, acting letters first,
+    and its symmetric brackets by arity, kept under ``("semidirect",)``:
+    the acting structure's constants as they are, then each target bracket
+    key ``y`` and each component key ``(x, y)`` filed under ``x + (offset +
+    y)``, with the outputs offset.  The action axiom is the square of these
+    brackets (:func:`check_action`), and the hemisemidirect product their
+    orderings with every acting letter in front (:class:`HemiProduct`)."""
+
+    def build():
+        E, V = action.E, action.V
+        espace, vspace = E.space, V.space
+        vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
+        basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
+        basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
+        space = GradedSpace(f"{espace.name}+{vspace.name}", basis)
+        off = espace.dim
+        tables = {k: dict(f.constants) for k, f in E.brackets.items()}
+        keyed = [((), y, vec) for f in V.brackets.values() for y, vec in f.constants.items()]
+        for f in action.components.values():
+            keyed += [(x, y, vec) for (x, y), vec in f.constants.items()]
+        for x, y, vec in keyed:
+            table = tables.setdefault(len(x) + len(y), {})
+            table[x + tuple(off + i for i in y)] = {off + o: c for o, c in vec.items()}
+        arities = sorted(tables)
+        return space, {k: MultiMap(space, space, k, 1, SYMMETRIC, tables[k]) for k in arities}
+
+    return memo(action._memo, ("semidirect",), build)
 
 
-def _action_rhs(action: ActionFamily, xw: Word, bound: int) -> dict[Word, Vector]:
-    """The coderivation side of the action axiom on the canonical acting word
-    ``xw``: ``-[m, phi_x] + sum eps (-1)^{|phi_a|} [phi_a, phi_b]`` over the
-    increasing splits ``xw = xa xb``, by target word, one bracket of two
-    restriction families per term; a term with an empty family is zero."""
+def check_action(action: ActionFamily, bound: int) -> CheckReport:
+    """The action axiom as the square of the semidirect brackets.
+
+    The action is a symmetric structure on the direct sum
+    (:func:`_semidirect`), and the axiom is its identity on the words with
+    an acting and a target letter: one composite of the brackets with the
+    keys that hold a target letter, whose values are target vectors.  The
+    report keeps the words with ``n`` acting letters, ``1 <= n <= bound``,
+    and between 1 and ``bound`` target letters, as ``x ; v``: acting and
+    target words are each bounded by the bound, not their total weight.  A
+    pair of keys ``u, y`` forms words of at most ``len(u) + len(y) - 1``
+    letters, so the composite runs at ``2 * bound`` and forms every word the
+    pairs of keys under the per-block bound form.  It runs on ``int``
+    constants (:func:`_cleared`); only the reported values are divided.
+    """
+    action = _cleared(action)
     espace, vspace = action.E.space, action.V.space
-    n = len(xw)
-    terms = [(-1, (), xw)]
-    for j in range(1, n):
-        for eps, (xa, xb) in increasing_splits(espace, xw, (j, n - j)):
-            sign = -eps if espace.word_degree(xa) % 2 == 0 else eps
-            terms.append((sign, xa, xb))
-    rhs: dict[Word, Vector] = {}
-    for sign, a, b in terms:
-        f, g = _indexed_phi(action, a, bound), _indexed_phi(action, b, bound)
-        if not f[0] or not g[0]:
-            continue
-        for h in _indexed_bracket(vspace, f, g, bound).values():
-            for w, vec in h.constants.items():
-                merge_into(rhs.setdefault(w, {}), vec, sign)
-    return rhs
+    space, brackets = _semidirect(action)
+    off = espace.dim
+    outer = [{y: v for y, v in f.constants.items() if y[-1] >= off} for f in brackets.values()]
+    square = _symmetric_composite(space, _letter_index(space, outer), brackets, 2 * bound)
+    items: list[Residual] = []
+    for w, diff in _unscaled(square, action._den).items():
+        n = bisect_left(w, off)
+        if diff and 1 <= n <= bound and 1 <= len(w) - n <= bound:
+            v = tuple(i - off for i in w[n:])
+            word = f"{espace.format_word(w[:n])} ; {vspace.format_word(v)}"
+            value = format_vector(vspace, {o - off: c for o, c in diff.items()})
+            items.append(Residual(n, word, value))
+    return make_report("action", bound, items)
+
+
+# ---------------------------------------------------------------------------
+# coherence
 
 
 def _indexed_phi(action: ActionFamily, eword: Word, bound: int):
     """``family(eword, (), bound)``, the target's brackets for an empty
     ``eword``, with its letter index (``None`` for an empty family), built
-    once per action: :func:`check_action` and :func:`check_coherence` both
-    read it, memoized under ``("phi", eword, bound)``."""
+    once per action: :func:`check_coherence` reads it for every first
+    family, memoized under ``("phi", eword, bound)``."""
 
     def build():
         family = action.family(eword, (), bound)
@@ -361,38 +388,6 @@ def _indexed_bracket(space: GradedSpace, first, second, bound: int) -> dict[int,
     fg = _symmetric_composite(space, f_index, g, bound)
     gf = _symmetric_composite(space, g_index, f, bound)
     return _bracket(SYMMETRIC, space, f, g, fg, gf)
-
-
-def check_action(action: ActionFamily, bound: int) -> CheckReport:
-    """The morphism identity of the family into the coderivation algebra.
-
-    Both sides are coderivations of the target coalgebra for every acting
-    word, so they are compared through their single-letter components on all
-    target words up to the bound: the bracket side
-    (:func:`_action_lhs`, from the unshuffle-insertion splits) against the
-    coderivation side (:func:`_action_rhs`, from brackets of restriction
-    families), which is nonzero only on the words it returns.  The letter
-    index of each family is built once per action (:func:`_indexed_phi`).
-    Both sides run on ``int`` constants (:func:`_cleared`); only the
-    reported values are divided.
-    """
-    action = _cleared(action)
-    espace, vspace = action.E.space, action.V.space
-    items: list[Residual] = []
-    for n in range(1, bound + 1):
-        for xw in espace.canonical_words(n):
-            diffs = _action_lhs(action, xw, bound)
-            for vw, vec in _action_rhs(action, xw, bound).items():
-                merge_into(diffs.setdefault(vw, {}), vec, -1)
-            for vw, diff in _unscaled(diffs, action._den).items():
-                if diff:
-                    word = f"{espace.format_word(xw)} ; {vspace.format_word(vw)}"
-                    items.append(Residual(n, word, format_vector(vspace, diff)))
-    return make_report("action", bound, items)
-
-
-# ---------------------------------------------------------------------------
-# coherence
 
 
 def _coherence_firsts(action: ActionFamily, bound: int):
@@ -457,60 +452,37 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
 
 
 class HemiProduct:
-    """The direct sum with the three-part bracket family, stored plain.
+    """The semidirect brackets (:func:`_semidirect`) with every acting
+    letter kept in front, stored plain.
 
     Restricted to pure acting words the brackets are the acting structure's;
     restricted to pure target words they are the target's; the only mixed
     values occur on words with all acting letters in front, where they are
     the action components.  Every other interleaving is zero.  Each
-    ordering of a key, and of each block of a component key, comes with its
-    Koszul sign from one cached table (:func:`linfty.multimap._signed_orderings`),
-    so building the product sorts no word.
+    semidirect key splits at the offset into its acting and target blocks,
+    and each ordering of a block comes with its Koszul sign from one cached
+    table (:func:`linfty.multimap._signed_orderings`), so building the
+    product sorts no word.
     """
 
     def __init__(self, action: ActionFamily):
-        E, V = action.E, action.V
-        espace, vspace = E.space, V.space
-        name = f"{espace.name}+{vspace.name}"
-        vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
-        basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
-        basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
-        space = GradedSpace(name, basis)
+        space, semidirect = _semidirect(action)
         self.space = space
-        self.v_offset = off = espace.dim
+        self.v_offset = off = action.E.space.dim
         odd = tuple(d % 2 for d in space.degrees)
-
-        def orderings(word: Word, offset: int) -> tuple[tuple[Word, int], ...]:
-            word = tuple(offset + i for i in word)
-            return _signed_orderings(word, tuple(odd[i] for i in word))
-
-        def signed(vec: Vector, offset: int) -> tuple[Vector, Vector]:
-            return {offset + o: c for o, c in vec.items()}, {offset + o: -c for o, c in vec.items()}
-
-        max_arity = max(
-            E.max_arity, V.max_arity, action.max_mixed_arity(), 1
-        )
         brackets: dict[int, MultiMap] = {}
-        for k in range(1, max_arity + 1):
+        for k, f in semidirect.items():
             table: dict[Word, Vector] = {}
-            # the pure blocks: every ordering of a key, with its index offset
-            for f, offset in ((E.bracket(k), 0), (V.bracket(k), off)):
-                if f is not None:
-                    for w, vec in f.constants.items():
-                        values = signed(vec, offset)
-                        for u, sign in orderings(w, offset):
-                            table[u] = values[sign < 0]
-            for i in range(1, k):
-                comp = action.component(i, k - i)
-                if comp is None:
-                    continue
-                for (ew, vw), vec in comp.constants.items():
-                    values = signed(vec, off)
-                    for ue, se in orderings(ew, 0):
-                        for uv, sv in orderings(vw, off):
-                            table[ue + uv] = values[se != sv]
-            if table:
-                brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
+            for w, vec in f.constants.items():
+                cut = bisect_left(w, off)
+                e, v = w[:cut], w[cut:]
+                values = vec, {o: -c for o, c in vec.items()}
+                for ue, se in _signed_orderings(e, tuple(odd[i] for i in e)):
+                    for uv, sv in _signed_orderings(v, tuple(odd[i] for i in v)):
+                        table[ue + uv] = values[se != sv]
+            brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
+        E, V = action.E, action.V
+        max_arity = max(E.max_arity, V.max_arity, action.max_mixed_arity(), 1)
         self.structure = HomotopyStructure(space, PLAIN, brackets, max_arity)
 
     # -- index plumbing -------------------------------------------------------

@@ -292,11 +292,17 @@ def _canonical_words(degrees: tuple[int, ...], n: int) -> tuple[Word, ...]:
     )
 
 
+_SORT_CACHES: dict[tuple[int, ...], dict] = {}
+
+
 class GradedSpace:
     """A finite ordered basis of homogeneous elements with integer degrees.
 
     The stored basis order is the canonical order used to normalise words
     in symmetric contexts.  Instances are immutable and compare by identity.
+    A word's sort and its sign depend only on the degrees, so spaces with
+    equal ``degrees`` share one sort cache (``_SORT_CACHES``), as they share
+    the tables of :func:`_canonical_words`.
     """
 
     __slots__ = ("name", "symbols", "degrees", "_index", "_sort_cache")
@@ -310,7 +316,7 @@ class GradedSpace:
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "degrees", tuple(int(d) for _, d in basis))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_sort_cache", {})
+        object.__setattr__(self, "_sort_cache", _SORT_CACHES.setdefault(self.degrees, {}))
 
     def __setattr__(self, *_):
         raise AttributeError("GradedSpace is immutable")

@@ -100,9 +100,6 @@ class EmbeddingTensor:
         self.components = dict(sorted(comps.items()))
         self._memo: dict = {}
 
-    def component(self, k: int) -> MultiMap | None:
-        return self.components.get(k)
-
     def eval(self, word: Word) -> Vector:
         f = self.components.get(len(word))
         return f.eval(word) if f is not None else {}

@@ -211,7 +211,7 @@ def extend_tensor(
     table1: dict[Word, Vector] = {
         (i,): {i: Fraction(1)} for i in range(space.dim)
     }
-    t1 = tensor.component(1)
+    t1 = tensor.components.get(1)
     if t1 is not None:
         for w, vec in t1.constants.items():
             key = hemi.from_v_word(w)

@@ -280,7 +280,7 @@ def test_criterion_7_strict_embedding_algebra():
     heis = heisenberg()
     z = heis.space.index("z")
     heis_pool = [
-        identity_tensor(heis.space).component(1),
+        identity_tensor(heis.space).components[1],
         MultiMap(heis.space, heis.space, 1, 0, PLAIN, {(i,): {i: F(2)} for i in range(3)}),
         MultiMap(heis.space, heis.space, 1, 0, PLAIN, {(i,): {i: F(-1, 2)} for i in range(3)}),
         MultiMap(heis.space, heis.space, 1, 0, PLAIN, {(0,): {z: F(1)}}),
@@ -290,7 +290,7 @@ def test_criterion_7_strict_embedding_algebra():
     pools.append((heis, heis_pool))
     solv = solvable2()
     solv_pool = [
-        identity_tensor(solv.space).component(1),
+        identity_tensor(solv.space).components[1],
         MultiMap(solv.space, solv.space, 1, 0, PLAIN, {(i,): {i: F(3)} for i in range(2)}),
         MultiMap(solv.space, solv.space, 1, 0, PLAIN, {(0,): {0: F(1)}}),
         MultiMap(solv.space, solv.space, 1, 0, PLAIN, {(0,): {0: F(-1, 2)}}),
@@ -298,13 +298,13 @@ def test_criterion_7_strict_embedding_algebra():
     pools.append((solv, solv_pool))
     s2 = sl2()
     sl2_pool = [
-        identity_tensor(s2.space).component(1),
+        identity_tensor(s2.space).components[1],
         MultiMap(s2.space, s2.space, 1, 0, PLAIN, {(i,): {i: F(1, 2)} for i in range(3)}),
     ]
     pools.append((s2, sl2_pool))
     tensors = compositions = 0
     for E, pool in pools:
-        ident = identity_tensor(E.space).component(1)
+        ident = identity_tensor(E.space).components[1]
         for t in pool:
             assert adjoint_strict_check(E, t).ok
             tensors += 1
@@ -320,7 +320,7 @@ def test_criterion_7_strict_embedding_algebra():
     # every centroid member is strict
     centroid_members = 0
     for E in (heis, solv, s2):
-        ident = identity_tensor(E.space).component(1)
+        ident = identity_tensor(E.space).components[1]
         candidates = [ident]
         if E is heis:
             candidates.append(

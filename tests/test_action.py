@@ -469,11 +469,14 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
 
 
 def test_kept_memos_return_the_identical_object():
-    # the family keeps what its checks re-read: the split index, each acting
-    # word's coderivation with its letter index and the coherence verdict
+    # the family keeps what its checks re-read: the split index, the
+    # semidirect brackets, each acting word's coderivation with its letter
+    # index and the coherence verdict
     act = solvable_self_action()
     index = action_module._absorbed(act)
     assert action_module._absorbed(act) is index
+    semidirect = action_module._semidirect(act)
+    assert action_module._semidirect(act) is semidirect
     for eword in ((),) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
         first = _indexed_phi(act, eword, BOUND)
         assert _indexed_phi(act, eword, BOUND) is first

@@ -273,3 +273,22 @@ def test_the_product_brackets_are_the_every_word_ones(action):
     assert {k: f.constants for k, f in product.structure.brackets.items()} == (
         dense_hemi_brackets(action)
     )
+
+
+
+def test_coherence_and_the_axiom_oracle_read_no_semidirect_square(monkeypatch):
+    # the crosscheck compares coherence with the product, so coherence reads
+    # no semidirect brackets; the axiom's oracle reads neither them nor the
+    # composite kernel that check_action squares them with
+    import linfty.action as action_module
+    import linfty.multimap as multimap
+
+    def forbidden(*args):
+        raise AssertionError("the semidirect square was read")
+
+    monkeypatch.setattr(action_module, "_semidirect", forbidden)
+    _, noncoherent = NON_COHERENT[0]
+    assert not check_coherence(noncoherent, BOUND).ok
+    monkeypatch.setattr(action_module, "_symmetric_composite", forbidden)
+    monkeypatch.setattr(multimap, "_symmetric_composite", forbidden)
+    assert len(dense_action_residuals(odd_noncoherent_action(), 3)) == 2

@@ -2,8 +2,8 @@
 
 ``symmetric_composite`` forms ``p(A B) = a B`` from the supports of two
 families, ``symmetric_bracket`` is two such composites, and the action
-axiom's coderivation side, the coherence commutators and the square of
-``check_lie_infinity`` run on them.  The references here share no code with
+axiom (the square of the semidirect brackets), the coherence commutators
+and the square of ``check_lie_infinity`` run on them.  The references here share no code with
 that kernel: they lift every family with ``dense_lifts.dense_symmetric_lift``,
 which visits every canonical word and sums over ``unshuffles`` with
 ``koszul_sign``, and compose full coderivations row by row.  The work-count
@@ -16,11 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from dense_actions import dense_action_rhs
 from dense_lifts import assert_composite_matches, dense_symmetric_lift
 from laws import restrictions
 from linfty import corpus, parse_path
-from linfty.action import _action_rhs, check_action, theorem_crosscheck
+from linfty.action import ActionFamily, check_action, theorem_crosscheck
 from linfty.cli import main
 from linfty.graded import GradedSpace
 from linfty.homotopy import check_lie_infinity
@@ -79,15 +78,6 @@ def test_the_bracket_of_an_empty_family_is_empty():
     f, _ = random_pair(0, (1, 0), SYMMETRIC)
     assert symmetric_bracket(SPACE, f, {}, 4) == {}
     assert symmetric_bracket(SPACE, {}, f, 4) == {}
-
-
-@pytest.mark.parametrize("index", range(38))
-def test_action_coderivation_side_equals_the_dense_commutators(index):
-    # the 19 catalog actions, then one basis change of each
-    action = corpus.action_corpus(38, 0)[index].action
-    for xw in action.E.space.canonical_words_up_to(4):
-        got = {w: vec for w, vec in _action_rhs(action, xw, 4).items() if vec}
-        assert got == dense_action_rhs(action, xw, 4), xw
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +150,31 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
     assert visited == []
 
 
-def test_action_check_indexes_each_family_once(monkeypatch):
+def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
+    # the axiom is one composite of the semidirect brackets: one letter
+    # index per check and no family; summing it over every acting word read
+    # a letter index and a family for each phi_x
     import linfty.multimap as multimap
 
     real = multimap._letter_index
-    indexed = []
+    indexed, families = [], []
 
     def counted(space, tables):
-        tables = list(tables)
-        indexed.append(tuple(map(id, tables)))
+        indexed.append(space)
         return real(space, tables)
 
     for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
         if getattr(module, "_letter_index", None) is real:
             monkeypatch.setattr(module, "_letter_index", counted)
-    total = 0
+    family = ActionFamily.family
+    monkeypatch.setattr(
+        ActionFamily, "family", lambda *args: families.append(args) or family(*args)
+    )
     for inst in corpus.action_corpus(38, 0):
         indexed.clear()
         check_action(inst.action, 4)
-        # the families are memoized on the action, so a table's id names it
-        assert len(indexed) == len(set(indexed))
-        total += len(indexed)
-    assert total
+        assert len(indexed) == 1
+    assert families == []
 
 
 def test_action_module_binds_no_full_lift_calculus():

@@ -328,7 +328,7 @@ def test_restriction_lemma_arbitrary_comorphisms():
 
 def test_identity_and_zero_are_strict():
     for E in (solvable2(), sl2(), heisenberg(), triple_bracket_example()):
-        ident = identity_tensor(E.space).component(1)
+        ident = identity_tensor(E.space).components[1]
         assert adjoint_strict_check(E, ident).ok
         zero = MultiMap(E.space, E.space, 1, 0, PLAIN, {})
         assert adjoint_strict_check(E, zero).ok
@@ -365,7 +365,7 @@ def test_strict_algebra_closure_and_unit():
     E = heisenberg()
     z = E.space.index("z")
     pool = [
-        identity_tensor(E.space).component(1),
+        identity_tensor(E.space).components[1],
         MultiMap(E.space, E.space, 1, 0, PLAIN, {(i,): {i: F(3)} for i in range(3)}),
         MultiMap(E.space, E.space, 1, 0, PLAIN, {(0,): {z: F(1)}}),
         MultiMap(E.space, E.space, 1, 0, PLAIN, {(1,): {z: F(1, 2)}, (2,): {z: F(1)}}),
@@ -395,7 +395,7 @@ def test_strict_pairs_on_two_dimensional_example():
 
 def test_centroid_identity_and_scalars():
     for E in (heisenberg(), sl2(), triple_bracket_example()):
-        ident = identity_tensor(E.space).component(1)
+        ident = identity_tensor(E.space).components[1]
         assert centroid_check(E, ident).ok
         half = MultiMap(
             E.space, E.space, 1, 0, PLAIN,
@@ -414,7 +414,7 @@ def test_centroid_members_are_strict():
     E = heisenberg()
     z = E.space.index("z")
     members = [
-        identity_tensor(E.space).component(1),
+        identity_tensor(E.space).components[1],
         MultiMap(
             E.space, E.space, 1, 0, PLAIN,
             {(0,): {0: F(1), z: F(2)}, (1,): {1: F(1)}, (2,): {2: F(1)}},
