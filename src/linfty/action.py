@@ -336,10 +336,11 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     The action is a symmetric structure on the direct sum
     (:func:`_semidirect`), and the axiom is its identity on the words with
     an acting and a target letter: one composite of the brackets with the
-    keys that hold a target letter, whose values are target vectors.  The
-    report keeps the words with ``n`` acting letters, ``1 <= n <= bound``,
-    and between 1 and ``bound`` target letters, as ``x ; v``: acting and
-    target words are each bounded by the bound, not their total weight.  A
+    keys that hold a target letter, whose values are target vectors and
+    whose words all hold a target letter.  The report keeps the words with
+    ``n`` acting letters, ``1 <= n <= bound``, and at most ``bound`` target
+    letters, as ``x ; v``: acting and target words are each bounded by the
+    bound, not their total weight.  A
     pair of keys ``u, y`` forms words of at most ``len(u) + len(y) - 1``
     letters, so the composite runs at ``2 * bound`` and forms every word the
     pairs of keys under the per-block bound form.  It runs on ``int``
@@ -354,7 +355,7 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     items: list[Residual] = []
     for w, diff in _unscaled(square, action._den).items():
         n = bisect_left(w, off)
-        if diff and 1 <= n <= bound and 1 <= len(w) - n <= bound:
+        if diff and 1 <= n <= bound and len(w) - n <= bound:
             v = tuple(i - off for i in w[n:])
             word = f"{espace.format_word(w[:n])} ; {vspace.format_word(v)}"
             value = format_vector(vspace, {o - off: c for o, c in diff.items()})

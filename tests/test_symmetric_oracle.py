@@ -166,10 +166,13 @@ def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
         if getattr(module, "_letter_index", None) is real:
             monkeypatch.setattr(module, "_letter_index", counted)
-    family = ActionFamily.family
-    monkeypatch.setattr(
-        ActionFamily, "family", lambda *args: families.append(args) or family(*args)
-    )
+    real_family = ActionFamily.family
+
+    def family(*args):
+        families.append(args)
+        return real_family(*args)
+
+    monkeypatch.setattr(ActionFamily, "family", family)
     for inst in corpus.action_corpus(38, 0):
         indexed.clear()
         check_action(inst.action, 4)
