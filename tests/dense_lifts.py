@@ -11,10 +11,11 @@ lift: over the word-by-word Zinbiel lift it is the oracle of
 outer family reads.  ``assert_composite_matches``
 holds such a kernel to it: equal nonzero values, and a formed word at every
 row where the family reads an entry, since the checkers sum their first
-route on exactly the words their kernel forms.  The action's coderivation side
-and the coherence commutators, which the package forms as brackets of
-restriction families, are checked against commutators of the word-by-word
-symmetric lifts of those families (``dense_actions.py``).  The commutator series of
+route on exactly the words their kernel forms.  The action axiom, which the
+package forms as the square of the semidirect brackets, and the coherence
+commutators, which it forms as brackets of restriction families, are
+checked against sums and commutators of the word-by-word symmetric lifts
+of the action's families (``dense_actions.py``).  The commutator series of
 full lifts, composed row by row, is the oracle of the series the package
 runs on restriction families.  The deformation complex's brackets, its
 ``d1`` columns and its Maurer-Cartan residuals run on restriction families
