@@ -165,12 +165,13 @@ def assert_families_are_the_every_word_ones(action, bound):
                         assert tables(got) == tables(dense_mixed_family(action, y, u, bound))
 
 
-def odd_ternary(arities, key, value):
+def odd_ternary(arities, key, value, acting_degree=0):
     """The odd letters ``p, q, r`` and an even ``z`` with the ternary bracket
-    ``l3(p, q, r) = z/3``, acted on by the even letter ``a`` through the one
-    component ``key -> value`` of the given arities."""
+    ``l3(p, q, r) = z/3``, acted on by the letter ``a``, even unless
+    ``acting_degree`` is odd, through the one component ``key -> value`` of
+    the given arities."""
     V = GradedSpace("T", [("p", -1), ("q", -1), ("r", -1), ("z", -2)])
-    A = GradedSpace("A", [("a", 0)])
+    A = GradedSpace("A", [("a", acting_degree)])
     l3 = MultiMap(V, V, 3, 1, SYMMETRIC, {(0, 1, 2): {3: THIRD}})
     comp = BiMultiMap(A, V, *arities, 1, {key: value})
     acting = HomotopyStructure(A, SYMMETRIC, {}, 3)
@@ -189,6 +190,15 @@ def odd_noncoherent_action():
     ``ad p,r ; a ; q`` reads ``l3(p, r, q)``, the bracket key with the
     negative sign of its sort.  Not an action; coherence does not need one."""
     return odd_ternary((1, 1), ((0,), (3,)), {0: 1})
+
+
+def odd_acting_noncoherent_action():
+    """The odd acting letter ``a`` with the one component ``a ; z -> z``:
+    not coherent.  ``phi_a`` is even, so the ``phi_a F`` term of every
+    commutator is subtracted, whatever the parity of ``F``; on the direct
+    sum that sign is the one of moving ``a`` past ``F``'s letters.  Not an
+    action; coherence does not need one."""
+    return odd_ternary((1, 1), ((0,), (3,)), {3: 1}, acting_degree=-1)
 
 
 FAMILY_CASES = [
@@ -230,6 +240,18 @@ def test_an_odd_absorbed_word_equals_the_dense_coherence_residuals(bound):
     residuals = check_coherence(action, bound).residuals
     assert residuals == tuple(dense_coherence_residuals(action, bound))
     assert "ad p,r ; a ; q" in {r.word for r in residuals}
+
+
+@pytest.mark.parametrize("bound", [4, 5])
+def test_an_odd_acting_letter_equals_the_dense_coherence_residuals(bound):
+    # phi_y is even for an odd acting word y, so the sign of a commutator's
+    # phi_y F term does not follow the parity of F alone; no other case of
+    # this file tells the two apart
+    action = odd_acting_noncoherent_action()
+    residuals = check_coherence(action, bound).residuals
+    assert residuals == tuple(dense_coherence_residuals(action, bound))
+    assert len(residuals) == 6
+    assert ("ad p,r ; a ; q", "(1/3)*z") in {(r.word, r.value) for r in residuals}
 
 
 # ---------------------------------------------------------------------------
