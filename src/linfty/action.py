@@ -40,12 +40,12 @@ from .multimap import (
     MultiMap,
     TruncatedCoderivation,
     Vector,
-    _bracket,
     _letter_index,
     _signed_orderings,
     _symmetric_composite,
     exact,
     lift_zinbiel_coderivation,
+    merge_into,
 )
 from .report import (
     CheckReport,
@@ -151,12 +151,10 @@ class ActionFamily:
     of the coderivations the checks bracket, read off one split index of
     the keys (:func:`_absorbed`); none of them is lifted.  The family
     memoizes (:func:`linfty.memo.memo`) what its checks re-read: that split
-    index under ``("split",)``, each ``family(x, (), bound)`` with its
-    letter index under ``("phi", x, bound)`` (:func:`_indexed_phi`), the
-    semidirect brackets under ``("semidirect",)`` (:func:`_semidirect`),
-    the coherence verdict under ``("coherent", bound)`` and its cleared copy
-    under ``("cleared",)`` (:func:`_cleared`); the other families are built
-    at each call and not kept.  A family that :func:`_cleared` made keeps
+    index under ``("split",)``, the semidirect brackets under
+    ``("semidirect",)`` (:func:`_semidirect`), the coherence verdict under
+    ``("coherent", bound)`` and its cleared copy under ``("cleared",)``
+    (:func:`_cleared`); the families are built at each call and not kept.  A family that :func:`_cleared` made keeps
     the factor ``D`` of its data in ``_den``; every other family has
     ``_den`` 1.
     """
@@ -184,9 +182,6 @@ class ActionFamily:
     def eval(self, eword: Word, vword: Word) -> Vector:
         f = self.components.get((len(eword), len(vword)))
         return f.eval(eword, vword) if f is not None else {}
-
-    def max_mixed_arity(self) -> int:
-        return max((k + n for k, n in self.components), default=0)
 
     # -- coderivations attached to the action --------------------------------
 
@@ -300,9 +295,19 @@ def _cleared(action: ActionFamily) -> ActionFamily:
     return memo(action._memo, ("cleared",), build) or action
 
 
-def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]:
+def _sum_space(action: ActionFamily) -> GradedSpace:
     """The direct sum of the acting and target spaces, acting letters first,
-    and its symmetric brackets by arity, kept under ``("semidirect",)``:
+    so the target letters start at ``E.space.dim``."""
+    espace, vspace = action.E.space, action.V.space
+    vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
+    basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
+    basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
+    return GradedSpace(f"{espace.name}+{vspace.name}", basis)
+
+
+def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]:
+    """The direct sum (:func:`_sum_space`) and its symmetric brackets by
+    arity, kept under ``("semidirect",)``:
     the acting structure's constants as they are, then each target bracket
     key ``y`` and each component key ``(x, y)`` filed under ``x + (offset +
     y)``, with the outputs offset.  The action axiom is the square of these
@@ -311,12 +316,7 @@ def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]
 
     def build():
         E, V = action.E, action.V
-        espace, vspace = E.space, V.space
-        vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
-        basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
-        basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
-        space = GradedSpace(f"{espace.name}+{vspace.name}", basis)
-        off = espace.dim
+        space, off = _sum_space(action), E.space.dim
         tables = {k: dict(f.constants) for k, f in E.brackets.items()}
         keyed = [((), y, vec) for f in V.brackets.values() for y, vec in f.constants.items()]
         for f in action.components.values():
@@ -351,7 +351,8 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     space, brackets = _semidirect(action)
     off = espace.dim
     outer = [{y: v for y, v in f.constants.items() if y[-1] >= off} for f in brackets.values()]
-    square = _symmetric_composite(space, _letter_index(space, outer), brackets, 2 * bound)
+    inner = (pair for f in brackets.values() for pair in f.constants.items())
+    square = _symmetric_composite(space, _letter_index(space, outer), inner, 2 * bound)
     items: list[Residual] = []
     for w, diff in _unscaled(square, action._den).items():
         n = bisect_left(w, off)
@@ -365,30 +366,6 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # coherence
-
-
-def _indexed_phi(action: ActionFamily, eword: Word, bound: int):
-    """``family(eword, (), bound)``, the target's brackets for an empty
-    ``eword``, with its letter index (``None`` for an empty family), built
-    once per action: :func:`check_coherence` reads it for every first
-    family, memoized under ``("phi", eword, bound)``."""
-
-    def build():
-        family = action.family(eword, (), bound)
-        if not family:
-            return family, None
-        return family, _letter_index(action.V.space, [f.constants for f in family.values()])
-
-    return memo(action._memo, ("phi", eword, bound), build)
-
-
-def _indexed_bracket(space: GradedSpace, first, second, bound: int) -> dict[int, MultiMap]:
-    """The bracket of two families, each given with its letter index, on the
-    target words up to ``bound``: one composite each way."""
-    (f, f_index), (g, g_index) = first, second
-    fg = _symmetric_composite(space, f_index, g, bound)
-    gf = _symmetric_composite(space, g_index, f, bound)
-    return _bracket(SYMMETRIC, space, f, g, fg, gf)
 
 
 def _coherence_firsts(action: ActionFamily, bound: int):
@@ -413,38 +390,51 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     words ``x`` and probe words ``w`` with ``|v|+|x|+|w| <= bound``; the
     mixed condition for all ``x, v, y, w`` with total length within the
     bound.  These are exactly the instances whose defects can appear in the
-    anchored identity of the direct-sum brackets at the same bound.  Each
-    commutator is the bracket of the first family with ``phi_y``, on the
-    probe words that fit under the bound; it is nonzero only on the words
-    it returns.  The first families are formed only at the keys of the
-    split index (:func:`_coherence_firsts`), whose other families vanish
-    with their commutators.  The letter index of each first family is built
-    once per check and that of each ``phi_y`` once per action
-    (:func:`_indexed_phi`), and both composites of every bracket read them
-    (:func:`_indexed_bracket`).  The commutators run on ``int`` constants
+    anchored identity of the direct-sum brackets at the same bound.  On the
+    direct sum (:func:`_sum_space`) the components are one family ``Phi``,
+    ``y + w -> phi_y(w)``, so the commutators of a first family ``F`` with
+    every ``phi_y`` are one bracket ``[F, Phi]`` at ``bound`` less the
+    weight of ``F``, each word split at the offset into ``y`` and ``w``.
+    The first families are formed only at the keys of the split index
+    (:func:`_coherence_firsts`); every other one brackets to zero.  ``Phi``
+    is read off the split index too, not off :func:`_semidirect`, which the
+    product is built from, so :func:`theorem_crosscheck` compares two
+    independent routes.  The commutators run on ``int`` constants
     (:func:`_cleared`); only the reported values are divided.
     """
     action = _cleared(action)
+    firsts = list(_coherence_firsts(action, bound))
+    if not firsts:
+        return make_report("coherence", bound, [])
     espace, vspace = action.E.space, action.V.space
+    space, off = _sum_space(action), espace.dim
+    phi = {
+        y + tuple(off + i for i in w): {off + o: c for o, c in value.items()}
+        for (y, v), by_length in _absorbed(action).items()
+        if y and not v
+        for table in by_length.values()
+        for w, value in table.items()
+    }
+    phi_index = _letter_index(space, [phi])
     items: list[Residual] = []
-    for label, weight, first in _coherence_firsts(action, bound):
-        indexed = first, _letter_index(vspace, [f.constants for f in first.values()])
-        for b in range(1, bound - weight):
-            limit = bound - weight - b
-            for yw in espace.canonical_words(b):
-                phi = _indexed_phi(action, yw, bound)
-                if not phi[0]:
-                    continue
-                for f in _indexed_bracket(vspace, indexed, phi, limit).values():
-                    for ww, diff in _unscaled(f.constants, action._den).items():
-                        items.append(
-                            Residual(
-                                weight + b + len(ww),
-                                f"{label} ; {espace.format_word(yw)} ; "
-                                f"{vspace.format_word(ww)}",
-                                format_vector(vspace, diff),
-                            )
-                        )
+    for label, weight, first in firsts:
+        f = {
+            tuple(off + i for i in w): {off + o: c for o, c in value.items()}
+            for m in first.values()
+            for w, value in m.constants.items()
+        }
+        # p[F, Phi] = f Phi - (-1)^{|f|} phi F, for Phi has degree 1
+        limit = bound - weight
+        bracket = _symmetric_composite(space, _letter_index(space, [f]), phi.items(), limit)
+        sign = 1 if next(iter(first.values())).degree % 2 else -1
+        for w, vec in _symmetric_composite(space, phi_index, f.items(), limit).items():
+            merge_into(bracket.setdefault(w, {}), vec, sign)
+        for w, diff in _unscaled(bracket, action._den).items():
+            if diff:
+                n = bisect_left(w, off)
+                y, probe = espace.format_word(w[:n]), vspace.format_word([i - off for i in w[n:]])
+                value = format_vector(vspace, {o - off: c for o, c in diff.items()})
+                items.append(Residual(weight + len(w), f"{label} ; {y} ; {probe}", value))
     return make_report("coherence", bound, items)
 
 
@@ -483,7 +473,7 @@ class HemiProduct:
                         table[ue + uv] = values[se != sv]
             brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
         E, V = action.E, action.V
-        max_arity = max(E.max_arity, V.max_arity, action.max_mixed_arity(), 1)
+        max_arity = max(E.max_arity, V.max_arity, *semidirect, 1)
         self.structure = HomotopyStructure(space, PLAIN, brackets, max_arity)
 
     # -- index plumbing -------------------------------------------------------

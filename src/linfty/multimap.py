@@ -451,7 +451,8 @@ def lift_symmetric_coderivation(
     the bound, not to the number of canonical words.
     """
     words = {y: {y: 1} for y in space.canonical_words_up_to(bound)}
-    rows = _symmetric_composite(space, _letter_index(space, [words]), restrictions, bound)
+    inner = (pair for f in restrictions.values() for pair in f.constants.items())
+    rows = _symmetric_composite(space, _letter_index(space, [words]), inner, bound)
     return TruncatedCoderivation(space, bound, _common_degree(restrictions), SYMMETRIC, rows)
 
 
@@ -488,36 +489,37 @@ def _letter_index(space: GradedSpace, tables: Iterable[Mapping[Word, Mapping]]) 
 
 
 def _symmetric_composite(
-    space: GradedSpace, index: Mapping[int, list], inner: Mapping[int, MultiMap], bound: int
+    space: GradedSpace, index: Mapping[int, list], inner: Iterable[tuple[Word, Vector]], bound: int
 ) -> dict[Word, dict]:
-    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`;
-    every term is summed in place."""
+    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`
+    and the inner family's ``(key, value)`` pairs, as :func:`_composite`
+    reads them, so a table is composed with no map built around it; every
+    term is summed in place."""
     out: dict[Word, dict] = {}
-    for f in inner.values():
-        for u, vec in f.constants.items():
-            if space.normalize(u) != (u, 1):
-                continue
-            room = bound - len(u)
-            for b, cb in vec.items():
-                for rest, value in index.get(b, ()):
-                    if len(rest) > room:
-                        break
-                    w, eps = space.normalize(u + rest)
-                    if not eps:
-                        continue
-                    mult = _split_count(u, rest)
-                    c = cb * mult if mult > 1 else cb
-                    if eps < 0:
-                        c = -c
-                    acc = out.get(w)
-                    if acc is None:
-                        acc = out[w] = {}
-                    for o, co in value.items():
-                        total = acc.get(o, 0) + c * co
-                        if total:
-                            acc[o] = total
-                        else:
-                            del acc[o]
+    for u, vec in inner:
+        if space.normalize(u) != (u, 1):
+            continue
+        room = bound - len(u)
+        for b, cb in vec.items():
+            for rest, value in index.get(b, ()):
+                if len(rest) > room:
+                    break
+                w, eps = space.normalize(u + rest)
+                if not eps:
+                    continue
+                mult = _split_count(u, rest)
+                c = cb * mult if mult > 1 else cb
+                if eps < 0:
+                    c = -c
+                acc = out.get(w)
+                if acc is None:
+                    acc = out[w] = {}
+                for o, co in value.items():
+                    total = acc.get(o, 0) + c * co
+                    if total:
+                        acc[o] = total
+                    else:
+                        del acc[o]
     return out
 
 
@@ -543,7 +545,8 @@ def symmetric_composite(
     triples that fit under the bound.
     """
     index = _letter_index(space, [f.constants for f in outer.values()])
-    return _symmetric_composite(space, index, inner, bound)
+    pairs = (pair for f in inner.values() for pair in f.constants.items())
+    return _symmetric_composite(space, index, pairs, bound)
 
 
 @lru_cache(maxsize=None)

@@ -180,7 +180,7 @@ def dense_hemi_brackets(action):
     ``action.eval``; every other word is zero.  Empty values are dropped."""
     E, V = action.E, action.V
     off = E.space.dim
-    top = max(E.max_arity, V.max_arity, action.max_mixed_arity(), 1)
+    top = max(E.max_arity, V.max_arity, *(k + n for k, n in action.components), 1)
     out = {}
     for k in range(1, top + 1):
         table = {}

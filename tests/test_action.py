@@ -12,7 +12,6 @@ from linfty.action import (
     ActionFamily,
     BiMultiMap,
     _cleared,
-    _indexed_phi,
     adjoint_action,
     adjoint_representation,
     check_action,
@@ -470,27 +469,20 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
 
 def test_kept_memos_return_the_identical_object():
     # the family keeps what its checks re-read: the split index, the
-    # semidirect brackets, each acting word's coderivation with its letter
-    # index and the coherence verdict
+    # semidirect brackets and the coherence verdict
     act = solvable_self_action()
     index = action_module._absorbed(act)
     assert action_module._absorbed(act) is index
     semidirect = action_module._semidirect(act)
     assert action_module._semidirect(act) is semidirect
-    for eword in ((),) + act.E.space.canonical_words(1) + act.E.space.canonical_words(2):
-        first = _indexed_phi(act, eword, BOUND)
-        assert _indexed_phi(act, eword, BOUND) is first
-        assert _indexed_phi(act, eword, BOUND - 1) is not first
     verdict = act.is_coherent(BOUND)
     assert act.is_coherent(BOUND) is verdict
 
 
-def test_crosscheck_indexes_each_phi_family_once(monkeypatch):
-    # check_action and check_coherence read the letter index of the same
-    # phi_y families; 177 of check_coherence's 1,404 indexes repeated one that
-    # check_action had just built when each check kept its own
-    import linfty.action as action_module
-
+def test_crosscheck_indexes_each_table_once(monkeypatch):
+    # no table of the crosscheck is indexed twice: check_coherence indexes
+    # the components as one family Phi on the direct sum, and brackets
+    # every first family with it
     real = action_module._letter_index
     built = []
 
@@ -509,7 +501,8 @@ def test_crosscheck_indexes_each_phi_family_once(monkeypatch):
 
 
 def scalars(data):
-    """The constants inside a family, a letter index or a composite."""
+    """The constants inside a family, a letter index, a list of key-value
+    pairs or a composite."""
     if isinstance(data, MultiMap):
         return scalars(data.constants)
     if isinstance(data, dict):
@@ -521,22 +514,17 @@ def scalars(data):
 
 def test_fractional_actions_are_checked_on_int_constants(monkeypatch):
     # the checks clear the action's denominators and divide only the report;
-    # on Fraction data every composite and bracket used to read Fractions
-    import linfty.action as action_module
-
+    # on Fraction data every composite used to read and return Fractions
     seen = set()
+    real = action_module._symmetric_composite
 
-    def recorded(name):
-        real = getattr(action_module, name)
+    def recorded(space, index, inner, bound):
+        inner = list(inner)  # the inner family's pairs, read once here
+        out = real(space, index, inner, bound)
+        seen.update(type(c) for data in (index, inner, out) for c in scalars(data))
+        return out
 
-        def wrapper(*args):
-            seen.update(type(c) for a in args if isinstance(a, dict) for c in scalars(a))
-            return real(*args)
-
-        monkeypatch.setattr(action_module, name, wrapper)
-
-    recorded("_symmetric_composite")
-    recorded("_bracket")
+    monkeypatch.setattr(action_module, "_symmetric_composite", recorded)
     fractional = [
         inst.action for inst in action_corpus(38, 0)
         if any(type(c) is F for f in inst.action.components.values()
@@ -668,9 +656,40 @@ def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
     assert evals[0] == 0
     assert empty[0] == 0
     assert all(out for _, out in firsts)
+    # one bracket with the components' one family on the direct sum
+    assert composites[0] == 2 * len(firsts)
     # one first family for each key with room for an acting and a probe word
     keys = [(x, v) for x, v in action_module._absorbed(action) if v and len(x + v) <= 3]
     assert sorted(key for key, _ in firsts) == sorted(keys)
     # the target of adjoint_identity has no brackets and its components
     # one target slot, so no key there absorbs a target word
     assert bool(firsts) == bool(composites[0]) == (source == "heisenberg-central")
+
+
+def test_coherence_brackets_each_first_family_once(monkeypatch):
+    # two composites per first family, however many phi_y it meets: a first
+    # family of the seed-2 corpus meets up to three nonempty phi_y, and
+    # checking each pair on its own took 488 composites where 322 are enough
+    firsts, composites, met = [], [0], []
+    real_family = ActionFamily.family
+    real_composite = action_module._symmetric_composite
+
+    def family(self, eword, vword, bound):
+        if vword:
+            firsts.append((eword, vword))
+        return real_family(self, eword, vword, bound)
+
+    def composite(space, index, inner, bound):
+        composites[0] += 1
+        return real_composite(space, index, inner, bound)
+
+    monkeypatch.setattr(ActionFamily, "family", family)
+    monkeypatch.setattr(action_module, "_symmetric_composite", composite)
+    for inst in action_corpus(114, 2):
+        start = len(firsts)
+        check_coherence(inst.action, BOUND)
+        acting = [y for y, v in action_module._absorbed(inst.action) if y and not v]
+        for x, v in firsts[start:]:
+            met.append(sum(len(x + v + y) < BOUND for y in acting))
+    assert composites[0] == 2 * len(firsts) == 322
+    assert max(met) >= 2
