@@ -154,9 +154,9 @@ class ActionFamily:
     index under ``("split",)``, the semidirect brackets under
     ``("semidirect",)`` (:func:`_semidirect`), the coherence verdict under
     ``("coherent", bound)`` and its cleared copy under ``("cleared",)``
-    (:func:`_cleared`); the families are built at each call and not kept.  A family that :func:`_cleared` made keeps
-    the factor ``D`` of its data in ``_den``; every other family has
-    ``_den`` 1.
+    (:func:`_cleared`); the families are built at each call and not kept.
+    A family that :func:`_cleared` made keeps the factor ``D`` of its data
+    in ``_den``; every other family has ``_den`` 1.
     """
 
     def __init__(self, E: HomotopyStructure, V: HomotopyStructure, components):
@@ -307,12 +307,12 @@ def _sum_space(action: ActionFamily) -> GradedSpace:
 
 def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]:
     """The direct sum (:func:`_sum_space`) and its symmetric brackets by
-    arity, kept under ``("semidirect",)``:
-    the acting structure's constants as they are, then each target bracket
-    key ``y`` and each component key ``(x, y)`` filed under ``x + (offset +
-    y)``, with the outputs offset.  The action axiom is the square of these
-    brackets (:func:`check_action`), and the hemisemidirect product their
-    orderings with every acting letter in front (:class:`HemiProduct`)."""
+    arity, kept under ``("semidirect",)``: the acting structure's constants
+    as they are, then each target bracket key ``y`` and each component key
+    ``(x, y)`` filed under ``x + (offset + y)``, with the outputs offset.
+    The action axiom is the square of these brackets (:func:`check_action`),
+    and the hemisemidirect product their orderings with every acting letter
+    in front (:class:`HemiProduct`)."""
 
     def build():
         E, V = action.E, action.V
@@ -423,7 +423,7 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
             for m in first.values()
             for w, value in m.constants.items()
         }
-        # p[F, Phi] = f Phi - (-1)^{|f|} phi F, for Phi has degree 1
+        # p[F, Phi] = f Phi - (-1)^{|f|} Phi F, for Phi has degree 1
         limit = bound - weight
         bracket = _symmetric_composite(space, _letter_index(space, [f]), phi.items(), limit)
         sign = 1 if next(iter(first.values())).degree % 2 else -1
