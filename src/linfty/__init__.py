@@ -26,7 +26,6 @@ from .multimap import (
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
-    symmetric_bracket,
     symmetrize,
     zinbiel_coproduct,
 )

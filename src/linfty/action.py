@@ -16,8 +16,8 @@ coderivations commute with every adjoint coderivation and every mixed one,
 on words whose total weight is at most the bound, and the main crosscheck
 confirms, instance by instance, that coherence is exactly what makes the
 product pass the anchored (Loday) identity.  A coderivation is fixed by
-its restriction, so every commutator here is a bracket of two families
-(:func:`linfty.multimap.symmetric_bracket`) and no coderivation is lifted.
+its restriction, so every commutator here is two composites of families
+on the direct sum, and no coderivation is lifted.
 """
 from __future__ import annotations
 
@@ -147,14 +147,13 @@ class ActionFamily:
     n-word of the target structure to a target vector.  The family is an
     action exactly when :func:`check_action` reports no residuals.
 
-    :meth:`family` returns the restriction families (maps by target arity)
-    of the coderivations the checks bracket, read off one split index of
-    the keys (:func:`_absorbed`); none of them is lifted.  The family
-    memoizes (:func:`linfty.memo.memo`) what its checks re-read: that split
-    index under ``("split",)``, the semidirect brackets under
-    ``("semidirect",)`` (:func:`_semidirect`), the coherence verdict under
-    ``("coherent", bound)`` and its cleared copy under ``("cleared",)``
-    (:func:`_cleared`); the families are built at each call and not kept.
+    The restriction families of the coderivations the coherence check
+    brackets are tables of one split index of the keys (:func:`_absorbed`),
+    read where they are filed; none of them is lifted.  The family memoizes
+    (:func:`linfty.memo.memo`) what its checks re-read: that split index
+    under ``("split",)``, the semidirect brackets under ``("semidirect",)``
+    (:func:`_semidirect`), the coherence verdict under ``("coherent",
+    bound)`` and its cleared copy under ``("cleared",)`` (:func:`_cleared`).
     A family that :func:`_cleared` made keeps the factor ``D`` of its data
     in ``_den``; every other family has ``_den`` 1.
     """
@@ -183,30 +182,6 @@ class ActionFamily:
         f = self.components.get((len(eword), len(vword)))
         return f.eval(eword, vword) if f is not None else {}
 
-    # -- coderivations attached to the action --------------------------------
-
-    def family(self, eword: Word, vword: Word, bound: int) -> dict[int, MultiMap]:
-        """The family ``w -> value(eword; vword + w)`` by target arity, on the
-        target words ``w`` of length at most ``bound``; ``value`` is a
-        component, or a target bracket for an empty ``eword``.  So
-        ``family(x, ())`` is ``phi_x``, ``family((), v)`` the adjoint family
-        ``ad_v``, ``family(x, v)`` the mixed one and ``family((), ())`` the
-        target's brackets.  Both words are sorted with their Koszul signs, so
-        a repeated odd letter gives the empty family, and the entries are
-        read off the split index (:func:`_absorbed`): nothing is evaluated."""
-        espace, vspace = self.E.space, self.V.space
-        x, xsign = espace.normalize(tuple(eword))
-        v, vsign = vspace.normalize(tuple(vword))
-        sign = xsign * vsign
-        degree = 1 + espace.word_degree(x) + vspace.word_degree(v)
-        out: dict[int, MultiMap] = {}
-        for n, table in _absorbed(self).get((x, v), {}).items() if sign else ():
-            if n <= bound:
-                if sign < 0:
-                    table = {w: {o: -c for o, c in vec.items()} for w, vec in table.items()}
-                out[n] = MultiMap(vspace, vspace, n, degree, SYMMETRIC, table)
-        return out
-
     def is_coherent(self, bound: int) -> bool:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
@@ -217,9 +192,10 @@ def _absorbed(action: ActionFamily) -> dict[tuple[Word, Word], dict[int, dict[Wo
     ``y`` of a target bracket (head ``()``) and each key ``(x, y)`` of a
     component (head ``x``) is split into an absorbed sub-multiset ``v``,
     possibly empty, and a nonempty rest ``w``, as ``(head, v) -> {len(w):
-    {w: value}}``, ``value`` times the sign of ``normalize(v + w)``.  Every
-    family reads its entries here, so the work follows the keys, not the
-    target words."""
+    {w: value}}``, ``value`` times the sign of ``normalize(v + w)``.  The
+    tables under ``(x, v)`` are the family ``w -> value(x; v + w)``: ``phi_x``,
+    ``ad_v``, the mixed family or, under ``((), ())``, the target's brackets.
+    The work follows the keys, not the target words."""
 
     def build():
         space = action.V.space
@@ -297,20 +273,27 @@ def _cleared(action: ActionFamily) -> ActionFamily:
 
 def _sum_space(action: ActionFamily) -> GradedSpace:
     """The direct sum of the acting and target spaces, acting letters first,
-    so the target letters start at ``E.space.dim``."""
+    so the target letters start at ``E.space.dim``.  A letter is its space's
+    name, a dot and its symbol; the target's prefix gains a ``'`` when the
+    names are equal, and another while a target letter would still spell an
+    acting one, as names and symbols may hold dots."""
     espace, vspace = action.E.space, action.V.space
-    vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
     basis = [(f"{espace.name}.{s}", d) for s, d in zip(espace.symbols, espace.degrees)]
+    acting = {s for s, _ in basis}
+    vname = vspace.name if vspace.name != espace.name else f"{vspace.name}'"
+    while any(f"{vname}.{s}" in acting for s in vspace.symbols):
+        vname += "'"
     basis += [(f"{vname}.{s}", d) for s, d in zip(vspace.symbols, vspace.degrees)]
     return GradedSpace(f"{espace.name}+{vspace.name}", basis)
 
 
-def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]:
-    """The direct sum (:func:`_sum_space`) and its symmetric brackets by
-    arity, kept under ``("semidirect",)``: the acting structure's constants
-    as they are, then each target bracket key ``y`` and each component key
-    ``(x, y)`` filed under ``x + (offset + y)``, with the outputs offset.
-    The action axiom is the square of these brackets (:func:`check_action`),
+def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, dict[Word, Vector]]]:
+    """The direct sum (:func:`_sum_space`) and the tables of its symmetric
+    brackets by arity, kept under ``("semidirect",)``: the acting
+    structure's constants as they are, then each target bracket key ``y``
+    and each component key ``(x, y)`` filed under ``x + (offset + y)``,
+    with the outputs offset; the keys were validated with the action.  The
+    action axiom is the square of these brackets (:func:`check_action`),
     and the hemisemidirect product their orderings with every acting letter
     in front (:class:`HemiProduct`)."""
 
@@ -324,8 +307,7 @@ def _semidirect(action: ActionFamily) -> tuple[GradedSpace, dict[int, MultiMap]]
         for x, y, vec in keyed:
             table = tables.setdefault(len(x) + len(y), {})
             table[x + tuple(off + i for i in y)] = {off + o: c for o, c in vec.items()}
-        arities = sorted(tables)
-        return space, {k: MultiMap(space, space, k, 1, SYMMETRIC, tables[k]) for k in arities}
+        return space, {k: tables[k] for k in sorted(tables)}
 
     return memo(action._memo, ("semidirect",), build)
 
@@ -350,8 +332,8 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
     espace, vspace = action.E.space, action.V.space
     space, brackets = _semidirect(action)
     off = espace.dim
-    outer = [{y: v for y, v in f.constants.items() if y[-1] >= off} for f in brackets.values()]
-    inner = (pair for f in brackets.values() for pair in f.constants.items())
+    outer = [{y: v for y, v in table.items() if y[-1] >= off} for table in brackets.values()]
+    inner = (pair for table in brackets.values() for pair in table.items())
     square = _symmetric_composite(space, _letter_index(space, outer), inner, 2 * bound)
     items: list[Residual] = []
     for w, diff in _unscaled(square, action._den).items():
@@ -370,17 +352,20 @@ def check_action(action: ActionFamily, bound: int) -> CheckReport:
 
 def _coherence_firsts(action: ActionFamily, bound: int):
     """The first family of each coherence commutator, as ``(label, weight,
-    family)``: ``ad_v`` at each key ``((), v)`` of the split index
-    (:func:`_absorbed`) and the mixed family at each key ``(x, v)``, with
-    ``v`` nonempty, an entry under the bound, and room left under it for an
-    acting word and a probe word.  Every other first family is empty and
-    brackets to zero, so it is never formed."""
+    parity, by_length)``: ``ad_v`` at each key ``((), v)`` of the split
+    index (:func:`_absorbed`) and the mixed family at each key ``(x, v)``,
+    with ``v`` nonempty, an entry under the bound, and room left under it
+    for an acting word and a probe word.  ``by_length`` is the index's
+    tables under the key, and ``parity`` that of the family's degree
+    ``1 + |x| + |v|``.  Every other first family is empty and brackets to
+    zero, so it is never formed."""
     espace, vspace = action.E.space, action.V.space
     for (x, v), by_length in _absorbed(action).items():
         weight = len(x) + len(v)
         if v and weight <= bound - 2 and min(by_length) <= bound:
             label = f"{espace.format_word(x)} ; " if x else "ad "
-            yield label + vspace.format_word(v), weight, action.family(x, v, bound)
+            parity = (1 + espace.word_degree(x) + vspace.word_degree(v)) % 2
+            yield label + vspace.format_word(v), weight, parity, by_length
 
 
 def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
@@ -417,16 +402,16 @@ def check_coherence(action: ActionFamily, bound: int) -> CheckReport:
     }
     phi_index = _letter_index(space, [phi])
     items: list[Residual] = []
-    for label, weight, first in firsts:
+    for label, weight, parity, by_length in firsts:
         f = {
             tuple(off + i for i in w): {off + o: c for o, c in value.items()}
-            for m in first.values()
-            for w, value in m.constants.items()
+            for table in by_length.values()
+            for w, value in table.items()
         }
         # p[F, Phi] = f Phi - (-1)^{|f|} Phi F, for Phi has degree 1
         limit = bound - weight
         bracket = _symmetric_composite(space, _letter_index(space, [f]), phi.items(), limit)
-        sign = 1 if next(iter(first.values())).degree % 2 else -1
+        sign = 1 if parity else -1
         for w, vec in _symmetric_composite(space, phi_index, f.items(), limit).items():
             merge_into(bracket.setdefault(w, {}), vec, sign)
         for w, diff in _unscaled(bracket, action._den).items():
@@ -462,9 +447,9 @@ class HemiProduct:
         self.v_offset = off = action.E.space.dim
         odd = tuple(d % 2 for d in space.degrees)
         brackets: dict[int, MultiMap] = {}
-        for k, f in semidirect.items():
+        for k, symmetric in semidirect.items():
             table: dict[Word, Vector] = {}
-            for w, vec in f.constants.items():
+            for w, vec in symmetric.items():
                 cut = bisect_left(w, off)
                 e, v = w[:cut], w[cut:]
                 values = vec, {o: -c for o, c in vec.items()}

@@ -1,9 +1,9 @@
 """Multilinear graded maps as exact structure constants, and the coalgebra
 machinery built on them: coshuffle and Zinbiel coproducts, coderivation and
 comorphism lifts truncated at a word-length bound, graded commutators, the
-composites and brackets of coderivations of both coalgebras formed from
-their restriction families (the Balavoine bracket on the Zinbiel side) and
-the arity-shift (decalage) isomorphism.
+composites of coderivations of both coalgebras formed from their
+restriction families, the Balavoine bracket of two Zinbiel ones, and the
+arity-shift (decalage) isomorphism.
 
 Formal linear data is kept sparse:
 
@@ -71,7 +71,6 @@ __all__ = [
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
     "lifted_composite",
-    "symmetric_bracket",
     "symmetric_composite",
     "symmetrize",
     "zinbiel_coproduct",
@@ -755,33 +754,15 @@ def balavoine_bracket(
     g: Mapping[int, MultiMap],
     bound: int,
 ) -> dict[int, MultiMap]:
-    """Restrictions of the commutator of the Zinbiel lifts of two families:
-    :func:`_bracket` of two :func:`lifted_composite` calls."""
+    """Restrictions of the commutator of the Zinbiel lifts of two families,
+    ``p[F, G] = f G - (-1)^{|f||g|} g F`` from two :func:`lifted_composite`
+    calls, with no lift and no commutator."""
     fg, gf = lifted_composite(space, f, g, bound), lifted_composite(space, g, f, bound)
-    return _bracket(PLAIN, space, f, g, fg, gf)
-
-
-def symmetric_bracket(
-    space: GradedSpace,
-    f: Mapping[int, MultiMap],
-    g: Mapping[int, MultiMap],
-    bound: int,
-) -> dict[int, MultiMap]:
-    """Restrictions of the commutator of the symmetric lifts of two
-    families: :func:`_bracket` of two :func:`symmetric_composite` calls."""
-    fg, gf = symmetric_composite(space, f, g, bound), symmetric_composite(space, g, f, bound)
-    return _bracket(SYMMETRIC, space, f, g, fg, gf)
-
-
-def _bracket(flavor: str, space, f, g, fg: dict, gf: dict) -> dict[int, MultiMap]:
-    """In closed form, ``p[F, G] = f G - (-1)^{|f||g|} g F`` from the two
-    composites ``fg = f G`` and ``gf = g F`` of the coalgebra, as maps of
-    ``flavor``, with no lift and no commutator; ``fg`` is summed into."""
     df, dg = _common_degree(f), _common_degree(g)
     sign = 1 if df % 2 and dg % 2 else -1
     for w, vec in gf.items():
         merge_into(fg.setdefault(w, {}), vec, sign)
-    return maps_by_arity(space, space, df + dg, flavor, fg)
+    return maps_by_arity(space, space, df + dg, PLAIN, fg)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +803,6 @@ def lift_comorphism(
     target: GradedSpace,
     components: Mapping[int, MultiMap],
     bound: int,
-    flavor: str = ZINBIEL,
 ) -> TruncatedComorphism:
     """The coalgebra morphism induced by degree-0 components ``F_k``.
 
@@ -838,26 +818,24 @@ def lift_comorphism(
     unshuffle, the letters of ``u_1 ... u_j`` are placed into the one word
     whose blocks the unshuffle reads back as the keys; that row gains the
     expansion of the keys' values with the Koszul sign of the unshuffle on
-    that word.  In the symmetric flavor only canonical words are kept.  The
-    work is proportional to the (key tuple, unshuffle) pairs that fit under
-    the bound, not to the source words.
+    that word.  The work is proportional to the (key tuple, unshuffle) pairs
+    that fit under the bound, not to the source words.
     """
-    if flavor not in (SYMMETRIC, ZINBIEL):
-        raise ValueError(f"unknown comorphism flavor {flavor!r}")
     for k, f in components.items():
         if f.degree != 0 and not f.is_zero():
             raise ValueError(f"component of arity {k} has nonzero degree {f.degree}")
     comp_tables: dict[int, MultiMap] = {
         k: f for k, f in components.items() if not f.is_zero()
     }
-    rows = _comorphism_rows(source, target, comp_tables, bound, flavor, range(1, bound + 1))
-    return TruncatedComorphism(source, target, bound, flavor, comp_tables, rows)
+    rows = _comorphism_rows(source, target, comp_tables, bound, ZINBIEL, range(1, bound + 1))
+    return TruncatedComorphism(source, target, bound, ZINBIEL, comp_tables, rows)
 
 
 def _comorphism_rows(source, target, components, bound, flavor, parts) -> dict[Word, WordSum]:
-    """The nonzero rows of :func:`lift_comorphism` from the compositions
+    """The nonzero rows of the comorphism of ``flavor`` from the compositions
     into ``j`` blocks for ``j`` in ``parts``, whose image words have ``j``
-    letters; the components' degrees are not checked."""
+    letters (the symmetric flavor keeps canonical words only); the
+    components' degrees are not checked."""
     support = {k: list(f.expand_plain().constants.items()) for k, f in components.items()}
     odd = tuple(d % 2 for d in source.degrees)
     rows: dict[Word, WordSum] = {}

@@ -32,7 +32,6 @@ from .linalg import rank
 from .memo import memo
 from .multimap import (
     PLAIN,
-    ZINBIEL,
     MultiMap,
     Scalar,
     TruncatedComorphism,
@@ -108,7 +107,7 @@ class EmbeddingTensor:
         return memo(
             self._memo,
             ("comorphism", bound),
-            lambda: lift_comorphism(self.v_space, self.e_space, self.components, bound, ZINBIEL),
+            lambda: lift_comorphism(self.v_space, self.e_space, self.components, bound),
         )
 
     def add(self, other: "EmbeddingTensor") -> "EmbeddingTensor":

@@ -19,7 +19,6 @@ from linfty.graded import GradedSpace, Word
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
-    ZINBIEL,
     MultiMap,
     PairSum,
     TruncatedCoderivation,
@@ -119,11 +118,11 @@ def twist_pairsum(space: GradedSpace, pairs: PairSum) -> PairSum:
     return out
 
 
-def identity_comorphism(space: GradedSpace, bound: int, flavor: str = ZINBIEL):
+def identity_comorphism(space: GradedSpace, bound: int):
     ident = MultiMap(
         space, space, 1, 0, PLAIN, {(i,): {i: Fraction(1)} for i in range(space.dim)}
     )
-    return lift_comorphism(space, space, {1: ident}, bound, flavor)
+    return lift_comorphism(space, space, {1: ident}, bound)
 
 
 def scaled(cod: TruncatedCoderivation, c: Fraction) -> TruncatedCoderivation:
@@ -222,7 +221,7 @@ def extend_tensor(
             continue
         table = {hemi.from_v_word(w): dict(vec) for w, vec in f.constants.items()}
         components[k] = MultiMap(space, space, k, 0, PLAIN, table)
-    return lift_comorphism(space, space, components, bound, ZINBIEL)
+    return lift_comorphism(space, space, components, bound)
 
 
 def restriction_lemma_check(

@@ -39,9 +39,10 @@ from linfty.corpus import (
     triple_bracket_example,
     two_term_complex,
 )
+from dense_actions import dense_ad_family, dense_mixed_family
 from dense_lifts import dense_symmetric_lift
 from laws import restriction_vector
-from test_action_oracle import NON_COHERENT, tables
+from test_action_oracle import NON_COHERENT, indexed, indexed_family, tables
 from test_byte_stability import ACTION_FILES
 
 F = Fraction
@@ -132,19 +133,19 @@ def test_component_indices_must_stay_in_their_bases(key, vec, named):
 def test_phi_of_zero_action_is_zero():
     act = zero_action()
     for x in ((0,), (1,)):
-        assert act.family(x, (), BOUND) == {}
+        assert indexed(act, x, (), BOUND) == {}
 
 
 def test_phi_of_restriction_recovers_components():
     act = heisenberg_central_action(F(2), F(-1, 2))
-    q = lifted(act, act.family((0,), (), BOUND))
+    q = lifted(act, indexed_family(act, (0,), (), BOUND))
     for v in range(act.V.space.dim):
         assert restriction_vector(q, (v,)) == act.eval((0,), (v,))
 
 
 def test_phi_of_single_component_acts_as_derivation():
     act = heisenberg_central_action()
-    q = lifted(act, act.family((0,), (), BOUND))
+    q = lifted(act, dense_mixed_family(act, (0,), (), BOUND))
     V = act.V.space
     p, qq, z = V.index("p"), V.index("q"), V.index("z")
     # on the pair (p, q) the lift is a derivation over the slots
@@ -159,14 +160,14 @@ def test_phi_of_single_component_acts_as_derivation():
 def test_ad_of_abelian_is_zero():
     act = zero_action()
     for v in ((0,), (1,)):
-        assert act.family((), v, BOUND) == {}
+        assert indexed(act, (), v, BOUND) == {}
 
 
 def test_ad_of_single_letter_matches_bracket():
     act = heisenberg_central_action()
     V = act.V
     p = V.space.index("p")
-    ad_p = lifted(act, act.family((), (p,), BOUND))
+    ad_p = lifted(act, indexed_family(act, (), (p,), BOUND))
     for v in range(V.space.dim):
         assert restriction_vector(ad_p, (v,)) == V.eval_bracket(2, (p, v))
 
@@ -180,7 +181,7 @@ def test_empty_words_read_the_brackets_and_the_components(act):
     # with nothing absorbed a family is the target's brackets, for the empty
     # acting word, or the rows of the components at an acting word
     brackets = {n: f for n, f in act.V.brackets.items() if n <= BOUND}
-    assert brackets and tables(act.family((), (), BOUND)) == tables(brackets)
+    assert brackets and indexed(act, (), (), BOUND) == tables(brackets)
     read = 0
     for k in range(1, BOUND + 1):
         for x in act.E.space.canonical_words(k):
@@ -188,41 +189,10 @@ def test_empty_words_read_the_brackets_and_the_components(act):
             for (kk, n), f in act.components.items():
                 table = {vw: vec for (ew, vw), vec in f.constants.items() if ew == x}
                 if kk == k and n <= BOUND and table:
-                    rows[n] = (1 + act.E.space.word_degree(x), table)
-            assert tables(act.family(x, (), BOUND)) == rows
+                    rows[n] = table
+            assert indexed(act, x, (), BOUND) == rows
             read += bool(rows)
     assert read
-
-
-def two_letter_acting_key():
-    """The odd letters ``a, b`` acting on the odd letters ``p, q, r``
-    through the one key ``((a, b), (p, q, r))``.  Not an action; a family
-    does not need one."""
-    A = GradedSpace("A", [("a", -1), ("b", -1)])
-    V = GradedSpace("V", [("p", -1), ("q", -1), ("r", -1), ("z", -4)])
-    comp = BiMultiMap(A, V, 2, 3, 1, {((0, 1), (0, 1, 2)): {3: F(1)}})
-    E, T = (HomotopyStructure(space, SYMMETRIC, {}, 5) for space in (A, V))
-    return ActionFamily(E, T, {(2, 3): comp})
-
-
-def test_family_of_a_reordered_word_carries_its_sort_sign():
-    # the acting and target words are sorted with their Koszul signs: a
-    # family once looked its acting word up literally, so phi of b,a was
-    # empty while the component evaluated there was not
-    act = two_letter_acting_key()
-    a, b = 0, 1
-    p, q, r, z = range(4)
-    phi = act.family((a, b), (), BOUND)
-    assert tables(phi) == {3: (-1, {(p, q, r): {z: 1}})}
-    assert tables(act.family((b, a), (), BOUND)) == tables(phi, -1)
-    assert act.family((b, a), (), BOUND)[3].constants[(p, q, r)] == act.eval((b, a), (p, q, r))
-    mixed = act.family((a, b), (p, q), BOUND)
-    assert tables(mixed) == {1: (-3, {(r,): {z: 1}})}
-    assert tables(act.family((a, b), (q, p), BOUND)) == tables(mixed, -1)
-    assert tables(act.family((b, a), (q, p), BOUND)) == tables(mixed)
-    # a repeated odd letter vanishes in the symmetric algebra
-    for x, v in (((a, a), ()), ((a, b), (p, p)), ((b, b), (q, p))):
-        assert act.family(x, v, BOUND) == {}
 
 
 def test_phi_mixed_vanishes_for_representations():
@@ -231,8 +201,8 @@ def test_phi_mixed_vanishes_for_representations():
     act = complex_representation_action()
     x = (0,)
     u = (act.V.space.index("u"),)
-    mixed = lifted(act, act.family(x, u, BOUND))
-    phi = lifted(act, act.family(x, (), BOUND))
+    mixed = lifted(act, indexed_family(act, x, u, BOUND))
+    phi = lifted(act, indexed_family(act, x, (), BOUND))
     assert mixed.compose(phi).is_zero()
 
 
@@ -240,7 +210,7 @@ def test_phi_mixed_concrete_value():
     act = heisenberg_central_action(F(1), F(0))
     V = act.V.space
     p, q, z = V.index("p"), V.index("q"), V.index("z")
-    mixed = lifted(act, act.family((0,), (q,), BOUND))
+    mixed = lifted(act, indexed_family(act, (0,), (q,), BOUND))
     # restriction at one letter w is the (1,2)-component on (q, w): zero here
     assert restriction_vector(mixed, (p,)) == {}
 
@@ -417,7 +387,7 @@ def test_ad_commutators_close_onto_brackets():
     for L in (heisenberg(), sl2()):
         act = adjoint_action(L)
         space = L.space
-        ad = [lifted(act, act.family((), (b,), 3), 3) for b in range(space.dim)]
+        ad = [lifted(act, dense_ad_family(act, (b,), 3), 3) for b in range(space.dim)]
         for v in range(space.dim):
             for w in range(space.dim):
                 lhs = commutator(ad[v], ad[w])
@@ -448,17 +418,15 @@ def test_crosscheck_disagreement_names_the_first_residual(monkeypatch):
     # a spurious entry p -> p in each one-letter adjoint family that the
     # coherence check forms breaks coherence only: the action axiom and the
     # product read no adjoint family
-    real = ActionFamily.family
+    real = action_module._coherence_firsts
 
-    def skewed(self, eword, vword, bound):
-        family = real(self, eword, vword, bound)
-        if eword or len(vword) != 1:
-            return family
-        space = self.V.space
-        table = {**(family[1].constants if 1 in family else {}), (0,): {0: F(1)}}
-        return {**family, 1: MultiMap(space, space, 1, 0, SYMMETRIC, table)}
+    def skewed(action, bound):
+        for label, weight, parity, by_length in real(action, bound):
+            if label.startswith("ad ") and weight == 1:
+                by_length = {**by_length, 1: {**by_length.get(1, {}), (0,): {0: 1}}}
+            yield label, weight, parity, by_length
 
-    monkeypatch.setattr(ActionFamily, "family", skewed)
+    monkeypatch.setattr(action_module, "_coherence_firsts", skewed)
     with pytest.raises(RouteDisagreement) as err:
         theorem_crosscheck(heisenberg_central_action(), BOUND)
     assert str(err.value) == (
@@ -613,7 +581,7 @@ def test_check_coherence_command_clears_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("source", ["heisenberg-central", "adjoint-sl2", "adjoint_identity"])
 def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
     # every family is read off the split index and evaluates no bracket and
-    # no component; check_coherence forms a first family only at a key of
+    # no component; check_coherence reads a first family only at a key of
     # that index with a nonempty absorbed word, never an empty one, and an
     # empty family runs no composite
     if source == "heisenberg-central":
@@ -631,17 +599,16 @@ def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
 
         return wrapper
 
-    real_family = ActionFamily.family
+    real_firsts = action_module._coherence_firsts
 
-    def family(self, eword, vword, bound):
+    def coherence_firsts(action, bound):
         inside[0] += 1
         try:
-            out = real_family(self, eword, vword, bound)
+            out = list(real_firsts(action, bound))
         finally:
             inside[0] -= 1
-        if vword:
-            firsts.append(((tuple(eword), tuple(vword)), out))
-        return out
+        firsts.extend(out)
+        return iter(out)
 
     real_composite = action_module._symmetric_composite
 
@@ -652,19 +619,28 @@ def test_coherence_families_are_read_off_the_keys(monkeypatch, source):
 
     monkeypatch.setattr(MultiMap, "eval", counted_eval(MultiMap.eval))
     monkeypatch.setattr(BiMultiMap, "eval", counted_eval(BiMultiMap.eval))
-    monkeypatch.setattr(ActionFamily, "family", family)
+    monkeypatch.setattr(action_module, "_coherence_firsts", coherence_firsts)
     monkeypatch.setattr(action_module, "_symmetric_composite", composite)
     check_coherence(action, 5)
     assert evals[0] == 0
     assert empty[0] == 0
-    assert all(out for _, out in firsts)
+    assert all(min(by_length) <= 5 for *_, by_length in firsts)
+    # each first family is the split index's own tables under its key, with
+    # the parity of the family's degree 1 + |x| + |v|
+    index = action_module._absorbed(_cleared(action))
+    key_of = {id(by_length): key for key, by_length in index.items()}
+    keyed = [key_of[id(by_length)] for *_, by_length in firsts]
+    espace, vspace = action.E.space, action.V.space
+    assert [parity for _, _, parity, _ in firsts] == [
+        (1 + espace.word_degree(x) + vspace.word_degree(v)) % 2 for x, v in keyed
+    ]
     # one bracket with the components as one family on the direct sum,
     # however many phi_y a first family meets: on sl2's adjoint action some
     # meet three, and a bracket with each phi_y took 18 composites, not 6
     assert composites[0] == 2 * len(firsts)
     # one first family for each key with room for an acting and a probe word
-    keys = [(x, v) for x, v in action_module._absorbed(action) if v and len(x + v) <= 3]
-    assert sorted(key for key, _ in firsts) == sorted(keys)
+    keys = [(x, v) for x, v in index if v and len(x + v) <= 3]
+    assert sorted(keyed) == sorted(keys)
     # the target of adjoint_identity has no brackets and its components
     # one target slot, so no key there absorbs a target word
     assert bool(firsts) == bool(composites[0]) == (source != "adjoint_identity")

@@ -1,6 +1,7 @@
 """``check_action`` and ``check_coherence`` against the every-word oracle on
-fractional data, the key-driven families of ``ActionFamily.family`` and the
-hemisemidirect product's brackets against the oracle's every-word ones.
+fractional data, the key-driven families of the split index
+``action._absorbed`` and the hemisemidirect product's brackets against the
+oracle's every-word ones.
 
 The checks run on the action with its denominators cleared and divide only
 the reported values back; ``dense_actions.py`` works on the ``Fraction``
@@ -24,6 +25,7 @@ from linfty import corpus
 from linfty.action import (
     ActionFamily,
     BiMultiMap,
+    _absorbed,
     check_action,
     check_coherence,
     hemisemidirect,
@@ -140,29 +142,41 @@ def test_some_failures_are_not_integral():
 # the key-driven families
 
 
-def tables(family, sign=1):
-    """The degree and constants of each map of a family, times ``sign``."""
-    return {n: (f.degree, scaled(f.constants, sign)) for n, f in family.items()}
+def tables(family):
+    """The constants of each map of a family by arity."""
+    return {n: f.constants for n, f in family.items()}
+
+
+def indexed(action, x, v, bound):
+    """The tables of the split index under ``(x, v)`` by target arity, up to
+    ``bound``: the family ``w -> value(x; v + w)``."""
+    return {n: t for n, t in _absorbed(action).get((x, v), {}).items() if n <= bound}
+
+
+def indexed_family(action, x, v, bound):
+    """The same tables as maps of the family's degree, for a word-by-word
+    lift."""
+    space = action.V.space
+    degree = 1 + action.E.space.word_degree(x) + space.word_degree(v)
+    tables = indexed(action, x, v, bound).items()
+    return {n: MultiMap(space, space, n, degree, SYMMETRIC, t) for n, t in tables}
 
 
 def assert_families_are_the_every_word_ones(action, bound):
-    """``family(x, v)`` equals the oracle's family for every canonical
-    target word ``v``, empty too, with room left for a probe word, and every
-    acting word ``x``: the empty one (the target's brackets and ``ad_v``)
-    and each canonical one with room left (``phi_x`` and the mixed
-    families); and so it does on the reversed words, which carry the sign
-    of their sort."""
+    """The split index under ``(x, v)`` equals the oracle's family for every
+    canonical target word ``v``, empty too, with room left for a probe
+    word, and every acting word ``x``: the empty one (the target's brackets
+    and ``ad_v``) and each canonical one with room left (``phi_x`` and the
+    mixed families)."""
     espace, vspace = action.E.space, action.V.space
     for a in range(bound):
         for v in vspace.canonical_words(a):
-            for u in {v, v[::-1]}:
-                got = action.family((), u, bound)
-                assert tables(got) == tables(dense_ad_family(action, u, bound))
+            got = indexed(action, (), v, bound)
+            assert got == tables(dense_ad_family(action, v, bound))
             for ax in range(1, bound - a):
                 for x in espace.canonical_words(ax):
-                    for y, u in {(x, v), (x[::-1], v[::-1])}:
-                        got = action.family(y, u, bound)
-                        assert tables(got) == tables(dense_mixed_family(action, y, u, bound))
+                    got = indexed(action, x, v, bound)
+                    assert got == tables(dense_mixed_family(action, x, v, bound))
 
 
 def odd_ternary(arities, key, value, acting_degree=0):
@@ -223,9 +237,9 @@ def test_some_key_driven_families_are_nonempty_and_some_signed():
     for inst in corpus.action_corpus(60, 3):
         action = inst.action
         for v in action.V.space.canonical_words(1):
-            for f in action.family((), v, 4).values():
+            for table in indexed(action, (), v, 4).values():
                 nonempty += 1
-                for w, vec in f.constants.items():
+                for w, vec in table.items():
                     y = tuple(sorted(v + w))
                     negated += vec != action.V.bracket(len(y)).constants[y]
     assert nonempty and negated

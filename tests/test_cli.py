@@ -140,6 +140,32 @@ def test_build_product_emits_reparseable_structure(capsys, tmp_path):
     assert code2 == 0, out2
 
 
+# space names and symbols may hold dots, so the acting letter A.x.y spells
+# the target letter y of the space A.x as well
+DOTTED = (
+    "space A\n  x.y -1\n\nspace A.x\n  y -1\n\n"
+    "settings\n  bound 4\n  max_arity 3\n  seed 0\n\n"
+    "action A A.x\n  1 1 : x.y ; y -> y : 1/1\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check-action", "check-coherence", "build-product"])
+def test_direct_sum_keeps_dotted_letters_distinct(command, capsys, tmp_path):
+    path = tmp_path / "dotted.lif"
+    path.write_text(DOTTED)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert "verdict: PASS" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    if command == "build-product":
+        body = captured.out.split("structure:\n", 1)[1]
+        assert body.startswith("space A+A.x\n  A.x.y -1\n  A.x'.y -1\n\n")
+        product = tmp_path / "product.lif"
+        product.write_text(body)
+        assert run_cli(["check-loday", str(product)], capsys)[0] == 0
+
+
 def test_descend_emits_verified_plain_structure(capsys, tmp_path):
     code, out = run_cli(["descend", str(FIXTURES / "heisenberg.lif")], capsys)
     assert code == 0

@@ -11,8 +11,8 @@ word up to the bound from
 ``dense_lifts.dense_comorphism``, ``dense_lifts.dense_zinbiel_lift`` and the
 slot-picking splits of ``dense_splits.py``: no split table, no composite
 kernel and no support-driven lift.  Its residual list must equal the checker's.
-The comorphism itself must equal the dense one row for row, in both
-flavors.
+The comorphism itself must equal the dense one row for row, and so must
+the symmetric rows that the morphism checks read (``_comorphism_rows``).
 """
 import random
 from pathlib import Path
@@ -23,7 +23,14 @@ from dense_lifts import dense_comorphism, dense_zinbiel_lift
 from dense_splits import dense_anchored_splits
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
-from linfty.multimap import PLAIN, SYMMETRIC, ZINBIEL, lift_comorphism, merge_into
+from linfty.multimap import (
+    PLAIN,
+    SYMMETRIC,
+    ZINBIEL,
+    _comorphism_rows,
+    lift_comorphism,
+    merge_into,
+)
 from linfty.report import Residual, format_vector
 from linfty.tensor import check_embedding_explicit
 
@@ -100,14 +107,14 @@ def test_the_corpora_hold_verified_and_failing_tensors():
 
 
 def assert_comorphism_matches(source, target, components, bound):
-    """The rows of the Zinbiel comorphism, once both flavors match."""
-    rows = {}
-    for flavor in (ZINBIEL, SYMMETRIC):
-        got = lift_comorphism(source, target, components, bound, flavor)
-        expected = dense_comorphism(source, target, components, bound, flavor)
-        assert got.rows == expected.rows, flavor
-        rows[flavor] = got.rows
-    return rows[ZINBIEL]
+    """The rows of the Zinbiel comorphism, once they and the symmetric rows
+    of the kernel the morphism checks read match the dense lifts."""
+    got = lift_comorphism(source, target, components, bound).rows
+    assert got == dense_comorphism(source, target, components, bound, ZINBIEL).rows
+    parts = range(1, bound + 1)
+    symmetric = _comorphism_rows(source, target, components, bound, SYMMETRIC, parts)
+    assert symmetric == dense_comorphism(source, target, components, bound, SYMMETRIC).rows
+    return got
 
 
 @pytest.mark.parametrize(

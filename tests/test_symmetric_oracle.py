@@ -1,9 +1,9 @@
 """The symmetric restriction-level calculus against word-by-word lifts.
 
 ``symmetric_composite`` forms ``p(A B) = a B`` from the supports of two
-families, ``symmetric_bracket`` is two such composites, and the action
-axiom (the square of the semidirect brackets), the coherence commutators
-and the square of ``check_lie_infinity`` run on them.  The references here share no code with
+families, and the action axiom (the square of the semidirect brackets),
+the coherence commutators (two composites each) and the square of
+``check_lie_infinity`` run on its kernel.  The references here share no code with
 that kernel: they lift every family with ``dense_lifts.dense_symmetric_lift``,
 which visits every canonical word and sums over ``unshuffles`` with
 ``koszul_sign``, and compose full coderivations row by row.  The work-count
@@ -17,18 +17,16 @@ from pathlib import Path
 import pytest
 
 from dense_lifts import assert_composite_matches, dense_symmetric_lift
-from laws import restrictions
 from linfty import corpus, parse_path
-from linfty.action import ActionFamily, check_action, theorem_crosscheck
+from linfty.action import check_action, check_coherence, theorem_crosscheck
 from linfty.cli import main
 from linfty.graded import GradedSpace
 from linfty.homotopy import check_lie_infinity
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
+    MultiMap,
     TruncatedCoderivation,
-    commutator,
-    symmetric_bracket,
     symmetric_composite,
 )
 
@@ -46,10 +44,6 @@ def random_pair(seed, degrees, flavor):
     return f, g
 
 
-def as_table(family):
-    return {w: vec for f in family.values() for w, vec in f.constants.items()}
-
-
 @pytest.mark.parametrize("flavor", (SYMMETRIC, PLAIN))
 @pytest.mark.parametrize("bound", (3, 4, 5))
 @pytest.mark.parametrize("degrees", DEGREES)
@@ -58,26 +52,6 @@ def test_symmetric_composite_is_the_outer_family_on_the_dense_lift(seed, degrees
     outer, inner = random_pair(seed, degrees, flavor)
     got = symmetric_composite(SPACE, outer, inner, bound)
     assert assert_composite_matches(got, outer, dense_symmetric_lift(SPACE, inner, bound))
-
-
-@pytest.mark.parametrize("bound", (3, 4, 5))
-@pytest.mark.parametrize("degrees", DEGREES)
-@pytest.mark.parametrize("seed", range(2))
-def test_symmetric_bracket_is_the_commutator_of_the_dense_lifts(seed, degrees, bound):
-    f, g = random_pair(seed, degrees, SYMMETRIC)
-    got = symmetric_bracket(SPACE, f, g, bound)
-    lifted = commutator(
-        dense_symmetric_lift(SPACE, f, bound), dense_symmetric_lift(SPACE, g, bound)
-    )
-    assert as_table(got) == as_table(restrictions(lifted))
-    assert {h.degree for h in got.values()} == {sum(degrees)}
-    assert got
-
-
-def test_the_bracket_of_an_empty_family_is_empty():
-    f, _ = random_pair(0, (1, 0), SYMMETRIC)
-    assert symmetric_bracket(SPACE, f, {}, 4) == {}
-    assert symmetric_bracket(SPACE, {}, f, 4) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +126,16 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
 
 def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     # the axiom is one composite of the semidirect brackets: one letter
-    # index per check and no family; summing it over every acting word read
-    # a letter index and a family for each phi_x
+    # index per check.  The checks read the action's validated keys as
+    # tables: once the cleared action is made, the axiom and coherence
+    # build no MultiMap, and the crosscheck only the product's brackets,
+    # one per arity; the semidirect brackets and every coherence family
+    # were validated again as MultiMaps
+    import linfty.action as action_module
     import linfty.multimap as multimap
 
     real = multimap._letter_index
-    indexed, families = [], []
+    indexed, built = [], []
 
     def counted(space, tables):
         indexed.append(space)
@@ -166,18 +144,23 @@ def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
         if getattr(module, "_letter_index", None) is real:
             monkeypatch.setattr(module, "_letter_index", counted)
-    real_family = ActionFamily.family
+    real_init = MultiMap.__init__
 
-    def family(*args):
-        families.append(args)
-        return real_family(*args)
+    def init(self, source, target, arity, *args):
+        built.append(arity)
+        real_init(self, source, target, arity, *args)
 
-    monkeypatch.setattr(ActionFamily, "family", family)
+    monkeypatch.setattr(MultiMap, "__init__", init)
     for inst in corpus.action_corpus(38, 0):
+        cleared = action_module._cleared(inst.action)
         indexed.clear()
+        built.clear()
         check_action(inst.action, 4)
         assert len(indexed) == 1
-    assert families == []
+        check_coherence(inst.action, 4)
+        assert built == []
+        theorem_crosscheck(inst.action, 4)
+        assert built == list(action_module._semidirect(cleared)[1])
 
 
 def test_action_module_binds_no_full_lift_calculus():
