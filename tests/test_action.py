@@ -22,8 +22,8 @@ from linfty.action import (
 from linfty.cli import main
 from linfty.fileformat import parse, parse_path
 from linfty.graded import GradedSpace
-from linfty.homotopy import HomotopyStructure, _structure_report, check_loday_infinity
-from linfty.multimap import SYMMETRIC, MultiMap
+from linfty.homotopy import _structure_report, check_loday_infinity
+from linfty.multimap import MultiMap
 from linfty.report import InputError, RouteDisagreement
 from linfty.corpus import (
     abelian_structure,

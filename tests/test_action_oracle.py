@@ -158,8 +158,8 @@ def indexed_family(action, x, v, bound):
     lift."""
     space = action.V.space
     degree = 1 + action.E.space.word_degree(x) + space.word_degree(v)
-    tables = indexed(action, x, v, bound).items()
-    return {n: MultiMap(space, space, n, degree, SYMMETRIC, t) for n, t in tables}
+    by_length = indexed(action, x, v, bound).items()
+    return {n: MultiMap(space, space, n, degree, SYMMETRIC, t) for n, t in by_length}
 
 
 def assert_families_are_the_every_word_ones(action, bound):
