@@ -1,8 +1,8 @@
 """The symmetric restriction-level calculus against word-by-word lifts.
 
 ``symmetric_composite`` forms ``p(A B) = a B`` from the supports of two
-families, and the action axiom (the square of the semidirect brackets),
-the coherence commutators (two composites each) and the square of
+families, a bracket is two such composites, and the action axiom (the
+square of the semidirect brackets), the coherence commutators and the square of
 ``check_lie_infinity`` run on its kernel.  The references here share no code with
 that kernel: they lift every family with ``dense_lifts.dense_symmetric_lift``,
 which visits every canonical word and sums over ``unshuffles`` with
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from dense_lifts import assert_composite_matches, dense_symmetric_lift
+from laws import restrictions
 from linfty import corpus, parse_path
 from linfty.action import check_action, check_coherence, theorem_crosscheck
 from linfty.cli import main
@@ -27,6 +28,8 @@ from linfty.multimap import (
     SYMMETRIC,
     MultiMap,
     TruncatedCoderivation,
+    commutator,
+    merge_into,
     symmetric_composite,
 )
 
@@ -52,6 +55,44 @@ def test_symmetric_composite_is_the_outer_family_on_the_dense_lift(seed, degrees
     outer, inner = random_pair(seed, degrees, flavor)
     got = symmetric_composite(SPACE, outer, inner, bound)
     assert assert_composite_matches(got, outer, dense_symmetric_lift(SPACE, inner, bound))
+
+
+def composite_bracket(f, g, degrees, bound):
+    """``p[F, G] = f G - (-1)^{|f||g|} g F`` from two ``symmetric_composite``
+    calls, as ``check_coherence`` forms its commutators; zeros dropped."""
+    fg = symmetric_composite(SPACE, f, g, bound)
+    sign = 1 if degrees[0] % 2 and degrees[1] % 2 else -1
+    for w, vec in symmetric_composite(SPACE, g, f, bound).items():
+        merge_into(fg.setdefault(w, {}), vec, sign)
+    return {w: vec for w, vec in fg.items() if vec}
+
+
+def as_table(family):
+    return {w: vec for f in family.values() for w, vec in f.constants.items()}
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+@pytest.mark.parametrize("degrees", DEGREES)
+@pytest.mark.parametrize("seed", range(2))
+def test_symmetric_bracket_is_the_commutator_of_the_dense_lifts(seed, degrees, bound):
+    f, g = random_pair(seed, degrees, SYMMETRIC)
+    got = composite_bracket(f, g, degrees, bound)
+    lifted = commutator(
+        dense_symmetric_lift(SPACE, f, bound), dense_symmetric_lift(SPACE, g, bound)
+    )
+    assert got == as_table(restrictions(lifted))
+    assert {
+        SPACE.degrees[b] - sum(SPACE.degrees[i] for i in w) for w, vec in got.items() for b in vec
+    } == {sum(degrees)}
+    assert got
+
+
+def test_the_bracket_of_an_empty_family_is_empty():
+    f, _ = random_pair(0, (1, 0), SYMMETRIC)
+    assert symmetric_composite(SPACE, f, {}, 4) == {}
+    assert symmetric_composite(SPACE, {}, f, 4) == {}
+    assert composite_bracket(f, {}, (1, 0), 4) == {}
+    assert composite_bracket({}, f, (0, 1), 4) == {}
 
 
 # ---------------------------------------------------------------------------
