@@ -123,6 +123,15 @@ class BiMultiMap:
         self.degree = degree
         self.constants = table
 
+    @classmethod
+    def _unchecked(cls, e_space, v_space, e_arity, v_arity, degree, table) -> "BiMultiMap":
+        """A component on ``table`` as it is, with no check and no copy, as
+        :meth:`linfty.multimap.MultiMap._unchecked`."""
+        self = object.__new__(cls)
+        self.e_space, self.v_space, self.e_arity = e_space, v_space, e_arity
+        self.v_arity, self.degree, self.constants = v_arity, degree, table
+        return self
+
     def eval(self, eword: Word, vword: Word) -> Vector:
         en, es = self.e_space.normalize(tuple(eword))
         if not es:
@@ -247,6 +256,9 @@ def _cleared(action: ActionFamily) -> ActionFamily:
     exactly ``D**2`` times the action's, and the checks divide by
     ``_den**2`` only the values they report.  A cleared family clears to
     itself, so the checks on one action share the cleared family's memo.
+    The copies are integer multiples of maps validated when the action was
+    built, so they are filled unchecked (:meth:`BiMultiMap._unchecked`,
+    :func:`linfty.homotopy._with_constants`).
     """
     if action._den != 1:
         return action
@@ -259,7 +271,7 @@ def _cleared(action: ActionFamily) -> ActionFamily:
             return None
         e, v = len(E.brackets), len(E.brackets) + len(V.brackets)
         comps = {
-            (k, n): BiMultiMap(f.e_space, f.v_space, k, n, f.degree, table)
+            (k, n): BiMultiMap._unchecked(f.e_space, f.v_space, k, n, f.degree, table)
             for ((k, n), f), table in zip(action.components.items(), tables[v:])
         }
         cleared = ActionFamily(
@@ -438,7 +450,9 @@ class HemiProduct:
     semidirect key splits at the offset into its acting and target blocks,
     and each ordering of a block comes with its Koszul sign from one cached
     table (:func:`linfty.multimap._signed_orderings`), so building the
-    product sorts no word.
+    product sorts no word, and its plain brackets are filled unchecked
+    (:meth:`linfty.multimap.MultiMap._unchecked`), as their keys and values
+    were validated with the action.
     """
 
     def __init__(self, action: ActionFamily):
@@ -456,7 +470,7 @@ class HemiProduct:
                 for ue, se in _signed_orderings(e, tuple(odd[i] for i in e)):
                     for uv, sv in _signed_orderings(v, tuple(odd[i] for i in v)):
                         table[ue + uv] = values[se != sv]
-            brackets[k] = MultiMap(space, space, k, 1, PLAIN, table)
+            brackets[k] = MultiMap._unchecked(space, space, k, 1, PLAIN, table)
         E, V = action.E, action.V
         max_arity = max(E.max_arity, V.max_arity, *semidirect, 1)
         self.structure = HomotopyStructure(space, PLAIN, brackets, max_arity)

@@ -13,16 +13,21 @@ so the letter landing in output slot ``j`` comes from input slot
 pairs of odd-degree letters whose relative order is inverted.
 
 The three sums of the package's componentwise identities read their terms
-from :func:`symmetric_splits` (the unshuffle-insertion sum of Lie-type
-structures, morphisms, representations and actions),
-:func:`anchored_splits` (the anchored sum of Loday-type structures,
-morphisms and embedding tensors) and :func:`increasing_splits` (the
-block sum over increasing unshuffles on the right side of morphisms,
-representations and actions).  Each reads signs from an ``lru_cache``
-table keyed by block sizes and letter parities.  The structure and
-morphism checkers read from them the values of their first route, not its
-words: each runs its sum on the words that its second route's composite
-kernel forms (:func:`linfty.multimap.lifted_composite`,
+from one ``lru_cache`` table per summation shape, keyed by the word length,
+the arities summed and the letter parities: :func:`_symmetric_table` (the
+unshuffle-insertion sum of Lie-type structures, morphisms, representations
+and actions), :func:`_anchored_table` (the anchored sum of Loday-type
+structures, morphisms and embedding tensors) and :func:`_increasing_table`
+(the block sum over increasing unshuffles on the right side of morphisms,
+representations and actions).  Each row holds a sign computed once,
+and the rows of the first two ``itemgetter`` gathers of the blocks, so
+reading a term validates no permutation and counts no crossing.  The
+iterators :func:`symmetric_splits`,
+:func:`anchored_splits` and :func:`increasing_splits` read the same
+tables.  The structure and morphism checkers read from them the values of
+their first route, not its words: each runs its sum on the words that its
+second route's composite kernel forms
+(:func:`linfty.multimap.lifted_composite`,
 :func:`linfty.multimap.symmetric_composite`), and the every-word oracles in
 ``tests/`` check that word set.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -166,47 +172,78 @@ def _split_table(blocks: tuple[int, int], parities: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+def _gather(slots: Sequence[int]) -> itemgetter:
+    """An ``itemgetter`` reading the letters at ``slots`` of a word as a
+    tuple: a slice when the slots are consecutive, as they are when there
+    are fewer than two."""
+    start = slots[0] if slots else 0
+    if tuple(slots) == tuple(range(start, start + len(slots))):
+        return itemgetter(slice(start, start + len(slots)))
+    return itemgetter(*slots)
+
+
+@lru_cache(maxsize=None)
+def _symmetric_table(n: int, arities: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
+    """The terms of the unshuffle-insertion sum on ``n`` letters of the
+    given parities, as rows ``(i, sign, front, block, tail)``.
+
+    One row for each arity ``i`` (in the given order; arities above ``n``
+    are skipped) and each ``(i, n-i)``-unshuffle: ``block`` gathers the
+    first block of the reordered word and ``tail`` the rest, ``front``
+    gathers nothing, and ``sign`` is the Koszul sign of the reordering.
+    The gathers are those of :func:`_anchored_table`, so a sum reads both
+    tables with one loop."""
+    front = _gather(())
+    return tuple(
+        (i, sign, front, _gather(sigma[:i]), _gather(sigma[i:]))
+        for i in arities
+        if i <= n
+        for sign, _, sigma in _split_table((i, n - i), parities)
+    )
+
+
+@lru_cache(maxsize=None)
+def _anchored_table(n: int, arities: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
+    """The terms of the anchored (Zinbiel) sum on ``n`` letters of the
+    given parities, as rows ``(k, sign, front, block, tail)``.
+
+    One row for each inner arity ``k`` (in the given order), each front
+    size ``i`` and each ``(i, k-1)``-unshuffle of the head, the first
+    ``cut = i+k-1`` letters: ``front`` gathers the first block, ``block``
+    the second block followed by the anchored letter at ``cut``, and
+    ``tail`` the letters after it.  ``sign`` is the Koszul sign of the
+    unshuffle times ``(-1)^{|front|}``, the cost of moving a degree +1 map
+    past the front."""
+    rows = []
+    for k in arities:
+        for i in range(n - k + 1):
+            cut = i + k - 1
+            tail = _gather(range(cut + 1, n))
+            for _, sign, sigma in _split_table((i, k - 1), parities[:cut]):
+                rows.append((k, sign, _gather(sigma[:i]), _gather(sigma[i:] + (cut,)), tail))
+    return tuple(rows)
+
+
 def symmetric_splits(
     space: GradedSpace, word: Word, arities: Iterable[int]
 ) -> Iterator[tuple[int, Word, Word]]:
-    """The terms ``(sign, inner, rest)`` of the unshuffle-insertion sum.
-
-    For each arity ``i`` (in the given order; arities longer than ``word``
-    are skipped) and each ``(i, n-i)``-unshuffle, ``inner`` is the first
-    block of the reordered word, ``rest`` the remaining letters, and
-    ``sign`` the Koszul sign of the reordering.
-    """
-    n = len(word)
+    """The terms ``(sign, inner, rest)`` of the unshuffle-insertion sum on
+    ``word``: the rows of :func:`_symmetric_table`, ``inner`` the first
+    block of the reordered word and ``rest`` the remaining letters."""
     parities = tuple(space.degrees[x] % 2 for x in word)
-    for i in arities:
-        if i > n:
-            continue
-        for sign, _, sigma in _split_table((i, n - i), parities):
-            moved = tuple(map(word.__getitem__, sigma))
-            yield sign, moved[:i], moved[i:]
+    for _, sign, _, block, rest in _symmetric_table(len(word), tuple(arities), parities):
+        yield sign, block(word), rest(word)
 
 
 def anchored_splits(
     space: GradedSpace, word: Word, arities: Iterable[int]
 ) -> Iterator[tuple[int, Word, Word, Word]]:
-    """The terms ``(sign, front, inner, tail)`` of the anchored (Zinbiel) sum.
-
-    For each inner arity ``k``, each front size ``i`` and each
-    ``(i, k-1)``-unshuffle of the head ``word[:i+k-1]``, ``front`` is the
-    first block, ``inner`` the second block followed by the anchored letter
-    ``word[i+k-1]``, and ``tail`` the letters after it.  ``sign`` is the
-    Koszul sign of the unshuffle times ``(-1)^{|front|}``, the cost of
-    moving a degree +1 map past the front.
-    """
-    n = len(word)
+    """The terms ``(sign, front, inner, tail)`` of the anchored (Zinbiel)
+    sum on ``word``: the rows of :func:`_anchored_table`, ``inner`` the
+    second block of a split of the head followed by the anchored letter."""
     parities = tuple(space.degrees[x] % 2 for x in word)
-    for k in arities:
-        for i in range(n - k + 1):
-            cut = i + k - 1
-            anchor, tail = word[cut : cut + 1], word[cut + 1 :]
-            for _, sign, sigma in _split_table((i, k - 1), parities[:cut]):
-                moved = tuple(map(word.__getitem__, sigma))
-                yield sign, moved[:i], moved[i:] + anchor, tail
+    for _, sign, front, block, tail in _anchored_table(len(word), tuple(arities), parities):
+        yield sign, front(word), block(word), tail(word)
 
 
 @lru_cache(maxsize=None)

@@ -19,8 +19,13 @@ built only where the image has a target bracket's arity, so none for a
 target with no brackets; for a structure that is the square of the lifted
 coderivation.  The first route sums on the words the second forms: the
 keys of its composite kernel, which keeps every word a pair of keys forms,
-and the comorphism rows that meet a target bracket key.  Its values come
-only from the split iterators of :mod:`linfty.graded`, so the routes share
+and the comorphism rows that meet a target bracket key, in one call of
+:func:`_anchored_sums` or :func:`_symmetric_sums` per check.  Its values
+come only from the split tables of :mod:`linfty.graded`
+(:func:`linfty.graded._anchored_table`,
+:func:`linfty.graded._symmetric_table`, and the increasing splits of a
+morphism's right side), and it reads a symmetric map through a signed
+plain table filled from :meth:`GradedSpace.normalize`, so the routes share
 that word set and nothing else; a third route in ``tests/``, which visits
 every word, checks it.
 """
@@ -34,10 +39,10 @@ from typing import Mapping
 from .graded import (
     GradedSpace,
     Word,
-    anchored_splits,
+    _anchored_table,
+    _symmetric_table,
     compositions,
     increasing_splits,
-    symmetric_splits,
 )
 from .multimap import (
     PLAIN,
@@ -144,41 +149,89 @@ def lie_to_loday(structure: HomotopyStructure) -> HomotopyStructure:
 # defining identities
 
 
-def _symmetric_sum(space, inner, outer, word: Word) -> Vector:
+def _symmetric_sums(space, inner, outer, words) -> dict[Word, Vector]:
     """``sum sign * outer_{n-i+1}(inner_i(block), rest)`` over the
-    unshuffle-insertion splits of ``word``; ``inner`` and ``outer`` map
-    arities to maps."""
-    n = len(word)
-    acc: Vector = {}
-    arities = [i for i in inner if n - i + 1 in outer]
-    for sign, block, rest in symmetric_splits(space, word, arities):
-        value, s1 = inner[len(block)].lookup(block)
-        if not value:
-            continue
-        f = outer[n - len(block) + 1]
-        for b, c in value.items():
-            row, s2 = f.lookup((b,) + rest)
-            if row:
-                merge_into(acc, row, c if sign * s1 * s2 > 0 else -c)
-    return acc
+    unshuffle-insertion splits of each word, read from
+    :func:`linfty.graded._symmetric_table`; ``inner`` and ``outer`` map
+    arities to maps.  Returns each word's value where it is nonzero."""
+    return _split_sums(space, inner, outer, words, _symmetric_table)
 
 
-def _anchored_sum(space, inner, outer, word: Word) -> Vector:
+def _anchored_sums(space, inner, outer, words) -> dict[Word, Vector]:
     """``sum sign * outer_{n-k+1}(front, inner_k(block), tail)`` over the
-    anchored splits of ``word``; ``inner`` and ``outer`` map arities to maps."""
-    n = len(word)
-    acc: Vector = {}
-    arities = [k for k in inner if n - k + 1 in outer]
-    for sign, front, block, tail in anchored_splits(space, word, arities):
-        value, s1 = inner[len(block)].lookup(block)
-        if not value:
-            continue
-        f = outer[n - len(block) + 1]
-        for b, c in value.items():
-            row, s2 = f.lookup(front + (b,) + tail)
-            if row:
-                merge_into(acc, row, c if sign * s1 * s2 > 0 else -c)
-    return acc
+    anchored splits of each word, read from
+    :func:`linfty.graded._anchored_table`; ``inner`` and ``outer`` map
+    arities to maps.  Returns each word's value where it is nonzero."""
+    return _split_sums(space, inner, outer, words, _anchored_table)
+
+
+class _SignedValues(dict):
+    """A symmetric map's values on any ordering of a key, as a plain table:
+    a word is filled when it is first read, from
+    :meth:`GradedSpace.normalize`, with the value at its sort times the
+    sign of the sort, ``None`` where the map vanishes."""
+
+    __slots__ = ("normalize", "constants")
+
+    def __init__(self, f: MultiMap):
+        super().__init__()
+        self.normalize, self.constants = f.source.normalize, f.constants
+
+    def __missing__(self, word: Word) -> Vector | None:
+        norm, sign = self.normalize(word)
+        row = self.constants.get(norm) if sign else None
+        if row and sign < 0:
+            row = {o: -c for o, c in row.items()}
+        self[word] = row
+        return row
+
+
+def _values(f: MultiMap):
+    """The reader of ``f``'s value on a word of its arity, ``None`` where
+    it vanishes: the constants of a plain map, a :class:`_SignedValues`
+    table of a symmetric one."""
+    return f.constants.get if f.flavor == PLAIN else _SignedValues(f).__getitem__
+
+
+def _split_sums(space, inner, outer, words, table) -> dict[Word, Vector]:
+    """The sums of :func:`_symmetric_sums` and :func:`_anchored_sums`, whose
+    ``table`` gives the rows ``(k, sign, front, block, tail)`` of one word
+    shape: each term is ``sign * outer_{n-k+1}(front + inner_k(block) +
+    tail)``.  Each map's reader (:func:`_values`) is made once per call, and
+    the rows of each shape, the word length and letter parities, are joined
+    to the maps of their arities once per call; the terms are summed in
+    place."""
+    inner = {k: _values(f) for k, f in inner.items()}
+    outer = {k: _values(f) for k, f in outer.items()}
+    odd = tuple(d % 2 for d in space.degrees)
+    plans: dict[tuple[int, ...], list] = {}
+    sums: dict[Word, Vector] = {}
+    for w in words:
+        parities = tuple(map(odd.__getitem__, w))
+        plan = plans.get(parities)
+        if plan is None:
+            n = len(w)
+            arities = tuple(k for k in inner if n - k + 1 in outer)
+            plan = plans[parities] = [
+                (sign, front, block, tail, inner[k], outer[n - k + 1])
+                for k, sign, front, block, tail in table(n, arities, parities)
+            ]
+        acc: Vector = {}
+        for sign, front, block, tail, inner_value, outer_value in plan:
+            value = inner_value(block(w))
+            if not value:
+                continue
+            head, rest = front(w), tail(w)
+            for b, c in value.items():
+                row = outer_value(head + (b,) + rest)
+                if row:
+                    if sign < 0:
+                        c = -c
+                    for o, x in row.items():
+                        acc[o] = acc.get(o, 0) + c * x
+        if acc := {o: x for o, x in acc.items() if x}:
+            sums[w] = acc
+    return sums
 
 
 def _residual_items(space, value_space, residuals: dict[Word, Vector]):
@@ -216,9 +269,11 @@ def _cleared(structure: HomotopyStructure) -> tuple[HomotopyStructure, int]:
 
 def _with_constants(structure: HomotopyStructure, tables) -> HomotopyStructure:
     """The structure with the constants of its brackets, in arity order,
-    replaced by ``tables``."""
+    replaced by ``tables``, integer multiples of them
+    (:func:`_clear_denominators`), which fill the copies unchecked
+    (:meth:`MultiMap._unchecked`)."""
     brackets = {
-        k: MultiMap(f.source, f.target, k, f.degree, f.flavor, table)
+        k: MultiMap._unchecked(f.source, f.target, k, f.degree, f.flavor, table)
         for (k, f), table in zip(structure.brackets.items(), tables)
     }
     return HomotopyStructure(structure.space, structure.flavor, brackets, structure.max_arity)
@@ -271,8 +326,11 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     its inner block is a bracket key and its outer word one too, which is
     such a triple, so on every other word the identity holds term by term
     and the verdict still covers all words up to the bound.  The double
-    sum's values still come only from :func:`anchored_splits`; the word set
-    is the one thing the routes share, and the every-word route of
+    sum (:func:`_anchored_sums`) runs once on that word set, and its values
+    still come only from the anchored split table
+    :func:`linfty.graded._anchored_table`, which
+    :func:`linfty.graded.anchored_splits` reads too; the word set is the
+    one thing the routes share, and the every-word route of
     ``tests/test_loday_oracle.py`` checks it.
     """
     return _structure_report("loday-infinity", structure, bound, anchored=True)
@@ -380,7 +438,7 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     bracket key, which the pass of ``q' F`` collects.  For a target with
     brackets it finds the compositions with a nonzero term
     (:func:`_surviving_compositions`) once for each length it visits.  Its
-    values still come only from the split iterators; the dense defect of
+    values still come only from the split tables; the dense defect of
     ``tests/dense_lifts.py``, formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
@@ -393,9 +451,9 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     space = source.space
     tspace = space if target is None else target.space
     if anchored:
-        coalgebra, composite, lhs_sum = ZINBIEL, lifted_composite, _anchored_sum
+        coalgebra, composite, lhs_sums = ZINBIEL, lifted_composite, _anchored_sums
     else:
-        coalgebra, composite, lhs_sum = SYMMETRIC, symmetric_composite, _symmetric_sum
+        coalgebra, composite, lhs_sums = SYMMETRIC, symmetric_composite, _symmetric_sums
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
     surviving = {}
@@ -416,13 +474,13 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
         lengths = {len(w) for w in words}
         surviving = {n: _surviving_compositions(components, target, n) for n in lengths}
     defect = {w: v for w, v in defect.items() if v}
-    residuals: dict[Word, Vector] = {}
+    residuals = lhs_sums(space, source.brackets, components, words)
     for w in words:
-        diff = lhs_sum(space, source.brackets, components, w)
         if terms := surviving.get(len(w)):
+            diff = residuals.setdefault(w, {})
             merge_into(diff, _morphism_rhs(space, components, terms, w), -1)
-        if diff:
-            residuals[w] = diff
+            if not diff:
+                del residuals[w]
     if residuals != defect:
         if den is None:
             kind = "anchored " if anchored else ""

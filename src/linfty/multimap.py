@@ -185,6 +185,18 @@ class MultiMap:
         self.flavor = flavor
         self.constants = table
 
+    @classmethod
+    def _unchecked(cls, source, target, arity, degree, flavor, table) -> "MultiMap":
+        """A map on ``table`` as it is, with no check and no copy: for a
+        caller whose keys and values come from validated maps, such as an
+        integer multiple of their constants or a reordering of their keys
+        with its sign, in the normal form of :func:`exact` and with no
+        empty value."""
+        self = object.__new__(cls)
+        self.source, self.target, self.arity = source, target, arity
+        self.degree, self.flavor, self.constants = degree, flavor, table
+        return self
+
     def eval(self, word: Word) -> Vector:
         """Exact value on a basis word (a fresh dict; may be empty)."""
         if len(word) != self.arity:

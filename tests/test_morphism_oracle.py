@@ -220,14 +220,14 @@ def test_lie_morphism_sums_only_on_formed_and_read_words(monkeypatch):
     # the symmetric identity sum runs on the composite's words and the
     # comorphism rows that meet a target bracket, one word here; visiting
     # every canonical word made 7 sums
-    real = homotopy_module._symmetric_sum
+    real = homotopy_module._symmetric_sums
     visited = []
 
     def counted(*args):
-        visited.append(args[-1])
+        visited.extend(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(homotopy_module, "_symmetric_sum", counted)
+    monkeypatch.setattr(homotopy_module, "_symmetric_sums", counted)
     _, source, target, comps = fixture_morphisms()[1]
     assert check_lie_morphism(comps, source, target, 7).ok
     assert len(visited) <= 1
@@ -238,21 +238,21 @@ def test_descendent_morphism_visits_only_candidate_words(monkeypatch):
     # and 9,840 anchored sums here; the descendent's candidates are 3 words,
     # and route A of the identity has none, since the composite of the
     # tensor with the descendent brackets forms no word and no comorphism
-    # row meets a bracket
-    calls = {"_prefix_fed_value": 0, "_anchored_sum": 0}
+    # row meets a bracket.  The anchored sums count the words they are given
+    calls = {"_prefix_fed_value": 0, "_anchored_sums": 0}
 
-    def counted(module, name):
+    def counted(module, name, weight):
         real = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += weight(args)
             return real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(tensor_module, "_prefix_fed_value")
-    counted(homotopy_module, "_anchored_sum")
+    counted(tensor_module, "_prefix_fed_value", lambda args: 1)
+    counted(homotopy_module, "_anchored_sums", lambda args: len(args[-1]))
     sf = parse_path(FIXTURES / "heisenberg.lif")
     assert check_descendent_morphism(sf.embedding_tensor(), sf.action_family(), 8).ok
     assert calls["_prefix_fed_value"] <= 3
-    assert calls["_anchored_sum"] == 0
+    assert calls["_anchored_sums"] == 0

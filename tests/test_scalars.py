@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from dense_splits import every_canonical_word_residuals
+from linfty import action as action_module
 from linfty import corpus, homotopy
 from linfty.action import BiMultiMap, hemisemidirect
 from linfty.fileformat import parse_path
@@ -97,6 +98,30 @@ def test_products_of_basis_changed_actions_are_in_normal_form():
     assert fractional > 10
 
 
+def test_unchecked_tables_equal_the_validated_ones():
+    # the cleared copies and the products fill their maps without the
+    # validating constructors; on the fractional actions each table is what
+    # those constructors make of it
+    fractional = 0
+    for inst in corpus.action_corpus(114, 3):
+        cleared = action_module._cleared(inst.action)
+        if cleared is inst.action:
+            continue
+        fractional += 1
+        maps = [*cleared.E.brackets.values(), *cleared.V.brackets.values()]
+        for act in (inst.action, cleared):
+            maps += hemisemidirect(act).structure.brackets.values()
+        for f in maps:
+            checked = MultiMap(f.source, f.target, f.arity, f.degree, f.flavor, f.constants)
+            assert checked.constants == f.constants, inst.label
+            assert_normal([f.constants], inst.label)
+        for f in cleared.components.values():
+            args = f.e_space, f.v_space, f.e_arity, f.v_arity, f.degree, f.constants
+            assert BiMultiMap(*args).constants == f.constants, inst.label
+            assert_normal([f.constants], inst.label)
+    assert fractional > 50
+
+
 @pytest.mark.parametrize("name", ("heisenberg", "adjoint_identity"))
 def test_d1_columns_are_in_normal_form(name):
     sf = parse_path(FIXTURES / f"{name}.lif")
@@ -122,7 +147,7 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
         for f in family.values():
             assert all(type(c) is int for v in f.constants.values() for c in v.values())
 
-    square, anchored = homotopy.lifted_composite, homotopy._anchored_sum
+    square, anchored = homotopy.lifted_composite, homotopy._anchored_sums
 
     def counted_square(space, outer, inner, bound):
         seen["square"] += 1
@@ -130,14 +155,14 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
         ints_only(inner)
         return square(space, outer, inner, bound)
 
-    def counted_sum(space, inner, outer, word):
-        seen["sum"] += 1
+    def counted_sum(space, inner, outer, words):
+        seen["sum"] += len(words)
         ints_only(inner)
         ints_only(outer)
-        return anchored(space, inner, outer, word)
+        return anchored(space, inner, outer, words)
 
     monkeypatch.setattr(homotopy, "lifted_composite", counted_square)
-    monkeypatch.setattr(homotopy, "_anchored_sum", counted_sum)
+    monkeypatch.setattr(homotopy, "_anchored_sums", counted_sum)
     report = check_loday_infinity(product, 4)
     assert not report.ok
     assert seen["square"] == 1 and seen["sum"] > 0

@@ -11,6 +11,7 @@ commutators of the word-by-word lifts of its families, and the module
 boundary between the routes is pinned.
 """
 import importlib
+import inspect
 import itertools
 import math
 import random
@@ -47,9 +48,9 @@ from linfty.graded import (
 )
 from linfty.homotopy import (
     HomotopyStructure,
-    _anchored_sum,
+    _anchored_sums,
     _morphism_rhs,
-    _symmetric_sum,
+    _symmetric_sums,
     _surviving_compositions,
 )
 from linfty.multimap import PLAIN, SYMMETRIC, expand, merge_into
@@ -173,18 +174,25 @@ STRUCTURES = catalog_structures() + random_structures()
 def test_identity_sums_equal_the_oracle_sums(index):
     structure = STRUCTURES[index]
     space, q = structure.space, structure.brackets
+    # every word in one call; a batch keeps only the nonzero values
     if structure.flavor == SYMMETRIC:
-        for w in space.canonical_words_up_to(BOUND):
-            assert _symmetric_sum(space, q, q, w) == dense_symmetric_value(structure, w), w
-    for w in space.words_up_to(BOUND):
-        assert _anchored_sum(space, q, q, w) == dense_anchored_value(structure, w), w
+        words = list(space.canonical_words_up_to(BOUND))
+        sums = _symmetric_sums(space, q, q, words)
+        assert all(sums.values()) and set(sums) <= set(words)
+        for w in words:
+            assert sums.get(w, {}) == dense_symmetric_value(structure, w), w
+    words = list(space.words_up_to(BOUND))
+    sums = _anchored_sums(space, q, q, words)
+    assert all(sums.values()) and set(sums) <= set(words)
+    for w in words:
+        assert sums.get(w, {}) == dense_anchored_value(structure, w), w
 
 
 def test_random_sums_are_not_all_zero():
     # the random families make the comparison above see real values
     for structure in random_structures():
         space, q = structure.space, structure.brackets
-        assert any(_anchored_sum(space, q, q, w) for w in space.words_up_to(3))
+        assert _anchored_sums(space, q, q, list(space.words_up_to(3)))
 
 
 def test_product_anchored_sum_equals_the_oracle_sum():
@@ -192,12 +200,12 @@ def test_product_anchored_sum_equals_the_oracle_sum():
     inst = next(i for i in CATALOG if i.label == "heis-noncentral")
     product = hemisemidirect(inst.action).structure
     space, q = product.space, product.brackets
-    nonzero = 0
-    for w in space.words_up_to(BOUND):
-        value = _anchored_sum(space, q, q, w)
-        assert value == dense_anchored_value(product, w), w
-        nonzero += bool(value)
-    assert nonzero
+    words = list(space.words_up_to(BOUND))
+    sums = _anchored_sums(space, q, q, words)
+    assert all(sums.values()) and set(sums) <= set(words)
+    for w in words:
+        assert sums.get(w, {}) == dense_anchored_value(product, w), w
+    assert sums
 
 
 @pytest.mark.parametrize("index", range(len(ACTIONS)))
@@ -308,7 +316,13 @@ def test_coherence_residuals_equal_the_lift_commutators():
 ROUTE_B_SIGN_CODE = {
     "koszul_sign", "permute", "unshuffles", "increasing_unshuffles", "_placement_flips",
 }
-ROUTE_A_SPLIT_KERNELS = {"symmetric_splits", "anchored_splits", "increasing_splits"}
+ROUTE_A_SPLIT_KERNELS = {
+    "symmetric_splits", "anchored_splits", "increasing_splits", "_anchored_table",
+    "_symmetric_table",
+}
+ROUTE_B_KERNELS = {
+    "_placement_flips", "_slot_index", "_letter_index", "expand_plain", "_signed_orderings",
+}
 
 
 @pytest.mark.parametrize("module", ["homotopy", "action", "tensor"])
@@ -323,3 +337,42 @@ def test_lift_module_binds_no_split_kernel():
     # routes share none
     names = set(vars(importlib.import_module("linfty.multimap")))
     assert not names & ROUTE_A_SPLIT_KERNELS
+
+
+def _names_reached(functions) -> set[str]:
+    """The global and attribute names that the code of ``functions`` reads,
+    nested code included, followed into each ``linfty`` function or class
+    it names."""
+    names, seen, todo = set(), set(), list(functions)
+    while todo:
+        obj = inspect.unwrap(todo.pop())
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, type):
+            todo += [v for v in vars(obj).values() if inspect.isfunction(v)]
+            continue
+        codes = [obj.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if inspect.iscode(c)]
+            for name in code.co_names:
+                value = obj.__globals__.get(name)
+                if callable(value) and getattr(value, "__module__", "").startswith("linfty."):
+                    todo.append(value)
+    return names
+
+
+def test_route_a_sums_name_no_route_b_kernel():
+    # route A's batch sums and split tables, and every linfty function they
+    # name, read none of route B's placement, index or ordering code
+    from linfty import graded, homotopy
+
+    entries = (
+        homotopy._anchored_sums, homotopy._symmetric_sums,
+        graded._anchored_table, graded._symmetric_table,
+    )
+    names = _names_reached(entries)
+    assert {"_split_sums", "_split_table", "normalize"} <= names
+    assert not names & ROUTE_B_KERNELS

@@ -152,14 +152,14 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
     # nowhere; visiting every canonical word made 14 sums
     import linfty.homotopy as homotopy
 
-    real = homotopy._symmetric_sum
+    real = homotopy._symmetric_sums
     visited = []
 
-    def counted(space, inner, outer, word):
-        visited.append(word)
-        return real(space, inner, outer, word)
+    def counted(space, inner, outer, words):
+        visited.extend(words)
+        return real(space, inner, outer, words)
 
-    monkeypatch.setattr(homotopy, "_symmetric_sum", counted)
+    monkeypatch.setattr(homotopy, "_symmetric_sums", counted)
     sf = parse_path(FIXTURES / "twoterm.lif")
     assert check_lie_infinity(sf.structure("C"), 7).ok
     assert visited == []
@@ -168,10 +168,10 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
 def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     # the axiom is one composite of the semidirect brackets: one letter
     # index per check.  The checks read the action's validated keys as
-    # tables: once the cleared action is made, the axiom and coherence
-    # build no MultiMap, and the crosscheck only the product's brackets,
-    # one per arity; the semidirect brackets and every coherence family
-    # were validated again as MultiMaps
+    # tables: clearing an action, the axiom, coherence and the crosscheck
+    # build no MultiMap and no BiMultiMap through the validating
+    # constructors; the cleared copies and the product's brackets were
+    # validated again, one MultiMap per arity
     import linfty.action as action_module
     import linfty.multimap as multimap
 
@@ -185,23 +185,26 @@ def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     for module in [m for k, m in sys.modules.items() if k.startswith("linfty.")]:
         if getattr(module, "_letter_index", None) is real:
             monkeypatch.setattr(module, "_letter_index", counted)
-    real_init = MultiMap.__init__
+    for cls in (MultiMap, action_module.BiMultiMap):
+        real_init = cls.__init__
 
-    def init(self, source, target, arity, *args):
-        built.append(arity)
-        real_init(self, source, target, arity, *args)
+        def init(self, *args, real_init=real_init):
+            built.append(type(self).__name__)
+            real_init(self, *args)
 
-    monkeypatch.setattr(MultiMap, "__init__", init)
+        monkeypatch.setattr(cls, "__init__", init)
+    cleared = 0
     for inst in corpus.action_corpus(38, 0):
-        cleared = action_module._cleared(inst.action)
-        indexed.clear()
         built.clear()
+        cleared += action_module._cleared(inst.action) is not inst.action
+        indexed.clear()
         check_action(inst.action, 4)
         assert len(indexed) == 1
         check_coherence(inst.action, 4)
         assert built == []
         theorem_crosscheck(inst.action, 4)
-        assert built == list(action_module._semidirect(cleared)[1])
+        assert built == []
+    assert cleared
 
 
 def test_action_module_binds_no_full_lift_calculus():

@@ -675,13 +675,13 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
     # structure, run route A only on the words where a term can be nonzero,
     # and a deform build never lifts the twisted family in full
     visited = []
-    real = homotopy_module._anchored_sum
+    real = homotopy_module._anchored_sums
 
-    def counting(space, inner, outer, w):
-        visited.append(w)
-        return real(space, inner, outer, w)
+    def counting(space, inner, outer, words):
+        visited.extend(words)
+        return real(space, inner, outer, words)
 
-    monkeypatch.setattr(homotopy_module, "_anchored_sum", counting)
+    monkeypatch.setattr(homotopy_module, "_anchored_sums", counting)
     for (act, tensor), bound, words in (
         (heisenberg_tensor(), 5, 0),
         (adjoint_identity_tensor(solvable2()), 4, 2),
