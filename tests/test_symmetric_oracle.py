@@ -170,8 +170,8 @@ def test_action_check_indexes_one_table_and_forms_no_family(monkeypatch):
     # index per check.  The checks read the action's validated keys as
     # tables: clearing an action, the axiom, coherence and the crosscheck
     # build no MultiMap and no BiMultiMap through the validating
-    # constructors; the cleared copies and the product's brackets were
-    # validated again, one MultiMap per arity
+    # constructors, as the cleared copies and the product's brackets come
+    # from keys validated with the action
     import linfty.action as action_module
     import linfty.multimap as multimap
 
