@@ -8,7 +8,6 @@ from types import ModuleType as _ModuleType
 
 from .graded import (
     GradedSpace,
-    canonical_sort,
     increasing_unshuffles,
     koszul_sign,
     permute,

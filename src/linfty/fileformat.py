@@ -295,6 +295,8 @@ class _Parser:
             arity = int(head)
         except ValueError:
             raise LifError(line, f"bad arity {head!r}") from None
+        if arity < 1:
+            raise LifError(line, "arity must be positive")
         syms, out = _arrow(body, line)
         if len(syms) != arity:
             raise LifError(line, f"{len(syms)} inputs for arity {arity}")

@@ -13,20 +13,19 @@ so the letter landing in output slot ``j`` comes from input slot
 pairs of odd-degree letters whose relative order is inverted.
 
 The three sums of the package's componentwise identities read their terms
-from one ``lru_cache`` table per summation shape, keyed by the word length,
-the arities summed and the letter parities: :func:`_symmetric_table` (the
-unshuffle-insertion sum of Lie-type structures, morphisms, representations
-and actions), :func:`_anchored_table` (the anchored sum of Loday-type
-structures, morphisms and embedding tensors) and :func:`_increasing_table`
-(the block sum over increasing unshuffles on the right side of morphisms,
-representations and actions).  Each row holds a sign computed once,
-and the rows of the first two ``itemgetter`` gathers of the blocks, so
-reading a term validates no permutation and counts no crossing.  The
-iterators :func:`symmetric_splits`,
-:func:`anchored_splits` and :func:`increasing_splits` read the same
-tables.  The structure and morphism checkers read from them the values of
-their first route, not its words: each runs its sum on the words that its
-second route's composite kernel forms
+from one ``lru_cache`` table per summation shape, keyed by the word shape
+(the length and the letter parities) and the arities or blocks summed:
+:func:`_symmetric_table` (the unshuffle-insertion sum of Lie-type
+structures, morphisms, representations and actions),
+:func:`_anchored_table` (the anchored sum of Loday-type structures,
+morphisms and embedding tensors) and :func:`_increasing_table` (the block
+sum over increasing unshuffles on the right side of morphisms and
+representations).  Each row holds a sign computed once and ``itemgetter``
+gathers of the blocks, so reading a term validates no permutation and
+counts no crossing; the tables are this module's only interface to those
+sums.  The structure and morphism checkers read from them the values of
+their first route, not its words: each runs its sums once per check on the
+words that its second route's composite kernel forms
 (:func:`linfty.multimap.lifted_composite`,
 :func:`linfty.multimap.symmetric_composite`), and the every-word oracles in
 ``tests/`` check that word set.
@@ -45,16 +44,12 @@ __all__ = [
     "GradedSpace",
     "Word",
     "Permutation",
-    "anchored_splits",
-    "canonical_sort",
     "compose",
     "compositions",
-    "increasing_splits",
     "increasing_unshuffles",
     "is_permutation",
     "koszul_sign",
     "permute",
-    "symmetric_splits",
     "unshuffles",
 ]
 
@@ -224,28 +219,6 @@ def _anchored_table(n: int, arities: tuple[int, ...], parities: tuple[int, ...])
     return tuple(rows)
 
 
-def symmetric_splits(
-    space: GradedSpace, word: Word, arities: Iterable[int]
-) -> Iterator[tuple[int, Word, Word]]:
-    """The terms ``(sign, inner, rest)`` of the unshuffle-insertion sum on
-    ``word``: the rows of :func:`_symmetric_table`, ``inner`` the first
-    block of the reordered word and ``rest`` the remaining letters."""
-    parities = tuple(space.degrees[x] % 2 for x in word)
-    for _, sign, _, block, rest in _symmetric_table(len(word), tuple(arities), parities):
-        yield sign, block(word), rest(word)
-
-
-def anchored_splits(
-    space: GradedSpace, word: Word, arities: Iterable[int]
-) -> Iterator[tuple[int, Word, Word, Word]]:
-    """The terms ``(sign, front, inner, tail)`` of the anchored (Zinbiel)
-    sum on ``word``: the rows of :func:`_anchored_table`, ``inner`` the
-    second block of a split of the head followed by the anchored letter."""
-    parities = tuple(space.degrees[x] % 2 for x in word)
-    for _, sign, front, block, tail in _anchored_table(len(word), tuple(arities), parities):
-        yield sign, front(word), block(word), tail(word)
-
-
 @lru_cache(maxsize=None)
 def _increasing_unshuffles(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
     """Built from the last block back: it takes the largest value left and
@@ -284,26 +257,13 @@ def increasing_unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:
 @lru_cache(maxsize=None)
 def _increasing_table(blocks: tuple[int, ...], parities: tuple[int, ...]) -> tuple:
     """Each increasing ``blocks``-unshuffle of letters of the given parities,
-    as ``(sign, slots)`` with the input slots of each block in ``slots``."""
+    as ``(sign, parts)``: ``parts`` gathers the letters of each block, and
+    ``sign`` is the Koszul sign of the reordering."""
     cuts = tuple(itertools.accumulate(blocks, initial=0))
     return tuple(
-        (koszul_sign(sigma, parities), tuple(sigma[a:b] for a, b in zip(cuts, cuts[1:])))
+        (koszul_sign(sigma, parities), tuple(_gather(sigma[a:b]) for a, b in zip(cuts, cuts[1:])))
         for sigma in increasing_unshuffles(*blocks)
     )
-
-
-def increasing_splits(
-    space: GradedSpace, word: Word, blocks: Sequence[int]
-) -> Iterator[tuple[int, tuple[Word, ...]]]:
-    """The terms ``(sign, parts)`` of the sum over increasing unshuffles.
-
-    ``blocks`` is a composition of ``len(word)``.  For each unshuffle whose
-    block maxima increase left to right, ``parts`` holds the letters of each
-    block in order and ``sign`` is the Koszul sign of the reordering.
-    """
-    parities = tuple(space.degrees[x] % 2 for x in word)
-    for sign, slots in _increasing_table(tuple(blocks), parities):
-        yield sign, tuple(tuple(word[s] for s in part) for part in slots)
 
 
 @lru_cache(maxsize=None)
@@ -378,28 +338,20 @@ class GradedSpace:
     def word_degree(self, word: Word) -> int:
         return sum(self.degrees[i] for i in word)
 
-    def sort_word(self, word: Word) -> tuple[Word, int]:
-        """Stable-sort a word into canonical order with its Koszul sign."""
+    def normalize(self, word: Word) -> tuple[Word, int]:
+        """Canonical word and the Koszul sign of the sort; sign 0 when the
+        symmetric class vanishes, as a word with a repeated odd-degree
+        letter does over a field of characteristic zero.  Each word's
+        result is computed once and kept in the shared sort cache."""
         cached = self._sort_cache.get(word)
         if cached is not None:
             return cached
-        order = sorted(range(len(word)), key=lambda j: (word[j], j))
-        sigma = tuple(order)
-        result = (permute(sigma, word), koszul_sign(sigma, self.word_degrees(word)))
-        self._sort_cache[word] = result
+        sigma = tuple(sorted(range(len(word)), key=lambda j: (word[j], j)))
+        norm = permute(sigma, word)
+        vanishes = any(a == b and self.degrees[a] % 2 for a, b in zip(norm, norm[1:]))
+        sign = 0 if vanishes else koszul_sign(sigma, self.word_degrees(word))
+        result = self._sort_cache[word] = (norm, sign)
         return result
-
-    def normalize(self, word: Word) -> tuple[Word, int]:
-        """Canonical word and sign; sign 0 when the symmetric class vanishes.
-
-        A word containing a repeated odd-degree letter is zero in the
-        symmetric algebra over a field of characteristic zero.
-        """
-        sorted_word, sign = self.sort_word(word)
-        for a, b in zip(sorted_word, sorted_word[1:]):
-            if a == b and self.degrees[a] % 2:
-                return sorted_word, 0
-        return sorted_word, sign
 
     def words(self, length: int) -> Iterator[Word]:
         """All ordered words of the given length (tensor-algebra basis)."""
@@ -427,9 +379,3 @@ class GradedSpace:
     def format_word(self, word: Word) -> str:
         return ",".join(self.symbols[i] for i in word)
 
-
-def canonical_sort(space: GradedSpace, word: Word) -> tuple[Word, int]:
-    """Reorder ``word`` into canonical basis order; return (word, Koszul sign)."""
-    if not word:
-        raise ValueError("words are nonempty")
-    return space.sort_word(word)

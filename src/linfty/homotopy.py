@@ -20,14 +20,15 @@ target with no brackets; for a structure that is the square of the lifted
 coderivation.  The first route sums on the words the second forms: the
 keys of its composite kernel, which keeps every word a pair of keys forms,
 and the comorphism rows that meet a target bracket key, in one call of
-:func:`_anchored_sums` or :func:`_symmetric_sums` per check.  Its values
-come only from the split tables of :mod:`linfty.graded`
+:func:`_anchored_sums` or :func:`_symmetric_sums` per check and, for a
+target with brackets, one of :func:`_increasing_sums` for the right side.
+Its values come only from the split tables of :mod:`linfty.graded`
 (:func:`linfty.graded._anchored_table`,
-:func:`linfty.graded._symmetric_table`, and the increasing splits of a
-morphism's right side), and it reads a symmetric map through a signed
-plain table filled from :meth:`GradedSpace.normalize`, so the routes share
-that word set and nothing else; a third route in ``tests/``, which visits
-every word, checks it.
+:func:`linfty.graded._symmetric_table` and
+:func:`linfty.graded._increasing_table`), and it reads a symmetric map
+through a signed plain table filled from :meth:`GradedSpace.normalize`, so
+the routes share that word set and nothing else; a third route in
+``tests/``, which visits every word, checks it.
 """
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ from .graded import (
     GradedSpace,
     Word,
     _anchored_table,
+    _increasing_table,
     _symmetric_table,
     compositions,
-    increasing_splits,
 )
 from .multimap import (
     PLAIN,
@@ -53,6 +54,7 @@ from .multimap import (
     Vector,
     _comorphism_rows,
     add_into,
+    exact,
     expand,
     lifted_composite,
     merge_into,
@@ -234,6 +236,43 @@ def _split_sums(space, inner, outer, words, table) -> dict[Word, Vector]:
     return sums
 
 
+def _increasing_sums(space, components, target, words) -> dict[Word, Vector]:
+    """``sum sign * m_j(F_{k_1}(block_1), ..., F_{k_j}(block_j))`` over the
+    compositions of each word's length into arities of ``components`` and
+    the increasing splits of :func:`linfty.graded._increasing_table`, each
+    ``m_j`` a bracket of ``target``; readers and plans are made as in
+    :func:`_split_sums`, and :func:`expand` forms the multilinear product.
+    Returns each word's value where it is nonzero."""
+    inner = {k: _values(f) for k, f in components.items()}
+    outer = {j: _values(m) for j, m in target.brackets.items()}
+    odd = tuple(d % 2 for d in space.degrees)
+    plans: dict[tuple[int, ...], list] = {}
+    sums: dict[Word, Vector] = {}
+    for w in words:
+        parities = tuple(map(odd.__getitem__, w))
+        plan = plans.get(parities)
+        if plan is None:
+            plan = plans[parities] = [
+                (sign, tuple(zip(parts, map(inner.__getitem__, comp))), outer[len(comp)])
+                for comp in compositions(len(w))
+                if len(comp) in outer and all(k in inner for k in comp)
+                for sign, parts in _increasing_table(comp, parities)
+            ]
+        acc: Vector = {}
+        for sign, parts, outer_value in plan:
+            values = [value(part(w)) for part, value in parts]
+            if not all(values):
+                continue
+            for u, c in expand(values, sign):
+                row = outer_value(u)
+                if row:
+                    for o, x in row.items():
+                        acc[o] = acc.get(o, 0) + c * x
+        if acc := {o: x for o, x in acc.items() if x}:
+            sums[w] = acc
+    return sums
+
+
 def _residual_items(space, value_space, residuals: dict[Word, Vector]):
     return [
         Residual(len(w), space.format_word(w), format_vector(value_space, v))
@@ -328,10 +367,9 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     and the verdict still covers all words up to the bound.  The double
     sum (:func:`_anchored_sums`) runs once on that word set, and its values
     still come only from the anchored split table
-    :func:`linfty.graded._anchored_table`, which
-    :func:`linfty.graded.anchored_splits` reads too; the word set is the
-    one thing the routes share, and the every-word route of
-    ``tests/test_loday_oracle.py`` checks it.
+    :func:`linfty.graded._anchored_table`; the word set is the one thing the
+    routes share, and the every-word route of ``tests/test_loday_oracle.py``
+    checks it.
     """
     return _structure_report("loday-infinity", structure, bound, anchored=True)
 
@@ -435,11 +473,13 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     either flavor, visits only the words where a term can be nonzero: the
     keys of the composite, every word it forms from a component key and a
     source bracket key, and the comorphism rows whose image meets a target
-    bracket key, which the pass of ``q' F`` collects.  For a target with
-    brackets it finds the compositions with a nonzero term
-    (:func:`_surviving_compositions`) once for each length it visits.  Its
-    values still come only from the split tables; the dense defect of
-    ``tests/dense_lifts.py``, formed on every word, checks the word set.
+    bracket key, which the pass of ``q' F`` collects.  Each side runs once
+    on that word set: the components after the source brackets in
+    :func:`_anchored_sums` or :func:`_symmetric_sums`, and, for a target
+    with brackets, the target brackets on the block images in
+    :func:`_increasing_sums`.  Their values come only from the split tables
+    of :mod:`linfty.graded`; the dense defect of ``tests/dense_lifts.py``,
+    formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
     space with no brackets, which a structure checker passes as ``target``
@@ -456,7 +496,6 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
         coalgebra, composite, lhs_sums = SYMMETRIC, symmetric_composite, _symmetric_sums
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
-    surviving = {}
     if target is not None and target.brackets:
         if com is None:
             arities = target.brackets.keys()
@@ -471,16 +510,12 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
                 if value:
                     words.add(w)
                     merge_into(acc, value, -c if sign > 0 else c)
-        lengths = {len(w) for w in words}
-        surviving = {n: _surviving_compositions(components, target, n) for n in lengths}
     defect = {w: v for w, v in defect.items() if v}
     residuals = lhs_sums(space, source.brackets, components, words)
-    for w in words:
-        if terms := surviving.get(len(w)):
-            diff = residuals.setdefault(w, {})
-            merge_into(diff, _morphism_rhs(space, components, terms, w), -1)
-            if not diff:
-                del residuals[w]
+    if target is not None and target.brackets:
+        for w, value in _increasing_sums(space, components, target, words).items():
+            merge_into(residuals.setdefault(w, {}), value, -1)
+        residuals = {w: v for w, v in residuals.items() if v}
     if residuals != defect:
         if den is None:
             kind = "anchored " if anchored else ""
@@ -500,33 +535,6 @@ def _unscaled(residuals: dict[Word, Vector], den: int) -> dict[Word, Vector]:
     if den == 1:
         return residuals
     return {w: {o: Fraction(c, den * den) for o, c in v.items()} for w, v in residuals.items()}
-
-
-def _surviving_compositions(components, target, n: int) -> list[tuple[tuple[int, ...], MultiMap]]:
-    """The compositions ``(k_1, ..., k_j)`` of ``n`` with a component of
-    every arity ``k_i`` and a target bracket ``m_j``, each with ``m_j``."""
-    out = []
-    for comp in compositions(n):
-        if all(k in components for k in comp):
-            mj = target.bracket(len(comp))
-            if mj is not None:
-                out.append((comp, mj))
-    return out
-
-
-def _morphism_rhs(space, components, surviving, w) -> Vector:
-    """``sum sign * m_j(F_{k_1}(block_1), ..., F_{k_j}(block_j))`` over the
-    compositions ``(k_1, ..., k_j)`` of ``len(w)`` and the increasing splits
-    of ``w`` into blocks of those sizes; ``surviving`` is
-    :func:`_surviving_compositions` of ``len(w)``, the only compositions
-    with a nonzero term."""
-    rhs: Vector = {}
-    for comp, mj in surviving:
-        for sign, parts in increasing_splits(space, w, comp):
-            blocks = (components[len(part)].eval(part) for part in parts)
-            for u, c in expand(blocks, sign):
-                merge_into(rhs, mj.eval(u), c)
-    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +580,12 @@ def mc_residual(structure: HomotopyStructure, element: Vector) -> Vector:
 
 
 def maurer_cartan(structure: HomotopyStructure, element: Vector) -> McElement:
+    """The element and the partial sums of its curvature series, every value
+    in the normal form of :func:`linfty.multimap.exact`."""
     if structure.flavor != SYMMETRIC:
         raise InputError("Maurer-Cartan elements live in symmetric structures")
     _check_degree_zero(structure, element)
+    element = {i: exact(c, i) for i, c in element.items()}
     factorial = Fraction(1)
     acc: Vector = {}
     partials = []
@@ -584,7 +595,7 @@ def maurer_cartan(structure: HomotopyStructure, element: Vector) -> McElement:
         if f is not None:
             term = _power_eval(f, element, (), k)
             merge_into(acc, term, Fraction(1) / factorial)
-        partials.append(tuple(sorted(acc.items())))
+        partials.append(tuple(sorted((i, exact(c, i)) for i, c in acc.items())))
     return McElement(tuple(sorted(element.items())), tuple(partials))
 
 

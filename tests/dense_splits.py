@@ -1,8 +1,8 @@
 """The terms of the three componentwise sums, enumerated slot by slot.
 
-A test oracle for :func:`linfty.graded.symmetric_splits`,
-:func:`linfty.graded.anchored_splits` and
-:func:`linfty.graded.increasing_splits`.  It picks the slots of each moved
+A test oracle for the split tables of :mod:`linfty.graded`
+(``_symmetric_table``, ``_anchored_table`` and ``_increasing_table``), whose
+rows read on a word give the same terms.  It picks the slots of each moved
 block with ``itertools.combinations`` and counts the odd-odd crossings
 itself, so it shares no unshuffle table, Koszul sign or permutation code
 with the package.  :func:`dense_anchored_value` sums the anchored identity

@@ -84,6 +84,14 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "error:" in out
 
 
+def test_arity_zero_component_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.lif"
+    bad.write_text((FIXTURES / "twoterm.lif").read_text() + "\nmorphism C C\n  0 : -> w : 1/1\n")
+    code, out = run_cli(["check-lie", str(bad)], capsys)
+    assert code == 2
+    assert "arity must be positive" in out
+
+
 def test_non_utf8_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.lif"
     bad.write_bytes(b"space V\n  p \xff\n")

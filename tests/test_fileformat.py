@@ -116,6 +116,17 @@ def test_rejects_duplicate_constant():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", ["tensor", "morphism"])
+def test_rejects_arity_zero_component(kind):
+    # a degree-0 output makes the empty key homogeneous, so only the arity
+    # check refuses it, as for a bracket entry
+    text = fixture_text("twoterm.lif") + f"\n{kind} C C\n  0 : -> w : 1/1\n"
+    with pytest.raises(LifError) as err:
+        parse(text)
+    assert "arity must be positive" in str(err.value)
+    assert err.value.line == text.count("\n")
+
+
 def test_error_carries_line_number():
     text = "space E\n  x 0\n\nbrackets E symmetric\n  1 : x -> x : 1/1\n"
     with pytest.raises(LifError) as err:

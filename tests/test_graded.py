@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from linfty.graded import (
     GradedSpace,
-    canonical_sort,
     compose,
     increasing_unshuffles,
     is_permutation,
@@ -152,33 +151,36 @@ def mixed_space():
     return GradedSpace("W", [("a", 0), ("b", 1), ("c", 1), ("d", -2)])
 
 
-def test_canonical_sort_sorted_word(mixed_space):
+def test_normalize_sorted_word(mixed_space):
     word = (0, 1, 2)
-    assert canonical_sort(mixed_space, word) == (word, 1)
+    assert mixed_space.normalize(word) == (word, 1)
 
 
-def test_canonical_sort_even_swap():
+def test_normalize_even_swap():
     space = GradedSpace("U", [("a", 0), ("b", 0)])
-    assert canonical_sort(space, (1, 0)) == ((0, 1), 1)
+    assert space.normalize((1, 0)) == ((0, 1), 1)
 
 
-def test_canonical_sort_odd_swap():
+def test_normalize_odd_swap():
     space = GradedSpace("U", [("a", 1), ("b", 1)])
-    assert canonical_sort(space, (1, 0)) == ((0, 1), -1)
+    assert space.normalize((1, 0)) == ((0, 1), -1)
 
 
-def test_canonical_sort_idempotent(mixed_space):
+def test_normalize_idempotent(mixed_space):
     for word in itertools.product(range(mixed_space.dim), repeat=3):
-        sorted_word, _ = canonical_sort(mixed_space, word)
-        again, sign = canonical_sort(mixed_space, sorted_word)
-        assert again == sorted_word and sign == 1
+        sorted_word, sign = mixed_space.normalize(word)
+        again, again_sign = mixed_space.normalize(sorted_word)
+        assert again == sorted_word and again_sign == (1 if sign else 0)
 
 
-def test_canonical_sort_sign_consistency(mixed_space):
-    # sorting is realized by some permutation; its Koszul sign must match
+def test_normalize_sign_consistency(mixed_space):
+    # sorting is realized by some permutation; on a word that does not
+    # vanish its Koszul sign must match
     for word in itertools.product(range(mixed_space.dim), repeat=4):
-        sorted_word, sign = canonical_sort(mixed_space, word)
+        sorted_word, sign = mixed_space.normalize(word)
         assert sorted(word) == list(sorted_word)
+        if not sign:
+            continue
         degs = mixed_space.word_degrees(word)
         found = [
             koszul_sign(sigma, degs)
@@ -186,6 +188,15 @@ def test_canonical_sort_sign_consistency(mixed_space):
             if permute(sigma, word) == sorted_word
         ]
         assert sign in found
+
+
+def test_normalize_caches_its_result(mixed_space):
+    # one shared cache entry per word, holding the canonical word and the
+    # sign or 0, is all a second call reads
+    twin = GradedSpace("W2", zip("pqrs", mixed_space.degrees))
+    for word in ((2, 1, 0), (1, 3, 1)):
+        result = mixed_space.normalize(word)
+        assert twin._sort_cache[word] == result == twin.normalize(word)
 
 
 def test_normalize_repeated_odd_vanishes(mixed_space):

@@ -245,7 +245,7 @@ def test_representation_disagreement_names_its_word_and_both_values(monkeypatch)
         ("adjoint_identity", "E", check_loday_infinity, 5),
     ],
 )
-def test_structure_check_builds_no_comorphism_and_surveys_no_length(
+def test_structure_check_builds_no_comorphism_and_sums_no_right_side(
     fixture, space, check, bound, monkeypatch
 ):
     # the target of a structure identity has no brackets, so no comorphism
@@ -253,25 +253,25 @@ def test_structure_check_builds_no_comorphism_and_surveys_no_length(
     # sum is the double sum alone, on the square's words
     import linfty.homotopy as homotopy
 
-    calls = {"comorphism": 0, "surveyed": []}
+    calls = {"comorphism": 0, "right side": 0}
 
     def no_comorphism(*args):
         calls["comorphism"] += 1
         return real_comorphism(*args)
 
-    def surveyed(components, target, n):
-        calls["surveyed"].append(n)
-        return real_survey(components, target, n)
+    def no_right_side(*args):
+        calls["right side"] += 1
+        return real_rhs(*args)
 
-    real_comorphism, real_survey = homotopy._comorphism_rows, homotopy._surviving_compositions
+    real_comorphism, real_rhs = homotopy._comorphism_rows, homotopy._increasing_sums
     monkeypatch.setattr(homotopy, "_comorphism_rows", no_comorphism)
-    monkeypatch.setattr(homotopy, "_surviving_compositions", surveyed)
+    monkeypatch.setattr(homotopy, "_increasing_sums", no_right_side)
     structure = parse_path(FIXTURES / f"{fixture}.lif").structure(space)
     if check is check_loday_infinity and structure.flavor == SYMMETRIC:
         structure = lie_to_loday(structure)
     assert check(structure, bound).ok
     assert calls["comorphism"] == 0
-    assert calls["surveyed"] == []
+    assert calls["right side"] == 0
 
 
 def _representation_check():

@@ -22,7 +22,14 @@ from linfty import corpus, homotopy
 from linfty.action import BiMultiMap, hemisemidirect
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
-from linfty.homotopy import HomotopyStructure, check_lie_infinity, check_loday_infinity
+from linfty.homotopy import (
+    HomotopyStructure,
+    check_lie_infinity,
+    check_loday_infinity,
+    maurer_cartan,
+    mc_residual,
+    twist,
+)
 from linfty.multimap import PLAIN, SYMMETRIC, MultiMap
 from linfty.report import InputError
 from linfty.tensor import deformation_complex
@@ -96,6 +103,26 @@ def test_products_of_basis_changed_actions_are_in_normal_form():
         fractional += denominator(brackets) > 1
     # the basis changes give many products a denominator
     assert fractional > 10
+
+
+def test_maurer_cartan_values_are_in_normal_form():
+    # e of degree 0 with l1(e) = f and l2(e, e) = 3f: the curvature of t*e is
+    # (t + 3t^2/2) f, integral at t = 2, fractional at t = 1/3 and zero at
+    # t = -2/3, where the twisted l1 sends e to -f
+    A = GradedSpace("A", [("e", 0), ("f", 1)])
+    L = HomotopyStructure(A, SYMMETRIC, {
+        1: MultiMap(A, A, 1, 1, SYMMETRIC, {(0,): {1: 1}}),
+        2: MultiMap(A, A, 2, 1, SYMMETRIC, {(0, 0): {1: 3}}),
+    })
+    assert mc_residual(L, {0: 2}) == {1: 8}
+    for element in ({0: 2}, {0: Fraction(2)}, {0: Fraction(1, 3)}, {0: Fraction(-2, 3)}):
+        mc = maurer_cartan(L, element)
+        values = [c for _, c in mc.element] + [c for p in mc.partial_sums for _, c in p]
+        assert all(is_normal(c) for c in values), (element, mc)
+        assert all(is_normal(c) for c in mc_residual(L, element).values()), element
+    twisted = twist(L, {0: Fraction(-2, 3)})
+    assert_normal([f.constants for f in twisted.brackets.values()], "twist")
+    assert twisted.brackets[1].constants == {(0,): {1: -1}}
 
 
 def test_unchecked_tables_equal_the_validated_ones():
