@@ -117,7 +117,6 @@ class _Parser:
     def __init__(self, text: str):
         self.sf = StructureFile()
         self.section: tuple | None = None
-        self.raw_entries: list = []
         self.pending: dict = {
             "brackets": {},
             "action": None,
@@ -165,7 +164,7 @@ class _Parser:
                 raise LifError(line, f"brackets for undeclared space {name!r}")
             if name in self.pending["brackets"]:
                 raise LifError(line, f"brackets for {name!r} declared twice")
-            self.pending["brackets"][name] = (args[1], {}, line)
+            self.pending["brackets"][name] = (args[1], {})
             self.section = ("brackets", name, args[1])
         else:
             if len(args) != 2:
@@ -175,7 +174,7 @@ class _Parser:
                     raise LifError(line, f"{kind} uses undeclared space {name!r}")
             if self.pending[kind] is not None:
                 raise LifError(line, f"{kind} declared twice")
-            self.pending[kind] = (args[0], args[1], {}, line)
+            self.pending[kind] = (args[0], args[1], {})
             self.section = (kind,)
 
     def _close_space(self):
@@ -252,7 +251,7 @@ class _Parser:
     def _action_entry(self, content, line):
         if self.pending["action"] is None:
             raise LifError(line, "action entry outside an action section")
-        ename, vname, table, _ = self.pending["action"]
+        ename, vname, table = self.pending["action"]
         espace, vspace = self.sf.spaces[ename], self.sf.spaces[vname]
         head, body, scalar = _split_entry(content, line)
         arities = head.split()
@@ -269,6 +268,8 @@ class _Parser:
         syms_e = eside.split()
         if len(syms_e) != k or len(syms_v) != n:
             raise LifError(line, "block lengths do not match the stated arities")
+        if k < 1 or n < 1:
+            raise LifError(line, "both blocks of a component must be nonempty")
         eword = tuple(self._index(espace, s, line) for s in syms_e)
         vword = tuple(self._index(vspace, s, line) for s in syms_v)
         out_i = self._index(vspace, out, line)
@@ -288,7 +289,7 @@ class _Parser:
         table[key] = coeff
 
     def _component_entry(self, kind, content, line):
-        src_name, dst_name, table, _ = self.pending[kind]
+        src_name, dst_name, table = self.pending[kind]
         src, dst = self.sf.spaces[src_name], self.sf.spaces[dst_name]
         head, body, scalar = _split_entry(content, line)
         try:
@@ -320,7 +321,7 @@ class _Parser:
     def _finish(self):
         self._close_space()
         sf = self.sf
-        for name, (flavor, tables, _line) in self.pending["brackets"].items():
+        for name, (flavor, tables) in self.pending["brackets"].items():
             space = sf.spaces[name]
             brackets = {}
             for arity, entries in tables.items():
@@ -330,7 +331,7 @@ class _Parser:
                 brackets[arity] = MultiMap(space, space, arity, 1, flavor, rows)
             sf.bracket_sections[name] = (flavor, brackets)
         if self.pending["action"] is not None:
-            ename, vname, table, _line = self.pending["action"]
+            ename, vname, table = self.pending["action"]
             espace, vspace = sf.spaces[ename], sf.spaces[vname]
             grouped: dict[tuple[int, int], dict] = {}
             for ((k, n), ew, vw, out), c in table.items():
@@ -343,7 +344,7 @@ class _Parser:
         for kind in ("tensor", "morphism"):
             if self.pending[kind] is None:
                 continue
-            src_name, dst_name, table, _line = self.pending[kind]
+            src_name, dst_name, table = self.pending[kind]
             src, dst = sf.spaces[src_name], sf.spaces[dst_name]
             grouped = {}
             for (arity, word, out), c in table.items():

@@ -457,18 +457,18 @@ def _symmetric_component(f: MultiMap) -> MultiMap:
     return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
 
 
-def _morphism_residuals(components, source, target, bound, anchored: bool, com=None, den=None):
+def _morphism_residuals(components, source, target, bound, anchored: bool, den=None):
     """The residual map of the morphism identity, components after source
     brackets less target brackets on the comorphism image, crosschecked word
     by word against ``p'(F Q) - q' F``, the corestriction of the
-    intertwining defect of the comorphism ``F``; ``com`` is ``F`` when the
-    caller already holds it.  The callers check the components.
+    intertwining defect of the comorphism ``F``.  The callers check the
+    components.
 
     ``p'(F Q)`` is the components after the lift of the source brackets,
     :func:`lifted_composite` or :func:`symmetric_composite` of the two
-    families; ``q' F`` reads the target brackets on the rows of
-    :func:`lift_comorphism` whose image words have the arity of a target
-    bracket (:func:`_comorphism_rows`), none when the target has no
+    families; ``q' F`` reads the target brackets on the comorphism rows
+    whose image words have the arity of a target bracket, which it builds
+    itself (:func:`_comorphism_rows`), none when the target has no
     brackets.  Neither codifferential is lifted.  The identity sum, of
     either flavor, visits only the words where a term can be nonzero: the
     keys of the composite, every word it forms from a component key and a
@@ -497,11 +497,7 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, com=N
     defect = composite(space, components, source.brackets, bound)
     words = set(defect)
     if target is not None and target.brackets:
-        if com is None:
-            arities = target.brackets.keys()
-            rows = _comorphism_rows(space, tspace, components, bound, coalgebra, arities)
-        else:
-            rows = com.rows
+        rows = _comorphism_rows(space, tspace, components, bound, coalgebra, target.brackets)
         for w, row in rows.items():
             acc = defect.setdefault(w, {})
             for u, c in row.items():

@@ -368,10 +368,6 @@ class TruncatedCoderivation:
         self.coalgebra = coalgebra
         self.rows = {w: ws for w, ws in rows.items() if ws}
 
-    def apply_word(self, word: Word) -> WordSum:
-        row = self.rows.get(tuple(word))
-        return dict(row) if row else {}
-
     def apply_sum(self, words: WordSum) -> WordSum:
         acc: WordSum = {}
         for w, c in words.items():
@@ -798,10 +794,6 @@ class TruncatedComorphism:
         self.flavor = flavor
         self.components = components
         self.rows = rows
-
-    def apply_word(self, word: Word) -> WordSum:
-        row = self.rows.get(tuple(word))
-        return dict(row) if row else {}
 
     def __repr__(self) -> str:
         return (

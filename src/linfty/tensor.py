@@ -13,10 +13,12 @@ maps; the package evaluates that condition along two independent routes:
   with the tensor's coderivation, which terminates per output weight
   because every bracket with the tensor consumes target letters.
 
-Every tensor induces a plain (Loday-type) bracket family on the target;
-verified tensors are exactly the morphisms from it into the acting
-structure, and carry a deformation complex whose derived brackets run on
-restriction families, as the series route does.
+Every tensor induces a plain (Loday-type) bracket family on the target,
+its descendent, formed in one pass over the action's keys; verified
+tensors are exactly the morphisms from it into the acting structure, and
+carry a deformation complex whose derived brackets run on restriction
+families, as the series route does.  Each check builds the comorphism rows
+it reads; nothing is memoized on a tensor.
 """
 from __future__ import annotations
 
@@ -32,17 +34,17 @@ from .linalg import rank
 from .memo import memo
 from .multimap import (
     PLAIN,
+    ZINBIEL,
     MultiMap,
     Scalar,
-    TruncatedComorphism,
     Vector,
+    _comorphism_rows,
     _composite,
     _slot_index,
     add_into,
     balavoine_bracket,
     exact,
     expand,
-    lift_comorphism,
     lift_zinbiel_coderivation,
     maps_by_arity,
     merge_into,
@@ -77,10 +79,7 @@ _SERIES_SLACK = 2
 
 
 class EmbeddingTensor:
-    """Degree-0 component family from target words to the acting space.
-
-    Its comorphism is memoized under ``("comorphism", bound)``.
-    """
+    """Degree-0 component family from target words to the acting space."""
 
     def __init__(self, v_space: GradedSpace, e_space: GradedSpace, components):
         comps: dict[int, MultiMap] = {}
@@ -97,18 +96,10 @@ class EmbeddingTensor:
         self.v_space = v_space
         self.e_space = e_space
         self.components = dict(sorted(comps.items()))
-        self._memo: dict = {}
 
     def eval(self, word: Word) -> Vector:
         f = self.components.get(len(word))
         return f.eval(word) if f is not None else {}
-
-    def comorphism(self, bound: int) -> TruncatedComorphism:
-        return memo(
-            self._memo,
-            ("comorphism", bound),
-            lambda: lift_comorphism(self.v_space, self.e_space, self.components, bound),
-        )
 
     def add(self, other: "EmbeddingTensor") -> "EmbeddingTensor":
         if other.v_space is not self.v_space or other.e_space is not self.e_space:
@@ -198,11 +189,11 @@ def _descendent_identity(
 ) -> dict[Word, Vector]:
     """The residual map of the anchored morphism identity of the tensor from
     its :func:`descendent` structure into ``lie_to_loday(E)``, from the
-    morphism checker's two routes on the tensor's memoized comorphism."""
+    morphism checker's two routes, which build the comorphism rows they
+    read."""
     source = descendent(tensor, action, bound)
     target = lie_to_loday(action.E)
-    com = tensor.comorphism(bound)
-    return _morphism_residuals(tensor.components, source, target, bound, True, com)
+    return _morphism_residuals(tensor.components, source, target, bound, True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,69 +296,45 @@ def descendent(
 ) -> HomotopyStructure:
     """The plain bracket family induced on the target by a tensor.
 
-    Unary bracket is the target's own; higher brackets feed symmetrized
-    comorphism images of proper prefixes into the action.  They are
-    evaluated only on the candidate words of :func:`_descendent_words`; on
-    every other word both the target bracket and each action term read off
-    their support, so the bracket vanishes there.
+    Unary bracket is the target's own; on a word of length 2 to ``bound``
+    the bracket is the target bracket plus, for each proper prefix ``p``,
+    the action of the comorphism image of ``p`` on the rest.  One pass over
+    the keys forms it, with no word evaluated: a target bracket key ``y`` is
+    an action key ``((), y)`` fed by the empty prefix ``() -> {(): 1}``, and
+    each image word ``ue`` of a row ``p`` that sorts to the acting word ``e``
+    of a key ``(e, r)`` adds the key's value, with the row's coefficient and
+    the signs of both sorts, at ``p + o`` for each distinct ordering ``o`` of
+    ``r`` under the bound.  The rows (:func:`_comorphism_rows`) are the
+    Zinbiel ones of at most ``bound - 1`` letters in as many blocks as an
+    acting arity.
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
-    V = action.V
-    vspace = V.space
-    com = tensor.comorphism(bound)
-    brackets: dict[int, MultiMap] = {}
+    V, vspace, espace = action.V, action.V.space, action.E.space
+    keys: dict[Word, list[tuple[Word, Vector]]] = {
+        (): [(y, v) for k, f in V.brackets.items() if k >= 2 for y, v in f.constants.items()]
+    }
+    for f in action.components.values():
+        for (e, r), value in f.constants.items():
+            keys.setdefault(e, []).append((r, value))
+    parts = {k for k, _ in action.components}
+    rows = _comorphism_rows(vspace, espace, tensor.components, bound - 1, ZINBIEL, parts)
+    rows[()] = {(): 1}
+    tables: dict[int, dict[Word, Vector]] = {}
+    for p, row in rows.items():
+        for ue, c in row.items():
+            # an image that vanishes sorts to a word that is no key
+            e, se = espace.normalize(ue)
+            for r, value in keys.get(e, ()):
+                if len(p) + len(r) <= bound:
+                    table = tables.setdefault(len(p) + len(r), {})
+                    for o in dict.fromkeys(itertools.permutations(r)):
+                        sign = se * vspace.normalize(o)[1]
+                        merge_into(table.setdefault(p + o, {}), value, sign * c)
+    brackets = {n: MultiMap(vspace, vspace, n, 1, PLAIN, t) for n, t in tables.items()}
     if V.bracket(1) is not None:
         brackets[1] = V.bracket(1)
-    tables: dict[int, dict[Word, Vector]] = {}
-    for w in sorted(_descendent_words(action, com, bound)):
-        acc = _prefix_fed_value(action, com, w)
-        if acc:
-            tables.setdefault(len(w), {})[w] = acc
-    for n, table in tables.items():
-        brackets[n] = MultiMap(vspace, vspace, n, 1, PLAIN, table)
-    max_arity = max(bound, V.max_arity)
-    return HomotopyStructure(vspace, PLAIN, brackets, max_arity)
-
-
-def _descendent_words(action: ActionFamily, com: TruncatedComorphism, bound: int) -> set[Word]:
-    """The target words of length 2 to ``bound`` on which a descendent
-    bracket can be nonzero: the plain keys of the target's brackets, and the
-    words ``p + r'`` for a comorphism row ``p`` whose image normalizes to an
-    acting word ``e`` and an ordering ``r'`` of ``r`` for an action key
-    ``(e, r)``."""
-    words = {
-        u
-        for k, f in action.V.brackets.items()
-        if 2 <= k <= bound
-        for u in f.expand_plain().constants
-    }
-    # an image normalizes to a canonical acting key exactly when it sorts to it
-    acting: dict[Word, list[Word]] = {}
-    for f in action.components.values():
-        for e, r in f.constants:
-            acting.setdefault(e, []).append(r)
-    fed = {
-        (p, r)
-        for p, row in com.rows.items()
-        for ue in row
-        for r in acting.get(tuple(sorted(ue)), ())
-        if len(p) + len(r) <= bound
-    }
-    words.update(p + o for p, r in fed for o in itertools.permutations(r))
-    return words
-
-
-def _prefix_fed_value(action: ActionFamily, com: TruncatedComorphism, w: Word) -> Vector:
-    """The target bracket on ``w`` plus the action of the comorphism image of
-    each proper prefix on the rest of ``w``."""
-    acc = action.V.eval_bracket(len(w), w)
-    for k in range(1, len(w)):
-        for ue, ce in com.apply_word(w[:k]).items():
-            norm, s = action.E.space.normalize(ue)
-            if s:
-                merge_into(acc, action.eval(norm, w[k:]), s * ce)
-    return acc
+    return HomotopyStructure(vspace, PLAIN, brackets, max(bound, V.max_arity))
 
 
 def check_descendent_morphism(

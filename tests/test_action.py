@@ -149,7 +149,7 @@ def test_phi_of_single_component_acts_as_derivation():
     V = act.V.space
     p, qq, z = V.index("p"), V.index("q"), V.index("z")
     # on the pair (p, q) the lift is a derivation over the slots
-    got = q.apply_word(tuple(sorted((p, qq))))
+    got = q.rows.get(tuple(sorted((p, qq))), {})
     expected = {}
     for u, c in [((z, qq), F(1))]:
         norm, s = V.normalize(u)

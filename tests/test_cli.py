@@ -92,6 +92,14 @@ def test_arity_zero_component_exits_two(capsys, tmp_path):
     assert "arity must be positive" in out
 
 
+def test_arity_zero_action_entry_exits_two_with_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.lif"
+    bad.write_text("space E\n  x 0\nspace V\n  v 0\n  w 1\naction E V\n  0 1 : ; v -> w : 1/1\n")
+    code, out = run_cli(["check-action", str(bad)], capsys)
+    assert code == 2
+    assert "error: line 7: both blocks of a component must be nonempty" in out
+
+
 def test_non_utf8_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.lif"
     bad.write_bytes(b"space V\n  p \xff\n")

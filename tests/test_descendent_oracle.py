@@ -1,19 +1,21 @@
 """``descendent`` against the descendent structure that visits every word.
 
-``descendent`` evaluates the prefix-fed brackets only on its candidate
-target words, so a word it wrongly skips goes unseen.  The route here,
+``descendent`` forms the prefix-fed brackets in one pass over the keys, so
+a word the pass never reaches goes unseen.  The route here,
 ``dense_lifts.dense_descendent``, visits every target word up to the bound
 and reads the prefixes' images from ``dense_lifts.dense_comorphism``: no
-comorphism placement and no candidate set.  The two structures must be
-equal bracket by bracket, on both tensor fixtures and on the seeded tensor
-corpora, verified tensors and failing ones alike.
+comorphism placement and no pass over keys.  The two structures must be
+equal bracket by bracket, on both tensor fixtures, on the seeded tensor
+corpora, verified tensors and failing ones alike, and on a key whose target
+word repeats a letter, which has fewer distinct orderings than
+permutations.
 """
 from pathlib import Path
 
 import pytest
 
 from dense_lifts import dense_descendent
-from linfty import corpus, parse_path
+from linfty import corpus, parse, parse_path
 from linfty.tensor import check_embedding_explicit, descendent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,3 +61,28 @@ def test_corpus_descendents_equal_the_dense_one(bound):
         verdicts |= 1 << check_embedding_explicit(tensor, action, bound).ok
     # brackets beyond the target's own, from verified and failing tensors
     assert beyond and verdicts == 3
+
+
+# phi_{1,2}(x; v, v) = w fed by T_1(v) = x: the target word of the key
+# repeats a letter, so it has one distinct ordering, and {v,v,v} = w
+REPEATED_LETTER = """
+space E
+  x 0
+space V
+  v 0
+  w 1
+action E V
+  1 2 : x ; v v -> w : 1/1
+tensor V E
+  1 : v -> x : 1/1
+"""
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_a_key_with_a_repeated_letter_is_fed_once(bound):
+    sf = parse(REPEATED_LETTER)
+    tensor, action = sf.embedding_tensor(), sf.action_family()
+    assert check_embedding_explicit(tensor, action, bound).ok
+    got = assert_matches_the_dense_descendent(tensor, action, bound)
+    v, w = (action.V.space.index(s) for s in ("v", "w"))
+    assert {k: f.constants for k, f in got.brackets.items()} == {3: {(v, v, v): {w: 1}}}

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import linfty
 
+SRC = Path(linfty.__file__).parent
 SUBMODULES = (
     "action", "fileformat", "graded", "homotopy", "linalg", "multimap", "report", "tensor"
 )
@@ -57,6 +58,9 @@ ORACLE_SURFACE = {
     "tests/test_homotopy.py checks on end_dgla and composes along flat elements",
     "strict_algebra_compose": "the closure of strict embedding tensors under "
     "composition, acceptance criterion 7's strict-algebra check",
+    "eval_bracket": "one bracket of a structure on any word, which the every-word "
+    "oracles (tests/dense_lifts.py, tests/dense_actions.py, tests/laws.py) read "
+    "word by word",
 }
 
 
@@ -73,17 +77,13 @@ def _code_reads(paths) -> tuple[set[str], set[str]]:
     return names, attributes
 
 
-def test_every_public_function_and_method_is_read_by_the_program(monkeypatch):
-    # a scan of code tokens: a public function of src/linfty, exported or
-    # not, must be read by name or attribute, and a public method by
-    # attribute (``.name``), somewhere in the package or the benchmark, whose
-    # tracer also binds the functions and methods it lists by name; the
-    # seeded generators of corpus.py and the names listed above are exempt,
-    # and law checkers that only tests call live in tests/laws.py
-    src = Path(linfty.__file__).parent
-    root = src.parent.parent
+def _program_reads(monkeypatch) -> tuple[set[str], set[str]]:
+    """The names and attribute names read by the code of the package or the
+    benchmark, whose tracer also binds the functions and methods it lists
+    by name."""
+    root = SRC.parent.parent
     names, attributes = _code_reads(
-        list(src.glob("*.py")) + list((root / "perfbench").glob("*.py"))
+        list(SRC.glob("*.py")) + list((root / "perfbench").glob("*.py"))
     )
     monkeypatch.syspath_prepend(str(root))
     from perfbench import tracing
@@ -91,8 +91,18 @@ def test_every_public_function_and_method_is_read_by_the_program(monkeypatch):
     for _, qualname, *_ in tracing.layers():
         *owner, name = qualname.split(".")
         (attributes if owner else names).add(name)
+    return names, attributes
+
+
+def test_every_public_function_and_method_is_read_by_the_program(monkeypatch):
+    # a scan of code tokens: a public function of src/linfty, exported or
+    # not, must be read by name or attribute, and a public method by
+    # attribute (``.name``), somewhere in the package or the benchmark; the
+    # seeded generators of corpus.py and the names listed above are exempt,
+    # and law checkers that only tests call live in tests/laws.py
+    names, attributes = _program_reads(monkeypatch)
     unread = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "corpus.py":
             continue
         for node in ast.parse(path.read_text()).body:
@@ -105,3 +115,10 @@ def test_every_public_function_and_method_is_read_by_the_program(monkeypatch):
                 if fn.name not in attributes and (is_class or fn.name not in names):
                     unread.append(f"{path.name}:{fn.lineno} {fn.name}")
     assert unread == []
+
+
+def test_no_oracle_surface_name_is_read_by_the_program(monkeypatch):
+    # an exemption whose name the package or the benchmark reads again is
+    # stale: the scan above would pass without it
+    names, attributes = _program_reads(monkeypatch)
+    assert sorted(set(ORACLE_SURFACE) & (names | attributes)) == []

@@ -127,6 +127,26 @@ def test_rejects_arity_zero_component(kind):
     assert err.value.line == text.count("\n")
 
 
+ARITY_ZERO_ACTION = "space E\n  x 0\nspace V\n  v 0\n  w 1\naction E V\n  0 1 : ; v -> w : 1/1\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("0 1 : ; v -> w : 1/1", "both blocks of a component must be nonempty"),
+        ("1 0 : x ; -> w : 1/1", "both blocks of a component must be nonempty"),
+        ("-1 1 : ; v -> w : 1/1", "block lengths do not match the stated arities"),
+    ],
+)
+def test_rejects_empty_action_block_at_its_line(entry, message):
+    # an empty block with a degree-1 output is homogeneous, so the entry
+    # passes every other check; a negative arity matches no block length
+    text = ARITY_ZERO_ACTION.replace("0 1 : ; v -> w : 1/1", entry)
+    with pytest.raises(LifError) as err:
+        parse(text)
+    assert str(err.value) == f"line 7: {message}"
+
+
 def test_error_carries_line_number():
     text = "space E\n  x 0\n\nbrackets E symmetric\n  1 : x -> x : 1/1\n"
     with pytest.raises(LifError) as err:

@@ -48,5 +48,5 @@ def cached_table_kinds() -> set[str]:
 
 def test_every_memo_kind_is_in_the_readme_cache_table():
     kinds = memo_kinds()
-    assert {"split", "cleared", "coherent", "comorphism", "d1"} <= kinds
+    assert {"split", "cleared", "coherent", "d1"} <= kinds
     assert cached_table_kinds() == kinds

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import linfty.homotopy as homotopy_module
-import linfty.tensor as tensor_module
+import linfty.multimap as multimap_module
 from dense_lifts import dense_defect
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
@@ -28,7 +28,7 @@ from linfty.homotopy import (
 )
 from linfty.multimap import PLAIN, SYMMETRIC, ZINBIEL, MultiMap, merge_into
 from linfty.report import Residual, format_vector
-from linfty.tensor import check_descendent_morphism, descendent
+from linfty.tensor import check_descendent_morphism, check_embedding_explicit, descendent
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -235,24 +235,35 @@ def test_lie_morphism_sums_only_on_formed_and_read_words(monkeypatch):
 
 def test_descendent_morphism_visits_only_candidate_words(monkeypatch):
     # the every-word descendent and identity sum made 9,837 prefix-fed values
-    # and 9,840 anchored sums here; the descendent's candidates are 3 words,
-    # and route A of the identity has none, since the composite of the
-    # tensor with the descendent brackets forms no word and no comorphism
-    # row meets a bracket.  The anchored sums count the words they are given
-    calls = {"_prefix_fed_value": 0, "_anchored_sums": 0}
+    # and 9,840 anchored sums here.  The descendent is one pass over the
+    # keys and each check builds only the comorphism rows it reads, so no
+    # full comorphism is lifted; route A of the identity has no word, since
+    # the composite of the tensor with the descendent brackets forms none
+    # and no comorphism row meets a bracket.  The anchored sums count the
+    # words they are given
+    real = multimap_module.lift_comorphism
+    lifts = []
 
-    def counted(module, name, weight):
-        real = getattr(module, name)
+    def counted_lift(*args):
+        lifts.append(args[-1])
+        return real(*args)
 
-        def wrapper(*args):
-            calls[name] += weight(args)
-            return real(*args)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("linfty"):
+            if getattr(module, "lift_comorphism", None) is real:
+                monkeypatch.setattr(module, "lift_comorphism", counted_lift)
+    words = []
+    real_sums = homotopy_module._anchored_sums
 
-        monkeypatch.setattr(module, name, wrapper)
+    def counted_sums(*args):
+        words.extend(args[-1])
+        return real_sums(*args)
 
-    counted(tensor_module, "_prefix_fed_value", lambda args: 1)
-    counted(homotopy_module, "_anchored_sums", lambda args: len(args[-1]))
+    monkeypatch.setattr(homotopy_module, "_anchored_sums", counted_sums)
     sf = parse_path(FIXTURES / "heisenberg.lif")
-    assert check_descendent_morphism(sf.embedding_tensor(), sf.action_family(), 8).ok
-    assert calls["_prefix_fed_value"] <= 3
-    assert calls["_anchored_sums"] == 0
+    tensor, action = sf.embedding_tensor(), sf.action_family()
+    assert max(descendent(tensor, action, 8).brackets) > 1
+    assert check_embedding_explicit(tensor, action, 8).ok
+    assert check_descendent_morphism(tensor, action, 8).ok
+    assert lifts == []
+    assert words == []
