@@ -158,3 +158,134 @@ def test_unknown_space_lookup():
     sf = parse_path(FIXTURES / "twoterm.lif")
     with pytest.raises(InputError):
         sf.space("Z")
+
+
+# -- every parser message, pinned at its line ----------------------------------
+
+PREAMBLE = "space E\n  a 0\n  b 1\n  c 2\nspace V\n  u 0\n  v 1\n  w 2\n"
+
+SCALAR_ERRORS = [
+    ("1", "scalar '1' must be written p/q"),
+    ("0.5", "scalar '0.5' must be written p/q"),
+    ("1/-1", "scalar '1/-1' must be written p/q"),
+    ("1/0", "scalar '1/0' has a zero denominator"),
+    ("0/1", "zero coefficients are not stored"),
+    ("2/4", "scalar '2/4' is not in lowest terms"),
+]
+
+# header, the inputs and output of a valid arity-2 entry, an output that
+# breaks the degree, the source and target space, the degree label
+MAP_SECTIONS = [
+    ("brackets E symmetric", "a b", "c", "b", "E", "E", "+1 bracket"),
+    ("brackets E plain", "a b", "c", "b", "E", "E", "+1 bracket"),
+    ("tensor V E", "u v", "b", "a", "V", "E", "degree-0 map"),
+    ("morphism E V", "a b", "v", "u", "E", "V", "degree-0 map"),
+]
+
+
+def _map_cases():
+    for header, ins, out, off, src, dst, label in MAP_SECTIONS:
+        first = ins.split()[0]
+        entry = f"2 : {ins} -> {out} : 1/1"
+        rows = [
+            (f"2 {ins} -> {out} : 1/1", "entries have the shape 'arity : words -> out : p/q'"),
+            (f"x : {ins} -> {out} : 1/1", "bad arity 'x'"),
+            (f"0 : -> {out} : 1/1", "arity must be positive"),
+            (f"2 : {ins} {out} : 1/1", "missing '->' in entry"),
+            (f"2 : {ins} -> 1{out} : 1/1", f"bad output symbol '1{out}'"),
+            (f"2 : {first} -> {out} : 1/1", "1 inputs for arity 2"),
+            (f"2 : {first} zz -> {out} : 1/1", f"unknown symbol 'zz' in space '{src}'"),
+            (f"2 : {ins} -> zz : 1/1", f"unknown symbol 'zz' in space '{dst}'"),
+            *((f"2 : {ins} -> {out} : {s}", m) for s, m in SCALAR_ERRORS),
+            (f"2 : {ins} -> {off} : 1/1", f"entry breaks degree homogeneity of a {label}"),
+            (f"{entry}\n  {entry}", "duplicate constant"),
+        ]
+        if header.endswith("symmetric"):
+            rows += [
+                ("2 : b b -> c : 1/1", "key vanishes in the symmetric algebra"),
+                ("2 : b a -> c : 1/1", "symmetric keys must be in canonical order"),
+            ]
+        else:
+            rows.append((f"2 : {' '.join(reversed(ins.split()))} -> {out} : 1/1", None))
+        for text, message in rows:
+            yield header, text, message
+
+
+ACTION_ENTRY = "1 1 : a ; u -> v : 1/1"
+ACTION_CASES = [
+    ("1 1 : a ; u -> v", "entries have the shape 'arity : words -> out : p/q'"),
+    ("1 : a ; u -> v : 1/1", "action entries start with '<k> <n> :'"),
+    ("1 x : a ; u -> v : 1/1", "bad arities '1 x'"),
+    ("1 1 : a u -> v : 1/1", "action entries separate blocks with ';'"),
+    ("1 1 : a ; u v : 1/1", "missing '->' in entry"),
+    ("1 1 : a ; u -> 1v : 1/1", "bad output symbol '1v'"),
+    ("1 2 : a ; u -> v : 1/1", "block lengths do not match the stated arities"),
+    ("0 1 : ; u -> v : 1/1", "both blocks of a component must be nonempty"),
+    ("1 1 : zz ; u -> v : 1/1", "unknown symbol 'zz' in space 'E'"),
+    ("1 1 : a ; zz -> v : 1/1", "unknown symbol 'zz' in space 'V'"),
+    ("1 1 : a ; u -> zz : 1/1", "unknown symbol 'zz' in space 'V'"),
+    *((f"1 1 : a ; u -> v : {s}", m) for s, m in SCALAR_ERRORS),
+    ("2 1 : b b ; u -> w : 1/1", "acting key vanishes in the symmetric algebra"),
+    ("2 1 : b a ; u -> w : 1/1", "acting key must be in canonical order"),
+    ("1 2 : a ; v v -> w : 1/1", "target key vanishes in the symmetric algebra"),
+    ("1 2 : a ; v u -> w : 1/1", "target key must be in canonical order"),
+    ("1 1 : a ; u -> u : 1/1", "entry breaks degree homogeneity of a +1 component"),
+    (f"{ACTION_ENTRY}\n  {ACTION_ENTRY}", "duplicate constant"),
+    (ACTION_ENTRY, None),
+]
+
+
+@pytest.mark.parametrize(
+    "header, entry, message",
+    [*_map_cases(), *(("action E V", text, message) for text, message in ACTION_CASES)],
+)
+def test_map_entry_messages(header, entry, message):
+    # each malformed entry is the last line of its section; None marks an
+    # entry that parses
+    text = f"{PREAMBLE}{header}\n  {entry}\n"
+    if message is None:
+        parse(text)
+        return
+    with pytest.raises(LifError) as err:
+        parse(text)
+    line = text.count("\n")
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("space", "space header is 'space <name>'"),
+        ("space 1E", "space header is 'space <name>'"),
+        ("space E", "space 'E' declared twice"),
+        ("space F\n  a", "space entries are '<symbol> <degree>'"),
+        ("space F\n  a one", "bad degree 'one'"),
+        ("space F\n  a 0\n  a 1", "duplicate symbol 'a'"),
+        ("settings 1", "settings header takes no arguments"),
+        ("settings\nsettings", "settings declared twice"),
+        ("settings\n  tolerance 3", "settings entries are bound/max_arity/seed <int>"),
+        ("settings\n  bound x", "bad integer 'x'"),
+        ("settings\n  bound 0", "bound must be positive"),
+        ("settings\n  max_arity -1", "max_arity must be positive"),
+        ("brackets E", "brackets header is 'brackets <space> <symmetric|plain>'"),
+        ("brackets E lie", "brackets header is 'brackets <space> <symmetric|plain>'"),
+        ("brackets Z plain", "brackets for undeclared space 'Z'"),
+        ("brackets E plain\nbrackets E symmetric", "brackets for 'E' declared twice"),
+        ("tensor V", "tensor header is 'tensor <source> <target>'"),
+        ("action E Z", "action uses undeclared space 'Z'"),
+        ("morphism E V\nmorphism V E", "morphism declared twice"),
+        ("action E V\ntensor V E\naction E V", "action declared twice"),
+    ],
+)
+def test_header_and_plain_entry_messages(tail, message):
+    text = f"{PREAMBLE}{tail}\n"
+    with pytest.raises(LifError) as err:
+        parse(text)
+    line = text.count("\n")
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_entry_before_any_section_names_line_one():
+    with pytest.raises(LifError) as err:
+        parse(f"  x 0\n{PREAMBLE}")
+    assert str(err.value) == "line 1: entry outside any section: 'x 0'"
