@@ -187,10 +187,6 @@ class ActionFamily:
         self._memo: dict = {}
         self._den = 1
 
-    def eval(self, eword: Word, vword: Word) -> Vector:
-        f = self.components.get((len(eword), len(vword)))
-        return f.eval(eword, vword) if f is not None else {}
-
     def is_coherent(self, bound: int) -> bool:
         """The verdict of :func:`check_coherence` at ``bound``, computed once."""
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)

@@ -197,7 +197,7 @@ def cmd_check_descendent_morphism(sf, args, em):
     return _emit_report(em, report)
 
 
-def _unary_component(section, sf, label):
+def _unary_component(section, label):
     if section is None:
         raise InputError(f"{label} needs its section in the file")
     src_name, dst_name, comps = section
@@ -211,14 +211,14 @@ def _unary_component(section, sf, label):
 
 
 def cmd_adjoint_strict(sf, args, em):
-    name, t1 = _unary_component(sf.tensor_section, sf, "adjoint-strict")
+    name, t1 = _unary_component(sf.tensor_section, "adjoint-strict")
     em.field("space", name)
     report = tensor_mod.adjoint_strict_check(sf.structure(name), t1)
     return _emit_report(em, report)
 
 
 def cmd_centroid(sf, args, em):
-    name, f1 = _unary_component(sf.morphism_section, sf, "centroid")
+    name, f1 = _unary_component(sf.morphism_section, "centroid")
     em.field("space", name)
     report = tensor_mod.centroid_check(sf.structure(name), f1)
     return _emit_report(em, report)

@@ -5,7 +5,14 @@ Sections start with a keyword header (``space``, ``settings``, ``brackets``,
 that section.  Scalars are always written ``p/q`` in lowest terms with a
 positive denominator, so a file can never smuggle in a float.  Word keys of
 symmetric brackets must be written in canonical basis order; the parser
-rejects out-of-order keys rather than silently normalising them.
+rejects out-of-order keys rather than silently normalising them.  Integers
+are ASCII digits with an optional ``-``, and every error names its line.
+
+Each map header (``brackets``, ``action``, ``tensor``, ``morphism``) opens a
+section record ``(kind, source, target, flavor, {arity: {key: {out: c}}})``;
+an action's arity is ``(k, n)`` and its key a pair of words.  The plain-map
+entries share one reader, both readers one duplicate check, and one loop
+turns every record into its maps.
 
 Comments run from ``#`` to the end of the line.
 """
@@ -17,14 +24,21 @@ from fractions import Fraction
 from math import gcd
 
 from .action import ActionFamily, BiMultiMap
-from .graded import GradedSpace, Word
+from .graded import GradedSpace
 from .homotopy import HomotopyStructure
-from .multimap import PLAIN, SYMMETRIC, MultiMap, Vector
+from .multimap import PLAIN, SYMMETRIC, MultiMap
 from .report import InputError, frac_str
 
 KEYWORDS = {"space", "settings", "brackets", "action", "tensor", "morphism"}
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+']*\Z")
-SCALAR_RE = re.compile(r"-?\d+/\d+\Z")
+SCALAR_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
+# the degree of each section's maps, and their name in messages
+MAP_DEGREES = {
+    "brackets": (1, "+1 bracket"),
+    "action": (1, "+1 component"),
+    "tensor": (0, "degree-0 map"),
+    "morphism": (0, "degree-0 map"),
+}
 
 __all__ = ["LifError", "Settings", "StructureFile", "parse", "parse_path", "serialize"]
 
@@ -80,6 +94,13 @@ class StructureFile:
         return EmbeddingTensor(self.space(vname), self.space(ename), comps)
 
 
+def _integer(token: str, line: int, message: str) -> int:
+    # -?[0-9]+ only: int() also takes '+', '_' and the digits of other scripts
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise LifError(line, message)
+    return int(token)
+
+
 def _scalar(token: str, line: int) -> Fraction:
     if not SCALAR_RE.match(token):
         raise LifError(line, f"scalar {token!r} must be written p/q")
@@ -87,8 +108,6 @@ def _scalar(token: str, line: int) -> Fraction:
     p, q = int(num), int(den)
     if q == 0:
         raise LifError(line, f"scalar {token!r} has a zero denominator")
-    if q < 0:
-        raise LifError(line, f"scalar {token!r} must have a positive denominator")
     if p == 0:
         raise LifError(line, "zero coefficients are not stored")
     if gcd(abs(p), q) != 1:
@@ -113,17 +132,22 @@ def _arrow(body: str, line: int) -> tuple[list[str], str]:
     return left.split(), out
 
 
+def _store(table: dict, arity, key, out: int, c: Fraction, line: int) -> None:
+    row = table.setdefault(arity, {}).setdefault(key, {})
+    if out in row:
+        raise LifError(line, "duplicate constant")
+    row[out] = c
+
+
 class _Parser:
+    """One pass over the lines.  The open section is a space ``("space",
+    name, basis, header line)``, ``("settings",)`` or a record."""
+
     def __init__(self, text: str):
         self.sf = StructureFile()
         self.section: tuple | None = None
-        self.pending: dict = {
-            "brackets": {},
-            "action": None,
-            "tensor": None,
-            "morphism": None,
-        }
-        self.seen_settings = False
+        self.records: list[tuple] = []
+        self.declared: set = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             content = raw.split("#", 1)[0].strip()
             if not content:
@@ -146,45 +170,47 @@ class _Parser:
                 raise LifError(line, "space header is 'space <name>'")
             if args[0] in self.sf.spaces:
                 raise LifError(line, f"space {args[0]!r} declared twice")
-            self.section = ("space", args[0], [])
-        elif kind == "settings":
+            self.section = ("space", args[0], [], line)
+            return
+        if kind == "settings":
             if args:
                 raise LifError(line, "settings header takes no arguments")
-            if self.seen_settings:
-                raise LifError(line, "settings declared twice")
-            self.seen_settings = True
-            self.section = ("settings",)
+            key = kind
         elif kind == "brackets":
             if len(args) != 2 or args[1] not in (SYMMETRIC, PLAIN):
                 raise LifError(
                     line, "brackets header is 'brackets <space> <symmetric|plain>'"
                 )
-            name = args[0]
-            if name not in self.sf.spaces:
-                raise LifError(line, f"brackets for undeclared space {name!r}")
-            if name in self.pending["brackets"]:
-                raise LifError(line, f"brackets for {name!r} declared twice")
-            self.pending["brackets"][name] = (args[1], {})
-            self.section = ("brackets", name, args[1])
+            if args[0] not in self.sf.spaces:
+                raise LifError(line, f"brackets for undeclared space {args[0]!r}")
+            key = (kind, args[0])
+            src, dst, flavor = args[0], args[0], args[1]
         else:
             if len(args) != 2:
                 raise LifError(line, f"{kind} header is '{kind} <source> <target>'")
             for name in args:
                 if name not in self.sf.spaces:
                     raise LifError(line, f"{kind} uses undeclared space {name!r}")
-            if self.pending[kind] is not None:
-                raise LifError(line, f"{kind} declared twice")
-            self.pending[kind] = (args[0], args[1], {})
+            key = kind
+            src, dst = args
+            flavor = SYMMETRIC if kind == "action" else PLAIN
+        if key in self.declared:
+            what = f"brackets for {args[0]!r}" if kind == "brackets" else kind
+            raise LifError(line, f"{what} declared twice")
+        self.declared.add(key)
+        if kind == "settings":
             self.section = (kind,)
+        else:
+            self.section = (kind, src, dst, flavor, {})
+            self.records.append(self.section)
 
     def _close_space(self):
         # space sections are materialised as soon as another section begins
-        if self.section and self.section[0] == "space" and len(self.section) == 3:
-            name, basis = self.section[1], self.section[2]
+        if self.section and self.section[0] == "space":
+            _, name, basis, line = self.section
             if not basis:
-                raise InputError(f"space {name!r} has an empty basis")
+                raise LifError(line, f"space {name!r} has an empty basis")
             self.sf.spaces[name] = GradedSpace(name, basis)
-            self.section = None
 
     # -- entries ---------------------------------------------------------------
 
@@ -195,72 +221,54 @@ class _Parser:
         if kind == "space":
             if len(tokens) != 2 or not SYMBOL_RE.match(tokens[0]):
                 raise LifError(line, "space entries are '<symbol> <degree>'")
-            try:
-                degree = int(tokens[1])
-            except ValueError:
-                raise LifError(line, f"bad degree {tokens[1]!r}") from None
+            degree = _integer(tokens[1], line, f"bad degree {tokens[1]!r}")
             if any(sym == tokens[0] for sym, _ in self.section[2]):
                 raise LifError(line, f"duplicate symbol {tokens[0]!r}")
             self.section[2].append((tokens[0], degree))
         elif kind == "settings":
             if len(tokens) != 2 or tokens[0] not in ("bound", "max_arity", "seed"):
                 raise LifError(line, "settings entries are bound/max_arity/seed <int>")
-            try:
-                value = int(tokens[1])
-            except ValueError:
-                raise LifError(line, f"bad integer {tokens[1]!r}") from None
+            value = _integer(tokens[1], line, f"bad integer {tokens[1]!r}")
             if tokens[0] != "seed" and value < 1:
                 raise LifError(line, f"{tokens[0]} must be positive")
             setattr(self.sf.settings, tokens[0], value)
-        elif kind == "brackets":
-            self._bracket_entry(content, line)
         elif kind == "action":
             self._action_entry(content, line)
-        elif kind in ("tensor", "morphism"):
-            self._component_entry(kind, content, line)
+        else:
+            self._map_entry(content, line)
 
-    def _bracket_entry(self, content, line):
-        _, name, flavor = self.section
-        space = self.sf.spaces[name]
+    def _map_entry(self, content, line):
+        kind, src_name, dst_name, flavor, table = self.section
+        src, dst = self.sf.spaces[src_name], self.sf.spaces[dst_name]
         head, body, scalar = _split_entry(content, line)
-        try:
-            arity = int(head)
-        except ValueError:
-            raise LifError(line, f"bad arity {head!r}") from None
+        arity = _integer(head, line, f"bad arity {head!r}")
         if arity < 1:
             raise LifError(line, "arity must be positive")
         syms, out = _arrow(body, line)
         if len(syms) != arity:
             raise LifError(line, f"{len(syms)} inputs for arity {arity}")
-        word = tuple(self._index(space, s, line) for s in syms)
-        out_i = self._index(space, out, line)
+        word = tuple(self._index(src, s, line) for s in syms)
+        out_i = self._index(dst, out, line)
         coeff = _scalar(scalar, line)
         if flavor == SYMMETRIC:
-            norm, sign = space.normalize(word)
+            norm, sign = src.normalize(word)
             if sign == 0:
                 raise LifError(line, "key vanishes in the symmetric algebra")
             if norm != word:
                 raise LifError(line, "symmetric keys must be in canonical order")
-        if space.degrees[out_i] != 1 + space.word_degree(word):
-            raise LifError(line, "entry breaks degree homogeneity of a +1 bracket")
-        table = self.pending["brackets"][name][1].setdefault(arity, {})
-        if (word, out_i) in table:
-            raise LifError(line, "duplicate constant")
-        table[(word, out_i)] = coeff
+        degree, label = MAP_DEGREES[kind]
+        if dst.degrees[out_i] != degree + src.word_degree(word):
+            raise LifError(line, f"entry breaks degree homogeneity of a {label}")
+        _store(table, arity, word, out_i, coeff, line)
 
     def _action_entry(self, content, line):
-        if self.pending["action"] is None:
-            raise LifError(line, "action entry outside an action section")
-        ename, vname, table = self.pending["action"]
+        _, ename, vname, _, table = self.section
         espace, vspace = self.sf.spaces[ename], self.sf.spaces[vname]
         head, body, scalar = _split_entry(content, line)
         arities = head.split()
         if len(arities) != 2:
             raise LifError(line, "action entries start with '<k> <n> :'")
-        try:
-            k, n = int(arities[0]), int(arities[1])
-        except ValueError:
-            raise LifError(line, f"bad arities {head!r}") from None
+        k, n = (_integer(a, line, f"bad arities {head!r}") for a in arities)
         if ";" not in body:
             raise LifError(line, "action entries separate blocks with ';'")
         eside, _, rest = body.partition(";")
@@ -280,35 +288,10 @@ class _Parser:
                 raise LifError(line, f"{label} key vanishes in the symmetric algebra")
             if norm != word:
                 raise LifError(line, f"{label} key must be in canonical order")
-        deg = 1 + espace.word_degree(eword) + vspace.word_degree(vword)
-        if vspace.degrees[out_i] != deg:
-            raise LifError(line, "entry breaks degree homogeneity of a +1 component")
-        key = ((k, n), eword, vword, out_i)
-        if key in table:
-            raise LifError(line, "duplicate constant")
-        table[key] = coeff
-
-    def _component_entry(self, kind, content, line):
-        src_name, dst_name, table = self.pending[kind]
-        src, dst = self.sf.spaces[src_name], self.sf.spaces[dst_name]
-        head, body, scalar = _split_entry(content, line)
-        try:
-            arity = int(head)
-        except ValueError:
-            raise LifError(line, f"bad arity {head!r}") from None
-        if arity < 1:
-            raise LifError(line, "arity must be positive")
-        syms, out = _arrow(body, line)
-        if len(syms) != arity:
-            raise LifError(line, f"{len(syms)} inputs for arity {arity}")
-        word = tuple(self._index(src, s, line) for s in syms)
-        out_i = self._index(dst, out, line)
-        coeff = _scalar(scalar, line)
-        if dst.degrees[out_i] != src.word_degree(word):
-            raise LifError(line, "entry breaks degree homogeneity of a degree-0 map")
-        if (arity, word, out_i) in table:
-            raise LifError(line, "duplicate constant")
-        table[(arity, word, out_i)] = coeff
+        degree, label = MAP_DEGREES["action"]
+        if vspace.degrees[out_i] != degree + espace.word_degree(eword) + vspace.word_degree(vword):
+            raise LifError(line, f"entry breaks degree homogeneity of a {label}")
+        _store(table, (k, n), (eword, vword), out_i, coeff, line)
 
     def _index(self, space, symbol, line):
         try:
@@ -321,42 +304,19 @@ class _Parser:
     def _finish(self):
         self._close_space()
         sf = self.sf
-        for name, (flavor, tables) in self.pending["brackets"].items():
-            space = sf.spaces[name]
-            brackets = {}
-            for arity, entries in tables.items():
-                rows: dict[Word, Vector] = {}
-                for (word, out), c in entries.items():
-                    rows.setdefault(word, {})[out] = c
-                brackets[arity] = MultiMap(space, space, arity, 1, flavor, rows)
-            sf.bracket_sections[name] = (flavor, brackets)
-        if self.pending["action"] is not None:
-            ename, vname, table = self.pending["action"]
-            espace, vspace = sf.spaces[ename], sf.spaces[vname]
-            grouped: dict[tuple[int, int], dict] = {}
-            for ((k, n), ew, vw, out), c in table.items():
-                grouped.setdefault((k, n), {}).setdefault((ew, vw), {})[out] = c
-            comps = {
-                kn: BiMultiMap(espace, vspace, kn[0], kn[1], 1, rows)
-                for kn, rows in grouped.items()
-            }
-            sf.action_section = (ename, vname, comps)
-        for kind in ("tensor", "morphism"):
-            if self.pending[kind] is None:
-                continue
-            src_name, dst_name, table = self.pending[kind]
+        for kind, src_name, dst_name, flavor, tables in self.records:
             src, dst = sf.spaces[src_name], sf.spaces[dst_name]
-            grouped = {}
-            for (arity, word, out), c in table.items():
-                grouped.setdefault(arity, {}).setdefault(word, {})[out] = c
-            comps = {
-                arity: MultiMap(src, dst, arity, 0, PLAIN, rows)
-                for arity, rows in grouped.items()
+            degree = MAP_DEGREES[kind][0]
+            maps = {
+                arity: BiMultiMap(src, dst, *arity, degree, rows)
+                if kind == "action"
+                else MultiMap(src, dst, arity, degree, flavor, rows)
+                for arity, rows in tables.items()
             }
-            if kind == "tensor":
-                sf.tensor_section = (src_name, dst_name, comps)
+            if kind == "brackets":
+                sf.bracket_sections[src_name] = (flavor, maps)
             else:
-                sf.morphism_section = (src_name, dst_name, comps)
+                setattr(sf, f"{kind}_section", (src_name, dst_name, maps))
 
 
 def parse(text: str) -> StructureFile:

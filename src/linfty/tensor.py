@@ -97,26 +97,6 @@ class EmbeddingTensor:
         self.e_space = e_space
         self.components = dict(sorted(comps.items()))
 
-    def eval(self, word: Word) -> Vector:
-        f = self.components.get(len(word))
-        return f.eval(word) if f is not None else {}
-
-    def add(self, other: "EmbeddingTensor") -> "EmbeddingTensor":
-        if other.v_space is not self.v_space or other.e_space is not self.e_space:
-            raise InputError("cannot add tensors on different spaces")
-        comps: dict[int, MultiMap] = {}
-        for k in sorted(set(self.components) | set(other.components)):
-            table: dict[Word, Vector] = {}
-            for f in (self.components.get(k), other.components.get(k)):
-                if f is None:
-                    continue
-                for w, vec in f.constants.items():
-                    merge_into(table.setdefault(w, {}), vec)
-            table = {w: v for w, v in table.items() if v}
-            if table:
-                comps[k] = MultiMap(self.v_space, self.e_space, k, 0, PLAIN, table)
-        return EmbeddingTensor(self.v_space, self.e_space, comps)
-
     def __repr__(self) -> str:
         ks = ",".join(str(k) for k in self.components)
         return f"EmbeddingTensor({self.v_space.name}->{self.e_space.name}, arities [{ks}])"

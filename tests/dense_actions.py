@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from dense_lifts import dense_symmetric_lift
 from dense_splits import dense_increasing_splits, dense_symmetric_splits
-from laws import restriction_vector, restrictions
+from laws import action_value, restriction_vector, restrictions
 from linfty.multimap import SYMMETRIC, MultiMap, commutator, merge_into
 from linfty.report import Residual, format_vector
 
@@ -192,7 +192,7 @@ def dense_hemi_brackets(action):
             if not v:
                 value = E.eval_bracket(k, x)
             else:
-                value = V.eval_bracket(k, v) if not x else action.eval(x, v)
+                value = V.eval_bracket(k, v) if not x else action_value(action, x, v)
                 value = {off + o: c for o, c in value.items()}
             if value:
                 table[u] = value

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from dense_splits import dense_increasing_splits
+from laws import action_value
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
@@ -318,7 +319,7 @@ def dense_descendent(tensor, action, bound: int):
             acc = V.eval_bracket(n, w)
             for k in range(1, n):
                 for ue, ce in com.get(w[:k], {}).items():
-                    merge_into(acc, action.eval(ue, w[k:]), ce)
+                    merge_into(acc, action_value(action, ue, w[k:]), ce)
             if acc:
                 table[w] = acc
         if table:

@@ -6,7 +6,8 @@ and the length-one part of a row of a full coderivation, the restriction
 family of a coderivation, the composite of two comorphisms, the exponential of
 a degree-0 coderivation, the extension ``identity + tensor`` of the product
 coalgebra and the restriction lemma it satisfies, the strict and symmetric
-flags of an embedding tensor, an element's rows as a dict, a seeded random
+flags of an embedding tensor, the value of an action or a tensor on words,
+the sum of two tensors, an element's rows as a dict, a seeded random
 vector and the adjoint representation of a structure.
 """
 from __future__ import annotations
@@ -320,6 +321,33 @@ def is_symmetric(tensor: EmbeddingTensor) -> bool:
             if f.eval(w) != sym.eval(w):
                 return False
     return True
+
+
+def action_value(action: ActionFamily, eword: Word, vword: Word) -> Vector:
+    """The action's component on an acting and a target word; ``{}`` where
+    the family has no component of those arities."""
+    f = action.components.get((len(eword), len(vword)))
+    return f.eval(eword, vword) if f is not None else {}
+
+
+def tensor_value(tensor: EmbeddingTensor, word: Word) -> Vector:
+    """The tensor's component on a target word, as :func:`action_value`."""
+    f = tensor.components.get(len(word))
+    return f.eval(word) if f is not None else {}
+
+
+def tensor_sum(t: EmbeddingTensor, u: EmbeddingTensor) -> EmbeddingTensor:
+    """The componentwise sum of two tensors on the same spaces."""
+    comps: dict[int, MultiMap] = {}
+    for k in sorted(set(t.components) | set(u.components)):
+        table: dict[Word, Vector] = {}
+        for f in (t.components.get(k), u.components.get(k)):
+            for w, vec in (f.constants.items() if f is not None else ()):
+                merge_into(table.setdefault(w, {}), vec)
+        table = {w: v for w, v in table.items() if v}
+        if table:
+            comps[k] = MultiMap(t.v_space, t.e_space, k, 0, PLAIN, table)
+    return EmbeddingTensor(t.v_space, t.e_space, comps)
 
 
 def as_dict(element: HomElement) -> dict[Word, Vector]:

@@ -26,7 +26,7 @@ from linfty.multimap import (
     lift_zinbiel_coderivation,
     zinbiel_coproduct,
 )
-from laws import check_coleibniz, check_intertwines_coproduct, twist_pairsum
+from laws import check_coleibniz, check_intertwines_coproduct, tensor_sum, twist_pairsum
 from linfty.corpus import (
     action_corpus,
     random_multimap,
@@ -253,7 +253,7 @@ def test_criterion_6_deformation_complex(tensor_verdicts):
                 if lam:
                     t1 = MultiMap(V, E, len(w), 0, PLAIN, {w: {b: lam}})
                     prime = EmbeddingTensor(V, E, {len(w): t1})
-                    summed = inst.tensor.add(prime)
+                    summed = tensor_sum(inst.tensor, prime)
                     from linfty.tensor import HomElement
 
                     element = HomElement.from_rows(0, {w: {b: lam}})

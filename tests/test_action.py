@@ -41,7 +41,7 @@ from linfty.corpus import (
 )
 from dense_actions import dense_ad_family, dense_mixed_family
 from dense_lifts import dense_symmetric_lift
-from laws import restriction_vector
+from laws import action_value, restriction_vector
 from test_action_oracle import NON_COHERENT, indexed, indexed_family, tables
 from test_byte_stability import ACTION_FILES
 
@@ -140,7 +140,7 @@ def test_phi_of_restriction_recovers_components():
     act = heisenberg_central_action(F(2), F(-1, 2))
     q = lifted(act, indexed_family(act, (0,), (), BOUND))
     for v in range(act.V.space.dim):
-        assert restriction_vector(q, (v,)) == act.eval((0,), (v,))
+        assert restriction_vector(q, (v,)) == action_value(act, (0,), (v,))
 
 
 def test_phi_of_single_component_acts_as_derivation():

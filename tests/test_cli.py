@@ -100,6 +100,14 @@ def test_arity_zero_action_entry_exits_two_with_its_line(capsys, tmp_path):
     assert "error: line 7: both blocks of a component must be nonempty" in out
 
 
+def test_empty_space_exits_two_with_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.lif"
+    bad.write_text("space E\n  x 0\nspace V\n")
+    code, out = run_cli(["check-lie", str(bad)], capsys)
+    assert code == 2
+    assert "error: line 3: space 'V' has an empty basis" in out
+
+
 def test_non_utf8_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.lif"
     bad.write_bytes(b"space V\n  p \xff\n")

@@ -21,6 +21,7 @@ import pytest
 
 from dense_lifts import dense_comorphism, dense_zinbiel_lift
 from dense_splits import dense_anchored_splits
+from laws import action_value, tensor_value
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
 from linfty.multimap import (
@@ -49,13 +50,14 @@ def every_word_residuals(tensor, action, bound):
         for u, c in com.get(w, {}).items():
             merge_into(diff, E.eval_bracket(len(u), u), c)
         for u, c in lifted.get(w, {}).items():
-            merge_into(diff, tensor.eval(u), -c)
+            merge_into(diff, tensor_value(tensor, u), -c)
         n = len(w)
         for sign, front, block, tail in dense_anchored_splits(vspace, w, range(2, n + 1)):
             for j in range(1, len(block)):
                 for ue, ce in com.get(block[:j], {}).items():
-                    for b, cb in action.eval(ue, block[j:]).items():
-                        merge_into(diff, tensor.eval(front + (b,) + tail), -sign * ce * cb)
+                    for b, cb in action_value(action, ue, block[j:]).items():
+                        value = tensor_value(tensor, front + (b,) + tail)
+                        merge_into(diff, value, -sign * ce * cb)
         if diff:
             items.append(Residual(n, vspace.format_word(w), format_vector(espace, diff)))
     return items

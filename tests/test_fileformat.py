@@ -183,6 +183,13 @@ MAP_SECTIONS = [
 ]
 
 
+def assert_refused_at_last_line(text: str, message: str) -> None:
+    with pytest.raises(LifError) as err:
+        parse(text)
+    line = text.count("\n")
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def _map_cases():
     for header, ins, out, off, src, dst, label in MAP_SECTIONS:
         first = ins.split()[0]
@@ -246,10 +253,7 @@ def test_map_entry_messages(header, entry, message):
     if message is None:
         parse(text)
         return
-    with pytest.raises(LifError) as err:
-        parse(text)
-    line = text.count("\n")
-    assert str(err.value) == f"line {line}: {message}"
+    assert_refused_at_last_line(text, message)
 
 
 @pytest.mark.parametrize(
@@ -279,13 +283,53 @@ def test_map_entry_messages(header, entry, message):
 )
 def test_header_and_plain_entry_messages(tail, message):
     text = f"{PREAMBLE}{tail}\n"
-    with pytest.raises(LifError) as err:
-        parse(text)
-    line = text.count("\n")
-    assert str(err.value) == f"line {line}: {message}"
+    assert_refused_at_last_line(text, message)
 
 
 def test_entry_before_any_section_names_line_one():
     with pytest.raises(LifError) as err:
         parse(f"  x 0\n{PREAMBLE}")
     assert str(err.value) == "line 1: entry outside any section: 'x 0'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("space E\n  x 0\nspace V\n", "line 3: space 'V' has an empty basis"),
+        ("space E\n\n# nothing yet\nspace V\n  x 0\n", "line 1: space 'E' has an empty basis"),
+        ("space E\n  x 0\nspace V\nsettings\n", "line 3: space 'V' has an empty basis"),
+    ],
+)
+def test_empty_space_names_its_header_line(text, message):
+    with pytest.raises(LifError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+# int() and \d accept more than ASCII digits with an optional '-'
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("space F\n  a 1_0", "bad degree '1_0'"),
+        ("space F\n  a +0", "bad degree '+0'"),
+        ("space F\n  a \u0661", "bad degree '\u0661'"),
+        ("space F\n  a \uff11", "bad degree '\uff11'"),
+        ("settings\n  bound 1_0", "bad integer '1_0'"),
+        ("settings\n  seed +3", "bad integer '+3'"),
+        ("settings\n  max_arity \u0663", "bad integer '\u0663'"),
+        ("brackets E plain\n  +2 : a b -> c : 1/1", "bad arity '+2'"),
+        ("brackets E plain\n  0_2 : a b -> c : 1/1", "bad arity '0_2'"),
+        ("tensor V E\n  \u0662 : u v -> b : 1/1", "bad arity '\u0662'"),
+        ("action E V\n  1 +1 : a ; u -> v : 1/1", "bad arities '1 +1'"),
+        ("action E V\n  \u0661 1 : a ; u -> v : 1/1", "bad arities '\u0661 1'"),
+        (
+            "brackets E plain\n  2 : a b -> c : \u0661/\u0662",
+            "scalar '\u0661/\u0662' must be written p/q",
+        ),
+        ("morphism E V\n  2 : a b -> v : 1_0/3", "scalar '1_0/3' must be written p/q"),
+        ("action E V\n  1 1 : a ; u -> v : +1/2", "scalar '+1/2' must be written p/q"),
+    ],
+)
+def test_integers_are_ascii_digits_with_an_optional_minus(tail, message):
+    text = f"{PREAMBLE}{tail}\n"
+    assert_refused_at_last_line(text, message)

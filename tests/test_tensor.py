@@ -57,12 +57,15 @@ from linfty.corpus import (
     triple_bracket_example,
 )
 from laws import (
+    action_value,
     as_dict,
     coderivation_exponential,
     extend_tensor,
     is_strict,
     is_symmetric,
     restriction_lemma_check,
+    tensor_sum,
+    tensor_value,
 )
 
 F = Fraction
@@ -93,7 +96,7 @@ def test_extend_restriction_on_pure_target_words():
         for w in act.V.space.words(n):
             row = ext.rows.get(hemi.from_v_word(w), {})
             single = {u[0]: c for u, c in row.items() if len(u) == 1}
-            assert single == tensor.eval(w)
+            assert single == tensor_value(tensor, w)
 
 
 def test_extension_equals_coderivation_exponential():
@@ -159,10 +162,11 @@ def test_routes_agree_on_random_tensors():
 def test_perturbed_tensor_fails_both_routes():
     act, tensor = heisenberg_tensor()
     V, E = act.V.space, act.E.space
-    bad = tensor.add(
+    bad = tensor_sum(
+        tensor,
         EmbeddingTensor(
             V, E, {1: MultiMap(V, E, 1, 0, PLAIN, {(V.index("z"),): {0: F(1)}})}
-        )
+        ),
     )
     explicit, flat = check_embedding(bad, act, BOUND)
     assert not explicit.ok and not flat.ok
@@ -270,12 +274,12 @@ def test_descendent_strict_representation_formula():
                 choices = [
                     (u + (b,), c * cb)
                     for (u, c) in choices
-                    for b, cb in tensor.eval((letter,)).items()
+                    for b, cb in tensor_value(tensor, (letter,)).items()
                 ]
             for u, c in choices:
                 norm, s = E.normalize(u)
                 if s:
-                    merge_into(expected, act.eval(norm, (w[-1],)), F(s) * c)
+                    merge_into(expected, action_value(act, norm, (w[-1],)), F(s) * c)
             assert got.eval_bracket(n, w) == expected
 
 
@@ -483,7 +487,7 @@ def test_deformation_mc_matches_direct_checks():
                 0, {w: {b: lam}}
             )
             residual = dc.mc_residual_of(elem)
-            direct = check_embedding_explicit(tensor.add(prime), act, 3)
+            direct = check_embedding_explicit(tensor_sum(tensor, prime), act, 3)
             assert residual.is_zero == direct.ok, (w, b, lam)
             if residual.is_zero:
                 flat_count += 1
