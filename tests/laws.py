@@ -338,15 +338,14 @@ def tensor_value(tensor: EmbeddingTensor, word: Word) -> Vector:
 
 def tensor_sum(t: EmbeddingTensor, u: EmbeddingTensor) -> EmbeddingTensor:
     """The componentwise sum of two tensors on the same spaces."""
-    comps: dict[int, MultiMap] = {}
-    for k in sorted(set(t.components) | set(u.components)):
-        table: dict[Word, Vector] = {}
-        for f in (t.components.get(k), u.components.get(k)):
-            for w, vec in (f.constants.items() if f is not None else ()):
-                merge_into(table.setdefault(w, {}), vec)
-        table = {w: v for w, v in table.items() if v}
-        if table:
-            comps[k] = MultiMap(t.v_space, t.e_space, k, 0, PLAIN, table)
+    tables: dict[int, dict[Word, Vector]] = {}
+    for f in (*t.components.values(), *u.components.values()):
+        for w, vec in f.constants.items():
+            merge_into(tables.setdefault(f.arity, {}).setdefault(w, {}), vec)
+    comps = {
+        k: MultiMap(t.v_space, t.e_space, k, 0, PLAIN, {w: v for w, v in table.items() if v})
+        for k, table in tables.items()
+    }
     return EmbeddingTensor(t.v_space, t.e_space, comps)
 
 
