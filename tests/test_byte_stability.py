@@ -5,7 +5,9 @@ The reports of ``deform`` and ``cohomology`` are the slowest the CLI prints
 and the ones every speedup of the deformation layer must leave unchanged.
 The digests below were recorded from the word-by-word explicit check, the
 word-by-word comorphism and the full twisted lift; a change that moves a
-single byte of these reports fails here.  The morphism reports were
+single byte of these reports fails here.  The bound-7 ``deform`` reports and
+the bound-6 ``cohomology`` pieces were recorded while ``d1`` composed the
+twisted family with every basis column.  The morphism reports were
 recorded while the crosscheck still intertwined the full lifts of both
 codifferentials.  The tensor reports, in both formats, were recorded from
 the explicit check's own per-word equations and the descendent structure
@@ -37,6 +39,8 @@ DEFORM = {
     ("heisenberg", 6): "1dcb44abbc2f4db13fcd5b6f7734a18b1cb7dcbedf4867e89720ace3c418efb1",
     ("adjoint_identity", 5): "a6c8719fe31c886d6835e558a7e3b2269925a4683c31cebd81a13beea49dca1a",
     ("adjoint_identity", 6): "fc5b7841f9495d16485f010d69a5e04d3b0394139e728c3f7459995c29f154f7",
+    ("heisenberg", 7): "765ff47823ed2b40730b9c3ba3730ace6e95cb887eaa5739f23f705a05383a10",
+    ("adjoint_identity", 7): "4b32cef4f56932f175ebff1d79106caf65741490b515aada35c7779892a6175c",
 }
 
 # every (degree, weight) piece of the bound-5 complex of each fixture
@@ -51,6 +55,22 @@ COHOMOLOGY = {
     ("adjoint_identity", 2, 3): "eaf970421dc68e56f0eb9ddfd92adc82be396bcea55a9de50a89d64f0880b10e",
     ("adjoint_identity", 3, 4): "7a172da53bc1e97e610b97ea0c09fbf254f54fe577577d43f51725bc185029e2",
     ("adjoint_identity", 4, 5): "6cb8662184599c6235a116f738f49bdfe6b4d06547b668f354556712c77f12d9",
+}
+
+# every (degree, weight) piece of the bound-6 complex of each fixture
+COHOMOLOGY_BOUND_6 = {
+    ("heisenberg", 0, 1): "ca6112d39165f805465cd1c463035c2408265fa80b9679d53e20b2386eaad218",
+    ("heisenberg", 1, 2): "bb5ead2f0c58a5fef8435a8ebd9980514357e7bda85ea89126a91dee9c1f2818",
+    ("heisenberg", 2, 3): "7b69491f950b8450d0fb82604da62010c29c76d7ee75add65345d58e44c9057a",
+    ("heisenberg", 3, 4): "915d8b3e4cb9caf1b6312399670b229146a1ba2af4708cb72b496931b1ca9146",
+    ("heisenberg", 4, 5): "72ec9447c658b74806ce9033d70a5aba22885b69fa02c789ad10d70753080655",
+    ("heisenberg", 5, 6): "c3e8b5f1036adf18a90d13e31310e9e5a781553dce8a0621828477ed9b2b7179",
+    ("adjoint_identity", 0, 1): "5950f68d63e75315dd5b85cb9ded843594610dde7e2f1dcb718c1d830e3791bd",
+    ("adjoint_identity", 1, 2): "5da671c99f04e1b390c46069fb716816bf437a388b752e0454495dab0194473b",
+    ("adjoint_identity", 2, 3): "6f761a025b540a920e552eb8e267b48986eee00f0d5ce965dbc365140e678a1a",
+    ("adjoint_identity", 3, 4): "2f022a7ff04c1dcb9344ca763e3801a43192738cc6c10dc648ac0993fa3963d4",
+    ("adjoint_identity", 4, 5): "a5f7a18b97dcabb7fbdfb55fa1edb239202ae9a45cbd34e56cb59494b3ac138a",
+    ("adjoint_identity", 5, 6): "b55e4a2454695abc5d8a1d8fedf761d7546dd6fec67930b946f1e448809232e1",
 }
 
 MORPHISM = {
@@ -438,13 +458,23 @@ def test_deform_report_bytes_are_pinned(fixture, bound, monkeypatch):
     assert stdout_digest(args, monkeypatch) == DEFORM[fixture, bound]
 
 
-@pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY))
-def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
-    args = [
-        "cohomology", f"tests/fixtures/{fixture}.lif", "--bound", "5",
+def cohomology_args(fixture, bound, degree, weight):
+    return [
+        "cohomology", f"tests/fixtures/{fixture}.lif", "--bound", str(bound),
         "--degree", str(degree), "--weight", str(weight),
     ]
+
+
+@pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY))
+def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
+    args = cohomology_args(fixture, 5, degree, weight)
     assert stdout_digest(args, monkeypatch) == COHOMOLOGY[fixture, degree, weight]
+
+
+@pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY_BOUND_6))
+def test_bound_6_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
+    args = cohomology_args(fixture, 6, degree, weight)
+    assert stdout_digest(args, monkeypatch) == COHOMOLOGY_BOUND_6[fixture, degree, weight]
 
 
 @pytest.mark.parametrize("command,fixture,bound", sorted(MORPHISM))
