@@ -473,9 +473,6 @@ class HemiProduct:
 
     # -- index plumbing -------------------------------------------------------
 
-    def is_e_letter(self, i: int) -> bool:
-        return i < self.v_offset
-
     def is_pure_v(self, word: Word) -> bool:
         return min(word, default=self.v_offset) >= self.v_offset
 

@@ -466,8 +466,11 @@ class DeformationComplex:
 
     The basis of the truncation consists of the elementary maps sending one
     target word (length up to the bound) to one acting letter; the bigrading
-    of a basis element is (map degree, input word length).  The unary twisted
-    bracket is stored as an exact matrix.
+    of a basis element is (map degree, input word length).  One walk over the
+    target words fills the word table of each word's position and degree,
+    the degree summed from its prefix's, and ``w -> b`` has basis index
+    ``position(w) * dim E + b``; the element degrees, the bigrading and the
+    matrix read it.  The unary twisted bracket is stored as an exact matrix.
 
     A build runs the explicit equations on their candidate words, then the
     twisted family's commutator series on restriction families, and keeps
@@ -492,22 +495,24 @@ class DeformationComplex:
             space, self.hemi.structure.brackets, t, bound, include_start=True
         )
         vspace, espace = action.V.space, action.E.space
-        self.basis: list[tuple[Word, int]] = [
-            (w, b)
-            for w in vspace.words_up_to(bound)
-            for b in range(espace.dim)
-        ]
-        self.basis_index = {ub: i for i, ub in enumerate(self.basis)}
+        # the word table: each target word up to the bound -> (position, degree)
+        self._words: dict[Word, tuple[int, int]] = {}
+        self.basis: list[tuple[Word, int]] = []
         # (degree, weight) -> basis indices of that bigraded piece
         self.bigrading: dict[tuple[int, int], list[int]] = {}
-        for i, (w, b) in enumerate(self.basis):
-            self.bigrading.setdefault((self.element_degree(w, b), len(w)), []).append(i)
+        for n, w in enumerate(vspace.words_up_to(bound)):
+            d = self._words.get(w[:-1], (0, 0))[1] + vspace.degrees[w[-1]]
+            self._words[w] = n, d
+            for b, eb in enumerate(espace.degrees):
+                self.basis.append((w, b))
+                self.bigrading.setdefault((eb - d, len(w)), []).append(n * espace.dim + b)
+        self.basis_index = {ub: i for i, ub in enumerate(self.basis)}
         self._memo: dict = {}
 
     # -- elements and their families -------------------------------------------
 
     def element_degree(self, w: Word, b: int) -> int:
-        return self.action.E.space.degrees[b] - self.action.V.space.word_degree(w)
+        return self.action.E.space.degrees[b] - self._words[w][1]
 
     def basis_element(self, w: Word, b: int) -> HomElement:
         return HomElement.from_rows(
@@ -581,49 +586,61 @@ class DeformationComplex:
           acting part of the summed series family on the words with exactly
           one acting letter: ``A`` sends a pure-target row only to such
           words, and every word ``r1`` reads back is a pure-target row.  Its
-          slot index is built once for all columns;
+          slot index is built once, in target coordinates.  A slot of ``b``
+          at position ``i`` with tail ``t`` takes words up to length
+          ``bound - i - |t|``, so only the columns some slot reaches are
+          composed, and every other column starts empty;
         * ``A`` restricts to the single entry ``w -> b``, so
           ``p(AT)(u) = T(u)[w] e_b``, read for every column in one transposed
-          pass over ``T``'s pure-target rows and entries.  Those are the
-          rows of the lift, over the target space, of the family's target
-          part on pure-target words, the only part that reaches them.
+          pass over ``T``'s pure-target rows and entries, each index and
+          parity from the word table.  Those are the rows of the lift, over
+          the target space, of the family's target part on pure-target
+          words, the only part that reaches them.
         """
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 
     def _d1_matrix(self) -> list[Vector]:
-        hemi, index = self.hemi, self.basis_index
+        hemi, bound, words = self.hemi, self.bound, self._words
         vspace, espace = self.action.V.space, self.action.E.space
+        dim_e, off, to_v = espace.dim, hemi.v_offset, hemi.to_v_word
         r1: dict[Word, Vector] = {}
         pure: dict[Word, Vector] = {}
         for x, vec in self._series.items():
-            acting = sum(map(hemi.is_e_letter, x))
+            acting = sum(i < off for i in x)
             if acting == 1:
                 r1[x] = hemi.e_part(vec)
             elif acting == 0:
-                pure[hemi.to_v_word(x)] = hemi.v_part(vec)
-        slots = _slot_index(hemi.space, ((x, vec) for x, vec in r1.items() if vec))
-        cols: list[Vector] = []
-        for w, b in self.basis:
-            entry = [(hemi.from_v_word(w), {b: 1})]
-            parity = self.element_degree(w, b) % 2
-            composite = _composite(hemi.space, slots, entry, parity, self.bound)
-            cols.append(
-                {
-                    index[hemi.to_v_word(u), e]: c
-                    for u, vec in composite.items()
-                    for e, c in vec.items()
-                }
-            )
+                pure[to_v(x)] = hemi.v_part(vec)
+        # the slots of r1's acting letters, in target coordinates; a slot at
+        # position i with tail t takes words of length up to bound - i - |t|
+        slots: dict[tuple[int, int], list] = {}
+        reach = [0] * dim_e
+        indexed = _slot_index(hemi.space, ((x, v) for x, v in r1.items() if v))
+        for (b, i), entries in indexed.items():
+            if b < off:
+                slots[b, i] = [(to_v(f), mask, to_v(t), v) for f, mask, t, v in entries]
+                reach[b] = max(reach[b], *(bound - i - len(t) for _, _, t, _ in entries))
+        cols: list[Vector] = [{} for _ in self.basis]
+        for w, (n, d) in words.items():
+            for b, eb in enumerate(espace.degrees):
+                if len(w) <= reach[b]:
+                    composite = _composite(vspace, slots, [(w, {b: 1})], (eb - d) % 2, bound)
+                    cols[n * dim_e + b] = {
+                        words[u][0] * dim_e + e: c
+                        for u, vec in composite.items()
+                        for e, c in vec.items()
+                    }
         family = maps_by_arity(vspace, vspace, 1, PLAIN, pure)
-        theta = lift_zinbiel_coderivation(vspace, family, self.bound)
-        # the column (y -> b) has odd degree when |b| and |y| differ in parity;
-        # every word y in the row of u has the degree |u| + |theta|
+        theta = lift_zinbiel_coderivation(vspace, family, bound)
+        # the column (y -> b) has odd degree when |b| and |y| differ in parity
         e_odd = [d % 2 for d in espace.degrees]
         for u, row in theta.rows.items():
-            y_odd = (vspace.word_degree(u) + theta.degree) % 2
+            at_u = words[u][0] * dim_e
             for y, c in row.items():
+                n, d = words[y]
+                at_y, y_odd = n * dim_e, d % 2
                 for b, odd in enumerate(e_odd):
-                    add_into(cols[index[y, b]], index[u, b], c if odd != y_odd else -c)
+                    add_into(cols[at_y + b], at_u + b, c if odd != y_odd else -c)
         return cols
 
     def d1_square_defect(self) -> list[tuple[int, int, Scalar]]:
@@ -674,8 +691,12 @@ def cohomology_rank(
 
     ``rank_out`` is the rank of the differential restricted to the piece;
     ``rank_in`` the rank of its components landing in the piece from the full
-    degree-below truncation.  Kernel dimension follows by rank-nullity.
+    degree-below truncation.  Kernel dimension follows by rank-nullity.  A
+    weight outside ``1..bound``, which the truncation says nothing of, is
+    refused; a degree with no basis element has an empty piece.
     """
+    if not 1 <= weight <= complex_.bound:
+        raise InputError(f"cohomology weight must lie in 1..{complex_.bound}, the truncated range")
     cols = complex_.d1_columns()
     piece = complex_.bigrading.get((degree, weight), [])
     rank_out = rank([cols[j] for j in piece])

@@ -222,8 +222,8 @@ def projected(hemi, cod: TruncatedCoderivation, degree: int) -> HomElement:
     """The length-one acting part of each pure-target row of ``cod``."""
     rows: dict[Word, Vector] = {}
     for w, row in cod.rows.items():
-        if all(not hemi.is_e_letter(x) for x in w):
-            vec = {u[0]: c for u, c in row.items() if len(u) == 1 and hemi.is_e_letter(u[0])}
+        if all(x >= hemi.v_offset for x in w):
+            vec = {u[0]: c for u, c in row.items() if len(u) == 1 and u[0] < hemi.v_offset}
             if vec:
                 rows[hemi.to_v_word(w)] = vec
     return HomElement.from_rows(degree, rows)

@@ -362,7 +362,7 @@ def test_jacobiator_vanishes_on_front_block_words_for_mere_actions():
         words = []
         for n in range(1, BOUND + 1):
             for word in st.space.words(n):
-                letters = [hemi.is_e_letter(i) for i in word]
+                letters = [i < hemi.v_offset for i in word]
                 # all acting letters before all target letters
                 if any(
                     (not a) and b for a, b in zip(letters, letters[1:])

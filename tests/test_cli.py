@@ -76,6 +76,16 @@ def test_failing_identity_exits_one(capsys, tmp_path):
     assert "residuals: 1" in out
 
 
+@pytest.mark.parametrize("weight", ["7", "0", "-1"])
+def test_cohomology_weight_outside_the_truncation_exits_two(weight, capsys):
+    args = ["--bound", "3", "--degree", "2", "--weight", weight]
+    code, out = run_cli(["cohomology", str(FIXTURES / "heisenberg.lif"), *args], capsys)
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert errors == ["error: cohomology weight must lie in 1..3, the truncated range"]
+    assert "verdict" not in out and "piece_dim" not in out
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.lif"
     bad.write_text("space X\n  u -1\n\nbrackets X symmetric\n  1 : u -> u : 1/0\n")

@@ -88,6 +88,7 @@ CASES = [
     ("heisenberg", 5),
     ("adjoint_identity", 3),
     ("adjoint_identity", 4),
+    ("adjoint_identity", 5),
 ]
 
 

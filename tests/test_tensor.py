@@ -753,3 +753,46 @@ def test_cohomology_pieces_reuse_the_built_matrix(monkeypatch):
     for degree, weight in sorted(complex_.bigrading):
         cohomology_rank(complex_, degree, weight)
     assert len(calls) == built
+
+
+def fixture_complex(name, bound):
+    sf = parse_path(FIXTURES / f"{name}.lif")
+    return deformation_complex(sf.embedding_tensor(), sf.action_family(), bound)
+
+
+@pytest.mark.parametrize(
+    "name,bound,reach",
+    [("heisenberg", bound, 0) for bound in range(3, 7)] + [("adjoint_identity", 4, 3)],
+)
+def test_d1_composes_only_the_columns_a_slot_reaches(name, bound, reach, monkeypatch):
+    # the heisenberg tensor's r1 is empty, so no column is composed; on the
+    # adjoint identity r1's slots reach the words shorter than the bound
+    calls = []
+    real = tensor_module._composite
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor_module, "_composite", counting)
+    complex_ = fixture_complex(name, bound)
+    complex_.d1_columns()
+    assert len(calls) == sum(len(w) <= reach for w, _ in complex_.basis)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity"])
+@pytest.mark.parametrize("bound", range(3, 7))
+def test_word_table_gives_each_degree_and_basis_index(name, bound):
+    complex_ = fixture_complex(name, bound)
+    espace, vspace = complex_.action.E.space, complex_.action.V.space
+    for i, (w, b) in enumerate(complex_.basis):
+        assert complex_.element_degree(w, b) == espace.degrees[b] - vspace.word_degree(w)
+        assert complex_.basis_index[w, b] == i
+
+
+@pytest.mark.parametrize("weight", [-1, 0, 3, 7])
+def test_cohomology_rank_refuses_a_weight_outside_the_truncation(weight):
+    complex_ = fixture_complex("heisenberg", 2)
+    with pytest.raises(InputError, match=r"weight must lie in 1\.\.2"):
+        cohomology_rank(complex_, 0, weight)
+
