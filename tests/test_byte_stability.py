@@ -7,7 +7,9 @@ The digests below were recorded from the word-by-word explicit check, the
 word-by-word comorphism and the full twisted lift; a change that moves a
 single byte of these reports fails here.  The bound-7 ``deform`` reports and
 the bound-6 ``cohomology`` pieces were recorded while ``d1`` composed the
-twisted family with every basis column.  The morphism reports were
+twisted family with every basis column; the bound-8 ``deform`` reports and
+the bound-7 ``cohomology`` piece while ``d1`` still lifted the twisted
+family's pure-target part in full.  The morphism reports were
 recorded while the crosscheck still intertwined the full lifts of both
 codifferentials.  The tensor reports, in both formats, were recorded from
 the explicit check's own per-word equations and the descendent structure
@@ -41,6 +43,8 @@ DEFORM = {
     ("adjoint_identity", 6): "fc5b7841f9495d16485f010d69a5e04d3b0394139e728c3f7459995c29f154f7",
     ("heisenberg", 7): "765ff47823ed2b40730b9c3ba3730ace6e95cb887eaa5739f23f705a05383a10",
     ("adjoint_identity", 7): "4b32cef4f56932f175ebff1d79106caf65741490b515aada35c7779892a6175c",
+    ("heisenberg", 8): "a1b3304ee32649ceb95389bd8718ad0f076d39da323138989bf533f4c78b9a92",
+    ("adjoint_identity", 8): "5c0bea5fa87763f38b74ee846562f0a428e75a6012738f034b0797285c0fe3aa",
 }
 
 # every (degree, weight) piece of the bound-5 complex of each fixture
@@ -71,6 +75,11 @@ COHOMOLOGY_BOUND_6 = {
     ("adjoint_identity", 3, 4): "2f022a7ff04c1dcb9344ca763e3801a43192738cc6c10dc648ac0993fa3963d4",
     ("adjoint_identity", 4, 5): "a5f7a18b97dcabb7fbdfb55fa1edb239202ae9a45cbd34e56cb59494b3ac138a",
     ("adjoint_identity", 5, 6): "b55e4a2454695abc5d8a1d8fedf761d7546dd6fec67930b946f1e448809232e1",
+}
+
+# the top piece of heisenberg's bound-7 complex, the largest its d1 ranks
+COHOMOLOGY_BOUND_7 = {
+    ("heisenberg", 5, 6): "df6998cc1662dc1e1961c0e71d0d8b2cd23f66d7d69f8f699e876dc94dff10d2",
 }
 
 MORPHISM = {
@@ -475,6 +484,12 @@ def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch
 def test_bound_6_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
     args = cohomology_args(fixture, 6, degree, weight)
     assert stdout_digest(args, monkeypatch) == COHOMOLOGY_BOUND_6[fixture, degree, weight]
+
+
+@pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY_BOUND_7))
+def test_bound_7_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
+    args = cohomology_args(fixture, 7, degree, weight)
+    assert stdout_digest(args, monkeypatch) == COHOMOLOGY_BOUND_7[fixture, degree, weight]
 
 
 @pytest.mark.parametrize("command,fixture,bound", sorted(MORPHISM))
