@@ -75,11 +75,8 @@ class Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _emit_report(em: Emitter, report: CheckReport, extra: dict | None = None) -> int:
+def _emit_report(em: Emitter, report: CheckReport) -> int:
     em.field("verdict", report.verdict)
-    if extra:
-        for key, value in extra.items():
-            em.field(key, value)
     em.residuals(report)
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -238,6 +235,7 @@ def cmd_cohomology(sf, args, em):
         raise InputError("cohomology needs --degree and --weight")
     family = sf.action_family()
     tensor = sf.embedding_tensor()
+    tensor_mod.check_cohomology_weight(args.weight, args.bound)
     complex_ = tensor_mod.deformation_complex(tensor, family, args.bound)
     ranks = tensor_mod.cohomology_rank(complex_, args.degree, args.weight)
     em.field("verdict", "PASS")

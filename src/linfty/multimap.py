@@ -415,25 +415,6 @@ class TruncatedCoderivation:
         )
 
 
-def maps_by_arity(
-    source: GradedSpace,
-    target: GradedSpace,
-    degree: int,
-    flavor: str,
-    table: Mapping[Word, Vector],
-) -> dict[int, MultiMap]:
-    """A table of values on words as one map per word length; empty values
-    are dropped."""
-    per_arity: dict[int, dict[Word, Vector]] = {}
-    for w, vec in table.items():
-        if vec:
-            per_arity.setdefault(len(w), {})[w] = vec
-    return {
-        k: MultiMap(source, target, k, degree, flavor, words)
-        for k, words in per_arity.items()
-    }
-
-
 def _common_degree(restrictions: Mapping[int, MultiMap]) -> int:
     degrees = {f.degree for f in restrictions.values() if not f.is_zero()}
     if len(degrees) > 1:
@@ -621,30 +602,16 @@ def lift_zinbiel_coderivation(
     letters pass through on the right.  Moving a degree-``d`` map past the
     front block costs ``(-1)^{d * deg(front)}``.
 
-    The rows up to the anchored letter, the prefixes, are :func:`_composite`
-    with every word ``y`` that fits as an outer key and ends in an output
-    letter of the family, read at its last slot only, with value ``y``
-    itself: the prefix that interleaves ``y[:-1]``
-    with ``u[:-1]``, then ``u[-1]``, holds ``y[:-1] + (b,)`` with the sign
-    of that placement times ``q(u)_b``.  Every prefix row then extends by
-    each tail that fits under the bound.  The work is proportional to the
-    (key, front word, placement) triples and their tails, not to the
-    ``dim^bound`` words.
+    The rows up to the anchored letter are :func:`_prefix_rows`; every
+    prefix row then extends by each tail that fits under the bound.  The
+    work is proportional to the (key, front word, placement) triples and
+    their tails, not to the ``dim^bound`` words.
     """
     degree = _common_degree(restrictions)
-    support = list(_plain_support(restrictions))
     short = [_words_of_length(space.dim, n) for n in range(bound)]
-    longest = bound + 1 - min((len(u) for u, _ in support), default=bound + 1)
-    outputs = {b for _, vec in support for b in vec}
-    odd = tuple(d % 2 for d in space.degrees)
-    slots: dict[tuple[int, int], list] = {}
-    for n in range(longest):
-        for front in short[n]:
-            mask = _odd_mask(front, odd)
-            for b in outputs:
-                slots.setdefault((b, n), []).append((front, mask, (), {front + (b,): 1}))
+    prefixes = _prefix_rows(space, list(_plain_support(restrictions)), degree % 2, bound)
     rows: dict[Word, WordSum] = {}
-    for prefix, prow in _composite(space, slots, support, degree % 2, bound).items():
+    for prefix, prow in prefixes.items():
         if not prow:
             continue
         for n in range(bound - len(prefix) + 1):
@@ -657,6 +624,29 @@ def lift_zinbiel_coderivation(
                     for x, c in prow.items():
                         add_into(row, x + tail, c)
     return TruncatedCoderivation(space, bound, degree, ZINBIEL, rows)
+
+
+def _prefix_rows(
+    space: GradedSpace, support: list[tuple[Word, Vector]], parity: int, bound: int
+) -> dict[Word, WordSum]:
+    """The rows of the Zinbiel lift of a plain support of degree parity
+    ``parity`` on the words that end in the anchored letter, the prefixes;
+    a row that cancels stays empty.  They are :func:`_composite` with every
+    word ``y`` that fits as an outer key and ends in an output letter of the
+    family, read at its last slot only, with value ``y`` itself: the prefix
+    that interleaves ``y[:-1]`` with ``u[:-1]``, then ``u[-1]``, holds
+    ``y[:-1] + (b,)`` with the sign of that placement times ``q(u)_b``."""
+    short = [_words_of_length(space.dim, n) for n in range(bound)]
+    longest = bound + 1 - min((len(u) for u, _ in support), default=bound + 1)
+    outputs = {b for _, vec in support for b in vec}
+    odd = tuple(d % 2 for d in space.degrees)
+    slots: dict[tuple[int, int], list] = {}
+    for n in range(longest):
+        for front in short[n]:
+            mask = _odd_mask(front, odd)
+            for b in outputs:
+                slots.setdefault((b, n), []).append((front, mask, (), {front + (b,): 1}))
+    return _composite(space, slots, support, parity, bound)
 
 
 def _slot_index(space: GradedSpace, support: Iterable[tuple[Word, Vector]]) -> dict:
@@ -683,10 +673,10 @@ def _composite(
     """:func:`lifted_composite` from the outer family's :func:`_slot_index`,
     the inner family's plain support and the parity of its degree, so a
     caller that composes one outer family with many inner ones, or a family
-    with itself, indexes it once; :func:`lift_zinbiel_coderivation` forms
-    its prefix rows here from an index of its own.  Each placement gathers
-    its head from the front and the inner letters and reads its sign from
-    the front's odd mask (:func:`_placement_flips`), and every term is
+    with itself, indexes it once; :func:`_prefix_rows` forms the Zinbiel
+    lift's prefix rows here from an index of its own.  Each placement
+    gathers its head from the front and the inner letters and reads its sign
+    from the front's odd mask (:func:`_placement_flips`), and every term is
     summed in place."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
@@ -757,20 +747,20 @@ def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedC
 
 
 def balavoine_bracket(
-    space: GradedSpace,
-    f: Mapping[int, MultiMap],
-    g: Mapping[int, MultiMap],
-    bound: int,
-) -> dict[int, MultiMap]:
-    """Restrictions of the commutator of the Zinbiel lifts of two families,
-    ``p[F, G] = f G - (-1)^{|f||g|} g F`` from two :func:`lifted_composite`
-    calls, with no lift and no commutator."""
-    fg, gf = lifted_composite(space, f, g, bound), lifted_composite(space, g, f, bound)
-    df, dg = _common_degree(f), _common_degree(g)
-    sign = 1 if df % 2 and dg % 2 else -1
+    space: GradedSpace, f: Mapping[Word, Vector], f_degree: int,
+    g: Mapping[Word, Vector], g_degree: int, bound: int,
+) -> dict[Word, Vector]:
+    """The restriction ``p[F, G] = f G - (-1)^{|f||g|} g F`` of the
+    commutator of the Zinbiel lifts of two plain tables ``{word: vector}``
+    of the given degrees, a table of degree ``f_degree + g_degree`` with no
+    empty value, from two :func:`_composite` calls, with no lift and no
+    commutator."""
+    fg = _composite(space, _slot_index(space, f.items()), g.items(), g_degree % 2, bound)
+    gf = _composite(space, _slot_index(space, g.items()), f.items(), f_degree % 2, bound)
+    sign = 1 if f_degree % 2 and g_degree % 2 else -1
     for w, vec in gf.items():
         merge_into(fg.setdefault(w, {}), vec, sign)
-    return maps_by_arity(space, space, df + dg, PLAIN, fg)
+    return {w: vec for w, vec in fg.items() if vec}
 
 
 # ---------------------------------------------------------------------------

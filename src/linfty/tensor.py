@@ -16,8 +16,8 @@ maps; the package evaluates that condition along two independent routes:
 Every tensor induces a plain (Loday-type) bracket family on the target,
 its descendent, formed in one pass over the action's keys; verified
 tensors are exactly the morphisms from it into the acting structure, and
-carry a deformation complex whose derived brackets run on restriction
-families, as the series route does.  Each check builds the comorphism rows
+carry a deformation complex whose derived brackets run on plain word
+tables, as the series route does.  Each check builds the comorphism rows
 it reads; nothing is memoized on a tensor.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .action import ActionFamily, HemiProduct, hemisemidirect
 from .graded import GradedSpace, Word
@@ -40,13 +40,12 @@ from .multimap import (
     Vector,
     _comorphism_rows,
     _composite,
+    _prefix_rows,
     _slot_index,
-    add_into,
+    _words_of_length,
     balavoine_bracket,
     exact,
     expand,
-    lift_zinbiel_coderivation,
-    maps_by_arity,
     merge_into,
 )
 from .report import (
@@ -125,17 +124,22 @@ def _check_tensor_spaces(tensor: EmbeddingTensor, action: ActionFamily) -> None:
         raise InputError("tensor spaces do not match the action")
 
 
+def _on_product(hemi: HemiProduct, rows: Iterable) -> dict[Word, Vector]:
+    """Pairs ``(target word, vector or its items)`` as a table on the product."""
+    return {hemi.from_v_word(w): dict(vec) for w, vec in rows}
+
+
 def _tensor_restrictions(
     tensor: EmbeddingTensor, hemi: HemiProduct, bound: int
-) -> dict[int, MultiMap]:
-    """The tensor's components up to ``bound`` as a family on the product."""
-    table: dict[Word, Vector] = {
-        hemi.from_v_word(w): dict(vec)
-        for k, f in tensor.components.items()
-        if k <= bound
-        for w, vec in f.constants.items()
-    }
-    return maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table)
+) -> dict[Word, Vector]:
+    """The tensor's components up to ``bound`` as a degree-0 table on the product."""
+    comps = tensor.components.items()
+    return _on_product(hemi, (p for k, f in comps if k <= bound for p in f.constants.items()))
+
+
+def _bracket_table(hemi: HemiProduct) -> dict[Word, Vector]:
+    """The product's brackets as one degree-1 table."""
+    return {w: vec for f in hemi.structure.brackets.values() for w, vec in f.constants.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,36 +186,34 @@ def _descendent_identity(
 
 def _ad_series(
     space: GradedSpace,
-    start: Mapping[int, MultiMap],
-    t: Mapping[int, MultiMap],
+    start: Mapping[Word, Vector],
+    t: Mapping[Word, Vector],
     bound: int,
     include_start: bool,
 ) -> dict[Word, Vector]:
     """The restriction ``p sum_m [..[S, T].., T] / m!`` of the series of the
-    Zinbiel lifts ``S`` and ``T`` of the families ``start`` and ``t``, on the
-    words up to ``bound``, with stabilization asserted.
+    Zinbiel lifts ``S`` and ``T`` of the plain tables ``start`` (degree 1)
+    and ``t`` (degree 0) on the words up to ``bound``, stabilization asserted.
 
     A coderivation is fixed by its restriction, so each term is the
-    :func:`balavoine_bracket` of the previous term's family with ``t``,
-    ``a T - (-1)^{|a||t|} t A``; no term is lifted.  The summed values are
+    :func:`balavoine_bracket` of the previous term's table, of degree 1,
+    with ``t``, ``a T - t A``; no term is lifted.  The summed values are
     returned in the normal form of :func:`linfty.multimap.exact`.
     """
     acc: dict[Word, Vector] = {}
     if include_start:
-        for k, f in start.items():
-            if k <= bound:
-                for w, vec in f.constants.items():
-                    merge_into(acc.setdefault(w, {}), vec)
+        for w, vec in start.items():
+            if len(w) <= bound:
+                merge_into(acc.setdefault(w, {}), vec)
     term = start
     factorial = 1
     step = 0
     while term:
         step += 1
         factorial *= step
-        term = balavoine_bracket(space, term, t, bound)
-        for f in term.values():
-            for w, vec in f.constants.items():
-                merge_into(acc.setdefault(w, {}), vec, Fraction(1, factorial))
+        term = balavoine_bracket(space, term, 1, t, 0, bound)
+        for w, vec in term.items():
+            merge_into(acc.setdefault(w, {}), vec, Fraction(1, factorial))
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
     return {w: {o: exact(c, (w, o)) for o, c in vec.items()} for w, vec in acc.items() if vec}
@@ -235,8 +237,8 @@ def check_embedding_mc(
     """Flatness of the tensor's coderivation inside the derived-bracket frame.
 
     Runs the iterated-commutator series of the product codifferential with
-    the tensor's coderivation on their restriction families and projects the
-    summed family onto target-to-acting components; nothing is lifted.  The
+    the tensor's coderivation on their restriction tables and projects the
+    summed table onto target-to-acting components; nothing is lifted.  The
     series is finite per output weight; stabilization is asserted at run
     time rather than assumed.
     """
@@ -244,7 +246,7 @@ def check_embedding_mc(
     _ensure_coherent(action, bound)
     hemi = hemisemidirect(action)
     t = _tensor_restrictions(tensor, hemi, bound)
-    series = _ad_series(hemi.space, hemi.structure.brackets, t, bound, include_start=False)
+    series = _ad_series(hemi.space, _bracket_table(hemi), t, bound, include_start=False)
     items = _residual_items(action.V.space, action.E.space, _project_h(series, hemi))
     return make_report("embedding-mc", bound, items)
 
@@ -436,7 +438,8 @@ def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
 
 @dataclass(frozen=True)
 class HomElement:
-    """A homogeneous family of target-word-to-acting maps up to a bound."""
+    """A homogeneous family of target-word-to-acting maps up to a bound,
+    its values in the normal form of :func:`linfty.multimap.exact`."""
 
     degree: int
     rows: tuple[tuple[Word, tuple[tuple[int, Scalar], ...]], ...]
@@ -444,7 +447,9 @@ class HomElement:
     @classmethod
     def from_rows(cls, degree: int, rows: Mapping[Word, Vector]) -> "HomElement":
         packed = tuple(
-            (w, tuple(sorted(rows[w].items()))) for w in sorted(rows) if rows[w]
+            (w, tuple(sorted((o, exact(c, (w, o))) for o, c in rows[w].items())))
+            for w in sorted(rows)
+            if rows[w]
         )
         return cls(degree, packed)
 
@@ -461,8 +466,8 @@ class DeformationComplex:
     codifferential ``Q``, :meth:`twisted_bracket` the same chain from the
     codifferential twisted by the tensor, and :meth:`mc_residual_of` the
     Maurer-Cartan curvature of a degree-0 element in the twisted structure.
-    All three run on restriction families, one :func:`balavoine_bracket` per
-    element, and lift nothing.
+    All three run on plain tables ``{word: vector}`` on the product, one
+    :func:`balavoine_bracket` per element, and lift nothing.
 
     The basis of the truncation consists of the elementary maps sending one
     target word (length up to the bound) to one acting letter; the bigrading
@@ -473,12 +478,12 @@ class DeformationComplex:
     matrix read it.  The unary twisted bracket is stored as an exact matrix.
 
     A build runs the explicit equations on their candidate words, then the
-    twisted family's commutator series on restriction families, and keeps
-    the summed family.  :meth:`d1_columns` reads from it the words with one
-    acting letter and lifts only its pure-target part.  The matrix is built
-    on the first :meth:`d1_columns` call and memoized under ``("d1", bound)``
-    (:func:`linfty.memo.memo`), so every :func:`cohomology_rank` piece reads
-    the same columns.
+    twisted codifferential's commutator series on tables, and keeps the
+    summed table.  :meth:`d1_columns` reads from it the words with one acting
+    letter and the prefix rows of the lift of its pure-target part; nothing
+    is lifted in full.  The matrix is built on the first :meth:`d1_columns`
+    call and memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`), so
+    every :func:`cohomology_rank` piece reads the same columns.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -489,11 +494,8 @@ class DeformationComplex:
         self.action = action
         self.bound = bound
         self.hemi = hemisemidirect(action)
-        space = self.hemi.space
-        t = _tensor_restrictions(tensor, self.hemi, bound)
-        self._series = _ad_series(
-            space, self.hemi.structure.brackets, t, bound, include_start=True
-        )
+        q, t = _bracket_table(self.hemi), _tensor_restrictions(tensor, self.hemi, bound)
+        self._series = _ad_series(self.hemi.space, q, t, bound, include_start=True)
         vspace, espace = action.V.space, action.E.space
         # the word table: each target word up to the bound -> (position, degree)
         self._words: dict[Word, tuple[int, int]] = {}
@@ -506,69 +508,44 @@ class DeformationComplex:
             for b, eb in enumerate(espace.degrees):
                 self.basis.append((w, b))
                 self.bigrading.setdefault((eb - d, len(w)), []).append(n * espace.dim + b)
-        self.basis_index = {ub: i for i, ub in enumerate(self.basis)}
         self._memo: dict = {}
 
-    # -- elements and their families -------------------------------------------
+    # -- elements ----------------------------------------------------------------
 
     def element_degree(self, w: Word, b: int) -> int:
         return self.action.E.space.degrees[b] - self._words[w][1]
 
     def basis_element(self, w: Word, b: int) -> HomElement:
-        return HomElement.from_rows(
-            self.element_degree(w, b), {w: {b: 1}}
-        )
-
-    def _family(self, element: HomElement) -> dict[int, MultiMap]:
-        """The element's maps as a restriction family on the product."""
-        space = self.hemi.space
-        table = {self.hemi.from_v_word(w): dict(vec) for w, vec in element.rows}
-        return maps_by_arity(space, space, element.degree, PLAIN, table)
-
-    def _twisted_family(self) -> dict[int, MultiMap]:
-        """The restriction family of the series-twisted codifferential."""
-        space = self.hemi.space
-        return maps_by_arity(space, space, 1, PLAIN, self._series)
+        return HomElement.from_rows(self.element_degree(w, b), {w: {b: 1}})
 
     # -- derived brackets ------------------------------------------------------
 
     def derived_bracket(self, elements: list[HomElement]) -> HomElement:
         """``P([..[[Q, a_1], a_2].., a_k])`` for elements of the truncation."""
-        return self._chain(self.hemi.structure.brackets, elements)
+        return self._chain(_bracket_table(self.hemi), elements)
 
     def twisted_bracket(self, elements: list[HomElement]) -> HomElement:
         """Same chain started from the series-twisted codifferential."""
-        return self._chain(self._twisted_family(), elements)
+        return self._chain(self._series, elements)
 
-    def _chain(
-        self, start: Mapping[int, MultiMap], elements: list[HomElement]
-    ) -> HomElement:
-        """The projected chain of brackets of the lift of ``start`` with the
-        elements' lifts, one :func:`balavoine_bracket` per element."""
+    def _chain(self, start: Mapping[Word, Vector], elements: list[HomElement]) -> HomElement:
+        """The projected chain of brackets of the lift of the degree-1 table
+        ``start`` with the elements' lifts, one :func:`balavoine_bracket` each."""
         chain, degree = start, 1
         for a in elements:
-            chain = balavoine_bracket(self.hemi.space, chain, self._family(a), self.bound)
+            table = _on_product(self.hemi, a.rows)
+            chain = balavoine_bracket(self.hemi.space, chain, degree, table, a.degree, self.bound)
             degree += a.degree
-        table = {
-            w: vec
-            for f in chain.values()
-            for w, vec in f.constants.items()
-            if len(w) <= self.bound
-        }
-        return HomElement.from_rows(degree, _project_h(table, self.hemi))
+        short = {w: vec for w, vec in chain.items() if len(w) <= self.bound}
+        return HomElement.from_rows(degree, _project_h(short, self.hemi))
 
     def mc_residual_of(self, element: HomElement) -> HomElement:
         """Curvature ``P sum_m [..[T, A].., A] / m!`` of a degree-0 candidate
         inside the twisted structure ``T``."""
         if element.degree != 0:
             raise InputError("deformation candidates are degree-0 elements")
-        series = _ad_series(
-            self.hemi.space,
-            self._twisted_family(),
-            self._family(element),
-            self.bound,
-            include_start=False,
-        )
+        table = _on_product(self.hemi, element.rows)
+        series = _ad_series(self.hemi.space, self._series, table, self.bound, include_start=False)
         return HomElement.from_rows(1, _project_h(series, self.hemi))
 
     # -- the unary differential as a matrix ------------------------------------
@@ -583,7 +560,7 @@ class DeformationComplex:
 
         * ``p(TA) = r1 A`` is the composite of ``r1`` with the single entry
           ``w -> b``, whose degree sets the placement signs.  ``r1`` is the
-          acting part of the summed series family on the words with exactly
+          acting part of the summed series table on the words with exactly
           one acting letter: ``A`` sends a pure-target row only to such
           words, and every word ``r1`` reads back is a pure-target row.  Its
           slot index is built once, in target coordinates.  A slot of ``b``
@@ -591,11 +568,13 @@ class DeformationComplex:
           ``bound - i - |t|``, so only the columns some slot reaches are
           composed, and every other column starts empty;
         * ``A`` restricts to the single entry ``w -> b``, so
-          ``p(AT)(u) = T(u)[w] e_b``, read for every column in one transposed
-          pass over ``T``'s pure-target rows and entries, each index and
-          parity from the word table.  Those are the rows of the lift, over
-          the target space, of the family's target part on pure-target
-          words, the only part that reaches them.
+          ``p(AT)(u) = T(u)[w] e_b``: the rows, over the target space, of the
+          lift of the table's target part on pure-target words, the only
+          part that reaches them.  Those are its prefix rows
+          (:func:`linfty.multimap._prefix_rows`), each extended by every tail
+          that fits, and each ``(prefix, tail, entry)`` is summed straight
+          into its column, each index and parity from the word table; no
+          lift and no transposed copy is formed.
         """
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 
@@ -604,13 +583,13 @@ class DeformationComplex:
         vspace, espace = self.action.V.space, self.action.E.space
         dim_e, off, to_v = espace.dim, hemi.v_offset, hemi.to_v_word
         r1: dict[Word, Vector] = {}
-        pure: dict[Word, Vector] = {}
+        pure: list[tuple[Word, Vector]] = []
         for x, vec in self._series.items():
             acting = sum(i < off for i in x)
             if acting == 1:
                 r1[x] = hemi.e_part(vec)
-            elif acting == 0:
-                pure[to_v(x)] = hemi.v_part(vec)
+            elif acting == 0 and (v := hemi.v_part(vec)):
+                pure.append((to_v(x), v))
         # the slots of r1's acting letters, in target coordinates; a slot at
         # position i with tail t takes words of length up to bound - i - |t|
         slots: dict[tuple[int, int], list] = {}
@@ -630,17 +609,23 @@ class DeformationComplex:
                         for u, vec in composite.items()
                         for e, c in vec.items()
                     }
-        family = maps_by_arity(vspace, vspace, 1, PLAIN, pure)
-        theta = lift_zinbiel_coderivation(vspace, family, bound)
-        # the column (y -> b) has odd degree when |b| and |y| differ in parity
+        # the entry y = x + tail of row u = prefix + tail lands in the column
+        # (y -> b) at row (u -> b), negated unless |b| and |y| differ in parity
         e_odd = [d % 2 for d in espace.degrees]
-        for u, row in theta.rows.items():
-            at_u = words[u][0] * dim_e
-            for y, c in row.items():
-                n, d = words[y]
-                at_y, y_odd = n * dim_e, d % 2
-                for b, odd in enumerate(e_odd):
-                    add_into(cols[at_y + b], at_u + b, c if odd != y_odd else -c)
+        tails = [_words_of_length(vspace.dim, k) for k in range(bound)]
+        for prefix, row in _prefix_rows(vspace, pure, 1, bound).items():
+            for k in range(bound - len(prefix) + 1):
+                for tail in tails[k]:
+                    at_u = words[prefix + tail][0] * dim_e
+                    for x, c in row.items():
+                        n, d = words[x + tail]
+                        signed = (c, -c) if d % 2 else (-c, c)
+                        for b, odd in enumerate(e_odd):
+                            col, i = cols[n * dim_e + b], at_u + b
+                            if total := col.get(i, 0) + signed[odd]:
+                                col[i] = total
+                            else:
+                                del col[i]
         return cols
 
     def d1_square_defect(self) -> list[tuple[int, int, Scalar]]:
@@ -650,9 +635,11 @@ class DeformationComplex:
             acc: Vector = {}
             for i, c in col.items():
                 for i2, c2 in cols[i].items():
-                    add_into(acc, i2, c * c2)
-            for i, c in acc.items():
-                defects.append((i, j, c))
+                    if total := acc.get(i2, 0) + c * c2:
+                        acc[i2] = total
+                    else:
+                        del acc[i2]
+            defects.extend((i, j, c) for i, c in acc.items())
         return defects
 
     def check_d1_squares_to_zero(self) -> CheckReport:
@@ -684,6 +671,12 @@ class CohomologyRanks:
     rank_in: int
 
 
+def check_cohomology_weight(weight: int, bound: int) -> None:
+    """Refuse a weight outside ``1..bound``, which the truncation says nothing of."""
+    if not 1 <= weight <= bound:
+        raise InputError(f"cohomology weight must lie in 1..{bound}, the truncated range")
+
+
 def cohomology_rank(
     complex_: DeformationComplex, degree: int, weight: int
 ) -> CohomologyRanks:
@@ -692,11 +685,10 @@ def cohomology_rank(
     ``rank_out`` is the rank of the differential restricted to the piece;
     ``rank_in`` the rank of its components landing in the piece from the full
     degree-below truncation.  Kernel dimension follows by rank-nullity.  A
-    weight outside ``1..bound``, which the truncation says nothing of, is
-    refused; a degree with no basis element has an empty piece.
+    weight outside ``1..bound`` is refused (:func:`check_cohomology_weight`);
+    a degree with no basis element has an empty piece.
     """
-    if not 1 <= weight <= complex_.bound:
-        raise InputError(f"cohomology weight must lie in 1..{complex_.bound}, the truncated range")
+    check_cohomology_weight(weight, complex_.bound)
     cols = complex_.d1_columns()
     piece = complex_.bigrading.get((degree, weight), [])
     rank_out = rank([cols[j] for j in piece])

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from dense_splits import dense_increasing_splits
-from laws import action_value
+from laws import action_value, maps_by_arity
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
@@ -53,7 +53,6 @@ from linfty.multimap import (
     _common_degree,
     add_into,
     commutator,
-    maps_by_arity,
     merge_into,
 )
 from linfty.report import RouteDisagreement

@@ -2,18 +2,21 @@
 
 The co-Leibniz defect of a coderivation, the coproduct defect of a
 comorphism, the twist of a pair sum, the identity comorphism, a multiple
-and the length-one part of a row of a full coderivation, the restriction
-family of a coderivation, the composite of two comorphisms, the exponential of
-a degree-0 coderivation, the extension ``identity + tensor`` of the product
-coalgebra and the restriction lemma it satisfies, the strict and symmetric
-flags of an embedding tensor, the value of an action or a tensor on words,
-the sum of two tensors, an element's rows as a dict, a seeded random
-vector and the adjoint representation of a structure.
+and the length-one part of a row of a full coderivation, a table as one
+map per word length, the bracket of two families through their tables,
+the restriction family of a coderivation, the composite of two
+comorphisms, the exponential of a degree-0 coderivation, the extension
+``identity + tensor`` of the product coalgebra and the restriction lemma
+it satisfies, the strict and symmetric flags of an embedding tensor, the
+value of an action or a tensor on words, the sum of two tensors, an
+element's rows as a dict, a seeded random vector and the adjoint
+representation of a structure.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Mapping
 
 from linfty.corpus import SMALL_FRACTIONS
 from linfty.graded import GradedSpace, Word
@@ -26,10 +29,11 @@ from linfty.multimap import (
     TruncatedComorphism,
     Vector,
     WordSum,
+    _common_degree,
     add_into,
+    balavoine_bracket,
     coshuffle_coproduct,
     lift_comorphism,
-    maps_by_arity,
     merge_into,
     symmetrize,
     zinbiel_coproduct,
@@ -135,6 +139,41 @@ def scaled(cod: TruncatedCoderivation, c: Fraction) -> TruncatedCoderivation:
 def restriction_vector(cod: TruncatedCoderivation, word: Word) -> Vector:
     """The length-one part of the row of ``word``, as a vector."""
     return {u[0]: c for u, c in cod.rows.get(word, {}).items() if len(u) == 1}
+
+
+def maps_by_arity(
+    source: GradedSpace,
+    target: GradedSpace,
+    degree: int,
+    flavor: str,
+    table: Mapping[Word, Vector],
+) -> dict[int, MultiMap]:
+    """A table of values on words as one map per word length; empty values
+    are dropped."""
+    per_arity: dict[int, dict[Word, Vector]] = {}
+    for w, vec in table.items():
+        if vec:
+            per_arity.setdefault(len(w), {})[w] = vec
+    return {
+        k: MultiMap(source, target, k, degree, flavor, words)
+        for k, words in per_arity.items()
+    }
+
+
+def family_bracket(
+    space: GradedSpace, f: Mapping[int, MultiMap], g: Mapping[int, MultiMap], bound: int
+) -> dict[int, MultiMap]:
+    """:func:`balavoine_bracket` of two homogeneous families, fed each one's
+    plain support as one table with its degree; the bracket's table comes
+    back as one map per word length of the summed degree, which checks that
+    every value has it."""
+
+    def table(family):
+        return {w: v for m in family.values() for w, v in m.expand_plain().constants.items()}
+
+    fd, gd = _common_degree(f), _common_degree(g)
+    bracket = balavoine_bracket(space, table(f), fd, table(g), gd, bound)
+    return maps_by_arity(space, space, fd + gd, PLAIN, bracket)
 
 
 def length_one_maps(source, target, degree, coalgebra, rows) -> dict[int, MultiMap]:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import linfty.tensor as tensor_module
 from linfty.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,9 +78,19 @@ def test_failing_identity_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("weight", ["7", "0", "-1"])
-def test_cohomology_weight_outside_the_truncation_exits_two(weight, capsys):
+def test_cohomology_weight_outside_the_truncation_exits_two(weight, capsys, monkeypatch):
+    # the weight is refused before the complex is built
+    built = []
+    real = tensor_module.DeformationComplex.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(tensor_module.DeformationComplex, "__init__", counting)
     args = ["--bound", "3", "--degree", "2", "--weight", weight]
     code, out = run_cli(["cohomology", str(FIXTURES / "heisenberg.lif"), *args], capsys)
+    assert built == []
     assert code == 2
     errors = [line for line in out.splitlines() if line.startswith("error:")]
     assert errors == ["error: cohomology weight must lie in 1..3, the truncated range"]

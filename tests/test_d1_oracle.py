@@ -2,13 +2,13 @@
 against their oracles.
 
 ``DeformationComplex.derived_bracket``, ``twisted_bracket`` and
-``mc_residual_of`` run on restriction families, one ``balavoine_bracket``
-per element, and ``d1_columns`` forms only the projection of ``[T, a]``:
-the ``p(TA)`` half is a composite of ``T``'s restriction on the words with
-one acting letter with the basis element, and the ``p(AT)`` half a
-transposed pass over ``T``'s pure-target rows.  The references are the
-projected chains and series of ``dense_lifts``: word-by-word lifts of the
-product's brackets, of the tensor and of each element, composed by
+``mc_residual_of`` run on plain tables, one ``balavoine_bracket`` per
+element, and ``d1_columns`` forms only the projection of ``[T, a]``: the
+``p(TA)`` half is a composite of ``T``'s restriction on the words with one
+acting letter with the basis element, and the ``p(AT)`` half is read off
+the prefix rows of the lift of ``T``'s pure-target part.  The references
+are the projected chains and series of ``dense_lifts``: word-by-word lifts
+of the product's brackets, of the tensor and of each element, composed by
 ``commutator``.  The reference columns are the chains ``P([T, a])`` of the
 basis elements.  :func:`linfty.linalg.rank` is checked against the dense
 Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
@@ -55,12 +55,11 @@ def reference_columns(name, bound):
 def dense_columns(tensor, complex_, bound):
     """Each column ``P([T, a])`` of a basis element, from the dense chain."""
     twisted = dense_twisted(tensor, complex_.hemi, bound)
+    index = {ub: i for i, ub in enumerate(complex_.basis)}
     cols = []
     for w, b in complex_.basis:
         image = dense_chain(complex_.hemi, twisted, [complex_.basis_element(w, b)], bound)
-        cols.append(
-            {complex_.basis_index[u, e]: c for u, vec in image.rows for e, c in vec}
-        )
+        cols.append({index[u, e]: c for u, vec in image.rows for e, c in vec})
     return cols
 
 

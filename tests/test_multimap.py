@@ -11,7 +11,6 @@ from linfty.multimap import (
     SYMMETRIC,
     MultiMap,
     add_into,
-    balavoine_bracket,
     commutator,
     coshuffle_coproduct,
     decalage,
@@ -29,6 +28,7 @@ from laws import (
     check_coleibniz,
     check_intertwines_coproduct,
     compose_comorphisms,
+    family_bracket,
     identity_comorphism,
     restriction_vector,
     restrictions,
@@ -372,14 +372,14 @@ def test_commutator_unary_matches_matrix_commutator(mixed3):
 def test_balavoine_zero_on_even_square(mixed3):
     rng = random.Random(12)
     fam = random_restriction_family(mixed3, [1, 2], 0, rng)
-    assert balavoine_bracket(mixed3, fam, fam, 3) == {}
+    assert family_bracket(mixed3, fam, fam, 3) == {}
 
 
 def test_balavoine_arity_one_is_commutator(mixed3):
     rng = random.Random(13)
     a = random_multimap(mixed3, mixed3, 1, 1, rng, density=0.9)
     b = random_multimap(mixed3, mixed3, 1, 0, rng, density=0.9)
-    got = balavoine_bracket(mixed3, {1: a}, {1: b}, 2)
+    got = family_bracket(mixed3, {1: a}, {1: b}, 2)
     expected = {}
     for i in range(mixed3.dim):
         acc = {}

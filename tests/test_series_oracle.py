@@ -1,14 +1,15 @@
 """The restriction-level coderivation calculus against full lifts.
 
 ``lifted_composite`` forms ``p(A B) = a B`` from the supports of the two
-families, ``balavoine_bracket`` is two such composites, and the commutator
-series of ``check_embedding_mc`` and ``DeformationComplex`` runs on
-restriction families and lifts nothing.  The references here lift
-every family word by word (``dense_lifts.dense_zinbiel_lift``, which shares
-no placement loop with ``_composite``) and compose full coderivations:
-the composite is ``a`` applied to every entry of every row of the
-word-by-word lift of ``b``, the bracket is the restriction of the commutator
-of two lifts, and the series is ``dense_lifts.dense_ad_series``.
+families, ``balavoine_bracket`` is two such composites on plain tables
+(fed here through ``laws.family_bracket``), and the commutator series of
+``check_embedding_mc`` and ``DeformationComplex`` runs on plain tables and
+lifts nothing.  The references here lift every family word by word
+(``dense_lifts.dense_zinbiel_lift``, which shares no placement loop with
+``_composite``) and compose full coderivations: the composite is ``a``
+applied to every entry of every row of the word-by-word lift of ``b``, the
+bracket is the restriction of the commutator of two lifts, and the series
+is ``dense_lifts.dense_ad_series``.
 """
 import random
 from pathlib import Path
@@ -16,17 +17,11 @@ from pathlib import Path
 import pytest
 
 from dense_lifts import assert_composite_matches, dense_ad_series, dense_zinbiel_lift, projected
-from laws import as_dict, restriction_vector, restrictions
+from laws import as_dict, family_bracket, maps_by_arity, restriction_vector, restrictions
 from linfty import corpus, parse_path
 from linfty.action import hemisemidirect
 from linfty.graded import GradedSpace
-from linfty.multimap import (
-    PLAIN,
-    SYMMETRIC,
-    balavoine_bracket,
-    commutator,
-    lifted_composite,
-)
+from linfty.multimap import PLAIN, SYMMETRIC, commutator, lifted_composite
 from linfty.report import format_vector
 from linfty.tensor import (
     EmbeddingTensor,
@@ -69,7 +64,7 @@ def restrictions_by_arity(family):
 @pytest.mark.parametrize("seed", range(3))
 def test_balavoine_bracket_equals_the_commutator_of_the_lifts(seed, degrees, flavor):
     f, g = random_pair(seed, *degrees, flavor)
-    got = balavoine_bracket(MIXED3, f, g, 4)
+    got = family_bracket(MIXED3, f, g, 4)
     lifted = commutator(dense_zinbiel_lift(MIXED3, f, 4), dense_zinbiel_lift(MIXED3, g, 4))
     expected = restrictions(lifted)
     assert restrictions_by_arity(got) == restrictions_by_arity(expected)
@@ -98,7 +93,9 @@ def dense_codifferential(hemi, bound):
 
 def dense_series(tensor, action, bound, include_start):
     hemi = hemisemidirect(action)
-    t = dense_zinbiel_lift(hemi.space, _tensor_restrictions(tensor, hemi, bound), bound)
+    table = _tensor_restrictions(tensor, hemi, bound)
+    family = maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table)
+    t = dense_zinbiel_lift(hemi.space, family, bound)
     return dense_ad_series(dense_codifferential(hemi, bound), t, bound, include_start)
 
 

@@ -63,6 +63,7 @@ from laws import (
     extend_tensor,
     is_strict,
     is_symmetric,
+    maps_by_arity,
     restriction_lemma_check,
     tensor_sum,
     tensor_value,
@@ -105,8 +106,9 @@ def test_extension_equals_coderivation_exponential():
     for _ in range(4):
         tensor = random_tensor(act, rng)
         hemi = hemisemidirect(act)
+        table = tensor_module._tensor_restrictions(tensor, hemi, 3)
         t = lift_zinbiel_coderivation(
-            hemi.space, tensor_module._tensor_restrictions(tensor, hemi, 3), 3
+            hemi.space, maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table), 3
         )
         exp_rows = coderivation_exponential(t, 3)
         ext = extend_tensor(tensor, act, 3)
@@ -177,14 +179,12 @@ def test_route_disagreement_names_the_first_residual_and_both_values(monkeypatch
     real = tensor_module._tensor_restrictions
 
     def skewed(tensor, hemi, bound):
-        # a spurious z -> a0 entry in the tensor's family on the product,
+        # a spurious z -> a0 entry in the tensor's table on the product,
         # seen by the commutator series only
-        family = dict(real(tensor, hemi, bound))
-        unary = dict(family[1].constants)
+        table = real(tensor, hemi, bound)
         z = hemi.from_v_word((act.V.space.index("z"),))
-        unary[z] = {**unary.get(z, {}), 0: F(1)}
-        family[1] = MultiMap(hemi.space, hemi.space, 1, 0, PLAIN, unary)
-        return family
+        table[z] = {**table.get(z, {}), 0: 1}
+        return table
 
     monkeypatch.setattr(tensor_module, "_tensor_restrictions", skewed)
     with pytest.raises(RouteDisagreement) as info:
@@ -674,6 +674,39 @@ def test_series_and_d1_compose_no_full_coderivation(monkeypatch):
     assert calls == []
 
 
+def test_series_and_deform_form_no_map_and_no_coderivation(monkeypatch):
+    # the tensor layer keeps its families as plain tables: the commutator
+    # series constructs no MultiMap, and neither the series route nor a
+    # deform build constructs a TruncatedCoderivation
+    made = []
+    for cls in (MultiMap, TruncatedCoderivation):
+
+        def counting(self, *args, real=cls.__init__, name=cls.__name__):
+            made.append(name)
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    in_series = []
+    real_series = tensor_module._ad_series
+
+    def series(*args, **kwargs):
+        before = len(made)
+        table = real_series(*args, **kwargs)
+        in_series.extend(made[before:])
+        return table
+
+    monkeypatch.setattr(tensor_module, "_ad_series", series)
+    for name in ("heisenberg", "adjoint_identity"):
+        sf = parse_path(FIXTURES / f"{name}.lif")
+        tensor, action = sf.embedding_tensor(), sf.action_family()
+        made.clear()
+        assert check_embedding_mc(tensor, action, BOUND).ok
+        complex_ = deformation_complex(tensor, action, BOUND)
+        assert complex_.check_d1_squares_to_zero().ok
+        assert "TruncatedCoderivation" not in made
+    assert in_series == []
+
+
 def test_explicit_check_and_deform_follow_the_support(monkeypatch):
     # the explicit equations, the morphism identity of the descendent
     # structure, run route A only on the words where a term can be nonzero,
@@ -694,13 +727,14 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
         assert check_embedding_explicit(tensor, act, bound).ok
         assert len(visited) == words
 
-    real_lift = tensor_module.lift_zinbiel_coderivation
+    real_rows = multimap_module._prefix_rows
 
-    def target_only(space, family, bound):
+    def target_only(space, support, parity, bound):
         assert space is act.V.space, "a lift over the product space was built"
-        return real_lift(space, family, bound)
+        return real_rows(space, support, parity, bound)
 
-    monkeypatch.setattr(tensor_module, "lift_zinbiel_coderivation", target_only)
+    for module in (multimap_module, tensor_module):
+        monkeypatch.setattr(module, "_prefix_rows", target_only)
     for act, tensor in (heisenberg_tensor(), adjoint_identity_tensor(solvable2())):
         assert deformation_complex(tensor, act, BOUND).check_d1_squares_to_zero().ok
 
@@ -734,17 +768,17 @@ def test_kept_memos_return_the_identical_object():
 
 
 def test_cohomology_pieces_reuse_the_built_matrix(monkeypatch):
-    # a build (complex and d1^2 check) lifts what the columns need; ranking
-    # every bigraded piece afterwards lifts nothing more
+    # a build (complex and d1^2 check) forms the prefix rows the columns
+    # need; ranking every bigraded piece afterwards forms nothing more
     calls = []
-    real = multimap_module.lift_zinbiel_coderivation
+    real = multimap_module._prefix_rows
 
-    def counting(space, restrictions, bound):
+    def counting(space, support, parity, bound):
         calls.append(bound)
-        return real(space, restrictions, bound)
+        return real(space, support, parity, bound)
 
-    for module in (multimap_module, tensor_module, action_module):
-        monkeypatch.setattr(module, "lift_zinbiel_coderivation", counting)
+    for module in (multimap_module, tensor_module):
+        monkeypatch.setattr(module, "_prefix_rows", counting)
     act, tensor = heisenberg_tensor()
     complex_ = deformation_complex(tensor, act, BOUND)
     assert complex_.check_d1_squares_to_zero().ok
@@ -787,7 +821,8 @@ def test_word_table_gives_each_degree_and_basis_index(name, bound):
     espace, vspace = complex_.action.E.space, complex_.action.V.space
     for i, (w, b) in enumerate(complex_.basis):
         assert complex_.element_degree(w, b) == espace.degrees[b] - vspace.word_degree(w)
-        assert complex_.basis_index[w, b] == i
+        # the word table's position of w gives the basis index
+        assert complex_._words[w][0] * espace.dim + b == i
 
 
 @pytest.mark.parametrize("weight", [-1, 0, 3, 7])
