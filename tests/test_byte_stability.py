@@ -21,9 +21,11 @@ were recorded on fractional files while the action checks still ran on
 ``Fraction`` constants, and, on the fixtures with an action section and at
 bound 3 on the fractional files, while ``check_action`` still summed the
 axiom over every canonical acting word and the product built its brackets
-in loops of its own.  The CLI prints the input path, so the commands run
-from the root of the checkout, or from the directory the action files are
-written to, with a relative path.
+in loops of its own.  The ``adjoint-strict`` and ``centroid`` reports, in
+both formats and with their exit codes, were recorded while both checks
+evaluated their maps word by word.  The CLI prints the input path, so the
+commands run from the root of the checkout, or from the directory the
+action and strict files are written to, with a relative path.
 """
 import contextlib
 import hashlib
@@ -446,6 +448,119 @@ ACTION_FIXTURES = {
 }
 
 
+# adjoint-strict and centroid on the fixture that holds both unary maps
+STRICT_FIXTURE = {
+    ("adjoint-strict", 3, "text"): "48dabf55defb88bb1a8b66e9fb74c876c464bb995995ad76312727178051ca53",
+    ("adjoint-strict", 3, "machine"): "ee1cafe81110889b768dead78d58310b13869e7b6a79ff2ea2ead1291721f75e",
+    ("adjoint-strict", 4, "text"): "081947bf9feb999327fa3c215bd7e997ba4078405cde73249cc56f9eb6411655",
+    ("adjoint-strict", 4, "machine"): "8f67abe55ade6c9ccd85eda06f0fcb4177803c525cf111ffcfd2126f8448014a",
+    ("adjoint-strict", 5, "text"): "0f1769efc36121f376fafecd33b62bcf69eb11b5eae22e205170f2329bff3ba5",
+    ("adjoint-strict", 5, "machine"): "f945bce2091a813ae80e9adfda256a0c12aac39828dbfb001bb93b4c60420005",
+    ("adjoint-strict", 6, "text"): "48e6ad6781e7d89defffdbf0c58e95b88ffb3ff23bab82bd4279003e3ef1a252",
+    ("adjoint-strict", 6, "machine"): "b88de4d4c2fe8063249b940e5c9d368b70a6864a593160deaff10de5a061f89b",
+    ("centroid", 3, "text"): "b8e4bd991ee209c36f91c2907f435cff9bc977e40aaeeeea07111af8140efa71",
+    ("centroid", 3, "machine"): "637a6085a1122383c563ca60dedce791ea93052de27b2da80a8440e45774dd7b",
+    ("centroid", 4, "text"): "3328367970375bc14155a7200418b9ed0b5242e8145b7cb4a9f53a40fbc441b6",
+    ("centroid", 4, "machine"): "20adaf24232b3b3cb0b4bd9b733661944fcff61ba47b246870602ef3f1b6b1f5",
+    ("centroid", 5, "text"): "3dd653086b7dcea7b3efc9c95fa7629c215f0171801d526e15ccc2a1b9d922a5",
+    ("centroid", 5, "machine"): "9272e4c51942ae49ed158b5a1e77503e72962f156fe69902b16d0414870a49b6",
+    ("centroid", 6, "text"): "2b5b914e52058c8d1b66fd7ec23acecfde5b5e33f28b286b7bd4c6b75d6df331",
+    ("centroid", 6, "machine"): "6f14dff695647d3eff97f7876e19ad0ef8c940445a98891c1281688e6d18d5ce",
+}
+
+# failing strict files, written to a temporary directory by the test: a
+# unary bracket with maps that are no chain maps, a ternary bracket, and the
+# solvable plane with the projection onto its ideal
+STRICT_FILES = {
+    "chain": """\
+space C
+  u -1
+  v -1
+  w 0
+  s 0
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets C symmetric
+  1 : u -> w : 1/1
+  1 : v -> w : -2/3
+
+tensor C C
+  1 : u -> u : 1/1
+  1 : u -> v : 1/1
+  1 : w -> s : 1/1
+
+morphism C C
+  1 : u -> u : 1/2
+  1 : v -> u : 1/1
+  1 : s -> s : 1/1
+""",
+    "ternary": """\
+space T
+  t 0
+  r 0
+  c 1
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets T symmetric
+  3 : t t t -> c : 1/1
+  3 : t t r -> c : -1/2
+
+tensor T T
+  1 : t -> t : 1/2
+  1 : t -> r : 1/1
+  1 : c -> c : 1/1
+
+morphism T T
+  1 : t -> t : 1/2
+  1 : r -> t : 1/1
+  1 : c -> c : 1/3
+""",
+    "projection": """\
+space B
+  a -1
+  b -1
+
+settings
+  bound 4
+  max_arity 3
+  seed 0
+
+brackets B symmetric
+  2 : a b -> b : 1/1
+
+tensor B B
+  1 : b -> b : 1/1
+
+morphism B B
+  1 : b -> b : 1/1
+""",
+}
+
+# (exit code, stdout digest) of each strict command on each failing file
+STRICT = {
+    ("adjoint-strict", "chain", 3, "text"): (1, "a526ad05999d14d16b962e8f1573d636d73b5ffc03f2dc04abac22d257f1fbab"),
+    ("adjoint-strict", "chain", 3, "machine"): (1, "ddae36f97676e5a82ff00e8ed4b6068fa00bb8943496a8a1fc38221fdb11f800"),
+    ("adjoint-strict", "projection", 3, "text"): (1, "58ccf18938ea38efb7bb1863fd117a3a52fa1ed6cc74a9e75ade3d619968d21b"),
+    ("adjoint-strict", "projection", 3, "machine"): (1, "29bf88877addbbf479c9713e26fede757e1e7108b736c73fb38e6f3f61ee9fd4"),
+    ("adjoint-strict", "ternary", 3, "text"): (1, "1bf373be4a4a89b0568d29ce822f520abca863dcb66fbfcd08cdfb4dd5e07d5e"),
+    ("adjoint-strict", "ternary", 3, "machine"): (1, "3709c6cb12c66a5760ca4cc511e00ed1b7171a14a3ffc6fb49440f9ca2a0ccc0"),
+    ("centroid", "chain", 3, "text"): (1, "fb1cab4d046f4626d8cf5da4c01cc39a20e1b1eb3010a7240b4863fe26933a98"),
+    ("centroid", "chain", 3, "machine"): (1, "5d18679b593c40c50f5145efaf7be78bb512f05e92f2d8d33628069935ade524"),
+    ("centroid", "projection", 3, "text"): (1, "a424644a98b08e78f5e69c0418ffb77e29d7ff3ee17ee35c4f48607cd0cd3460"),
+    ("centroid", "projection", 3, "machine"): (1, "af09b101eb66f8f4b66b9312f134381e251243c00c02254a3a4c8cdff9f85865"),
+    ("centroid", "ternary", 3, "text"): (1, "41f66c9b3306b1de239811f6bf46bb06cc9ea75ffc242cdf5a54f0b380821b30"),
+    ("centroid", "ternary", 3, "machine"): (1, "12a9856b0c2e09c002fdaac804fad6fd95c2fd1263450e4ce796c152c22383ff"),
+}
+
+
 def run_digest(args):
     """The exit code of a CLI run and the sha256 of its stdout."""
     out = io.StringIO()
@@ -524,3 +639,18 @@ def test_action_fixture_report_bytes_are_pinned(command, fixture, bound, fmt, mo
     monkeypatch.chdir(ROOT)
     args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
     assert run_digest(args) == ACTION_FIXTURES[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,bound,fmt", sorted(STRICT_FIXTURE))
+def test_strict_fixture_report_bytes_are_pinned(command, bound, fmt, monkeypatch):
+    args = [command, "tests/fixtures/strict_centroid.lif", "--bound", str(bound), "--format", fmt]
+    assert stdout_digest(args, monkeypatch) == STRICT_FIXTURE[command, bound, fmt]
+
+
+@pytest.mark.parametrize("command,name,bound,fmt", sorted(STRICT))
+def test_strict_report_bytes_are_pinned(command, name, bound, fmt, tmp_path, monkeypatch):
+    for file_name, text in STRICT_FILES.items():
+        (tmp_path / f"{file_name}.lif").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    args = [command, f"{name}.lif", "--bound", str(bound), "--format", fmt]
+    assert run_digest(args) == STRICT[command, name, bound, fmt]
