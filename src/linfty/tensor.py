@@ -22,30 +22,32 @@ it reads; nothing is memoized on a tensor.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .action import ActionFamily, HemiProduct, hemisemidirect
+from .action import ActionFamily, HemiProduct, _semidirect, adjoint_representation, hemisemidirect
 from .graded import GradedSpace, Word
 from .homotopy import HomotopyStructure, _morphism_residuals, _residual_items, lie_to_loday
 from .linalg import rank
 from .memo import memo
 from .multimap import (
     PLAIN,
+    SYMMETRIC,
     ZINBIEL,
     MultiMap,
     Scalar,
     Vector,
     _comorphism_rows,
     _composite,
+    _letter_index,
     _prefix_rows,
+    _signed_orderings,
     _slot_index,
+    _symmetric_composite,
     _words_of_length,
     balavoine_bracket,
     exact,
-    expand,
     merge_into,
 )
 from .report import (
@@ -286,9 +288,10 @@ def descendent(
     each image word ``ue`` of a row ``p`` that sorts to the acting word ``e``
     of a key ``(e, r)`` adds the key's value, with the row's coefficient and
     the signs of both sorts, at ``p + o`` for each distinct ordering ``o`` of
-    ``r`` under the bound.  The rows (:func:`_comorphism_rows`) are the
-    Zinbiel ones of at most ``bound - 1`` letters in as many blocks as an
-    acting arity.
+    ``r`` under the bound, signed from one cached table
+    (:func:`linfty.multimap._signed_orderings`).  The rows
+    (:func:`_comorphism_rows`) are the Zinbiel ones of at most ``bound - 1``
+    letters in as many blocks as an acting arity.
     """
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
@@ -310,9 +313,8 @@ def descendent(
             for r, value in keys.get(e, ()):
                 if len(p) + len(r) <= bound:
                     table = tables.setdefault(len(p) + len(r), {})
-                    for o in dict.fromkeys(itertools.permutations(r)):
-                        sign = se * vspace.normalize(o)[1]
-                        merge_into(table.setdefault(p + o, {}), value, sign * c)
+                    for o, so in _signed_orderings(r, tuple(vspace.degrees[i] % 2 for i in r)):
+                        merge_into(table.setdefault(p + o, {}), value, se * so * c)
     brackets = {n: MultiMap(vspace, vspace, n, 1, PLAIN, t) for n, t in tables.items()}
     if V.bracket(1) is not None:
         brackets[1] = V.bracket(1)
@@ -336,48 +338,20 @@ def check_descendent_morphism(
 
 
 def adjoint_strict_check(E: HomotopyStructure, t1: MultiMap) -> CheckReport:
-    """The two strict conditions of a unary tensor against its own brackets."""
+    """The tensor identity (:func:`check_embedding_explicit`) of ``{1: t1}``
+    in the adjoint representation of a Lie-infinity algebra, on the words up
+    to its top arity: ``l_1 t1 - t1 l_1`` on each letter, and
+    ``l_n(t1 w_1, .., t1 w_n) - t1 l_n(t1 w_1, .., t1 w_{n-1}, w_n)`` on each
+    ordered word, from the morphism checker's two routes."""
+    if E.flavor != SYMMETRIC:
+        raise InputError("adjoint-strict needs a symmetric (Lie-infinity) structure")
     if t1.arity != 1 or t1.degree != 0:
         raise InputError("a strict tensor is a single degree-0 unary component")
     if t1.source is not E.space or t1.target is not E.space:
         raise InputError("strict adjoint tensors are endomorphisms")
-    space = E.space
-    items = _chain_map_residuals(E, t1)
-    for n in range(2, E.max_arity + 1):
-        ln = E.bracket(n)
-        if ln is None:
-            continue
-        for w in space.words(n):
-            diff: Vector = {}
-            images = [t1.eval((x,)) for x in w]
-            for u, c in expand(images, 1):
-                merge_into(diff, ln.eval(u), c)
-            for u, c in expand(images[:-1], 1):
-                for b, cb in ln.eval(u + (w[-1],)).items():
-                    merge_into(diff, t1.eval((b,)), -c * cb)
-            if diff:
-                items.append(
-                    Residual(n, space.format_word(w), format_vector(space, diff))
-                )
-    return make_report("adjoint-strict", E.max_arity, items)
-
-
-def _chain_map_residuals(E: HomotopyStructure, f: MultiMap) -> list[Residual]:
-    """Letters where the unary map ``f`` fails to commute with ``l_1``."""
-    space = E.space
-    items: list[Residual] = []
-    l1 = E.bracket(1)
-    if l1 is None:
-        return items
-    for i in range(space.dim):
-        diff: Vector = {}
-        for j, c in f.eval((i,)).items():
-            merge_into(diff, l1.eval((j,)), c)
-        for j, c in l1.eval((i,)).items():
-            merge_into(diff, f.eval((j,)), -c)
-        if diff:
-            items.append(Residual(1, space.format_word((i,)), format_vector(space, diff)))
-    return items
+    tensor = EmbeddingTensor(E.space, E.space, {1: t1})
+    report = check_embedding_explicit(tensor, adjoint_representation(E), E.max_arity)
+    return make_report("adjoint-strict", E.max_arity, report.residuals)
 
 
 def compose_unary(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -405,31 +379,36 @@ def strict_algebra_compose(
 
 
 def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
-    """Chain-map and adjoint-commutation conditions for a unary endomorphism."""
+    """The commutator of ``f1`` with the adjoint representation of a
+    Lie-infinity algebra, as :func:`linfty.action.check_coherence` forms one.
+
+    On the direct sum (:func:`linfty.action._semidirect`) the brackets whose
+    last letter is a target letter are one family ``Phi``, and ``f1`` on the
+    target letters is a degree-0 family ``D``; ``p[Phi, D] = phi D - d Phi``
+    is two composites.  Up to the top arity, a word ``x ; e`` reports
+    ``l_{k+1}(x, f1 e) - f1 l_{k+1}(x, e)``, and a lone target letter the
+    chain-map residual ``l_1 f1 e - f1 l_1 e``.
+    """
+    if E.flavor != SYMMETRIC:
+        raise InputError("centroid needs a symmetric (Lie-infinity) structure")
     if f1.arity != 1 or f1.degree != 0:
         raise InputError("centroid members are degree-0 unary maps")
-    space = E.space
-    items = _chain_map_residuals(E, f1)
-    for k in range(1, E.max_arity):
-        lk1 = E.bracket(k + 1)
-        if lk1 is None:
-            continue
-        for xw in space.canonical_words(k):
-            for e in range(space.dim):
-                diff: Vector = {}
-                for j, c in f1.eval((e,)).items():
-                    merge_into(diff, lk1.eval(xw + (j,)), c)
-                for b, c in lk1.eval(xw + (e,)).items():
-                    merge_into(diff, f1.eval((b,)), -c)
-                if diff:
-                    items.append(
-                        Residual(
-                            k + 1,
-                            f"{space.format_word(xw)} ; {space.format_word((e,))}",
-                            format_vector(space, diff),
-                        )
-                    )
-    return make_report("centroid", E.max_arity, items)
+    espace, bound, off = E.space, E.max_arity, E.space.dim
+    space, brackets = _semidirect(adjoint_representation(E))
+    phi = {y: v for table in brackets.values() for y, v in table.items() if y[-1] >= off}
+    d = {(off + i,): {off + o: c for o, c in v.items()} for (i,), v in f1.constants.items()}
+    commutator = _symmetric_composite(space, _letter_index(space, [phi]), d.items(), bound)
+    d_phi = _symmetric_composite(space, _letter_index(space, [d]), phi.items(), bound)
+    for w, vec in d_phi.items():
+        merge_into(commutator.setdefault(w, {}), vec, -1)
+    items: list[Residual] = []
+    for w, diff in commutator.items():
+        if diff:
+            # each word holds one target letter, the last
+            x = f"{espace.format_word(w[:-1])} ; " if len(w) > 1 else ""
+            value = format_vector(espace, {o - off: c for o, c in diff.items()})
+            items.append(Residual(len(w), x + espace.format_word((w[-1] - off,)), value))
+    return make_report("centroid", bound, items)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +481,13 @@ class DeformationComplex:
         self.basis: list[tuple[Word, int]] = []
         # (degree, weight) -> basis indices of that bigraded piece
         self.bigrading: dict[tuple[int, int], list[int]] = {}
+        dim_e = espace.dim
         for n, w in enumerate(vspace.words_up_to(bound)):
             d = self._words.get(w[:-1], (0, 0))[1] + vspace.degrees[w[-1]]
             self._words[w] = n, d
             for b, eb in enumerate(espace.degrees):
                 self.basis.append((w, b))
-                self.bigrading.setdefault((eb - d, len(w)), []).append(n * espace.dim + b)
+                self.bigrading.setdefault((eb - d, len(w)), []).append(n * dim_e + b)
         self._memo: dict = {}
 
     # -- elements ----------------------------------------------------------------

@@ -165,6 +165,25 @@ def test_noncoherent_tensor_check_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["adjoint-strict", "centroid"])
+def test_strict_commands_refuse_a_plain_structure(command, capsys, tmp_path):
+    # [f p, q] = z but f [p, q] = 0: a check of the right slot alone would
+    # pass this Leibniz bracket, which is no Lie-infinity algebra
+    plain = tmp_path / "plain.lif"
+    plain.write_text(
+        "space D\n  p -1\n  q -1\n  z -1\n\n"
+        "settings\n  bound 4\n  max_arity 2\n  seed 0\n\n"
+        "brackets D plain\n  2 : p q -> z : 1/1\n\n"
+        "tensor D D\n  1 : p -> p : 1/1\n\n"
+        "morphism D D\n  1 : p -> p : 1/1\n"
+    )
+    code, out = run_cli([command, str(plain)], capsys)
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("error")]
+    assert errors == [f"error: {command} needs a symmetric (Lie-infinity) structure"]
+    assert "verdict" not in out
+
+
 def test_perturbed_tensor_fails_with_matching_routes(capsys, tmp_path):
     perturbed = tmp_path / "perturbed.lif"
     base = (FIXTURES / "heisenberg.lif").read_text()
