@@ -393,6 +393,8 @@ def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
         raise InputError("centroid needs a symmetric (Lie-infinity) structure")
     if f1.arity != 1 or f1.degree != 0:
         raise InputError("centroid members are degree-0 unary maps")
+    if f1.source is not E.space or f1.target is not E.space:
+        raise InputError("centroid members are endomorphisms")
     espace, bound, off = E.space, E.max_arity, E.space.dim
     space, brackets = _semidirect(adjoint_representation(E))
     phi = {y: v for table in brackets.values() for y, v in table.items() if y[-1] >= off}

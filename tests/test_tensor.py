@@ -414,6 +414,14 @@ def test_centroid_projection_onto_non_ideal_fails():
     assert not centroid_check(E, f1).ok
 
 
+def test_strict_checks_refuse_a_map_of_another_space():
+    E = solvable2()
+    f1 = identity_tensor(heisenberg().space).components[1]
+    for check in (adjoint_strict_check, centroid_check):
+        with pytest.raises(InputError, match="endomorphisms"):
+            check(E, f1)
+
+
 def test_centroid_members_are_strict():
     E = heisenberg()
     z = E.space.index("z")
