@@ -99,7 +99,8 @@ MORPHISM = {
     ("check-descendent-morphism", "adjoint_identity", 7): "24f1cfe2e019e0e66b0426de16fd3a56a11169be17e9315af512fe5c00d7859d",
 }
 
-# check-tensor, descend and check-descendent-morphism on both tensor fixtures
+# check-tensor, descend and check-descendent-morphism on both tensor fixtures,
+# and adjoint-strict and centroid on the fixture that holds both unary maps
 TENSOR = {
     ("check-tensor", "heisenberg", 6, "text"): "d8f129ec981f639c588d7c8f2b31803a16f8a1878915a16d050ba03b70c1acbd",
     ("check-tensor", "heisenberg", 6, "machine"): "587b6032df22513e24779d566d472b36cc7bb596eea3a45d7aa2d8723959f422",
@@ -125,6 +126,22 @@ TENSOR = {
     ("check-descendent-morphism", "adjoint_identity", 6, "machine"): "5b16ef08538a41a6f07ff32829fb0a4e1a4a2c7a65d10d26069aa308f8b9df91",
     ("check-descendent-morphism", "adjoint_identity", 7, "text"): "24f1cfe2e019e0e66b0426de16fd3a56a11169be17e9315af512fe5c00d7859d",
     ("check-descendent-morphism", "adjoint_identity", 7, "machine"): "d6dd0463d50cf3714af0aeac7acc18850283b4989b5dd99d74041974b1e4ff30",
+    ("adjoint-strict", "strict_centroid", 3, "text"): "48dabf55defb88bb1a8b66e9fb74c876c464bb995995ad76312727178051ca53",
+    ("adjoint-strict", "strict_centroid", 3, "machine"): "ee1cafe81110889b768dead78d58310b13869e7b6a79ff2ea2ead1291721f75e",
+    ("adjoint-strict", "strict_centroid", 4, "text"): "081947bf9feb999327fa3c215bd7e997ba4078405cde73249cc56f9eb6411655",
+    ("adjoint-strict", "strict_centroid", 4, "machine"): "8f67abe55ade6c9ccd85eda06f0fcb4177803c525cf111ffcfd2126f8448014a",
+    ("adjoint-strict", "strict_centroid", 5, "text"): "0f1769efc36121f376fafecd33b62bcf69eb11b5eae22e205170f2329bff3ba5",
+    ("adjoint-strict", "strict_centroid", 5, "machine"): "f945bce2091a813ae80e9adfda256a0c12aac39828dbfb001bb93b4c60420005",
+    ("adjoint-strict", "strict_centroid", 6, "text"): "48e6ad6781e7d89defffdbf0c58e95b88ffb3ff23bab82bd4279003e3ef1a252",
+    ("adjoint-strict", "strict_centroid", 6, "machine"): "b88de4d4c2fe8063249b940e5c9d368b70a6864a593160deaff10de5a061f89b",
+    ("centroid", "strict_centroid", 3, "text"): "b8e4bd991ee209c36f91c2907f435cff9bc977e40aaeeeea07111af8140efa71",
+    ("centroid", "strict_centroid", 3, "machine"): "637a6085a1122383c563ca60dedce791ea93052de27b2da80a8440e45774dd7b",
+    ("centroid", "strict_centroid", 4, "text"): "3328367970375bc14155a7200418b9ed0b5242e8145b7cb4a9f53a40fbc441b6",
+    ("centroid", "strict_centroid", 4, "machine"): "20adaf24232b3b3cb0b4bd9b733661944fcff61ba47b246870602ef3f1b6b1f5",
+    ("centroid", "strict_centroid", 5, "text"): "3dd653086b7dcea7b3efc9c95fa7629c215f0171801d526e15ccc2a1b9d922a5",
+    ("centroid", "strict_centroid", 5, "machine"): "9272e4c51942ae49ed158b5a1e77503e72962f156fe69902b16d0414870a49b6",
+    ("centroid", "strict_centroid", 6, "text"): "2b5b914e52058c8d1b66fd7ec23acecfde5b5e33f28b286b7bd4c6b75d6df331",
+    ("centroid", "strict_centroid", 6, "machine"): "6f14dff695647d3eff97f7876e19ad0ef8c940445a98891c1281688e6d18d5ce",
 }
 
 
@@ -447,27 +464,6 @@ ACTION_FIXTURES = {
     ("build-product", "noncoherent", 6, "machine"): (0, "b3398bc4ef301d0cf646e96205acbe46a006a1c8798e860743db6cfaa041c3d2"),
 }
 
-
-# adjoint-strict and centroid on the fixture that holds both unary maps
-STRICT_FIXTURE = {
-    ("adjoint-strict", 3, "text"): "48dabf55defb88bb1a8b66e9fb74c876c464bb995995ad76312727178051ca53",
-    ("adjoint-strict", 3, "machine"): "ee1cafe81110889b768dead78d58310b13869e7b6a79ff2ea2ead1291721f75e",
-    ("adjoint-strict", 4, "text"): "081947bf9feb999327fa3c215bd7e997ba4078405cde73249cc56f9eb6411655",
-    ("adjoint-strict", 4, "machine"): "8f67abe55ade6c9ccd85eda06f0fcb4177803c525cf111ffcfd2126f8448014a",
-    ("adjoint-strict", 5, "text"): "0f1769efc36121f376fafecd33b62bcf69eb11b5eae22e205170f2329bff3ba5",
-    ("adjoint-strict", 5, "machine"): "f945bce2091a813ae80e9adfda256a0c12aac39828dbfb001bb93b4c60420005",
-    ("adjoint-strict", 6, "text"): "48e6ad6781e7d89defffdbf0c58e95b88ffb3ff23bab82bd4279003e3ef1a252",
-    ("adjoint-strict", 6, "machine"): "b88de4d4c2fe8063249b940e5c9d368b70a6864a593160deaff10de5a061f89b",
-    ("centroid", 3, "text"): "b8e4bd991ee209c36f91c2907f435cff9bc977e40aaeeeea07111af8140efa71",
-    ("centroid", 3, "machine"): "637a6085a1122383c563ca60dedce791ea93052de27b2da80a8440e45774dd7b",
-    ("centroid", 4, "text"): "3328367970375bc14155a7200418b9ed0b5242e8145b7cb4a9f53a40fbc441b6",
-    ("centroid", 4, "machine"): "20adaf24232b3b3cb0b4bd9b733661944fcff61ba47b246870602ef3f1b6b1f5",
-    ("centroid", 5, "text"): "3dd653086b7dcea7b3efc9c95fa7629c215f0171801d526e15ccc2a1b9d922a5",
-    ("centroid", 5, "machine"): "9272e4c51942ae49ed158b5a1e77503e72962f156fe69902b16d0414870a49b6",
-    ("centroid", 6, "text"): "2b5b914e52058c8d1b66fd7ec23acecfde5b5e33f28b286b7bd4c6b75d6df331",
-    ("centroid", 6, "machine"): "6f14dff695647d3eff97f7876e19ad0ef8c940445a98891c1281688e6d18d5ce",
-}
-
 # failing strict files, written to a temporary directory by the test: a
 # unary bracket with maps that are no chain maps, a ternary bracket, and the
 # solvable plane with the projection onto its ideal
@@ -639,12 +635,6 @@ def test_action_fixture_report_bytes_are_pinned(command, fixture, bound, fmt, mo
     monkeypatch.chdir(ROOT)
     args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
     assert run_digest(args) == ACTION_FIXTURES[command, fixture, bound, fmt]
-
-
-@pytest.mark.parametrize("command,bound,fmt", sorted(STRICT_FIXTURE))
-def test_strict_fixture_report_bytes_are_pinned(command, bound, fmt, monkeypatch):
-    args = [command, "tests/fixtures/strict_centroid.lif", "--bound", str(bound), "--format", fmt]
-    assert stdout_digest(args, monkeypatch) == STRICT_FIXTURE[command, bound, fmt]
 
 
 @pytest.mark.parametrize("command,name,bound,fmt", sorted(STRICT))
