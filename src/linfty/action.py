@@ -192,32 +192,38 @@ class ActionFamily:
         return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
 
 
+def _split_index(space: GradedSpace, keyed):
+    """Each canonical key ``y`` of the ``(head, y, value)`` triples split
+    into a picked sub-multiset ``v``, possibly empty, and a nonempty rest
+    ``w``, as ``(head, v) -> {len(w): {w: value}}``, ``value`` times the
+    sign of ``normalize(v + w)``.  Both blocks are sub-words of ``y``, so
+    canonical.  The work follows the keys, not the words of ``space``."""
+    index: dict[tuple[Word, Word], dict[int, dict[Word, Vector]]] = {}
+    for head, y, value in keyed:
+        negated = {o: -c for o, c in value.items()}
+        for picked, rest in _sub_multisets(len(y)):
+            v = tuple(y[j] for j in picked)
+            w = tuple(y[j] for j in rest)
+            by_length = index.setdefault((head, v), {}).setdefault(len(w), {})
+            if w not in by_length:
+                by_length[w] = value if space.normalize(v + w)[1] > 0 else negated
+    return index
+
+
 def _absorbed(action: ActionFamily) -> dict[tuple[Word, Word], dict[int, dict[Word, Vector]]]:
-    """The split index of the action, kept under ``("split",)``: each key
-    ``y`` of a target bracket (head ``()``) and each key ``(x, y)`` of a
-    component (head ``x``) is split into an absorbed sub-multiset ``v``,
-    possibly empty, and a nonempty rest ``w``, as ``(head, v) -> {len(w):
-    {w: value}}``, ``value`` times the sign of ``normalize(v + w)``.  The
-    tables under ``(x, v)`` are the family ``w -> value(x; v + w)``: ``phi_x``,
-    ``ad_v``, the mixed family or, under ``((), ())``, the target's brackets.
-    The work follows the keys, not the target words."""
+    """The split index (:func:`_split_index`) of the action, kept under
+    ``("split",)``, of each key ``y`` of a target bracket, head ``()``, and
+    each key ``(x, y)`` of a component, head ``x``.  The tables under
+    ``(x, v)`` are the family ``w -> value(x; v + w)``: ``phi_x``,
+    ``ad_v``, the mixed family or, under ``((), ())``, the target's
+    brackets."""
 
     def build():
-        space = action.V.space
         brackets = action.V.brackets.values()
-        keys = [((), y, value) for f in brackets for y, value in f.constants.items()]
+        keyed = [((), y, value) for f in brackets for y, value in f.constants.items()]
         for f in action.components.values():
-            keys += [(x, y, value) for (x, y), value in f.constants.items()]
-        index: dict[tuple[Word, Word], dict[int, dict[Word, Vector]]] = {}
-        for head, y, value in keys:
-            negated = {o: -c for o, c in value.items()}
-            for picked, rest in _sub_multisets(len(y)):
-                v = tuple(y[j] for j in picked)
-                w = tuple(y[j] for j in rest)
-                by_length = index.setdefault((head, v), {}).setdefault(len(w), {})
-                if w not in by_length:
-                    by_length[w] = value if space.normalize(v + w)[1] > 0 else negated
-        return index
+            keyed += [(x, y, value) for (x, y), value in f.constants.items()]
+        return _split_index(action.V.space, keyed)
 
     return memo(action._memo, ("split",), build)
 
@@ -535,47 +541,30 @@ def theorem_crosscheck(action: ActionFamily, bound: int) -> tuple[CheckReport, C
 # canonical actions
 
 
-def adjoint_representation(E: HomotopyStructure) -> ActionFamily:
-    """The action of a structure on its own underlying complex.
+def _adjoint_components(E: HomotopyStructure, v_arities) -> dict[tuple[int, int], BiMultiMap]:
+    """The components ``(x, w) -> l(x + w)`` of ``E`` on itself with
+    ``len(w)`` in ``v_arities``: the split index of ``E``'s bracket keys
+    under ``((), x)``, ``x`` nonempty.  Its keys are sub-words of canonical
+    keys and its values ``E``'s constants or their negations, so the tables
+    are filled unchecked; no bracket is evaluated on a word."""
+    space, tables = E.space, {}
+    keyed = [((), y, value) for f in E.brackets.values() for y, value in f.constants.items()]
+    for (_, x), by_length in _split_index(space, keyed).items():
+        for n, table in by_length.items():
+            if x and n in v_arities:
+                tables.setdefault((len(x), n), {}).update(((x, w), c) for w, c in table.items())
+    return {kn: BiMultiMap._unchecked(space, space, *kn, 1, t) for kn, t in tables.items()}
 
-    The target keeps only the unary bracket; the components feed a fixed
-    acting word and one letter into the brackets.  Always an action, always
-    coherent.
-    """
-    space = E.space
+
+def adjoint_representation(E: HomotopyStructure) -> ActionFamily:
+    """The action of a structure on its own underlying complex: the target
+    keeps only the unary bracket, and the components feed an acting word and
+    one letter into the brackets.  Always an action, always coherent."""
     m1 = E.bracket(1)
-    V = HomotopyStructure(space, SYMMETRIC, {1: m1} if m1 is not None else {}, E.max_arity)
-    comps: dict[tuple[int, int], BiMultiMap] = {}
-    for k in range(1, E.max_arity):
-        lk1 = E.bracket(k + 1)
-        if lk1 is None:
-            continue
-        table: dict[tuple[Word, Word], Vector] = {}
-        for xw in space.canonical_words(k):
-            for v in range(space.dim):
-                vec = lk1.eval(xw + (v,))
-                if vec:
-                    table[(xw, (v,))] = vec
-        if table:
-            comps[(k, 1)] = BiMultiMap(space, space, k, 1, 1, table)
-    return ActionFamily(E, V, comps)
+    V = HomotopyStructure(E.space, SYMMETRIC, {1: m1} if m1 is not None else {}, E.max_arity)
+    return ActionFamily(E, V, _adjoint_components(E, {1}))
 
 
 def adjoint_action(E: HomotopyStructure) -> ActionFamily:
     """The full self-action: every component is a bracket with split slots."""
-    space = E.space
-    comps: dict[tuple[int, int], BiMultiMap] = {}
-    for k in range(1, E.max_arity):
-        for n in range(1, E.max_arity - k + 1):
-            lkn = E.bracket(k + n)
-            if lkn is None:
-                continue
-            table: dict[tuple[Word, Word], Vector] = {}
-            for xw in space.canonical_words(k):
-                for vw in space.canonical_words(n):
-                    vec = lkn.eval(xw + vw)
-                    if vec:
-                        table[(xw, vw)] = vec
-            if table:
-                comps[(k, n)] = BiMultiMap(space, space, k, n, 1, table)
-    return ActionFamily(E, E, comps)
+    return ActionFamily(E, E, _adjoint_components(E, range(1, E.max_arity)))

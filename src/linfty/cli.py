@@ -3,8 +3,9 @@
 Reports go to standard output and are byte-stable for a fixed input file and
 settings; the wall time is printed on standard error so it never perturbs
 report diffs.  Exit codes: 0 verified/constructed, 1 an identity fails,
-2 malformed input or unmet precondition, 3 two internal evaluation routes
-disagreed (never expected on shipped fixtures).
+2 malformed input or unmet precondition, 3 a kernel fault, not the input's:
+two evaluation routes disagreed, or a series that must stop by weight did
+not (never expected on shipped fixtures).
 """
 from __future__ import annotations
 

@@ -228,6 +228,9 @@ class _Parser:
         elif kind == "settings":
             if len(tokens) != 2 or tokens[0] not in ("bound", "max_arity", "seed"):
                 raise LifError(line, "settings entries are bound/max_arity/seed <int>")
+            if ("setting", tokens[0]) in self.declared:
+                raise LifError(line, f"setting {tokens[0]!r} given twice")
+            self.declared.add(("setting", tokens[0]))
             value = _integer(tokens[1], line, f"bad integer {tokens[1]!r}")
             if tokens[0] != "seed" and value < 1:
                 raise LifError(line, f"{tokens[0]} must be positive")

@@ -17,7 +17,9 @@ word (:func:`dense_ad_family`, :func:`dense_mixed_family`), so the oracle
 shares none of the package's key-driven construction.  Each residual list
 is a report's: sorted ``Residual`` triples.  The hemisemidirect product's
 brackets are read here on every ordered word of the direct sum
-(:func:`dense_hemi_brackets`).
+(:func:`dense_hemi_brackets`), and the components of a structure acting on
+itself on every canonical pair of an acting and a target word
+(:func:`dense_adjoint_components`).
 """
 from __future__ import annotations
 
@@ -199,3 +201,35 @@ def dense_hemi_brackets(action):
         if table:
             out[k] = table
     return out
+
+
+def dense_adjoint_components(E, arities):
+    """The tables of ``E`` acting on itself at the arity pairs ``(k, n)``:
+    ``(x, v) -> l_{k+n}(x + v)`` on every canonical acting word ``x`` of
+    length ``k`` and target word ``v`` of length ``n``, each value read
+    through ``E.eval_bracket``.  Empty tables are dropped."""
+    space, out = E.space, {}
+    for k, n in arities:
+        table = {
+            (x, v): vec
+            for x in space.canonical_words(k)
+            for v in space.canonical_words(n)
+            if (vec := E.eval_bracket(k + n, x + v))
+        }
+        if table:
+            out[(k, n)] = table
+    return out
+
+
+def dense_adjoint_representation(E):
+    """The components of the adjoint representation: an acting word and one
+    letter, under the top arity of ``E``."""
+    return dense_adjoint_components(E, [(k, 1) for k in range(1, E.max_arity)])
+
+
+def dense_adjoint_action(E):
+    """The components of the full self-action: every split of a word of at
+    most the top arity of ``E`` into two nonempty blocks."""
+    top = E.max_arity
+    arities = [(k, n) for k in range(1, top) for n in range(1, top - k + 1)]
+    return dense_adjoint_components(E, arities)

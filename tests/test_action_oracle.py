@@ -1,6 +1,7 @@
 """``check_action`` and ``check_coherence`` against the every-word oracle on
 fractional data, the key-driven families of the split index
-``action._absorbed`` and the hemisemidirect product's brackets against the
+``action._absorbed``, the hemisemidirect product's brackets and the
+components of ``adjoint_action`` and ``adjoint_representation`` against the
 oracle's every-word ones.
 
 The checks run on the action with its denominators cleared and divide only
@@ -10,13 +11,18 @@ basis changes of the action corpus whose constants are not all integral,
 and on fractional non-actions and non-coherent actions, so that some
 reports hold non-integral residuals.
 """
+import ast
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dense_actions import (
     dense_action_residuals,
     dense_ad_family,
+    dense_adjoint_action,
+    dense_adjoint_representation,
     dense_coherence_residuals,
     dense_hemi_brackets,
     dense_mixed_family,
@@ -26,6 +32,8 @@ from linfty.action import (
     ActionFamily,
     BiMultiMap,
     _absorbed,
+    adjoint_action,
+    adjoint_representation,
     check_action,
     check_coherence,
     hemisemidirect,
@@ -328,3 +336,96 @@ def test_coherence_and_the_axiom_oracle_read_no_semidirect_square(monkeypatch):
     monkeypatch.setattr(action_module, "_symmetric_composite", forbidden)
     monkeypatch.setattr(multimap, "_symmetric_composite", forbidden)
     assert len(dense_action_residuals(odd_noncoherent_action(), 3)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the adjoint actions
+
+
+def random_symmetric_structure(seed):
+    """Two to four letters of degrees -2..1, at least one of them odd, and
+    seeded symmetric brackets of every arity up to a top arity of 1 to 4.
+    The structure need not satisfy its identity: the builders read keys."""
+    rng = random.Random(seed)
+    degrees = [rng.randint(-2, 1) for _ in range(rng.randint(2, 4))]
+    degrees[rng.randrange(len(degrees))] = rng.choice((-1, 1))
+    space = GradedSpace(f"R{seed}", [(f"e{i}", d) for i, d in enumerate(degrees)])
+    top = rng.randint(1, 4)
+    brackets = {
+        k: corpus.random_multimap(space, space, k, 1, rng, SYMMETRIC, density=0.6)
+        for k in range(1, top + 1)
+    }
+    return HomotopyStructure(space, SYMMETRIC, brackets, top)
+
+
+CATALOG = [
+    corpus.heisenberg(),
+    corpus.solvable2(),
+    corpus.sl2(),
+    corpus.two_term_complex(),
+    corpus.triple_bracket_example(),
+    corpus.abelian_structure("A", [-1, 0]),
+]
+SELF_ACTING = [
+    *CATALOG,
+    *(inst.action.E for inst in corpus.action_corpus(60, 3)),
+    *(random_symmetric_structure(seed) for seed in range(300)),
+]
+
+
+def typed(tables):
+    """The tables with each constant next to its type, so that ``2`` and
+    ``Fraction(2)`` differ."""
+    return {
+        kn: {key: {o: (c, type(c)) for o, c in vec.items()} for key, vec in table.items()}
+        for kn, table in tables.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "build, dense, target_arities",
+    [
+        pytest.param(adjoint_action, dense_adjoint_action, None, id="action"),
+        pytest.param(adjoint_representation, dense_adjoint_representation, {1}, id="rep"),
+    ],
+)
+def test_the_adjoint_actions_are_the_every_word_ones(build, dense, target_arities):
+    # the components and their constants' types are the brackets evaluated
+    # on every canonical pair, and the target keeps the brackets it should
+    for E in SELF_ACTING:
+        action = build(E)
+        got = {kn: f.constants for kn, f in action.components.items()}
+        assert typed(got) == typed(dense(E)), E.space.name
+        brackets = {
+            k: f.constants
+            for k, f in E.brackets.items()
+            if target_arities is None or k in target_arities
+        }
+        assert {k: f.constants for k, f in action.V.brackets.items()} == brackets
+        assert action.V.space is E.space and action.V.max_arity == E.max_arity
+
+
+def test_the_adjoint_corpus_has_signed_and_fractional_components():
+    # the comparison above meets components of every arity pair under 4, a
+    # split key's negative sign and a non-integral constant
+    arities, negated, fractional = set(), 0, 0
+    for E in SELF_ACTING:
+        for (k, n), f in adjoint_action(E).components.items():
+            arities.add((k, n))
+            for (x, v), vec in f.constants.items():
+                y = tuple(sorted(x + v))
+                negated += vec != E.bracket(k + n).constants[y]
+                fractional += any(type(c) is Fraction for c in vec.values())
+    assert {(k, n) for k in range(1, 4) for n in range(1, 5 - k)} <= arities
+    assert negated and fractional
+
+
+def test_the_adjoint_oracle_reads_no_split_index():
+    # a split-sign fault would reach the input actions and coherence both,
+    # so the reference and the helpers it imports name no split index
+    names = set()
+    for module in ("dense_actions", "dense_lifts", "dense_splits", "laws"):
+        tree = ast.parse((Path(__file__).parent / f"{module}.py").read_text())
+        names |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+        names |= {alias.name for node in ast.walk(tree) for alias in getattr(node, "names", ())}
+    assert not names & {"_split_index", "_absorbed"}

@@ -290,6 +290,18 @@ def test_route_disagreement_maps_to_exit_three(capsys, monkeypatch):
     assert "internal consistency" in out
 
 
+def test_a_series_that_does_not_stabilize_exits_three(capsys, monkeypatch):
+    # the commutator series stops by weight, so one that runs on is a kernel
+    # fault, reported as a route disagreement is and with no traceback
+    monkeypatch.setattr(tensor_module, "balavoine_bracket", lambda *args: {(0,): {0: 1}})
+    code = main(["check-tensor", str(FIXTURES / "heisenberg.lif")])
+    captured = capsys.readouterr()
+    assert code == 3
+    errors = [line for line in captured.out.splitlines() if line.startswith("error:")]
+    assert errors == ["error: internal consistency: commutator series did not stabilize"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_route_disagreement_names_word_and_both_values(capsys, monkeypatch):
     import linfty.homotopy as homotopy
 

@@ -80,6 +80,9 @@ ORACLE_SURFACE = {
     "series of tests/dense_lifts.py",
     "BiMultiMap.eval": "one action component on a pair of words, which corpus.py's "
     "seeded generators and the every-word oracles read",
+    "MultiMap.eval": "one map on any word, which corpus.py's basis changes and the "
+    "test-only constructions (symmetrize, maurer_cartan, twist, end_dgla, "
+    "compose_unary) read",
     "HomElement.is_zero": "the zero test of a deformation-complex element, which "
     "acceptance criterion 8 and tests/test_d1_oracle.py read",
 }
@@ -220,3 +223,10 @@ def test_every_method_of_a_shared_name_is_entered_by_the_cli_or_exempt():
     exempt = {name for name in ORACLE_SURFACE if "." in name}
     assert sorted(exempt & entered) == []
     assert sorted(exempt - set(methods)) == []
+
+
+def test_no_command_evaluates_a_map_word_by_word():
+    # every command reads the keys of its maps; a map evaluated on a word
+    # is the oracles' route, and a command that took it would share it
+    evaluators = {"MultiMap.eval", "BiMultiMap.eval", "HomotopyStructure.eval_bracket"}
+    assert sorted(evaluators & _entered_by_the_cli()) == []

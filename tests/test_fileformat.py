@@ -271,6 +271,7 @@ def test_map_entry_messages(header, entry, message):
         ("settings\n  bound x", "bad integer 'x'"),
         ("settings\n  bound 0", "bound must be positive"),
         ("settings\n  max_arity -1", "max_arity must be positive"),
+        ("settings\n  bound 3\n  bound 5", "setting 'bound' given twice"),
         ("brackets E", "brackets header is 'brackets <space> <symmetric|plain>'"),
         ("brackets E lie", "brackets header is 'brackets <space> <symmetric|plain>'"),
         ("brackets Z plain", "brackets for undeclared space 'Z'"),
