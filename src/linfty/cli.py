@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import action as action_mod
 from . import homotopy as homotopy_mod
 from . import tensor as tensor_mod
-from .fileformat import Settings, StructureFile, parse_path, serialize
+from .fileformat import Settings, StructureFile, parse_bytes, serialize
 from .multimap import PLAIN, SYMMETRIC
 from .report import CheckReport, InputError, RouteDisagreement
 
@@ -44,21 +44,13 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 class Emitter:
     def __init__(self, fmt: str):
         self.fmt = fmt
         self.lines: list[str] = []
 
     def field(self, key: str, value) -> None:
-        if self.fmt == "machine":
-            self.lines.append(f"{key} {value}")
-        else:
-            self.lines.append(f"{key}: {value}")
+        self.lines.append(f"{key} {value}" if self.fmt == "machine" else f"{key}: {value}")
 
     def residuals(self, report: CheckReport) -> None:
         self.field("residuals", len(report.residuals))
@@ -240,12 +232,8 @@ def cmd_cohomology(sf, args, em):
     complex_ = tensor_mod.deformation_complex(tensor, family, args.bound)
     ranks = tensor_mod.cohomology_rank(complex_, args.degree, args.weight)
     em.field("verdict", "PASS")
-    em.field("degree", ranks.degree)
-    em.field("weight", ranks.weight)
-    em.field("piece_dim", ranks.piece_dim)
-    em.field("rank_out", ranks.rank_out)
-    em.field("kernel_dim", ranks.kernel_dim)
-    em.field("rank_in", ranks.rank_in)
+    for key in ("degree", "weight", "piece_dim", "rank_out", "kernel_dim", "rank_in"):
+        em.field(key, getattr(ranks, key))
     em.field("residuals", 0)
     return EXIT_OK
 
@@ -294,9 +282,11 @@ def main(argv=None) -> int:
     em.field("command", args.command)
     em.field("input", args.path)
     try:
-        digest = _digest(args.path)
-        em.field("digest", digest)
-        sf = parse_path(args.path)
+        # one read: the digest and the parser see the same bytes
+        with open(args.path, "rb") as handle:
+            data = handle.read()
+        em.field("digest", hashlib.sha256(data).hexdigest())
+        sf = parse_bytes(data)
         if args.bound is not None:
             if args.bound < 1:
                 raise InputError("--bound must be positive")

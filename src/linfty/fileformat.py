@@ -9,10 +9,13 @@ rejects out-of-order keys rather than silently normalising them.  Integers
 are ASCII digits with an optional ``-``, and every error names its line.
 
 Each map header (``brackets``, ``action``, ``tensor``, ``morphism``) opens a
-section record ``(kind, source, target, flavor, {arity: {key: {out: c}}})``;
-an action's arity is ``(k, n)`` and its key a pair of words.  The plain-map
-entries share one reader, both readers one duplicate check, and one loop
-turns every record into its maps.
+section record ``(kind, source, target, flavor, {arity: {key: {out: c}}},
+{arity: first line})``; an action's arity is ``(k, n)`` and its key a pair of
+words.  The plain-map entries share one reader, both readers one duplicate
+check, and one loop turns every record into its maps.  The parser is the one
+validator of a file's maps: it checks each entry at its line for all that the
+``MultiMap``/``BiMultiMap`` constructors check, so ``_unchecked`` builds the
+maps, on scalars in the normal form of :func:`linfty.multimap.exact`.
 
 Comments run from ``#`` to the end of the line.
 """
@@ -22,11 +25,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from .action import ActionFamily, BiMultiMap
 from .graded import GradedSpace
 from .homotopy import HomotopyStructure
-from .multimap import PLAIN, SYMMETRIC, MultiMap
+from .multimap import PLAIN, SYMMETRIC, MultiMap, Scalar
 from .report import InputError, frac_str
 
 KEYWORDS = {"space", "settings", "brackets", "action", "tensor", "morphism"}
@@ -40,7 +44,8 @@ MAP_DEGREES = {
     "morphism": (0, "degree-0 map"),
 }
 
-__all__ = ["LifError", "Settings", "StructureFile", "parse", "parse_path", "serialize"]
+__all__ = ["LifError", "Settings", "StructureFile", "parse", "parse_bytes", "parse_path",
+           "serialize"]
 
 
 class LifError(InputError):
@@ -101,18 +106,17 @@ def _integer(token: str, line: int, message: str) -> int:
     return int(token)
 
 
-def _scalar(token: str, line: int) -> Fraction:
+def _scalar(token: str, line: int) -> Scalar:
     if not SCALAR_RE.match(token):
         raise LifError(line, f"scalar {token!r} must be written p/q")
-    num, den = token.split("/")
-    p, q = int(num), int(den)
+    p, q = map(int, token.split("/"))
     if q == 0:
         raise LifError(line, f"scalar {token!r} has a zero denominator")
     if p == 0:
         raise LifError(line, "zero coefficients are not stored")
     if gcd(abs(p), q) != 1:
         raise LifError(line, f"scalar {token!r} is not in lowest terms")
-    return Fraction(p, q)
+    return p if q == 1 else Fraction(p, q)
 
 
 def _split_entry(text: str, line: int) -> list[str]:
@@ -132,7 +136,7 @@ def _arrow(body: str, line: int) -> tuple[list[str], str]:
     return left.split(), out
 
 
-def _store(table: dict, arity, key, out: int, c: Fraction, line: int) -> None:
+def _store(table: dict, arity, key, out: int, c: Scalar, line: int) -> None:
     row = table.setdefault(arity, {}).setdefault(key, {})
     if out in row:
         raise LifError(line, "duplicate constant")
@@ -201,7 +205,7 @@ class _Parser:
         if kind == "settings":
             self.section = (kind,)
         else:
-            self.section = (kind, src, dst, flavor, {})
+            self.section = (kind, src, dst, flavor, {}, {})
             self.records.append(self.section)
 
     def _close_space(self):
@@ -241,7 +245,7 @@ class _Parser:
             self._map_entry(content, line)
 
     def _map_entry(self, content, line):
-        kind, src_name, dst_name, flavor, table = self.section
+        kind, src_name, dst_name, flavor, table, firsts = self.section
         src, dst = self.sf.spaces[src_name], self.sf.spaces[dst_name]
         head, body, scalar = _split_entry(content, line)
         arity = _integer(head, line, f"bad arity {head!r}")
@@ -263,9 +267,10 @@ class _Parser:
         if dst.degrees[out_i] != degree + src.word_degree(word):
             raise LifError(line, f"entry breaks degree homogeneity of a {label}")
         _store(table, arity, word, out_i, coeff, line)
+        firsts.setdefault(arity, line)
 
     def _action_entry(self, content, line):
-        _, ename, vname, _, table = self.section
+        _, ename, vname, _, table, _ = self.section
         espace, vspace = self.sf.spaces[ename], self.sf.spaces[vname]
         head, body, scalar = _split_entry(content, line)
         arities = head.split()
@@ -307,16 +312,21 @@ class _Parser:
     def _finish(self):
         self._close_space()
         sf = self.sf
-        for kind, src_name, dst_name, flavor, tables in self.records:
+        top = sf.settings.max_arity
+        for kind, src_name, dst_name, flavor, tables, firsts in self.records:
             src, dst = sf.spaces[src_name], sf.spaces[dst_name]
             degree = MAP_DEGREES[kind][0]
             maps = {
-                arity: BiMultiMap(src, dst, *arity, degree, rows)
+                arity: BiMultiMap._unchecked(src, dst, *arity, degree, rows)
                 if kind == "action"
-                else MultiMap(src, dst, arity, degree, flavor, rows)
+                else MultiMap._unchecked(src, dst, arity, degree, flavor, rows)
                 for arity, rows in tables.items()
             }
             if kind == "brackets":
+                # settings may follow the section: the arity's first entry is at fault
+                for arity, line in firsts.items():
+                    if arity > top:
+                        raise LifError(line, f"bracket arity {arity} exceeds max_arity {top}")
                 sf.bracket_sections[src_name] = (flavor, maps)
             else:
                 setattr(sf, f"{kind}_section", (src_name, dst_name, maps))
@@ -326,13 +336,18 @@ def parse(text: str) -> StructureFile:
     return _Parser(text).sf
 
 
-def parse_path(path) -> StructureFile:
+def parse_bytes(data: bytes) -> StructureFile:
+    """The file whose bytes are ``data``, which must be UTF-8; a line ends at
+    LF, CRLF or CR alike (:meth:`str.splitlines`)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: undecodable byte at offset {exc.start}") from None
     return parse(text)
+
+
+def parse_path(path) -> StructureFile:
+    return parse_bytes(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +369,9 @@ def serialize(sf: StructureFile) -> str:
         for sym, deg in zip(space.symbols, space.degrees):
             lines.append(f"  {sym} {deg}")
         lines.append("")
-    lines.append("settings")
-    lines.append(f"  bound {sf.settings.bound}")
-    lines.append(f"  max_arity {sf.settings.max_arity}")
-    lines.append(f"  seed {sf.settings.seed}")
-    lines.append("")
+    s = sf.settings
+    lines += ["settings", f"  bound {s.bound}", f"  max_arity {s.max_arity}",
+              f"  seed {s.seed}", ""]
     for name in sf.spaces:
         if name not in sf.bracket_sections:
             continue
@@ -371,10 +384,8 @@ def serialize(sf: StructureFile) -> str:
         ename, vname, comps = sf.action_section
         espace, vspace = sf.spaces[ename], sf.spaces[vname]
         lines.append(f"action {ename} {vname}")
-        for (k, n) in sorted(comps):
-            f = comps[(k, n)]
-            for (ew, vw) in sorted(f.constants):
-                vec = f.constants[(ew, vw)]
+        for (k, n), f in sorted(comps.items()):
+            for (ew, vw), vec in sorted(f.constants.items()):
                 esyms = " ".join(espace.symbols[i] for i in ew)
                 vsyms = " ".join(vspace.symbols[i] for i in vw)
                 for out in sorted(vec):
@@ -383,10 +394,7 @@ def serialize(sf: StructureFile) -> str:
                         f"{vspace.symbols[out]} : {frac_str(vec[out])}"
                     )
         lines.append("")
-    for kind, section in (
-        ("tensor", sf.tensor_section),
-        ("morphism", sf.morphism_section),
-    ):
+    for kind, section in (("tensor", sf.tensor_section), ("morphism", sf.morphism_section)):
         if section is None:
             continue
         src_name, dst_name, comps = section

@@ -21,6 +21,8 @@ class RouteDisagreement(Exception):
 
 
 def frac_str(c: Fraction) -> str:
+    if type(c) is int:  # not a bool, which takes the Fraction path
+        return f"{c}/1"
     c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 

@@ -1,11 +1,14 @@
 import argparse
+import builtins
+import hashlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import linfty.tensor as tensor_module
-from linfty.cli import build_parser, main
+from linfty.cli import COMMANDS, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -138,6 +141,71 @@ def test_non_utf8_input_exits_two(capsys, tmp_path):
     errors = [line for line in captured.out.splitlines() if line.startswith("error:")]
     assert errors == ["error: input is not UTF-8: undecodable byte at offset 12"]
     assert "Traceback" not in captured.out + captured.err
+
+
+# max_arity 1 declared before and after the arity-2 entries; the line is
+# that of the first arity-2 entry
+MAX_ARITY_FILES = [
+    ("space V\n  a 0\n  b 1\nsettings\n  max_arity 1\nbrackets V symmetric\n"
+     "  1 : a -> b : 1/1\n  2 : a a -> b : 1/1\n", 8),
+    ("space V\n  a 0\n  b 1\nbrackets V symmetric\n  2 : a a -> b : 1/1\n"
+     "  1 : a -> b : 1/2\nsettings\n  max_arity 1\n", 5),
+]
+
+
+@pytest.mark.parametrize("command", ["check-lie", "check-loday"])
+@pytest.mark.parametrize("text, line", MAX_ARITY_FILES)
+def test_bracket_above_max_arity_exits_two_with_its_line(command, text, line, capsys, tmp_path):
+    bad = tmp_path / "bad.lif"
+    bad.write_text(text)
+    code, out = run_cli([command, str(bad)], capsys)
+    assert code == 2
+    errors = [row for row in out.splitlines() if row.startswith("error:")]
+    assert errors == [f"error: line {line}: bracket arity 2 exceeds max_arity 1"]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lif")), ids=lambda p: p.name)
+def test_main_reads_its_input_once(path, capsys, monkeypatch):
+    opened = []
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real(file, *args, **kwargs)
+
+    # pathlib opens through io.open, the builtin through builtins.open
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    run_cli(["check-action", str(path)], capsys)
+    assert opened == [str(path)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_digest_is_the_sha256_of_the_input_bytes(fmt, capsys):
+    for path in sorted(FIXTURES.glob("*.lif")):
+        _, out = run_cli(["check-lie", str(path), "--format", fmt], capsys)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"digest{':' if fmt == 'text' else ''} {digest}" in out.splitlines(), path.name
+
+
+def _without_input_lines(out: str) -> list[str]:
+    return [row for row in out.splitlines() if not row.startswith(("input", "digest"))]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lif")), ids=lambda p: p.name)
+def test_crlf_input_gives_the_lf_report(path, capsys, tmp_path):
+    # the bytes are decoded as they are, so a line may end in CR LF
+    crlf = tmp_path / path.name
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    for command in COMMANDS:
+        if command in ("deform", "cohomology"):
+            continue
+        lf_code, lf_out = run_cli([command, str(path)], capsys)
+        crlf_code, crlf_out = run_cli([command, str(crlf)], capsys)
+        assert crlf_code == lf_code, command
+        assert _without_input_lines(crlf_out) == _without_input_lines(lf_out), command
+        assert crlf_out != lf_out
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

@@ -280,11 +280,34 @@ def test_map_entry_messages(header, entry, message):
         ("action E Z", "action uses undeclared space 'Z'"),
         ("morphism E V\nmorphism V E", "morphism declared twice"),
         ("action E V\ntensor V E\naction E V", "action declared twice"),
+        (
+            "settings\n  max_arity 1\nbrackets E plain\n  1 : a -> b : 1/1\n  2 : a b -> c : 1/1",
+            "bracket arity 2 exceeds max_arity 1",
+        ),
     ],
 )
 def test_header_and_plain_entry_messages(tail, message):
     text = f"{PREAMBLE}{tail}\n"
     assert_refused_at_last_line(text, message)
+
+
+def test_max_arity_refusal_names_the_first_entry_of_the_arity():
+    # settings may follow the brackets; sections are refused in file order
+    text = (
+        f"{PREAMBLE}brackets V symmetric\n  3 : u u u -> v : 1/1\n"
+        "brackets E symmetric\n  2 : a a -> b : 1/1\n  3 : a a a -> b : 1/1\n"
+        "  2 : a b -> c : 1/1\nsettings\n  max_arity 1\n"
+    )
+    with pytest.raises(LifError) as err:
+        parse(text)
+    assert str(err.value) == "line 10: bracket arity 3 exceeds max_arity 1"
+    with pytest.raises(LifError) as err:
+        parse(text.replace("max_arity 1", "max_arity 3").replace("3 : u u u", "4 : u u u u"))
+    assert str(err.value) == "line 10: bracket arity 4 exceeds max_arity 3"
+    text = text.replace("brackets V symmetric\n  3 : u u u -> v : 1/1\n", "")
+    with pytest.raises(LifError) as err:
+        parse(text)
+    assert str(err.value) == "line 10: bracket arity 2 exceeds max_arity 1"
 
 
 def test_entry_before_any_section_names_line_one():
