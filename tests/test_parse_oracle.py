@@ -36,6 +36,7 @@ def file_of(action, tensor=None) -> StructureFile:
 
 
 def corpus_files():
+    # the seeded entries follow the 19 catalog actions and the 3 fixed tensors
     for seed in SEEDS:
         for inst in corpus.action_corpus(30, seed)[19:]:
             yield f"action {inst.label}@{seed}", file_of(inst.action)
