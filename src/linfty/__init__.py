@@ -29,19 +29,12 @@ from .multimap import (
     zinbiel_coproduct,
 )
 from .homotopy import (
-    EndSpace,
     HomotopyStructure,
-    McElement,
     check_lie_infinity,
     check_lie_morphism,
     check_loday_infinity,
     check_loday_morphism,
-    check_representation,
-    end_dgla,
     lie_to_loday,
-    maurer_cartan,
-    mc_residual,
-    twist,
 )
 from .action import (
     ActionFamily,

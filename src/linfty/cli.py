@@ -22,22 +22,6 @@ from .fileformat import Settings, StructureFile, parse_bytes, serialize
 from .multimap import PLAIN, SYMMETRIC
 from .report import CheckReport, InputError, RouteDisagreement
 
-COMMANDS = (
-    "check-lie",
-    "check-loday",
-    "check-morphism",
-    "check-action",
-    "check-coherence",
-    "build-product",
-    "check-tensor",
-    "descend",
-    "check-descendent-morphism",
-    "adjoint-strict",
-    "centroid",
-    "deform",
-    "cohomology",
-)
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -82,6 +66,8 @@ def _single_bracket_space(sf: StructureFile, wanted: str | None, flavor: str) ->
     ]
     if not names:
         names = list(sf.bracket_sections) or list(sf.spaces)
+    if not names:
+        raise InputError("the file declares no space")
     if len(names) != 1:
         raise InputError(
             f"several candidate spaces ({', '.join(names)}); pick one with --space"
@@ -253,6 +239,7 @@ HANDLERS = {
     "deform": cmd_deform,
     "cohomology": cmd_cohomology,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 @lru_cache(maxsize=None)

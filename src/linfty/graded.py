@@ -15,18 +15,16 @@ pairs of odd-degree letters whose relative order is inverted.
 The three sums of the package's componentwise identities read their terms
 from one ``lru_cache`` table per summation shape, keyed by the word shape
 (the length and the letter parities) and the arities or blocks summed:
-:func:`_symmetric_table` (the unshuffle-insertion sum of Lie-type
-structures, morphisms, representations and actions),
-:func:`_anchored_table` (the anchored sum of Loday-type structures,
-morphisms and embedding tensors) and :func:`_increasing_table` (the block
-sum over increasing unshuffles on the right side of morphisms and
-representations).  Each row holds a sign computed once and ``itemgetter``
-gathers of the blocks, so reading a term validates no permutation and
-counts no crossing; the tables are this module's only interface to those
-sums.  The structure and morphism checkers read from them the values of
-their first route, not its words: each runs its sums once per check on the
-words that its second route's composite kernel forms
-(:func:`linfty.multimap.lifted_composite`,
+:func:`_symmetric_table` (the unshuffle-insertion sum of Lie-type structures
+and morphisms), :func:`_anchored_table` (the anchored sum of Loday-type
+structures, morphisms and embedding tensors) and :func:`_increasing_table`
+(the block sum over increasing unshuffles on the right side of morphisms).
+Each row holds a sign computed once and ``itemgetter`` gathers of the
+blocks, so reading a term validates no permutation and counts no crossing;
+the tables are this module's only interface to those sums.  The structure
+and morphism checkers read from them the values of their first route, not
+its words: each runs its sums once per check on the words that its second
+route's composite kernel forms (:func:`linfty.multimap.lifted_composite`,
 :func:`linfty.multimap.symmetric_composite`), and the every-word oracles in
 ``tests/`` check that word set.
 """

@@ -29,6 +29,7 @@ from fractions import Fraction
 from dense_lifts import dense_symmetric_lift
 from dense_splits import dense_increasing_splits, dense_symmetric_splits
 from laws import action_value, restriction_vector, restrictions
+from paper import eval_bracket
 from linfty.multimap import SYMMETRIC, MultiMap, commutator, merge_into
 from linfty.report import Residual, format_vector
 
@@ -177,8 +178,8 @@ def dense_hemi_brackets(action):
     """The hemisemidirect product's bracket tables by arity, on every ordered
     word of ``E+V`` up to the largest arity of the action's data: the acting
     letters are ``0..dim E - 1`` and the target letters follow them.  A pure
-    acting word reads ``E.eval_bracket``, a pure target word
-    ``V.eval_bracket``, and a mixed word with every acting letter in front
+    acting word reads ``eval_bracket(E, ...)``, a pure target word
+    ``eval_bracket(V, ...)``, and a mixed word with every acting letter in front
     ``action.eval``; every other word is zero.  Empty values are dropped."""
     E, V = action.E, action.V
     off = E.space.dim
@@ -192,9 +193,9 @@ def dense_hemi_brackets(action):
             if any(i < 0 for i in v):
                 continue
             if not v:
-                value = E.eval_bracket(k, x)
+                value = eval_bracket(E, k, x)
             else:
-                value = V.eval_bracket(k, v) if not x else action_value(action, x, v)
+                value = eval_bracket(V, k, v) if not x else action_value(action, x, v)
                 value = {off + o: c for o, c in value.items()}
             if value:
                 table[u] = value
@@ -207,14 +208,14 @@ def dense_adjoint_components(E, arities):
     """The tables of ``E`` acting on itself at the arity pairs ``(k, n)``:
     ``(x, v) -> l_{k+n}(x + v)`` on every canonical acting word ``x`` of
     length ``k`` and target word ``v`` of length ``n``, each value read
-    through ``E.eval_bracket``.  Empty tables are dropped."""
+    through ``eval_bracket(E, ...)``.  Empty tables are dropped."""
     space, out = E.space, {}
     for k, n in arities:
         table = {
             (x, v): vec
             for x in space.canonical_words(k)
             for v in space.canonical_words(n)
-            if (vec := E.eval_bracket(k + n, x + v))
+            if (vec := eval_bracket(E, k + n, x + v))
         }
         if table:
             out[(k, n)] = table

@@ -26,10 +26,11 @@ comorphism that visits every source word, reading its blocks from
 ``lift_comorphism``, which places the components' keys.  The
 corestriction ``p'(F Q - Q' F)`` of a comorphism's intertwining defect,
 formed on every source word from these full lifts, ``dense_defect``, is the
-oracle of the morphism and representation checkers.  The descendent
-structure that visits every target word and feeds the dense comorphism
-image of each proper prefix into the action, ``dense_descendent``, is the
-oracle of ``tensor.descendent``, which visits only its candidate words.
+oracle of the morphism checkers, into End(V) for a representation.  The
+descendent structure that visits every target word and feeds the dense
+comorphism image of each proper prefix into the action,
+``dense_descendent``, is the oracle of ``tensor.descendent``, which visits
+only its candidate words.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from typing import Mapping
 
 from dense_splits import dense_increasing_splits
 from laws import action_value, maps_by_arity
+from paper import eval_bracket
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
@@ -315,7 +317,7 @@ def dense_descendent(tensor, action, bound: int):
     for n in range(2, bound + 1):
         table = {}
         for w in vspace.words(n):
-            acc = V.eval_bracket(n, w)
+            acc = eval_bracket(V, n, w)
             for k in range(1, n):
                 for ue, ce in com.get(w[:k], {}).items():
                     merge_into(acc, action_value(action, ue, w[k:]), ce)

@@ -55,6 +55,7 @@ from linfty.tensor import (
     _ensure_coherent,
     descendent,
 )
+from paper import eval_bracket
 
 
 def check_coleibniz(cod: TruncatedCoderivation) -> dict[Word, PairSum]:
@@ -333,7 +334,7 @@ def restriction_lemma_check(
             for u, c in row.items():
                 if len(u) == 1:
                     add_into(got, u[0], c)
-            expected = brackets.eval_bracket(n, w)
+            expected = eval_bracket(brackets, n, w)
             diff = dict(got)
             merge_into(diff, expected, Fraction(-1))
             if diff:

@@ -27,6 +27,7 @@ from linfty.multimap import (
     zinbiel_coproduct,
 )
 from laws import check_coleibniz, check_intertwines_coproduct, tensor_sum, twist_pairsum
+from paper import eval_bracket
 from linfty.corpus import (
     action_corpus,
     random_multimap,
@@ -142,7 +143,7 @@ def test_criterion_3_descendent_chain(tensor_verdicts):
         for n in range(1, BOUND + 1):
             f = E.bracket(n)
             for w in E.space.words(n):
-                assert desc.eval_bracket(n, w) == (f.eval(w) if f else {})
+                assert eval_bracket(desc, n, w) == (f.eval(w) if f else {})
         ident_cases += 1
     _verdict(
         "3 descendent-structure chain",

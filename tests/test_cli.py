@@ -157,6 +157,27 @@ def test_bracket_above_max_arity_exits_two_with_its_line(command, capsys, tmp_pa
     assert errors == ["error: line 5: bracket arity 2 exceeds max_arity 1"]
 
 
+@pytest.mark.parametrize("command", ["check-lie", "check-loday"])
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("settings\n  bound 3\n", "error: the file declares no space"),
+        ("# no sections\n", "error: the file declares no space"),
+        (
+            "space A\n  a 0\nspace B\n  b 0\n",
+            "error: several candidate spaces (A, B); pick one with --space",
+        ),
+    ],
+    ids=["settings", "comment", "several"],
+)
+def test_a_structure_check_needs_one_candidate_space(command, text, error, capsys, tmp_path):
+    path = tmp_path / "spaces.lif"
+    path.write_text(text)
+    code, out = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert [row for row in out.splitlines() if row.startswith("error:")] == [error]
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lif")), ids=lambda p: p.name)
 def test_main_reads_its_input_once(path, capsys, monkeypatch):
     opened = []

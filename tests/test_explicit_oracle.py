@@ -22,6 +22,7 @@ import pytest
 from dense_lifts import dense_comorphism, dense_zinbiel_lift
 from dense_splits import dense_anchored_splits
 from laws import action_value, tensor_value
+from paper import eval_bracket
 from linfty import corpus, parse_path
 from linfty.graded import GradedSpace
 from linfty.multimap import (
@@ -48,7 +49,7 @@ def every_word_residuals(tensor, action, bound):
     for w in vspace.words_up_to(bound):
         diff = {}
         for u, c in com.get(w, {}).items():
-            merge_into(diff, E.eval_bracket(len(u), u), c)
+            merge_into(diff, eval_bracket(E, len(u), u), c)
         for u, c in lifted.get(w, {}).items():
             merge_into(diff, tensor_value(tensor, u), -c)
         n = len(w)

@@ -12,12 +12,7 @@ from linfty.homotopy import (
     check_lie_morphism,
     check_loday_infinity,
     check_loday_morphism,
-    check_representation,
-    end_dgla,
     lie_to_loday,
-    maurer_cartan,
-    mc_residual,
-    twist,
 )
 from linfty.multimap import (
     PLAIN,
@@ -29,6 +24,7 @@ from linfty.multimap import (
 )
 from linfty.report import InputError, RouteDisagreement
 from laws import adjoint_rep_components, scaled
+from paper import end_dgla, eval_bracket, maurer_cartan, mc_residual, twist
 from linfty.corpus import (
     abelian_structure,
     heisenberg,
@@ -218,9 +214,9 @@ def test_representation_disagreement_names_its_word_and_both_values(monkeypatch)
     import linfty.homotopy as homotopy
 
     L = heisenberg()
-    _, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
+    dgla, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
     comps = adjoint_rep_components(L, end)
-    assert check_representation(comps, L, end, 3).ok
+    assert check_lie_morphism(comps, L, dgla, 3).ok
     real = homotopy.symmetric_composite
 
     def skewed(space, outer, inner, bound):
@@ -230,7 +226,7 @@ def test_representation_disagreement_names_its_word_and_both_values(monkeypatch)
 
     monkeypatch.setattr(homotopy, "symmetric_composite", skewed)
     with pytest.raises(RouteDisagreement) as err:
-        check_representation(comps, L, end, 3)
+        check_lie_morphism(comps, L, dgla, 3)
     assert str(err.value) == (
         "componentwise morphism identity and comorphism intertwining disagree: "
         "first at [p,q]: identity sum 0, intertwining defect (1/1)*z>z"
@@ -276,9 +272,9 @@ def test_structure_check_builds_no_comorphism_and_sums_no_right_side(
 
 def _representation_check():
     L = sl2()
-    _, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
+    dgla, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
     comps = adjoint_rep_components(L, end)
-    return lambda bound: check_representation(comps, L, end, bound)
+    return lambda bound: check_lie_morphism(comps, L, dgla, bound)
 
 
 def _identity_checks():
@@ -382,7 +378,7 @@ def test_twist_of_end_dgla_verified():
         expected = l1.eval((i,)) if l1 is not None else {}
         for j, c in e.items():
             merge_into(expected, l2.eval((j, i)), c)
-        got = tw.eval_bracket(1, (i,))
+        got = eval_bracket(tw, 1, (i,))
         assert got == expected
 
 
@@ -511,26 +507,26 @@ def test_coder_differential_kills_own_codifferential():
 def test_zero_representation_on_abelian():
     L = abelian_structure("A", [-1, 0])
     d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
-    _, end = end_dgla(L.space, d)
-    assert check_representation({}, L, end, 3).ok
+    dgla, end = end_dgla(L.space, d)
+    assert check_lie_morphism({}, L, dgla, 3).ok
 
 
 def test_adjoint_representation_of_lie_algebras():
     for L in (heisenberg(), solvable2(), sl2()):
         d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
-        _, end = end_dgla(L.space, d)
+        dgla, end = end_dgla(L.space, d)
         comps = adjoint_rep_components(L, end)
-        assert check_representation(comps, L, end, 4).ok
+        assert check_lie_morphism(comps, L, dgla, 4).ok
 
 
 def test_broken_chain_map_fails_at_arity_one():
     L = two_term_complex()
     d = L.bracket(1)
-    _, end = end_dgla(L.space, d)
+    dgla, end = end_dgla(L.space, d)
     # u |-> (u -> u) has the right degree but is not a chain-map family
     table = {(0,): {end.index(0, 0): F(1)}}
     phi1 = MultiMap(L.space, end.space, 1, 0, SYMMETRIC, table)
-    report = check_representation({1: phi1}, L, end, 2)
+    report = check_lie_morphism({1: phi1}, L, dgla, 2)
     assert not report.ok
     assert report.residuals[0].arity == 1
 
@@ -540,14 +536,14 @@ def test_representation_refuses_a_non_canonical_component_key():
     # read as zero on every canonical word, and the check passed
     L = two_term_complex()
     space = L.space
-    _, end = end_dgla(space, L.bracket(1))
+    dgla, end = end_dgla(space, L.bracket(1))
     u_to_u = {end.index(0, 0): 1}
     off = MultiMap(space, end.space, 2, 0, PLAIN, {(1, 0): u_to_u})
     with pytest.raises(InputError, match=r"component key \[w,u\] is not canonical"):
-        check_representation({2: off}, L, end, 3)
+        check_lie_morphism({2: off}, L, dgla, 3)
     w, sign = space.normalize((1, 0))
     on = MultiMap(space, end.space, 2, 0, PLAIN, {w: {i: sign * c for i, c in u_to_u.items()}})
-    report = check_representation({2: on}, L, end, 3)
+    report = check_lie_morphism({2: on}, L, dgla, 3)
     assert not report.ok
     assert len(report.residuals) == 1
 
@@ -557,15 +553,15 @@ def test_representation_refuses_a_misfiled_component():
     # key 2 it must be refused, not read as a zero family that passes
     L = heisenberg()
     d = MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {})
-    _, end = end_dgla(L.space, d)
+    dgla, end = end_dgla(L.space, d)
     z_to_z = MultiMap(L.space, end.space, 1, 0, SYMMETRIC, {(2,): {end.index(2, 2): 1}})
-    assert len(check_representation({1: z_to_z}, L, end, 3).residuals) == 1
+    assert len(check_lie_morphism({1: z_to_z}, L, dgla, 3).residuals) == 1
     with pytest.raises(InputError, match="component arity mismatch"):
-        check_representation({2: z_to_z}, L, end, 3)
+        check_lie_morphism({2: z_to_z}, L, dgla, 3)
     other = heisenberg().space
     foreign = MultiMap(other, end.space, 1, 0, SYMMETRIC, {(2,): {end.index(2, 2): 1}})
     with pytest.raises(InputError, match="component spaces do not match the structures"):
-        check_representation({1: foreign}, L, end, 3)
+        check_lie_morphism({1: foreign}, L, dgla, 3)
 
 
 def test_verified_symmetric_structures_pass_anchored_check():

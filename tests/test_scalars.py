@@ -26,13 +26,11 @@ from linfty.homotopy import (
     HomotopyStructure,
     check_lie_infinity,
     check_loday_infinity,
-    maurer_cartan,
-    mc_residual,
-    twist,
 )
 from linfty.multimap import PLAIN, SYMMETRIC, MultiMap
 from linfty.report import InputError
 from linfty.tensor import deformation_complex
+from paper import maurer_cartan, mc_residual, twist
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PATHS = sorted(FIXTURES.glob("*.lif"))
