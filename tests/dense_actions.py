@@ -29,9 +29,9 @@ from fractions import Fraction
 from dense_lifts import dense_symmetric_lift
 from dense_splits import dense_increasing_splits, dense_symmetric_splits
 from laws import action_value, restriction_vector, restrictions
-from paper import eval_bracket
 from linfty.multimap import SYMMETRIC, MultiMap, commutator, merge_into
 from linfty.report import Residual, format_vector
+from paper import eval_bracket
 
 
 def _every_word_family(vspace, degree, arities, value):
@@ -179,8 +179,9 @@ def dense_hemi_brackets(action):
     word of ``E+V`` up to the largest arity of the action's data: the acting
     letters are ``0..dim E - 1`` and the target letters follow them.  A pure
     acting word reads ``eval_bracket(E, ...)``, a pure target word
-    ``eval_bracket(V, ...)``, and a mixed word with every acting letter in front
-    ``action.eval``; every other word is zero.  Empty values are dropped."""
+    ``eval_bracket(V, ...)``, and a mixed word with every acting letter in
+    front ``action.eval``; every other word is zero.  Empty values are
+    dropped."""
     E, V = action.E, action.V
     off = E.space.dim
     top = max(E.max_arity, V.max_arity, *(k + n for k, n in action.components), 1)

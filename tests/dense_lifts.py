@@ -40,7 +40,6 @@ from typing import Mapping
 
 from dense_splits import dense_increasing_splits
 from laws import action_value, maps_by_arity
-from paper import eval_bracket
 from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
@@ -59,6 +58,7 @@ from linfty.multimap import (
 )
 from linfty.report import RouteDisagreement
 from linfty.tensor import _SERIES_SLACK, HomElement
+from paper import eval_bracket
 
 
 def dense_symmetric_lift(
