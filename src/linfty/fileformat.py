@@ -354,7 +354,11 @@ def parse_path(path) -> StructureFile:
 # serialization
 
 
-def _emit_multimap(lines, f: MultiMap) -> None:
+def _emit_multimap(lines, f: MultiMap, flavor: str) -> None:
+    # a plain section is read with no ordering implied, so a symmetric map
+    # written there (lie_to_loday's brackets) spells out every ordering
+    if flavor == PLAIN:
+        f = f.expand_plain()
     src, dst = f.source, f.target
     for word, out, c in f.entries():
         syms = " ".join(src.symbols[i] for i in word)
@@ -378,7 +382,7 @@ def serialize(sf: StructureFile) -> str:
         flavor, brackets = sf.bracket_sections[name]
         lines.append(f"brackets {name} {flavor}")
         for arity in sorted(brackets):
-            _emit_multimap(lines, brackets[arity])
+            _emit_multimap(lines, brackets[arity], flavor)
         lines.append("")
     if sf.action_section is not None:
         ename, vname, comps = sf.action_section
@@ -400,7 +404,7 @@ def serialize(sf: StructureFile) -> str:
         src_name, dst_name, comps = section
         lines.append(f"{kind} {src_name} {dst_name}")
         for arity in sorted(comps):
-            _emit_multimap(lines, comps[arity])
+            _emit_multimap(lines, comps[arity], PLAIN)
         lines.append("")
     while lines and not lines[-1]:
         lines.pop()

@@ -464,7 +464,7 @@ class DeformationComplex:
     letter and the prefix rows of the lift of its pure-target part; nothing
     is lifted in full.  The matrix is built on the first :meth:`d1_columns`
     call and memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`), so
-    every :func:`cohomology_rank` piece reads the same columns.
+    every nonempty :func:`cohomology_rank` piece reads the same columns.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -668,11 +668,14 @@ def cohomology_rank(
     ``rank_in`` the rank of its components landing in the piece from the full
     degree-below truncation.  Kernel dimension follows by rank-nullity.  A
     weight outside ``1..bound`` is refused (:func:`check_cohomology_weight`);
-    a degree with no basis element has an empty piece.
+    an empty piece, one with no basis element, has all ranks 0 and reads no
+    column, so ``d1`` is built only for a nonempty piece.
     """
     check_cohomology_weight(weight, complex_.bound)
-    cols = complex_.d1_columns()
     piece = complex_.bigrading.get((degree, weight), [])
+    if not piece:
+        return CohomologyRanks(degree, weight, 0, 0, 0, 0)
+    cols = complex_.d1_columns()
     rank_out = rank([cols[j] for j in piece])
     position = {i: n for n, i in enumerate(piece)}
     in_rows = [

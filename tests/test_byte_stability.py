@@ -63,6 +63,26 @@ COHOMOLOGY = {
     ("adjoint_identity", 4, 5): "6cb8662184599c6235a116f738f49bdfe6b4d06547b668f354556712c77f12d9",
 }
 
+# three empty pieces of each fixture's bound-5 and bound-6 complexes: a
+# degree below the lowest, a degree above the highest, and a degree d off
+# the diagonal d = weight - 1 that every basis element sits on; recorded
+# while an empty piece still built d1 and projected the degree-below
+# columns onto it
+COHOMOLOGY_EMPTY = {
+    ("heisenberg", 5, -1, 1): "df04ff2fb6537fa5ca582f95e755514906c7be917a842e6636b611b94023eef5",
+    ("heisenberg", 5, 5, 5): "db6ca900eda3d44a503d3567a070d4f5ebc8e575c65989fcdab1426894b2b222",
+    ("heisenberg", 5, 2, 4): "881db18d2fee3167ea59967b208e6841cc78936f36090cb36c12d9832d84eae2",
+    ("heisenberg", 6, -1, 2): "32b1c56eaab6cdc93807ff5e50e8813d34177a218a87c3e9a22a4ebdae52c663",
+    ("heisenberg", 6, 6, 6): "e2dae7aa9d4d3cbeb76641bc44fd1d8ad009014121cb198c60af41b21c3142fb",
+    ("heisenberg", 6, 3, 6): "18cf7826bad48179fc7d40158df3b6935b84d402bb295a6fa774b4b5f7abd7ef",
+    ("adjoint_identity", 5, -1, 1): "fc572adca5346ba3932e177888211bd08eba306876452f0917e0eccb018867fc",
+    ("adjoint_identity", 5, 5, 5): "3a96fe8fbf6ff4db5627cc41823c36833dd3759079bc770b94d06daa81ccbd55",
+    ("adjoint_identity", 5, 2, 4): "7a8a319db91bfb6949759802bccd2793d96e71a6a96119ed59f3056946776ce5",
+    ("adjoint_identity", 6, -1, 2): "db871889401b0340959e5d71d7c0d68b5ce39446a343f1dd0fbf227eba3b4f60",
+    ("adjoint_identity", 6, 6, 6): "37c122afac82cb506923489b4df7ee52eb6449701e9d9350a77f4a75193cc932",
+    ("adjoint_identity", 6, 3, 6): "7c768760693aee7686b41f8e1e7a6eaf351d757a9f4fe5deb774b5071e612cb2",
+}
+
 # every (degree, weight) piece of the bound-6 complex of each fixture
 COHOMOLOGY_BOUND_6 = {
     ("heisenberg", 0, 1): "ca6112d39165f805465cd1c463035c2408265fa80b9679d53e20b2386eaad218",
@@ -589,6 +609,12 @@ def cohomology_args(fixture, bound, degree, weight):
 def test_cohomology_report_bytes_are_pinned(fixture, degree, weight, monkeypatch):
     args = cohomology_args(fixture, 5, degree, weight)
     assert stdout_digest(args, monkeypatch) == COHOMOLOGY[fixture, degree, weight]
+
+
+@pytest.mark.parametrize("fixture,bound,degree,weight", sorted(COHOMOLOGY_EMPTY))
+def test_empty_cohomology_piece_bytes_are_pinned(fixture, bound, degree, weight, monkeypatch):
+    args = cohomology_args(fixture, bound, degree, weight)
+    assert stdout_digest(args, monkeypatch) == COHOMOLOGY_EMPTY[fixture, bound, degree, weight]
 
 
 @pytest.mark.parametrize("fixture,degree,weight", sorted(COHOMOLOGY_BOUND_6))

@@ -12,7 +12,8 @@ of the product's brackets, of the tensor and of each element, composed by
 ``commutator``.  The reference columns are the chains ``P([T, a])`` of the
 basis elements.  :func:`linfty.linalg.rank` is checked against the dense
 Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
-matrices and on every bigraded piece of the complexes.
+matrices and on every bigraded piece of the complexes; an empty piece must
+answer zeros without building ``d1``.
 """
 import itertools
 import random
@@ -28,7 +29,14 @@ from dense_rank import dense_rank
 from linfty import corpus, parse_path
 from linfty.linalg import rank
 from linfty.multimap import PLAIN, MultiMap
-from linfty.tensor import EmbeddingTensor, HomElement, cohomology_rank, deformation_complex
+from linfty.tensor import (
+    CohomologyRanks,
+    DeformationComplex,
+    EmbeddingTensor,
+    HomElement,
+    cohomology_rank,
+    deformation_complex,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -130,17 +138,50 @@ def test_fractional_d1_columns_equal_projected_commutators(bound):
     assert any(isinstance(c, Fraction) and c.denominator == 9 for c in entries)
 
 
-@pytest.mark.parametrize("name,bound", [("heisenberg", 4), ("adjoint_identity", 4)])
+def every_piece(complex_):
+    """Each (degree, weight) from one degree below the lowest to one above
+    the highest, at every weight of the truncation."""
+    degrees = {d for d, _ in complex_.bigrading}
+    return [
+        (degree, weight)
+        for degree in range(min(degrees) - 1, max(degrees) + 2)
+        for weight in range(1, complex_.bound + 1)
+    ]
+
+
+def assert_ranks_match_the_dense_oracle(name, complex_, pieces):
+    cols = reference_columns(name, complex_.bound)
+    for degree, weight in pieces:
+        got = cohomology_rank(complex_, degree, weight)
+        assert (got.piece_dim, got.rank_out, got.rank_in) == dense_piece_ranks(
+            complex_, cols, degree, weight
+        ), (degree, weight)
+
+
+@pytest.mark.parametrize("name,bound", [(n, b) for n, b in CASES if b < 5])
 def test_every_piece_rank_matches_the_dense_oracle(name, bound):
     complex_ = fixture_complex(name, bound)
-    cols = reference_columns(name, bound)
-    degrees = {d for d, _ in complex_.bigrading}
-    for degree in range(min(degrees) - 1, max(degrees) + 2):
-        for weight in range(1, bound + 1):
-            got = cohomology_rank(complex_, degree, weight)
-            assert (got.piece_dim, got.rank_out, got.rank_in) == dense_piece_ranks(
-                complex_, cols, degree, weight
-            ), (degree, weight)
+    assert_ranks_match_the_dense_oracle(name, complex_, every_piece(complex_))
+
+
+@pytest.mark.parametrize("name,bound", CASES)
+def test_an_empty_piece_builds_no_d1(name, bound, monkeypatch):
+    complex_ = fixture_complex(name, bound)
+    pieces = every_piece(complex_)
+    empty = [p for p in pieces if p not in complex_.bigrading]
+    assert empty and len(empty) < len(pieces)
+
+    def refuse(self):
+        raise AssertionError("an empty piece built d1")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(DeformationComplex, "_d1_matrix", refuse)
+        for degree, weight in empty:
+            assert cohomology_rank(complex_, degree, weight) == CohomologyRanks(
+                degree, weight, 0, 0, 0, 0
+            )
+    nonempty = [p for p in pieces if p in complex_.bigrading]
+    assert_ranks_match_the_dense_oracle(name, complex_, nonempty)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +261,45 @@ entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @st.composite
+def patterns(draw, nrows, ncols):
+    """Whether cell ``(i, k)`` may be nonzero, in one of the shapes where the
+    pivot order changes fill-in: a band of width 0 to 2, square blocks of
+    side 1 to 3 on the diagonal, or an arrowhead, the diagonal with a full
+    first or last row and column."""
+    shape = draw(st.sampled_from(["banded", "block", "arrowhead"]))
+    if shape == "banded":
+        width = draw(st.integers(0, 2))
+        return lambda i, k: abs(i - k) <= width
+    if shape == "block":
+        side = draw(st.integers(1, 3))
+        return lambda i, k: i // side == k // side
+    row, col = (0, 0) if draw(st.booleans()) else (nrows - 1, ncols - 1)
+    return lambda i, k: i == k or i == row or k == col
+
+
+@st.composite
 def sparse_matrices(draw):
-    """Dense rows with zero rows and rows dependent on earlier ones."""
+    """Rows with zero rows and rows dependent on earlier ones.  The cells are
+    random in any order, or random inside a banded, block-diagonal or
+    arrowhead pattern kept in row order."""
     ncols = draw(st.integers(1, 7))
-    cell = st.one_of(st.just(F(0)), st.just(F(0)), entries)
-    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), max_size=6))
+    shaped = draw(st.booleans())
+    if shaped:
+        nrows = draw(st.integers(1, 7))
+        inside = draw(patterns(nrows, ncols))
+        rows = [
+            [draw(entries) if inside(i, k) else F(0) for k in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        cell = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+        rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), max_size=6))
     for _ in range(draw(st.integers(0, 3))):
         if rows:
             coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
             rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(ncols)])
     rows += [[F(0)] * ncols] * draw(st.integers(0, 2))
-    return draw(st.permutations(rows))
+    return rows if shaped else draw(st.permutations(rows))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from linfty.fileformat import LifError, parse, parse_path, serialize
-from linfty.homotopy import check_lie_infinity
+from linfty import corpus
+from linfty.fileformat import LifError, Settings, StructureFile, parse, parse_path, serialize
+from linfty.homotopy import check_lie_infinity, check_loday_infinity, lie_to_loday
+from linfty.multimap import PLAIN
 from linfty.report import InputError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -49,6 +51,27 @@ def test_roundtrip_idempotence_on_fixtures():
         sf2 = parse(text1)
         text2 = serialize(sf2)
         assert text1 == text2, path.name
+
+
+def test_roundtrip_of_a_plain_section_of_symmetric_maps():
+    # lie_to_loday keeps the symmetric maps under the plain flavor, which the
+    # parser reads with no ordering implied: the file spells out each one
+    structure = lie_to_loday(corpus.sl2())
+    name = structure.space.name
+    sf = StructureFile(
+        spaces={name: structure.space},
+        settings=Settings(3, structure.max_arity, 0),
+        bracket_sections={name: (PLAIN, structure.brackets)},
+    )
+    text = serialize(sf)
+    back = parse(text).structure(name)
+    assert back.flavor == PLAIN
+    assert {a: f.constants for a, f in back.brackets.items()} == {
+        a: f.expand_plain().constants for a, f in structure.brackets.items()
+    }
+    assert len(back.brackets[2].constants) == 6
+    assert check_loday_infinity(back, 4).ok
+    assert serialize(parse(text)) == text
 
 
 def test_rejects_zero_denominator():

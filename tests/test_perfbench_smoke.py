@@ -1,9 +1,11 @@
 """The benchmark's warm-up requests still reach their known answers.
 
-Runs the ``warmup()`` requests of the ``deform`` and ``crosscheck-actions``
-workloads from ``perfbench/workloads.py`` in process, so that a change to the
-package that breaks the benchmark shows up in the test suite, and checks that
-every function the per-layer tracing rebinds still exists.
+Sets up every workload of ``perfbench/workloads.py`` in process, as the
+benchmark does: builds its first pass and runs its ``warmup()`` requests, so
+that a change to the package that breaks the benchmark shows up in the test
+suite.  Setting up ``cli-fixtures`` writes its seeded malformed files under
+the ignored ``.perfbench-out/``.  Also checks that every function the
+per-layer tracing rebinds still exists.
 """
 import importlib
 from pathlib import Path
@@ -13,13 +15,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["deform", "crosscheck-actions"])
+@pytest.mark.parametrize("name", ["deform", "crosscheck-actions", "cli-fixtures"])
 def test_warmup_requests_verify(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import workloads
 
     workload = workloads.WORKLOADS[name](1, workloads.load_answers())
+    # the set-up builds the first pass before it runs the warm-up
+    assert workload.requests()
     requests = workload.warmup()
     assert requests
     for request in requests:
