@@ -49,7 +49,7 @@ DEFORM = {
     ("adjoint_identity", 8): "5c0bea5fa87763f38b74ee846562f0a428e75a6012738f034b0797285c0fe3aa",
 }
 
-# every (degree, weight) piece of the bound-5 complex of each fixture
+# every nonempty (degree, weight) piece of the bound-5 complex of each fixture
 COHOMOLOGY = {
     ("heisenberg", 0, 1): "d079fe06bc4293107cc3a22f483b0ecabb904b8ad389f9d63e41975c72e00c70",
     ("heisenberg", 1, 2): "3ef7a4be712561ac909ee2a9b1e967fecc7c5065737753b4ba8ac737cc8abd17",
@@ -83,7 +83,7 @@ COHOMOLOGY_EMPTY = {
     ("adjoint_identity", 6, 3, 6): "7c768760693aee7686b41f8e1e7a6eaf351d757a9f4fe5deb774b5071e612cb2",
 }
 
-# every (degree, weight) piece of the bound-6 complex of each fixture
+# every nonempty (degree, weight) piece of the bound-6 complex of each fixture
 COHOMOLOGY_BOUND_6 = {
     ("heisenberg", 0, 1): "ca6112d39165f805465cd1c463035c2408265fa80b9679d53e20b2386eaad218",
     ("heisenberg", 1, 2): "bb5ead2f0c58a5fef8435a8ebd9980514357e7bda85ea89126a91dee9c1f2818",
