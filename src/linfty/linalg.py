@@ -1,9 +1,12 @@
 """Tiny exact linear algebra over the rationals: rank and inverse.
 
-:func:`rank` is sparse and fraction-free in the manner of Bareiss (1968):
-each row is scaled to a primitive integer row, and elimination against a
-pivot row is an integer cross-multiplication followed by division by the
-content gcd, so no :class:`fractions.Fraction` is formed on the way.
+:func:`rank` is sparse and fraction-free in the manner of Bareiss (1968).
+Each row is prepared in one pass that keeps its nonzeros, the integral ones
+as ``int``; the row is multiplied through by the lcm of its denominators
+only when that lcm is not 1, then divided by its content gcd.  Elimination
+against a pivot row, keyed by its leading (smallest) column, is an integer
+cross-multiplication followed by the same division, so no
+:class:`fractions.Fraction` is formed on the way.
 :func:`invert` is plain Gauss-Jordan on :class:`fractions.Fraction`.  There
 are no pivot thresholds and no rounding.
 """
@@ -26,22 +29,33 @@ def _primitive(row: Mapping[int, int]) -> dict[int, int]:
 def rank(rows: Sequence[SparseRow]) -> int:
     """Exact rank of the matrix whose rows are ``{column: value}`` dicts.
 
-    Values are ``Fraction`` or ``int``; absent columns are zero.  Each row has
-    its denominators cleared, then is
+    Values are ``Fraction`` or ``int``; absent columns are zero.  One pass
+    over a row keeps its nonzeros, each integral ``Fraction`` as its
+    numerator, and the lcm of the other denominators; only when that lcm is
+    not 1 is the row multiplied through by it.  The primitive row is then
     reduced against the pivot rows keyed by their leading (smallest) column:
     ``row <- p * row - c * pivot`` with ``p`` the pivot's leading entry and
     ``c`` the row's, both divided by their gcd.  A row whose leading column
-    has no pivot yet becomes one; a row that cancels out adds nothing.
+    has no pivot yet becomes one; a row that cancels out adds nothing.  The
+    rows passed in are read, never written.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        exact = {k: v for k, v in row.items() if v}
-        if not exact:
+        vec = {}
+        den = 1
+        for k, v in row.items():
+            if v:
+                if type(v) is not int:
+                    if v.denominator == 1:
+                        v = v.numerator
+                    else:
+                        den = lcm(den, v.denominator)
+                vec[k] = v
+        if not vec:
             continue
-        den = lcm(*(v.denominator for v in exact.values()))
-        vec = _primitive(
-            {k: v.numerator * (den // v.denominator) for k, v in exact.items()}
-        )
+        if den != 1:
+            vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+        vec = _primitive(vec)
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)

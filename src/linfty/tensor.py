@@ -614,6 +614,8 @@ class DeformationComplex:
         cols = self.d1_columns()
         defects = []
         for j, col in enumerate(cols):
+            if not col:
+                continue
             acc: Vector = {}
             for i, c in col.items():
                 for i2, c2 in cols[i].items():
@@ -621,7 +623,8 @@ class DeformationComplex:
                         acc[i2] = total
                     else:
                         del acc[i2]
-            defects.extend((i, j, c) for i, c in acc.items())
+            if acc:
+                defects.extend((i, j, c) for i, c in acc.items())
         return defects
 
     def check_d1_squares_to_zero(self) -> CheckReport:

@@ -15,6 +15,7 @@ Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
 matrices and on every bigraded piece of the complexes; an empty piece must
 answer zeros without building ``d1``.
 """
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from dense_rank import dense_rank
 from linfty import corpus, parse_path
 from linfty.linalg import rank
 from linfty.multimap import PLAIN, MultiMap
+from linfty.report import InputError
 from linfty.tensor import (
     CohomologyRanks,
     DeformationComplex,
@@ -184,6 +186,85 @@ def test_an_empty_piece_builds_no_d1(name, bound, monkeypatch):
     assert_ranks_match_the_dense_oracle(name, complex_, nonempty)
 
 
+@pytest.mark.parametrize("name,bound", CASES)
+def test_cohomology_rank_leaves_the_shared_columns_unchanged(name, bound):
+    # the columns are memoized and every piece reads the same dicts
+    complex_ = fixture_complex(name, bound)
+    cols = complex_.d1_columns()
+    before = copy.deepcopy(cols)
+    for degree, weight in every_piece(complex_):
+        cohomology_rank(complex_, degree, weight)
+    assert complex_.d1_columns() is cols
+    assert cols == before
+
+
+def verified_complexes(tensors, bound):
+    """The complexes of those of ``(tensor, action)`` that are verified."""
+    out = []
+    for tensor, action in tensors:
+        try:
+            out.append(deformation_complex(tensor, action, bound))
+        except InputError:
+            pass
+    return out
+
+
+def assert_images_fit_in_kernels(complex_):
+    for degree, weight in complex_.bigrading:
+        got = cohomology_rank(complex_, degree, weight)
+        assert got.rank_in <= got.kernel_dim, (complex_.bound, got)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity"])
+def test_rank_in_is_at_most_kernel_dim_on_the_fixtures(name, bound):
+    assert_images_fit_in_kernels(fixture_complex(name, bound))
+
+
+def test_rank_in_is_at_most_kernel_dim_on_the_tensor_corpus():
+    instances = corpus.tensor_corpus(60, 3)
+    complexes = verified_complexes([(inst.tensor, inst.action) for inst in instances], 4)
+    assert len(complexes) == 22
+    assert sum(len(c.bigrading) for c in complexes) == 108
+    for complex_ in complexes:
+        assert_images_fit_in_kernels(complex_)
+
+
+def parent_square_defect(cols):
+    """``d1 . d1`` column by column, every column visited, as
+    ``(row, column, value)`` in column order and then in first-touch order."""
+    defects = []
+    for j, col in enumerate(cols):
+        acc = {}
+        for i, c in col.items():
+            for i2, c2 in cols[i].items():
+                if total := acc.get(i2, 0) + c * c2:
+                    acc[i2] = total
+                else:
+                    del acc[i2]
+        defects.extend((i, j, c) for i, c in acc.items())
+    return defects
+
+
+@pytest.mark.parametrize("name,bound", [(n, b) for n, b in CASES if b < 5])
+def test_square_defect_sees_a_planted_entry_in_an_empty_column(name, bound):
+    complex_ = fixture_complex(name, bound)
+    cols = complex_.d1_columns()
+    assert complex_.d1_square_defect() == parent_square_defect(cols) == []
+    empty = [j for j, col in enumerate(cols) if not col]
+    full = [j for j, col in enumerate(cols) if col]
+    assert empty and full
+    planted = copy.deepcopy(cols)
+    # each planted entry sits at the row of a nonempty column, so it
+    # composes to a nonzero entry of the square
+    planted[empty[0]][full[0]] = 1
+    planted[full[-1]][full[0]] = planted[full[-1]].get(full[0], 0) + F(3, 2)
+    complex_.d1_columns = lambda: planted
+    defects = complex_.d1_square_defect()
+    assert defects == parent_square_defect(planted)
+    assert {empty[0], full[-1]} <= {j for _, j, _ in defects}
+
+
 # ---------------------------------------------------------------------------
 # the brackets and the Maurer-Cartan residual
 
@@ -257,7 +338,13 @@ def test_mc_residuals_equal_the_dense_series():
 # ---------------------------------------------------------------------------
 # the sparse rank on random matrices
 
-entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# an integral cell may be an ``int`` or an integral ``Fraction`` such as
+# ``F(4, 2)``, so rows meet ``rank`` with and without denominators to clear
+integral = st.integers(-12, 12)
+entries = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), integral, integral.map(F)
+)
+zeros = st.sampled_from([0, F(0)])
 
 
 @st.composite
@@ -281,24 +368,31 @@ def patterns(draw, nrows, ncols):
 def sparse_matrices(draw):
     """Rows with zero rows and rows dependent on earlier ones.  The cells are
     random in any order, or random inside a banded, block-diagonal or
-    arrowhead pattern kept in row order."""
+    arrowhead pattern kept in row order.  Each cell is an ``int`` or a
+    ``Fraction``, so a row may be all ``int``, integral ``Fraction``, mixed or
+    fractional, and rows are multiplied by -1, ±2, 3 or ±4 at random, which
+    gives them a content gcd above 1 or a negative lead."""
     ncols = draw(st.integers(1, 7))
     shaped = draw(st.booleans())
     if shaped:
         nrows = draw(st.integers(1, 7))
         inside = draw(patterns(nrows, ncols))
         rows = [
-            [draw(entries) if inside(i, k) else F(0) for k in range(ncols)]
+            [draw(entries) if inside(i, k) else draw(zeros) for k in range(ncols)]
             for i in range(nrows)
         ]
     else:
-        cell = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+        cell = st.one_of(zeros, zeros, entries)
         rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), max_size=6))
+    scales = st.sampled_from([1, 1, -1, 2, -2, 3, 4, -4])
+    for n, row in enumerate(rows):
+        scale = draw(scales)
+        rows[n] = [scale * v for v in row]
     for _ in range(draw(st.integers(0, 3))):
         if rows:
             coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
             rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(ncols)])
-    rows += [[F(0)] * ncols] * draw(st.integers(0, 2))
+    rows += [[draw(zeros)] * ncols] * draw(st.integers(0, 2))
     return rows if shaped else draw(st.permutations(rows))
 
 
@@ -311,10 +405,25 @@ def test_sparse_rank_equals_dense_rank(rows, keep_zeros):
     assert rank(sparse) == dense_rank(rows)
 
 
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices())
+def test_sparse_rank_leaves_its_rows_unchanged(rows):
+    sparse = [{k: v for k, v in enumerate(row)} for row in rows]
+    before = copy.deepcopy(sparse)
+    rank(sparse)
+    assert sparse == before
+    assert [[type(v) for v in row.values()] for row in sparse] == [
+        [type(v) for v in row.values()] for row in before
+    ]
+
+
 def test_sparse_rank_small_cases():
     assert rank([]) == 0
     assert rank([{}, {3: F(0)}]) == 0
     assert rank([{0: 2, 5: F(-1, 3)}, {0: F(-4), 5: F(2, 3)}]) == 1
     assert rank([{1: F(1, 2)}, {0: F(1, 3), 1: F(1)}, {0: F(1)}]) == 2
+    # integral Fractions, a content gcd of 2 and negative leads, unscaled
+    assert rank([{0: F(4, 2), 1: -6}, {0: -1, 1: F(3)}]) == 1
+    assert rank([{0: -4, 1: 6}, {1: F(-9), 2: 3}, {0: 2, 2: F(1, 2)}]) == 3
     big = F(10**30 + 1, 7**20)
     assert rank([{0: big, 1: F(1)}, {0: F(1), 1: 1 / big}]) == 1
