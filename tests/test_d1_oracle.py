@@ -13,7 +13,10 @@ of the product's brackets, of the tensor and of each element, composed by
 basis elements.  :func:`linfty.linalg.rank` is checked against the dense
 Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
 matrices and on every bigraded piece of the complexes; an empty piece must
-answer zeros without building ``d1``.
+answer zeros without building ``d1``, and neither ``rank`` nor
+``cohomology_rank`` may write the rows or the memoized columns they read.
+``d1_square_defect`` is held to the plain double loop over every column on
+columns with planted entries, so skipping an empty column hides no defect.
 """
 import copy
 import itertools
@@ -198,17 +201,6 @@ def test_cohomology_rank_leaves_the_shared_columns_unchanged(name, bound):
     assert cols == before
 
 
-def verified_complexes(tensors, bound):
-    """The complexes of those of ``(tensor, action)`` that are verified."""
-    out = []
-    for tensor, action in tensors:
-        try:
-            out.append(deformation_complex(tensor, action, bound))
-        except InputError:
-            pass
-    return out
-
-
 def assert_images_fit_in_kernels(complex_):
     for degree, weight in complex_.bigrading:
         got = cohomology_rank(complex_, degree, weight)
@@ -222,8 +214,12 @@ def test_rank_in_is_at_most_kernel_dim_on_the_fixtures(name, bound):
 
 
 def test_rank_in_is_at_most_kernel_dim_on_the_tensor_corpus():
-    instances = corpus.tensor_corpus(60, 3)
-    complexes = verified_complexes([(inst.tensor, inst.action) for inst in instances], 4)
+    complexes = []
+    for inst in corpus.tensor_corpus(60, 3):
+        try:
+            complexes.append(deformation_complex(inst.tensor, inst.action, 4))
+        except InputError:
+            pass  # not a verified tensor
     assert len(complexes) == 22
     assert sum(len(c.bigrading) for c in complexes) == 108
     for complex_ in complexes:
@@ -408,13 +404,14 @@ def test_sparse_rank_equals_dense_rank(rows, keep_zeros):
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
 @given(sparse_matrices())
 def test_sparse_rank_leaves_its_rows_unchanged(rows):
-    sparse = [{k: v for k, v in enumerate(row)} for row in rows]
-    before = copy.deepcopy(sparse)
+    def snapshot(sparse):
+        # the type too: F(2) == 2, so equality alone misses a cell made int
+        return [[(k, type(v), v) for k, v in row.items()] for row in sparse]
+
+    sparse = [dict(enumerate(row)) for row in rows]
+    before = snapshot(sparse)
     rank(sparse)
-    assert sparse == before
-    assert [[type(v) for v in row.values()] for row in sparse] == [
-        [type(v) for v in row.values()] for row in before
-    ]
+    assert snapshot(sparse) == before
 
 
 def test_sparse_rank_small_cases():
@@ -422,7 +419,8 @@ def test_sparse_rank_small_cases():
     assert rank([{}, {3: F(0)}]) == 0
     assert rank([{0: 2, 5: F(-1, 3)}, {0: F(-4), 5: F(2, 3)}]) == 1
     assert rank([{1: F(1, 2)}, {0: F(1, 3), 1: F(1)}, {0: F(1)}]) == 2
-    # integral Fractions, a content gcd of 2 and negative leads, unscaled
+    # integral Fractions, a content gcd above 1 and negative leads; only the
+    # last row has a denominator to clear
     assert rank([{0: F(4, 2), 1: -6}, {0: -1, 1: F(3)}]) == 1
     assert rank([{0: -4, 1: 6}, {1: F(-9), 2: 3}, {0: 2, 2: F(1, 2)}]) == 3
     big = F(10**30 + 1, 7**20)
