@@ -11,7 +11,6 @@ from .graded import (
     increasing_unshuffles,
     koszul_sign,
     permute,
-    unshuffles,
 )
 from .multimap import (
     MultiMap,
@@ -19,14 +18,9 @@ from .multimap import (
     TruncatedComorphism,
     balavoine_bracket,
     commutator,
-    coshuffle_coproduct,
-    decalage,
-    decalage_inverse,
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
-    symmetrize,
-    zinbiel_coproduct,
 )
 from .homotopy import (
     HomotopyStructure,
@@ -50,7 +44,6 @@ from .action import (
 from .tensor import (
     DeformationComplex,
     EmbeddingTensor,
-    HomElement,
     adjoint_strict_check,
     centroid_check,
     check_descendent_morphism,
@@ -61,7 +54,6 @@ from .tensor import (
     deformation_complex,
     descendent,
     identity_tensor,
-    strict_algebra_compose,
 )
 from .fileformat import StructureFile, parse, parse_path, serialize
 from .report import CheckReport, InputError, Residual, RouteDisagreement

@@ -42,13 +42,11 @@ __all__ = [
     "GradedSpace",
     "Word",
     "Permutation",
-    "compose",
     "compositions",
     "increasing_unshuffles",
     "is_permutation",
     "koszul_sign",
     "permute",
-    "unshuffles",
 ]
 
 
@@ -68,21 +66,14 @@ def permute(sigma: Permutation, word: Sequence) -> tuple:
     return tuple(word[s] for s in sigma)
 
 
-def compose(tau: Permutation, sigma: Permutation) -> Permutation:
-    """The slot map of "first tau, then sigma".
-
-    Satisfies ``permute(sigma, permute(tau, w)) == permute(compose(tau, sigma), w)``.
-    """
-    return tuple(tau[s] for s in sigma)
-
-
 def koszul_sign(sigma: Permutation, degrees: Sequence[int]) -> int:
     """Sign of reordering homogeneous letters of the given degrees by ``sigma``.
 
     With the slot convention above, the output word is
     ``(v_{sigma[0]}, ..., v_{sigma[n-1]})`` and each inverted pair of
     odd-degree letters contributes a factor of ``-1``.  Multiplicative:
-    ``koszul_sign(compose(tau, sigma), d) ==
+    with ``tau_sigma = permute(sigma, tau)``, the slot map of "first tau,
+    then sigma", ``koszul_sign(tau_sigma, d) ==
     koszul_sign(sigma, permute(tau, d)) * koszul_sign(tau, d)``.
     """
     n = len(sigma)
@@ -134,17 +125,6 @@ def _unshuffles(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
             values[b].append(v)
         perms.append(tuple(itertools.chain.from_iterable(values)))
     return tuple(perms)
-
-
-def unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:
-    """All ``(i_1, ..., i_k)``-unshuffles of ``0..sum-1``.
-
-    A permutation is an unshuffle when it is increasing inside each
-    consecutive block of slots.  The count is the multinomial coefficient.
-    """
-    if not block_sizes or any(b < 1 for b in block_sizes):
-        raise ValueError("block sizes must be positive integers")
-    return _unshuffles(tuple(block_sizes))
 
 
 @lru_cache(maxsize=None)
@@ -368,11 +348,6 @@ class GradedSpace:
     def canonical_words_up_to(self, bound: int) -> Iterator[Word]:
         for n in range(1, bound + 1):
             yield from self.canonical_words(n)
-
-    def shifted(self, delta: int, name: str | None = None) -> "GradedSpace":
-        """Same symbols with all degrees moved by ``delta``."""
-        new = name if name is not None else f"{self.name}[{-delta}]"
-        return GradedSpace(new, zip(self.symbols, (d + delta for d in self.degrees)))
 
     def format_word(self, word: Word) -> str:
         return ",".join(self.symbols[i] for i in word)

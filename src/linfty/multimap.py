@@ -1,15 +1,13 @@
 """Multilinear graded maps as exact structure constants, and the coalgebra
-machinery built on them: coshuffle and Zinbiel coproducts, coderivation and
-comorphism lifts truncated at a word-length bound, graded commutators, the
-composites of coderivations of both coalgebras formed from their
-restriction families, the Balavoine bracket of two Zinbiel ones, and the
-arity-shift (decalage) isomorphism.
+machinery built on them: coderivation and comorphism lifts truncated at a
+word-length bound, graded commutators, the composites of coderivations of
+both coalgebras formed from their restriction families, and the Balavoine
+bracket of two Zinbiel ones.
 
 Formal linear data is kept sparse:
 
 * a *vector* is ``dict[int, Scalar]`` over basis indices,
-* a *word sum* is ``dict[Word, Scalar]``,
-* a *pair sum* (coproduct value) is ``dict[(Word, Word), Scalar]``.
+* a *word sum* is ``dict[Word, Scalar]``.
 
 Zero coefficients are never stored.  A ``Scalar`` is exact and kept in one
 normal form (:func:`exact`): an ``int`` when it is integral and a
@@ -39,14 +37,12 @@ from .graded import (
     increasing_unshuffles,
     koszul_sign,
     permute,
-    unshuffles,
 )
 from .report import InputError
 
 Scalar = int | Fraction
 Vector = dict[int, Scalar]
 WordSum = dict[Word, Scalar]
-PairSum = dict[tuple[Word, Word], Scalar]
 
 SYMMETRIC = "symmetric"
 PLAIN = "plain"
@@ -54,7 +50,6 @@ ZINBIEL = "zinbiel"
 
 __all__ = [
     "MultiMap",
-    "PairSum",
     "TruncatedCoderivation",
     "TruncatedComorphism",
     "Vector",
@@ -62,9 +57,6 @@ __all__ = [
     "add_into",
     "balavoine_bracket",
     "commutator",
-    "coshuffle_coproduct",
-    "decalage",
-    "decalage_inverse",
     "exact",
     "expand",
     "lift_comorphism",
@@ -72,8 +64,6 @@ __all__ = [
     "lift_zinbiel_coderivation",
     "lifted_composite",
     "symmetric_composite",
-    "symmetrize",
-    "zinbiel_coproduct",
 ]
 
 
@@ -259,88 +249,11 @@ def _signed_orderings(word: Word, parities: tuple[int, ...]) -> tuple[tuple[Word
     on ``word``.  :meth:`MultiMap.expand_plain` and the hemisemidirect
     product read every ordering of a key from here."""
     out: dict[Word, int] = {}
-    for sigma in _all_permutations(len(word)):
+    for sigma in itertools.permutations(range(len(word))):
         u = permute(sigma, word)
         if u not in out:
             out[u] = koszul_sign(sigma, parities)
     return tuple(out.items())
-
-
-def symmetrize(f: MultiMap) -> MultiMap:
-    """Average of ``f`` over all slot permutations with Koszul signs.
-
-    Idempotent; applied to a symmetric map it returns an equal map.
-    """
-    if f.flavor == SYMMETRIC:
-        return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
-    space = f.source
-    k = f.arity
-    factorial = Fraction(1)
-    for j in range(2, k + 1):
-        factorial *= j
-    candidates = set()
-    for word in f.constants:
-        norm, sign = space.normalize(word)
-        if sign:
-            candidates.add(norm)
-    table: dict[Word, Vector] = {}
-    for w in sorted(candidates):
-        degs = space.word_degrees(w)
-        acc: Vector = {}
-        for sigma in _all_permutations(k):
-            eps = koszul_sign(sigma, degs)
-            merge_into(acc, f.eval(permute(sigma, w)), eps)
-        acc = {out: c / factorial for out, c in acc.items() if c}
-        if acc:
-            table[w] = acc
-    return MultiMap(f.source, f.target, k, f.degree, SYMMETRIC, table)
-
-
-def _all_permutations(n: int) -> tuple:
-    return tuple(itertools.permutations(range(n)))
-
-
-# ---------------------------------------------------------------------------
-# coproducts
-
-
-def coshuffle_coproduct(space: GradedSpace, word: Word) -> PairSum:
-    """Sum over (p, k-p)-unshuffles of the two-sided splittings of ``word``.
-
-    Single letters are primitive: the value is empty.
-    """
-    k = len(word)
-    out: PairSum = {}
-    if k < 2:
-        return out
-    degs = space.word_degrees(word)
-    for p in range(1, k):
-        for sigma in unshuffles(p, k - p):
-            eps = koszul_sign(sigma, degs)
-            pw = permute(sigma, word)
-            add_into(out, (pw[:p], pw[p:]), eps)
-    return out
-
-
-def zinbiel_coproduct(space: GradedSpace, word: Word) -> PairSum:
-    """Half-shuffle coproduct: the last letter stays anchored on the right.
-
-    Satisfies the co-Leibniz variant
-    ``(Id x D) D = (D x Id) D + (tau D x Id) D`` and symmetrises to the
-    coshuffle coproduct: ``coshuffle == zinbiel + tau . zinbiel``.
-    """
-    k = len(word)
-    out: PairSum = {}
-    if k < 2:
-        return out
-    head = word[:-1]
-    degs = space.word_degrees(head)
-    for p in range(1, k):
-        for sigma in _unshuffles((p, k - 1 - p)):
-            eps = koszul_sign(sigma, degs)
-            pw = permute(sigma, head)
-            add_into(out, (pw[:p], pw[p:] + (word[-1],)), eps)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -886,73 +799,3 @@ def _image_words(block_vectors, target, flavor) -> list[tuple[Word, Scalar]]:
         if sign:
             out.append((norm, sign * c))
     return out
-
-
-# ---------------------------------------------------------------------------
-# decalage
-
-
-def _decalage_sign(degrees: Iterable[int]) -> int:
-    """Parity of ``sum (k - 1 - j) * d_j`` over the unshifted degrees."""
-    degs = list(degrees)
-    k = len(degs)
-    total = sum((k - 1 - j) * d for j, d in enumerate(degs))
-    return -1 if total % 2 else 1
-
-
-def decalage(f: MultiMap, shifted_source: GradedSpace, shifted_target: GradedSpace) -> MultiMap:
-    """Transport an arity-``k`` map to the suspension of its spaces.
-
-    The result has degree ``f.degree + 1 - k`` and satisfies, on letters of
-    unshifted degrees ``d_1..d_k``,
-
-        g(s x_1, ..., s x_k) = (-1)^{sum (k-j) d_j, j<k} s f(x_1, ..., x_k).
-
-    ``shifted_source``/``shifted_target`` must carry the same symbols with all
-    degrees raised by one.  Symmetric inputs are expanded first, since the
-    transported map is no longer graded symmetric.  Inverse of
-    :func:`decalage_inverse`.
-    """
-    _check_shift(f.source, shifted_source, +1)
-    _check_shift(f.target, shifted_target, +1)
-    if f.flavor == SYMMETRIC:
-        f = f.expand_plain()
-    table: dict[Word, Vector] = {}
-    for word, vec in f.constants.items():
-        sign = _decalage_sign(f.source.word_degrees(word))
-        table[word] = {out: sign * c for out, c in vec.items()}
-    return MultiMap(
-        shifted_source,
-        shifted_target,
-        f.arity,
-        f.degree + 1 - f.arity,
-        PLAIN,
-        table,
-    )
-
-
-def decalage_inverse(
-    g: MultiMap, desuspended_source: GradedSpace, desuspended_target: GradedSpace
-) -> MultiMap:
-    """Inverse transport: round-trips with :func:`decalage` to the identity."""
-    _check_shift(desuspended_source, g.source, +1)
-    _check_shift(desuspended_target, g.target, +1)
-    table: dict[Word, Vector] = {}
-    for word, vec in g.constants.items():
-        sign = _decalage_sign(desuspended_source.word_degrees(word))
-        table[word] = {out: sign * c for out, c in vec.items()}
-    return MultiMap(
-        desuspended_source,
-        desuspended_target,
-        g.arity,
-        g.degree - 1 + g.arity,
-        PLAIN,
-        table,
-    )
-
-
-def _check_shift(low: GradedSpace, high: GradedSpace, delta: int) -> None:
-    if low.symbols != high.symbols:
-        raise ValueError("shifted spaces must share basis symbols")
-    if any(dh != dl + delta for dl, dh in zip(low.degrees, high.degrees)):
-        raise ValueError(f"spaces are not related by a degree shift of {delta}")

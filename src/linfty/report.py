@@ -54,15 +54,6 @@ class CheckReport:
     def verdict(self) -> str:
         return "PASS" if self.ok else "FAIL"
 
-    def lines(self) -> list[str]:
-        out = [f"{self.check}: {self.verdict} (bound {self.bound})"]
-        for r in self.residuals:
-            out.append(f"  arity {r.arity} [{r.word}] = {r.value}")
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
 
 def make_report(check: str, bound: int, items) -> CheckReport:
     return CheckReport(check, bound, tuple(sorted(items)))

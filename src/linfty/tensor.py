@@ -16,9 +16,9 @@ maps; the package evaluates that condition along two independent routes:
 Every tensor induces a plain (Loday-type) bracket family on the target,
 its descendent, formed in one pass over the action's keys; verified
 tensors are exactly the morphisms from it into the acting structure, and
-carry a deformation complex whose derived brackets run on plain word
-tables, as the series route does.  Each check builds the comorphism rows
-it reads; nothing is memoized on a tensor.
+carry a deformation complex whose differential runs on plain word tables,
+as the series route does.  Each check builds the comorphism rows it reads;
+nothing is memoized on a tensor.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ from .report import (
 __all__ = [
     "DeformationComplex",
     "EmbeddingTensor",
-    "HomElement",
     "adjoint_strict_check",
     "centroid_check",
     "check_descendent_morphism",
@@ -73,7 +72,6 @@ __all__ = [
     "deformation_complex",
     "descendent",
     "identity_tensor",
-    "strict_algebra_compose",
 ]
 
 _SERIES_SLACK = 2
@@ -354,30 +352,6 @@ def adjoint_strict_check(E: HomotopyStructure, t1: MultiMap) -> CheckReport:
     return make_report("adjoint-strict", E.max_arity, report.residuals)
 
 
-def compose_unary(f: MultiMap, g: MultiMap) -> MultiMap:
-    """``f`` after ``g`` for unary maps on the same space."""
-    space = g.source
-    table: dict[Word, Vector] = {}
-    for i in range(space.dim):
-        acc: Vector = {}
-        for j, c in g.eval((i,)).items():
-            merge_into(acc, f.eval((j,)), c)
-        if acc:
-            table[(i,)] = acc
-    return MultiMap(space, f.target, 1, f.degree + g.degree, PLAIN, table)
-
-
-def strict_algebra_compose(
-    E: HomotopyStructure, t1: MultiMap, t1_other: MultiMap
-) -> CheckReport:
-    """Closure of the strict condition under composition of two verified tensors."""
-    first = adjoint_strict_check(E, t1)
-    second = adjoint_strict_check(E, t1_other)
-    if not (first.ok and second.ok):
-        raise InputError("composition closure needs two verified strict tensors")
-    return adjoint_strict_check(E, compose_unary(t1, t1_other))
-
-
 def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
     """The commutator of ``f1`` with the adjoint representation of a
     Lie-infinity algebra, as :func:`linfty.action.check_coherence` forms one.
@@ -417,38 +391,15 @@ def centroid_check(E: HomotopyStructure, f1: MultiMap) -> CheckReport:
 # the deformation complex
 
 
-@dataclass(frozen=True)
-class HomElement:
-    """A homogeneous family of target-word-to-acting maps up to a bound,
-    its values in the normal form of :func:`linfty.multimap.exact`."""
-
-    degree: int
-    rows: tuple[tuple[Word, tuple[tuple[int, Scalar], ...]], ...]
-
-    @classmethod
-    def from_rows(cls, degree: int, rows: Mapping[Word, Vector]) -> "HomElement":
-        packed = tuple(
-            (w, tuple(sorted((o, exact(c, (w, o))) for o, c in rows[w].items())))
-            for w in sorted(rows)
-            if rows[w]
-        )
-        return cls(degree, packed)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
-
 class DeformationComplex:
     """The deformation Lie-infinity algebra of a verified tensor, truncated.
 
-    Its brackets are the paper's derived brackets on target-to-acting maps:
-    :meth:`derived_bracket` ``P([..[Q, a_1].., a_k])`` from the product
-    codifferential ``Q``, :meth:`twisted_bracket` the same chain from the
-    codifferential twisted by the tensor, and :meth:`mc_residual_of` the
-    Maurer-Cartan curvature of a degree-0 element in the twisted structure.
-    All three run on plain tables ``{word: vector}`` on the product, one
-    :func:`balavoine_bracket` per element, and lift nothing.
+    Its brackets are the paper's derived brackets ``P([..[T, a_1].., a_k])``
+    on target-to-acting maps, from the codifferential ``T`` of the product
+    twisted by the tensor.  The package forms the unary one, ``d1``; the
+    higher brackets and the Maurer-Cartan curvature of a deformation, which
+    no command prints, are test helpers in ``tests/paper.py`` that read the
+    same twisted table.
 
     The basis of the truncation consists of the elementary maps sending one
     target word (length up to the bound) to one acting letter; the bigrading
@@ -492,43 +443,8 @@ class DeformationComplex:
                 self.bigrading.setdefault((eb - d, len(w)), []).append(n * dim_e + b)
         self._memo: dict = {}
 
-    # -- elements ----------------------------------------------------------------
-
     def element_degree(self, w: Word, b: int) -> int:
         return self.action.E.space.degrees[b] - self._words[w][1]
-
-    def basis_element(self, w: Word, b: int) -> HomElement:
-        return HomElement.from_rows(self.element_degree(w, b), {w: {b: 1}})
-
-    # -- derived brackets ------------------------------------------------------
-
-    def derived_bracket(self, elements: list[HomElement]) -> HomElement:
-        """``P([..[[Q, a_1], a_2].., a_k])`` for elements of the truncation."""
-        return self._chain(_bracket_table(self.hemi), elements)
-
-    def twisted_bracket(self, elements: list[HomElement]) -> HomElement:
-        """Same chain started from the series-twisted codifferential."""
-        return self._chain(self._series, elements)
-
-    def _chain(self, start: Mapping[Word, Vector], elements: list[HomElement]) -> HomElement:
-        """The projected chain of brackets of the lift of the degree-1 table
-        ``start`` with the elements' lifts, one :func:`balavoine_bracket` each."""
-        chain, degree = start, 1
-        for a in elements:
-            table = _on_product(self.hemi, a.rows)
-            chain = balavoine_bracket(self.hemi.space, chain, degree, table, a.degree, self.bound)
-            degree += a.degree
-        short = {w: vec for w, vec in chain.items() if len(w) <= self.bound}
-        return HomElement.from_rows(degree, _project_h(short, self.hemi))
-
-    def mc_residual_of(self, element: HomElement) -> HomElement:
-        """Curvature ``P sum_m [..[T, A].., A] / m!`` of a degree-0 candidate
-        inside the twisted structure ``T``."""
-        if element.degree != 0:
-            raise InputError("deformation candidates are degree-0 elements")
-        table = _on_product(self.hemi, element.rows)
-        series = _ad_series(self.hemi.space, self._series, table, self.bound, include_start=False)
-        return HomElement.from_rows(1, _project_h(series, self.hemi))
 
     # -- the unary differential as a matrix ------------------------------------
 

@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from dense_splits import dense_increasing_splits
-from laws import action_value, maps_by_arity
-from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute, unshuffles
+from laws import action_value, maps_by_arity, unshuffles
+from linfty.graded import GradedSpace, Word, _unshuffles, koszul_sign, permute
 from linfty.homotopy import HomotopyStructure
 from linfty.multimap import (
     PLAIN,
@@ -57,8 +57,8 @@ from linfty.multimap import (
     merge_into,
 )
 from linfty.report import RouteDisagreement
-from linfty.tensor import _SERIES_SLACK, HomElement
-from paper import eval_bracket
+from linfty.tensor import _SERIES_SLACK
+from paper import HomElement, eval_bracket
 
 
 def dense_symmetric_lift(

@@ -1,6 +1,7 @@
 """Law checkers and small helpers that only the tests read.
 
-The co-Leibniz defect of a coderivation, the coproduct defect of a
+The composite of two slot maps and the unshuffles of given block sizes,
+the co-Leibniz defect of a coderivation, the coproduct defect of a
 comorphism, the twist of a pair sum, the identity comorphism, a multiple
 and the length-one part of a row of a full coderivation, a table as one
 map per word length, the bracket of two families through their tables,
@@ -19,12 +20,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from linfty.corpus import SMALL_FRACTIONS
-from linfty.graded import GradedSpace, Word
+from linfty.graded import GradedSpace, Permutation, Word, _unshuffles
 from linfty.multimap import (
     PLAIN,
     SYMMETRIC,
     MultiMap,
-    PairSum,
     TruncatedCoderivation,
     TruncatedComorphism,
     Vector,
@@ -32,11 +32,8 @@ from linfty.multimap import (
     _common_degree,
     add_into,
     balavoine_bracket,
-    coshuffle_coproduct,
     lift_comorphism,
     merge_into,
-    symmetrize,
-    zinbiel_coproduct,
 )
 from linfty.action import ActionFamily, hemisemidirect
 from linfty.report import (
@@ -50,12 +47,38 @@ from linfty.report import (
 from linfty.tensor import (
     _SERIES_SLACK,
     EmbeddingTensor,
-    HomElement,
     _check_tensor_spaces,
     _ensure_coherent,
     descendent,
 )
-from paper import eval_bracket
+from paper import (
+    HomElement,
+    PairSum,
+    coshuffle_coproduct,
+    eval_bracket,
+    symmetrize,
+    zinbiel_coproduct,
+)
+
+
+def compose(tau: Permutation, sigma: Permutation) -> Permutation:
+    """The slot map of "first tau, then sigma".
+
+    Satisfies ``permute(sigma, permute(tau, w)) == permute(compose(tau, sigma), w)``.
+    """
+    return tuple(tau[s] for s in sigma)
+
+
+def unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:
+    """All ``(i_1, ..., i_k)``-unshuffles of ``0..sum-1``, read from the
+    package's table :func:`linfty.graded._unshuffles`.
+
+    A permutation is an unshuffle when it is increasing inside each
+    consecutive block of slots.  The count is the multinomial coefficient.
+    """
+    if not block_sizes or any(b < 1 for b in block_sizes):
+        raise ValueError("block sizes must be positive integers")
+    return _unshuffles(tuple(block_sizes))
 
 
 def check_coleibniz(cod: TruncatedCoderivation) -> dict[Word, PairSum]:

@@ -13,21 +13,35 @@ from pathlib import Path
 import pytest
 
 from linfty.action import theorem_crosscheck
-from linfty.graded import GradedSpace, koszul_sign, permute, unshuffles, compose
+from linfty.graded import GradedSpace, koszul_sign, permute
 from linfty.homotopy import check_loday_infinity
 from linfty.multimap import (
     SYMMETRIC,
     add_into,
-    coshuffle_coproduct,
-    decalage,
-    decalage_inverse,
     lift_comorphism,
     lift_symmetric_coderivation,
     lift_zinbiel_coderivation,
+)
+from laws import (
+    check_coleibniz,
+    check_intertwines_coproduct,
+    compose,
+    tensor_sum,
+    twist_pairsum,
+    unshuffles,
+)
+from paper import (
+    HomElement,
+    compose_unary,
+    coshuffle_coproduct,
+    decalage,
+    decalage_inverse,
+    eval_bracket,
+    mc_residual_of,
+    shifted,
+    strict_algebra_compose,
     zinbiel_coproduct,
 )
-from laws import check_coleibniz, check_intertwines_coproduct, tensor_sum, twist_pairsum
-from paper import eval_bracket
 from linfty.corpus import (
     action_corpus,
     random_multimap,
@@ -44,7 +58,6 @@ from linfty.tensor import (
     deformation_complex,
     descendent,
     identity_tensor,
-    strict_algebra_compose,
 )
 from linfty.multimap import MultiMap, PLAIN
 from linfty.corpus import heisenberg, sl2, solvable2
@@ -217,7 +230,7 @@ def test_criterion_5_coderivation_comorphism_laws():
         com = lift_comorphism(space, space, comps, 4)
         assert check_intertwines_coproduct(com) == {}
         families += 1
-    up = space.shifted(1)
+    up = shifted(space, 1)
     roundtrips = 0
     for _ in range(50):
         arity = rng.randint(1, 3)
@@ -255,15 +268,11 @@ def test_criterion_6_deformation_complex(tensor_verdicts):
                     t1 = MultiMap(V, E, len(w), 0, PLAIN, {w: {b: lam}})
                     prime = EmbeddingTensor(V, E, {len(w): t1})
                     summed = tensor_sum(inst.tensor, prime)
-                    from linfty.tensor import HomElement
-
                     element = HomElement.from_rows(0, {w: {b: lam}})
                 else:
-                    from linfty.tensor import HomElement
-
                     summed = inst.tensor
                     element = HomElement.from_rows(0, {})
-                residual = dc.mc_residual_of(element)
+                residual = mc_residual_of(dc, element)
                 direct = check_embedding_explicit(summed, inst.action, 3)
                 assert residual.is_zero == direct.ok, (inst.label, w, b, lam)
                 sweeps += 1
@@ -310,8 +319,6 @@ def test_criterion_7_strict_embedding_algebra():
             assert adjoint_strict_check(E, t).ok
             tensors += 1
             # the identity is a two-sided unit
-            from linfty.tensor import compose_unary
-
             for composed in (compose_unary(t, ident), compose_unary(ident, t)):
                 for i in range(E.space.dim):
                     assert composed.eval((i,)) == t.eval((i,))

@@ -23,9 +23,12 @@ bound 3 on the fractional files, while ``check_action`` still summed the
 axiom over every canonical acting word and the product built its brackets
 in loops of its own.  The ``adjoint-strict`` and ``centroid`` reports, in
 both formats and with their exit codes, were recorded while both checks
-evaluated their maps word by word.  The CLI prints the input path, so the
-commands run from the root of the checkout, or from the directory the
-action and strict files are written to, with a relative path.
+evaluated their maps word by word.  The theorem-file reports, in both
+formats, are ``check-loday --space V`` and ``check-morphism`` on the two
+files of ``tests/fixtures/theorem/``, recorded when those files were added.
+The CLI prints the input path, so the commands run from the root of the
+checkout, or from the directory the action and strict files are written
+to, with a relative path.
 """
 import contextlib
 import hashlib
@@ -162,6 +165,37 @@ TENSOR = {
     ("centroid", "strict_centroid", 5, "machine"): "9272e4c51942ae49ed158b5a1e77503e72962f156fe69902b16d0414870a49b6",
     ("centroid", "strict_centroid", 6, "text"): "2b5b914e52058c8d1b66fd7ec23acecfde5b5e33f28b286b7bd4c6b75d6df331",
     ("centroid", "strict_centroid", 6, "machine"): "6f14dff695647d3eff97f7876e19ad0ef8c940445a98891c1281688e6d18d5ce",
+}
+
+
+# the theorem files of tests/fixtures/theorem/: the descendent structure on
+# V, E's brackets as a plain section and the tensor as ``morphism V E``,
+# the CLI's first inputs that reach check_loday_morphism
+THEOREM = {
+    ("check-loday", "adjoint_identity", 3, "text"): "fabdf247d8d8443d2cd98543f8803c7581a103d1b0d5c4e811edd236d0ba1951",
+    ("check-loday", "adjoint_identity", 3, "machine"): "5c5168d0bd983e61e44d2225e6bb6457a2bc77028d92554830823157c345ee2c",
+    ("check-loday", "adjoint_identity", 4, "text"): "b23e5e7ec8af73ed5ccd16982df0d50bb125e3d880c83133f45b3da59ba8ac87",
+    ("check-loday", "adjoint_identity", 4, "machine"): "c4f47ec869b76a63063e60ca7c9688d6c85cee13856043affefc6de0a4614508",
+    ("check-loday", "adjoint_identity", 5, "text"): "70ea03715cdda57d064f70c418b168e3e6f225f053e1cdccd66d256a9591b567",
+    ("check-loday", "adjoint_identity", 5, "machine"): "00730122c00c6e807ef958cc42c741d7b8eb250328939dc6a2544359d575c9c5",
+    ("check-loday", "heisenberg", 3, "text"): "25811ad629d9939fee41af6e4e0cacfb22acea4c148073b22dcb28bda2b4ab09",
+    ("check-loday", "heisenberg", 3, "machine"): "0b6166e2d6bf76811b9e7706c694fa3d778b3af84b13b992f13042834f816bd9",
+    ("check-loday", "heisenberg", 4, "text"): "1395c650ee643cc7fd6f7f02578647cee2dd20c969861c3a344b87e90ab8608b",
+    ("check-loday", "heisenberg", 4, "machine"): "15dec7067321d0478cda204a82bf0146332df8eaaad1bb60243484d0a6d71fb2",
+    ("check-loday", "heisenberg", 5, "text"): "91826c8dd62b78df0686408210814c044877b02b2ceeba642045ba0af369ea15",
+    ("check-loday", "heisenberg", 5, "machine"): "d7cf33b7c542ad8a94769712298a75332057ae13614a83ece8c11b2e47ba3077",
+    ("check-morphism", "adjoint_identity", 3, "text"): "7f1ed1697b9868f6330736ce8892eee483ecbb0d99deb0d2915e723bff02ce72",
+    ("check-morphism", "adjoint_identity", 3, "machine"): "9620f17de99c713e711f384a149239103e29ddc57de144b28a1c2ee76ea62fa5",
+    ("check-morphism", "adjoint_identity", 4, "text"): "ca00c4165f6bfa69857f7cf76e7e8d9c9ca5df369f1ca50471b655cd7a1515cd",
+    ("check-morphism", "adjoint_identity", 4, "machine"): "0ebb6ed92edd833affac7db173b1144e1bfca7d30201479b37a11f74cc4a0030",
+    ("check-morphism", "adjoint_identity", 5, "text"): "89563986adbcb8a7ae2cd7d671331b66a4829dd6c7dbda081d4256a9ba5b39a4",
+    ("check-morphism", "adjoint_identity", 5, "machine"): "e522f7b172d8c3799f06294a01dd8776401bbc474ab6d18e1b42c2b6c9b427ff",
+    ("check-morphism", "heisenberg", 3, "text"): "9f0fc3dd5812d35c1fd8f57e890ff6431ae3d6f59783edfeae2c9ade481c42d4",
+    ("check-morphism", "heisenberg", 3, "machine"): "bc66cc6a74d02b4a2e413cf7d54ec991ee47576e235ffdd44dc1d4131ef38472",
+    ("check-morphism", "heisenberg", 4, "text"): "b3cd636c9d671ec27eedb78a956bc8c6d7f3294c96e234f000b1522f7acab064",
+    ("check-morphism", "heisenberg", 4, "machine"): "6af84015c8be2e96e60456bd2eb867a7101a1391cd37d9879a89389ad035f8e2",
+    ("check-morphism", "heisenberg", 5, "text"): "1b76c562b26018d35cf6c4f28e9ec1b96c34eff1cdaefddad777639cd86f5949",
+    ("check-morphism", "heisenberg", 5, "machine"): "1655ac74a5bbd95808893397a7f93b9fb94e7066d68a849713116d208a6000ab",
 }
 
 
@@ -645,6 +679,15 @@ def test_tensor_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatc
 def test_structure_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
     args = [command, f"tests/fixtures/{fixture}.lif", "--bound", str(bound), "--format", fmt]
     assert stdout_digest(args, monkeypatch) == STRUCTURE[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,fixture,bound,fmt", sorted(THEOREM))
+def test_theorem_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
+    path = f"tests/fixtures/theorem/{fixture}.lif"
+    args = [command, path, "--bound", str(bound), "--format", fmt]
+    if command == "check-loday":
+        args += ["--space", "V"]
+    assert stdout_digest(args, monkeypatch) == THEOREM[command, fixture, bound, fmt]
 
 
 @pytest.mark.parametrize("command,name,bound,fmt", sorted(ACTION))

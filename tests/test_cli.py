@@ -2,6 +2,7 @@ import argparse
 import builtins
 import hashlib
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 import linfty.tensor as tensor_module
 from linfty.cli import COMMANDS, build_parser, main
+from linfty.fileformat import parse_path
+from paper import theorem_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -320,6 +323,39 @@ def test_descend_emits_verified_plain_structure(capsys, tmp_path):
     descended.write_text(body)
     code2, out2 = run_cli(["check-loday", str(descended)], capsys)
     assert code2 == 0, out2
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity"])
+def test_theorem_fixtures_are_the_files_the_helper_writes(name):
+    sf = parse_path(FIXTURES / f"{name}.lif")
+    text = theorem_file(sf.embedding_tensor(), sf.action_family(), 5)
+    assert (FIXTURES / "theorem" / f"{name}.lif").read_text() == text
+
+
+def _residual_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("residual ")]
+
+
+def test_theorem_file_morphism_residuals_are_the_tensor_residuals_negated(capsys, tmp_path):
+    # check-morphism reports F(l(w)) - l'(F(w)), check-tensor the bracket
+    # side less the expansion side: the same defect with the opposite sign
+    perturbed = tmp_path / "perturbed.lif"
+    perturbed.write_text((FIXTURES / "heisenberg.lif").read_text() + "  1 : z -> x : 1/2\n")
+    sf = parse_path(perturbed)
+    theorem = tmp_path / "theorem.lif"
+    theorem.write_text(theorem_file(sf.embedding_tensor(), sf.action_family(), 4))
+    options = ["--bound", "4", "--format", "machine"]
+    code, tensor_out = run_cli(["check-tensor", str(perturbed), *options], capsys)
+    assert code == 1
+    code, morphism_out = run_cli(["check-morphism", str(theorem), *options], capsys)
+    assert code == 1
+    residuals = _residual_lines(tensor_out)
+    assert len(residuals) == 4
+    negated = [
+        re.sub(r"\((-?)(\d+/\d+)\)", lambda m: f"({'' if m[1] else '-'}{m[2]})", line)
+        for line in residuals
+    ]
+    assert _residual_lines(morphism_out) == negated
 
 
 def test_bound_flag_overrides_settings(capsys):

@@ -1,13 +1,14 @@
 """The deformation complex's brackets, its d1 columns and the sparse rank
 against their oracles.
 
-``DeformationComplex.derived_bracket``, ``twisted_bracket`` and
-``mc_residual_of`` run on plain tables, one ``balavoine_bracket`` per
-element, and ``d1_columns`` forms only the projection of ``[T, a]``: the
-``p(TA)`` half is a composite of ``T``'s restriction on the words with one
-acting letter with the basis element, and the ``p(AT)`` half is read off
-the prefix rows of the lift of ``T``'s pure-target part.  The references
-are the projected chains and series of ``dense_lifts``: word-by-word lifts
+The complex's brackets ``derived_bracket``, ``twisted_bracket`` and
+``mc_residual_of`` (``tests/paper.py``) run on plain tables, one
+``balavoine_bracket`` per element, and ``d1_columns`` forms only the
+projection of ``[T, a]``: the ``p(TA)`` half is a composite of ``T``'s
+restriction on the words with one acting letter with the basis element,
+and the ``p(AT)`` half is read off the prefix rows of the lift of ``T``'s
+pure-target part.  The references are the projected chains and series of
+``dense_lifts``: word-by-word lifts
 of the product's brackets, of the tensor and of each element, composed by
 ``commutator``.  The reference columns are the chains ``P([T, a])`` of the
 basis elements.  :func:`linfty.linalg.rank` is checked against the dense
@@ -38,10 +39,10 @@ from linfty.tensor import (
     CohomologyRanks,
     DeformationComplex,
     EmbeddingTensor,
-    HomElement,
     cohomology_rank,
     deformation_complex,
 )
+from paper import HomElement, basis_element, derived_bracket, mc_residual_of, twisted_bracket
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,7 +72,7 @@ def dense_columns(tensor, complex_, bound):
     index = {ub: i for i, ub in enumerate(complex_.basis)}
     cols = []
     for w, b in complex_.basis:
-        image = dense_chain(complex_.hemi, twisted, [complex_.basis_element(w, b)], bound)
+        image = dense_chain(complex_.hemi, twisted, [basis_element(complex_, w, b)], bound)
         cols.append({index[u, e]: c for u, vec in image.rows for e, c in vec})
     return cols
 
@@ -291,13 +292,13 @@ def test_brackets_equal_the_dense_chains(case):
     hemi = complex_.hemi
     product = dense_zinbiel_lift(hemi.space, hemi.structure.brackets, bound)
     twisted = dense_twisted(tensor, hemi, bound)
-    elements = [complex_.basis_element(w, b) for w, b in complex_.basis]
+    elements = [basis_element(complex_, w, b) for w, b in complex_.basis]
     pairs = random.Random(bound).sample(list(itertools.product(elements, repeat=2)), 24)
     nonzero = 0
     for chain in [[a] for a in elements] + [list(pair) for pair in pairs]:
-        derived = complex_.derived_bracket(chain)
+        derived = derived_bracket(complex_, chain)
         assert derived == dense_chain(hemi, product, chain, bound), chain
-        twisted_value = complex_.twisted_bracket(chain)
+        twisted_value = twisted_bracket(complex_, chain)
         assert twisted_value == dense_chain(hemi, twisted, chain, bound), chain
         nonzero += not twisted_value.is_zero
     assert nonzero
@@ -322,7 +323,7 @@ def test_mc_residuals_equal_the_dense_series():
         complex_ = deformation_complex(tensor, action, bound)
         twisted = dense_twisted(tensor, complex_.hemi, bound)
         for element in degree_zero_candidates(complex_, random.Random(bound)):
-            got = complex_.mc_residual_of(element)
+            got = mc_residual_of(complex_, element)
             assert got == dense_mc_residual(complex_.hemi, twisted, element, bound), (
                 label, bound, element
             )

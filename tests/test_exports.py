@@ -33,27 +33,6 @@ def test_submodule_all_entries_resolve():
 # Public functions and methods that only tests call, kept on purpose, each with
 # its reason.
 ORACLE_SURFACE = {
-    "derived_bracket": "the paper's derived bracket P([..[Q, a_1].., a_k]) of the "
-    "untwisted product, tested against the dense chain of full lifts",
-    "basis_element": "the elementary map w -> b that the oracle brackets take as input",
-    "shifted": "the suspension of a space, which acceptance criteria 5 and 6 "
-    "(test_acceptance.py) transport brackets and morphisms along by decalage",
-    "twisted_bracket": "the paper's twisted bracket of the deformation complex, "
-    "tested against the dense chain in tests/test_d1_oracle.py",
-    "mc_residual_of": "the Maurer-Cartan residual of a deformation, tested against "
-    "the dense series in tests/test_d1_oracle.py",
-    # paper constructions that no command reads
-    "coshuffle_coproduct": "the coproduct of the symmetric coalgebra, which "
-    "tests/laws.py and acceptance criterion 4 check against their oracles",
-    "zinbiel_coproduct": "the half-shuffle coproduct of the Zinbiel coalgebra, checked "
-    "as coshuffle_coproduct is",
-    "symmetrize": "the graded symmetrization of a plain map, which the lift laws of "
-    "tests/laws.py compare with symmetric maps",
-    "decalage": "the arity-shift isomorphism, whose round trip with decalage_inverse "
-    "acceptance criterion 5 checks",
-    "decalage_inverse": "the inverse of decalage",
-    "strict_algebra_compose": "the closure of strict embedding tensors under "
-    "composition, acceptance criterion 7's strict-algebra check",
     # methods whose name another class also defines, which no CLI command enters
     "TruncatedCoderivation.add": "the sum of two coderivations, which commutator "
     "forms and the exponential series of tests/dense_lifts.py accumulates",
@@ -61,10 +40,8 @@ ORACLE_SURFACE = {
     "series of tests/dense_lifts.py",
     "BiMultiMap.eval": "one action component on a pair of words, which corpus.py's "
     "seeded generators and the every-word oracles read",
-    "MultiMap.eval": "one map on any word, which corpus.py's basis changes, the "
-    "test-only constructions symmetrize and compose_unary, and tests/paper.py read",
-    "HomElement.is_zero": "the zero test of a deformation-complex element, which "
-    "acceptance criterion 8 and tests/test_d1_oracle.py read",
+    "MultiMap.eval": "one map on any word, which corpus.py's basis changes and the "
+    "test helpers of tests/paper.py read",
 }
 
 
@@ -143,11 +120,12 @@ def test_every_bare_oracle_surface_name_is_a_public_def_of_the_package():
     )
 
 
-# A name that two classes define, or a class and a builtin container, is
-# read by attribute wherever either is used, so the scan above cannot see
-# whether one of those methods is read; such a method must be entered while
-# the CLI runs, in a fresh interpreter so that no cache warmed by another
-# test skips it.
+# A name that two classes define, or a class and a builtin container, or a
+# class method and an instance attribute that some class assigns
+# (``self.<name> = ...``), is read by attribute wherever either is used, so
+# the scan above cannot see whether one of those methods is read; such a
+# method must be entered while the CLI runs, in a fresh interpreter so that
+# no cache warmed by another test skips it.
 BUILTIN_METHODS = set().union(*(dir(t) for t in (dict, list, set, str, tuple)))
 
 ENTERED_BY_THE_CLI = """
@@ -182,10 +160,24 @@ for path in Path(cli.__file__).parent.glob("[!_]*.py"):
 """
 
 
+def _instance_attributes(tree) -> set[str]:
+    """The names assigned as ``self.<name>`` anywhere in a module."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
 def _methods_of_shared_names() -> list[str]:
-    owners = defaultdict(list)
+    owners, attributes = defaultdict(list), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        attributes |= _instance_attributes(tree)
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
@@ -193,7 +185,7 @@ def _methods_of_shared_names() -> list[str]:
     return sorted(
         f"{cls}.{name}"
         for name, classes in owners.items()
-        if len(classes) > 1 or name in BUILTIN_METHODS
+        if len(classes) > 1 or name in BUILTIN_METHODS | attributes
         for cls in classes
     )
 

@@ -4,15 +4,15 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laws import compose, unshuffles
 from linfty.graded import (
     GradedSpace,
-    compose,
     increasing_unshuffles,
     is_permutation,
     koszul_sign,
     permute,
-    unshuffles,
 )
+from paper import shifted
 
 
 def brute_unshuffles(blocks):
@@ -219,6 +219,6 @@ def test_space_rejects_duplicate_symbols():
 
 
 def test_shifted_space(mixed_space):
-    up = mixed_space.shifted(1)
+    up = shifted(mixed_space, 1)
     assert up.symbols == mixed_space.symbols
     assert up.degrees == tuple(d + 1 for d in mixed_space.degrees)

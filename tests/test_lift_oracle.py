@@ -29,6 +29,7 @@ from linfty.multimap import (
     lift_zinbiel_coderivation,
 )
 from linfty.tensor import deformation_complex
+from paper import basis_element, mc_residual_of, twisted_bracket
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,10 +96,10 @@ def test_heisenberg_deformation_lifts_at_bound_4(monkeypatch):
     complex_ = deformation_complex(sf.embedding_tensor(), sf.action_family(), 4)
     complex_.d1_columns()
     for w, b in complex_.basis:
-        element = complex_.basis_element(w, b)
-        complex_.twisted_bracket([element])
+        element = basis_element(complex_, w, b)
+        twisted_bracket(complex_, [element])
         if element.degree == 0:
-            complex_.mc_residual_of(element)
+            mc_residual_of(complex_, element)
     # only the pure-target prefix rows of d1: the explicit check and the
     # brackets lift nothing
     assert len(compared) == 1

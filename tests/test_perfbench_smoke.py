@@ -5,7 +5,9 @@ benchmark does: builds its first pass and runs its ``warmup()`` requests, so
 that a change to the package that breaks the benchmark shows up in the test
 suite.  Setting up ``cli-fixtures`` writes its seeded malformed files under
 the ignored ``.perfbench-out/``.  Also checks that every function the
-per-layer tracing rebinds still exists.
+per-layer tracing rebinds still exists, and that ``perfbench/answers.json``
+records an answer for exactly the ``cli-fixtures`` pairs of a command and a
+top-level fixture.
 """
 import importlib
 from pathlib import Path
@@ -28,6 +30,21 @@ def test_warmup_requests_verify(name, monkeypatch):
     assert requests
     for request in requests:
         assert request.verify(request.run()) == "ok", request.label
+
+
+def test_cli_fixture_answers_are_exactly_the_command_fixture_pairs(monkeypatch):
+    # a top-level fixture with no recorded answer would show up only as
+    # failed cli-fixtures requests of the benchmark, and an answer with no
+    # pair is stale; fixtures in subdirectories are not benchmark input
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    fixtures = sorted(path.name for path in workloads.FIXTURES.glob("*.lif"))
+    commands = workloads.CliFixtures.commands
+    pairs = {f"{command} {fixture}" for command in commands for fixture in fixtures}
+    answers = set(workloads.load_answers()["cli-fixtures"])
+    assert sorted(pairs - answers) == [] and sorted(answers - pairs) == []
 
 
 def test_traced_layers_resolve_to_callables(monkeypatch):

@@ -29,7 +29,7 @@ from dense_splits import (
     dense_symmetric_value,
 )
 from dense_actions import dense_action_residuals, dense_coherence_residuals
-from laws import random_vector
+from laws import random_vector, unshuffles
 from linfty import corpus
 from linfty.action import (
     ActionFamily,
@@ -45,7 +45,6 @@ from linfty.graded import (
     _symmetric_table,
     compositions,
     increasing_unshuffles,
-    unshuffles,
 )
 from linfty.homotopy import (
     HomotopyStructure,
