@@ -21,11 +21,10 @@ on the direct sum, and no coderivation is lifted.
 """
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from functools import lru_cache
 
-from .graded import GradedSpace, Word
+from .graded import GradedSpace, Word, _unshuffles
 from .homotopy import (
     HomotopyStructure,
     _clear_denominators,
@@ -231,13 +230,9 @@ def _absorbed(action: ActionFamily) -> dict[tuple[Word, Word], dict[int, dict[Wo
 @lru_cache(maxsize=None)
 def _sub_multisets(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each split of the slots ``0..n-1`` into a picked block, possibly
-    empty, and a nonempty rest, both increasing."""
-    slots = range(n)
-    return tuple(
-        (picked, tuple(j for j in slots if j not in picked))
-        for r in range(n)
-        for picked in itertools.combinations(slots, r)
-    )
+    empty, and a nonempty rest, both increasing: the ``(r, n - r)``
+    unshuffles (:func:`linfty.graded._unshuffles`) for ``r < n``."""
+    return tuple((s[:r], s[r:]) for r in range(n) for s in _unshuffles((r, n - r)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .graded import GradedSpace, Word
 from .homotopy import HomotopyStructure
 from .linalg import invert
 from .multimap import PLAIN, SYMMETRIC, MultiMap, Vector, add_into, expand, merge_into
+from .tensor import EmbeddingTensor, identity_tensor
 
 SMALL_FRACTIONS = tuple(
     Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2)
@@ -403,14 +404,12 @@ def _base_instances() -> list[ActionInstance]:
 class TensorInstance:
     label: str
     action: ActionFamily
-    tensor: "EmbeddingTensor"
+    tensor: EmbeddingTensor
     expect_tensor: bool | None
 
 
-def heisenberg_tensor() -> tuple[ActionFamily, "EmbeddingTensor"]:
+def heisenberg_tensor() -> tuple[ActionFamily, EmbeddingTensor]:
     """The rank-one tensor sending the first Heisenberg generator upstairs."""
-    from .tensor import EmbeddingTensor
-
     act = heisenberg_central_action(Fraction(1), Fraction(0))
     V, E = act.V.space, act.E.space
     t1 = MultiMap(V, E, 1, 0, PLAIN, {(V.index("p"),): {0: Fraction(1)}})
@@ -418,16 +417,12 @@ def heisenberg_tensor() -> tuple[ActionFamily, "EmbeddingTensor"]:
 
 
 def adjoint_identity_tensor(E: HomotopyStructure):
-    from .tensor import identity_tensor
-
     return adjoint_representation(E), identity_tensor(E.space)
 
 
 def random_tensor(
     action: ActionFamily, rng: random.Random, max_arity: int = 3, density: float = 0.35
 ):
-    from .tensor import EmbeddingTensor
-
     V, E = action.V.space, action.E.space
     comps = {}
     for k in range(1, max_arity + 1):
@@ -439,8 +434,6 @@ def random_tensor(
 
 def tensor_corpus(count: int, seed: int) -> list[TensorInstance]:
     """Fixtures plus seeded random comorphisms over small coherent actions."""
-    from .tensor import EmbeddingTensor, identity_tensor
-
     heis_act, heis_t = heisenberg_tensor()
     adj_act, adj_t = adjoint_identity_tensor(solvable2())
     rep_act = complex_representation_action()

@@ -32,6 +32,7 @@ from .graded import GradedSpace
 from .homotopy import HomotopyStructure
 from .multimap import PLAIN, SYMMETRIC, MultiMap, Scalar
 from .report import InputError, frac_str
+from .tensor import EmbeddingTensor
 
 KEYWORDS = {"space", "settings", "brackets", "action", "tensor", "morphism"}
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+']*\Z")
@@ -90,9 +91,7 @@ class StructureFile:
         ename, vname, comps = self.action_section
         return ActionFamily(self.structure(ename), self.structure(vname), comps)
 
-    def embedding_tensor(self):
-        from .tensor import EmbeddingTensor
-
+    def embedding_tensor(self) -> EmbeddingTensor:
         if self.tensor_section is None:
             raise InputError("the file has no tensor section")
         vname, ename, comps = self.tensor_section

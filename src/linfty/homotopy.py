@@ -441,7 +441,7 @@ def _symmetric_component(f: MultiMap) -> MultiMap:
     return MultiMap(f.source, f.target, f.arity, f.degree, SYMMETRIC, f.constants)
 
 
-def _morphism_residuals(components, source, target, bound, anchored: bool, den=None):
+def _morphism_residuals(components, source, target, bound, anchored: bool, den=1):
     """The residual map of the morphism identity, components after source
     brackets less target brackets on the comorphism image, crosschecked word
     by word against ``p'(F Q) - q' F``, the corestriction of the
@@ -467,10 +467,10 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=N
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
     space with no brackets, which a structure checker passes as ``target``
-    ``None``.  A structure checker also passes ``den``: the
-    components are its brackets cleared by ``den`` (:func:`_cleared`), so
-    the returned map and a disagreement's message, which names the
-    coderivation square, are divided by ``den**2``.
+    ``None``; a disagreement's message then names the coderivation square.
+    The components may be brackets cleared by ``den`` (:func:`_cleared`), so
+    the returned map and a disagreement's message are divided by
+    ``den**2``.
     """
     space = source.space
     tspace = space if target is None else target.space
@@ -497,17 +497,17 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=N
             merge_into(residuals.setdefault(w, {}), value, -1)
         residuals = {w: v for w, v in residuals.items() if v}
     if residuals != defect:
-        if den is None:
+        residuals, defect = _unscaled(residuals, den), _unscaled(defect, den)
+        if target is None:
+            kind = "anchored" if anchored else "symmetric"
+            what = f"{kind} identity sum and coderivation square differ"
+            routes = ("identity sum", "coderivation square")
+        else:
             kind = "anchored " if anchored else ""
             what = f"componentwise {kind}morphism identity and comorphism intertwining disagree"
             routes = ("identity sum", "intertwining defect")
-        else:
-            kind = "anchored" if anchored else "symmetric"
-            what = f"{kind} identity sum and coderivation square differ"
-            residuals, defect = _unscaled(residuals, den), _unscaled(defect, den)
-            routes = ("identity sum", "coderivation square")
         raise RouteDisagreement(f"{what}: {_route_diff(space, tspace, residuals, defect, routes)}")
-    return residuals if den is None else _unscaled(residuals, den)
+    return _unscaled(residuals, den)
 
 
 def _unscaled(residuals: dict[Word, Vector], den: int) -> dict[Word, Vector]:

@@ -129,19 +129,6 @@ def _on_product(hemi: HemiProduct, rows: Iterable) -> dict[Word, Vector]:
     return {hemi.from_v_word(w): dict(vec) for w, vec in rows}
 
 
-def _tensor_restrictions(
-    tensor: EmbeddingTensor, hemi: HemiProduct, bound: int
-) -> dict[Word, Vector]:
-    """The tensor's components up to ``bound`` as a degree-0 table on the product."""
-    comps = tensor.components.items()
-    return _on_product(hemi, (p for k, f in comps if k <= bound for p in f.constants.items()))
-
-
-def _bracket_table(hemi: HemiProduct) -> dict[Word, Vector]:
-    """The product's brackets as one degree-1 table."""
-    return {w: vec for f in hemi.structure.brackets.values() for w, vec in f.constants.items()}
-
-
 # ---------------------------------------------------------------------------
 # the explicit component equations
 
@@ -185,15 +172,12 @@ def _descendent_identity(
 
 
 def _ad_series(
-    space: GradedSpace,
-    start: Mapping[Word, Vector],
-    t: Mapping[Word, Vector],
-    bound: int,
-    include_start: bool,
+    space: GradedSpace, start: Mapping[Word, Vector], t: Mapping[Word, Vector], bound: int
 ) -> dict[Word, Vector]:
-    """The restriction ``p sum_m [..[S, T].., T] / m!`` of the series of the
-    Zinbiel lifts ``S`` and ``T`` of the plain tables ``start`` (degree 1)
-    and ``t`` (degree 0) on the words up to ``bound``, stabilization asserted.
+    """The restriction ``p sum_{m >= 0} [..[S, T].., T] / m!`` of the series
+    of the Zinbiel lifts ``S`` and ``T`` of the plain tables ``start``
+    (degree 1) and ``t`` (degree 0) on the words up to ``bound``,
+    stabilization asserted.
 
     A coderivation is fixed by its restriction, so each term is the
     :func:`balavoine_bracket` of the previous term's table, of degree 1,
@@ -201,10 +185,9 @@ def _ad_series(
     returned in the normal form of :func:`linfty.multimap.exact`.
     """
     acc: dict[Word, Vector] = {}
-    if include_start:
-        for w, vec in start.items():
-            if len(w) <= bound:
-                merge_into(acc.setdefault(w, {}), vec)
+    for w, vec in start.items():
+        if len(w) <= bound:
+            merge_into(acc.setdefault(w, {}), vec)
     term = start
     factorial = 1
     step = 0
@@ -217,6 +200,24 @@ def _ad_series(
         if step > 2 * bound + _SERIES_SLACK:
             raise RouteDisagreement("commutator series did not stabilize")
     return {w: {o: exact(c, (w, o)) for o, c in vec.items()} for w, vec in acc.items() if vec}
+
+
+def _twisted(
+    tensor: EmbeddingTensor, action: ActionFamily, bound: int
+) -> tuple[HemiProduct, dict[Word, Vector]]:
+    """The product of a coherent action and the table of its codifferential
+    ``Q`` twisted by the tensor: :func:`_ad_series` of the product's brackets
+    and the tensor's components up to ``bound``, as tables on the product.
+    The series route projects it and the deformation complex keeps it whole;
+    ``Q`` projects to nothing, as on pure-target words the product's
+    brackets take target values only."""
+    _check_tensor_spaces(tensor, action)
+    _ensure_coherent(action, bound)
+    hemi = hemisemidirect(action)
+    q = {w: vec for f in hemi.structure.brackets.values() for w, vec in f.constants.items()}
+    comps = tensor.components.items()
+    t = _on_product(hemi, (p for k, f in comps if k <= bound for p in f.constants.items()))
+    return hemi, _ad_series(hemi.space, q, t, bound)
 
 
 def _project_h(table: Mapping[Word, Vector], hemi: HemiProduct) -> dict[Word, Vector]:
@@ -236,17 +237,13 @@ def check_embedding_mc(
 ) -> CheckReport:
     """Flatness of the tensor's coderivation inside the derived-bracket frame.
 
-    Runs the iterated-commutator series of the product codifferential with
-    the tensor's coderivation on their restriction tables and projects the
-    summed table onto target-to-acting components; nothing is lifted.  The
-    series is finite per output weight; stabilization is asserted at run
-    time rather than assumed.
+    Projects the twisted codifferential's table (:func:`_twisted`), the
+    iterated-commutator series of the product codifferential with the
+    tensor's coderivation on their restriction tables, onto target-to-acting
+    components; nothing is lifted.  The series is finite per output weight;
+    stabilization is asserted at run time rather than assumed.
     """
-    _check_tensor_spaces(tensor, action)
-    _ensure_coherent(action, bound)
-    hemi = hemisemidirect(action)
-    t = _tensor_restrictions(tensor, hemi, bound)
-    series = _ad_series(hemi.space, _bracket_table(hemi), t, bound, include_start=False)
+    hemi, series = _twisted(tensor, action, bound)
     items = _residual_items(action.V.space, action.E.space, _project_h(series, hemi))
     return make_report("embedding-mc", bound, items)
 
@@ -409,13 +406,13 @@ class DeformationComplex:
     ``position(w) * dim E + b``; the element degrees, the bigrading and the
     matrix read it.  The unary twisted bracket is stored as an exact matrix.
 
-    A build runs the explicit equations on their candidate words, then the
-    twisted codifferential's commutator series on tables, and keeps the
-    summed table.  :meth:`d1_columns` reads from it the words with one acting
-    letter and the prefix rows of the lift of its pure-target part; nothing
-    is lifted in full.  The matrix is built on the first :meth:`d1_columns`
-    call and memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`), so
-    every nonempty :func:`cohomology_rank` piece reads the same columns.
+    A build runs the explicit equations on their candidate words, then keeps
+    the twisted codifferential's table (:func:`_twisted`).
+    :meth:`d1_columns` reads from it the words with one acting letter and
+    the prefix rows of the lift of its pure-target part; nothing is lifted
+    in full.  The matrix is built on the first :meth:`d1_columns` call and
+    memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`), so every
+    nonempty :func:`cohomology_rank` piece reads the same columns.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -425,9 +422,7 @@ class DeformationComplex:
         self.tensor = tensor
         self.action = action
         self.bound = bound
-        self.hemi = hemisemidirect(action)
-        q, t = _bracket_table(self.hemi), _tensor_restrictions(tensor, self.hemi, bound)
-        self._series = _ad_series(self.hemi.space, q, t, bound, include_start=True)
+        self.hemi, self._series = _twisted(tensor, action, bound)
         vspace, espace = action.V.space, action.E.space
         # the word table: each target word up to the bound -> (position, degree)
         self._words: dict[Word, tuple[int, int]] = {}

@@ -42,7 +42,6 @@ from linfty.report import CheckReport, InputError
 from linfty.tensor import (
     DeformationComplex,
     _ad_series,
-    _bracket_table,
     _on_product,
     _project_h,
     adjoint_strict_check,
@@ -412,7 +411,9 @@ def basis_element(complex_: DeformationComplex, w: Word, b: int) -> HomElement:
 def derived_bracket(complex_: DeformationComplex, elements: list[HomElement]) -> HomElement:
     """``P([..[[Q, a_1], a_2].., a_k])`` for elements of the truncation, from
     the product codifferential ``Q``."""
-    return _chain(complex_, _bracket_table(complex_.hemi), elements)
+    brackets = complex_.hemi.structure.brackets.values()
+    q = {w: vec for f in brackets for w, vec in f.constants.items()}
+    return _chain(complex_, q, elements)
 
 
 def twisted_bracket(complex_: DeformationComplex, elements: list[HomElement]) -> HomElement:
@@ -437,12 +438,13 @@ def _chain(
 
 def mc_residual_of(complex_: DeformationComplex, element: HomElement) -> HomElement:
     """Curvature ``P sum_m [..[T, A].., A] / m!`` of a degree-0 candidate
-    inside the twisted structure ``T``."""
+    inside the twisted structure ``T``.  The series sums its start term
+    ``P(T)``, which is zero: a complex sits at a verified tensor."""
     if element.degree != 0:
         raise InputError("deformation candidates are degree-0 elements")
     hemi = complex_.hemi
     table = _on_product(hemi, element.rows)
-    series = _ad_series(hemi.space, complex_._series, table, complex_.bound, include_start=False)
+    series = _ad_series(hemi.space, complex_._series, table, complex_.bound)
     return HomElement.from_rows(1, _project_h(series, hemi))
 
 
@@ -454,7 +456,9 @@ def theorem_file(tensor, action, bound: int) -> str:
     """The structure file of the paper's theorem for ``tensor``: the
     descendent structure on the target at ``bound``
     (:func:`linfty.tensor.descendent`), the acting brackets as a plain
-    section, and the tensor's components as ``morphism V E``.
+    section, and the tensor's components as ``morphism V E``.  The spaces
+    are written as ``E`` and ``V`` whatever their names, so a self-action,
+    whose two spaces are one, still gives two sections.
 
     For a verified tensor ``check-loday`` on the target and
     ``check-morphism`` pass on it.  For any tensor ``check-morphism`` lists
@@ -464,9 +468,9 @@ def theorem_file(tensor, action, bound: int) -> str:
     """
     desc, E = descendent(tensor, action, bound), action.E
     sf = StructureFile()
-    for structure in (E, desc):
-        sf.spaces[structure.space.name] = structure.space
-        sf.bracket_sections[structure.space.name] = (PLAIN, structure.brackets)
+    for name, structure in (("E", E), ("V", desc)):
+        sf.spaces[name] = structure.space
+        sf.bracket_sections[name] = (PLAIN, structure.brackets)
     sf.settings = Settings(bound, max(desc.max_arity, E.max_arity), 0)
-    sf.morphism_section = (desc.space.name, E.space.name, tensor.components)
+    sf.morphism_section = ("V", "E", tensor.components)
     return serialize(sf)

@@ -24,8 +24,12 @@ axiom over every canonical acting word and the product built its brackets
 in loops of its own.  The ``adjoint-strict`` and ``centroid`` reports, in
 both formats and with their exit codes, were recorded while both checks
 evaluated their maps word by word.  The theorem-file reports, in both
-formats, are ``check-loday --space V`` and ``check-morphism`` on the two
+formats, are ``check-loday --space V`` and ``check-morphism`` on the three
 files of ``tests/fixtures/theorem/``, recorded when those files were added.
+The string-file reports, in both formats and with their exit codes, are
+seven commands on the two files of ``tests/fixtures/string/``, recorded
+when those files were added, before the series route and the deformation
+complex shared one builder of the twisted codifferential.
 The CLI prints the input path, so the commands run from the root of the
 checkout, or from the directory the action and strict files are written
 to, with a relative path.
@@ -196,6 +200,112 @@ THEOREM = {
     ("check-morphism", "heisenberg", 4, "machine"): "6af84015c8be2e96e60456bd2eb867a7101a1391cd37d9879a89389ad035f8e2",
     ("check-morphism", "heisenberg", 5, "text"): "1b76c562b26018d35cf6c4f28e9ec1b96c34eff1cdaefddad777639cd86f5949",
     ("check-morphism", "heisenberg", 5, "machine"): "1655ac74a5bbd95808893397a7f93b9fb94e7066d68a849713116d208a6000ab",
+    ("check-loday", "string_tensor", 3, "text"): "b34f574eb8d77022d3aa730d7fd2b2739b3193f3064be4db20e525cee94310a3",
+    ("check-loday", "string_tensor", 3, "machine"): "053f2b8c230b8ff98cf30afa5ac179516874a3a56fd7fb2b006398f44b236549",
+    ("check-loday", "string_tensor", 4, "text"): "665b3283305e4dd6a32649d66a19092b3e04035096eede55357ac60cb099d547",
+    ("check-loday", "string_tensor", 4, "machine"): "43d19dc248f1c1f4018f340a4187cf24f6efcad5ee37bace299f1ee10015f68a",
+    ("check-loday", "string_tensor", 5, "text"): "0b0e7a1f6bd977a7adac299ebb8211c35271d4d601151068f966ac3de91d46a1",
+    ("check-loday", "string_tensor", 5, "machine"): "427c7a03e1fd65252f5b2c398a4a12d8e60c078514926c5f12fe64cb23f259b7",
+    ("check-morphism", "string_tensor", 3, "text"): "c97d7fb5019de5a31aa80f9fb0b9092ba9c820ad676977035af8bbba70f011f2",
+    ("check-morphism", "string_tensor", 3, "machine"): "63cab1f3e988cd9bbfb6f0b3c54d63b69d0220f66504c515e41930e2e1f59980",
+    ("check-morphism", "string_tensor", 4, "text"): "7fe6a2d40e7884ff385c24f5a41ca80ee680132a3ed83a6e85433d11e1b7d3ef",
+    ("check-morphism", "string_tensor", 4, "machine"): "3e381d0544afcad656fbc6d88afe3fd12afa80412cdfe97526adfc26a34e3152",
+    ("check-morphism", "string_tensor", 5, "text"): "36be5821e07c70346eda54663b65841346e8cac8b99d731b27534fcea824e702",
+    ("check-morphism", "string_tensor", 5, "machine"): "614deeb03adf66f2b33a0c5acd9183c4d3c90888f945adb15cb7a9d585b1a2b7",
+}
+
+
+# (exit code, stdout digest) of each command on the string files of
+# tests/fixtures/string/: the string Lie 2-algebra acting on sl2, with the
+# identity alone (not a tensor; check-tensor lists 6 residuals on both
+# routes, the first file whose series route has a residual) and with the
+# binary component that makes it one, the first tensor that is not strict;
+# recorded when the files were added
+STRING = {
+    ("check-lie", "string_host", 3, "text"): (0, "91a95766b865d5e010c07f7141e5f2495b34fc41368194cae10ac3a1c5510ae3"),
+    ("check-lie", "string_host", 3, "machine"): (0, "00f7da09a80c7775b9a5d5593cdf79ab145508d630994887ea08d2404d0bc473"),
+    ("check-lie", "string_host", 4, "text"): (0, "704289a9d590072c6fa2ee174597b8d1e7099de8e813b727bc593ab5be47b1d0"),
+    ("check-lie", "string_host", 4, "machine"): (0, "f31920735fb5e98648bc738916322af4790f1f7ef9e2a8fa4e4adee02af4a3de"),
+    ("check-lie", "string_host", 5, "text"): (0, "6541a9ce57ad9cd84965e98f3a84e345c8904d579ab97867653acbb9e74a31d7"),
+    ("check-lie", "string_host", 5, "machine"): (0, "a99e9a7a8133a493a8e0c326183f391ba584798a898141051c1d570cf9568815"),
+    ("check-lie", "string_tensor", 3, "text"): (0, "0e0581a8a1d005b7a1e9d461f5fc3012de92ff281cb4cfed302f026d4aac6fb5"),
+    ("check-lie", "string_tensor", 3, "machine"): (0, "1105a9c6c70be1a732b3ed7aecae8e0cf24cc2b57c4ad3d414d8cbe0d26e2ede"),
+    ("check-lie", "string_tensor", 4, "text"): (0, "5f8e74231aca1102b94a278582a577e699bfeb33f73a7ed8acdfde0357055149"),
+    ("check-lie", "string_tensor", 4, "machine"): (0, "af85623fcd18f5bcab9e2374b9fb1ce0cef59f42cf088944d051e0d744c89e1d"),
+    ("check-lie", "string_tensor", 5, "text"): (0, "71af29a9a66715818320e4ecc1bca777415dbf8a3b73e2545b80acb611907a4b"),
+    ("check-lie", "string_tensor", 5, "machine"): (0, "1fd189440d5f39ace475e8d429bb45fe2257e2b002ef15588ff4f809b8097e2e"),
+    ("check-action", "string_host", 3, "text"): (0, "ad7464ffae8f28fe45a7fa38199a75933643b076aa1e55a840a423dd8205d4c2"),
+    ("check-action", "string_host", 3, "machine"): (0, "9de18a8118137e313b03ccd3ca6042952b1ca97fc52441df60e92e53c6715bf3"),
+    ("check-action", "string_host", 4, "text"): (0, "0114836ff9d62b8be5a0648d6b0aacc72110a65e391e6fbf948e0f0d5d69da11"),
+    ("check-action", "string_host", 4, "machine"): (0, "cf4012bc72a4d23959a5a7f4d92250d7c11b3ca7fb74fac27c9b6a8e19fdb0c0"),
+    ("check-action", "string_host", 5, "text"): (0, "b5f31720f0a3fe73ac964242f43992e81851f50e6e63fe331156ca9e9f5614c5"),
+    ("check-action", "string_host", 5, "machine"): (0, "8a03fb6fe97a84383300fbdd96fc7eabcf6d7ed00a4b814321e4982af1de21bc"),
+    ("check-action", "string_tensor", 3, "text"): (0, "83365f7e7066ab502df3b965407875f530e5ca2b9536fb0208dc110e13c99e71"),
+    ("check-action", "string_tensor", 3, "machine"): (0, "5e0aa7df54620a8bb331f8d800017b5c5700da3a62b718f9a6780bb330c8ff46"),
+    ("check-action", "string_tensor", 4, "text"): (0, "143317cbebe171a79d3e261045120661395d2c4e0fb18e3b8fc7ce957a3091d4"),
+    ("check-action", "string_tensor", 4, "machine"): (0, "b35743008b5c780180789d4e8acab38d11be37ad0f595ce2b52d6836bbc581f2"),
+    ("check-action", "string_tensor", 5, "text"): (0, "c40ac236c4ed81e893e5dddc935d146e8356fc83c5d7a69a85fe8adc9a9ccdaf"),
+    ("check-action", "string_tensor", 5, "machine"): (0, "aa2d4295f627ce537ace951b3ac1dfc6a6f3a362580719fa99facc90d30ad204"),
+    ("check-coherence", "string_host", 3, "text"): (0, "b17b827097ff11cfe3a49b771c5f513366a5327909568d05d2abc24c8b326f20"),
+    ("check-coherence", "string_host", 3, "machine"): (0, "0ed5430005aaaf7f65745d4e9b584c18af15910696abaa2911e3069a7d7a20c6"),
+    ("check-coherence", "string_host", 4, "text"): (0, "167b7ebd9a2dabab4052bb03ec1e0d70c546f2bde0b3a2de6e2a85d43efb5d17"),
+    ("check-coherence", "string_host", 4, "machine"): (0, "a371f8de2c5b3d3eaa3b2edaa93d07f125aca2436c35e4995cd4c847bdd57517"),
+    ("check-coherence", "string_host", 5, "text"): (0, "4be3b5c1d313b702d961804084198c6115401249db221b231af1a49e932797ad"),
+    ("check-coherence", "string_host", 5, "machine"): (0, "6d21254dc103e98041400ab3514d870e60d72a4e3071888ec1e27b214e196923"),
+    ("check-coherence", "string_tensor", 3, "text"): (0, "c71a0e0c6ec6c2d4b7523657820e52a84ca72f1b3a608a9e73a08f71d4fa2797"),
+    ("check-coherence", "string_tensor", 3, "machine"): (0, "12149f47013c37a81f4de2b1088adba70c147fa0f22c8eb296aaffa2e7a98c4e"),
+    ("check-coherence", "string_tensor", 4, "text"): (0, "f0c7973d6ee44b12bc686084f73a9dc347bfadd9e82d111c3147e481056f19d4"),
+    ("check-coherence", "string_tensor", 4, "machine"): (0, "eed0e2f9fc180d6b37433c6e3d1d822d3328666013ab3c3ca723920958ec0ec8"),
+    ("check-coherence", "string_tensor", 5, "text"): (0, "feaea4957e2333491255905393fc149b864af95db6cb81c9fa66f20ba15a9446"),
+    ("check-coherence", "string_tensor", 5, "machine"): (0, "a144a740e47fa183a4e57724cc91af28fee1233217034ffd27d53b6700ad06c7"),
+    ("check-tensor", "string_host", 3, "text"): (1, "c12d5c6e54ccb48ccf1cb4416dd03052b77f337b506fc98f8eee9154e386d167"),
+    ("check-tensor", "string_host", 3, "machine"): (1, "3e1fd393455a8e08330dbdb2e6d6eb0199dde90a827b315443d6224be95889b5"),
+    ("check-tensor", "string_host", 4, "text"): (1, "61eb2b7eef33ed1b1b1098f5bfe35c06f3cd9b78d5a258e85de5f2d83c441a74"),
+    ("check-tensor", "string_host", 4, "machine"): (1, "635426f9e69fe2ac26b4067266a2fae90c35d367eb6ffb108aa2bdf86496c592"),
+    ("check-tensor", "string_host", 5, "text"): (1, "ea72a88abc96e1dae34aaf4670c1838c3f6312f28eb8f5bddbaa588063e6a61b"),
+    ("check-tensor", "string_host", 5, "machine"): (1, "b62d26e5b580e03d091d3e0d88d8001670ae271f1191d2735de72a014f4c7db7"),
+    ("check-tensor", "string_tensor", 3, "text"): (0, "d219a1312ffcbea313da6fd21b1cff12621a10123b460f2066956ccde079a1e5"),
+    ("check-tensor", "string_tensor", 3, "machine"): (0, "48ed7a7c24dbd37072c8cca0007c6db3e8cd51bbfc2cdced2e390b0f26cb994c"),
+    ("check-tensor", "string_tensor", 4, "text"): (0, "e5724bac47add8f44cdcf04a8e14d48ee948f85d00d90ce645362fe48613ca72"),
+    ("check-tensor", "string_tensor", 4, "machine"): (0, "54333c9806ad5eb20e44453a5c9d6025d52934a84c7157802ed6f0e0fba9cbf1"),
+    ("check-tensor", "string_tensor", 5, "text"): (0, "75a09978d5781e01fef6a2f9b98998f797ca2de0719f3433f7de15f7f6e9ae6b"),
+    ("check-tensor", "string_tensor", 5, "machine"): (0, "0d7cf397d9348874eb8a7636d1888b167229b37a56e4b95dc2b896f77d4da8c2"),
+    ("descend", "string_host", 3, "text"): (0, "f12d2d83909365f96470d4cd0fa3e3c442bf88ea35c61101d6ea8ad813e006e3"),
+    ("descend", "string_host", 3, "machine"): (0, "b897247962f8f98bea383e8bbb85e37119808283cf41dbe22576c13d5869c84f"),
+    ("descend", "string_host", 4, "text"): (0, "32e7e0eb99fe76132619b1ae1cdfe708ded35242d1533226598b9edb08db0b46"),
+    ("descend", "string_host", 4, "machine"): (0, "a28e289140a8bc5f6674314b76d2f8062edd9939a531f7f8094723e9663178ec"),
+    ("descend", "string_host", 5, "text"): (0, "a8e49e9a051cf03aa26e1053a82ee8b37a40f17e5da556a6913bc94fa349f812"),
+    ("descend", "string_host", 5, "machine"): (0, "b7379b9df6781e8815d81c6af8801efe73b6c030a923ec701a281a6140cccfb3"),
+    ("descend", "string_tensor", 3, "text"): (0, "a575d0ff7a01ea63d5acd4c6c7f3d1cc60ab1d4d20db7393fc46cb9dacf8da43"),
+    ("descend", "string_tensor", 3, "machine"): (0, "3eab00db7d683fd08dc085264849a5feced3f2b342bccd99e8119374b6b7293a"),
+    ("descend", "string_tensor", 4, "text"): (0, "0ad9003b1bf9133c4b93d8d425496e8b83cacae87e62e368e98e4f543dbb90c8"),
+    ("descend", "string_tensor", 4, "machine"): (0, "63e3e34112d0125a90d208c0d70a20967fc50430d106056604298a3afda1a483"),
+    ("descend", "string_tensor", 5, "text"): (0, "bb2e913047087c364568e97dbe6c1daecc360836f7bdbce0f5e860a35bb80860"),
+    ("descend", "string_tensor", 5, "machine"): (0, "4f5f7a7475dc0f9dca1d48781107d6303965678f3ea5f5e6202ad9e9ae1a2279"),
+    ("check-descendent-morphism", "string_host", 3, "text"): (2, "ba47b2c0a9b32bcf6f5909f924561a8e72158ffb7c4750d4ac03fb9bd533ca81"),
+    ("check-descendent-morphism", "string_host", 3, "machine"): (2, "3408d93709634a61113d6e1196da51e609c17482a5b9543045a0a946a1fa9fbb"),
+    ("check-descendent-morphism", "string_host", 4, "text"): (2, "19d4239adc09a0e9f9b6a4ccec0562adb3b7d02aa6bdc7566123303b1e0290e0"),
+    ("check-descendent-morphism", "string_host", 4, "machine"): (2, "287d9ad043f24c3e4c476846158bec6cd9d7d5a32f29157ae9e984e79f104e0f"),
+    ("check-descendent-morphism", "string_host", 5, "text"): (2, "31ca60bc56d2ea5e20cb4641c05a2698c5a66e95439da82b3fbf5b9b8291f929"),
+    ("check-descendent-morphism", "string_host", 5, "machine"): (2, "f97298b1f9389dbba6794c0045139dcc664556dae3b9e39ccc4a843bc34d4ac4"),
+    ("check-descendent-morphism", "string_tensor", 3, "text"): (0, "439b5905078bf81b7e85b0421a59efe4c3763edca1acb4ac6a782bd4826cd7f1"),
+    ("check-descendent-morphism", "string_tensor", 3, "machine"): (0, "9472ebae4cab0e4906dc40d228764c7c9c653f06a7986a322cfcc2fa60af9e83"),
+    ("check-descendent-morphism", "string_tensor", 4, "text"): (0, "cef9a3e451be23aa05d92dcdcddf95712732f2a5fe37dd696bb15d12e387a460"),
+    ("check-descendent-morphism", "string_tensor", 4, "machine"): (0, "a56c9bac0261e9b5ac09f317657d8168af16a5d829389dc268bbf8f007b070fb"),
+    ("check-descendent-morphism", "string_tensor", 5, "text"): (0, "1839685e25761822de1ac87750d2538a275becfe6fb1d1d98e6403a14a106e74"),
+    ("check-descendent-morphism", "string_tensor", 5, "machine"): (0, "2d9888ff8fad404c952e66e330b5d7f40c70bd60ac514a91d09d0d3c2014737d"),
+    ("deform", "string_host", 3, "text"): (2, "a19c0d8d46792dd70b1c5ebd74ba88d347cbfc2194d4f722f05594f8e03ec22a"),
+    ("deform", "string_host", 3, "machine"): (2, "d26dc4806f73c6aedbc85719b8ad971758504e605791d5073be4575fa8c09a6a"),
+    ("deform", "string_host", 4, "text"): (2, "3bd7f0a53cf0e274ce2e948e0946ad215a90095eac4cbfbc5e558fd3226d1ac7"),
+    ("deform", "string_host", 4, "machine"): (2, "6d8929b7d8ddb684d46e565837488a6ba4c331abda4b120c89547794052374b5"),
+    ("deform", "string_host", 5, "text"): (2, "3f28a5bf97320eecfd0e75ad8c20dae1c4f3a824d52eb5b001d2108d26ba762c"),
+    ("deform", "string_host", 5, "machine"): (2, "405daa4130c0b1d8f5735fa113ae4d5cb0f849e7238c8e41ae88099abef76ef0"),
+    ("deform", "string_tensor", 3, "text"): (0, "acac858a242a7f9da0270aaf2e76a42e3b1a5ece4bcb1636b5203de7582a2e10"),
+    ("deform", "string_tensor", 3, "machine"): (0, "e3eae1865c4dd5eca77c01a6468019d812d02a8a1c5cd5c4fa55c59cc71a247c"),
+    ("deform", "string_tensor", 4, "text"): (0, "eda13c5f926d9d128c023e513531ace98b826ff5bf57c8e01cc97b9817e73acd"),
+    ("deform", "string_tensor", 4, "machine"): (0, "a6d66824f7e9cca34acaf2fec231e3d7f8ebb1993c386c69dc36b87141fec40b"),
+    ("deform", "string_tensor", 5, "text"): (0, "f8b2174aa73f4ef1aa9594ed83f161ac4ec390caff4784ce1bb94609ce1416d9"),
+    ("deform", "string_tensor", 5, "machine"): (0, "992f3d487c340c32d8fe2f55b4cbdb3f1335275c064571dea79715ccabe9637d"),
 }
 
 
@@ -688,6 +798,14 @@ def test_theorem_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypat
     if command == "check-loday":
         args += ["--space", "V"]
     assert stdout_digest(args, monkeypatch) == THEOREM[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,fixture,bound,fmt", sorted(STRING))
+def test_string_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = f"tests/fixtures/string/{fixture}.lif"
+    args = [command, path, "--bound", str(bound), "--format", fmt]
+    assert run_digest(args) == STRING[command, fixture, bound, fmt]
 
 
 @pytest.mark.parametrize("command,name,bound,fmt", sorted(ACTION))

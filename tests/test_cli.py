@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import linfty.tensor as tensor_module
+from linfty import corpus
 from linfty.cli import COMMANDS, build_parser, main
 from linfty.fileformat import parse_path
+from linfty.tensor import check_embedding_explicit
 from paper import theorem_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -325,11 +327,31 @@ def test_descend_emits_verified_plain_structure(capsys, tmp_path):
     assert code2 == 0, out2
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity"])
+@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity", "string/string_tensor"])
 def test_theorem_fixtures_are_the_files_the_helper_writes(name):
     sf = parse_path(FIXTURES / f"{name}.lif")
     text = theorem_file(sf.embedding_tensor(), sf.action_family(), 5)
-    assert (FIXTURES / "theorem" / f"{name}.lif").read_text() == text
+    assert (FIXTURES / "theorem" / f"{Path(name).name}.lif").read_text() == text
+
+
+@pytest.mark.parametrize("bound", (3, 4, 5))
+def test_theorem_files_of_every_verified_corpus_tensor_pass(bound, capsys, tmp_path):
+    # the paper's theorem: a verified tensor is a morphism from its
+    # descendent structure, which is a Loday-infinity structure
+    verified = 0
+    for n, inst in enumerate(corpus.tensor_corpus(60, 3)):
+        if not check_embedding_explicit(inst.tensor, inst.action, bound).ok:
+            continue
+        verified += 1
+        path = tmp_path / f"theorem{n}.lif"
+        path.write_text(theorem_file(inst.tensor, inst.action, bound))
+        options = ["--bound", str(bound), "--format", "machine"]
+        code, out = run_cli(["check-loday", str(path), "--space", "V", *options], capsys)
+        assert code == 0, (inst.label, out)
+        code, out = run_cli(["check-morphism", str(path), *options], capsys)
+        assert code == 0, (inst.label, out)
+    # the corpus holds 22 tensors verified at every bound
+    assert verified == 22
 
 
 def _residual_lines(out: str) -> list[str]:

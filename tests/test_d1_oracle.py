@@ -105,7 +105,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,bound", CASES)
+@pytest.mark.parametrize(
+    "name,bound", CASES + [("string/string_tensor", 3), ("string/string_tensor", 4)]
+)
 def test_d1_columns_equal_projected_commutators(name, bound):
     complex_ = fixture_complex(name, bound)
     expected = reference_columns(name, bound)

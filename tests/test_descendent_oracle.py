@@ -5,8 +5,8 @@ a word the pass never reaches goes unseen.  The route here,
 ``dense_lifts.dense_descendent``, visits every target word up to the bound
 and reads the prefixes' images from ``dense_lifts.dense_comorphism``: no
 comorphism placement and no pass over keys.  The two structures must be
-equal bracket by bracket, on both tensor fixtures, on the seeded tensor
-corpora, verified tensors and failing ones alike, and on a key whose target
+equal bracket by bracket, on both tensor fixtures and the string tensor of
+``tests/fixtures/string/``, on the seeded tensor corpora, verified tensors and failing ones alike, and on a key whose target
 word repeats a letter, which has fewer distinct orderings than
 permutations.
 """
@@ -23,9 +23,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_TENSORS = [
     (name, sf.embedding_tensor(), sf.action_family())
     for name, sf in (
-        (name, parse_path(FIXTURES / f"{name}.lif")) for name in ("heisenberg", "adjoint_identity")
+        (name, parse_path(FIXTURES / f"{name}.lif"))
+        for name in ("heisenberg", "adjoint_identity", "string/string_tensor")
     )
 ]
+# the string tensor, the first with a binary component, up to bound 5
+FIXTURE_CASES = [(i, b) for i in range(2) for b in (3, 4, 5, 6)] + [(2, b) for b in (3, 4, 5)]
 CORPUS_TENSORS = [
     (f"seed{seed}:{inst.label}", inst.tensor, inst.action)
     for seed in (31, 7)
@@ -43,8 +46,9 @@ def assert_matches_the_dense_descendent(tensor, action, bound):
     return got
 
 
-@pytest.mark.parametrize("bound", (3, 4, 5, 6))
-@pytest.mark.parametrize("index", range(2), ids=lambda i: FIXTURE_TENSORS[i][0])
+@pytest.mark.parametrize(
+    "index,bound", FIXTURE_CASES, ids=[f"{FIXTURE_TENSORS[i][0]}-{b}" for i, b in FIXTURE_CASES]
+)
 def test_fixture_descendents_equal_the_dense_one(index, bound):
     _, tensor, action = FIXTURE_TENSORS[index]
     got = assert_matches_the_dense_descendent(tensor, action, bound)

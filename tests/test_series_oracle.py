@@ -23,12 +23,7 @@ from linfty.action import hemisemidirect
 from linfty.graded import GradedSpace
 from linfty.multimap import PLAIN, SYMMETRIC, commutator, lifted_composite
 from linfty.report import format_vector
-from linfty.tensor import (
-    EmbeddingTensor,
-    _tensor_restrictions,
-    check_embedding_mc,
-    deformation_complex,
-)
+from linfty.tensor import EmbeddingTensor, check_embedding_mc, deformation_complex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MIXED3 = GradedSpace("M", [("x", 0), ("y", 1), ("z", -1)])
@@ -93,7 +88,8 @@ def dense_codifferential(hemi, bound):
 
 def dense_series(tensor, action, bound, include_start):
     hemi = hemisemidirect(action)
-    table = _tensor_restrictions(tensor, hemi, bound)
+    comps = tensor.components.items()
+    table = {hemi.from_v_word(w): v for k, f in comps if k <= bound for w, v in f.constants.items()}
     family = maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table)
     t = dense_zinbiel_lift(hemi.space, family, bound)
     return dense_ad_series(dense_codifferential(hemi, bound), t, bound, include_start)

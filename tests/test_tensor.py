@@ -43,6 +43,7 @@ from linfty.tensor import (
 )
 from linfty.corpus import (
     abelian_structure,
+    action_corpus,
     adjoint_identity_tensor,
     complex_representation_action,
     heisenberg,
@@ -115,7 +116,9 @@ def test_extension_equals_coderivation_exponential():
     for _ in range(4):
         tensor = random_tensor(act, rng)
         hemi = hemisemidirect(act)
-        table = tensor_module._tensor_restrictions(tensor, hemi, 3)
+        table = tensor_module._on_product(
+            hemi, (p for k, f in tensor.components.items() if k <= 3 for p in f.constants.items())
+        )
         t = lift_zinbiel_coderivation(
             hemi.space, maps_by_arity(hemi.space, hemi.space, 0, PLAIN, table), 3
         )
@@ -185,23 +188,41 @@ def test_perturbed_tensor_fails_both_routes():
 
 def test_route_disagreement_names_the_first_residual_and_both_values(monkeypatch):
     act, tensor = heisenberg_tensor()
-    real = tensor_module._tensor_restrictions
+    real = tensor_module._on_product
 
-    def skewed(tensor, hemi, bound):
+    def skewed(hemi, rows):
         # a spurious z -> a0 entry in the tensor's table on the product,
         # seen by the commutator series only
-        table = real(tensor, hemi, bound)
+        table = real(hemi, rows)
         z = hemi.from_v_word((act.V.space.index("z"),))
         table[z] = {**table.get(z, {}), 0: 1}
         return table
 
-    monkeypatch.setattr(tensor_module, "_tensor_restrictions", skewed)
+    monkeypatch.setattr(tensor_module, "_on_product", skewed)
     with pytest.raises(RouteDisagreement) as info:
         check_embedding(tensor, act, 3)
     assert str(info.value) == (
         "explicit equations and projected commutator series disagree: "
         "first at arity 2 [p,p]: explicit equations 0, commutator series (-1/1)*a0"
     )
+
+
+def test_product_brackets_project_to_nothing():
+    # the series route sums the product's brackets Q as the start term of
+    # the twisted codifferential: on pure-target words they take target
+    # values only, so the projection of Q is empty and adds no residual
+    actions = [inst.action for inst in action_corpus(114, 1)]
+    actions += list({id(i.action): i.action for i in tensor_corpus(60, 3)}.values())
+    for name in ("heisenberg", "adjoint_identity"):
+        actions.append(parse_path(FIXTURES / f"{name}.lif").action_family())
+    pure_target = 0
+    for action in actions:
+        hemi = hemisemidirect(action)
+        q = {w: v for f in hemi.structure.brackets.values() for w, v in f.constants.items()}
+        assert tensor_module._project_h(q, hemi) == {}
+        pure_target += any(hemi.is_pure_v(w) for w in q)
+    # most products have brackets on pure-target words
+    assert pure_target > len(actions) // 2
 
 
 def test_noncoherent_action_rejected():
