@@ -24,8 +24,8 @@ blocks, so reading a term validates no permutation and counts no crossing;
 the tables are this module's only interface to those sums.  The structure
 and morphism checkers read from them the values of their first route, not
 its words: each runs its sums once per check on the words that its second
-route's composite kernel forms (:func:`linfty.multimap.lifted_composite`,
-:func:`linfty.multimap.symmetric_composite`), and the every-word oracles in
+route's composite kernel forms (:func:`linfty.multimap._composite`,
+:func:`linfty.multimap._symmetric_composite`), and the every-word oracles in
 ``tests/`` check that word set.
 """
 from __future__ import annotations
@@ -199,30 +199,14 @@ def _anchored_table(n: int, arities: tuple[int, ...], parities: tuple[int, ...])
 
 @lru_cache(maxsize=None)
 def _increasing_unshuffles(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
-    """Built from the last block back: it takes the largest value left and
-    any ``b - 1`` of the others, and the blocks before it split the rest.
-    Sorted into the block-membership-mask order of :func:`_unshuffles`."""
-
-    def build(values: tuple[int, ...], k: int) -> Iterator[Permutation]:
-        if k == 0:
-            yield ()
-            return
-        *others, top = values
-        for chosen in itertools.combinations(others, blocks[k - 1] - 1):
-            rest = tuple(v for v in others if v not in chosen)
-            for head in build(rest, k - 1):
-                yield head + chosen + (top,)
-
-    def mask(sigma: Permutation) -> list[int]:
-        block_of = [0] * len(sigma)
-        pos = 0
-        for j, b in enumerate(blocks):
-            for v in sigma[pos : pos + b]:
-                block_of[v] = j
-            pos += b
-        return block_of
-
-    return tuple(sorted(build(tuple(range(sum(blocks))), len(blocks)), key=mask))
+    """The unshuffles of :func:`_unshuffles`, in its order, whose block
+    maxima, each block's last value, increase left to right."""
+    ends = tuple(itertools.accumulate(blocks))
+    return tuple(
+        sigma
+        for sigma in _unshuffles(blocks)
+        if all(sigma[a - 1] < sigma[b - 1] for a, b in zip(ends, ends[1:]))
+    )
 
 
 def increasing_unshuffles(*block_sizes: int) -> tuple[Permutation, ...]:

@@ -12,15 +12,16 @@ same space with no brackets, ``p(Q Q) = 0``.  The first route is the
 componentwise identity.  The second is formed at the restriction level
 with no lift: the corestriction of the intertwining defect, the
 composite of the components with the source brackets
-(:func:`lifted_composite`, :func:`symmetric_composite`) less the target
-brackets read on the rows of the comorphism, which are built only where
-the image has a target bracket's arity, so none for a target with no
-brackets; for a structure that is the square of the lifted coderivation.
-The first route sums on the words the second forms: the keys of its
-composite kernel, which keeps every word a pair of keys forms, and the
-comorphism rows that meet a target bracket key, in one call of
-:func:`_anchored_sums` or :func:`_symmetric_sums` per check and, for a
-target with brackets, one of :func:`_increasing_sums` for the right side.
+(:func:`linfty.multimap._composite`,
+:func:`linfty.multimap._symmetric_composite`) less the target brackets
+read on the rows of the comorphism, which are built only where the image
+has a target bracket's arity, so none for a target with no brackets; for
+a structure that is the square of the lifted coderivation.  The first
+route sums on the words the second forms: the keys of its composite
+kernel, which keeps every word a pair of keys forms, and the comorphism
+rows that meet a target bracket key, in one call of :func:`_split_sums`
+per check and, for a target with brackets, one of
+:func:`_increasing_sums` for the right side.
 Its values come only from the split tables of :mod:`linfty.graded`
 (:func:`linfty.graded._anchored_table`,
 :func:`linfty.graded._symmetric_table` and
@@ -49,10 +50,13 @@ from .multimap import (
     MultiMap,
     Vector,
     _comorphism_rows,
+    _composite,
+    _letter_index,
+    _plain_support,
+    _slot_index,
+    _symmetric_composite,
     expand,
-    lifted_composite,
     merge_into,
-    symmetric_composite,
 )
 from .report import (
     CheckReport,
@@ -135,22 +139,6 @@ def lie_to_loday(structure: HomotopyStructure) -> HomotopyStructure:
 # defining identities
 
 
-def _symmetric_sums(space, inner, outer, words) -> dict[Word, Vector]:
-    """``sum sign * outer_{n-i+1}(inner_i(block), rest)`` over the
-    unshuffle-insertion splits of each word, read from
-    :func:`linfty.graded._symmetric_table`; ``inner`` and ``outer`` map
-    arities to maps.  Returns each word's value where it is nonzero."""
-    return _split_sums(space, inner, outer, words, _symmetric_table)
-
-
-def _anchored_sums(space, inner, outer, words) -> dict[Word, Vector]:
-    """``sum sign * outer_{n-k+1}(front, inner_k(block), tail)`` over the
-    anchored splits of each word, read from
-    :func:`linfty.graded._anchored_table`; ``inner`` and ``outer`` map
-    arities to maps.  Returns each word's value where it is nonzero."""
-    return _split_sums(space, inner, outer, words, _anchored_table)
-
-
 class _SignedValues(dict):
     """A symmetric map's values on any ordering of a key, as a plain table:
     a word is filled when it is first read, from
@@ -180,13 +168,16 @@ def _values(f: MultiMap):
 
 
 def _split_sums(space, inner, outer, words, table) -> dict[Word, Vector]:
-    """The sums of :func:`_symmetric_sums` and :func:`_anchored_sums`, whose
-    ``table`` gives the rows ``(k, sign, front, block, tail)`` of one word
-    shape: each term is ``sign * outer_{n-k+1}(front + inner_k(block) +
-    tail)``.  Each map's reader (:func:`_values`) is made once per call, and
-    the rows of each shape, the word length and letter parities, are joined
-    to the maps of their arities once per call; the terms are summed in
-    place."""
+    """``sum sign * outer_{n-k+1}(front, inner_k(block), tail)`` over the
+    splits of each word that ``table`` lists: the unshuffle-insertion
+    splits of :func:`linfty.graded._symmetric_table`, whose ``front`` is
+    empty, or the anchored ones of :func:`linfty.graded._anchored_table`.
+    ``inner`` and ``outer`` map arities to maps, and ``table`` gives the
+    rows ``(k, sign, front, block, tail)`` of one word shape.  Each map's
+    reader (:func:`_values`) is made once per call, and the rows of each
+    shape, the word length and letter parities, are joined to the maps of
+    their arities once per call; the terms are summed in place.  Returns
+    each word's value where it is nonzero."""
     inner = {k: _values(f) for k, f in inner.items()}
     outer = {k: _values(f) for k, f in outer.items()}
     odd = tuple(d % 2 for d in space.degrees)
@@ -323,8 +314,8 @@ def check_lie_infinity(structure: HomotopyStructure, bound: int) -> CheckReport:
     The identity ``p(Q Q) = 0`` is the morphism identity of the brackets
     ``q`` into the same space with no brackets, so it runs the morphism
     checker's two routes (:func:`_morphism_residuals`): the componentwise
-    double sum against the square ``q Q``, :func:`symmetric_composite` of
-    the brackets with themselves, which forms only the lift entries whose
+    double sum against the square ``q Q``, the symmetric composite of the
+    brackets with themselves, which forms only the lift entries whose
     word is a bracket key, from pairs of keys, and builds no lift row.  The
     double sum runs on the words the square forms, as
     :func:`check_loday_infinity` does.  Both routes run on the integral
@@ -340,8 +331,8 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     """Verify the anchored structure identity on all tensor words.
 
     As in :func:`check_lie_infinity`, the explicit double sum and the square
-    ``q Q`` of the lifted Zinbiel coderivation, :func:`lifted_composite` of
-    the brackets with themselves, are computed and compared.  The square
+    ``q Q`` of the lifted Zinbiel coderivation, the Zinbiel composite of the
+    brackets with themselves, are computed and compared.  The square
     forms only the lift entries whose word is a bracket key, from pairs of
     keys, with the lift's own signs; it builds no lift row.  It keeps every
     word one of its (key, key, placement) triples forms, and the double sum
@@ -349,7 +340,7 @@ def check_loday_infinity(structure: HomotopyStructure, bound: int) -> CheckRepor
     its inner block is a bracket key and its outer word one too, which is
     such a triple, so on every other word the identity holds term by term
     and the verdict still covers all words up to the bound.  The double
-    sum (:func:`_anchored_sums`) runs once on that word set, and its values
+    sum (:func:`_split_sums`) runs once on that word set, and its values
     still come only from the anchored split table
     :func:`linfty.graded._anchored_table`; the word set is the one thing the
     routes share, and the every-word route of ``tests/test_loday_oracle.py``
@@ -387,13 +378,6 @@ def _check_components(components: Mapping[int, MultiMap], source, target) -> Non
             raise InputError("component spaces do not match the structures")
 
 
-def _lie_components(components: Mapping[int, MultiMap], source, target) -> dict[int, MultiMap]:
-    """The checked components (:func:`_check_components`) as symmetric maps
-    (:func:`_symmetric_component`)."""
-    _check_components(components, source, target)
-    return {k: _symmetric_component(f) for k, f in components.items()}
-
-
 def check_lie_morphism(
     components: Mapping[int, MultiMap],
     source: HomotopyStructure,
@@ -412,7 +396,8 @@ def check_lie_morphism(
     """
     if source.flavor != SYMMETRIC or target.flavor != SYMMETRIC:
         raise InputError("check_lie_morphism expects symmetric structures")
-    components = _lie_components(components, source, target)
+    _check_components(components, source, target)
+    components = {k: _symmetric_component(f) for k, f in components.items()}
     residuals = _morphism_residuals(components, source, target, bound, anchored=False)
     items = _residual_items(source.space, target.space, residuals)
     return make_report("lie-morphism", bound, items)
@@ -448,22 +433,24 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=1
     intertwining defect of the comorphism ``F``.  The callers check the
     components.
 
-    ``p'(F Q)`` is the components after the lift of the source brackets,
-    :func:`lifted_composite` or :func:`symmetric_composite` of the two
-    families; ``q' F`` reads the target brackets on the comorphism rows
-    whose image words have the arity of a target bracket, which it builds
-    itself (:func:`_comorphism_rows`), none when the target has no
-    brackets.  Neither codifferential is lifted.  The identity sum, of
-    either flavor, visits only the words where a term can be nonzero: the
-    keys of the composite, every word it forms from a component key and a
-    source bracket key, and the comorphism rows whose image meets a target
-    bracket key, which the pass of ``q' F`` collects.  Each side runs once
-    on that word set: the components after the source brackets in
-    :func:`_anchored_sums` or :func:`_symmetric_sums`, and, for a target
-    with brackets, the target brackets on the block images in
-    :func:`_increasing_sums`.  Their values come only from the split tables
-    of :mod:`linfty.graded`; the dense defect of ``tests/dense_lifts.py``,
-    formed on every word, checks the word set.
+    ``p'(F Q)`` is the components after the lift of the source brackets:
+    the composite kernel (:func:`linfty.multimap._composite` or
+    :func:`linfty.multimap._symmetric_composite`) on the index of the
+    components and the pairs of the brackets, whose parity is 1, as every
+    bracket has degree +1.  ``q' F`` reads the target brackets on the
+    comorphism rows whose image words have the arity of a target bracket,
+    which it builds itself (:func:`_comorphism_rows`), none when the target
+    has no brackets.  Neither codifferential is lifted.  The identity sum,
+    of either flavor, visits only the words where a term can be nonzero:
+    the keys of the composite, every word it forms from a component key and
+    a source bracket key, and the comorphism rows whose image meets a
+    target bracket key, which the pass of ``q' F`` collects.  Each side
+    runs once on that word set: the components after the source brackets
+    in :func:`_split_sums` on the anchored or the symmetric split table,
+    and, for a target with brackets, the target brackets on the block
+    images in :func:`_increasing_sums`.  Their values come only from the
+    split tables of :mod:`linfty.graded`; the dense defect of
+    ``tests/dense_lifts.py``, formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same
     space with no brackets, which a structure checker passes as ``target``
@@ -475,10 +462,14 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=1
     space = source.space
     tspace = space if target is None else target.space
     if anchored:
-        coalgebra, composite, lhs_sums = ZINBIEL, lifted_composite, _anchored_sums
+        coalgebra, table = ZINBIEL, _anchored_table
+        slots = _slot_index(space, _plain_support(components))
+        defect = _composite(space, slots, _plain_support(source.brackets), 1, bound)
     else:
-        coalgebra, composite, lhs_sums = SYMMETRIC, symmetric_composite, _symmetric_sums
-    defect = composite(space, components, source.brackets, bound)
+        coalgebra, table = SYMMETRIC, _symmetric_table
+        index = _letter_index(space, [f.constants for f in components.values()])
+        pairs = (pair for f in source.brackets.values() for pair in f.constants.items())
+        defect = _symmetric_composite(space, index, pairs, bound)
     words = set(defect)
     if target is not None and target.brackets:
         rows = _comorphism_rows(space, tspace, components, bound, coalgebra, target.brackets)
@@ -491,7 +482,7 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=1
                     words.add(w)
                     merge_into(acc, value, -c if sign > 0 else c)
     defect = {w: v for w, v in defect.items() if v}
-    residuals = lhs_sums(space, source.brackets, components, words)
+    residuals = _split_sums(space, source.brackets, components, words, table)
     if target is not None and target.brackets:
         for w, value in _increasing_sums(space, components, target, words).items():
             merge_into(residuals.setdefault(w, {}), value, -1)

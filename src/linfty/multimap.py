@@ -2,7 +2,9 @@
 machinery built on them: coderivation and comorphism lifts truncated at a
 word-length bound, graded commutators, the composites of coderivations of
 both coalgebras formed from their restriction families, and the Balavoine
-bracket of two Zinbiel ones.
+bracket of two Zinbiel ones.  Each composite has one kernel,
+:func:`_composite` (Zinbiel) or :func:`_symmetric_composite`, and every
+caller builds the index of its outer family itself.
 
 Formal linear data is kept sparse:
 
@@ -62,8 +64,6 @@ __all__ = [
     "lift_comorphism",
     "lift_symmetric_coderivation",
     "lift_zinbiel_coderivation",
-    "lifted_composite",
-    "symmetric_composite",
 ]
 
 
@@ -346,7 +346,7 @@ def lift_symmetric_coderivation(
 
     On a canonical word ``w`` the lift sums, over (k, n-k)-unshuffles, the
     inner map applied to the first block times the remaining letters.  It
-    is :func:`symmetric_composite` with every canonical word ``y`` up to the
+    is :func:`_symmetric_composite` with every canonical word ``y`` up to the
     bound as an outer key whose value is ``y`` itself, so the work is
     proportional to the (key, output letter, rest) triples that fit under
     the bound, not to the number of canonical words.
@@ -392,9 +392,19 @@ def _letter_index(space: GradedSpace, tables: Iterable[Mapping[Word, Mapping]]) 
 def _symmetric_composite(
     space: GradedSpace, index: Mapping[int, list], inner: Iterable[tuple[Word, Vector]], bound: int
 ) -> dict[Word, dict]:
-    """:func:`symmetric_composite` from the outer keys' :func:`_letter_index`
-    and the inner family's ``(key, value)`` pairs, as :func:`_composite`
-    reads them, so a table is composed with no map built around it; every
+    """The single-letter components ``p(A B) = a B`` of the composite of the
+    symmetric lifts ``A`` and ``B`` of an outer family ``a``, given by the
+    :func:`_letter_index` of its keys, and an inner one ``b``, given by its
+    ``(key, value)`` pairs, on every canonical word up to ``bound`` that a
+    (key, letter, key) triple forms; a value that cancels stays as an empty
+    dict, so the keys are the words where a term of ``a B`` can be nonzero.
+
+    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys.
+    Each comes from an inner key ``u`` with an output letter ``b`` of ``y``:
+    the row of ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y``
+    with the sorts' signs, once per unshuffle splitting ``u`` off that word
+    (:func:`_split_count`).  So the work is proportional to the (inner key,
+    output letter, outer key) triples that fit under the bound, and every
     term is summed in place."""
     out: dict[Word, dict] = {}
     for u, vec in inner:
@@ -422,32 +432,6 @@ def _symmetric_composite(
                     else:
                         del acc[o]
     return out
-
-
-def symmetric_composite(
-    space: GradedSpace,
-    outer: Mapping[int, MultiMap],
-    inner: Mapping[int, MultiMap],
-    bound: int,
-) -> dict[Word, Vector]:
-    """The single-letter components ``p(A B) = a B`` of the composite of the
-    symmetric lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
-    ``inner`` (``b``), on every canonical word up to ``bound`` that a
-    (key, letter, key) triple below forms; a value that cancels stays as an
-    empty dict, so the keys are the words where a term of ``a B`` can be
-    nonzero.
-
-    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys.
-    Each comes from an inner key ``u`` with an output letter ``b`` of ``y``:
-    the row of ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y``
-    with the sorts' signs, once per unshuffle splitting ``u`` off that word
-    (:func:`_split_count`).  So the outer keys are indexed by letter and the
-    work is proportional to the (inner key, output letter, outer key)
-    triples that fit under the bound.
-    """
-    index = _letter_index(space, [f.constants for f in outer.values()])
-    pairs = (pair for f in inner.values() for pair in f.constants.items())
-    return _symmetric_composite(space, index, pairs, bound)
 
 
 @lru_cache(maxsize=None)
@@ -583,14 +567,29 @@ def _composite(
     parity: int,
     bound: int,
 ) -> dict[Word, Vector]:
-    """:func:`lifted_composite` from the outer family's :func:`_slot_index`,
-    the inner family's plain support and the parity of its degree, so a
-    caller that composes one outer family with many inner ones, or a family
-    with itself, indexes it once; :func:`_prefix_rows` forms the Zinbiel
-    lift's prefix rows here from an index of its own.  Each placement
-    gathers its head from the front and the inner letters and reads its sign
-    from the front's odd mask (:func:`_placement_flips`), and every term is
-    summed in place."""
+    """The single-letter components ``p(A B) = a B`` of the composite of the
+    Zinbiel lifts ``A`` and ``B`` of an outer family ``a``, given by the
+    :func:`_slot_index` of its plain support, and an inner one ``b``, given
+    by its plain support and the parity of its degree, on every word up to
+    ``bound`` that a (key, key, placement) triple forms; a value that
+    cancels stays as an empty dict, so the keys are the words where a term
+    of ``a B`` can be nonzero.  A caller that composes one outer family with
+    many inner ones, or a family with itself, indexes it once;
+    :func:`_prefix_rows` forms the Zinbiel lift's prefix rows here from an
+    index of its own.
+
+    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a``
+    applied to the rows of ``B``, and ``a`` reads only the entries of ``B``
+    whose word ``y`` is a key of its support; only those are formed.  Each
+    comes from an inner key ``u`` with an output letter ``c = y[j]``: for
+    each placement of the front ``y[:j]`` among ``u[:-1]``, the row of the
+    word that interleaves them, then ``u[-1]``, then the tail ``y[j+1:]``,
+    holds ``y`` with the lift's sign times ``b(u)_c``, and so picks up that
+    multiple of ``a(y)``.  Each placement gathers its head from the front
+    and the inner letters and reads its sign from the front's odd mask
+    (:func:`_placement_flips`), whose flip rule reads the parity; every term
+    is written once and summed in place, so the work is proportional to the
+    (inner key, outer key, placement) triples that fit under the bound."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
     for u, vec in inner:
@@ -618,37 +617,6 @@ def _composite(
                             else:
                                 del acc[o]
     return out
-
-
-def lifted_composite(
-    space: GradedSpace,
-    outer: Mapping[int, MultiMap],
-    inner: Mapping[int, MultiMap],
-    bound: int,
-) -> dict[Word, Vector]:
-    """The single-letter components ``p(A B) = a B`` of the composite of the
-    Zinbiel lifts ``A`` and ``B`` of the families ``outer`` (``a``) and
-    ``inner`` (``b``), on every word up to ``bound`` that a (key, key,
-    placement) triple below forms; a value that cancels stays as an empty
-    dict, so the keys are the words where a term of ``a B`` can be nonzero.
-
-    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a``
-    applied to the rows of ``B``, and ``a`` reads only the entries of ``B``
-    whose word ``y`` is a key of its plain support; only those are formed.
-    Each one comes from an inner key ``u`` with an output letter
-    ``c = y[j]``: for each placement of the front ``y[:j]`` among ``u[:-1]``,
-    the row of the word that interleaves them, then ``u[-1]``, then the tail
-    ``y[j+1:]``, holds ``y`` with the lift's sign times ``b(u)_c``, whose
-    flip rule reads the parity of the inner family's degree, and so picks up
-    that multiple of ``a(y)``.  The outer keys are indexed by the letter and
-    the position of each slot, and every term is written once; the work is
-    proportional to the (inner key, outer key, placement) triples that fit
-    under the bound.
-    """
-    slots = _slot_index(space, _plain_support(outer))
-    if not slots:
-        return {}
-    return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)
 
 
 def commutator(q: TruncatedCoderivation, p: TruncatedCoderivation) -> TruncatedCoderivation:

@@ -8,7 +8,9 @@ maps instead; the oracle tests check the two agree row for row.
 lift: over the word-by-word Zinbiel lift it is the oracle of
 ``lifted_composite``, and over the word-by-word symmetric lift that of
 ``symmetric_composite``, each of which forms only the lift entries the
-outer family reads.  ``assert_composite_matches``
+outer family reads.  These two call the package's composite kernels on
+whole families, indexing the outer one as the morphism checker does.
+``assert_composite_matches``
 holds such a kernel to it: equal nonzero values, and a formed word at every
 row where the family reads an entry, since the checkers sum their first
 route on exactly the words their kernel forms.  The action axiom, which the
@@ -52,6 +54,11 @@ from linfty.multimap import (
     Vector,
     WordSum,
     _common_degree,
+    _composite,
+    _letter_index,
+    _plain_support,
+    _slot_index,
+    _symmetric_composite,
     add_into,
     commutator,
     merge_into,
@@ -174,6 +181,27 @@ def assert_composite_matches(
     }
     assert read <= set(formed), sorted(read - set(formed))
     return expected
+
+
+def lifted_composite(
+    space: GradedSpace, outer: Mapping[int, MultiMap], inner: Mapping[int, MultiMap], bound: int
+) -> dict[Word, Vector]:
+    """``p(A B) = a B`` of the Zinbiel lifts of the families ``outer`` and
+    ``inner``: :func:`linfty.multimap._composite` on the slot index of the
+    outer family's plain support, at the parity of the inner one."""
+    slots = _slot_index(space, _plain_support(outer))
+    return _composite(space, slots, _plain_support(inner), _common_degree(inner) % 2, bound)
+
+
+def symmetric_composite(
+    space: GradedSpace, outer: Mapping[int, MultiMap], inner: Mapping[int, MultiMap], bound: int
+) -> dict[Word, Vector]:
+    """``p(A B) = a B`` of the symmetric lifts of the families ``outer`` and
+    ``inner``: :func:`linfty.multimap._symmetric_composite` on the letter
+    index of the outer family's keys."""
+    index = _letter_index(space, [f.constants for f in outer.values()])
+    pairs = (pair for f in inner.values() for pair in f.constants.items())
+    return _symmetric_composite(space, index, pairs, bound)
 
 
 def dense_ad_series(

@@ -354,7 +354,8 @@ def test_crosscheck_requires_an_action():
 def test_jacobiator_vanishes_on_front_block_words_for_mere_actions():
     # acting-then-target words: the anchored identity defect vanishes for any
     # genuine action, coherent or not
-    from linfty.homotopy import _anchored_sums
+    from linfty.graded import _anchored_table
+    from linfty.homotopy import _split_sums
 
     for act in (heisenberg_noncentral_action(), solvable_self_action(), adjoint_action(sl2())):
         assert check_action(act, BOUND).ok
@@ -371,7 +372,7 @@ def test_jacobiator_vanishes_on_front_block_words_for_mere_actions():
                     continue
                 words.append(word)
         assert words
-        assert _anchored_sums(st.space, st.brackets, st.brackets, words) == {}
+        assert _split_sums(st.space, st.brackets, st.brackets, words, _anchored_table) == {}
 
 
 def test_corpus_smoke():

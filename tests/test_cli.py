@@ -444,15 +444,15 @@ def test_a_series_that_does_not_stabilize_exits_three(capsys, monkeypatch):
 def test_route_disagreement_names_word_and_both_values(capsys, monkeypatch):
     import linfty.homotopy as homotopy
 
-    real = homotopy.lifted_composite
+    real = homotopy._composite
 
-    def skewed(space, outer, inner, bound):
+    def skewed(space, slots, inner, parity, bound):
         # one spurious term: the coderivation square picks up [p,p] = z on (p, p)
-        square = {w: dict(v) for w, v in real(space, outer, inner, bound).items()}
+        square = {w: dict(v) for w, v in real(space, slots, inner, parity, bound).items()}
         square.setdefault((0, 0), {})[2] = Fraction(1)
         return square
 
-    monkeypatch.setattr(homotopy, "lifted_composite", skewed)
+    monkeypatch.setattr(homotopy, "_composite", skewed)
     code = main(["check-loday", str(FIXTURES / "loday_plain.lif")])
     out = capsys.readouterr().out
     assert code == 3

@@ -217,14 +217,14 @@ def test_representation_disagreement_names_its_word_and_both_values(monkeypatch)
     dgla, end = end_dgla(L.space, MultiMap(L.space, L.space, 1, 1, SYMMETRIC, {}))
     comps = adjoint_rep_components(L, end)
     assert check_lie_morphism(comps, L, dgla, 3).ok
-    real = homotopy.symmetric_composite
+    real = homotopy._symmetric_composite
 
-    def skewed(space, outer, inner, bound):
-        composite = {w: dict(v) for w, v in real(space, outer, inner, bound).items()}
+    def skewed(space, index, inner, bound):
+        composite = {w: dict(v) for w, v in real(space, index, inner, bound).items()}
         composite.setdefault((0, 1), {})[end.index(2, 2)] = F(1)
         return composite
 
-    monkeypatch.setattr(homotopy, "symmetric_composite", skewed)
+    monkeypatch.setattr(homotopy, "_symmetric_composite", skewed)
     with pytest.raises(RouteDisagreement) as err:
         check_lie_morphism(comps, L, dgla, 3)
     assert str(err.value) == (

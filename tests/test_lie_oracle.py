@@ -2,7 +2,7 @@
 word.
 
 The checker's two routes are the unshuffle-insertion identity sum and the
-coderivation square, ``symmetric_composite`` of the brackets with
+coderivation square, ``_symmetric_composite`` of the brackets with
 themselves.  A word both routes skip would go unseen, so this route sums the
 symmetric identity on every canonical word up to the bound, from the
 slot-picking terms of ``dense_splits.py`` and ``MultiMap.eval``: no split

@@ -2,7 +2,7 @@
 and its coderivation square against the square of the word-by-word lift.
 
 The checker's second route, the square ``lifted_composite`` of the
-brackets with themselves, forms only the lift entries whose word is a
+brackets with themselves (``dense_lifts``, on the kernel ``_composite``), forms only the lift entries whose word is a
 bracket key, from pairs of keys; it builds no lift row.  Its first route
 sums the identity on exactly the words the square forms, so the two routes
 share that word set, and a word the square never forms would go unseen by
@@ -21,14 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import assert_composite_matches, dense_zinbiel_lift
+from dense_lifts import assert_composite_matches, dense_zinbiel_lift, lifted_composite
 from dense_splits import dense_anchored_value
 from linfty import corpus
 from linfty.action import hemisemidirect
 from linfty.fileformat import parse_path
 from linfty.graded import GradedSpace
 from linfty.homotopy import HomotopyStructure, check_loday_infinity, lie_to_loday
-from linfty.multimap import PLAIN, SYMMETRIC, lifted_composite
+from linfty.multimap import PLAIN, SYMMETRIC
 from linfty.report import Residual, format_vector
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -220,14 +220,15 @@ def test_lie_morphism_sums_only_on_formed_and_read_words(monkeypatch):
     # the symmetric identity sum runs on the composite's words and the
     # comorphism rows that meet a target bracket, one word here; visiting
     # every canonical word made 7 sums
-    real = homotopy_module._symmetric_sums
+    real = homotopy_module._split_sums
     visited = []
 
-    def counted(*args):
-        visited.extend(args[-1])
-        return real(*args)
+    def counted(space, inner, outer, words, table):
+        assert table is homotopy_module._symmetric_table
+        visited.extend(words)
+        return real(space, inner, outer, words, table)
 
-    monkeypatch.setattr(homotopy_module, "_symmetric_sums", counted)
+    monkeypatch.setattr(homotopy_module, "_split_sums", counted)
     _, source, target, comps = fixture_morphisms()[1]
     assert check_lie_morphism(comps, source, target, 7).ok
     assert len(visited) <= 1
@@ -253,13 +254,14 @@ def test_descendent_morphism_visits_only_candidate_words(monkeypatch):
             if getattr(module, "lift_comorphism", None) is real:
                 monkeypatch.setattr(module, "lift_comorphism", counted_lift)
     words = []
-    real_sums = homotopy_module._anchored_sums
+    real_sums = homotopy_module._split_sums
 
-    def counted_sums(*args):
-        words.extend(args[-1])
-        return real_sums(*args)
+    def counted_sums(space, inner, outer, sum_words, table):
+        assert table is homotopy_module._anchored_table
+        words.extend(sum_words)
+        return real_sums(space, inner, outer, sum_words, table)
 
-    monkeypatch.setattr(homotopy_module, "_anchored_sums", counted_sums)
+    monkeypatch.setattr(homotopy_module, "_split_sums", counted_sums)
     sf = parse_path(FIXTURES / "heisenberg.lif")
     tensor, action = sf.embedding_tensor(), sf.action_family()
     assert max(descendent(tensor, action, 8).brackets) > 1

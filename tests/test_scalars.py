@@ -168,26 +168,29 @@ def test_both_loday_routes_receive_only_int_constants(monkeypatch):
     assert denominator(product.brackets) == 9
     seen = {"square": 0, "sum": 0}
 
-    def ints_only(family):
-        for f in family.values():
-            assert all(type(c) is int for v in f.constants.values() for c in v.values())
+    def ints_only(values):
+        assert all(type(c) is int for v in values for c in v.values())
 
-    square, anchored = homotopy.lifted_composite, homotopy._anchored_sums
+    def family_values(family):
+        return [v for f in family.values() for v in f.constants.values()]
 
-    def counted_square(space, outer, inner, bound):
+    square, split = homotopy._composite, homotopy._split_sums
+
+    def counted_square(space, slots, inner, parity, bound):
         seen["square"] += 1
-        ints_only(outer)
-        ints_only(inner)
-        return square(space, outer, inner, bound)
+        inner = list(inner)
+        ints_only([entry[-1] for entries in slots.values() for entry in entries])
+        ints_only([vec for _, vec in inner])
+        return square(space, slots, inner, parity, bound)
 
-    def counted_sum(space, inner, outer, words):
+    def counted_sum(space, inner, outer, words, table):
         seen["sum"] += len(words)
-        ints_only(inner)
-        ints_only(outer)
-        return anchored(space, inner, outer, words)
+        ints_only(family_values(inner))
+        ints_only(family_values(outer))
+        return split(space, inner, outer, words, table)
 
-    monkeypatch.setattr(homotopy, "lifted_composite", counted_square)
-    monkeypatch.setattr(homotopy, "_anchored_sums", counted_sum)
+    monkeypatch.setattr(homotopy, "_composite", counted_square)
+    monkeypatch.setattr(homotopy, "_split_sums", counted_sum)
     report = check_loday_infinity(product, 4)
     assert not report.ok
     assert seen["square"] == 1 and seen["sum"] > 0

@@ -1,7 +1,7 @@
 """The restriction-level coderivation calculus against full lifts.
 
-``lifted_composite`` forms ``p(A B) = a B`` from the supports of the two
-families, ``balavoine_bracket`` is two such composites on plain tables
+``lifted_composite`` (``dense_lifts``, on the kernel ``_composite``) forms
+``p(A B) = a B`` from the supports of the two families, ``balavoine_bracket`` is two such composites on plain tables
 (fed here through ``laws.family_bracket``), and the commutator series of
 ``check_embedding_mc`` and ``DeformationComplex`` runs on plain tables and
 lifts nothing.  The references here lift every family word by word
@@ -16,12 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import assert_composite_matches, dense_ad_series, dense_zinbiel_lift, projected
+from dense_lifts import (
+    assert_composite_matches,
+    dense_ad_series,
+    dense_zinbiel_lift,
+    lifted_composite,
+    projected,
+)
 from laws import as_dict, family_bracket, maps_by_arity, restriction_vector, restrictions
 from linfty import corpus, parse_path
 from linfty.action import hemisemidirect
 from linfty.graded import GradedSpace
-from linfty.multimap import PLAIN, SYMMETRIC, commutator, lifted_composite
+from linfty.multimap import PLAIN, SYMMETRIC, commutator
 from linfty.report import format_vector
 from linfty.tensor import EmbeddingTensor, check_embedding_mc, deformation_complex
 

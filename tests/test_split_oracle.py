@@ -46,12 +46,7 @@ from linfty.graded import (
     compositions,
     increasing_unshuffles,
 )
-from linfty.homotopy import (
-    HomotopyStructure,
-    _anchored_sums,
-    _increasing_sums,
-    _symmetric_sums,
-)
+from linfty.homotopy import HomotopyStructure, _increasing_sums, _split_sums
 from linfty.multimap import PLAIN, SYMMETRIC, expand, merge_into
 
 BOUND = 4
@@ -205,12 +200,12 @@ def test_identity_sums_equal_the_oracle_sums(index):
     # every word in one call; a batch keeps only the nonzero values
     if structure.flavor == SYMMETRIC:
         words = list(space.canonical_words_up_to(BOUND))
-        sums = _symmetric_sums(space, q, q, words)
+        sums = _split_sums(space, q, q, words, _symmetric_table)
         assert all(sums.values()) and set(sums) <= set(words)
         for w in words:
             assert sums.get(w, {}) == dense_symmetric_value(structure, w), w
     words = list(space.words_up_to(BOUND))
-    sums = _anchored_sums(space, q, q, words)
+    sums = _split_sums(space, q, q, words, _anchored_table)
     assert all(sums.values()) and set(sums) <= set(words)
     for w in words:
         assert sums.get(w, {}) == dense_anchored_value(structure, w), w
@@ -220,7 +215,7 @@ def test_random_sums_are_not_all_zero():
     # the random families make the comparison above see real values
     for structure in random_structures():
         space, q = structure.space, structure.brackets
-        assert _anchored_sums(space, q, q, list(space.words_up_to(3)))
+        assert _split_sums(space, q, q, list(space.words_up_to(3)), _anchored_table)
 
 
 def test_product_anchored_sum_equals_the_oracle_sum():
@@ -229,7 +224,7 @@ def test_product_anchored_sum_equals_the_oracle_sum():
     product = hemisemidirect(inst.action).structure
     space, q = product.space, product.brackets
     words = list(space.words_up_to(BOUND))
-    sums = _anchored_sums(space, q, q, words)
+    sums = _split_sums(space, q, q, words, _anchored_table)
     assert all(sums.values()) and set(sums) <= set(words)
     for w in words:
         assert sums.get(w, {}) == dense_anchored_value(product, w), w
@@ -397,9 +392,9 @@ def test_route_a_sums_name_no_route_b_kernel():
     from linfty import graded, homotopy
 
     entries = (
-        homotopy._anchored_sums, homotopy._symmetric_sums, homotopy._increasing_sums,
+        homotopy._split_sums, homotopy._increasing_sums,
         graded._anchored_table, graded._symmetric_table, graded._increasing_table,
     )
     names = _names_reached(entries)
-    assert {"_split_sums", "_split_table", "_increasing_table", "normalize"} <= names
+    assert {"_split_table", "_increasing_table", "normalize"} <= names
     assert not names & ROUTE_B_KERNELS

@@ -1,6 +1,7 @@
 """The symmetric restriction-level calculus against word-by-word lifts.
 
-``symmetric_composite`` forms ``p(A B) = a B`` from the supports of two
+``symmetric_composite`` (``dense_lifts``, on the kernel
+``_symmetric_composite``) forms ``p(A B) = a B`` from the supports of two
 families, a bracket is two such composites, and the action axiom (the
 square of the semidirect brackets), the coherence commutators and the square of
 ``check_lie_infinity`` run on its kernel.  The references here share no code with
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_lifts import assert_composite_matches, dense_symmetric_lift
+from dense_lifts import assert_composite_matches, dense_symmetric_lift, symmetric_composite
 from laws import restrictions
 from linfty import corpus, parse_path
 from linfty.action import check_action, check_coherence, theorem_crosscheck
@@ -30,7 +31,6 @@ from linfty.multimap import (
     TruncatedCoderivation,
     commutator,
     merge_into,
-    symmetric_composite,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -152,14 +152,15 @@ def test_lie_check_sums_only_on_the_words_the_square_forms(monkeypatch):
     # nowhere; visiting every canonical word made 14 sums
     import linfty.homotopy as homotopy
 
-    real = homotopy._symmetric_sums
+    real = homotopy._split_sums
     visited = []
 
-    def counted(space, inner, outer, words):
+    def counted(space, inner, outer, words, table):
+        assert table is homotopy._symmetric_table
         visited.extend(words)
-        return real(space, inner, outer, words)
+        return real(space, inner, outer, words, table)
 
-    monkeypatch.setattr(homotopy, "_symmetric_sums", counted)
+    monkeypatch.setattr(homotopy, "_split_sums", counted)
     sf = parse_path(FIXTURES / "twoterm.lif")
     assert check_lie_infinity(sf.structure("C"), 7).ok
     assert visited == []

@@ -745,13 +745,14 @@ def test_explicit_check_and_deform_follow_the_support(monkeypatch):
     # structure, run route A only on the words where a term can be nonzero,
     # and a deform build never lifts the twisted family in full
     visited = []
-    real = homotopy_module._anchored_sums
+    real = homotopy_module._split_sums
 
-    def counting(space, inner, outer, words):
+    def counting(space, inner, outer, words, table):
+        assert table is homotopy_module._anchored_table
         visited.extend(words)
-        return real(space, inner, outer, words)
+        return real(space, inner, outer, words, table)
 
-    monkeypatch.setattr(homotopy_module, "_anchored_sums", counting)
+    monkeypatch.setattr(homotopy_module, "_split_sums", counting)
     for (act, tensor), bound, words in (
         (heisenberg_tensor(), 5, 0),
         (adjoint_identity_tensor(solvable2()), 4, 2),
