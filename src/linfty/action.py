@@ -160,8 +160,9 @@ class ActionFamily:
     read where they are filed; none of them is lifted.  The family memoizes
     (:func:`linfty.memo.memo`) what its checks re-read: that split index
     under ``("split",)``, the semidirect brackets under ``("semidirect",)``
-    (:func:`_semidirect`), the coherence verdict under ``("coherent",
-    bound)`` and its cleared copy under ``("cleared",)`` (:func:`_cleared`).
+    (:func:`_semidirect`), the verdict of :meth:`is_coherent` under
+    ``("coherent", bound)`` and its cleared copy under ``("cleared",)``
+    (:func:`_cleared`).
     A family that :func:`_cleared` made keeps the factor ``D`` of its data
     in ``_den``; every other family has ``_den`` 1.
     """
@@ -187,8 +188,13 @@ class ActionFamily:
         self._den = 1
 
     def is_coherent(self, bound: int) -> bool:
-        """The verdict of :func:`check_coherence` at ``bound``, computed once."""
-        return memo(self._memo, ("coherent", bound), lambda: check_coherence(self, bound).ok)
+        """Whether the family is an action (:func:`check_action`) that is
+        coherent (:func:`check_coherence`) at ``bound``, computed once."""
+        return memo(
+            self._memo,
+            ("coherent", bound),
+            lambda: check_action(self, bound).ok and check_coherence(self, bound).ok,
+        )
 
 
 def _split_index(space: GradedSpace, keyed):

@@ -392,20 +392,18 @@ def _letter_index(space: GradedSpace, tables: Iterable[Mapping[Word, Mapping]]) 
 def _symmetric_composite(
     space: GradedSpace, index: Mapping[int, list], inner: Iterable[tuple[Word, Vector]], bound: int
 ) -> dict[Word, dict]:
-    """The single-letter components ``p(A B) = a B`` of the composite of the
-    symmetric lifts ``A`` and ``B`` of an outer family ``a``, given by the
-    :func:`_letter_index` of its keys, and an inner one ``b``, given by its
-    ``(key, value)`` pairs, on every canonical word up to ``bound`` that a
-    (key, letter, key) triple forms; a value that cancels stays as an empty
-    dict, so the keys are the words where a term of ``a B`` can be nonzero.
+    """``p(A B) = a B`` for the symmetric lifts ``A``, ``B`` of an outer
+    family ``a``, by the :func:`_letter_index` of its keys, and an inner
+    ``b``, by its ``(key, value)`` pairs, on every canonical word up to
+    ``bound`` that a (key, letter, key) triple forms; a value that cancels
+    stays empty, so the keys are the words where ``a B`` can be nonzero.
 
-    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys.
-    Each comes from an inner key ``u`` with an output letter ``b`` of ``y``:
-    the row of ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y``
-    with the sorts' signs, once per unshuffle splitting ``u`` off that word
-    (:func:`_split_count`).  So the work is proportional to the (inner key,
-    output letter, outer key) triples that fit under the bound, and every
-    term is summed in place."""
+    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys:
+    for an inner key ``u`` and an output letter ``b`` of ``y``, the row of
+    ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y`` with the
+    sorts' signs, once per unshuffle splitting ``u`` off it
+    (:func:`_split_count`).  The work follows those triples, and every term
+    is summed in place."""
     out: dict[Word, dict] = {}
     for u, vec in inner:
         if space.normalize(u) != (u, 1):
@@ -567,29 +565,22 @@ def _composite(
     parity: int,
     bound: int,
 ) -> dict[Word, Vector]:
-    """The single-letter components ``p(A B) = a B`` of the composite of the
-    Zinbiel lifts ``A`` and ``B`` of an outer family ``a``, given by the
-    :func:`_slot_index` of its plain support, and an inner one ``b``, given
-    by its plain support and the parity of its degree, on every word up to
-    ``bound`` that a (key, key, placement) triple forms; a value that
-    cancels stays as an empty dict, so the keys are the words where a term
-    of ``a B`` can be nonzero.  A caller that composes one outer family with
-    many inner ones, or a family with itself, indexes it once;
-    :func:`_prefix_rows` forms the Zinbiel lift's prefix rows here from an
-    index of its own.
+    """``p(A B) = a B`` for the Zinbiel lifts ``A``, ``B`` of an outer
+    family ``a``, by the :func:`_slot_index` of its plain support, and an
+    inner ``b``, by its plain support and the parity of its degree, on every
+    word up to ``bound`` that a (key, key, placement) triple forms; a value
+    that cancels stays empty, so the keys are the words where ``a B`` can be
+    nonzero.  :func:`_prefix_rows` forms the lift's prefix rows here.
 
-    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a``
-    applied to the rows of ``B``, and ``a`` reads only the entries of ``B``
-    whose word ``y`` is a key of its support; only those are formed.  Each
-    comes from an inner key ``u`` with an output letter ``c = y[j]``: for
+    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a`` on
+    the rows of ``B``, and only the entries ``y`` that are keys of ``a`` are
+    formed: for an inner key ``u`` with an output letter ``c = y[j]`` and
     each placement of the front ``y[:j]`` among ``u[:-1]``, the row of the
     word that interleaves them, then ``u[-1]``, then the tail ``y[j+1:]``,
-    holds ``y`` with the lift's sign times ``b(u)_c``, and so picks up that
-    multiple of ``a(y)``.  Each placement gathers its head from the front
-    and the inner letters and reads its sign from the front's odd mask
-    (:func:`_placement_flips`), whose flip rule reads the parity; every term
-    is written once and summed in place, so the work is proportional to the
-    (inner key, outer key, placement) triples that fit under the bound."""
+    holds ``y`` with the lift's sign times ``b(u)_c``.  Each placement
+    gathers its head from the front and inner letters and reads its sign
+    from the front's odd mask (:func:`_placement_flips`); the work follows
+    those triples, and every term is summed in place."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
     for u, vec in inner:

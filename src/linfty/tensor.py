@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .action import ActionFamily, HemiProduct, _semidirect, adjoint_representation, hemisemidirect
+from .action import (
+    ActionFamily,
+    HemiProduct,
+    _semidirect,
+    adjoint_representation,
+    check_action,
+    hemisemidirect,
+)
 from .graded import GradedSpace, Word
 from .homotopy import HomotopyStructure, _morphism_residuals, _residual_items, lie_to_loday
 from .linalg import rank
@@ -113,9 +120,12 @@ def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
 
 
 def _ensure_coherent(action: ActionFamily, bound: int) -> None:
-    """Refuse an action that is not coherent at ``bound``; the verdict is
-    memoized on the action."""
+    """Refuse a family that is not a coherent action at ``bound``; the
+    verdict is memoized on the family, and only a refusal asks again which
+    of the two checks failed."""
     if not action.is_coherent(bound):
+        if not check_action(action, bound).ok:
+            raise InputError("the tensor layer needs a verified action")
         raise InputError("the action is not coherent at this bound")
 
 
@@ -576,29 +586,35 @@ def check_cohomology_weight(weight: int, bound: int) -> None:
 def cohomology_rank(
     complex_: DeformationComplex, degree: int, weight: int
 ) -> CohomologyRanks:
-    """Exact ranks of the unary twisted bracket at one bigraded piece.
+    """Exact ranks of the E1 page of the weight filtration at one piece.
 
-    ``rank_out`` is the rank of the differential restricted to the piece;
-    ``rank_in`` the rank of its components landing in the piece from the full
-    degree-below truncation.  Kernel dimension follows by rank-nullity.  A
+    ``d1`` raises the weight, so it is ``d(1) + d(2) + ...`` by weight
+    shift; ``d1² = 0`` gives ``d(1)² = 0``, and the page is the cohomology
+    of ``d(1)``, which is ``d1`` on a strict tensor.  ``rank_out`` is its
+    rank on the piece, the columns cut to rows of weight ``weight + 1``, and
+    ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``, cut
+    to rows of weight ``weight``; the kernel follows by rank-nullity.  Rows
+    of weight ``w`` end at ``dim E * sum_{k <= w} dim V^k``, as the basis
+    runs by word length, so a column below that end is read as it is.  A
     weight outside ``1..bound`` is refused (:func:`check_cohomology_weight`);
-    an empty piece, one with no basis element, has all ranks 0 and reads no
-    column, so ``d1`` is built only for a nonempty piece.
+    an empty piece has all ranks 0 and reads no column.
     """
     check_cohomology_weight(weight, complex_.bound)
     piece = complex_.bigrading.get((degree, weight), [])
     if not piece:
         return CohomologyRanks(degree, weight, 0, 0, 0, 0)
     cols = complex_.d1_columns()
-    rank_out = rank([cols[j] for j in piece])
-    position = {i: n for n, i in enumerate(piece)}
-    in_rows = [
-        {position[i]: c for i, c in cols[j].items() if i in position}
-        for (d, _), below in complex_.bigrading.items()
-        if d == degree - 1
-        for j in below
-    ]
-    rank_in = rank(in_rows)
+    dim_e, dim_v = complex_.action.E.space.dim, complex_.action.V.space.dim
+
+    def weight_one(columns: list[int], w: int) -> list[Vector]:
+        end = dim_e * sum(dim_v**k for k in range(1, w + 2))
+        return [
+            col if max(col, default=0) < end else {i: c for i, c in col.items() if i < end}
+            for col in map(cols.__getitem__, columns)
+        ]
+
+    rank_out = rank(weight_one(piece, weight))
+    rank_in = rank(weight_one(complex_.bigrading.get((degree - 1, weight - 1), []), weight - 1))
     return CohomologyRanks(
         degree=degree,
         weight=weight,

@@ -29,7 +29,12 @@ files of ``tests/fixtures/theorem/``, recorded when those files were added.
 The string-file reports, in both formats and with their exit codes, are
 seven commands on the two files of ``tests/fixtures/string/``, recorded
 when those files were added, before the series route and the deformation
-complex shared one builder of the twisted codifferential.
+complex shared one builder of the twisted codifferential.  The
+``cohomology`` reports of the string tensor, on every nonempty piece in both
+formats, were recorded when the command first printed the E1 page of the
+weight filtration there, and the reports of every command on
+``tests/fixtures/refused/nonaction.lif``, a family that fails the action
+axiom, when the tensor layer first refused it.
 The CLI prints the input path, so the commands run from the root of the
 checkout, or from the directory the action and strict files are written
 to, with a relative path.
@@ -306,6 +311,117 @@ STRING = {
     ("deform", "string_tensor", 4, "machine"): (0, "a6d66824f7e9cca34acaf2fec231e3d7f8ebb1993c386c69dc36b87141fec40b"),
     ("deform", "string_tensor", 5, "text"): (0, "f8b2174aa73f4ef1aa9594ed83f161ac4ec390caff4784ce1bb94609ce1416d9"),
     ("deform", "string_tensor", 5, "machine"): (0, "992f3d487c340c32d8fe2f55b4cbdb3f1335275c064571dea79715ccabe9637d"),
+}
+
+
+# (exit code, stdout digest) of every command that reads the action of
+# tests/fixtures/refused/nonaction.lif, which fails the action axiom: the
+# action checks, whose output is the parent's, and the five tensor
+# commands, which refuse it (cohomology at degree 0, weight 1)
+REFUSED = {
+    ("check-action", "nonaction", 3, "text"): (1, "b38ae9869707f53bb29982ea681f6708bb588f478150ad24b28d1fcf85aa08f6"),
+    ("check-action", "nonaction", 3, "machine"): (1, "eb1f3e2bd4f3c59423a7e8bbfc91a6348f177e09b66667f8bd3a1071d6da9e2f"),
+    ("check-action", "nonaction", 4, "text"): (1, "21f7e01fb1b1277f162b1c71d6a13d05b2e4e9a5cc798ff7c43ce6b8fbf2f2e9"),
+    ("check-action", "nonaction", 4, "machine"): (1, "52076c60d45e704ab6f2ede6be16ca8c9c9a30aaf2a2d24d833799bbd34b670f"),
+    ("check-action", "nonaction", 5, "text"): (1, "5756dcda756497139c84866a4874eb004981b9fd7934c423b3530b4f8b317e50"),
+    ("check-action", "nonaction", 5, "machine"): (1, "4bb880a4c80ebd552e61d12c20e96d9acf2adff107371ee2982d298a121559f8"),
+    ("check-coherence", "nonaction", 3, "text"): (2, "c70d040ebc3c0bac8aa233ce8f6aed65d45430bdcd4de1e51a1657e3f5d9cb9f"),
+    ("check-coherence", "nonaction", 3, "machine"): (2, "3c7c36428317d5cf7024613a3432049169d5d74cb7b67251df2da76e798e0998"),
+    ("check-coherence", "nonaction", 4, "text"): (2, "b8c289a65e1ed1f3a714a6a9760de51495128ce608021f95083b6f71509d244b"),
+    ("check-coherence", "nonaction", 4, "machine"): (2, "c9b133e5486b8043591215a6f6e74d6f4fd9599d9cc1bd7b1f65bf21445ff23a"),
+    ("check-coherence", "nonaction", 5, "text"): (2, "5cdcdffbc84ca73c98eb6700f3c56793d316dd80cdae49e4680e4976b02eca03"),
+    ("check-coherence", "nonaction", 5, "machine"): (2, "9a5d5d19e109710cd350921b25592f5cc2405adcc3821d274ade45fc06835225"),
+    ("check-tensor", "nonaction", 3, "text"): (2, "d0c10d2ea9fcc3956493821d2a0bcc61edf0597c23cdfc81f882c5cf8ca8adbf"),
+    ("check-tensor", "nonaction", 3, "machine"): (2, "d580a7dda0e2eadfd56704ff53b3da56e2ae3190955f2b4eb058bd8ab2de577f"),
+    ("check-tensor", "nonaction", 4, "text"): (2, "527197d3a8543c79ce7ba854644d7fe8951a7381cb14b1f45340ee8a00497841"),
+    ("check-tensor", "nonaction", 4, "machine"): (2, "f463f9cf62f67944deb8f18aefbb7030346c64c586f7399e0bd43e9ea844ab41"),
+    ("check-tensor", "nonaction", 5, "text"): (2, "93c0fc5f806dd979a9e02e702f3c9c1454d7871205345dfcb0745636ba73d1ec"),
+    ("check-tensor", "nonaction", 5, "machine"): (2, "2d26149e7db27392331c50e0d843837494addcdb7c14a2d7cdfedd85cccbc90b"),
+    ("descend", "nonaction", 3, "text"): (2, "bbfa0bcfdcafb4b24dbffd3b9519a7a41abe31b1d9daac276c5c2dc3e511aa23"),
+    ("descend", "nonaction", 3, "machine"): (2, "32da04fc6abc2334c454b3ef361b8a9aaed48644cf2c765f2796b6ff00e80841"),
+    ("descend", "nonaction", 4, "text"): (2, "bf6f3a12477b11bf9fc95d9899c9caa9848e5ffe11e3dad47a7cb3afefb551e8"),
+    ("descend", "nonaction", 4, "machine"): (2, "4a0fa56006315fb8c4ce72aa16fc77845fd05f98e24133c55b203cf29b10a79b"),
+    ("descend", "nonaction", 5, "text"): (2, "d1c849315f94e6c58b26fea7033b960b1e6686a19cda61e2dfa8f1e7e1b87c31"),
+    ("descend", "nonaction", 5, "machine"): (2, "bc3d5488bbe04244bf2078b9fdc07784dc968d1bf7c7193a268e26408fdfbb01"),
+    ("check-descendent-morphism", "nonaction", 3, "text"): (2, "849e53cc832056995e73e82ca78e415ac144a5bee19919fb7b4c4203f353b34e"),
+    ("check-descendent-morphism", "nonaction", 3, "machine"): (2, "5752b7eb025dc7c5b059df4035f30b9956e3621b2db2bf0ac755b270e4be6e21"),
+    ("check-descendent-morphism", "nonaction", 4, "text"): (2, "a99f2d332658814f8f3561d0c22a428c6ba1337002fe0f907d223a7e1e2f980e"),
+    ("check-descendent-morphism", "nonaction", 4, "machine"): (2, "9c58f1d5919c0c9fa67ac03f7ef62ed2e5583b26ac6522061133256bd34c1c6b"),
+    ("check-descendent-morphism", "nonaction", 5, "text"): (2, "ec73cf4eaedcbad6f745378a2a11bcc990b2d786dca6114f232d2d92561a270b"),
+    ("check-descendent-morphism", "nonaction", 5, "machine"): (2, "cd8bd71aa78344db923c71e36e43c4993deddb0fc23211fc7aabe1580a947e48"),
+    ("deform", "nonaction", 3, "text"): (2, "67a9c021bf4283680c76b310bf1329fd8045559e893e96b3ae8354a6513528a4"),
+    ("deform", "nonaction", 3, "machine"): (2, "85445d6d1ff4d35ad0547057fe5db2e93e818e191ebeaa41b39ee6b3600196c1"),
+    ("deform", "nonaction", 4, "text"): (2, "7a71d6c92ee29ec1294c6c52949e8df36db7d64d633f57e6e0d1b820e1e98867"),
+    ("deform", "nonaction", 4, "machine"): (2, "6e3815ffbbb95dc3b30131682698a7a0e41e8dcef399d0040462b082e9b4af97"),
+    ("deform", "nonaction", 5, "text"): (2, "a264b6e1d3bd37bbb019ebb01d6fa22243daa86a3cb4049226da7f113585c1ad"),
+    ("deform", "nonaction", 5, "machine"): (2, "57d5a54219bf9f1bf207ac68a6ea03f7f3a9982d22999634f93fb7160c95f8ac"),
+    ("cohomology", "nonaction", 3, "text"): (2, "89385ef32c991cde8bcd3b317462349d00c4c023d527ac1020a8b731fe5a1db1"),
+    ("cohomology", "nonaction", 3, "machine"): (2, "7ab46da8d0232e6d4d80e767501cb7b1a1249d950522a90fe48a7057f1b12759"),
+    ("cohomology", "nonaction", 4, "text"): (2, "3df0fe61d7d39a3c2ef68d895e83d1460ddd2e809e4564d09fcd7f1829c1a6f0"),
+    ("cohomology", "nonaction", 4, "machine"): (2, "ca12e166a4fa480927c4203b281113a1e631b1a9bb617ca215a3ea3f3fb5803a"),
+    ("cohomology", "nonaction", 5, "text"): (2, "83e32117a0d247c1c2ca6ab0c5ab50605a6ea0fc28e49dcac7a34c8cd4d5c4bf"),
+    ("cohomology", "nonaction", 5, "machine"): (2, "72e4e20bb92ff13dcaa27707f2d972eff31673217ed21c621fd2731560dca499"),
+}
+
+# (exit code, stdout digest) of cohomology on every nonempty piece of the
+# string tensor, the E1 page of its weight filtration, and its refusal on
+# the string host, which is not a tensor; keyed (file, bound, degree,
+# weight, format)
+STRING_COHOMOLOGY = {
+    ("string_tensor", 3, -1, 1, "text"): (0, "fbd266fc6efa489f6f0ed927ba995a0660f053c1372b77bf57e4927c63b13ee3"),
+    ("string_tensor", 3, -1, 1, "machine"): (0, "055b979454b20c5049bb394c961ac3b218c58df1f103eb27fad31de116327716"),
+    ("string_tensor", 3, 0, 1, "text"): (0, "91298d6f95f3510a216a707d1ae0e34df8551ab08cd15000ac75c180cf46fdb4"),
+    ("string_tensor", 3, 0, 1, "machine"): (0, "47fdf1220442b4719a2ca42da7f13c6eb348c6f47ffba1175d387c2d9b0587e0"),
+    ("string_tensor", 3, 0, 2, "text"): (0, "8c0f489ec4a5479d4d9c55456ee8f139b09dac6063728c36cf71f73a46d5bb53"),
+    ("string_tensor", 3, 0, 2, "machine"): (0, "677da89bc1652d0a31ae8ebf0af84d7b026fe280254ba2c12bcaa97b5c9e835e"),
+    ("string_tensor", 3, 1, 2, "text"): (0, "29d82d887d16c518f2eda9d2f85559f108131ba43fcc2ea145fe3e8243557e92"),
+    ("string_tensor", 3, 1, 2, "machine"): (0, "c2bb59ee3df2f4fd6aae93f6e7dd26ef3ec95402f2adbb0ba1f576570bac146d"),
+    ("string_tensor", 3, 1, 3, "text"): (0, "53c0b6f18959b3f21f13cf68f434d1216051c8ad21207df7e47096247a7a81cf"),
+    ("string_tensor", 3, 1, 3, "machine"): (0, "1a88a74ed0051b557dceba8d961afaf66459dacef0ab66978d810f6761c87043"),
+    ("string_tensor", 3, 2, 3, "text"): (0, "935a1226485275b1b0d37c31375b815416f1860d1acc02012aba62afdf7f8853"),
+    ("string_tensor", 3, 2, 3, "machine"): (0, "9c17f2f971e73d2ce645faf775846e09c6c8b2a04376c0e2df83695f01a35b21"),
+    ("string_tensor", 4, -1, 1, "text"): (0, "984f5d61eef3003bd3f6fc96f50f68e25d765836321b5e8bf8f24d6fc7b68d4a"),
+    ("string_tensor", 4, -1, 1, "machine"): (0, "a3b9bf274ec50afb30cd45410c0d3427687253dd183c9a9396cfca95deea49d1"),
+    ("string_tensor", 4, 0, 1, "text"): (0, "bcc23872da1ff85c00f3e9b4ca6b9713536e13a8cdfefc82a53ddf0838de2fc6"),
+    ("string_tensor", 4, 0, 1, "machine"): (0, "764d281b5a7de4bf38820785d2bfc8c75ec096577061fedc5343985d3182807d"),
+    ("string_tensor", 4, 0, 2, "text"): (0, "1771d1efdcbbdbf4a8cf0d66fe303cbbedbf4513bda3eb3a7bb23c4ac9f1fde1"),
+    ("string_tensor", 4, 0, 2, "machine"): (0, "ca5403db58d0ba5ebc11c8455c2ba52bc91ee6fe6138131ca63361aa7dfc6c34"),
+    ("string_tensor", 4, 1, 2, "text"): (0, "16d42eac6896934cbc0efc3e4172cb6b872276e5dcb492ca215084dcd411a653"),
+    ("string_tensor", 4, 1, 2, "machine"): (0, "e8f92f20ca76f80489ead550847927e5b420b7fa48b1d2494b68ae9d2c96b0ae"),
+    ("string_tensor", 4, 1, 3, "text"): (0, "4ed4a8cc4afe962d8f4445bd5011f8ffc6ee65b4484c4000c1c5f5883b580ae0"),
+    ("string_tensor", 4, 1, 3, "machine"): (0, "638c9c5284cf27a5d95475ad345cca5d668d07a8fae0f02cb598450bd33ef0c5"),
+    ("string_tensor", 4, 2, 3, "text"): (0, "469904c1d9b00d97136cb42dc8963ab55a9ef3e17dbfb6d42a7ba13daa3eb4e4"),
+    ("string_tensor", 4, 2, 3, "machine"): (0, "a3df74fe87fdf6b0e75bb15898e0dc8d16e8b1b64bdb644b47009605d23aae92"),
+    ("string_tensor", 4, 2, 4, "text"): (0, "88fe463d6e91b8c99b511ccc6682a5eea554cbf1641004853b3858564776118f"),
+    ("string_tensor", 4, 2, 4, "machine"): (0, "5500a4f23d6f973e1050616da7ecc467a3c89595e7e65533c27be338c775806e"),
+    ("string_tensor", 4, 3, 4, "text"): (0, "3e1c22e0e2fecc9d7060d819740fbba358a1b4ff71b7f7552a64340c40b313c7"),
+    ("string_tensor", 4, 3, 4, "machine"): (0, "57854580d19cf42cf9bcb08b72ca91243ba9117257c503fa1ab4bdd86cb1672f"),
+    ("string_tensor", 5, -1, 1, "text"): (0, "09527b42247c2532923506587d50f37bcb52415f9df5e671bd40a0f9ca6fc88b"),
+    ("string_tensor", 5, -1, 1, "machine"): (0, "729b28f8f1f9a66a5bb2b9400840c4f573b4f8bb03f9514e34aca17674fcb090"),
+    ("string_tensor", 5, 0, 1, "text"): (0, "c850a5719e80aaddd9ca017934e9e18dc128ca59f4d7674c20e7a3a21ed5feaa"),
+    ("string_tensor", 5, 0, 1, "machine"): (0, "1730f3e56eb0e72c02351f91147501b17a19f794a2c35fae7a37add948081e46"),
+    ("string_tensor", 5, 0, 2, "text"): (0, "2129e9ff58d856856b96725eda00b76306b0e98ea015d366c846a56be7a00d6f"),
+    ("string_tensor", 5, 0, 2, "machine"): (0, "537ea519adda60466a2bb1d366b5f4bbf0a410ded3e926f24335f4e8f85c16ce"),
+    ("string_tensor", 5, 1, 2, "text"): (0, "094decd403ffd81cd6aeddf4081eb48ead32a4f6c80a8fec4a277dd8233afaad"),
+    ("string_tensor", 5, 1, 2, "machine"): (0, "bcc6a5f3531f833b988b1a16fa686aaeadff896b245ea1c536b14e27e3b92c9b"),
+    ("string_tensor", 5, 1, 3, "text"): (0, "1f8cedf25ddfaaf1d3f6c9e8cd974204821bff6e9f0856917c6e49f0d548b629"),
+    ("string_tensor", 5, 1, 3, "machine"): (0, "7461fd6dbd6cfcd4634dd19066535e47196b365bd709aa70ea964580f12d6a21"),
+    ("string_tensor", 5, 2, 3, "text"): (0, "f37108d3882e602cfd315d97b7836e6e542d768221394ec8bd251226228edd03"),
+    ("string_tensor", 5, 2, 3, "machine"): (0, "4f140d93d9dac2a07e595e61b09d4dae5b8f91d8cb3c1c0f40328b1e94af95da"),
+    ("string_tensor", 5, 2, 4, "text"): (0, "1f5b07fe0d9426aa85960118535f6bcee6de8fa93d8bf49794e98705a940de06"),
+    ("string_tensor", 5, 2, 4, "machine"): (0, "f274a70fd11fc66c474c4dcc3208828d927243f432401a5baa761a93d3ed1a8b"),
+    ("string_tensor", 5, 3, 4, "text"): (0, "5c3882a70de525e54584ba05b7162e96d955738d63569ae325460ea4a7332fe4"),
+    ("string_tensor", 5, 3, 4, "machine"): (0, "6ff263fdb38d28b342086163a81cd9e1e7e631c4134277547ee44c736f02ec17"),
+    ("string_tensor", 5, 3, 5, "text"): (0, "d2ac2c2b6e910952e3e70842de839865c26d2b4f6226805d7b181672a7a2e3c3"),
+    ("string_tensor", 5, 3, 5, "machine"): (0, "8099d40293a304eb2f4cb5a367704c5635901fec38b3ea9c6fa935734f69190f"),
+    ("string_tensor", 5, 4, 5, "text"): (0, "5e639db988f0e985362f0724f7f723d43db4c74468a458e3d097abbdabef0221"),
+    ("string_tensor", 5, 4, 5, "machine"): (0, "e3516a146c6a954737c5aa9ec139e4557728ac5be6f3caace65dc2e0efec958f"),
+    ("string_host", 3, 0, 1, "text"): (2, "5473881e489f3efa499d2a86bfc46d65a74674c6c03682e59ff8d24d76701327"),
+    ("string_host", 3, 0, 1, "machine"): (2, "92e99fc16e3c4516b9529e33fe44eecf535f6b6c46a16d4551e353fce9e7e77f"),
+    ("string_host", 4, 0, 1, "text"): (2, "2033be6e0aa1e97bb749d42bc62148c17a4f742c9a674a79a6150e4f3c985f67"),
+    ("string_host", 4, 0, 1, "machine"): (2, "292071bddac23d42460afc8bb505c6bf3d16153ec94649d76159d7acc7850e19"),
+    ("string_host", 5, 0, 1, "text"): (2, "d9886659589a2bd5d9c1fe3d1bbe1ed6d9e28982d4533e8a3edd4f35982ab1ae"),
+    ("string_host", 5, 0, 1, "machine"): (2, "9018408fd4060c64b9556f4a5deadf47958f3aa1012f3da18c413aaa27dc2ecb"),
 }
 
 
@@ -806,6 +922,25 @@ def test_string_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatc
     path = f"tests/fixtures/string/{fixture}.lif"
     args = [command, path, "--bound", str(bound), "--format", fmt]
     assert run_digest(args) == STRING[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("command,fixture,bound,fmt", sorted(REFUSED))
+def test_refused_action_report_bytes_are_pinned(command, fixture, bound, fmt, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = f"tests/fixtures/refused/{fixture}.lif"
+    args = [command, path, "--bound", str(bound), "--format", fmt]
+    if command == "cohomology":
+        args += ["--degree", "0", "--weight", "1"]
+    assert run_digest(args) == REFUSED[command, fixture, bound, fmt]
+
+
+@pytest.mark.parametrize("fixture,bound,degree,weight,fmt", sorted(STRING_COHOMOLOGY))
+def test_string_cohomology_report_bytes_are_pinned(
+    fixture, bound, degree, weight, fmt, monkeypatch
+):
+    monkeypatch.chdir(ROOT)
+    args = cohomology_args(f"string/{fixture}", bound, degree, weight) + ["--format", fmt]
+    assert run_digest(args) == STRING_COHOMOLOGY[fixture, bound, degree, weight, fmt]
 
 
 @pytest.mark.parametrize("command,name,bound,fmt", sorted(ACTION))

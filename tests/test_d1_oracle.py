@@ -13,7 +13,9 @@ of the product's brackets, of the tensor and of each element, composed by
 ``commutator``.  The reference columns are the chains ``P([T, a])`` of the
 basis elements.  :func:`linfty.linalg.rank` is checked against the dense
 Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
-matrices and on every bigraded piece of the complexes; an empty piece must
+matrices and on every bigraded piece of the complexes, whose ranks are
+those of the E1 page: the entries of ``d1`` that raise the weight by one,
+which a test holds to be a differential.  An empty piece must
 answer zeros without building ``d1``, and neither ``rank`` nor
 ``cohomology_rank`` may write the rows or the memoized columns they read.
 ``d1_square_defect`` is held to the plain double loop over every column on
@@ -22,6 +24,7 @@ columns with planted entries, so skipping an empty column hides no defect.
 import copy
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -78,20 +81,20 @@ def dense_columns(tensor, complex_, bound):
 
 
 def dense_piece_ranks(complex_, cols, degree, weight):
-    """``(piece_dim, rank_out, rank_in)`` from full-length dense rows."""
-    n = len(complex_.basis)
-    piece = [
-        j
-        for j, (w, b) in enumerate(complex_.basis)
-        if len(w) == weight and complex_.element_degree(w, b) == degree
-    ]
-    below = [
-        j
-        for j, (w, b) in enumerate(complex_.basis)
-        if complex_.element_degree(w, b) == degree - 1
-    ]
-    out_rows = [[cols[j].get(i, F(0)) for i in range(n)] for j in piece]
-    in_rows = [[cols[j].get(i, F(0)) for i in piece] for j in below]
+    """``(piece_dim, rank_out, rank_in)`` of the E1 page from full-length
+    dense rows, each cut to the entries one weight above its column's."""
+    basis, degree_of = complex_.basis, complex_.element_degree
+
+    def piece_of(d, wt):
+        return [j for j, (w, b) in enumerate(basis) if len(w) == wt and degree_of(w, b) == d]
+
+    def row(j, rows):
+        above = len(basis[j][0]) + 1
+        return [cols[j].get(i, F(0)) if len(basis[i][0]) == above else F(0) for i in rows]
+
+    piece = piece_of(degree, weight)
+    out_rows = [row(j, range(len(basis))) for j in piece]
+    in_rows = [row(j, piece) for j in piece_of(degree - 1, weight - 1)]
     return len(piece), dense_rank(out_rows), dense_rank(in_rows)
 
 
@@ -166,7 +169,10 @@ def assert_ranks_match_the_dense_oracle(name, complex_, pieces):
         ), (degree, weight)
 
 
-@pytest.mark.parametrize("name,bound", [(n, b) for n, b in CASES if b < 5])
+@pytest.mark.parametrize(
+    "name,bound",
+    [(n, b) for n, b in CASES if b < 5] + [("string/string_tensor", b) for b in (3, 4)],
+)
 def test_every_piece_rank_matches_the_dense_oracle(name, bound):
     complex_ = fixture_complex(name, bound)
     assert_ranks_match_the_dense_oracle(name, complex_, every_piece(complex_))
@@ -210,10 +216,56 @@ def assert_images_fit_in_kernels(complex_):
         assert got.rank_in <= got.kernel_dim, (complex_.bound, got)
 
 
-@pytest.mark.parametrize("bound", [3, 4, 5, 6])
-@pytest.mark.parametrize("name", ["heisenberg", "adjoint_identity"])
+@pytest.mark.parametrize(
+    "name,bound",
+    [(n, b) for n in ("heisenberg", "adjoint_identity") for b in (3, 4, 5, 6)]
+    + [("string/string_tensor", b) for b in (3, 4, 5)],
+)
 def test_rank_in_is_at_most_kernel_dim_on_the_fixtures(name, bound):
     assert_images_fit_in_kernels(fixture_complex(name, bound))
+
+
+def weight_shifts(complex_):
+    """How many nonzeros of ``d1`` raise the weight by each amount."""
+    basis = complex_.basis
+    return Counter(
+        len(basis[i][0]) - len(basis[j][0])
+        for j, col in enumerate(complex_.d1_columns())
+        for i in col
+    )
+
+
+@pytest.mark.parametrize(
+    "name,shifts",
+    [
+        ("heisenberg", {1: 138}),
+        ("adjoint_identity", {1: 70}),
+        ("string/string_tensor", {1: 1078, 2: 138}),
+    ],
+)
+def test_every_d1_entry_raises_the_weight(name, shifts):
+    # the E1 page reads the shift-one part; it is a differential only
+    # because no entry keeps or lowers the weight
+    assert weight_shifts(fixture_complex(name, 4)) == shifts
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_the_weight_one_part_of_d1_squares_to_zero(bound):
+    complex_ = fixture_complex("string/string_tensor", bound)
+    basis = complex_.basis
+    d = [
+        {i: c for i, c in col.items() if len(basis[i][0]) == len(basis[j][0]) + 1}
+        for j, col in enumerate(complex_.d1_columns())
+    ]
+    square = []
+    for j, col in enumerate(d):
+        acc = Counter()
+        for i, c in col.items():
+            for i2, c2 in d[i].items():
+                acc[i2] += c * c2
+        square += [(i2, j, c) for i2, c in acc.items() if c]
+    assert square == []
+    assert any(d) and complex_.check_d1_squares_to_zero().ok
 
 
 def test_rank_in_is_at_most_kernel_dim_on_the_tensor_corpus():

@@ -16,6 +16,8 @@ from linfty.action import (
     BiMultiMap,
     HemiProduct,
     adjoint_representation,
+    check_action,
+    check_coherence,
     hemisemidirect,
 )
 from linfty.fileformat import parse_path
@@ -231,6 +233,43 @@ def test_noncoherent_action_rejected():
     act = heisenberg_noncentral_action()
     with pytest.raises(InputError):
         check_embedding_explicit(zero_tensor(act), act, BOUND)
+
+
+def test_a_family_that_is_no_action_is_refused():
+    # the axiom fails at [x,y ; p] while both coherence commutators vanish,
+    # so a coherence verdict alone took the family for a coherent action
+    sf = parse_path(FIXTURES / "refused" / "nonaction.lif")
+    tensor, family = sf.embedding_tensor(), sf.action_family()
+    assert not check_action(family, BOUND).ok
+    assert check_coherence(family, BOUND).ok
+    for build in (descendent, check_embedding, deformation_complex):
+        with pytest.raises(InputError, match="^the tensor layer needs a verified action$"):
+            build(tensor, family, BOUND)
+    assert not family.is_coherent(BOUND)
+    # an action that is not coherent keeps its own message
+    sf = parse_path(FIXTURES / "noncoherent.lif")
+    family = sf.action_family()
+    tensor = EmbeddingTensor(family.V.space, family.E.space, {})
+    with pytest.raises(InputError, match="^the action is not coherent at this bound$"):
+        descendent(tensor, family, BOUND)
+
+
+def test_a_deform_build_checks_the_action_once_per_family_and_bound(monkeypatch):
+    calls = []
+    real = action_module.check_action
+
+    def counting(action, bound):
+        calls.append((id(action), bound))
+        return real(action, bound)
+
+    for module in (action_module, tensor_module):
+        monkeypatch.setattr(module, "check_action", counting)
+    sf = parse_path(FIXTURES / "heisenberg.lif")
+    tensor, families = sf.embedding_tensor(), [sf.action_family(), sf.action_family()]
+    for family in families:
+        for bound in (3, 4, 3):
+            assert deformation_complex(tensor, family, bound).check_d1_squares_to_zero().ok
+    assert sorted(calls) == sorted((id(f), b) for f in families for b in (3, 4))
 
 
 # ---------------------------------------------------------------------------
