@@ -588,14 +588,15 @@ def cohomology_rank(
 ) -> CohomologyRanks:
     """Exact ranks of the E1 page of the weight filtration at one piece.
 
-    ``d1`` raises the weight, so it is ``d(1) + d(2) + ...`` by weight
+    Where ``d1`` raises the weight it is ``d(1) + d(2) + ...`` by weight
     shift; ``d1² = 0`` gives ``d(1)² = 0``, and the page is the cohomology
-    of ``d(1)``, which is ``d1`` on a strict tensor.  ``rank_out`` is its
-    rank on the piece, the columns cut to rows of weight ``weight + 1``, and
-    ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``, cut
-    to rows of weight ``weight``; the kernel follows by rank-nullity.  Rows
-    of weight ``w`` end at ``dim E * sum_{k <= w} dim V^k``, as the basis
-    runs by word length, so a column below that end is read as it is.  A
+    of ``d(1)``, which is ``d1`` on both strict fixtures.  ``rank_out`` is
+    its rank on the piece, the columns cut to rows of weight ``weight + 1``,
+    and ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``,
+    cut to rows of weight ``weight``; the kernel follows by rank-nullity.
+    Rows of weight ``w`` end at ``dim E * sum_{k <= w} dim V^k``, as the
+    basis runs by word length, so each cut keeps the rows below the end of
+    the next weight, and a column below it is read as it is.  A
     weight outside ``1..bound`` is refused (:func:`check_cohomology_weight`);
     an empty piece has all ranks 0 and reads no column.
     """
@@ -605,16 +606,16 @@ def cohomology_rank(
         return CohomologyRanks(degree, weight, 0, 0, 0, 0)
     cols = complex_.d1_columns()
     dim_e, dim_v = complex_.action.E.space.dim, complex_.action.V.space.dim
+    end = dim_e * sum(dim_v**k for k in range(1, weight + 1))
 
-    def weight_one(columns: list[int], w: int) -> list[Vector]:
-        end = dim_e * sum(dim_v**k for k in range(1, w + 2))
+    def below(columns: list[int], end: int) -> list[Vector]:
         return [
-            col if max(col, default=0) < end else {i: c for i, c in col.items() if i < end}
+            col if not col or max(col) < end else {i: c for i, c in col.items() if i < end}
             for col in map(cols.__getitem__, columns)
         ]
 
-    rank_out = rank(weight_one(piece, weight))
-    rank_in = rank(weight_one(complex_.bigrading.get((degree - 1, weight - 1), []), weight - 1))
+    rank_out = rank(below(piece, end + dim_e * dim_v ** (weight + 1)))
+    rank_in = rank(below(complex_.bigrading.get((degree - 1, weight - 1), []), end))
     return CohomologyRanks(
         degree=degree,
         weight=weight,
