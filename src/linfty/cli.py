@@ -218,7 +218,7 @@ def cmd_cohomology(sf, args, em):
     complex_ = tensor_mod.deformation_complex(tensor, family, args.bound)
     ranks = tensor_mod.cohomology_rank(complex_, args.degree, args.weight)
     em.field("verdict", "PASS")
-    if max(tensor.components, default=1) >= 2:
+    if ranks.page_e1:
         em.field("page", "E1")
     for key in ("degree", "weight", "piece_dim", "rank_out", "kernel_dim", "rank_in"):
         em.field(key, getattr(ranks, key))

@@ -421,8 +421,10 @@ class DeformationComplex:
     :meth:`d1_columns` reads from it the words with one acting letter and
     the prefix rows of the lift of its pure-target part; nothing is lifted
     in full.  The matrix is built on the first :meth:`d1_columns` call and
-    memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`), so every
-    nonempty :func:`cohomology_rank` piece reads the same columns.
+    memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`) with the
+    weight shifts that every nonempty :func:`cohomology_rank` piece reads.
+    The basis runs by word length; ``_ends[w]`` is its first index of
+    weight above ``w``.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -446,6 +448,7 @@ class DeformationComplex:
             for b, eb in enumerate(espace.degrees):
                 self.basis.append((w, b))
                 self.bigrading.setdefault((eb - d, len(w)), []).append(n * dim_e + b)
+        self._ends = [dim_e * sum(vspace.dim**k for k in range(1, w + 1)) for w in range(bound + 2)]
         self._memo: dict = {}
 
     def element_degree(self, w: Word, b: int) -> int:
@@ -479,9 +482,14 @@ class DeformationComplex:
           into its column, each index and parity from the word table; no
           lift and no transposed copy is formed.
         """
+        return self._d1()[0]
+
+    def _d1(self) -> tuple[list[Vector], bool, bool]:
+        """The columns, whether an entry keeps or lowers its column's weight
+        and whether one raises it by two or more."""
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 
-    def _d1_matrix(self) -> list[Vector]:
+    def _d1_matrix(self) -> tuple[list[Vector], bool, bool]:
         hemi, bound, words = self.hemi, self.bound, self._words
         vspace, espace = self.action.V.space, self.action.E.space
         dim_e, off, to_v = espace.dim, hemi.v_offset, hemi.to_v_word
@@ -529,7 +537,13 @@ class DeformationComplex:
                                 col[i] = total
                             else:
                                 del col[i]
-        return cols
+        ends, keeps, skips = self._ends, False, False
+        for (_, weight), piece in self.bigrading.items():
+            for col in map(cols.__getitem__, piece):
+                if col:
+                    keeps = keeps or min(col) < ends[weight]
+                    skips = skips or max(col) >= ends[weight + 1]
+        return cols, keeps, skips
 
     def d1_square_defect(self) -> list[tuple[int, int, Scalar]]:
         cols = self.d1_columns()
@@ -575,6 +589,7 @@ class CohomologyRanks:
     rank_out: int
     kernel_dim: int
     rank_in: int
+    page_e1: bool = False
 
 
 def check_cohomology_weight(weight: int, bound: int) -> None:
@@ -588,34 +603,37 @@ def cohomology_rank(
 ) -> CohomologyRanks:
     """Exact ranks of the E1 page of the weight filtration at one piece.
 
-    Where ``d1`` raises the weight it is ``d(1) + d(2) + ...`` by weight
-    shift; ``d1² = 0`` gives ``d(1)² = 0``, and the page is the cohomology
-    of ``d(1)``, which is ``d1`` on both strict fixtures.  ``rank_out`` is
-    its rank on the piece, the columns cut to rows of weight ``weight + 1``,
-    and ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``,
-    cut to rows of weight ``weight``; the kernel follows by rank-nullity.
-    Rows of weight ``w`` end at ``dim E * sum_{k <= w} dim V^k``, as the
-    basis runs by word length, so each cut keeps the rows below the end of
-    the next weight, and a column below it is read as it is.  A
-    weight outside ``1..bound`` is refused (:func:`check_cohomology_weight`);
-    an empty piece has all ranks 0 and reads no column.
+    Where every nonzero of ``d1`` raises the weight, ``d1`` is
+    ``d(1) + d(2) + ...`` by weight shift; ``d1² = 0`` gives ``d(1)² = 0``,
+    and the page is the cohomology of ``d(1)``.  ``rank_out`` is its rank on
+    the piece, the columns cut to rows of weight ``weight + 1``, and
+    ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``, cut
+    to rows of weight ``weight``; the kernel follows by rank-nullity.  Each
+    cut keeps the rows below the end of the next weight, and only where
+    some entry raises the weight by two or more (``page_e1``); otherwise
+    ``d1 = d(1)``.  A ``d1`` with an entry that keeps or lowers the weight
+    has a part ``d(0)``, whose cohomology the page would need first, so a
+    nonempty piece of it is refused.  A weight outside ``1..bound`` is
+    refused (:func:`check_cohomology_weight`); an empty piece has all ranks
+    0 and reads no column.
     """
     check_cohomology_weight(weight, complex_.bound)
     piece = complex_.bigrading.get((degree, weight), [])
     if not piece:
         return CohomologyRanks(degree, weight, 0, 0, 0, 0)
-    cols = complex_.d1_columns()
-    dim_e, dim_v = complex_.action.E.space.dim, complex_.action.V.space.dim
-    end = dim_e * sum(dim_v**k for k in range(1, weight + 1))
+    cols, keeps, skips = complex_._d1()
+    if keeps:
+        raise InputError("the E1 page needs a d1 that raises every weight")
+    ends = complex_._ends
 
-    def below(columns: list[int], end: int) -> list[Vector]:
+    def cut(columns: list[int], end: int) -> list[Vector]:
         return [
-            col if not col or max(col) < end else {i: c for i, c in col.items() if i < end}
+            {i: c for i, c in col.items() if i < end} if skips and col and max(col) >= end else col
             for col in map(cols.__getitem__, columns)
         ]
 
-    rank_out = rank(below(piece, end + dim_e * dim_v ** (weight + 1)))
-    rank_in = rank(below(complex_.bigrading.get((degree - 1, weight - 1), []), end))
+    rank_out = rank(cut(piece, ends[weight + 1]))
+    rank_in = rank(cut(complex_.bigrading.get((degree - 1, weight - 1), []), ends[weight]))
     return CohomologyRanks(
         degree=degree,
         weight=weight,
@@ -623,4 +641,5 @@ def cohomology_rank(
         rank_out=rank_out,
         kernel_dim=len(piece) - rank_out,
         rank_in=rank_in,
+        page_e1=skips,
     )

@@ -12,7 +12,7 @@ import linfty.tensor as tensor_module
 from linfty import corpus
 from linfty.cli import COMMANDS, build_parser, main
 from linfty.fileformat import parse_path
-from linfty.tensor import check_embedding_explicit
+from linfty.tensor import check_embedding_explicit, deformation_complex
 from paper import theorem_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -249,6 +249,68 @@ def test_noncoherent_tensor_check_exits_two(capsys, tmp_path):
     assert code == 1
     code, out = run_cli(["check-tensor", str(noncoherent)], capsys)
     assert code == 2
+
+
+def cohomology_pieces(path, bound, capsys):
+    """``(degree, weight, text report, machine report)`` of every nonempty
+    piece, each exit code 0."""
+    sf = parse_path(path)
+    complex_ = deformation_complex(sf.embedding_tensor(), sf.action_family(), bound)
+    out = []
+    for degree, weight in sorted(complex_.bigrading):
+        args = ["cohomology", str(path), "--bound", str(bound)]
+        args += ["--degree", str(degree), "--weight", str(weight)]
+        reports = []
+        for fmt in ("text", "machine"):
+            code, report = run_cli([*args, "--format", fmt], capsys)
+            assert code == 0, report
+            reports.append(report)
+        out.append((degree, weight, *reports))
+    return out
+
+
+def test_cohomology_labels_the_page_where_d1_raises_a_weight_by_two(capsys, tmp_path):
+    # the identity tensor of the adjoint representation of a host whose only
+    # bracket is ternary: every nonzero of d1 raises the weight by two, so
+    # its weight-one part is zero and the E1 page is the whole piece
+    ternary = tmp_path / "ternary_identity.lif"
+    ternary.write_text(
+        "space E\n  t 0\n  c 1\n\nspace V\n  t 0\n  c 1\n\n"
+        "settings\n  bound 4\n  max_arity 3\n  seed 0\n\n"
+        "brackets E symmetric\n  3 : t t t -> c : 1/1\n\n"
+        "action E V\n  2 1 : t t ; t -> c : 1/1\n\n"
+        "tensor V E\n  1 : t -> t : 1/1\n  1 : c -> c : 1/1\n"
+    )
+    pieces = cohomology_pieces(ternary, 4, capsys)
+    assert len(pieces) == 18
+    for _, _, text, machine in pieces:
+        assert "verdict: PASS\npage: E1\n" in text and "verdict PASS\npage E1\n" in machine
+        dim = re.search(r"^piece_dim: (\d+)$", text, re.M).group(1)
+        assert "rank_out: 0\n" in text and f"kernel_dim: {dim}\n" in text
+    # d1 raises every weight of the strict heisenberg fixture by exactly one
+    for _, _, text, machine in cohomology_pieces(FIXTURES / "heisenberg.lif", 4, capsys):
+        assert "page" not in text and "page" not in machine
+
+
+def test_cohomology_refuses_a_d1_that_keeps_a_weight(capsys, tmp_path):
+    # the zero tensor on a target with a unary bracket: d1 keeps the weight,
+    # so its weight-one part need not square to zero
+    unary = tmp_path / "unary_target.lif"
+    unary.write_text(
+        "space E\n  a0 0\n\nspace V\n  u -1\n  w 0\n\n"
+        "settings\n  bound 3\n  max_arity 3\n  seed 0\n\n"
+        "brackets V symmetric\n  1 : u -> w : 1/1\n\n"
+        "action E V\n  1 1 : a0 ; u -> w : 1/1\n  2 1 : a0 a0 ; u -> w : 1/2\n\n"
+        "tensor V E\n"
+    )
+    code, out = run_cli(["deform", str(unary)], capsys)
+    assert code == 0 and "verdict: PASS" in out
+    args = ["cohomology", str(unary), "--degree", "1", "--weight", "1"]
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    assert out.endswith("error: the E1 page needs a d1 that raises every weight\n")
+    code, out = run_cli([*args[:2], "--degree", "5", "--weight", "1"], capsys)
+    assert code == 0 and "piece_dim: 0" in out
 
 
 @pytest.mark.parametrize("command", ["adjoint-strict", "centroid"])

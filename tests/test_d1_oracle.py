@@ -15,7 +15,10 @@ basis elements.  :func:`linfty.linalg.rank` is checked against the dense
 Gauss-Jordan rank of ``dense_rank.py``, both on random sparse rational
 matrices and on every bigraded piece of the complexes, whose ranks are
 those of the E1 page: the entries of ``d1`` that raise the weight by one,
-which a test holds to be a differential.  An empty piece must
+which a test holds to be a differential.  The oracle reads the weight
+shifts off the dense columns: a nonempty piece must be refused where an
+entry keeps the weight, and must say ``page_e1`` where one raises it by
+two or more.  An empty piece must
 answer zeros without building ``d1``, and neither ``rank`` nor
 ``cohomology_rank`` may write the rows or the memoized columns they read.
 ``d1_square_defect`` is held to the plain double loop over every column on
@@ -44,6 +47,7 @@ from linfty.tensor import (
     EmbeddingTensor,
     cohomology_rank,
     deformation_complex,
+    identity_tensor,
 )
 from paper import HomElement, basis_element, derived_bracket, mc_residual_of, twisted_bracket
 
@@ -55,6 +59,11 @@ def fixture_tensor(name):
     if name == "zero":
         act = corpus.heisenberg_central_action()
         return EmbeddingTensor(act.V.space, act.E.space, {}), act
+    if name == "ternary_identity":
+        # the host's only bracket is ternary, so every nonzero of d1 raises
+        # the weight by two and d(1) = 0
+        act = corpus.adjoint_representation(corpus.triple_bracket_example())
+        return identity_tensor(act.V.space), act
     sf = parse_path(FIXTURES / f"{name}.lif")
     return sf.embedding_tensor(), sf.action_family()
 
@@ -160,22 +169,54 @@ def every_piece(complex_):
     ]
 
 
-def assert_ranks_match_the_dense_oracle(name, complex_, pieces):
-    cols = reference_columns(name, complex_.bound)
+def weight_shifts(complex_, cols):
+    """How many nonzeros of ``cols`` raise the weight by each amount."""
+    basis = complex_.basis
+    return Counter(len(basis[i][0]) - len(basis[j][0]) for j, col in enumerate(cols) for i in col)
+
+
+def assert_ranks_match_the_dense_oracle(complex_, cols, pieces):
+    """Each piece's ranks and page against the oracle's on the dense columns
+    ``cols``; where one of them keeps the weight, a nonempty piece is
+    refused, as ``d(1)`` need not square to zero."""
+    shifts = weight_shifts(complex_, cols)
     for degree, weight in pieces:
+        nonempty = (degree, weight) in complex_.bigrading
+        if nonempty and min(shifts, default=1) < 1:
+            with pytest.raises(InputError, match="raises every weight"):
+                cohomology_rank(complex_, degree, weight)
+            continue
         got = cohomology_rank(complex_, degree, weight)
         assert (got.piece_dim, got.rank_out, got.rank_in) == dense_piece_ranks(
             complex_, cols, degree, weight
         ), (degree, weight)
+        assert got.page_e1 == (nonempty and max(shifts, default=1) > 1), (degree, weight)
+
+
+def oracle_complexes(name, bound):
+    """``(complex, dense columns)`` of a fixture, or of every verified member
+    of the seeded tensor corpus for ``"corpus"``."""
+    if name != "corpus":
+        return [(fixture_complex(name, bound), reference_columns(name, bound))]
+    out = []
+    for inst in corpus.tensor_corpus(60, 3):
+        try:
+            complex_ = deformation_complex(inst.tensor, inst.action, bound)
+        except InputError:
+            continue  # not a verified tensor
+        out.append((complex_, dense_columns(inst.tensor, complex_, bound)))
+    return out
 
 
 @pytest.mark.parametrize(
     "name,bound",
-    [(n, b) for n, b in CASES if b < 5] + [("string/string_tensor", b) for b in (3, 4)],
+    [(n, b) for n, b in CASES if b < 5]
+    + [(n, b) for n in ("string/string_tensor", "ternary_identity") for b in (3, 4)]
+    + [("corpus", 3)],
 )
 def test_every_piece_rank_matches_the_dense_oracle(name, bound):
-    complex_ = fixture_complex(name, bound)
-    assert_ranks_match_the_dense_oracle(name, complex_, every_piece(complex_))
+    for complex_, cols in oracle_complexes(name, bound):
+        assert_ranks_match_the_dense_oracle(complex_, cols, every_piece(complex_))
 
 
 @pytest.mark.parametrize("name,bound", CASES)
@@ -195,7 +236,7 @@ def test_an_empty_piece_builds_no_d1(name, bound, monkeypatch):
                 degree, weight, 0, 0, 0, 0
             )
     nonempty = [p for p in pieces if p in complex_.bigrading]
-    assert_ranks_match_the_dense_oracle(name, complex_, nonempty)
+    assert_ranks_match_the_dense_oracle(complex_, reference_columns(name, bound), nonempty)
 
 
 @pytest.mark.parametrize("name,bound", CASES)
@@ -219,20 +260,10 @@ def assert_images_fit_in_kernels(complex_):
 @pytest.mark.parametrize(
     "name,bound",
     [(n, b) for n in ("heisenberg", "adjoint_identity") for b in (3, 4, 5, 6)]
-    + [("string/string_tensor", b) for b in (3, 4, 5)],
+    + [(n, b) for n in ("string/string_tensor", "ternary_identity") for b in (3, 4, 5)],
 )
 def test_rank_in_is_at_most_kernel_dim_on_the_fixtures(name, bound):
     assert_images_fit_in_kernels(fixture_complex(name, bound))
-
-
-def weight_shifts(complex_):
-    """How many nonzeros of ``d1`` raise the weight by each amount."""
-    basis = complex_.basis
-    return Counter(
-        len(basis[i][0]) - len(basis[j][0])
-        for j, col in enumerate(complex_.d1_columns())
-        for i in col
-    )
 
 
 @pytest.mark.parametrize(
@@ -241,12 +272,14 @@ def weight_shifts(complex_):
         ("heisenberg", {1: 138}),
         ("adjoint_identity", {1: 70}),
         ("string/string_tensor", {1: 1078, 2: 138}),
+        ("ternary_identity", {2: 24}),
     ],
 )
 def test_every_d1_entry_raises_the_weight(name, shifts):
     # the E1 page reads the shift-one part; it is a differential only
     # because no entry keeps or lowers the weight
-    assert weight_shifts(fixture_complex(name, 4)) == shifts
+    complex_ = fixture_complex(name, 4)
+    assert weight_shifts(complex_, complex_.d1_columns()) == shifts
 
 
 @pytest.mark.parametrize("bound", [3, 4, 5])
@@ -272,13 +305,23 @@ def test_rank_in_is_at_most_kernel_dim_on_the_tensor_corpus():
     complexes = []
     for inst in corpus.tensor_corpus(60, 3):
         try:
-            complexes.append(deformation_complex(inst.tensor, inst.action, 4))
+            complexes.append((inst.label, deformation_complex(inst.tensor, inst.action, 4)))
         except InputError:
             pass  # not a verified tensor
     assert len(complexes) == 22
-    assert sum(len(c.bigrading) for c in complexes) == 108
-    for complex_ in complexes:
-        assert_images_fit_in_kernels(complex_)
+    assert sum(len(c.bigrading) for _, c in complexes) == 108
+    refused = []
+    for label, complex_ in complexes:
+        # a zero tensor on a host with a unary bracket has a d1 that keeps
+        # the weight, and every nonempty piece of it is refused
+        if min(weight_shifts(complex_, complex_.d1_columns()), default=1) < 1:
+            refused.append(label)
+            for degree, weight in complex_.bigrading:
+                with pytest.raises(InputError, match="raises every weight"):
+                    cohomology_rank(complex_, degree, weight)
+        else:
+            assert_images_fit_in_kernels(complex_)
+    assert refused == ["random#7", "random#19"]
 
 
 def parent_square_defect(cols):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laws import compose, unshuffles
+from linfty import graded
 from linfty.graded import (
     GradedSpace,
     increasing_unshuffles,
@@ -131,6 +132,24 @@ def test_increasing_unshuffles_subset_property():
         inc = set(increasing_unshuffles(*blocks))
         all_ = set(unshuffles(*blocks))
         assert inc <= all_
+
+
+def test_increasing_unshuffles_list_no_other_unshuffle(monkeypatch):
+    # a target bracket of arity k over unary components asks for k blocks
+    # of size one: one increasing unshuffle among k! unshuffles, so the
+    # enumerator must not list the others
+    blocks, ends = (1, 1, 3, 1, 2), (1, 2, 5, 6, 8)
+    filtered = tuple(
+        s for s in unshuffles(*blocks) if all(s[a - 1] < s[b - 1] for a, b in zip(ends, ends[1:]))
+    )
+
+    def refuse(blocks):
+        raise AssertionError("listed every unshuffle")
+
+    monkeypatch.setattr(graded, "_unshuffles", refuse)
+    build = graded._increasing_unshuffles.__wrapped__
+    assert build((1,) * 12) == (tuple(range(12)),)
+    assert build(blocks) == filtered and len(filtered) == 42
 
 
 def test_unshuffles_rejects_bad_blocks():
