@@ -188,8 +188,7 @@ class ActionFamily:
         self._den = 1
 
     def is_coherent(self, bound: int) -> bool:
-        """Whether the family is an action (:func:`check_action`) that is
-        coherent (:func:`check_coherence`) at ``bound``, computed once."""
+        """Whether :func:`check_action` and :func:`check_coherence` pass at ``bound``, once."""
         return memo(
             self._memo,
             ("coherent", bound),

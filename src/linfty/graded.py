@@ -200,21 +200,19 @@ def _anchored_table(n: int, arities: tuple[int, ...], parities: tuple[int, ...])
 @lru_cache(maxsize=None)
 def _increasing_unshuffles(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
     """The unshuffles of :func:`_unshuffles`, in its order, whose block
-    maxima, each block's last value, increase left to right.  The values go
-    out in turn, each to a block in increasing order as there, and only the
-    first block that is not full may take its last value, so the blocks
-    fill in order and every branch ends in one permutation."""
+    maxima increase left to right.  Each value in turn joins a block, as
+    there, but only the first block that is not full may take its last
+    value, so the blocks fill in order and every branch ends in one."""
     out: list[Permutation] = []
 
     def fill(values: list[tuple[int, ...]], full: int) -> None:
-        if full == len(blocks):
-            out.append(tuple(itertools.chain.from_iterable(values)))
-            return
         v = sum(map(len, values))
         for j in range(full, len(blocks)):
             grown = values[j] + (v,)
             if j == full or len(grown) < blocks[j]:
                 fill(values[:j] + [grown] + values[j + 1 :], full + (len(grown) == blocks[j]))
+        if full == len(blocks):
+            out.append(tuple(itertools.chain.from_iterable(values)))
 
     fill([()] * len(blocks), 0)
     return tuple(out)

@@ -11,8 +11,8 @@ identity ``p'(F Q) = q' F``.  A structure is the case ``F = q`` into the
 same space with no brackets, ``p(Q Q) = 0``.  The first route is the
 componentwise identity.  The second is formed at the restriction level
 with no lift: the corestriction of the intertwining defect, the
-composite of the components with the source brackets
-(:func:`linfty.multimap._composite`,
+composite of the components with the source brackets (the kernels
+:func:`linfty.multimap._composite` and
 :func:`linfty.multimap._symmetric_composite`) less the target brackets
 read on the rows of the comorphism, which are built only where the image
 has a target bracket's arity, so none for a target with no brackets; for
@@ -20,10 +20,9 @@ a structure that is the square of the lifted coderivation.  The first
 route sums on the words the second forms: the keys of its composite
 kernel, which keeps every word a pair of keys forms, and the comorphism
 rows that meet a target bracket key, in one call of :func:`_split_sums`
-per check and, for a target with brackets, one of
-:func:`_increasing_sums` for the right side.
-Its values come only from the split tables of :mod:`linfty.graded`
-(:func:`linfty.graded._anchored_table`,
+per check and, for a target with brackets, one of :func:`_increasing_sums`
+for the right side.  Its values come only from the split tables of
+:mod:`linfty.graded` (:func:`linfty.graded._anchored_table`,
 :func:`linfty.graded._symmetric_table` and
 :func:`linfty.graded._increasing_table`), and it reads a symmetric map
 through a signed plain table filled from :meth:`GradedSpace.normalize`, so
@@ -169,15 +168,13 @@ def _values(f: MultiMap):
 
 def _split_sums(space, inner, outer, words, table) -> dict[Word, Vector]:
     """``sum sign * outer_{n-k+1}(front, inner_k(block), tail)`` over the
-    splits of each word that ``table`` lists: the unshuffle-insertion
-    splits of :func:`linfty.graded._symmetric_table`, whose ``front`` is
-    empty, or the anchored ones of :func:`linfty.graded._anchored_table`.
-    ``inner`` and ``outer`` map arities to maps, and ``table`` gives the
-    rows ``(k, sign, front, block, tail)`` of one word shape.  Each map's
-    reader (:func:`_values`) is made once per call, and the rows of each
-    shape, the word length and letter parities, are joined to the maps of
-    their arities once per call; the terms are summed in place.  Returns
-    each word's value where it is nonzero."""
+    splits of each word that ``table`` lists as rows ``(k, sign, front,
+    block, tail)``: :func:`linfty.graded._symmetric_table`, whose ``front``
+    is empty, or :func:`linfty.graded._anchored_table`.  ``inner`` and
+    ``outer`` map arities to maps, each read through a :func:`_values` made
+    once per call; the rows of each word shape are joined to the maps once
+    per call, and the terms are summed in place.  Returns each word's value
+    where it is nonzero."""
     inner = {k: _values(f) for k, f in inner.items()}
     outer = {k: _values(f) for k, f in outer.items()}
     odd = tuple(d % 2 for d in space.degrees)
@@ -433,23 +430,20 @@ def _morphism_residuals(components, source, target, bound, anchored: bool, den=1
     intertwining defect of the comorphism ``F``.  The callers check the
     components.
 
-    ``p'(F Q)`` is the components after the lift of the source brackets:
-    the composite kernel (:func:`linfty.multimap._composite` or
-    :func:`linfty.multimap._symmetric_composite`) on the index of the
-    components and the pairs of the brackets, whose parity is 1, as every
+    ``p'(F Q)`` is the composite kernel (:func:`linfty.multimap._composite`
+    or :func:`linfty.multimap._symmetric_composite`) on the index of the
+    components and the pairs of the source brackets, at parity 1, as every
     bracket has degree +1.  ``q' F`` reads the target brackets on the
-    comorphism rows whose image words have the arity of a target bracket,
-    which it builds itself (:func:`_comorphism_rows`), none when the target
-    has no brackets.  Neither codifferential is lifted.  The identity sum,
-    of either flavor, visits only the words where a term can be nonzero:
-    the keys of the composite, every word it forms from a component key and
-    a source bracket key, and the comorphism rows whose image meets a
-    target bracket key, which the pass of ``q' F`` collects.  Each side
-    runs once on that word set: the components after the source brackets
-    in :func:`_split_sums` on the anchored or the symmetric split table,
-    and, for a target with brackets, the target brackets on the block
-    images in :func:`_increasing_sums`.  Their values come only from the
-    split tables of :mod:`linfty.graded`; the dense defect of
+    comorphism rows whose image words have a target bracket's arity, which
+    it builds itself (:func:`_comorphism_rows`), none when the target has
+    no brackets.  Neither codifferential is lifted.  The identity sum
+    visits only the words where a term can be nonzero: the keys of the
+    composite and the comorphism rows whose image meets a target bracket
+    key.  Each side runs once on that word set: the components after the
+    source brackets in :func:`_split_sums` on the anchored or the symmetric
+    split table, and, for a target with brackets, the target brackets on
+    the block images in :func:`_increasing_sums`.  Their values come only
+    from the split tables of :mod:`linfty.graded`; the dense defect of
     ``tests/dense_lifts.py``, formed on every word, checks the word set.
 
     A structure identity ``p(Q Q) = 0`` is the case ``F = q`` into the same

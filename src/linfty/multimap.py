@@ -393,17 +393,15 @@ def _symmetric_composite(
     space: GradedSpace, index: Mapping[int, list], inner: Iterable[tuple[Word, Vector]], bound: int
 ) -> dict[Word, dict]:
     """``p(A B) = a B`` for the symmetric lifts ``A``, ``B`` of an outer
-    family ``a``, by the :func:`_letter_index` of its keys, and an inner
-    ``b``, by its ``(key, value)`` pairs, on every canonical word up to
-    ``bound`` that a (key, letter, key) triple forms; a value that cancels
-    stays empty, so the keys are the words where ``a B`` can be nonzero.
-
-    ``a`` reads only the entries ``y`` of ``B``'s rows that are its keys:
-    for an inner key ``u`` and an output letter ``b`` of ``y``, the row of
-    ``normalize(u + rest)``, ``rest = y - b``, holds ``b(u)_b y`` with the
-    sorts' signs, once per unshuffle splitting ``u`` off it
-    (:func:`_split_count`).  The work follows those triples, and every term
-    is summed in place."""
+    family ``a``, given by the :func:`_letter_index` of its keys, and an
+    inner ``b``, given by its ``(key, value)`` pairs, on every canonical
+    word up to ``bound`` that a (key, letter, key) triple forms; a value
+    that cancels stays empty, so the keys are the words where ``a B`` can
+    be nonzero.  ``a`` reads only the entries ``y`` of ``B``'s rows that
+    are its keys: for an inner key ``u`` and an output letter ``b`` of
+    ``y``, the row of ``normalize(u + rest)``, ``rest = y - b``, holds
+    ``b(u)_b y`` with the sorts' signs, once per unshuffle splitting ``u``
+    off it (:func:`_split_count`)."""
     out: dict[Word, dict] = {}
     for u, vec in inner:
         if space.normalize(u) != (u, 1):
@@ -566,21 +564,17 @@ def _composite(
     bound: int,
 ) -> dict[Word, Vector]:
     """``p(A B) = a B`` for the Zinbiel lifts ``A``, ``B`` of an outer
-    family ``a``, by the :func:`_slot_index` of its plain support, and an
-    inner ``b``, by its plain support and the parity of its degree, on every
-    word up to ``bound`` that a (key, key, placement) triple forms; a value
-    that cancels stays empty, so the keys are the words where ``a B`` can be
-    nonzero.  :func:`_prefix_rows` forms the lift's prefix rows here.
-
-    A coderivation is fixed by its restriction, so ``p(A B)`` is ``a`` on
-    the rows of ``B``, and only the entries ``y`` that are keys of ``a`` are
-    formed: for an inner key ``u`` with an output letter ``c = y[j]`` and
-    each placement of the front ``y[:j]`` among ``u[:-1]``, the row of the
-    word that interleaves them, then ``u[-1]``, then the tail ``y[j+1:]``,
-    holds ``y`` with the lift's sign times ``b(u)_c``.  Each placement
-    gathers its head from the front and inner letters and reads its sign
-    from the front's odd mask (:func:`_placement_flips`); the work follows
-    those triples, and every term is summed in place."""
+    family ``a``, given by the :func:`_slot_index` of its plain support,
+    and an inner ``b``, given by its plain support and the parity of its
+    degree, on every word up to ``bound`` that a (key, key, placement)
+    triple forms; a value that cancels stays empty, so the keys are the
+    words where ``a B`` can be nonzero.  Only the entries ``y`` of ``B``'s
+    rows that are keys of ``a`` are formed: for an inner key ``u`` with an
+    output letter ``c = y[j]`` and each placement of the front ``y[:j]``
+    among ``u[:-1]``, the row of the word that interleaves them, then
+    ``u[-1]``, then ``y[j+1:]``, holds ``y`` with the lift's sign, read
+    from the front's odd mask (:func:`_placement_flips`), times ``b(u)_c``.
+    :func:`_prefix_rows` forms the lift's prefix rows here."""
     odd = tuple(d % 2 for d in space.degrees)
     out: dict[Word, Vector] = {}
     for u, vec in inner:

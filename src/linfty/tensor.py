@@ -120,9 +120,8 @@ def identity_tensor(space: GradedSpace) -> EmbeddingTensor:
 
 
 def _ensure_coherent(action: ActionFamily, bound: int) -> None:
-    """Refuse a family that is not a coherent action at ``bound``; the
-    verdict is memoized on the family, and only a refusal asks again which
-    of the two checks failed."""
+    """Refuse a family that is not a coherent action at ``bound``, naming
+    the check that fails; only a refusal runs a check again."""
     if not action.is_coherent(bound):
         if not check_action(action, bound).ok:
             raise InputError("the tensor layer needs a verified action")
@@ -422,9 +421,8 @@ class DeformationComplex:
     the prefix rows of the lift of its pure-target part; nothing is lifted
     in full.  The matrix is built on the first :meth:`d1_columns` call and
     memoized under ``("d1", bound)`` (:func:`linfty.memo.memo`) with the
-    weight shifts that every nonempty :func:`cohomology_rank` piece reads.
-    The basis runs by word length; ``_ends[w]`` is its first index of
-    weight above ``w``.
+    weight shifts that every nonempty :func:`cohomology_rank` piece reads;
+    the basis runs by weight, and ``_ends[w]`` is its first index above ``w``.
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
@@ -485,8 +483,7 @@ class DeformationComplex:
         return self._d1()[0]
 
     def _d1(self) -> tuple[list[Vector], bool, bool]:
-        """The columns, whether an entry keeps or lowers its column's weight
-        and whether one raises it by two or more."""
+        """The columns; whether an entry keeps or lowers a weight; whether one skips a weight."""
         return memo(self._memo, ("d1", self.bound), self._d1_matrix)
 
     def _d1_matrix(self) -> tuple[list[Vector], bool, bool]:
@@ -538,11 +535,10 @@ class DeformationComplex:
                             else:
                                 del col[i]
         ends, keeps, skips = self._ends, False, False
-        for (_, weight), piece in self.bigrading.items():
-            for col in map(cols.__getitem__, piece):
-                if col:
-                    keeps = keeps or min(col) < ends[weight]
-                    skips = skips or max(col) >= ends[weight + 1]
+        for (w, _), col in zip(self.basis, cols):
+            if col:
+                keeps = keeps or min(col) < ends[len(w)]
+                skips = skips or max(col) >= ends[len(w) + 1]
         return cols, keeps, skips
 
     def d1_square_defect(self) -> list[tuple[int, int, Scalar]]:
@@ -603,19 +599,17 @@ def cohomology_rank(
 ) -> CohomologyRanks:
     """Exact ranks of the E1 page of the weight filtration at one piece.
 
-    Where every nonzero of ``d1`` raises the weight, ``d1`` is
-    ``d(1) + d(2) + ...`` by weight shift; ``d1² = 0`` gives ``d(1)² = 0``,
-    and the page is the cohomology of ``d(1)``.  ``rank_out`` is its rank on
-    the piece, the columns cut to rows of weight ``weight + 1``, and
-    ``rank_in`` its rank on the columns of ``(degree - 1, weight - 1)``, cut
-    to rows of weight ``weight``; the kernel follows by rank-nullity.  Each
-    cut keeps the rows below the end of the next weight, and only where
-    some entry raises the weight by two or more (``page_e1``); otherwise
-    ``d1 = d(1)``.  A ``d1`` with an entry that keeps or lowers the weight
-    has a part ``d(0)``, whose cohomology the page would need first, so a
-    nonempty piece of it is refused.  A weight outside ``1..bound`` is
-    refused (:func:`check_cohomology_weight`); an empty piece has all ranks
-    0 and reads no column.
+    Where every nonzero of ``d1`` raises the weight, it splits by weight
+    shift as ``d(1) + d(2) + ...``, ``d1² = 0`` gives ``d(1)² = 0``, and the
+    page is the cohomology of ``d(1)``: ``rank_out`` is the rank of the piece's
+    columns cut to rows of weight ``weight + 1``, ``rank_in`` that of the
+    columns of ``(degree - 1, weight - 1)`` cut to rows of weight
+    ``weight``, and the kernel follows by rank-nullity.  The cut runs only
+    where an entry raises the weight by two or more (``page_e1``).  A
+    nonzero that keeps or lowers the weight is a part ``d(0)``, whose
+    cohomology the page would need first, so a nonempty piece is then
+    refused.  A weight outside ``1..bound`` is refused
+    (:func:`check_cohomology_weight`); an empty piece reads no column.
     """
     check_cohomology_weight(weight, complex_.bound)
     piece = complex_.bigrading.get((degree, weight), [])
@@ -624,7 +618,6 @@ def cohomology_rank(
     cols, keeps, skips = complex_._d1()
     if keeps:
         raise InputError("the E1 page needs a d1 that raises every weight")
-    ends = complex_._ends
 
     def cut(columns: list[int], end: int) -> list[Vector]:
         return [
@@ -632,14 +625,8 @@ def cohomology_rank(
             for col in map(cols.__getitem__, columns)
         ]
 
+    ends = complex_._ends
     rank_out = rank(cut(piece, ends[weight + 1]))
     rank_in = rank(cut(complex_.bigrading.get((degree - 1, weight - 1), []), ends[weight]))
-    return CohomologyRanks(
-        degree=degree,
-        weight=weight,
-        piece_dim=len(piece),
-        rank_out=rank_out,
-        kernel_dim=len(piece) - rank_out,
-        rank_in=rank_in,
-        page_e1=skips,
-    )
+    kernel_dim = len(piece) - rank_out
+    return CohomologyRanks(degree, weight, len(piece), rank_out, kernel_dim, rank_in, skips)
