@@ -244,6 +244,11 @@ HANDLERS = {
 COMMANDS = tuple(HANDLERS)
 
 
+# every option's default, for the parser and for the canonical argv alike
+OPTION_DEFAULTS = {"bound": None, "seed": None, "format": "text", "space": None,
+                   "degree": None, "weight": None}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` returns a
@@ -255,18 +260,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("path", help="structure file")
-    parser.add_argument("--bound", type=int, default=None, help="weight bound")
-    parser.add_argument("--seed", type=int, default=None, help="recorded seed")
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--space", default=None, help="structure space to check")
-    parser.add_argument("--degree", type=int, default=None)
-    parser.add_argument("--weight", type=int, default=None)
+    parser.add_argument("--bound", type=int, help="weight bound")
+    parser.add_argument("--seed", type=int, help="recorded seed")
+    parser.add_argument("--format", choices=("text", "machine"))
+    parser.add_argument("--space", help="structure space to check")
+    parser.add_argument("--degree", type=int)
+    parser.add_argument("--weight", type=int)
+    parser.set_defaults(**OPTION_DEFAULTS)
     return parser
 
 
+def _canonical_args(argv: list) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` of a canonical argv, else ``None``."""
+    if (len(argv) < 2 or len(argv) % 2 or not all(isinstance(a, str) for a in argv)
+            or argv[0] not in HANDLERS or argv[1].startswith("-")):
+        return None
+    args = argparse.Namespace()
+    vars(args).update(OPTION_DEFAULTS, command=argv[0], path=argv[1])
+    for option, value in zip(argv[2::2], argv[3::2]):
+        name = option[2:]
+        if option[:2] != "--" or name not in OPTION_DEFAULTS:
+            return None
+        if name == "format" and value not in ("text", "machine") or (
+                name == "space" and value.startswith("-")):
+            return None
+        if name not in ("format", "space"):
+            if not (value.isascii() and value.removeprefix("-").isdigit()):
+                return None
+            value = int(value)
+        setattr(args, name, value)
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (``sys.argv[1:]``) and return its exit
+    code.  A canonical argv, read directly, is the command, the path, then
+    pairs of an exact long option and a value argparse reads the same way:
+    ASCII digits with an optional ``-``, ``text|machine`` for ``--format``,
+    a ``--space`` not starting with ``-``.  Any other goes to argparse."""
     started = time.monotonic()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _canonical_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     em = Emitter(args.format)
     em.field("command", args.command)
     em.field("input", args.path)

@@ -11,13 +11,13 @@ are ASCII digits with an optional ``-``, and every error names its line.
 Each map header (``brackets``, ``action``, ``tensor``, ``morphism``) opens a
 section record ``(kind, source, target, flavor, {arity: {key: {out: c}}},
 {arity: first line})``; an action's arity is ``(k, n)`` and its key a pair of
-words.  The plain-map entries share one reader, both readers one duplicate
-check, and one loop turns every record into its maps.  The parser is the one
-validator of a file's maps: it checks each entry at its line for all that the
-``MultiMap``/``BiMultiMap`` constructors check, so ``_unchecked`` builds the
-maps, on scalars in the normal form of :func:`linfty.multimap.exact`.
+words.  Map and action entries share one reader, and one loop turns every
+record into its maps.  The parser is the one validator of a file's maps: it
+checks each entry at its line for all that the ``MultiMap``/``BiMultiMap``
+constructors check, so ``_unchecked`` builds the maps, on scalars in the
+normal form of :func:`linfty.multimap.exact`.
 
-Comments run from ``#`` to the end of the line.
+A line ends at LF, CRLF or CR only; comments run from ``#`` to its end.
 """
 from __future__ import annotations
 
@@ -98,11 +98,24 @@ class StructureFile:
         return EmbeddingTensor(self.space(vname), self.space(ename), comps)
 
 
-def _integer(token: str, line: int, message: str) -> int:
+def _integer(token: str, line: int, what: str, shown: str) -> int:
     # -?[0-9]+ only: int() also takes '+', '_' and the digits of other scripts
     if not (token.isascii() and token.removeprefix("-").isdigit()):
-        raise LifError(line, message)
+        raise LifError(line, f"bad {what} {shown!r}")
     return int(token)
+
+
+def _word(space: GradedSpace, degrees, symbols, total: int, line: int) -> tuple[tuple, int]:
+    """The word of ``symbols`` in ``space``, and ``total`` plus its degree."""
+    word = []
+    try:
+        for symbol in symbols:
+            i = space.index(symbol)
+            word.append(i)
+            total += degrees[i]
+    except KeyError:
+        raise LifError(line, f"unknown symbol {symbol!r} in space {space.name!r}") from None
+    return tuple(word), total
 
 
 def _scalar(token: str, line: int) -> Scalar:
@@ -118,48 +131,35 @@ def _scalar(token: str, line: int) -> Scalar:
     return p if q == 1 else Fraction(p, q)
 
 
-def _split_entry(text: str, line: int) -> list[str]:
-    parts = [p.strip() for p in text.split(":")]
-    if len(parts) != 3:
-        raise LifError(line, "entries have the shape 'arity : words -> out : p/q'")
-    return parts
-
-
-def _arrow(body: str, line: int) -> tuple[list[str], str]:
-    if "->" not in body:
-        raise LifError(line, "missing '->' in entry")
-    left, _, right = body.partition("->")
-    out = right.strip()
-    if not SYMBOL_RE.match(out):
-        raise LifError(line, f"bad output symbol {out!r}")
-    return left.split(), out
-
-
-def _store(table: dict, arity, key, out: int, c: Scalar, line: int) -> None:
-    row = table.setdefault(arity, {}).setdefault(key, {})
-    if out in row:
-        raise LifError(line, "duplicate constant")
-    row[out] = c
-
-
 class _Parser:
-    """One pass over the lines.  The open section is a space ``("space",
-    name, basis, header line)``, ``("settings",)`` or a record."""
+    """One pass over the lines.  Each header returns the reader of its
+    entries; an open space is ``(name, {symbol: degree}, header line)``, and
+    a map section's entries read its spaces and degrees, resolved at it."""
 
     def __init__(self, text: str):
         self.sf = StructureFile()
-        self.section: tuple | None = None
+        self.space = None
+        self.section = None
         self.records: list[tuple] = []
         self.declared: set = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            content = raw.split("#", 1)[0].strip()
-            if not content:
+        # each distinct scalar of the file is checked once
+        self.scalars: dict[str, Scalar] = {}
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        read = None
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            if "#" in raw:
+                raw = raw.partition("#")[0]
+            # two tokens and the rest: a space or settings entry has two
+            tokens = raw.split(None, 2)
+            if not tokens:
                 continue
-            tokens = content.split()
             if tokens[0] in KEYWORDS:
-                self._start_section(tokens, lineno)
+                read = self._start_section(raw.split(), lineno)
+            elif read is None:
+                raise LifError(lineno, f"entry outside any section: {raw.strip()!r}")
             else:
-                self._entry(content, tokens, lineno)
+                read(raw, tokens, lineno)
         self._finish()
 
     # -- sections --------------------------------------------------------------
@@ -173,8 +173,8 @@ class _Parser:
                 raise LifError(line, "space header is 'space <name>'")
             if args[0] in self.sf.spaces:
                 raise LifError(line, f"space {args[0]!r} declared twice")
-            self.section = ("space", args[0], [], line)
-            return
+            self.space = (args[0], {}, line)
+            return self._space_entry
         if kind == "settings":
             if args:
                 raise LifError(line, "settings header takes no arguments")
@@ -202,109 +202,111 @@ class _Parser:
             raise LifError(line, f"{what} declared twice")
         self.declared.add(key)
         if kind == "settings":
-            self.section = (kind,)
-        else:
-            self.section = (kind, src, dst, flavor, {}, {})
-            self.records.append(self.section)
+            return self._setting
+        table, firsts = {}, {}
+        self.records.append((kind, src, dst, flavor, table, firsts))
+        src, dst = self.sf.spaces[src], self.sf.spaces[dst]
+        self.section = (kind == "action", flavor == SYMMETRIC, src, src.degrees, dst,
+                        dst.degrees, *MAP_DEGREES[kind], table, firsts)
+        return self._map_entry
 
     def _close_space(self):
         # space sections are materialised as soon as another section begins
-        if self.section and self.section[0] == "space":
-            _, name, basis, line = self.section
+        if self.space is not None:
+            name, basis, line = self.space
             if not basis:
                 raise LifError(line, f"space {name!r} has an empty basis")
-            self.sf.spaces[name] = GradedSpace(name, basis)
+            self.sf.spaces[name] = GradedSpace(name, basis.items())
+            self.space = None
 
     # -- entries ---------------------------------------------------------------
 
-    def _entry(self, content, tokens, line):
-        if self.section is None:
-            raise LifError(line, f"entry outside any section: {content!r}")
-        kind = self.section[0]
-        if kind == "space":
-            if len(tokens) != 2 or not SYMBOL_RE.match(tokens[0]):
-                raise LifError(line, "space entries are '<symbol> <degree>'")
-            degree = _integer(tokens[1], line, f"bad degree {tokens[1]!r}")
-            if any(sym == tokens[0] for sym, _ in self.section[2]):
-                raise LifError(line, f"duplicate symbol {tokens[0]!r}")
-            self.section[2].append((tokens[0], degree))
-        elif kind == "settings":
-            if len(tokens) != 2 or tokens[0] not in ("bound", "max_arity", "seed"):
-                raise LifError(line, "settings entries are bound/max_arity/seed <int>")
-            if ("setting", tokens[0]) in self.declared:
-                raise LifError(line, f"setting {tokens[0]!r} given twice")
-            self.declared.add(("setting", tokens[0]))
-            value = _integer(tokens[1], line, f"bad integer {tokens[1]!r}")
-            if tokens[0] != "seed" and value < 1:
-                raise LifError(line, f"{tokens[0]} must be positive")
-            setattr(self.sf.settings, tokens[0], value)
-        elif kind == "action":
-            self._action_entry(content, line)
+    def _space_entry(self, raw, tokens, line):
+        if len(tokens) != 2 or not SYMBOL_RE.match(tokens[0]):
+            raise LifError(line, "space entries are '<symbol> <degree>'")
+        degree = _integer(tokens[1], line, "degree", tokens[1])
+        if tokens[0] in self.space[1]:
+            raise LifError(line, f"duplicate symbol {tokens[0]!r}")
+        self.space[1][tokens[0]] = degree
+
+    def _setting(self, raw, tokens, line):
+        if len(tokens) != 2 or tokens[0] not in ("bound", "max_arity", "seed"):
+            raise LifError(line, "settings entries are bound/max_arity/seed <int>")
+        if ("setting", tokens[0]) in self.declared:
+            raise LifError(line, f"setting {tokens[0]!r} given twice")
+        self.declared.add(("setting", tokens[0]))
+        value = _integer(tokens[1], line, "integer", tokens[1])
+        if tokens[0] != "seed" and value < 1:
+            raise LifError(line, f"{tokens[0]} must be positive")
+        setattr(self.sf.settings, tokens[0], value)
+
+    def _map_entry(self, raw, tokens, line):
+        """An entry of a map or an action section.  An action's acting word
+        lies in the source and its target word in the target."""
+        action, symmetric, src, src_degrees, dst, dst_degrees, degree, label, table, firsts = (
+            self.section)
+        parts = raw.split(":")
+        if len(parts) != 3:
+            raise LifError(line, "entries have the shape 'arity : words -> out : p/q'")
+        head, body, scalar = parts
+        head = head.strip()
+        if action:
+            arity = head.split()
+            if len(arity) != 2:
+                raise LifError(line, "action entries start with '<k> <n> :'")
+            arity = (_integer(arity[0], line, "arities", head),
+                     _integer(arity[1], line, "arities", head))
+            eside, semicolon, body = body.partition(";")
+            if not semicolon:
+                raise LifError(line, "action entries separate blocks with ';'")
         else:
-            self._map_entry(content, line)
-
-    def _map_entry(self, content, line):
-        kind, src_name, dst_name, flavor, table, firsts = self.section
-        src, dst = self.sf.spaces[src_name], self.sf.spaces[dst_name]
-        head, body, scalar = _split_entry(content, line)
-        arity = _integer(head, line, f"bad arity {head!r}")
-        if arity < 1:
-            raise LifError(line, "arity must be positive")
-        syms, out = _arrow(body, line)
-        if len(syms) != arity:
+            arity = _integer(head, line, "arity", head)
+            if arity < 1:
+                raise LifError(line, "arity must be positive")
+        left, arrow, out = body.partition("->")
+        if not arrow:
+            raise LifError(line, "missing '->' in entry")
+        out = out.strip()
+        # every symbol of a space matched SYMBOL_RE at its declaration
+        if out not in dst.symbols and not SYMBOL_RE.match(out):
+            raise LifError(line, f"bad output symbol {out!r}")
+        syms = left.split()
+        if action:
+            esyms = eside.split()
+            if (len(esyms), len(syms)) != arity:
+                raise LifError(line, "block lengths do not match the stated arities")
+            if 0 in arity:
+                raise LifError(line, "both blocks of a component must be nonempty")
+            eword, total = _word(src, src_degrees, esyms, degree, line)
+            word, total = _word(dst, dst_degrees, syms, total, line)
+            keys = ((src, "acting key", eword), (dst, "target key", word))
+            word = (eword, word)
+        elif len(syms) != arity:
             raise LifError(line, f"{len(syms)} inputs for arity {arity}")
-        word = tuple(self._index(src, s, line) for s in syms)
-        out_i = self._index(dst, out, line)
-        coeff = _scalar(scalar, line)
-        if flavor == SYMMETRIC:
-            norm, sign = src.normalize(word)
-            if sign == 0:
-                raise LifError(line, "key vanishes in the symmetric algebra")
-            if norm != word:
-                raise LifError(line, "symmetric keys must be in canonical order")
-        degree, label = MAP_DEGREES[kind]
-        if dst.degrees[out_i] != degree + src.word_degree(word):
+        else:
+            word, total = _word(src, src_degrees, syms, degree, line)
+            keys = ((src, "key", word),)
+        (out,), out_degree = _word(dst, dst_degrees, (out,), 0, line)
+        scalar = scalar.strip()
+        coeff = self.scalars.get(scalar)
+        if coeff is None:
+            coeff = self.scalars[scalar] = _scalar(scalar, line)
+        if symmetric:
+            for space, what, key in keys:
+                if len(key) > 1:
+                    norm, sign = space.normalize(key)
+                    if sign == 0:
+                        raise LifError(line, f"{what} vanishes in the symmetric algebra")
+                    if norm != key:
+                        what = "symmetric keys" if what == "key" else what
+                        raise LifError(line, f"{what} must be in canonical order")
+        if out_degree != total:
             raise LifError(line, f"entry breaks degree homogeneity of a {label}")
-        _store(table, arity, word, out_i, coeff, line)
+        row = table.setdefault(arity, {}).setdefault(word, {})
+        if out in row:
+            raise LifError(line, "duplicate constant")
+        row[out] = coeff
         firsts.setdefault(arity, line)
-
-    def _action_entry(self, content, line):
-        _, ename, vname, _, table, _ = self.section
-        espace, vspace = self.sf.spaces[ename], self.sf.spaces[vname]
-        head, body, scalar = _split_entry(content, line)
-        arities = head.split()
-        if len(arities) != 2:
-            raise LifError(line, "action entries start with '<k> <n> :'")
-        k, n = (_integer(a, line, f"bad arities {head!r}") for a in arities)
-        if ";" not in body:
-            raise LifError(line, "action entries separate blocks with ';'")
-        eside, _, rest = body.partition(";")
-        syms_v, out = _arrow(rest, line)
-        syms_e = eside.split()
-        if len(syms_e) != k or len(syms_v) != n:
-            raise LifError(line, "block lengths do not match the stated arities")
-        if k < 1 or n < 1:
-            raise LifError(line, "both blocks of a component must be nonempty")
-        eword = tuple(self._index(espace, s, line) for s in syms_e)
-        vword = tuple(self._index(vspace, s, line) for s in syms_v)
-        out_i = self._index(vspace, out, line)
-        coeff = _scalar(scalar, line)
-        for word, space, label in ((eword, espace, "acting"), (vword, vspace, "target")):
-            norm, sign = space.normalize(word)
-            if sign == 0:
-                raise LifError(line, f"{label} key vanishes in the symmetric algebra")
-            if norm != word:
-                raise LifError(line, f"{label} key must be in canonical order")
-        degree, label = MAP_DEGREES["action"]
-        if vspace.degrees[out_i] != degree + espace.word_degree(eword) + vspace.word_degree(vword):
-            raise LifError(line, f"entry breaks degree homogeneity of a {label}")
-        _store(table, (k, n), (eword, vword), out_i, coeff, line)
-
-    def _index(self, space, symbol, line):
-        try:
-            return space.index(symbol)
-        except KeyError:
-            raise LifError(line, f"unknown symbol {symbol!r} in space {space.name!r}") from None
 
     # -- assembly ----------------------------------------------------------------
 
@@ -337,7 +339,8 @@ def parse(text: str) -> StructureFile:
 
 def parse_bytes(data: bytes) -> StructureFile:
     """The file whose bytes are ``data``, which must be UTF-8; a line ends at
-    LF, CRLF or CR alike (:meth:`str.splitlines`)."""
+    LF, CRLF or CR, and at no other character that :meth:`str.splitlines`
+    splits at."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -2,6 +2,7 @@ import argparse
 import builtins
 import hashlib
 import io
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import linfty.tensor as tensor_module
 from linfty import corpus
-from linfty.cli import COMMANDS, build_parser, main
+from linfty.cli import COMMANDS, _canonical_args, build_parser, main
 from linfty.fileformat import parse_path
 from linfty.tensor import check_embedding_explicit, deformation_complex
 from paper import theorem_file
@@ -623,3 +624,84 @@ def test_build_parser_builds_one_parser_per_process(fresh_parser, capsys, monkey
         run_captured(args, capsys)
     assert build_parser() is build_parser()
     assert len(built) == 1
+
+
+# -- the direct read of a canonical argv ----------------------------------------
+
+ARGV_COMMANDS = [*COMMANDS[:4], "cohomology", "frobnicate", "check-li", "--bound", "-h"]
+ARGV_PATHS = ["x.lif", "tests/fixtures/abelian.lif", "a b.lif", "", "-x.lif", "-3", "--"]
+ARGV_OPTIONS = [
+    "--bound", "--seed", "--degree", "--weight", "--format", "--space",
+    "--bou", "--form", "--bound=3", "--space=E", "-h", "--help", "--", "-b", "--Bound",
+    "\u2014bound", "bound",
+]
+ARGV_VALUES = [
+    "3", "0", "-3", "-0", "007", "12", "+4", "4_0", "\u0663", "\uff13", "-\u0663", " 3", "3 ",
+    "1e3", "-", "", "text", "machine", "Text", "E", "V", "-E", "a=b", " -E", "--", "-h",
+]
+
+
+def random_argv(rng) -> list[str]:
+    """An argv near the canonical shape: a command, a path, then option and
+    value pairs, with a token now and then dropped, repeated or drawn from
+    the wrong pool."""
+    argv = [rng.choice(ARGV_COMMANDS[:5]) if rng.random() < 0.8 else rng.choice(ARGV_COMMANDS)]
+    argv.append(rng.choice(ARGV_PATHS[:3]) if rng.random() < 0.8 else rng.choice(ARGV_PATHS))
+    for _ in range(rng.randrange(4)):
+        option = rng.choice(ARGV_OPTIONS[:6]) if rng.random() < 0.8 else rng.choice(ARGV_OPTIONS)
+        argv += [option, rng.choice(ARGV_VALUES)]
+    if rng.random() < 0.2:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(argv))
+    return argv
+
+
+def test_the_direct_read_declines_or_equals_argparse():
+    rng = random.Random(41)
+    parser = build_parser()
+    read = 0
+    for _ in range(12_000):
+        argv = random_argv(rng)
+        args = _canonical_args(argv)
+        if args is None:
+            continue
+        read += 1
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+    # each value rule is met in both directions
+    assert read > 2_000
+    assert _canonical_args(["check-lie", "x", "--bound", "-3"]).bound == -3
+    for argv in (
+        ["check-lie", "x", "--bound", "+4"],
+        ["check-lie", "x", "--bound", "4_0"],
+        ["check-lie", "x", "--bound", "\u0663"],
+        ["check-lie", "x", "--bou", "3"],
+        ["check-lie", "x", "--bound=3"],
+        ["check-lie", "x", "--format", "Text"],
+        ["check-lie", "x", "--space", "-E"],
+        ["check-lie", "x", "--", "3"],
+        ["check-lie", "-h"],
+        ["check-lie"],
+        ["check-lie", Path("x")],
+    ):
+        assert _canonical_args(argv) is None, argv
+
+
+def test_canonical_calls_never_reach_argparse(fresh_parser, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    expected = [run_captured(args, capsys) for args, _ in PARSER_SEQUENCE]
+
+    class Reached(Exception):
+        pass
+
+    def refuse(self, *args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for (args, _), first in zip(PARSER_SEQUENCE, expected):
+        if args[0] == "frobnicate":
+            with pytest.raises(Reached):
+                main(args)
+            assert first[0] == 2 and "invalid choice" in first[2]
+        else:
+            assert run_captured(args, capsys) == first, args
