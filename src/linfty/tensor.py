@@ -217,9 +217,9 @@ def _twisted(
     """The product of a coherent action and the table of its codifferential
     ``Q`` twisted by the tensor: :func:`_ad_series` of the product's brackets
     and the tensor's components up to ``bound``, as tables on the product.
-    The series route projects it and the deformation complex keeps it whole;
-    ``Q`` projects to nothing, as on pure-target words the product's
-    brackets take target values only."""
+    The series route projects it, and the deformation complex keeps it whole
+    once the projection is empty; ``Q`` projects to nothing, as on
+    pure-target words the product's brackets take target values only."""
     _check_tensor_spaces(tensor, action)
     _ensure_coherent(action, bound)
     hemi = hemisemidirect(action)
@@ -415,8 +415,9 @@ class DeformationComplex:
     ``position(w) * dim E + b``; the element degrees, the bigrading and the
     matrix read it.  The unary twisted bracket is stored as an exact matrix.
 
-    A build runs the explicit equations on their candidate words, then keeps
-    the twisted codifferential's table (:func:`_twisted`).
+    A build keeps the twisted codifferential's table (:func:`_twisted`) and
+    refuses a tensor where it projects to anything: that projection is the
+    Maurer-Cartan equation of the tensor, the series route's residual map.
     :meth:`d1_columns` reads from it the words with one acting letter and
     the prefix rows of the lift of its pure-target part; nothing is lifted
     in full.  The matrix is built on the first :meth:`d1_columns` call and
@@ -426,13 +427,12 @@ class DeformationComplex:
     """
 
     def __init__(self, tensor: EmbeddingTensor, action: ActionFamily, bound: int):
-        explicit = check_embedding_explicit(tensor, action, bound)
-        if not explicit.ok:
+        self.hemi, self._series = _twisted(tensor, action, bound)
+        if _project_h(self._series, self.hemi):
             raise InputError("the deformation complex sits at a verified tensor")
         self.tensor = tensor
         self.action = action
         self.bound = bound
-        self.hemi, self._series = _twisted(tensor, action, bound)
         vspace, espace = action.V.space, action.E.space
         # the word table: each target word up to the bound -> (position, degree)
         self._words: dict[Word, tuple[int, int]] = {}

@@ -34,7 +34,10 @@ complex shared one builder of the twisted codifferential.  The
 formats, were recorded when the command first printed the E1 page of the
 weight filtration there, and the reports of every command on
 ``tests/fixtures/refused/nonaction.lif``, a family that fails the action
-axiom, when the tensor layer first refused it.
+axiom, when the tensor layer first refused it.  The ``cohomology``
+refusals of the string host at an empty piece and at a weight outside the
+truncation were recorded while a build still ran the explicit equations
+before it twisted the product.
 The CLI prints the input path, so the commands run from the root of the
 checkout, or from the directory the action and strict files are written
 to, with a relative path.
@@ -422,6 +425,20 @@ STRING_COHOMOLOGY = {
     ("string_host", 4, 0, 1, "machine"): (2, "292071bddac23d42460afc8bb505c6bf3d16153ec94649d76159d7acc7850e19"),
     ("string_host", 5, 0, 1, "text"): (2, "d9886659589a2bd5d9c1fe3d1bbe1ed6d9e28982d4533e8a3edd4f35982ab1ae"),
     ("string_host", 5, 0, 1, "machine"): (2, "9018408fd4060c64b9556f4a5deadf47958f3aa1012f3da18c413aaa27dc2ecb"),
+    # an empty piece, refused as the piece (0, 1) is, and a weight outside
+    # the truncation, refused for its weight first
+    ("string_host", 3, 3, 1, "text"): (2, "5473881e489f3efa499d2a86bfc46d65a74674c6c03682e59ff8d24d76701327"),
+    ("string_host", 3, 3, 1, "machine"): (2, "92e99fc16e3c4516b9529e33fe44eecf535f6b6c46a16d4551e353fce9e7e77f"),
+    ("string_host", 3, 0, 4, "text"): (2, "64f89b640e8f54eac64df28a3e17f07a214aa08330d8c442b1cec74f646eb33b"),
+    ("string_host", 3, 0, 4, "machine"): (2, "254990549d88b7acdb32dcaeb4ee9f6a52edbaf7fcd2696252740aa080860bd5"),
+    ("string_host", 4, 3, 1, "text"): (2, "2033be6e0aa1e97bb749d42bc62148c17a4f742c9a674a79a6150e4f3c985f67"),
+    ("string_host", 4, 3, 1, "machine"): (2, "292071bddac23d42460afc8bb505c6bf3d16153ec94649d76159d7acc7850e19"),
+    ("string_host", 4, 0, 5, "text"): (2, "23f4e1723af25e9bddf33a0373139fc6331cfba8b9600fc33e855bd06c0be6d9"),
+    ("string_host", 4, 0, 5, "machine"): (2, "660be69c637e595c4bc2abb9fa77ecff44c08dc83f36601cf1afc7a5cda3d10c"),
+    ("string_host", 5, 3, 1, "text"): (2, "d9886659589a2bd5d9c1fe3d1bbe1ed6d9e28982d4533e8a3edd4f35982ab1ae"),
+    ("string_host", 5, 3, 1, "machine"): (2, "9018408fd4060c64b9556f4a5deadf47958f3aa1012f3da18c413aaa27dc2ecb"),
+    ("string_host", 5, 0, 6, "text"): (2, "5aed74e1ffb8446c07f8844ffb1c9bffe82e845168f9efc943f0a0d67946f7c0"),
+    ("string_host", 5, 0, 6, "machine"): (2, "ffeff71d7160ff5769dd36ac8d2425ff278f1b3c701bc1eda2e8dccfa1cb4621"),
 }
 
 

@@ -23,6 +23,8 @@ answer zeros without building ``d1``, and neither ``rank`` nor
 ``cohomology_rank`` may write the rows or the memoized columns they read.
 ``d1_square_defect`` is held to the plain double loop over every column on
 columns with planted entries, so skipping an empty column hides no defect.
+Each degree-0 column is also held to the explicit tensor equations: it is
+minus their linear part at the tensor moved along that basis element.
 """
 import copy
 import itertools
@@ -37,14 +39,16 @@ from hypothesis import given, settings, strategies as st
 
 from dense_lifts import dense_chain, dense_mc_residual, dense_twisted, dense_zinbiel_lift
 from dense_rank import dense_rank
+from laws import tensor_sum
 from linfty import corpus, parse_path
 from linfty.linalg import rank
-from linfty.multimap import PLAIN, MultiMap
+from linfty.multimap import PLAIN, MultiMap, merge_into
 from linfty.report import InputError
 from linfty.tensor import (
     CohomologyRanks,
     DeformationComplex,
     EmbeddingTensor,
+    _descendent_identity,
     cohomology_rank,
     deformation_complex,
     identity_tensor,
@@ -156,6 +160,59 @@ def test_fractional_d1_columns_equal_projected_commutators(bound):
     assert cols == dense_columns(tensor, complex_, bound)
     entries = [c for col in cols for c in col.values()]
     assert any(isinstance(c, Fraction) and c.denominator == 9 for c in entries)
+
+
+def linearized_tensor_equation(tensor, action, bound, w, b):
+    """The coefficient of ``s`` in the explicit route's residual map
+    (:func:`linfty.tensor._descendent_identity`) at ``T + s (w -> b)``.
+
+    The map is a polynomial in ``s`` of degree at most ``bound``, zero at
+    ``s = 0`` for a verified ``T``, so its values at ``s = 1 .. bound + 1``
+    fix it, and Lagrange interpolation through ``0`` reads the coefficient
+    exactly."""
+    vspace, espace = action.V.space, action.E.space
+    points = range(1, bound + 2)
+    out = {}
+    for s in points:
+        weight = F(1, s)
+        for m in points:
+            if m != s:
+                weight *= F(-m, s - m)
+        step = MultiMap(vspace, espace, len(w), 0, PLAIN, {w: {b: s}})
+        shifted = tensor_sum(tensor, EmbeddingTensor(vspace, espace, {len(w): step}))
+        for u, vec in _descendent_identity(shifted, action, bound).items():
+            merge_into(out.setdefault(u, {}), vec, weight)
+    return {u: vec for u, vec in out.items() if vec}
+
+
+# degree-0 basis elements of each fixture's complex, the same at bounds 2-4
+DEGREE_ZERO = {"heisenberg": 3, "adjoint_identity": 4, "string/string_tensor": 18}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ZERO))
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_d1_is_the_linearized_tensor_equation(name, bound):
+    """``d1(a)`` at a degree-0 element ``a`` is minus the linear part of the
+    explicit equations at ``T + s a``: the linear part of ``check-tensor``'s
+    printed residuals, which negate the map.  A build reads no explicit
+    equation, so this ties ``d1`` to that route.  Besides the plain
+    expansion of symmetric brackets, the sign tables of ``linfty.graded``
+    and the vector helpers, the two sides share only the composite kernel,
+    ``_composite`` with the slot index it reads."""
+    tensor, action = fixture_tensor(name)
+    complex_ = deformation_complex(tensor, action, bound)
+    cols, dim_e = complex_.d1_columns(), action.E.space.dim
+    checked = 0
+    for j, (w, b) in enumerate(complex_.basis):
+        if complex_.element_degree(w, b) != 0:
+            continue
+        linear = linearized_tensor_equation(tensor, action, bound, w, b)
+        rows = {
+            complex_._words[u][0] * dim_e + e: -c for u, vec in linear.items() for e, c in vec.items()
+        }
+        assert rows == cols[j], (w, b)
+        checked += 1
+    assert checked == DEGREE_ZERO[name]
 
 
 def every_piece(complex_):

@@ -527,6 +527,80 @@ def test_d1_squares_to_zero_for_fixtures():
     assert dc2.check_d1_squares_to_zero().ok
 
 
+def load_fixture(name):
+    sf = parse_path(FIXTURES / f"{name}.lif")
+    return sf.embedding_tensor(), sf.action_family()
+
+
+def test_the_deformation_gate_refuses_exactly_what_the_explicit_route_refuses():
+    # a build gates on the Maurer-Cartan flatness of the twisted table it
+    # keeps; the explicit equations, another route, must refuse the same
+    cases = [(inst.tensor, inst.action) for inst in tensor_corpus(60, 3)]
+    for name in ("heisenberg", "adjoint_identity", "string/string_tensor", "string/string_host"):
+        cases.append(load_fixture(name))
+    refusal = "^the deformation complex sits at a verified tensor$"
+    refused = built = 0
+    for tensor, action in cases:
+        for bound in (3, 4, 5):
+            if check_embedding_explicit(tensor, action, bound).ok:
+                deformation_complex(tensor, action, bound)
+                built += 1
+            else:
+                with pytest.raises(InputError, match=refusal):
+                    deformation_complex(tensor, action, bound)
+                refused += 1
+    assert (built, refused) == (75, 117)
+
+
+def test_the_deformation_gate_keeps_the_action_refusals_of_the_explicit_route():
+    # a family that is no action, one that is not coherent, and a tensor on
+    # another action's spaces: each side reads a family of its own, so
+    # neither finds the other's coherence verdict
+    def cases():
+        noncoherent = parse_path(FIXTURES / "noncoherent.lif").action_family()
+        mismatched = load_fixture("heisenberg")[0], load_fixture("adjoint_identity")[1]
+        nonaction = load_fixture("refused/nonaction")
+        return [nonaction, (zero_tensor(noncoherent), noncoherent), mismatched]
+
+    for bound in (3, 4, 5):
+        messages = []
+        for check in (check_embedding_explicit, deformation_complex):
+            for tensor, action in cases():
+                with pytest.raises(InputError) as refusal:
+                    check(tensor, action, bound)
+                messages.append(str(refusal.value))
+        assert messages == 2 * [
+            "the tensor layer needs a verified action",
+            "the action is not coherent at this bound",
+            "tensor spaces do not match the action",
+        ]
+
+
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "adjoint_identity", "string/string_tensor", "string/string_host"]
+)
+@pytest.mark.parametrize("bound", [3, 4])
+def test_raising_the_bound_keeps_the_lower_truncation(name, bound):
+    # bound + 1 changes no residual of arity up to the bound, and no
+    # cohomology piece of weight below it, whose d1 rows lie within it
+    bounds = (bound, bound + 1)
+    reports = [check_embedding(*load_fixture(name), b)[0] for b in bounds]
+    low, high = (
+        {(r.arity, r.word, r.value) for r in report.residuals if r.arity <= bound}
+        for report in reports
+    )
+    assert low == high
+    if low:
+        return  # the string host, whose complex is refused at every bound
+    complexes = [deformation_complex(*load_fixture(name), b) for b in bounds]
+    degrees = {d for c in complexes for d, _ in c.bigrading}
+    pieces = [(d, w) for d in range(min(degrees), max(degrees) + 1) for w in range(1, bound)]
+    for degree, weight in pieces:
+        ranks = [cohomology_rank(c, degree, weight) for c in complexes]
+        assert ranks[0] == ranks[1], (degree, weight)
+    assert any(cohomology_rank(complexes[0], d, w).rank_out for d, w in pieces)
+
+
 def test_dropped_complex_frees_its_product_without_the_cycle_collector():
     # the product keeps no reference back to its action family, so dropping
     # the complex, the family and the tensor frees it by reference counting
@@ -863,8 +937,7 @@ def test_cohomology_pieces_reuse_the_built_matrix(monkeypatch):
 
 
 def fixture_complex(name, bound):
-    sf = parse_path(FIXTURES / f"{name}.lif")
-    return deformation_complex(sf.embedding_tensor(), sf.action_family(), bound)
+    return deformation_complex(*load_fixture(name), bound)
 
 
 @pytest.mark.parametrize(
